@@ -37,7 +37,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario")
     p_run.add_argument("scenario", type=Path)
     p_run.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed")
+                       help="label the run with this seed in the trace; "
+                            "nothing in a run is random, so only the "
+                            "scenario_loaded record changes")
     p_run.add_argument("--until", type=int, default=None,
                        help="stop the clock at this time (ms)")
     p_run.add_argument("--trace", type=Path, default=None,

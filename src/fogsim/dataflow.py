@@ -17,12 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import errors
-from .catalog import AppKind, Catalog
+from .catalog import Catalog
 from .discovery import DiscoveryService
-from .scheduler import AppInstance, InstanceStatus, Scheduler
+from .scheduler import InstanceStatus, Scheduler
 from .topology import Tier, Topology
-
-MB_PER_KBIT = 1.0 / 8000.0
 
 
 def generated_mb(rate_kbps: float, dt_ms: int) -> float:
@@ -77,11 +75,6 @@ class WindowMetrics:
             return None
 
 
-def uplink_ratio(window: WindowMetrics) -> float:
-    """Bytes sent edge->cloud divided by bytes generated at devices."""
-    return window.ratio
-
-
 class FlowManager:
     def __init__(self, topology: Topology, catalog: Catalog,
                  discovery: DiscoveryService, scheduler: Scheduler,
@@ -96,7 +89,9 @@ class FlowManager:
         self._window_link_mb: dict[str, float] = {}
         # aggregated output held back while the cloud is unreachable
         self.uplink_pending: float = 0.0
-        self._cloud = None  # resolved lazily; topology is built before flows open
+        # where edge-hosted Data-Apps send their aggregated output
+        self._cloud = next((nid for nid in sorted(topology.nodes)
+                            if topology.nodes[nid].tier is Tier.CENTRAL_CLOUD), None)
 
     # -- flow lifecycle -----------------------------------------------------------
 
@@ -151,28 +146,15 @@ class FlowManager:
     def advance_all(self, dt_ms: int) -> None:
         """Integrate all active flows over dt: generate, deliver up to the fair
         bandwidth share, buffer or drop the rest, drain buffers with headroom."""
-        flows = [self.flows[fid] for fid in sorted(self.flows)
-                 if self.flows[fid].active]
-        self._advance(flows, dt_ms)
-
-    def advance(self, flow_id: str, dt_ms: int) -> Flow:
-        """Advance a single flow; bandwidth shares still account for all
-        concurrent flows on shared links."""
-        flow = self.flow(flow_id)
-        if flow.active:
-            self._advance([flow], dt_ms)
-        return flow
-
-    def _advance(self, flows: list[Flow], dt_ms: int) -> None:
         if dt_ms < 0:
             raise errors.ValidationError("dt must be >= 0")
         if dt_ms == 0:
             return
-        contenders = [self.flows[fid] for fid in sorted(self.flows)
-                      if self.flows[fid].active]
+        flows = [self.flows[fid] for fid in sorted(self.flows)
+                 if self.flows[fid].active]
         paths: dict[str, list] = {}
         link_users: dict[str, int] = {}
-        for flow in contenders:
+        for flow in flows:
             if self._is_blocked(flow):
                 continue
             path = self._path_or_none(flow.src, flow.sink)
@@ -221,12 +203,6 @@ class FlowManager:
                 self._window_link_mb.get(link.link_id, 0.0) + amount_mb
         self._account_uplink(flow, amount_mb)
 
-    def _cloud_node(self) -> str | None:
-        for nid in sorted(self.topology.nodes):
-            if self.topology.nodes[nid].tier is Tier.CENTRAL_CLOUD:
-                return nid
-        return None
-
     def _account_uplink(self, flow: Flow, delivered_mb: float) -> None:
         if flow.serving_instance is None:
             return
@@ -239,8 +215,8 @@ class FlowManager:
             up = delivered_mb  # raw bytes already crossed edge -> cloud
         elif host_tier is Tier.EDGE_MODULE:
             up = delivered_mb / app.aggregation_factor
-            cloud = self._cloud_node()
-            if cloud is None or self._path_or_none(inst.host, cloud) is None:
+            if self._cloud is None or \
+                    self._path_or_none(inst.host, self._cloud) is None:
                 self.uplink_pending += up
                 return
         else:
@@ -255,15 +231,7 @@ class FlowManager:
         self.uplink_pending = 0.0
         return pending
 
-    # -- aggregation and windows ----------------------------------------------------
-
-    def aggregate(self, instance_id: str, window_mb: float) -> float:
-        """Data-App output volume for a window of raw input."""
-        inst = self.scheduler.instance(instance_id)
-        app = self.catalog.app(inst.app_id)
-        if app.kind is not AppKind.DATA_APP:
-            raise errors.NotADataApp(instance_id)
-        return window_mb / app.aggregation_factor
+    # -- windows ----------------------------------------------------------------------
 
     def close_window(self, window_start: int, window_end: int,
                      extra_uplink_mb: float = 0.0) -> WindowMetrics:

@@ -119,10 +119,6 @@ class InstanceNotRunning(FogSimError):
     pass
 
 
-class NoBoundApp(FogSimError):
-    pass
-
-
 class TargetGatewayFull(FogSimError):
     pass
 
@@ -130,10 +126,6 @@ class TargetGatewayFull(FogSimError):
 # --- dataflow ---------------------------------------------------------------
 
 class NotAttached(FogSimError):
-    pass
-
-
-class NotADataApp(FogSimError):
     pass
 
 

@@ -1,9 +1,9 @@
-"""Deterministic discrete-event engine: event queue, integer-ms clock, seeded
-randomness, fault injection, and line-delimited trace emission.
+"""Deterministic discrete-event engine: event queue, integer-ms clock, fault
+injection, and line-delimited trace emission.
 
 The clock is an integer millisecond counter to avoid floating-point drift.
 Events execute in (time, sequence) order; the sequence number breaks ties
-FIFO, so two runs of the same scenario with the same seed produce
+FIFO, and nothing is random, so two runs of the same scenario produce
 byte-identical traces.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -30,7 +29,8 @@ class EventKind(str, Enum):
     FAULT_START = "FaultStart"
     FAULT_END = "FaultEnd"
     MIGRATION_COMPLETE = "MigrationComplete"
-    CUSTOM = "Custom"
+    PLACE = "Place"
+    SCALE = "Scale"
 
 
 class FaultKind(str, Enum):
@@ -124,16 +124,13 @@ class Trace:
 
 
 class Kernel:
-    def __init__(self, seed: int = 0):
+    def __init__(self):
         self.now: int = 0
-        self.rng = random.Random(seed)
         self.trace = Trace()
         self.handlers: dict[EventKind, Callable[[Event], None]] = {}
         self._queue: list[tuple[int, int, Event]] = []
         self._event_seq = 0
         self._trace_seq = 0
-        # set by the runtime; maps a fault target to True when it exists
-        self.fault_target_exists: Callable[[Fault], bool] = lambda fault: True
 
     def register(self, kind: EventKind, handler: Callable[[Event], None]) -> None:
         self.handlers[kind] = handler
@@ -148,8 +145,6 @@ class Kernel:
 
     def inject_fault(self, fault: Fault) -> None:
         """Schedule the start and end of a fault window."""
-        if not self.fault_target_exists(fault):
-            raise errors.UnknownTarget(fault.target)
         self.schedule(fault.start, EventKind.FAULT_START, {"fault": fault})
         self.schedule(fault.start + fault.duration, EventKind.FAULT_END,
                       {"fault": fault})

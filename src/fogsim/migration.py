@@ -79,9 +79,6 @@ class MigrationEngine:
         # instance_id -> (record, state snapshot, reserved demand)
         self._pending: dict[str, tuple] = {}
 
-    def in_flight(self, instance_id: str) -> bool:
-        return instance_id in self._pending
-
     def start(self, instance: "AppInstance", target: str, time: int) -> MigrationRecord:
         """Begin a stop-and-copy move. Returns the (fully determined) record;
         the caller schedules completion at record.completed_at."""

@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 
 from . import errors
+from .catalog import AppKind
 from .dataflow import FlowManager
 from .discovery import DiscoveryService
 from .kernel import Event, EventKind, Fault, FaultKind, Kernel
-from .migration import MigrationEngine, MigrationRecord
-from .scenario import Scenario
+from .migration import MigrationEngine
+from .scenario import SCRIPT_EVENTS, Scenario
 from .scheduler import AppInstance, Defer, InstanceStatus, Offload, \
     PlacementRequest, Scheduler
 from .topology import Tier
@@ -27,22 +28,22 @@ class Runtime:
         self.scenario = scenario
         self.topology = scenario.build_topology()
         self.catalog = scenario.build_catalog()
-        self.kernel = Kernel(scenario.seed)
+        self.kernel = Kernel()
         self.discovery = DiscoveryService(self.topology, self.catalog)
         self.scheduler = Scheduler(self.topology, self.catalog, scenario.thresholds)
         self.migrations = MigrationEngine(self.topology, self.catalog)
         self.flows = FlowManager(self.topology, self.catalog, self.discovery,
                                  self.scheduler, scenario.buffer_mb)
-        self.migration_records: list[MigrationRecord] = []
+        self.migrations_completed = 0
         self._last_sync = 0
         self._window_start = 0
         self._partition_depth = 0
         self._deferred_ticks = 0
-        self._fault_effects: dict[tuple, list[tuple[str, str]]] = {}
+        # fault key -> (Topology setter, target id) of each element it took down
+        self._fault_effects: dict[tuple, list[tuple]] = {}
         self._rate_override: dict[str, float] = {}
 
         kernel = self.kernel
-        kernel.fault_target_exists = self._fault_target_exists
         kernel.register(EventKind.ATTACH, self._on_attach)
         kernel.register(EventKind.DETACH, self._on_detach)
         kernel.register(EventKind.ROAM, self._on_roam)
@@ -52,7 +53,8 @@ class Runtime:
         kernel.register(EventKind.MIGRATION_COMPLETE, self._on_migration_complete)
         kernel.register(EventKind.FAULT_START, self._on_fault_start)
         kernel.register(EventKind.FAULT_END, self._on_fault_end)
-        kernel.register(EventKind.CUSTOM, self._on_custom)
+        kernel.register(EventKind.PLACE, self._on_place)
+        kernel.register(EventKind.SCALE, self._on_scale)
 
         self._emit_scenario_loaded()
         self._schedule_script()
@@ -74,31 +76,18 @@ class Runtime:
         })
 
     def _schedule_script(self):
-        kind_by_type = {
-            "attach": EventKind.ATTACH,
-            "detach": EventKind.DETACH,
-            "roam": EventKind.ROAM,
-            "workload": EventKind.WORKLOAD_CHANGE,
-            "flow_advance": EventKind.FLOW_ADVANCE,
-        }
         for entry in self.scenario.script:
-            etype = entry["type"]
-            kind = kind_by_type.get(etype)
-            if kind is None:
-                self.kernel.schedule(entry["time"], EventKind.CUSTOM,
-                                     {"op": etype, **entry})
-            else:
-                self.kernel.schedule(entry["time"], kind, dict(entry))
+            kind, _ = SCRIPT_EVENTS[entry["type"]]
+            self.kernel.schedule(entry["time"], kind, dict(entry))
         for fault in self.scenario.build_faults():
+            known = self.topology.links if fault.kind is FaultKind.LINK_DOWN \
+                else self.topology.nodes
+            if fault.target not in known:
+                raise errors.UnknownTarget(fault.target)
             self.kernel.inject_fault(fault)
         tick = self.scenario.scheduler_tick_ms
         for t in range(tick, self.scenario.duration_ms + 1, tick):
             self.kernel.schedule(t, EventKind.SCHEDULER_TICK)
-
-    def _fault_target_exists(self, fault: Fault) -> bool:
-        if fault.kind is FaultKind.LINK_DOWN:
-            return fault.target in self.topology.links
-        return fault.target in self.topology.nodes
 
     # -- execution ------------------------------------------------------------------
 
@@ -113,7 +102,7 @@ class Runtime:
         self._close_window()
         self.kernel.emit("run_end", self.scenario.name,
                          {"duration_ms": horizon,
-                          "migrations": len(self.migration_records)})
+                          "migrations": self.migrations_completed})
         return self.kernel.trace
 
     def _sync(self):
@@ -233,7 +222,6 @@ class Runtime:
     # -- flows ---------------------------------------------------------------------
 
     def _serving_instance(self, gateway: str) -> AppInstance | None:
-        from .catalog import AppKind
         for iid in sorted(self.scheduler.instances):
             inst = self.scheduler.instances[iid]
             if inst.source != gateway:
@@ -289,17 +277,11 @@ class Runtime:
             flow.rate_kbps = rate
         self.kernel.emit("workload_change", device, {"data_rate_kbps": rate})
 
-    # -- scripted orchestration ops ----------------------------------------------------
+    # -- scripted placement and scaling ------------------------------------------------
 
-    def _on_custom(self, event: Event):
-        op = event.payload.get("op")
-        if op == "place":
-            self._op_place(event.payload)
-        elif op == "scale":
-            self._op_scale(event.payload)
-
-    def _op_place(self, p: dict):
+    def _on_place(self, event: Event):
         self._sync()
+        p = event.payload
         req = PlacementRequest(p["app"], p["source"], int(p.get("replicas", 1)))
         try:
             inst = self.scheduler.place(req)
@@ -318,8 +300,9 @@ class Runtime:
                 self.kernel.emit("flow_rebind", fid, {"sink": inst.host,
                                                       "serving": inst.instance_id})
 
-    def _op_scale(self, p: dict):
+    def _on_scale(self, event: Event):
         self._sync()
+        p = event.payload
         app_id = p["app"]
         host = p.get("host")
         target = None
@@ -368,7 +351,7 @@ class Runtime:
         try:
             inst = self.scheduler.validate_action(action)
             record = self.migrations.start(inst, action.target, self.kernel.now)
-        except (errors.StaleAction, errors.FogSimError) as exc:
+        except errors.FogSimError as exc:
             self.kernel.emit("stale_action", action.instance_id, {
                 "target": action.target, "detail": str(exc)})
             return
@@ -385,7 +368,7 @@ class Runtime:
         iid = event.payload["instance"]
         inst = self.scheduler.instance(iid)
         record = self.migrations.complete(inst)
-        self.migration_records.append(record)
+        self.migrations_completed += 1
         self.kernel.emit("migration_completed", iid, {
             "from": record.from_node, "to": record.to_node,
             "started_at": record.started_at, "completed_at": record.completed_at,
@@ -455,25 +438,19 @@ class Runtime:
         self._sync()
         fault: Fault = event.payload["fault"]
         key = (fault.target, fault.kind.value, fault.start)
-        affected: list[tuple[str, str]] = []
+        topo = self.topology
         if fault.kind is FaultKind.LINK_DOWN:
-            link = self.topology.link(fault.target)
-            if link.up:
-                link.up = False
-                affected.append(("link", link.link_id))
+            taken = [(topo.set_link_up, fault.target)]
         elif fault.kind is FaultKind.NODE_DOWN:
-            node = self.topology.node(fault.target)
-            if node.up:
-                node.up = False
-                affected.append(("node", node.node_id))
+            taken = [(topo.set_node_up, fault.target)]
         else:  # CloudPartition: every link incident to the central cloud node
-            for lid in self.topology._adjacency[fault.target]:
-                link = self.topology.links[lid]
-                if link.up:
-                    link.up = False
-                    affected.append(("link", lid))
+            taken = [(topo.set_link_up, lid) for lid in topo.links_at(fault.target)]
             self._partition_depth += 1
-        self._fault_effects[key] = affected
+        # a fault restores only what it took down itself
+        effects = self._fault_effects[key] = []
+        for set_up, target in taken:
+            if set_up(target, False):
+                effects.append((set_up, target))
         self.kernel.emit("fault_start", fault.target, {
             "fault_kind": fault.kind.value, "duration_ms": fault.duration})
 
@@ -481,11 +458,8 @@ class Runtime:
         self._sync()
         fault: Fault = event.payload["fault"]
         key = (fault.target, fault.kind.value, fault.start)
-        for what, target_id in self._fault_effects.pop(key, []):
-            if what == "link":
-                self.topology.links[target_id].up = True
-            else:
-                self.topology.nodes[target_id].up = True
+        for set_up, target in self._fault_effects.pop(key, []):
+            set_up(target, True)
         if fault.kind is FaultKind.CLOUD_PARTITION:
             self._partition_depth -= 1
         self.kernel.emit("fault_end", fault.target,

@@ -15,23 +15,22 @@ import yaml
 
 from . import errors
 from .catalog import AppKind, AppSpec, Catalog, DeviceProfile, FirmwareEntry
-from .kernel import Fault, FaultKind
+from .kernel import EventKind, Fault, FaultKind
 from .scheduler import Thresholds
 from .topology import ResourceVector, Tier, Topology
 
 SCHEMA_VERSION = 1
 
-_SCRIPT_TYPES = {"attach", "detach", "roam", "place", "scale", "workload",
-                 "flow_advance"}
-
-_REQUIRED_SCRIPT_FIELDS = {
-    "attach": {"device", "gateway", "model"},
-    "detach": {"device", "gateway"},
-    "roam": {"device", "to_gateway"},
-    "place": {"app", "source"},
-    "scale": {"app", "replicas"},
-    "workload": {"device", "data_rate_kbps"},
-    "flow_advance": set(),
+# script type -> (event kind it schedules, fields it requires)
+SCRIPT_EVENTS: dict[str, tuple[EventKind, frozenset[str]]] = {
+    "attach": (EventKind.ATTACH, frozenset({"device", "gateway", "model"})),
+    "detach": (EventKind.DETACH, frozenset({"device", "gateway"})),
+    "roam": (EventKind.ROAM, frozenset({"device", "to_gateway"})),
+    "place": (EventKind.PLACE, frozenset({"app", "source"})),
+    "scale": (EventKind.SCALE, frozenset({"app", "replicas"})),
+    "workload": (EventKind.WORKLOAD_CHANGE,
+                 frozenset({"device", "data_rate_kbps"})),
+    "flow_advance": (EventKind.FLOW_ADVANCE, frozenset()),
 }
 
 
@@ -39,7 +38,7 @@ _REQUIRED_SCRIPT_FIELDS = {
 class Scenario:
     name: str
     duration_ms: int
-    seed: int = 0
+    seed: int = 0  # a label recorded in the trace; nothing is random
     scheduler_tick_ms: int = 1000
     buffer_mb: float = 10.0
     thresholds: Thresholds = field(default_factory=Thresholds)
@@ -97,6 +96,16 @@ def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
         raise errors.ParseError(f"{context}: missing required field {key!r}")
     return mapping[key]
+
+
+def _number(cast, mapping: dict, key: str, context: str):
+    """The required field `key` converted by `cast` (int or float)."""
+    value = _require(mapping, key, context)
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise errors.ParseError(
+            f"{context}: {key} must be a number, got {value!r}") from None
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
@@ -174,12 +183,18 @@ def _validate(scenario: Scenario) -> None:
         raise errors.UnknownReference(f"link endpoint: {exc}") from None
     except errors.FogSimError as exc:
         raise errors.InvariantViolation(f"topology: {exc}") from None
+    except KeyError as exc:
+        raise errors.ParseError(f"topology: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise errors.ParseError(f"topology: {exc}") from None
     try:
         catalog = scenario.build_catalog()
     except errors.FogSimError as exc:
         raise errors.InvariantViolation(f"catalog: {exc}") from None
     except KeyError as exc:
         raise errors.ParseError(f"catalog: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise errors.ParseError(f"catalog: {exc}") from None
 
     for profile in catalog.profiles.values():
         if profile.iot_app not in catalog.apps:
@@ -188,13 +203,12 @@ def _validate(scenario: Scenario) -> None:
 
     gateways = {nid for nid, n in topo.nodes.items() if n.tier is Tier.GATEWAY}
 
-    last_time = 0
     for i, entry in enumerate(scenario.script):
         ctx = f"script[{i}]"
         if not isinstance(entry, dict):
             raise errors.ParseError(f"{ctx}: entries must be mappings")
         etype = _require(entry, "type", ctx)
-        if etype not in _SCRIPT_TYPES:
+        if etype not in SCRIPT_EVENTS:
             raise errors.ParseError(f"{ctx}: unknown event type {etype!r}")
         time = _require(entry, "time", ctx)
         if not isinstance(time, int) or time < 0:
@@ -202,7 +216,7 @@ def _validate(scenario: Scenario) -> None:
         if time > scenario.duration_ms:
             raise errors.InvariantViolation(
                 f"{ctx}: time {time} exceeds duration {scenario.duration_ms}")
-        for required in _REQUIRED_SCRIPT_FIELDS[etype]:
+        for required in SCRIPT_EVENTS[etype][1]:
             _require(entry, required, ctx)
         if etype == "attach":
             if entry["model"] not in catalog.profiles:
@@ -224,10 +238,13 @@ def _validate(scenario: Scenario) -> None:
                 raise errors.UnknownReference(f"{ctx}: unknown app {entry['app']}")
             if etype == "place" and entry["source"] not in topo.nodes:
                 raise errors.UnknownReference(f"{ctx}: unknown node {entry['source']}")
+            # place defaults to one replica; scale reports < 1 at run time
+            replicas = _number(int, {"replicas": 1, **entry}, "replicas", ctx)
+            if etype == "place" and replicas < 1:
+                raise errors.InvariantViolation(f"{ctx}: replicas must be >= 1")
         elif etype == "workload":
-            if float(entry["data_rate_kbps"]) <= 0:
+            if _number(float, entry, "data_rate_kbps", ctx) <= 0:
                 raise errors.InvariantViolation(f"{ctx}: data_rate must be > 0")
-        last_time = max(last_time, time)
 
     for i, f in enumerate(scenario.faults):
         ctx = f"faults[{i}]"
@@ -249,5 +266,7 @@ def _validate(scenario: Scenario) -> None:
                 topo.nodes[target].tier is not Tier.CENTRAL_CLOUD:
             raise errors.InvariantViolation(
                 f"{ctx}: CloudPartition target must be the central cloud node")
-        if int(f["duration_ms"]) <= 0:
+        if _number(int, f, "start", ctx) < 0:
+            raise errors.InvariantViolation(f"{ctx}: start must be >= 0")
+        if _number(int, f, "duration_ms", ctx) <= 0:
             raise errors.InvariantViolation(f"{ctx}: duration_ms must be > 0")

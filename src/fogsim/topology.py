@@ -95,7 +95,8 @@ class Link:
 
 @dataclass
 class Topology:
-    """Mutable node/link graph. Mutated only by the simulation kernel."""
+    """Mutable node/link graph. Up/down state changes only through
+    set_link_up and set_node_up."""
 
     nodes: dict[str, Node] = field(default_factory=dict)
     links: dict[str, Link] = field(default_factory=dict)
@@ -148,6 +149,27 @@ class Topology:
             return self.links[link_id]
         except KeyError:
             raise errors.UnknownTarget(link_id) from None
+
+    def links_at(self, node_id: str) -> tuple[str, ...]:
+        """Ids of the links incident to a node, in the order they were added."""
+        self.node(node_id)
+        return tuple(self._adjacency[node_id])
+
+    # -- up/down state ---------------------------------------------------------
+
+    def set_link_up(self, link_id: str, up: bool) -> bool:
+        """Bring a link up or down; True when its state changed."""
+        link = self.link(link_id)
+        changed = link.up != up
+        link.up = up
+        return changed
+
+    def set_node_up(self, node_id: str, up: bool) -> bool:
+        """Bring a node up or down; True when its state changed."""
+        node = self.node(node_id)
+        changed = node.up != up
+        node.up = up
+        return changed
 
     # -- routing ---------------------------------------------------------------
 

@@ -3,13 +3,15 @@ from __future__ import annotations
 import copy
 
 import pytest
+import yaml
 
 from fogsim import errors
 from fogsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from fogsim.control import run_scenario, run_scenario_file
 from fogsim.kernel import Trace
 from fogsim.report import report_from_trace, validate_trace
-from fogsim.scenario import load_scenario, scenario_from_dict
+from fogsim.runtime import Runtime
+from fogsim.scenario import SCRIPT_EVENTS, load_scenario, scenario_from_dict
 
 from conftest import FIXTURES, SCENARIO_DIR
 
@@ -130,6 +132,44 @@ def test_fault_validation():
         scenario_from_dict(raw)
 
 
+def _append_script(entry):
+    return lambda raw: raw["script"].append(entry)
+
+
+def _set_faults(**fault):
+    return lambda raw: raw.update(faults=[{
+        "target": "edge1--cloud", "kind": "LinkDown", "start": 1000,
+        "duration_ms": 500, **fault}])
+
+
+@pytest.mark.parametrize("mutate, expected", [
+    (lambda raw: raw["topology"]["nodes"][0].pop("tier"), errors.ParseError),
+    (lambda raw: raw["topology"]["nodes"][1].update(tier="Fog"), errors.ParseError),
+    (lambda raw: raw["topology"]["links"][0].pop("latency_ms"), errors.ParseError),
+    (lambda raw: raw["devices"][0].update(data_rate_kbps="fast"), errors.ParseError),
+    (_append_script({"time": 5000, "type": "workload", "device": "cam-1",
+                     "data_rate_kbps": "fast"}), errors.ParseError),
+    (_set_faults(duration_ms="ten"), errors.ParseError),
+    (lambda raw: raw["script"][0].update(replicas="two"), errors.ParseError),
+    (_set_faults(start=-5), errors.InvariantViolation),
+    (lambda raw: raw["script"][0].update(replicas=0), errors.InvariantViolation),
+], ids=["node-without-tier", "unknown-tier", "link-without-latency",
+        "device-rate-not-a-number", "workload-rate-not-a-number",
+        "fault-duration-not-a-number", "place-replicas-not-a-number",
+        "fault-start-negative", "place-replicas-zero"])
+def test_malformed_scenario_is_a_typed_validation_error(mutate, expected,
+                                                         tmp_path, capsys):
+    raw = yaml.safe_load((SCENARIO_DIR / "scaling.yaml").read_text())
+    mutate(raw)
+    with pytest.raises(expected):
+        scenario_from_dict(raw)
+    path = tmp_path / "malformed.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["validate", str(path)]) == EXIT_VALIDATION
+    assert main(["run", str(path)]) == EXIT_VALIDATION
+    assert f"invalid: {expected.__name__}" in capsys.readouterr().err
+
+
 def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(errors.ParseError):
         load_scenario(tmp_path / "nope.yaml")
@@ -178,6 +218,38 @@ def test_until_stops_the_clock():
     scenario = scenario_from_dict(minimal_scenario())
     trace, _ = run_scenario(scenario, until=2000)
     assert all(r.time_ms <= 2000 for r in trace.records)
+
+
+def test_every_script_type_has_a_runtime_handler():
+    runtime = Runtime(scenario_from_dict(minimal_scenario()))
+    for etype, (kind, _) in SCRIPT_EVENTS.items():
+        assert kind in runtime.kernel.handlers, etype
+
+
+def test_inject_fault_unknown_target():
+    scenario = scenario_from_dict(minimal_scenario())
+    # validation rejects unknown targets; the runtime checks again
+    scenario.faults = [{"target": "nope", "kind": "NodeDown", "start": 0,
+                        "duration_ms": 10}]
+    with pytest.raises(errors.UnknownTarget):
+        Runtime(scenario)
+
+
+@pytest.mark.parametrize("starts", [(1000, 1500, 2000), (2000, 1500, 1000)],
+                         ids=["node-link-partition", "partition-link-node"])
+def test_overlapping_faults_restore_every_element(starts):
+    kinds = [("edge1", "NodeDown"), ("edge1--cloud", "LinkDown"),
+             ("cloud", "CloudPartition")]
+    faults = [{"target": target, "kind": kind, "start": start,
+               "duration_ms": 2000}
+              for (target, kind), start in zip(kinds, starts)]
+    runtime = Runtime(scenario_from_dict(minimal_scenario(faults=faults)))
+    trace = runtime.run()
+    topo = runtime.topology
+    assert [r.time_ms for r in trace if r.kind == "fault_end"] == \
+        sorted(start + 2000 for start in starts)
+    assert all(node.up for node in topo.nodes.values())
+    assert all(link.up for link in topo.links.values())
 
 
 def test_seed_override_recorded():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from fogsim import errors
-from fogsim.dataflow import FlowManager, WindowMetrics, generated_mb, uplink_ratio
+from fogsim.dataflow import FlowManager, WindowMetrics, generated_mb
 from fogsim.discovery import DiscoveryService
 from fogsim.migration import MigrationEngine
 from fogsim.scheduler import PlacementRequest, Scheduler
@@ -103,29 +103,6 @@ def test_fair_share_on_contended_link(world):
         assert flow.buffered == pytest.approx(6.25)
 
 
-def test_advance_single_flow_counts_all_contenders(world):
-    _, _, flows, discovery = world
-    discovery.handle_attach("gw1", "dev2", "smartband", "1.0", 0)
-    f1 = flows.open_flow("dev1", "gw1", "edge1", 100_000)
-    flows.open_flow("dev2", "gw1", "edge1", 100_000)
-    flows.advance(f1.flow_id, 1000)
-    assert f1.delivered == pytest.approx(6.25)
-
-
-def test_aggregate_divides_by_factor(world):
-    _, scheduler, flows, _ = world
-    inst = scheduler.place(PlacementRequest("analytics", "gw1"))
-    assert flows.aggregate(inst.instance_id, 12.5) == pytest.approx(1.25)
-
-
-def test_aggregate_rejects_iot_apps(world):
-    from fogsim.discovery import InstallRequest
-    _, scheduler, flows, _ = world
-    inst = scheduler.install_iot_app(InstallRequest("dev1", "gw1", "agent"))
-    with pytest.raises(errors.NotADataApp):
-        flows.aggregate(inst.instance_id, 1.0)
-
-
 def test_uplink_ratio_edge_hosted(world):
     _, scheduler, flows, _ = world
     inst = scheduler.place(PlacementRequest("analytics", "gw1"))
@@ -133,7 +110,7 @@ def test_uplink_ratio_edge_hosted(world):
                            serving_instance=inst.instance_id)
     flows.advance_all(1000)
     window = flows.close_window(0, 1000)
-    assert uplink_ratio(window) == pytest.approx(0.1)  # aggregation factor 10
+    assert window.ratio == pytest.approx(0.1)  # aggregation factor 10
     assert flow.w_generated == 0.0  # window counters reset
 
 

@@ -82,12 +82,13 @@ def test_migrate_data_app_to_cloud(world):
 
 
 def test_migrate_same_host_is_noop(world):
-    _, scheduler, engine = world
+    topo, scheduler, engine = world
     inst = scheduler.place(PlacementRequest("analytics", "gw1"))
+    before = topo.node("edge1").allocated
     record = engine.start(inst, "edge1", 500)
     assert record.downtime_ms == 0 and record.bytes_moved_mb == 0
     assert inst.status is InstanceStatus.RUNNING
-    assert not engine.in_flight(inst.instance_id)
+    assert topo.node("edge1").allocated == before  # nothing reserved twice
 
 
 def test_migrate_requires_running_instance(world):

@@ -52,6 +52,37 @@ def test_path_latency_two_hops(three_tier):
     assert three_tier.path_latency("gw1", "cloud") == 22
 
 
+def test_set_link_up_reports_a_change(three_tier):
+    assert three_tier.set_link_up("edge1--cloud", False) is True
+    assert three_tier.set_link_up("edge1--cloud", False) is False
+    assert not three_tier.links["edge1--cloud"].up
+    assert three_tier.path_latency_or_inf("gw1", "cloud") == math.inf
+    assert three_tier.set_link_up("edge1--cloud", True) is True
+    assert three_tier.set_link_up("edge1--cloud", True) is False
+    assert three_tier.path_latency("gw1", "cloud") == 22
+    with pytest.raises(errors.UnknownTarget):
+        three_tier.set_link_up("nope", False)
+
+
+def test_set_node_up_reports_a_change(three_tier):
+    assert three_tier.set_node_up("edge1", False) is True
+    assert three_tier.set_node_up("edge1", False) is False
+    assert not three_tier.nodes["edge1"].up
+    assert three_tier.path_latency_or_inf("gw1", "cloud") == math.inf
+    assert three_tier.set_node_up("edge1", True) is True
+    assert three_tier.set_node_up("edge1", True) is False
+    with pytest.raises(errors.UnknownNode):
+        three_tier.set_node_up("nope", False)
+
+
+def test_links_at_lists_incident_links(three_tier):
+    assert three_tier.links_at("edge1") == ("gw1--edge1", "gw2--edge1",
+                                            "edge1--cloud")
+    assert three_tier.links_at("cloud") == ("edge1--cloud",)
+    with pytest.raises(errors.UnknownNode):
+        three_tier.links_at("nope")
+
+
 def test_path_latency_partition(three_tier):
     three_tier.links["edge1--cloud"].up = False
     with pytest.raises(errors.Unreachable):
