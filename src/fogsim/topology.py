@@ -51,6 +51,9 @@ class ResourceVector:
 
 @dataclass
 class Node:
+    """A compute node. `up` is written only through Topology.set_node_up,
+    which drops the cached routes."""
+
     node_id: str
     tier: Tier
     cpu_capacity: float
@@ -82,6 +85,9 @@ class Node:
 
 @dataclass
 class Link:
+    """An undirected link. `up` is written only through Topology.set_link_up,
+    which drops the cached routes."""
+
     link_id: str
     a: str
     b: str
@@ -96,11 +102,15 @@ class Link:
 @dataclass
 class Topology:
     """Mutable node/link graph. Up/down state changes only through
-    set_link_up and set_node_up."""
+    set_link_up and set_node_up: routes are cached per source, and those
+    setters, add_node and add_link are what drop the cache."""
 
     nodes: dict[str, Node] = field(default_factory=dict)
     links: dict[str, Link] = field(default_factory=dict)
     _adjacency: dict[str, list[str]] = field(default_factory=dict)
+    # source -> target -> link path, valid until the graph changes
+    _routes: dict[str, dict[str, tuple[Link, ...]]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     # -- construction --------------------------------------------------------
 
@@ -115,6 +125,7 @@ class Topology:
         self.nodes[node_id] = Node(node_id, Tier(tier), cpu_capacity,
                                    mem_capacity, storage_capacity)
         self._adjacency[node_id] = []
+        self._routes.clear()
         return node_id
 
     def add_link(self, a: str, b: str, latency_ms: float, bandwidth_mbps: float,
@@ -136,6 +147,7 @@ class Topology:
         self.links[link_id] = Link(link_id, a, b, latency_ms, bandwidth_mbps)
         self._adjacency[a].append(link_id)
         self._adjacency[b].append(link_id)
+        self._routes.clear()
         return link_id
 
     def node(self, node_id: str) -> Node:
@@ -161,14 +173,18 @@ class Topology:
         """Bring a link up or down; True when its state changed."""
         link = self.link(link_id)
         changed = link.up != up
-        link.up = up
+        if changed:
+            link.up = up
+            self._routes.clear()
         return changed
 
     def set_node_up(self, node_id: str, up: bool) -> bool:
         """Bring a node up or down; True when its state changed."""
         node = self.node(node_id)
         changed = node.up != up
-        node.up = up
+        if changed:
+            node.up = up
+            self._routes.clear()
         return changed
 
     # -- routing ---------------------------------------------------------------
@@ -177,21 +193,36 @@ class Topology:
         """Minimum-latency path over up links between up nodes, as a link list.
 
         Empty list when a == b. Raises Unreachable when no up path exists.
-        Ties broken deterministically by (latency, hop node ids).
+        Ties broken deterministically by (latency, hop node ids). Answers
+        come from a cached shortest-path tree per source; the returned list
+        is the caller's own.
         """
-        self.node(a)
-        self.node(b)
-        if a == b:
-            return []
-        # Dijkstra keyed by (latency, path node ids) for deterministic ties.
+        tree = self._routes.get(a)
+        if tree is None:
+            self.node(a)
+            tree = self._routes[a] = self._route_tree(a)
+        route = tree.get(b)
+        if route is None:
+            self.node(b)
+            raise errors.Unreachable(f"{a} -> {b}")
+        return list(route)
+
+    def _route_tree(self, a: str) -> dict[str, tuple[Link, ...]]:
+        """The link path from a to every node reachable over up elements.
+
+        Dijkstra keyed by (latency, path node ids) for deterministic ties.
+        Each node's path is the one on its first pop; pop order does not
+        depend on a target, so it is the path a search stopping there returns.
+        """
+        tree: dict[str, tuple[Link, ...]] = {}
         best: dict[str, float] = {a: 0.0}
-        heap: list[tuple[float, list[str], str, list[str]]] = [(0.0, [a], a, [])]
+        heap: list[tuple[float, list[str], str, tuple[Link, ...]]] = [
+            (0.0, [a], a, ())]
         while heap:
             dist, path_nodes, here, path_links = heapq.heappop(heap)
-            if here == b:
-                return [self.links[lid] for lid in path_links]
-            if dist > best.get(here, math.inf):
+            if here in tree:
                 continue
+            tree[here] = path_links
             for lid in self._adjacency[here]:
                 link = self.links[lid]
                 if not link.up:
@@ -203,8 +234,8 @@ class Topology:
                 if ndist < best.get(nxt, math.inf):
                     best[nxt] = ndist
                     heapq.heappush(heap, (ndist, path_nodes + [nxt], nxt,
-                                          path_links + [lid]))
-        raise errors.Unreachable(f"{a} -> {b}")
+                                          path_links + (link,)))
+        return tree
 
     def path_latency(self, a: str, b: str) -> float:
         """Shortest-path latency in ms over up links; 0 when a == b."""

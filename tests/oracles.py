@@ -4,14 +4,54 @@ These share no code with the production policies: shortest paths are found by
 exhaustive simple-path enumeration (not Dijkstra), placement by full
 enumeration over every node, and flow counters by re-accumulating trace
 deltas. They may be exponential; the graphs they see are tiny.
+
+The one exception is reference_shortest_path: the uncached per-pair Dijkstra
+that Topology.shortest_path ran before routes were cached per source. It pins
+the exact path, tie-breaks included, that the cache must return.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
+from fogsim import errors
 from fogsim.catalog import AppSpec
-from fogsim.topology import Topology
+from fogsim.topology import Link, Topology
+
+
+def reference_shortest_path(topology: Topology, a: str, b: str) -> list[Link]:
+    """Minimum-latency path over up links between up nodes, searched afresh.
+
+    Empty list when a == b. Raises Unreachable when no up path exists.
+    Ties broken deterministically by (latency, hop node ids).
+    """
+    topology.node(a)
+    topology.node(b)
+    if a == b:
+        return []
+    # Dijkstra keyed by (latency, path node ids) for deterministic ties.
+    best: dict[str, float] = {a: 0.0}
+    heap: list[tuple[float, list[str], str, list[str]]] = [(0.0, [a], a, [])]
+    while heap:
+        dist, path_nodes, here, path_links = heapq.heappop(heap)
+        if here == b:
+            return [topology.links[lid] for lid in path_links]
+        if dist > best.get(here, math.inf):
+            continue
+        for lid in topology.links_at(here):
+            link = topology.links[lid]
+            if not link.up:
+                continue
+            nxt = link.other_end(here)
+            if not topology.nodes[nxt].up:
+                continue
+            ndist = dist + link.latency_ms
+            if ndist < best.get(nxt, math.inf):
+                best[nxt] = ndist
+                heapq.heappush(heap, (ndist, path_nodes + [nxt], nxt,
+                                      path_links + [lid]))
+    raise errors.Unreachable(f"{a} -> {b}")
 
 
 def brute_force_latency(topology: Topology, a: str, b: str) -> float:

@@ -36,7 +36,7 @@ def test_open_flow_requires_attachment(world):
 
 def test_open_flow_requires_reachable_sink(world):
     topo, _, flows, _ = world
-    topo.links["gw1--edge1"].up = False
+    topo.set_link_up("gw1--edge1", False)
     with pytest.raises(errors.Unreachable):
         flows.open_flow("dev1", "gw1", "edge1", 100)
     # unless the flow starts paused (roam in progress)
@@ -136,13 +136,13 @@ def test_uplink_held_while_cloud_unreachable(world):
     inst = scheduler.place(PlacementRequest("analytics", "gw1"))
     flows.open_flow("dev1", "gw1", inst.host, 100,
                     serving_instance=inst.instance_id)
-    topo.links["edge1--cloud"].up = False
+    topo.set_link_up("edge1--cloud", False)
     flows.advance_all(1000)
     window = flows.close_window(0, 1000)
     assert window.uplink_mb == 0.0
     assert flows.uplink_pending == pytest.approx(0.00125)
     # restored: the backlog is flushed into the next window
-    topo.links["edge1--cloud"].up = True
+    topo.set_link_up("edge1--cloud", True)
     extra = flows.flush_pending_uplink()
     flows.advance_all(1000)
     after = flows.close_window(1000, 2000, extra_uplink_mb=extra)

@@ -131,7 +131,7 @@ def test_migrate_latency_budget_checked_against_source(three_tier, catalog):
 def test_migrate_unreachable_target(world):
     topo, scheduler, engine = world
     inst = scheduler.place(PlacementRequest("analytics", "gw1"))
-    topo.links["edge1--cloud"].up = False
+    topo.set_link_up("edge1--cloud", False)
     with pytest.raises(errors.TargetInfeasible):
         engine.start(inst, "cloud", 0)
 

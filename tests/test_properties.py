@@ -45,7 +45,7 @@ def random_world(seed: int):
         topo.reserve(nid, ResourceVector(0, node.mem_capacity * frac, 0))
     if rng.random() < 0.2:
         victim = rng.choice(sorted(topo.links))
-        topo.links[victim].up = False
+        topo.set_link_up(victim, False)
 
     catalog = Catalog()
     catalog.register_app(AppSpec(

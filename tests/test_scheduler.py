@@ -183,10 +183,10 @@ def test_apply_offload_and_stale_action(catalog):
     [action] = [a for a in scheduler.check_thresholds(0)
                 if isinstance(a, Offload)]
     # the target dies between decide and apply
-    scheduler.topology.node(action.target).up = False
+    scheduler.topology.set_node_up(action.target, False)
     with pytest.raises(errors.StaleAction):
         scheduler.validate_action(action)
-    scheduler.topology.node(action.target).up = True
+    scheduler.topology.set_node_up(action.target, True)
     checked = scheduler.validate_action(action)
     record = engine.start(checked, action.target, 0)
     assert checked.status is InstanceStatus.MIGRATING

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fogsim import errors
 from fogsim.topology import ResourceVector, Tier, Topology
 
-from oracles import all_pairs_latency
+from oracles import all_pairs_latency, brute_force_latency, reference_shortest_path
 
 MB = ResourceVector
 
@@ -84,7 +84,7 @@ def test_links_at_lists_incident_links(three_tier):
 
 
 def test_path_latency_partition(three_tier):
-    three_tier.links["edge1--cloud"].up = False
+    three_tier.set_link_up("edge1--cloud", False)
     with pytest.raises(errors.Unreachable):
         three_tier.path_latency("gw1", "cloud")
 
@@ -156,6 +156,88 @@ def test_path_latency_matches_bruteforce_and_is_metric(seed):
         for b in ids:
             for c in ids:
                 assert oracle[(a, c)] <= oracle[(a, b)] + oracle[(b, c)]
+
+
+# a few repeated float latencies, so equal-latency ties and float sums
+# such as 0.1 + 0.2 != 0.3 both occur
+_LATENCIES = st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.5, 2.25, 7.0])
+
+
+@st.composite
+def _graph_and_toggles(draw):
+    n = draw(st.integers(2, 6))
+    topo = Topology()
+    for i in range(n):
+        topo.add_node(f"n{i}", Tier.EDGE_MODULE, 1000, 1000, 1000)
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    for k, (i, j) in enumerate(draw(st.lists(ends, max_size=12))):
+        # explicit ids allow parallel links between one pair
+        topo.add_link(f"n{i}", f"n{j}", draw(_LATENCIES), 100, link_id=f"l{k}")
+    elements = [("link", lid) for lid in topo.links] + \
+               [("node", nid) for nid in topo.nodes]
+    toggles = draw(st.lists(st.tuples(st.sampled_from(elements), st.booleans()),
+                            max_size=8))
+    return topo, toggles
+
+
+def _assert_routes_match_fresh_search(topo):
+    ids = sorted(topo.nodes)
+    for a in ids:
+        for b in ids:
+            try:
+                expected = [l.link_id for l in reference_shortest_path(topo, a, b)]
+            except errors.Unreachable:
+                expected = None
+            try:
+                path = topo.shortest_path(a, b)
+            except errors.Unreachable:
+                assert expected is None
+                assert topo.path_latency_or_inf(a, b) == math.inf
+            else:
+                assert [l.link_id for l in path] == expected
+                assert topo.path_latency(a, b) == sum(l.latency_ms for l in path)
+                # the returned list is the caller's: mutating it changes nothing
+                path.reverse()
+                path.append(None)
+                assert [l.link_id for l in topo.shortest_path(a, b)] == expected
+            assert topo.path_latency_or_inf(a, b) == brute_force_latency(topo, a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_graph_and_toggles())
+def test_cached_routes_match_a_fresh_search_after_every_change(case):
+    topo, toggles = case
+    _assert_routes_match_fresh_search(topo)
+    for (kind, element_id), up in toggles:
+        if kind == "link":
+            topo.set_link_up(element_id, up)
+        else:
+            topo.set_node_up(element_id, up)
+        _assert_routes_match_fresh_search(topo)
+
+
+def test_equal_latency_tie_goes_to_the_smaller_hop_node_ids():
+    # s-b-y-t and s-c-x-t both take 3 ms; [s, b, y] sorts before [s, c, x]
+    # although x sorts before y
+    topo = Topology()
+    for nid in ("s", "b", "c", "x", "y", "t"):
+        topo.add_node(nid, Tier.EDGE_MODULE, 1000, 1000, 1000)
+    for a, b in (("s", "c"), ("c", "x"), ("x", "t"),
+                 ("s", "b"), ("b", "y"), ("y", "t")):
+        topo.add_link(a, b, 1.0, 100)
+    expected = ["s--b", "b--y", "y--t"]
+    assert [l.link_id for l in reference_shortest_path(topo, "s", "t")] == expected
+    assert [l.link_id for l in topo.shortest_path("s", "t")] == expected
+
+
+def test_adding_elements_drops_cached_routes(three_tier):
+    assert three_tier.path_latency("gw1", "cloud") == 22
+    three_tier.add_link("gw1", "cloud", 5, 100)
+    assert three_tier.path_latency("gw1", "cloud") == 5
+    three_tier.add_node("edge2", Tier.EDGE_MODULE, 8000, 16384, 491520)
+    three_tier.add_link("edge2", "gw1", 1, 100)
+    assert three_tier.path_latency("gw1", "edge2") == 1
 
 
 @settings(max_examples=30, deadline=None)
