@@ -70,6 +70,13 @@ def _write_metrics(path: Path, trace: Trace) -> None:
                             + [d["utilization"][n] for n in nodes])
 
 
+def _decode_trace(data: bytes) -> str:
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise errors.MalformedTrace(f"not UTF-8: {exc}") from None
+
+
 def _print_report(report: Report) -> None:
     for line in report.summary_lines():
         print(line)
@@ -101,22 +108,27 @@ def main(argv: list[str] | None = None) -> int:
         except errors.FogSimError as exc:
             print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
-        if args.trace is not None:
-            Path(args.trace).write_text(trace.to_jsonl())
-        if args.metrics is not None:
-            _write_metrics(args.metrics, trace)
+        try:
+            if args.trace is not None:
+                # write the bytes that trace.hash() digests
+                Path(args.trace).write_bytes(trace.to_jsonl().encode())
+            if args.metrics is not None:
+                _write_metrics(args.metrics, trace)
+        except OSError as exc:
+            print(f"runtime error: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
         _print_report(report)
         print(f"trace: {len(trace)} records, sha256 {trace.hash()[:16]}")
         return EXIT_OK
 
     # report
     try:
-        text = Path(args.trace).read_text()
+        data = Path(args.trace).read_bytes()
     except OSError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     try:
-        report = report_from_trace(Trace.from_jsonl(text))
+        report = report_from_trace(Trace.from_jsonl(_decode_trace(data)))
     except errors.FogSimError as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -59,18 +59,34 @@ class Event:
     payload: dict = field(default_factory=dict)
 
 
+# leaf types that rounding passes through as they are
+_PLAIN = frozenset({str, int, bool, type(None)})
+
+
 def _round_floats(value):
+    """A copy of `value` with every float rounded to 9 places and tuples
+    made lists. Leaves of exactly `float` or a `_PLAIN` type are handled
+    inline; the call recurses only into containers and into subclasses such
+    as str enums."""
+    if isinstance(value, dict):
+        return {k: round(v, 9) if type(v) is float
+                else v if type(v) in _PLAIN else _round_floats(v)
+                for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [round(v, 9) if type(v) is float
+                else v if type(v) in _PLAIN else _round_floats(v)
+                for v in value]
     if isinstance(value, float):
         return round(value, 9)
-    if isinstance(value, dict):
-        return {k: _round_floats(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round_floats(v) for v in value]
     return value
 
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """One trace line. `details` are rounded when the record is made, by
+    `Kernel.emit` or by parsing a trace that was written rounded, so
+    `to_json` dumps them as they are."""
+
     time_ms: int
     seq: int
     kind: str
@@ -83,15 +99,21 @@ class TraceRecord:
             "seq": self.seq,
             "kind": self.kind,
             "subject": self.subject,
-            "details": _round_floats(self.details),
+            "details": self.details,
         }, sort_keys=True, separators=(",", ":"))
 
 
 class Trace:
-    """Ordered record of a run; serializes to one JSON object per line."""
+    """Ordered record of a run; serializes to one JSON object per line.
+
+    A trace only grows, through `append`. `to_jsonl` serialises each record
+    once: it keeps the text made so far and adds the lines of the records
+    appended since, so `hash` digests that same text."""
 
     def __init__(self, records: list[TraceRecord] | None = None):
         self.records: list[TraceRecord] = records or []
+        self._text = ""
+        self._serialised = 0  # records already in _text
 
     def append(self, record: TraceRecord) -> None:
         self.records.append(record)
@@ -103,7 +125,11 @@ class Trace:
         return len(self.records)
 
     def to_jsonl(self) -> str:
-        return "".join(r.to_json() + "\n" for r in self.records)
+        if self._serialised < len(self.records):
+            self._text += "".join(r.to_json() + "\n"
+                                  for r in self.records[self._serialised:])
+            self._serialised = len(self.records)
+        return self._text
 
     def hash(self) -> str:
         return hashlib.sha256(self.to_jsonl().encode()).hexdigest()

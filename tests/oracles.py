@@ -5,18 +5,22 @@ exhaustive simple-path enumeration (not Dijkstra), placement by full
 enumeration over every node, and flow counters by re-accumulating trace
 deltas. They may be exponential; the graphs they see are tiny.
 
-The one exception is reference_shortest_path: the uncached per-pair Dijkstra
-that Topology.shortest_path ran before routes were cached per source. It pins
-the exact path, tie-breaks included, that the cache must return.
+Two exceptions copy earlier production code. reference_shortest_path is the
+uncached per-pair Dijkstra that Topology.shortest_path ran before routes were
+cached per source; it pins the exact path, tie-breaks included, that the cache
+must return. reference_record_json is TraceRecord.to_json as it was when it
+rounded every float again at serialisation; it pins the bytes of a record.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import math
 
 from fogsim import errors
 from fogsim.catalog import AppSpec
+from fogsim.kernel import TraceRecord
 from fogsim.topology import Link, Topology
 
 
@@ -52,6 +56,28 @@ def reference_shortest_path(topology: Topology, a: str, b: str) -> list[Link]:
                 heapq.heappush(heap, (ndist, path_nodes + [nxt], nxt,
                                       path_links + [lid]))
     raise errors.Unreachable(f"{a} -> {b}")
+
+
+def reference_round_floats(value):
+    """Recursive rounding of every float in a JSON-like value to 9 places."""
+    if isinstance(value, float):
+        return round(value, 9)
+    if isinstance(value, dict):
+        return {k: reference_round_floats(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_round_floats(v) for v in value]
+    return value
+
+
+def reference_record_json(record: TraceRecord) -> str:
+    """The JSON line of `record`, rounding its details at serialisation."""
+    return json.dumps({
+        "time_ms": record.time_ms,
+        "seq": record.seq,
+        "kind": record.kind,
+        "subject": record.subject,
+        "details": reference_round_floats(record.details),
+    }, sort_keys=True, separators=(",", ":"))
 
 
 def brute_force_latency(topology: Topology, a: str, b: str) -> float:

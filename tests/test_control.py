@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 
 import pytest
 import yaml
@@ -335,3 +336,26 @@ def test_cli_report_missing_and_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("garbage\n")
     assert main(["report", str(bad)]) == EXIT_RUNTIME
+
+
+def test_cli_report_non_utf8_is_a_malformed_trace(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\xff\xfe")
+    assert main(["report", str(bad)]) == EXIT_RUNTIME
+    assert "runtime error: MalformedTrace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--trace", "--metrics"])
+def test_cli_run_unwritable_output_is_a_runtime_error(option, tmp_path, capsys):
+    target = tmp_path / "missing" / "out"
+    code = main(["run", str(SCENARIO_DIR / "roaming.yaml"), option, str(target)])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("runtime error:")
+
+
+def test_cli_run_prints_the_hash_of_the_file_it_wrote(tmp_path, capsys):
+    trace_path = tmp_path / "out.jsonl"
+    assert main(["run", str(SCENARIO_DIR / "roaming.yaml"),
+                 "--trace", str(trace_path)]) == EXIT_OK
+    digest = hashlib.sha256(trace_path.read_bytes()).hexdigest()
+    assert f"sha256 {digest[:16]}" in capsys.readouterr().out

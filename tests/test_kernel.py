@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogsim import errors
 from fogsim.kernel import (Event, EventKind, Fault, FaultKind, Kernel, Trace,
                            TraceRecord)
+
+from oracles import reference_record_json, reference_round_floats
 
 
 def test_events_run_in_time_then_fifo_order():
@@ -107,3 +113,84 @@ def test_trace_record_json_is_key_sorted_and_compact():
     record = TraceRecord(0, 1, "k", "s", {"b": 1, "a": 2})
     assert record.to_json() == \
         '{"details":{"a":2,"b":1},"kind":"k","seq":1,"subject":"s","time_ms":0}'
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_appends_after_serialising_reach_the_text_and_the_hash():
+    kernel = Kernel()
+    kernel.emit("a", "x", {"v": 1.5})
+    first = kernel.trace.to_jsonl()
+    assert kernel.trace.hash() == _sha256(first)
+    record = kernel.emit("b", "y", {"w": [2.25]})
+    text = kernel.trace.to_jsonl()
+    assert text == first + record.to_json() + "\n"
+    assert kernel.trace.hash() == _sha256(text) != _sha256(first)
+
+
+def test_each_record_is_serialised_once(monkeypatch):
+    calls = []
+    to_json = TraceRecord.to_json
+    monkeypatch.setattr(TraceRecord, "to_json",
+                        lambda self: calls.append(self.seq) or to_json(self))
+    kernel = Kernel()
+    kernel.emit("a", "x")
+    kernel.emit("b", "y")
+    kernel.trace.to_jsonl()
+    kernel.trace.hash()
+    kernel.emit("c", "z")
+    kernel.trace.hash()
+    kernel.trace.to_jsonl()
+    assert calls == [1, 2, 3]
+
+
+def test_trace_built_from_a_slice_serialises_on_its_own():
+    kernel = Kernel()
+    for name in "abc":
+        kernel.emit(name, name, {"v": 0.5})
+    full = kernel.trace.to_jsonl()
+    part = Trace(kernel.trace.records[:2])
+    assert part.to_jsonl() == "".join(full.splitlines(keepends=True)[:2])
+    assert part.hash() == _sha256(part.to_jsonl())
+    assert kernel.trace.to_jsonl() == full and len(kernel.trace) == 3
+
+
+_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e8, max_value=1e300),
+    st.floats(min_value=-1e300, max_value=-1e8),
+    st.floats(min_value=-2.2e-308, max_value=2.2e-308),  # subnormals
+    st.just(-0.0),
+)
+
+
+class _Float(float):
+    """A float subclass, which rounding reaches only through its fallback."""
+
+
+_leaves = st.one_of(_floats, _floats.map(_Float), st.integers(), st.booleans(),
+                    st.none(), st.text(max_size=5), st.sampled_from(list(EventKind)))
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=5), inner, max_size=4)),
+    max_leaves=16)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(max_size=5), _values, max_size=6))
+def test_records_are_rounded_once_and_serialise_as_before(details):
+    kernel = Kernel()
+    record = kernel.emit("k", "s", details)
+    line = record.to_json()
+    # the reference rounds again at serialisation, which must change no byte
+    assert line == reference_record_json(record)
+    # and emission rounds exactly as the recursive rounding did
+    assert line == reference_record_json(
+        TraceRecord(record.time_ms, record.seq, "k", "s",
+                    reference_round_floats(details)))
+    replayed = Trace.from_jsonl(line).records[0]
+    assert replayed == record and replayed.to_json() == line
