@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from . import errors
 from .catalog import Catalog
-from .topology import Link, Tier, Topology
+from .topology import Link, Topology
 
 if TYPE_CHECKING:
     from .scheduler import AppInstance

@@ -62,8 +62,8 @@ class Runtime:
     # -- setup -------------------------------------------------------------------
 
     def _emit_scenario_loaded(self):
-        nodes = {nid: {"tier": n.tier.value, "cpu": n.cpu_capacity,
-                       "mem": n.mem_capacity, "storage": n.storage_capacity}
+        nodes = {nid: {"tier": n.tier.value, "cpu": n.capacity.cpu,
+                       "mem": n.capacity.mem, "storage": n.capacity.storage}
                  for nid, n in sorted(self.topology.nodes.items())}
         self.kernel.emit("scenario_loaded", self.scenario.name, {
             "nodes": nodes,
@@ -413,8 +413,8 @@ class Runtime:
             self.kernel.emit("link_window", link_id, {
                 "delivered_mb": metrics.links[link_id],
                 "capacity_mb": link.bandwidth_mbps * dt / 8000.0})
-        alloc = {nid: {"cpu": n.cpu_alloc, "mem": n.mem_alloc,
-                       "storage": n.storage_alloc}
+        alloc = {nid: {"cpu": n.allocated.cpu, "mem": n.allocated.mem,
+                       "storage": n.allocated.storage}
                  for nid, n in sorted(self.topology.nodes.items())}
         statuses = {iid: self.scheduler.instances[iid].status.value
                     for iid in sorted(self.scheduler.instances)}

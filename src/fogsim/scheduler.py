@@ -12,7 +12,7 @@ actions are computed against a consistent snapshot and re-validated on apply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from . import errors
@@ -113,15 +113,15 @@ class Scheduler:
 
     def select_host(self, app: AppSpec, source: str, replicas: int,
                     exclude: frozenset[str] = frozenset(),
-                    alloc_override: dict[str, list[float]] | None = None,
+                    alloc_override: dict[str, ResourceVector] | None = None,
                     util_cap_after: float | None = None) -> str | None:
         """Best feasible host for `replicas` of `app` fed from `source`, or None.
 
         Feasible: node up, tier allowed, capacity for replicas x demand,
         reachable from source, and within the app's latency requirement.
         Objective: minimal source latency, then most free bottleneck capacity,
-        then smallest node id. `alloc_override` substitutes tentative
-        allocations (used by the offload loop); `util_cap_after` additionally
+        then smallest node id. `alloc_override` maps every node to a tentative
+        allocation (used by the offload loop); `util_cap_after` additionally
         rejects hosts that the placement would push above that utilization.
         """
         demand = app.demand.scaled(replicas)
@@ -133,12 +133,10 @@ class Scheduler:
             node = self.topology.nodes[node_id]
             if not node.up or node.tier not in app.allowed_tiers:
                 continue
-            alloc = (alloc_override.get(node_id) if alloc_override else None)
-            if alloc is None:
-                alloc = [node.cpu_alloc, node.mem_alloc, node.storage_alloc]
-            caps = [node.cpu_capacity, node.mem_capacity, node.storage_capacity]
-            dem = [demand.cpu, demand.mem, demand.storage]
-            if any(a + d > c for a, d, c in zip(alloc, dem, caps)):
+            alloc = (node.allocated if alloc_override is None
+                     else alloc_override[node_id])
+            after = alloc + demand
+            if not after.fits_within(node.capacity):
                 continue
             latency = self.topology.path_latency_or_inf(source, node_id)
             if latency == float("inf"):
@@ -146,11 +144,10 @@ class Scheduler:
             if (app.latency_requirement_ms is not None
                     and latency > app.latency_requirement_ms):
                 continue
-            util_now = max(a / c for a, c in zip(alloc, caps))
-            if util_cap_after is not None:
-                util_after = max((a + d) / c for a, d, c in zip(alloc, dem, caps))
-                if util_after > util_cap_after:
-                    continue
+            util_now = alloc.bottleneck_fraction(node.capacity)
+            if (util_cap_after is not None
+                    and after.bottleneck_fraction(node.capacity) > util_cap_after):
+                continue
             key = (latency, util_now, node_id)
             if best_key is None or key < best_key:
                 best_key = key
@@ -219,13 +216,6 @@ class Scheduler:
 
     # -- threshold loop ------------------------------------------------------------
 
-    def _bottleneck_fraction(self, app: AppSpec, replicas: int, node_id: str) -> float:
-        node = self.topology.nodes[node_id]
-        demand = app.demand.scaled(replicas)
-        return max(demand.cpu / node.cpu_capacity,
-                   demand.mem / node.mem_capacity,
-                   demand.storage / node.storage_capacity)
-
     def check_thresholds(self, time: int) -> list[Action]:
         """Offload decisions for every edge module above the high watermark.
 
@@ -237,17 +227,15 @@ class Scheduler:
         one tick stay mutually consistent.
         """
         actions: list[Action] = []
-        # tentative allocations: node_id -> [cpu, mem, storage]
-        alloc = {nid: [n.cpu_alloc, n.mem_alloc, n.storage_alloc]
-                 for nid, n in self.topology.nodes.items()}
+        nodes = self.topology.nodes
+        # tentative allocations; vectors are immutable, so no copy is needed
+        alloc = {nid: n.allocated for nid, n in nodes.items()}
 
         def util(nid: str) -> float:
-            node = self.topology.nodes[nid]
-            caps = (node.cpu_capacity, node.mem_capacity, node.storage_capacity)
-            return max(a / c for a, c in zip(alloc[nid], caps))
+            return alloc[nid].bottleneck_fraction(nodes[nid].capacity)
 
-        for node_id in sorted(self.topology.nodes):
-            node = self.topology.nodes[node_id]
+        for node_id in sorted(nodes):
+            node = nodes[node_id]
             if node.tier is not Tier.EDGE_MODULE or not node.up:
                 continue
             if util(node_id) <= self.thresholds.high_watermark:
@@ -260,15 +248,14 @@ class Scheduler:
                 app = self.catalog.app(inst.app_id)
                 if app.kind is not AppKind.DATA_APP:
                     continue
-                victims.append((inst, app))
+                victims.append((inst, app, app.demand.scaled(inst.replicas)))
             if not victims:
                 actions.append(Defer(node_id, None, "NoMovableInstance"))
                 continue
-            victims.sort(key=lambda va: (
-                -self._bottleneck_fraction(va[1], va[0].replicas, node_id),
-                va[0].instance_id))
+            victims.sort(key=lambda v: (
+                -v[2].bottleneck_fraction(node.capacity), v[0].instance_id))
             deferred = False
-            for inst, app in victims:
+            for inst, app, demand in victims:
                 if util(node_id) <= self.thresholds.low_watermark:
                     break
                 target = self.select_host(
@@ -280,10 +267,8 @@ class Scheduler:
                     deferred = True
                     continue
                 actions.append(Offload(inst.instance_id, node_id, target, time))
-                demand = app.demand.scaled(inst.replicas)
-                for i, d in enumerate((demand.cpu, demand.mem, demand.storage)):
-                    alloc[node_id][i] -= d
-                    alloc[target][i] += d
+                alloc[node_id] = alloc[node_id] - demand
+                alloc[target] = alloc[target] + demand
             if util(node_id) > self.thresholds.high_watermark and not deferred:
                 actions.append(Defer(node_id, None, "NoMovableInstance"))
         return actions

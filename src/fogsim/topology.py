@@ -1,8 +1,9 @@
 """Three-tier node graph with link latency/bandwidth and per-node resource accounting.
 
 Nodes live in one of three tiers (central cloud, edge module, IoT gateway)
-and carry CPU (millicores), memory (MB) and storage (MB) capacities.
-Reservations are all-or-nothing so accounting stays auditable.
+and carry a capacity and an allocation, each a ResourceVector of CPU
+(millicores), memory (MB) and storage (MB). Reservations are all-or-nothing
+so accounting stays auditable.
 """
 
 from __future__ import annotations
@@ -23,7 +24,15 @@ class Tier(str, Enum):
 
 @dataclass(frozen=True)
 class ResourceVector:
-    """A (cpu, mem, storage) demand or allocation. cpu in millicores, mem/storage in MB."""
+    """A (cpu, mem, storage) quantity: an app's demand, a node's capacity or
+    its allocation. cpu in millicores, mem/storage in MB.
+
+    Components are rounded to 9 decimal places, the trace's precision, when
+    a vector is made; integral components are unchanged. Sums and
+    differences of such vectors are then exact for integral components and
+    for any components below 2**21, so releasing reserved demands in any
+    order returns an allocation exactly to zero.
+    """
 
     cpu: float = 0.0
     mem: float = 0.0
@@ -32,6 +41,9 @@ class ResourceVector:
     def __post_init__(self):
         if self.cpu < 0 or self.mem < 0 or self.storage < 0:
             raise errors.ValidationError(f"resource components must be >= 0: {self}")
+        object.__setattr__(self, "cpu", round(self.cpu, 9))
+        object.__setattr__(self, "mem", round(self.mem, 9))
+        object.__setattr__(self, "storage", round(self.storage, 9))
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
         return ResourceVector(self.cpu + other.cpu, self.mem + other.mem,
@@ -48,29 +60,23 @@ class ResourceVector:
         return (self.cpu <= other.cpu and self.mem <= other.mem
                 and self.storage <= other.storage)
 
+    def bottleneck_fraction(self, capacity: "ResourceVector") -> float:
+        """The largest per-resource fraction of `capacity` this vector takes."""
+        return max(self.cpu / capacity.cpu, self.mem / capacity.mem,
+                   self.storage / capacity.storage)
+
 
 @dataclass
 class Node:
-    """A compute node. `up` is written only through Topology.set_node_up,
-    which drops the cached routes."""
+    """A compute node. `capacity` and `allocated` are ResourceVectors;
+    `allocated` changes only through Topology.reserve and release. `up` is
+    written only through Topology.set_node_up, which drops the cached routes."""
 
     node_id: str
     tier: Tier
-    cpu_capacity: float
-    mem_capacity: float
-    storage_capacity: float
-    cpu_alloc: float = 0.0
-    mem_alloc: float = 0.0
-    storage_alloc: float = 0.0
+    capacity: ResourceVector
+    allocated: ResourceVector = ResourceVector()
     up: bool = True
-
-    @property
-    def capacity(self) -> ResourceVector:
-        return ResourceVector(self.cpu_capacity, self.mem_capacity, self.storage_capacity)
-
-    @property
-    def allocated(self) -> ResourceVector:
-        return ResourceVector(self.cpu_alloc, self.mem_alloc, self.storage_alloc)
 
     @property
     def free(self) -> ResourceVector:
@@ -78,9 +84,7 @@ class Node:
 
     def utilization(self) -> float:
         """Bottleneck utilization: the largest per-resource allocated fraction."""
-        return max(self.cpu_alloc / self.cpu_capacity,
-                   self.mem_alloc / self.mem_capacity,
-                   self.storage_alloc / self.storage_capacity)
+        return self.allocated.bottleneck_fraction(self.capacity)
 
 
 @dataclass
@@ -118,12 +122,13 @@ class Topology:
                  mem_capacity: float, storage_capacity: float) -> str:
         if node_id in self.nodes:
             raise errors.DuplicateNodeId(node_id)
-        if cpu_capacity <= 0 or mem_capacity <= 0 or storage_capacity <= 0:
+        # below the 9-place precision of vectors and the trace, a capacity may round to 0
+        if min(cpu_capacity, mem_capacity, storage_capacity) < 1e-9:
             raise errors.InvalidCapacity(
-                f"{node_id}: capacities must be > 0 "
+                f"{node_id}: capacities must be >= 1e-9 "
                 f"(cpu={cpu_capacity}, mem={mem_capacity}, storage={storage_capacity})")
-        self.nodes[node_id] = Node(node_id, Tier(tier), cpu_capacity,
-                                   mem_capacity, storage_capacity)
+        self.nodes[node_id] = Node(node_id, Tier(tier), ResourceVector(
+            cpu_capacity, mem_capacity, storage_capacity))
         self._adjacency[node_id] = []
         self._routes.clear()
         return node_id
@@ -252,21 +257,18 @@ class Topology:
     def reserve(self, node_id: str, demand: ResourceVector) -> None:
         """Reserve a demand vector on a node, all-or-nothing."""
         node = self.node(node_id)
-        if not demand.fits_within(node.free):
+        allocated = node.allocated + demand
+        if not allocated.fits_within(node.capacity):
             raise errors.InsufficientCapacity(
                 f"{node_id}: demand {demand} exceeds free {node.free}")
-        node.cpu_alloc += demand.cpu
-        node.mem_alloc += demand.mem
-        node.storage_alloc += demand.storage
+        node.allocated = allocated
 
     def release(self, node_id: str, demand: ResourceVector) -> None:
         node = self.node(node_id)
         if not demand.fits_within(node.allocated):
             raise errors.ReleaseUnderflow(
                 f"{node_id}: release {demand} exceeds allocated {node.allocated}")
-        node.cpu_alloc -= demand.cpu
-        node.mem_alloc -= demand.mem
-        node.storage_alloc -= demand.storage
+        node.allocated = node.allocated - demand
 
     def utilization(self, node_id: str) -> float:
         return self.node(node_id).utilization()

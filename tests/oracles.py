@@ -123,8 +123,8 @@ def brute_force_place(topology: Topology, app: AppSpec, source: str,
         node = topology.nodes[node_id]
         if not node.up or node.tier not in app.allowed_tiers:
             continue
-        alloc = (node.cpu_alloc, node.mem_alloc, node.storage_alloc)
-        caps = (node.cpu_capacity, node.mem_capacity, node.storage_capacity)
+        alloc = (node.allocated.cpu, node.allocated.mem, node.allocated.storage)
+        caps = (node.capacity.cpu, node.capacity.mem, node.capacity.storage)
         if any(a + d > c for a, d, c in zip(alloc, demand, caps)):
             continue
         latency = brute_force_latency(topology, source, node_id)

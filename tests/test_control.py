@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import importlib.util
 
 import pytest
 import yaml
@@ -14,7 +15,7 @@ from fogsim.report import report_from_trace, validate_trace
 from fogsim.runtime import Runtime
 from fogsim.scenario import SCRIPT_EVENTS, load_scenario, scenario_from_dict
 
-from conftest import FIXTURES, SCENARIO_DIR
+from conftest import FIXTURES, REPO_ROOT, SCENARIO_DIR
 
 
 def minimal_scenario(**overrides) -> dict:
@@ -204,6 +205,29 @@ FIXTURE_TRACE_HASHES = {"roaming": "8b380175453a130c",
 def test_fixture_trace_hash_is_unchanged(name):
     runtime = Runtime(load_scenario(SCENARIO_DIR / f"{name}.yaml"))
     assert runtime.run().hash()[:16] == FIXTURE_TRACE_HASHES[name]
+
+
+# sha256 prefixes of the benchmark workloads' traces at seed 1; these runs
+# reach the threshold loop, migrations and faults far more than the fixtures
+WORKLOAD_TRACE_HASHES = {"star_steady": "e9f19e9da4fa43cf",
+                         "mesh_churn": "5282dadc50d285be",
+                         "fleet_ticks": "5b91a3713017c90a"}
+
+
+def _benchmark_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_TRACE_HASHES))
+def test_workload_trace_hash_is_unchanged(name, tmp_path):
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(_benchmark_workloads().scenario_yaml(name, 1))
+    runtime = Runtime(load_scenario(path))
+    assert runtime.run().hash()[:16] == WORKLOAD_TRACE_HASHES[name]
 
 
 def test_run_produces_report_equal_to_trace_replay():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -12,7 +13,9 @@ from fogsim import errors
 from fogsim.catalog import AppKind, AppSpec, Catalog
 from fogsim.discovery import DiscoveryService
 from fogsim.dataflow import FlowManager
-from fogsim.scheduler import PlacementRequest, Scheduler
+from fogsim.migration import MigrationEngine
+from fogsim.scheduler import (InstanceStatus, Offload, PlacementRequest, Scheduler,
+                              Thresholds)
 from fogsim.topology import ResourceVector, Tier, Topology
 
 from oracles import brute_force_place
@@ -42,7 +45,7 @@ def random_world(seed: int):
         if node.tier is Tier.GATEWAY:
             continue
         frac = rng.choice([0.0, 0.25, 0.5, 0.9, 1.0])
-        topo.reserve(nid, ResourceVector(0, node.mem_capacity * frac, 0))
+        topo.reserve(nid, ResourceVector(0, node.capacity.mem * frac, 0))
     if rng.random() < 0.2:
         victim = rng.choice(sorted(topo.links))
         topo.set_link_up(victim, False)
@@ -116,3 +119,82 @@ def test_flow_conservation_under_random_advances(seed, steps):
         flow.delivered + flow.dropped + flow.buffered)
     assert flow.buffered <= flows.buffer_mb + 1e-9
     assert flow.uplinked <= flow.delivered + 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 1_000_000), fractional=st.booleans(),
+       steps=st.lists(st.sampled_from(["place", "scale", "offload", "complete"]),
+                      min_size=1, max_size=15))
+def test_allocations_equal_hosted_plus_inbound_demands(seed, fractional, steps):
+    """After every place, scale, offload start and migration complete, each
+    node's allocation is demand x replicas summed over the instances it hosts
+    and the migrations heading to it: reserved once, never lost."""
+    rng = random.Random(seed)
+    topo = Topology()
+    topo.add_node("cloud", Tier.CENTRAL_CLOUD, 64000, 98304, 11534336)
+    for i in range(2):
+        topo.add_node(f"edge{i}", Tier.EDGE_MODULE, 8000, 16384, 491520)
+        topo.add_link(f"edge{i}", "cloud", 20, 1000)
+    topo.add_node("gw0", Tier.GATEWAY, 4000, 1024, 16384)
+    topo.add_link("gw0", "edge0", 2, 100)
+    topo.add_link("gw0", "edge1", 5, 100)
+
+    def amount(low, high):
+        return rng.randint(low, high) + (rng.randint(1, 9) / 10 if fractional else 0)
+
+    catalog = Catalog()
+    for app_id in ("a", "b"):
+        catalog.register_app(AppSpec(
+            app_id, AppKind.DATA_APP,
+            ResourceVector(amount(100, 2000), amount(512, 4096), amount(128, 2048)),
+            state_size_mb=1))
+    # low watermarks make the threshold loop offload after a placement or two
+    scheduler = Scheduler(topo, catalog, Thresholds(high_watermark=0.5,
+                                                     low_watermark=0.2))
+    engine = MigrationEngine(topo, catalog)
+    inbound: dict[str, str] = {}  # migrating instance id -> its target
+
+    for time, step in enumerate(steps):
+        running = sorted(iid for iid, inst in scheduler.instances.items()
+                         if inst.status is InstanceStatus.RUNNING)
+        if step == "place":
+            try:
+                scheduler.place(PlacementRequest(rng.choice("ab"), "gw0",
+                                                 rng.randint(1, 2)))
+            except errors.Unschedulable:
+                pass
+        elif step == "scale" and running:
+            try:
+                scheduler.scale(rng.choice(running), rng.randint(1, 3))
+            except errors.InsufficientCapacity:
+                pass
+        elif step == "offload":
+            for action in scheduler.check_thresholds(time):
+                if not isinstance(action, Offload):
+                    continue
+                try:
+                    inst = scheduler.validate_action(action)
+                    engine.start(inst, action.target, time)
+                except (errors.StaleAction, errors.TargetInfeasible):
+                    continue
+                inbound[inst.instance_id] = action.target
+        elif step == "complete" and inbound:
+            iid = rng.choice(sorted(inbound))
+            del inbound[iid]
+            engine.complete(scheduler.instance(iid))
+
+        expected = {nid: [0.0, 0.0, 0.0] for nid in topo.nodes}
+        holders = [(inst.host, inst) for inst in scheduler.instances.values()]
+        holders += [(target, scheduler.instance(iid)) for iid, target in inbound.items()]
+        for nid, inst in holders:
+            demand = catalog.app(inst.app_id).demand
+            expected[nid][0] += demand.cpu * inst.replicas
+            expected[nid][1] += demand.mem * inst.replicas
+            expected[nid][2] += demand.storage * inst.replicas
+        for nid, node in topo.nodes.items():
+            got = [node.allocated.cpu, node.allocated.mem, node.allocated.storage]
+            if fractional:
+                assert all(math.isclose(g, e, abs_tol=1e-9)
+                           for g, e in zip(got, expected[nid])), (nid, got, expected[nid])
+            else:
+                assert got == expected[nid], (nid, got, expected[nid])

@@ -35,7 +35,7 @@ def test_place_prefers_low_latency_edge(scheduler):
     inst = scheduler.place(PlacementRequest("analytics", "gw1"))
     assert inst.host == "edge1"
     assert inst.status is InstanceStatus.RUNNING
-    assert scheduler.topology.node("edge1").mem_alloc == 4096
+    assert scheduler.topology.node("edge1").allocated.mem == 4096
 
 
 def test_place_matches_bruteforce(three_tier, catalog):
@@ -97,14 +97,14 @@ def test_install_iot_app_on_device_gateway(scheduler):
     inst = scheduler.install_iot_app(InstallRequest("dev1", "gw1", "agent"))
     assert inst.host == "gw1"
     assert inst.bound_device == "dev1"
-    assert scheduler.topology.node("gw1").mem_alloc == 64
+    assert scheduler.topology.node("gw1").allocated.mem == 64
 
 
 def test_install_iot_app_idempotent(scheduler):
     first = scheduler.install_iot_app(InstallRequest("dev1", "gw1", "agent"))
     second = scheduler.install_iot_app(InstallRequest("dev1", "gw1", "agent"))
     assert first is second
-    assert scheduler.topology.node("gw1").mem_alloc == 64
+    assert scheduler.topology.node("gw1").allocated.mem == 64
 
 
 def test_install_iot_app_gateway_full(scheduler):
@@ -116,11 +116,11 @@ def test_install_iot_app_gateway_full(scheduler):
 def test_scale_up_down_and_noop(scheduler):
     inst = scheduler.place(PlacementRequest("analytics", "gw1"))
     scheduler.scale(inst.instance_id, 3)
-    assert scheduler.topology.node("edge1").mem_alloc == 3 * 4096
+    assert scheduler.topology.node("edge1").allocated.mem == 3 * 4096
     scheduler.scale(inst.instance_id, 3)  # no-op
     assert inst.replicas == 3
     scheduler.scale(inst.instance_id, 1)
-    assert scheduler.topology.node("edge1").mem_alloc == 4096
+    assert scheduler.topology.node("edge1").allocated.mem == 4096
 
 
 def test_scale_beyond_capacity(scheduler):
@@ -128,7 +128,7 @@ def test_scale_beyond_capacity(scheduler):
     with pytest.raises(errors.InsufficientCapacity):
         scheduler.scale(inst.instance_id, 5)
     assert inst.replicas == 1
-    assert scheduler.topology.node("edge1").mem_alloc == 4096
+    assert scheduler.topology.node("edge1").allocated.mem == 4096
 
 
 # --- threshold loop -----------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fogsim import errors
@@ -17,15 +17,17 @@ MB = ResourceVector
 
 def test_add_node_reference_hardware_profiles(three_tier):
     gw = three_tier.node("gw1")
-    assert gw.mem_capacity == 1024 and gw.storage_capacity == 16384
+    assert gw.capacity.mem == 1024 and gw.capacity.storage == 16384
     edge = three_tier.node("edge1")
-    assert edge.mem_capacity == 16384 and edge.storage_capacity == 491520
+    assert edge.capacity.mem == 16384 and edge.capacity.storage == 491520
 
 
 def test_add_node_rejects_zero_capacity():
     topo = Topology()
     with pytest.raises(errors.InvalidCapacity):
         topo.add_node("n", Tier.GATEWAY, 100, 0, 100)
+    with pytest.raises(errors.InvalidCapacity):  # would round to 0 in the vector
+        topo.add_node("n", Tier.GATEWAY, 100, 1e-10, 100)
 
 
 def test_add_node_duplicate(three_tier):
@@ -263,4 +265,24 @@ def test_reserve_release_is_exact_inverse(cpu, mem, storage):
     demand = ResourceVector(cpu, mem, storage)
     topo.reserve("n", demand)
     topo.release("n", demand)
+    assert topo.node("n").allocated == ResourceVector(0, 0, 0)
+
+
+# one-decimal cpu demands and the order in which they are released
+_tenths_and_release_order = st.lists(st.integers(1, 99), min_size=1, max_size=6).flatmap(
+    lambda tenths: st.tuples(st.just(tenths), st.permutations(range(len(tenths)))))
+
+
+@settings(max_examples=100, deadline=None)
+@example(([42, 38, 21, 13], [0, 2, 1, 3]))
+@given(case=_tenths_and_release_order)
+def test_fractional_demands_release_in_any_order_to_exactly_zero(case):
+    tenths, order = case
+    topo = Topology()
+    topo.add_node("n", Tier.EDGE_MODULE, 1000, 1000, 1000)
+    demands = [ResourceVector(t / 10, 0, 0) for t in tenths]
+    for demand in demands:
+        topo.reserve("n", demand)
+    for i in order:
+        topo.release("n", demands[i])
     assert topo.node("n").allocated == ResourceVector(0, 0, 0)
