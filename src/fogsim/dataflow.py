@@ -10,6 +10,9 @@ buffer and dropped beyond it — loss is measured, never assumed away.
 Aggregated results of edge-hosted Data-Apps trickle to the central cloud and
 are counted in the uplink; when the serving app runs in the cloud, raw bytes
 traverse gateway -> edge -> cloud and the uplink reflects that.
+
+Flows are integrated lazily, one contention group at a time (see
+FlowManager), so flow state changes only through FlowManager methods.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from . import errors
 from .catalog import Catalog
 from .discovery import DiscoveryService
 from .scheduler import InstanceStatus, Scheduler
-from .topology import Tier, Topology
+from .topology import Link, Tier, Topology
 
 
 def generated_mb(rate_kbps: float, dt_ms: int) -> float:
@@ -49,6 +52,13 @@ class Flow:
     w_delivered: float = 0.0
     w_dropped: float = 0.0
     w_uplinked: float = 0.0
+    # kept by FlowManager: the time the counters reach, the links the flow
+    # contends on (None while inactive, blocked or unreachable), and the
+    # (divisor, held) its deliveries count toward the uplink with (None: not
+    # at all)
+    last_ms: int = 0
+    path: tuple[Link, ...] | None = None
+    uplink: tuple[float, bool] | None = None
 
 
 @dataclass
@@ -76,6 +86,22 @@ class WindowMetrics:
 
 
 class FlowManager:
+    """Every flow of a run, integrated lazily.
+
+    A flow's delivery over an interval depends only on its rate, its route
+    (the links it contends on, None while blocked or unreachable), the number
+    of contenders on each of those links, and how its deliveries reach the
+    uplink. Each flow keeps the time its counters reach, and is integrated
+    only just before one of those inputs changes: `set_rate` integrates the
+    flow itself; `open_flow`, `close_flow`, `set_paused`, `rebind` and the
+    two `reroute_*` methods also integrate the flows on the links it leaves
+    or joins. `advance_all` integrates every active flow, for a window close.
+    Integration reads only the indexed route, never the live topology or
+    instance status, so a change there is followed by `reroute_all` (a link
+    or node went up or down) or `reroute_served` (an instance's status or
+    host changed). Time never goes backwards across these methods.
+    """
+
     def __init__(self, topology: Topology, catalog: Catalog,
                  discovery: DiscoveryService, scheduler: Scheduler,
                  buffer_mb: float = 10.0):
@@ -86,7 +112,14 @@ class FlowManager:
         self.buffer_mb = buffer_mb
         self.flows: dict[str, Flow] = {}
         self._next_id = 0
+        self._now = 0
         self._window_link_mb: dict[str, float] = {}
+        # device id -> its active flow
+        self._active: dict[str, Flow] = {}
+        # serving instance id (None: no serving Data-App) -> flow id -> active flow
+        self._served: dict[str | None, dict[str, Flow]] = {}
+        # link id -> flow id -> active flow routed over the link
+        self._contenders: dict[str, dict[str, Flow]] = {}
         # aggregated output held back while the cloud is unreachable
         self.uplink_pending: float = 0.0
         # where edge-hosted Data-Apps send their aggregated output
@@ -96,16 +129,24 @@ class FlowManager:
     # -- flow lifecycle -----------------------------------------------------------
 
     def open_flow(self, device_id: str, gateway: str, sink: str,
-                  rate_kbps: float, serving_instance: str | None = None,
+                  rate_kbps: float, now: int, serving_instance: str | None = None,
                   paused: bool = False) -> Flow:
+        """Open a device's flow at `now`; a device has one active flow at a time."""
+        self._advance_clock(now)
         if self.discovery.current_gateway(device_id) != gateway:
             raise errors.NotAttached(f"{device_id} at {gateway}")
+        if device_id in self._active:
+            raise errors.InvariantViolation(
+                f"{device_id} already has {self._active[device_id].flow_id}")
         if not paused:
             self.topology.path_latency(gateway, sink)  # raises Unreachable
         self._next_id += 1
         flow = Flow(f"flow-{self._next_id}", device_id, gateway, sink,
-                    rate_kbps, serving_instance, paused=paused)
+                    rate_kbps, serving_instance, paused=paused, last_ms=now)
         self.flows[flow.flow_id] = flow
+        self._active[device_id] = flow
+        self._served.setdefault(serving_instance, {})[flow.flow_id] = flow
+        self._reroute([flow], now)
         return flow
 
     def flow(self, flow_id: str) -> Flow:
@@ -114,19 +155,56 @@ class FlowManager:
         except KeyError:
             raise errors.UnknownFlow(flow_id) from None
 
-    def close_flow(self, flow_id: str) -> Flow:
-        flow = self.flow(flow_id)
-        flow.active = False
+    def close_flow(self, flow_id: str, now: int) -> Flow:
+        flow = self._integrated(flow_id, now)
+        if flow.active:
+            flow.active = False
+            del self._active[flow.device_id]
+            del self._served[flow.serving_instance][flow_id]
+            self._reroute([flow], now)
         return flow
 
-    def active_flow_for(self, device_id: str) -> Flow | None:
-        for fid in sorted(self.flows):
-            flow = self.flows[fid]
-            if flow.active and flow.device_id == device_id:
-                return flow
-        return None
+    def set_rate(self, flow_id: str, rate_kbps: float, now: int) -> None:
+        self._integrated(flow_id, now).rate_kbps = rate_kbps
 
-    # -- advancement ---------------------------------------------------------------
+    def set_paused(self, flow_id: str, paused: bool, now: int) -> None:
+        flow = self._integrated(flow_id, now)
+        flow.paused = paused
+        self._reroute([flow], now)
+
+    def rebind(self, flow_id: str, sink: str, serving_instance: str | None,
+               now: int) -> None:
+        """Send the flow to `sink`, served by `serving_instance`."""
+        flow = self._integrated(flow_id, now)
+        if flow.active:
+            del self._served[flow.serving_instance][flow_id]
+            self._served.setdefault(serving_instance, {})[flow_id] = flow
+        flow.sink = sink
+        flow.serving_instance = serving_instance
+        self._reroute([flow], now)
+
+    def reroute_all(self, now: int) -> None:
+        """Re-derive every active flow's route after a link or node went up
+        or down."""
+        self._advance_clock(now)
+        self._reroute(list(self._active.values()), now)
+
+    def reroute_served(self, instance_id: str, now: int) -> None:
+        """Re-derive the routes of the flows `instance_id` serves after its
+        status or host changed."""
+        self._advance_clock(now)
+        self._reroute(list(self._served.get(instance_id, {}).values()), now)
+
+    def active_flow_for(self, device_id: str) -> Flow | None:
+        return self._active.get(device_id)
+
+    def served_by(self, instance_id: str | None) -> list[Flow]:
+        """The active flows `instance_id` serves (None: the flows no Data-App
+        serves), by flow id."""
+        served = self._served.get(instance_id, {})
+        return [served[fid] for fid in sorted(served)]
+
+    # -- routes -----------------------------------------------------------------------
 
     def _path_or_none(self, a: str, b: str):
         try:
@@ -143,46 +221,109 @@ class FlowManager:
                 return True
         return False
 
-    def advance_all(self, dt_ms: int) -> None:
-        """Integrate all active flows over dt: generate, deliver up to the fair
-        bandwidth share, buffer or drop the rest, drain buffers with headroom."""
-        if dt_ms < 0:
-            raise errors.ValidationError("dt must be >= 0")
+    def _route(self, flow: Flow) -> tuple[tuple[Link, ...] | None,
+                                          tuple[float, bool] | None]:
+        """(path, uplink) of `flow` in the current topology and instance state."""
+        if not flow.active or self._is_blocked(flow):
+            return None, None
+        path = self._path_or_none(flow.src, flow.sink)
+        if path is None:
+            return None, None
+        return tuple(path), self._uplink(flow)
+
+    def _uplink(self, flow: Flow) -> tuple[float, bool] | None:
+        """(divisor, held) of the flow's deliveries on the uplink: raw bytes
+        delivered to the cloud cross it already, an edge-hosted Data-App sends
+        its aggregate on, held back while the cloud is unreachable."""
+        if flow.serving_instance is None:
+            return None
+        inst = self.scheduler.instances.get(flow.serving_instance)
+        if inst is None:
+            return None
+        host_tier = self.topology.nodes[inst.host].tier
+        if host_tier is Tier.CENTRAL_CLOUD:
+            return 1.0, False
+        if host_tier is Tier.EDGE_MODULE:
+            held = self._cloud is None or \
+                self._path_or_none(inst.host, self._cloud) is None
+            return self.catalog.app(inst.app_id).aggregation_factor, held
+        return None
+
+    def _reroute(self, flows: list[Flow], now: int) -> None:
+        """Re-derive the route of each of `flows`. A flow whose route changes,
+        and every flow on a link it leaves or joins, is integrated to `now`
+        under the old routes first."""
+        changed = []
+        for flow in flows:
+            path, uplink = self._route(flow)
+            if path != flow.path or uplink != flow.uplink:
+                changed.append((flow, path, uplink))
+        contenders = self._contenders
+        due: dict[str, Flow] = {}
+        for flow, path, _ in changed:
+            due[flow.flow_id] = flow
+            if path != flow.path:
+                for link in (flow.path or ()) + (path or ()):
+                    due.update(contenders.get(link.link_id, {}))
+        for flow in due.values():
+            self._integrate(flow, now)
+        for flow, path, uplink in changed:
+            if path != flow.path:
+                for link in flow.path or ():
+                    del contenders[link.link_id][flow.flow_id]
+                for link in path or ():
+                    contenders.setdefault(link.link_id, {})[flow.flow_id] = flow
+            flow.path, flow.uplink = path, uplink
+
+    # -- integration ----------------------------------------------------------------
+
+    def _advance_clock(self, now: int) -> None:
+        if now < self._now:
+            raise errors.ValidationError(f"time cannot go backwards: {now} < {self._now}")
+        self._now = now
+
+    def _integrated(self, flow_id: str, now: int) -> Flow:
+        """The flow `flow_id`, integrated to `now` if it is active."""
+        flow = self.flow(flow_id)
+        self._advance_clock(now)
+        if flow.active:
+            self._integrate(flow, now)
+        return flow
+
+    def advance_all(self, now: int) -> None:
+        """Integrate every active flow to `now`: the one path that integrates
+        them all, taken when a window closes."""
+        self._advance_clock(now)
+        for flow in self._active.values():
+            self._integrate(flow, now)
+
+    def _integrate(self, flow: Flow, now: int) -> None:
+        """Carry the flow from its last integration to `now` under its indexed
+        route: generate, deliver up to the fair bandwidth share, buffer or
+        drop the rest, drain the buffer with headroom."""
+        dt_ms = now - flow.last_ms
         if dt_ms == 0:
             return
-        flows = [self.flows[fid] for fid in sorted(self.flows)
-                 if self.flows[fid].active]
-        paths: dict[str, list] = {}
-        link_users: dict[str, int] = {}
-        for flow in flows:
-            if self._is_blocked(flow):
-                continue
-            path = self._path_or_none(flow.src, flow.sink)
-            if path is None:
-                continue
-            paths[flow.flow_id] = path
-            for link in path:
-                link_users[link.link_id] = link_users.get(link.link_id, 0) + 1
-
-        for flow in flows:
-            gen = generated_mb(flow.rate_kbps, dt_ms)
-            flow.generated += gen
-            flow.w_generated += gen
-            path = paths.get(flow.flow_id)
-            if path is None:
-                self._absorb(flow, gen)
-                continue
-            share_mbps = min(link.bandwidth_mbps / link_users[link.link_id]
-                             for link in path)
-            capacity_mb = share_mbps * dt_ms / 8000.0
-            send = min(gen + flow.buffered, capacity_mb)
-            drained = max(0.0, send - gen)
-            if drained > 0:
-                flow.buffered -= drained
-            self._deliver(flow, send, path)
-            fresh_leftover = max(0.0, gen - send)
-            if fresh_leftover > 0:
-                self._absorb(flow, fresh_leftover)
+        flow.last_ms = now
+        gen = generated_mb(flow.rate_kbps, dt_ms)
+        flow.generated += gen
+        flow.w_generated += gen
+        path = flow.path
+        if path is None:
+            self._absorb(flow, gen)
+            return
+        contenders = self._contenders
+        share_mbps = min(link.bandwidth_mbps / len(contenders[link.link_id])
+                         for link in path)
+        capacity_mb = share_mbps * dt_ms / 8000.0
+        send = min(gen + flow.buffered, capacity_mb)
+        drained = max(0.0, send - gen)
+        if drained > 0:
+            flow.buffered -= drained
+        self._deliver(flow, send, path)
+        fresh_leftover = max(0.0, gen - send)
+        if fresh_leftover > 0:
+            self._absorb(flow, fresh_leftover)
 
     def _absorb(self, flow: Flow, amount_mb: float) -> None:
         """Buffer what fits, drop the overflow."""
@@ -193,7 +334,7 @@ class FlowManager:
         flow.dropped += overflow
         flow.w_dropped += overflow
 
-    def _deliver(self, flow: Flow, amount_mb: float, path: list) -> None:
+    def _deliver(self, flow: Flow, amount_mb: float, path: tuple[Link, ...]) -> None:
         if amount_mb <= 0:
             return
         flow.delivered += amount_mb
@@ -201,25 +342,12 @@ class FlowManager:
         for link in path:
             self._window_link_mb[link.link_id] = \
                 self._window_link_mb.get(link.link_id, 0.0) + amount_mb
-        self._account_uplink(flow, amount_mb)
-
-    def _account_uplink(self, flow: Flow, delivered_mb: float) -> None:
-        if flow.serving_instance is None:
+        if flow.uplink is None:
             return
-        inst = self.scheduler.instances.get(flow.serving_instance)
-        if inst is None:
-            return
-        app = self.catalog.app(inst.app_id)
-        host_tier = self.topology.nodes[inst.host].tier
-        if host_tier is Tier.CENTRAL_CLOUD:
-            up = delivered_mb  # raw bytes already crossed edge -> cloud
-        elif host_tier is Tier.EDGE_MODULE:
-            up = delivered_mb / app.aggregation_factor
-            if self._cloud is None or \
-                    self._path_or_none(inst.host, self._cloud) is None:
-                self.uplink_pending += up
-                return
-        else:
+        divisor, held = flow.uplink
+        up = amount_mb / divisor
+        if held:
+            self.uplink_pending += up
             return
         flow.uplinked += up
         flow.w_uplinked += up

@@ -1,10 +1,21 @@
 """Wires topology, catalog, discovery, scheduler, migration and dataflow to
 the event kernel and executes a scenario.
 
-Flows are integrated lazily: every handler that can observe or change flow
-state first advances all flows from the last synchronization point to the
-current clock, so fluid counters are exact for piecewise-constant rates.
-Metric windows close at every scheduler tick and at the end of the run.
+Flows are integrated lazily (see FlowManager). Handlers change flow state
+only through FlowManager methods that take the clock, so an attach, detach,
+roam or workload change integrates just the flows whose rate, route or
+contenders it changes. Metric windows close at every scheduler tick and at
+the end of the run, and closing one integrates every active flow to the
+clock, so fluid counters are exact for piecewise-constant rates.
+
+Faults and migration completions, which change which links and nodes are up
+or where an instance runs, integrate every active flow before they change
+anything; then a fault reroutes every flow and a completed offload rebinds
+the flows its instance serves. An offload starts after its tick's window
+close, when every flow is integrated too, and reroutes the flows its
+instance serves. Splitting every flow's integration at these events keeps
+the traces as they were when every event integrated every flow: where a
+buffer drains to empty, the split decides the sign of the zero left over.
 """
 
 from __future__ import annotations
@@ -12,7 +23,6 @@ from __future__ import annotations
 import math
 
 from . import errors
-from .catalog import AppKind
 from .dataflow import FlowManager
 from .discovery import DiscoveryService
 from .kernel import Event, EventKind, Fault, FaultKind, Kernel
@@ -35,7 +45,6 @@ class Runtime:
         self.flows = FlowManager(self.topology, self.catalog, self.discovery,
                                  self.scheduler, scenario.buffer_mb)
         self.migrations_completed = 0
-        self._last_sync = 0
         self._window_start = 0
         self._partition_depth = 0
         self._deferred_ticks = 0
@@ -48,7 +57,8 @@ class Runtime:
         kernel.register(EventKind.DETACH, self._on_detach)
         kernel.register(EventKind.ROAM, self._on_roam)
         kernel.register(EventKind.WORKLOAD_CHANGE, self._on_workload)
-        kernel.register(EventKind.FLOW_ADVANCE, lambda ev: self._sync())
+        kernel.register(EventKind.FLOW_ADVANCE,
+                        lambda ev: self.flows.advance_all(self.kernel.now))
         kernel.register(EventKind.SCHEDULER_TICK, self._on_tick)
         kernel.register(EventKind.MIGRATION_COMPLETE, self._on_migration_complete)
         kernel.register(EventKind.FAULT_START, self._on_fault_start)
@@ -98,18 +108,11 @@ class Runtime:
         self.kernel.run(horizon)
         if self.kernel.now < horizon:
             self.kernel.now = horizon
-        self._sync()
         self._close_window()
         self.kernel.emit("run_end", self.scenario.name,
                          {"duration_ms": horizon,
                           "migrations": self.migrations_completed})
         return self.kernel.trace
-
-    def _sync(self):
-        dt = self.kernel.now - self._last_sync
-        if dt > 0:
-            self.flows.advance_all(dt)
-            self._last_sync = self.kernel.now
 
     def _warn(self, subject: str, reason: str, **details):
         self.kernel.emit("warning", subject, {"reason": reason, **details})
@@ -117,7 +120,6 @@ class Runtime:
     # -- attach / detach / roam -------------------------------------------------------
 
     def _on_attach(self, event: Event):
-        self._sync()
         p = event.payload
         self._do_attach(p["device"], p["gateway"], p["model"],
                         str(p.get("os_version", "")), p.get("preferences"))
@@ -163,7 +165,6 @@ class Runtime:
         self._open_device_flow(device, gateway, paused=False)
 
     def _on_detach(self, event: Event):
-        self._sync()
         self._do_detach(event.payload["device"], event.payload["gateway"])
 
     def _do_detach(self, device: str, gateway: str):
@@ -175,13 +176,12 @@ class Runtime:
         self.kernel.emit("detach", device, {"gateway": gateway})
         flow = self.flows.active_flow_for(device)
         if flow is not None:
-            self.flows.close_flow(flow.flow_id)
+            self.flows.close_flow(flow.flow_id, self.kernel.now)
             self.kernel.emit("flow_close", flow.flow_id, {"device": device})
 
     def _on_roam(self, event: Event):
         """Scripted roam: detach from the current gateway, attach at the new
         one; the attach path migrates the bound IoT-App."""
-        self._sync()
         device = event.payload["device"]
         to_gateway = event.payload["to_gateway"]
         if self.scheduler.bound_instance(device) is None:
@@ -221,17 +221,6 @@ class Runtime:
 
     # -- flows ---------------------------------------------------------------------
 
-    def _serving_instance(self, gateway: str) -> AppInstance | None:
-        for iid in sorted(self.scheduler.instances):
-            inst = self.scheduler.instances[iid]
-            if inst.source != gateway:
-                continue
-            if inst.status not in (InstanceStatus.RUNNING, InstanceStatus.MIGRATING):
-                continue
-            if self.catalog.app(inst.app_id).kind is AppKind.DATA_APP:
-                return inst
-        return None
-
     def _nearest_edge(self, gateway: str) -> str | None:
         best = None
         for nid in sorted(self.topology.nodes):
@@ -249,7 +238,7 @@ class Runtime:
         attachment = self.discovery.attachments[device]
         profile = self.catalog.profile(attachment.model)
         rate = self._rate_override.get(device, profile.data_rate_kbps)
-        serving = self._serving_instance(gateway)
+        serving = self.scheduler.serving_instance(gateway)
         if serving is not None:
             sink, serving_id = serving.host, serving.instance_id
         else:
@@ -259,7 +248,7 @@ class Runtime:
             return
         try:
             flow = self.flows.open_flow(device, gateway, sink, rate,
-                                        serving_id, paused)
+                                        self.kernel.now, serving_id, paused)
         except errors.FogSimError as exc:
             self._warn(device, type(exc).__name__, gateway=gateway, sink=sink)
             return
@@ -268,19 +257,17 @@ class Runtime:
             "rate_kbps": rate, "paused": paused})
 
     def _on_workload(self, event: Event):
-        self._sync()
         device = event.payload["device"]
         rate = float(event.payload["data_rate_kbps"])
         self._rate_override[device] = rate
         flow = self.flows.active_flow_for(device)
         if flow is not None:
-            flow.rate_kbps = rate
+            self.flows.set_rate(flow.flow_id, rate, self.kernel.now)
         self.kernel.emit("workload_change", device, {"data_rate_kbps": rate})
 
     # -- scripted placement and scaling ------------------------------------------------
 
     def _on_place(self, event: Event):
-        self._sync()
         p = event.payload
         req = PlacementRequest(p["app"], p["source"], int(p.get("replicas", 1)))
         try:
@@ -292,16 +279,14 @@ class Runtime:
             "app": inst.app_id, "host": inst.host, "replicas": inst.replicas,
             "source": inst.source})
         # existing flows from this source now have a serving Data-App
-        for fid in sorted(self.flows.flows):
-            flow = self.flows.flows[fid]
-            if flow.active and flow.src == inst.source and flow.serving_instance is None:
-                flow.sink = inst.host
-                flow.serving_instance = inst.instance_id
-                self.kernel.emit("flow_rebind", fid, {"sink": inst.host,
-                                                      "serving": inst.instance_id})
+        for flow in self.flows.served_by(None):
+            if flow.src == inst.source:
+                self.flows.rebind(flow.flow_id, inst.host, inst.instance_id,
+                                  self.kernel.now)
+                self.kernel.emit("flow_rebind", flow.flow_id, {
+                    "sink": inst.host, "serving": inst.instance_id})
 
     def _on_scale(self, event: Event):
-        self._sync()
         p = event.payload
         app_id = p["app"]
         host = p.get("host")
@@ -329,7 +314,6 @@ class Runtime:
     # -- scheduler tick and threshold loop ----------------------------------------------
 
     def _on_tick(self, event: Event):
-        self._sync()
         self._close_window()
         if self._partition_depth > 0:
             self._deferred_ticks += 1
@@ -355,6 +339,7 @@ class Runtime:
             self.kernel.emit("stale_action", action.instance_id, {
                 "target": action.target, "detail": str(exc)})
             return
+        self.flows.reroute_served(inst.instance_id, self.kernel.now)
         self.kernel.emit("offload", inst.instance_id, {
             "from": record.from_node, "to": record.to_node})
         self.kernel.emit("migration_started", inst.instance_id, {
@@ -364,7 +349,8 @@ class Runtime:
                              {"instance": inst.instance_id})
 
     def _on_migration_complete(self, event: Event):
-        self._sync()
+        now = self.kernel.now
+        self.flows.advance_all(now)
         iid = event.payload["instance"]
         inst = self.scheduler.instance(iid)
         record = self.migrations.complete(inst)
@@ -379,7 +365,7 @@ class Runtime:
             device = event.payload["device"]
             flow = self.flows.active_flow_for(device)
             if flow is not None and flow.paused:
-                flow.paused = False
+                self.flows.set_paused(flow.flow_id, False, now)
                 self.kernel.emit("flow_resume", flow.flow_id, {
                     "src": flow.src, "sink": flow.sink})
             self.kernel.emit("roam_completed", device, {
@@ -388,17 +374,16 @@ class Runtime:
                 "gateway": inst.host, "instance": iid,
                 "state_version": inst.state.version})
         else:
-            for fid in sorted(self.flows.flows):
-                flow = self.flows.flows[fid]
-                if flow.active and flow.serving_instance == iid:
-                    flow.sink = inst.host
-                    self.kernel.emit("flow_rebind", fid, {"sink": inst.host,
-                                                          "serving": iid})
+            for flow in self.flows.served_by(iid):
+                self.flows.rebind(flow.flow_id, inst.host, iid, now)
+                self.kernel.emit("flow_rebind", flow.flow_id, {"sink": inst.host,
+                                                               "serving": iid})
 
     # -- metric windows ------------------------------------------------------------------
 
     def _close_window(self):
         now = self.kernel.now
+        self.flows.advance_all(now)
         if now <= self._window_start:
             return
         extra = 0.0
@@ -435,7 +420,7 @@ class Runtime:
     # -- faults -----------------------------------------------------------------------
 
     def _on_fault_start(self, event: Event):
-        self._sync()
+        self.flows.advance_all(self.kernel.now)
         fault: Fault = event.payload["fault"]
         key = (fault.target, fault.kind.value, fault.start)
         topo = self.topology
@@ -451,15 +436,17 @@ class Runtime:
         for set_up, target in taken:
             if set_up(target, False):
                 effects.append((set_up, target))
+        self.flows.reroute_all(self.kernel.now)
         self.kernel.emit("fault_start", fault.target, {
             "fault_kind": fault.kind.value, "duration_ms": fault.duration})
 
     def _on_fault_end(self, event: Event):
-        self._sync()
+        self.flows.advance_all(self.kernel.now)
         fault: Fault = event.payload["fault"]
         key = (fault.target, fault.kind.value, fault.start)
         for set_up, target in self._fault_effects.pop(key, []):
             set_up(target, True)
+        self.flows.reroute_all(self.kernel.now)
         if fault.kind is FaultKind.CLOUD_PARTITION:
             self._partition_depth -= 1
         self.kernel.emit("fault_end", fault.target,

@@ -8,6 +8,7 @@ script, and fault injections. Everything a run does is stated here up front.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +32,15 @@ SCRIPT_EVENTS: dict[str, tuple[EventKind, frozenset[str]]] = {
     "workload": (EventKind.WORKLOAD_CHANGE,
                  frozenset({"device", "data_rate_kbps"})),
     "flow_advance": (EventKind.FLOW_ADVANCE, frozenset()),
+}
+
+# section -> numeric fields that, where given, must be finite numbers
+_FINITE_FIELDS: dict[str, tuple[str, ...]] = {
+    "node": ("cpu", "mem", "storage"),
+    "link": ("latency_ms", "bandwidth_mbps"),
+    "app": ("cpu", "mem", "storage", "latency_requirement_ms",
+            "aggregation_factor", "state_size_mb"),
+    "device": ("data_rate_kbps",),
 }
 
 
@@ -99,13 +109,17 @@ def _require(mapping: dict, key: str, context: str):
 
 
 def _number(cast, mapping: dict, key: str, context: str):
-    """The required field `key` converted by `cast` (int or float)."""
+    """The required field `key` converted by `cast` (int or float), which
+    must be a finite number."""
     value = _require(mapping, key, context)
     try:
-        return cast(value)
-    except (TypeError, ValueError):
+        number = cast(value)
+    except (TypeError, ValueError, OverflowError):
         raise errors.ParseError(
             f"{context}: {key} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise errors.ParseError(f"{context}: {key} must be finite, got {value!r}")
+    return number
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
@@ -118,12 +132,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
             f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
 
     topo_section = raw.get("topology", {}) or {}
-    thresholds_raw = raw.get("thresholds", {}) or {}
-    try:
-        thresholds = Thresholds(float(thresholds_raw.get("high", 0.8)),
-                                float(thresholds_raw.get("low", 0.6)))
-    except (TypeError, ValueError) as exc:
-        raise errors.ParseError(f"thresholds: {exc}") from None
+    thresholds_raw = {"high": 0.8, "low": 0.6, **(raw.get("thresholds", {}) or {})}
+    thresholds = Thresholds(_number(float, thresholds_raw, "high", "thresholds"),
+                            _number(float, thresholds_raw, "low", "thresholds"))
 
     try:
         scenario = Scenario(
@@ -131,7 +142,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
             duration_ms=int(_require(raw, "duration_ms", "scenario")),
             seed=int(raw.get("seed", 0)),
             scheduler_tick_ms=int(raw.get("scheduler_tick_ms", 1000)),
-            buffer_mb=float(raw.get("buffer_mb", 10)),
+            buffer_mb=_number(float, {"buffer_mb": 10, **raw}, "buffer_mb",
+                              "scenario"),
             thresholds=thresholds,
             nodes=list(topo_section.get("nodes", []) or []),
             links=list(topo_section.get("links", []) or []),
@@ -141,7 +153,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
             script=list(raw.get("script", []) or []),
             faults=list(raw.get("faults", []) or []),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise errors.ParseError(str(exc)) from None
 
     _validate(scenario)
@@ -175,6 +187,13 @@ def _validate(scenario: Scenario) -> None:
             if not isinstance(entry, dict):
                 raise errors.ParseError(f"{context} entries must be mappings")
             _require(entry, key, context)
+
+    for section, context in ((scenario.nodes, "node"), (scenario.links, "link"),
+                             (scenario.apps, "app"), (scenario.devices, "device")):
+        for entry in section:
+            for key in _FINITE_FIELDS[context]:
+                if isinstance(entry, dict) and key in entry:
+                    _number(float, entry, key, context)
 
     # structural build; topology/catalog invariants surface here
     try:

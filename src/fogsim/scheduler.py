@@ -90,6 +90,10 @@ class Scheduler:
         self.thresholds = thresholds or Thresholds()
         self.instances: dict[str, AppInstance] = {}
         self._counters: dict[str, int] = {}
+        # device id -> the IoT-App instances bound to it
+        self._bound: dict[str, list[AppInstance]] = {}
+        # source node -> the Data-App instances placed for it
+        self._data_apps: dict[str, list[AppInstance]] = {}
 
     # -- helpers ---------------------------------------------------------------
 
@@ -105,9 +109,16 @@ class Scheduler:
             raise errors.UnknownInstance(instance_id) from None
 
     def bound_instance(self, device_id: str) -> AppInstance | None:
-        for iid in sorted(self.instances):
-            inst = self.instances[iid]
-            if inst.bound_device == device_id:
+        """The instance bound to the device, the first by id if several are."""
+        return min(self._bound.get(device_id, ()),
+                   key=lambda inst: inst.instance_id, default=None)
+
+    def serving_instance(self, source: str) -> AppInstance | None:
+        """The Data-App instance that serves data from `source`: the first by
+        id that is running or migrating."""
+        for inst in sorted(self._data_apps.get(source, ()),
+                           key=lambda inst: inst.instance_id):
+            if inst.status in (InstanceStatus.RUNNING, InstanceStatus.MIGRATING):
                 return inst
         return None
 
@@ -168,6 +179,8 @@ class Scheduler:
                            req.replicas, req.source,
                            StateBlob(size_mb=app.state_size_mb))
         self.instances[inst.instance_id] = inst
+        if app.kind is AppKind.DATA_APP:
+            self._data_apps.setdefault(req.source, []).append(inst)
         return inst
 
     def install_iot_app(self, request: InstallRequest,
@@ -194,6 +207,7 @@ class Scheduler:
                            request.gateway, 1, request.gateway, state,
                            bound_device=request.device_id)
         self.instances[inst.instance_id] = inst
+        self._bound.setdefault(request.device_id, []).append(inst)
         return inst
 
     def scale(self, instance_id: str, new_replicas: int) -> AppInstance:

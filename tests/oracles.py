@@ -5,11 +5,14 @@ exhaustive simple-path enumeration (not Dijkstra), placement by full
 enumeration over every node, and flow counters by re-accumulating trace
 deltas. They may be exponential; the graphs they see are tiny.
 
-Two exceptions copy earlier production code. reference_shortest_path is the
+Three exceptions copy earlier production code. reference_shortest_path is the
 uncached per-pair Dijkstra that Topology.shortest_path ran before routes were
 cached per source; it pins the exact path, tie-breaks included, that the cache
 must return. reference_record_json is TraceRecord.to_json as it was when it
 rounded every float again at serialisation; it pins the bytes of a record.
+reference_advance_all is FlowManager.advance_all as it was when every event
+integrated every active flow from the live topology and instance state; it
+pins the counters that lazy integration must reach.
 """
 
 from __future__ import annotations
@@ -17,11 +20,14 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from dataclasses import dataclass, field
 
 from fogsim import errors
-from fogsim.catalog import AppSpec
+from fogsim.catalog import AppSpec, Catalog
+from fogsim.dataflow import Flow, generated_mb
 from fogsim.kernel import TraceRecord
-from fogsim.topology import Link, Topology
+from fogsim.scheduler import InstanceStatus, Scheduler
+from fogsim.topology import Link, Tier, Topology
 
 
 def reference_shortest_path(topology: Topology, a: str, b: str) -> list[Link]:
@@ -154,3 +160,111 @@ def recompute_counters(records) -> dict[str, dict[str, float]]:
         acc["dropped_mb"] += d["dropped_mb"]
         acc["buffered_mb"] = d["buffered_mb"]
     return counters
+
+
+@dataclass
+class ReferenceFlows:
+    """The state reference_advance_all integrates: flows whose fields the
+    caller writes directly, and the window's per-link volumes."""
+
+    topology: Topology
+    catalog: Catalog
+    scheduler: Scheduler
+    buffer_mb: float
+    flows: dict[str, Flow] = field(default_factory=dict)
+    link_mb: dict[str, float] = field(default_factory=dict)
+    uplink_pending: float = 0.0
+
+
+def _reference_path(ref: ReferenceFlows, a: str, b: str):
+    try:
+        return ref.topology.shortest_path(a, b)
+    except errors.Unreachable:
+        return None
+
+
+def _reference_blocked(ref: ReferenceFlows, flow: Flow) -> bool:
+    if flow.paused:
+        return True
+    if flow.serving_instance is not None:
+        inst = ref.scheduler.instances.get(flow.serving_instance)
+        if inst is not None and inst.status is not InstanceStatus.RUNNING:
+            return True
+    return False
+
+
+def _reference_absorb(ref: ReferenceFlows, flow: Flow, amount_mb: float) -> None:
+    space = max(0.0, ref.buffer_mb - flow.buffered)
+    to_buffer = min(amount_mb, space)
+    flow.buffered += to_buffer
+    overflow = amount_mb - to_buffer
+    flow.dropped += overflow
+    flow.w_dropped += overflow
+
+
+def _reference_uplink(ref: ReferenceFlows, flow: Flow, delivered_mb: float) -> None:
+    if flow.serving_instance is None:
+        return
+    inst = ref.scheduler.instances.get(flow.serving_instance)
+    if inst is None:
+        return
+    app = ref.catalog.app(inst.app_id)
+    host_tier = ref.topology.nodes[inst.host].tier
+    cloud = next((nid for nid in sorted(ref.topology.nodes)
+                  if ref.topology.nodes[nid].tier is Tier.CENTRAL_CLOUD), None)
+    if host_tier is Tier.CENTRAL_CLOUD:
+        up = delivered_mb
+    elif host_tier is Tier.EDGE_MODULE:
+        up = delivered_mb / app.aggregation_factor
+        if cloud is None or _reference_path(ref, inst.host, cloud) is None:
+            ref.uplink_pending += up
+            return
+    else:
+        return
+    flow.uplinked += up
+    flow.w_uplinked += up
+
+
+def reference_advance_all(ref: ReferenceFlows, dt_ms: int) -> None:
+    """Integrate every active flow over dt from the current state."""
+    if dt_ms < 0:
+        raise errors.ValidationError("dt must be >= 0")
+    if dt_ms == 0:
+        return
+    flows = [ref.flows[fid] for fid in sorted(ref.flows) if ref.flows[fid].active]
+    paths: dict[str, list] = {}
+    link_users: dict[str, int] = {}
+    for flow in flows:
+        if _reference_blocked(ref, flow):
+            continue
+        path = _reference_path(ref, flow.src, flow.sink)
+        if path is None:
+            continue
+        paths[flow.flow_id] = path
+        for link in path:
+            link_users[link.link_id] = link_users.get(link.link_id, 0) + 1
+
+    for flow in flows:
+        gen = generated_mb(flow.rate_kbps, dt_ms)
+        flow.generated += gen
+        flow.w_generated += gen
+        path = paths.get(flow.flow_id)
+        if path is None:
+            _reference_absorb(ref, flow, gen)
+            continue
+        share_mbps = min(link.bandwidth_mbps / link_users[link.link_id]
+                         for link in path)
+        capacity_mb = share_mbps * dt_ms / 8000.0
+        send = min(gen + flow.buffered, capacity_mb)
+        drained = max(0.0, send - gen)
+        if drained > 0:
+            flow.buffered -= drained
+        if send > 0:
+            flow.delivered += send
+            flow.w_delivered += send
+            for link in path:
+                ref.link_mb[link.link_id] = ref.link_mb.get(link.link_id, 0.0) + send
+            _reference_uplink(ref, flow, send)
+        fresh_leftover = max(0.0, gen - send)
+        if fresh_leftover > 0:
+            _reference_absorb(ref, flow, fresh_leftover)

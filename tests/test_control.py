@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import importlib.util
+import math
 
 import pytest
 import yaml
@@ -170,6 +171,53 @@ def test_malformed_scenario_is_a_typed_validation_error(mutate, expected,
     assert main(["validate", str(path)]) == EXIT_VALIDATION
     assert main(["run", str(path)]) == EXIT_VALIDATION
     assert f"invalid: {expected.__name__}" in capsys.readouterr().err
+
+
+def _set_field(section, index, key):
+    def setter(raw, value):
+        entries = raw["topology"][section] if section in ("nodes", "links") \
+            else raw[section]
+        entries[index][key] = value
+    return setter
+
+
+NON_FINITE_FIELDS = {
+    "node-cpu": _set_field("nodes", 1, "cpu"),
+    "node-mem": _set_field("nodes", 1, "mem"),
+    "node-storage": _set_field("nodes", 1, "storage"),
+    "link-latency": _set_field("links", 0, "latency_ms"),
+    "link-bandwidth": _set_field("links", 0, "bandwidth_mbps"),
+    "app-cpu": _set_field("apps", 0, "cpu"),
+    "app-mem": _set_field("apps", 0, "mem"),
+    "app-storage": _set_field("apps", 0, "storage"),
+    "app-aggregation-factor": _set_field("apps", 0, "aggregation_factor"),
+    "app-state-size": _set_field("apps", 0, "state_size_mb"),
+    "device-rate": _set_field("devices", 0, "data_rate_kbps"),
+    "workload-rate": lambda raw, value: raw["script"].append(
+        {"time": 5000, "type": "workload", "device": "cam-1",
+         "data_rate_kbps": value}),
+    "threshold-high": lambda raw, value: raw["thresholds"].update(high=value),
+    "threshold-low": lambda raw, value: raw["thresholds"].update(low=value),
+    "buffer": lambda raw, value: raw.update(buffer_mb=value),
+    "duration": lambda raw, value: raw.update(duration_ms=value),
+    "fault-start": lambda raw, value: _set_faults(start=value)(raw),
+    "fault-duration": lambda raw, value: _set_faults(duration_ms=value)(raw),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", sorted(NON_FINITE_FIELDS))
+def test_non_finite_number_is_a_parse_error(field, value, tmp_path, capsys):
+    raw = yaml.safe_load((SCENARIO_DIR / "scaling.yaml").read_text())
+    NON_FINITE_FIELDS[field](raw, value)
+    with pytest.raises(errors.ParseError):
+        scenario_from_dict(raw)
+    path = tmp_path / "non_finite.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["validate", str(path)]) == EXIT_VALIDATION
+    assert main(["run", str(path)]) == EXIT_VALIDATION
+    assert "invalid: ParseError" in capsys.readouterr().err
 
 
 def test_load_scenario_missing_file(tmp_path):

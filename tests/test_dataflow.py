@@ -31,27 +31,27 @@ def test_generated_mb_zero_dt():
 def test_open_flow_requires_attachment(world):
     _, _, flows, _ = world
     with pytest.raises(errors.NotAttached):
-        flows.open_flow("ghost", "gw1", "edge1", 100)
+        flows.open_flow("ghost", "gw1", "edge1", 100, 0)
 
 
 def test_open_flow_requires_reachable_sink(world):
     topo, _, flows, _ = world
     topo.set_link_up("gw1--edge1", False)
     with pytest.raises(errors.Unreachable):
-        flows.open_flow("dev1", "gw1", "edge1", 100)
+        flows.open_flow("dev1", "gw1", "edge1", 100, 0)
     # unless the flow starts paused (roam in progress)
-    flow = flows.open_flow("dev1", "gw1", "edge1", 100, paused=True)
+    flow = flows.open_flow("dev1", "gw1", "edge1", 100, 0, paused=True)
     assert flow.paused
 
 
 def test_advance_accumulates_and_conserves(world):
     _, _, flows, _ = world
-    flow = flows.open_flow("dev1", "gw1", "edge1", 100)
+    flow = flows.open_flow("dev1", "gw1", "edge1", 100, 0)
     flows.advance_all(1000)
     assert flow.generated == pytest.approx(0.0125)
     assert flow.delivered == pytest.approx(0.0125)
     assert flow.dropped == 0.0
-    flows.advance_all(0)  # no time, no data
+    flows.advance_all(1000)  # no time, no data
     assert flow.generated == pytest.approx(0.0125)
     assert flow.generated == pytest.approx(
         flow.delivered + flow.dropped + flow.buffered)
@@ -59,11 +59,11 @@ def test_advance_accumulates_and_conserves(world):
 
 def test_paused_flow_buffers_then_drops(world):
     _, _, flows, _ = world
-    flow = flows.open_flow("dev1", "gw1", "edge1", 8000, paused=True)
+    flow = flows.open_flow("dev1", "gw1", "edge1", 8000, 0, paused=True)
     flows.advance_all(1000)  # 1 MB into the buffer
     assert flow.buffered == pytest.approx(1.0)
     assert flow.dropped == 0.0
-    flows.advance_all(10_000)  # 10 more MB against a 10 MB buffer
+    flows.advance_all(11_000)  # 10 more MB against a 10 MB buffer
     assert flow.buffered == pytest.approx(10.0)
     assert flow.dropped == pytest.approx(1.0)
     assert flow.generated == pytest.approx(
@@ -72,11 +72,11 @@ def test_paused_flow_buffers_then_drops(world):
 
 def test_resumed_flow_drains_buffer_with_headroom(world):
     _, _, flows, _ = world
-    flow = flows.open_flow("dev1", "gw1", "edge1", 8000, paused=True)
+    flow = flows.open_flow("dev1", "gw1", "edge1", 8000, 0, paused=True)
     flows.advance_all(1000)
-    flow.paused = False
+    flows.set_paused(flow.flow_id, False, 1000)
     # link fits 12.5 MB/s; 1 MB/s fresh leaves plenty of headroom
-    flows.advance_all(1000)
+    flows.advance_all(2000)
     assert flow.buffered == 0.0
     assert flow.delivered == pytest.approx(2.0)
 
@@ -84,7 +84,7 @@ def test_resumed_flow_drains_buffer_with_headroom(world):
 def test_rate_above_link_bandwidth_buffers(world):
     _, _, flows, _ = world
     # 200 Mbps of data against a 100 Mbps link
-    flow = flows.open_flow("dev1", "gw1", "edge1", 200_000)
+    flow = flows.open_flow("dev1", "gw1", "edge1", 200_000, 0)
     flows.advance_all(1000)
     assert flow.delivered == pytest.approx(12.5)  # 100 Mbps for 1 s
     assert flow.buffered == pytest.approx(10.0)
@@ -95,8 +95,8 @@ def test_fair_share_on_contended_link(world):
     topo, _, flows, discovery = world
     discovery.handle_attach("gw1", "dev2", "smartband", "1.0", 0)
     # both flows cross gw1--edge1 (100 Mbps) at 100 Mbps each
-    f1 = flows.open_flow("dev1", "gw1", "edge1", 100_000)
-    f2 = flows.open_flow("dev2", "gw1", "edge1", 100_000)
+    f1 = flows.open_flow("dev1", "gw1", "edge1", 100_000, 0)
+    f2 = flows.open_flow("dev2", "gw1", "edge1", 100_000, 0)
     flows.advance_all(1000)
     for flow in (f1, f2):
         assert flow.delivered == pytest.approx(6.25)  # half the link each
@@ -106,7 +106,7 @@ def test_fair_share_on_contended_link(world):
 def test_uplink_ratio_edge_hosted(world):
     _, scheduler, flows, _ = world
     inst = scheduler.place(PlacementRequest("analytics", "gw1"))
-    flow = flows.open_flow("dev1", "gw1", inst.host, 100,
+    flow = flows.open_flow("dev1", "gw1", inst.host, 100, 0,
                            serving_instance=inst.instance_id)
     flows.advance_all(1000)
     window = flows.close_window(0, 1000)
@@ -117,15 +117,15 @@ def test_uplink_ratio_edge_hosted(world):
 def test_uplink_ratio_rises_when_app_moves_to_cloud(world):
     topo, scheduler, flows, _ = world
     inst = scheduler.place(PlacementRequest("analytics", "gw1"))
-    flow = flows.open_flow("dev1", "gw1", inst.host, 100,
+    flow = flows.open_flow("dev1", "gw1", inst.host, 100, 0,
                            serving_instance=inst.instance_id)
     flows.advance_all(1000)
     before = flows.close_window(0, 1000)
     engine = MigrationEngine(topo, scheduler.catalog)
     record = engine.start(inst, "cloud", 1000)
     engine.complete(inst)
-    flow.sink = inst.host
-    flows.advance_all(1000)
+    flows.rebind(flow.flow_id, inst.host, inst.instance_id, 1000)
+    flows.advance_all(2000)
     after = flows.close_window(1000, 2000)
     assert before.ratio == pytest.approx(0.1)
     assert after.ratio == pytest.approx(1.0)  # raw bytes now cross the uplink
@@ -134,17 +134,19 @@ def test_uplink_ratio_rises_when_app_moves_to_cloud(world):
 def test_uplink_held_while_cloud_unreachable(world):
     topo, scheduler, flows, _ = world
     inst = scheduler.place(PlacementRequest("analytics", "gw1"))
-    flows.open_flow("dev1", "gw1", inst.host, 100,
+    flows.open_flow("dev1", "gw1", inst.host, 100, 0,
                     serving_instance=inst.instance_id)
     topo.set_link_up("edge1--cloud", False)
+    flows.reroute_all(0)
     flows.advance_all(1000)
     window = flows.close_window(0, 1000)
     assert window.uplink_mb == 0.0
     assert flows.uplink_pending == pytest.approx(0.00125)
     # restored: the backlog is flushed into the next window
     topo.set_link_up("edge1--cloud", True)
+    flows.reroute_all(1000)
     extra = flows.flush_pending_uplink()
-    flows.advance_all(1000)
+    flows.advance_all(2000)
     after = flows.close_window(1000, 2000, extra_uplink_mb=extra)
     assert after.uplink_mb == pytest.approx(0.0025)
     assert flows.uplink_pending == 0.0
@@ -159,7 +161,7 @@ def test_empty_window_has_no_ratio():
 
 def test_close_window_reports_link_volumes(world):
     _, _, flows, _ = world
-    flows.open_flow("dev1", "gw1", "edge1", 100)
+    flows.open_flow("dev1", "gw1", "edge1", 100, 0)
     flows.advance_all(1000)
     window = flows.close_window(0, 1000)
     assert window.links == {"gw1--edge1": pytest.approx(0.0125)}
@@ -167,15 +169,51 @@ def test_close_window_reports_link_volumes(world):
 
 def test_negative_dt_rejected(world):
     _, _, flows, _ = world
-    flows.open_flow("dev1", "gw1", "edge1", 100)
+    flow = flows.open_flow("dev1", "gw1", "edge1", 100, 0)
     with pytest.raises(errors.ValidationError):
         flows.advance_all(-1)
+    with pytest.raises(errors.ValidationError):
+        flows.set_rate(flow.flow_id, 200, -1)
+    assert flow.rate_kbps == 100
 
 
 def test_closed_flow_stops_generating(world):
     _, _, flows, _ = world
-    flow = flows.open_flow("dev1", "gw1", "edge1", 100)
+    flow = flows.open_flow("dev1", "gw1", "edge1", 100, 0)
     flows.advance_all(1000)
-    flows.close_flow(flow.flow_id)
-    flows.advance_all(1000)
+    flows.close_flow(flow.flow_id, 1000)
+    flows.advance_all(2000)
     assert flow.generated == pytest.approx(0.0125)
+
+
+def test_unknown_flow_is_a_typed_error(world):
+    _, _, flows, _ = world
+    with pytest.raises(errors.UnknownFlow):
+        flows.flow("nope")
+    with pytest.raises(errors.UnknownFlow):
+        flows.close_flow("nope", 0)
+
+
+def test_a_device_has_one_active_flow(world):
+    _, _, flows, _ = world
+    flow = flows.open_flow("dev1", "gw1", "edge1", 100, 0)
+    with pytest.raises(errors.InvariantViolation):
+        flows.open_flow("dev1", "gw1", "edge1", 100, 0)
+    flows.close_flow(flow.flow_id, 500)
+    assert flows.active_flow_for("dev1") is None
+    again = flows.open_flow("dev1", "gw1", "edge1", 100, 500)
+    assert flows.active_flow_for("dev1") is again
+
+
+def test_opening_a_contender_integrates_the_flows_on_its_links(world):
+    _, _, flows, discovery = world
+    discovery.handle_attach("gw1", "dev2", "smartband", "1.0", 0)
+    # 100 Mbps into the 100 Mbps gw1--edge1 link: alone for a second, then shared
+    first = flows.open_flow("dev1", "gw1", "edge1", 100_000, 0)
+    second = flows.open_flow("dev2", "gw1", "edge1", 100_000, 1000)
+    flows.advance_all(2000)
+    assert first.delivered == pytest.approx(12.5 + 6.25)
+    assert second.delivered == pytest.approx(6.25)
+    flows.close_flow(second.flow_id, 2000)
+    flows.advance_all(3000)
+    assert first.delivered == pytest.approx(12.5 + 6.25 + 12.5)

@@ -10,15 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogsim import errors
-from fogsim.catalog import AppKind, AppSpec, Catalog
+from fogsim.catalog import AppKind, AppSpec, Catalog, DeviceProfile
 from fogsim.discovery import DiscoveryService
-from fogsim.dataflow import FlowManager
+from fogsim.dataflow import Flow, FlowManager
 from fogsim.migration import MigrationEngine
 from fogsim.scheduler import (InstanceStatus, Offload, PlacementRequest, Scheduler,
                               Thresholds)
 from fogsim.topology import ResourceVector, Tier, Topology
 
-from oracles import brute_force_place
+from oracles import ReferenceFlows, brute_force_place, reference_advance_all
 
 MODEL = "sensor"
 
@@ -96,7 +96,6 @@ def test_flow_conservation_under_random_advances(seed, steps):
     topo, catalog, source, rng = random_world(seed)
     catalog.register_app(AppSpec("iot", AppKind.IOT_APP,
                                  ResourceVector(10, 8, 2)))
-    from fogsim.catalog import DeviceProfile
     catalog.register_profile(DeviceProfile(MODEL, "1.0", "BLE",
                                            rng.choice([100, 5000, 200_000]),
                                            "iot"))
@@ -107,14 +106,17 @@ def test_flow_conservation_under_random_advances(seed, steps):
     discovery.handle_attach(source, "dev", MODEL, "1.0", 0)
     sink = rng.choice([n for n, node in sorted(topo.nodes.items())
                        if node.tier is not Tier.GATEWAY])
+    now = 0
     try:
-        flow = flows.open_flow("dev", source, sink, catalog.profile(MODEL).data_rate_kbps)
+        flow = flows.open_flow("dev", source, sink,
+                               catalog.profile(MODEL).data_rate_kbps, now)
     except errors.Unreachable:
         return
     for _ in range(steps):
         if rng.random() < 0.2:
-            flow.paused = not flow.paused
-        flows.advance_all(rng.randint(0, 3000))
+            flows.set_paused(flow.flow_id, not flow.paused, now)
+        now += rng.randint(0, 3000)
+        flows.advance_all(now)
     assert flow.generated == pytest.approx(
         flow.delivered + flow.dropped + flow.buffered)
     assert flow.buffered <= flows.buffer_mb + 1e-9
@@ -198,3 +200,139 @@ def test_allocations_equal_hosted_plus_inbound_demands(seed, fractional, steps):
                            for g, e in zip(got, expected[nid])), (nid, got, expected[nid])
             else:
                 assert got == expected[nid], (nid, got, expected[nid])
+
+
+FLOW_COUNTERS = ("generated", "delivered", "dropped", "buffered", "uplinked",
+                 "w_generated", "w_delivered", "w_dropped", "w_uplinked")
+
+
+def contended_world():
+    """Two edges under a cloud with thin links, three gateways (one
+    dual-homed), six devices attached, and a Data-App placed for two of the
+    gateways, so that flows contend, buffer, drop and reach the uplink."""
+    topo = Topology()
+    topo.add_node("cloud", Tier.CENTRAL_CLOUD, 64000, 98304, 11534336)
+    for edge in ("edge1", "edge2"):
+        topo.add_node(edge, Tier.EDGE_MODULE, 8000, 16384, 491520)
+        topo.add_link(edge, "cloud", 20, 3)
+    topo.add_link("edge1", "edge2", 4, 5)
+    for gw in ("gw1", "gw2", "gw3"):
+        topo.add_node(gw, Tier.GATEWAY, 4000, 1024, 16384)
+    topo.add_link("gw1", "edge1", 2, 2)
+    topo.add_link("gw2", "edge1", 3, 1)
+    topo.add_link("gw2", "edge2", 5, 1)
+    topo.add_link("gw3", "edge2", 2, 2)
+    catalog = Catalog()
+    catalog.register_app(AppSpec("agent", AppKind.IOT_APP, ResourceVector(10, 8, 2)))
+    catalog.register_app(AppSpec("agg", AppKind.DATA_APP, ResourceVector(100, 64, 16),
+                                 aggregation_factor=4, state_size_mb=1))
+    catalog.register_profile(DeviceProfile(MODEL, "1.0", "BLE", 100, "agent"))
+    discovery = DiscoveryService(topo, catalog)
+    scheduler = Scheduler(topo, catalog)
+    homes = {}
+    for i, gw in enumerate(["gw1", "gw1", "gw2", "gw2", "gw3", "gw3"]):
+        discovery.handle_attach(gw, f"d{i}", MODEL, "1.0", 0)
+        homes[f"d{i}"] = gw
+    instances = [scheduler.place(PlacementRequest("agg", gw)).instance_id
+                 for gw in ("gw1", "gw3")]
+    return topo, catalog, discovery, scheduler, homes, instances
+
+
+FLOW_STEPS = ["open", "open", "close", "rate", "pause", "resume", "rebind",
+              "toggle", "migrate", "window"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 1_000_000), n_steps=st.integers(1, 60),
+       buffer_mb=st.sampled_from([0.0, 0.05, 1.0]))
+def test_lazy_flows_match_eager_integration(seed, n_steps, buffer_mb):
+    """Random opens, closes, rate changes, pauses, resumes, rebinds, link
+    toggles and migrations at random times, through the lazy FlowManager and
+    through the eager reference, which integrates every flow at every step.
+    After every window both hold the same counters and link volumes, and
+    every flow conserves its bytes."""
+    topo, catalog, discovery, scheduler, homes, instances = contended_world()
+    flows = FlowManager(topo, catalog, discovery, scheduler, buffer_mb=buffer_mb)
+    ref = ReferenceFlows(topo, catalog, scheduler, buffer_mb)
+    engine = MigrationEngine(topo, catalog)
+    now = window_start = 0
+
+    def close_window():
+        flows.advance_all(now)
+        for fid, flow in flows.flows.items():
+            expected = ref.flows[fid]
+            for counter in FLOW_COUNTERS:
+                assert math.isclose(getattr(flow, counter), getattr(expected, counter),
+                                    abs_tol=1e-9), (fid, counter)
+            assert math.isclose(flow.generated,
+                                flow.delivered + flow.dropped + flow.buffered,
+                                abs_tol=1e-9), fid
+        window = flows.close_window(window_start, now)
+        for link_id in set(window.links) | set(ref.link_mb):
+            assert math.isclose(window.links.get(link_id, 0.0),
+                                ref.link_mb.get(link_id, 0.0), abs_tol=1e-9), link_id
+        assert math.isclose(flows.uplink_pending, ref.uplink_pending, abs_tol=1e-9)
+        for flow in ref.flows.values():
+            flow.w_generated = flow.w_delivered = flow.w_dropped = flow.w_uplinked = 0.0
+        ref.link_mb.clear()
+
+    rng = random.Random(seed)
+    for _ in range(n_steps):
+        op = rng.choice(FLOW_STEPS)
+        dt = rng.choice([0, rng.randint(1, 800)])
+        now += dt
+        reference_advance_all(ref, dt)
+        active = sorted(fid for fid, flow in flows.flows.items() if flow.active)
+        if op == "open":
+            idle = sorted(d for d in homes if flows.active_flow_for(d) is None)
+            if not idle:
+                continue
+            device = rng.choice(idle)
+            sink = rng.choice(["edge1", "edge2", "cloud"])
+            serving = rng.choice([None] + instances)
+            rate = rng.choice([100, 1500, 6000])
+            paused = rng.random() < 0.3
+            try:
+                flow = flows.open_flow(device, homes[device], sink, rate, now,
+                                       serving, paused)
+            except errors.Unreachable:
+                continue
+            ref.flows[flow.flow_id] = Flow(flow.flow_id, device, homes[device], sink,
+                                           rate, serving, paused=paused)
+        elif op == "window":
+            close_window()
+            window_start = now
+        elif op == "toggle":
+            link_id = rng.choice(sorted(topo.links))
+            topo.set_link_up(link_id, not topo.links[link_id].up)
+            flows.reroute_all(now)
+        elif op == "migrate":
+            inst = scheduler.instance(rng.choice(instances))
+            if inst.status is InstanceStatus.MIGRATING:
+                engine.complete(inst)
+            else:
+                target = rng.choice(sorted({"edge1", "edge2", "cloud"} - {inst.host}))
+                try:
+                    engine.start(inst, target, now)
+                except errors.TargetInfeasible:
+                    continue
+            flows.reroute_served(inst.instance_id, now)
+        elif active:
+            fid = rng.choice(active)
+            expected = ref.flows[fid]
+            if op == "close":
+                flows.close_flow(fid, now)
+                expected.active = False
+            elif op == "rate":
+                rate = rng.choice([100, 1500, 6000])
+                flows.set_rate(fid, rate, now)
+                expected.rate_kbps = rate
+            elif op in ("pause", "resume"):
+                flows.set_paused(fid, op == "pause", now)
+                expected.paused = op == "pause"
+            else:
+                sink = rng.choice(["edge1", "edge2", "cloud"])
+                serving = rng.choice([None] + instances)
+                flows.rebind(fid, sink, serving, now)
+                expected.sink, expected.serving_instance = sink, serving
+    close_window()

@@ -191,3 +191,24 @@ def test_apply_offload_and_stale_action(catalog):
     record = engine.start(checked, action.target, 0)
     assert checked.status is InstanceStatus.MIGRATING
     assert record.to_node == action.target
+
+
+def test_unknown_instance_is_a_typed_error(scheduler):
+    with pytest.raises(errors.UnknownInstance):
+        scheduler.instance("nope")
+    with pytest.raises(errors.UnknownInstance):
+        scheduler.scale("nope", 2)
+
+
+def test_serving_instance_is_the_first_running_or_migrating_data_app(scheduler):
+    assert scheduler.serving_instance("gw1") is None
+    scheduler.install_iot_app(InstallRequest("dev1", "gw1", "agent"))
+    assert scheduler.serving_instance("gw1") is None  # IoT-Apps serve no flows
+    first = scheduler.place(PlacementRequest("analytics", "gw1"))
+    second = scheduler.place(PlacementRequest("analytics", "gw1"))
+    assert scheduler.serving_instance("gw1") is first
+    assert scheduler.serving_instance("gw2") is None
+    MigrationEngine(scheduler.topology, scheduler.catalog).start(first, "cloud", 0)
+    assert scheduler.serving_instance("gw1") is first  # still serves while migrating
+    first.status = InstanceStatus.STOPPED
+    assert scheduler.serving_instance("gw1") is second
