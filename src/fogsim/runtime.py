@@ -51,6 +51,10 @@ class Runtime:
         # fault key -> (Topology setter, target id) of each element it took down
         self._fault_effects: dict[tuple, list[tuple]] = {}
         self._rate_override: dict[str, float] = {}
+        # tiers are fixed once the topology is built
+        self._edge_modules = tuple(sorted(
+            nid for nid, node in self.topology.nodes.items()
+            if node.tier is Tier.EDGE_MODULE))
 
         kernel = self.kernel
         kernel.register(EventKind.ATTACH, self._on_attach)
@@ -223,9 +227,8 @@ class Runtime:
 
     def _nearest_edge(self, gateway: str) -> str | None:
         best = None
-        for nid in sorted(self.topology.nodes):
-            node = self.topology.nodes[nid]
-            if node.tier is not Tier.EDGE_MODULE or not node.up:
+        for nid in self._edge_modules:
+            if not self.topology.nodes[nid].up:
                 continue
             lat = self.topology.path_latency_or_inf(gateway, nid)
             if lat == math.inf:

@@ -43,6 +43,11 @@ _FINITE_FIELDS: dict[str, tuple[str, ...]] = {
     "device": ("data_rate_kbps",),
 }
 
+# libyaml's C parser under the SafeConstructor and Resolver of
+# yaml.safe_load, so documents load to the same objects; PyYAML's
+# pure-Python parser where PyYAML was built without libyaml
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 
 @dataclass
 class Scenario:
@@ -162,11 +167,14 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    if not path.exists():
-        raise errors.ParseError(f"no such scenario file: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise errors.ParseError(f"cannot read scenario {path}: {exc}") from None
+    try:
+        raw = yaml.load(text, Loader=_LOADER)
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: a scalar its tag cannot construct, e.g. 2001-02-30
         raise errors.ParseError(f"{path}: {exc}") from None
     return scenario_from_dict(raw)
 

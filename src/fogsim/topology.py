@@ -198,9 +198,9 @@ class Topology:
         """Minimum-latency path over up links between up nodes, as a link list.
 
         Empty list when a == b. Raises Unreachable when no up path exists.
-        Ties broken deterministically by (latency, hop node ids). Answers
-        come from a cached shortest-path tree per source; the returned list
-        is the caller's own.
+        Of equal-latency paths, the first one the search finds wins (see
+        _route_tree). Answers come from a cached shortest-path tree per
+        source; the returned list is the caller's own.
         """
         tree = self._routes.get(a)
         if tree is None:
@@ -215,9 +215,14 @@ class Topology:
     def _route_tree(self, a: str) -> dict[str, tuple[Link, ...]]:
         """The link path from a to every node reachable over up elements.
 
-        Dijkstra keyed by (latency, path node ids) for deterministic ties.
-        Each node's path is the one on its first pop; pop order does not
-        depend on a target, so it is the path a search stopping there returns.
+        Dijkstra that settles nodes in (latency, path node ids) order and
+        scans a settled node's links in the order they were added. A node's
+        path is replaced only by a strictly shorter one, so of equal-latency
+        paths the one through the earliest-settled predecessor wins, not the
+        one whose node ids sort first: with links s-a 1, a-z 2, a-b 1 and
+        b-z 1, z is reached by s, a, z. Each node's path is the one on its
+        first pop; pop order does not depend on a target, so it is the path
+        a search stopping there returns.
         """
         tree: dict[str, tuple[Link, ...]] = {}
         best: dict[str, float] = {a: 0.0}

@@ -5,14 +5,16 @@ exhaustive simple-path enumeration (not Dijkstra), placement by full
 enumeration over every node, and flow counters by re-accumulating trace
 deltas. They may be exponential; the graphs they see are tiny.
 
-Three exceptions copy earlier production code. reference_shortest_path is the
+Four exceptions copy earlier production code. reference_shortest_path is the
 uncached per-pair Dijkstra that Topology.shortest_path ran before routes were
 cached per source; it pins the exact path, tie-breaks included, that the cache
 must return. reference_record_json is TraceRecord.to_json as it was when it
 rounded every float again at serialisation; it pins the bytes of a record.
 reference_advance_all is FlowManager.advance_all as it was when every event
 integrated every active flow from the live topology and instance state; it
-pins the counters that lazy integration must reach.
+pins the counters that lazy integration must reach. reference_load_yaml is
+the yaml.safe_load that load_scenario called before it parsed with libyaml;
+it pins the objects a scenario document loads to.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
+
+import yaml
 
 from fogsim import errors
 from fogsim.catalog import AppSpec, Catalog
@@ -34,13 +38,15 @@ def reference_shortest_path(topology: Topology, a: str, b: str) -> list[Link]:
     """Minimum-latency path over up links between up nodes, searched afresh.
 
     Empty list when a == b. Raises Unreachable when no up path exists.
-    Ties broken deterministically by (latency, hop node ids).
+    Nodes settle in (latency, path node ids) order and a path is replaced
+    only by a strictly shorter one, so of equal-latency paths the one
+    through the earliest-settled predecessor wins, as in Topology._route_tree.
     """
     topology.node(a)
     topology.node(b)
     if a == b:
         return []
-    # Dijkstra keyed by (latency, path node ids) for deterministic ties.
+    # Dijkstra keyed by (latency, path node ids); strict-< relaxation.
     best: dict[str, float] = {a: 0.0}
     heap: list[tuple[float, list[str], str, list[str]]] = [(0.0, [a], a, [])]
     while heap:
@@ -62,6 +68,11 @@ def reference_shortest_path(topology: Topology, a: str, b: str) -> list[Link]:
                 heapq.heappush(heap, (ndist, path_nodes + [nxt], nxt,
                                       path_links + [lid]))
     raise errors.Unreachable(f"{a} -> {b}")
+
+
+def reference_load_yaml(text: str):
+    """The document in `text`, parsed by PyYAML's pure-Python SafeLoader."""
+    return yaml.load(text, Loader=yaml.SafeLoader)
 
 
 def reference_round_floats(value):

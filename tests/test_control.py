@@ -7,8 +7,11 @@ import math
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogsim import errors
+from fogsim import scenario as scenario_module
 from fogsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from fogsim.control import run_scenario, run_scenario_file
 from fogsim.kernel import Trace
@@ -17,6 +20,7 @@ from fogsim.runtime import Runtime
 from fogsim.scenario import SCRIPT_EVENTS, load_scenario, scenario_from_dict
 
 from conftest import FIXTURES, REPO_ROOT, SCENARIO_DIR
+from oracles import reference_load_yaml
 
 
 def minimal_scenario(**overrides) -> dict:
@@ -232,6 +236,30 @@ def test_load_scenario_bad_yaml(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_scenario_is_a_parse_error(kind, tmp_path, capsys):
+    path = tmp_path / "scenario.yaml"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(yaml.safe_dump(minimal_scenario(name="caf\xe9"),
+                                        allow_unicode=True).encode("latin-1"))
+    with pytest.raises(errors.ParseError):
+        load_scenario(path)
+    assert main(["validate", str(path)]) == EXIT_VALIDATION
+    assert "invalid: ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["2001-02-30", "!!int abc", "!!float abc"])
+def test_scalar_its_tag_cannot_construct_is_a_parse_error(value, tmp_path):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(minimal_scenario(name="NAME"))
+                    .replace("NAME", value))
+    with pytest.raises(errors.ParseError):
+        load_scenario(path)
+    assert main(["validate", str(path)]) == EXIT_VALIDATION
+
+
 # --- runs and replay ----------------------------------------------------------
 
 
@@ -276,6 +304,118 @@ def test_workload_trace_hash_is_unchanged(name, tmp_path):
     path.write_text(_benchmark_workloads().scenario_yaml(name, 1))
     runtime = Runtime(load_scenario(path))
     assert runtime.run().hash()[:16] == WORKLOAD_TRACE_HASHES[name]
+
+
+# --- scenario parsing: libyaml against the pure-Python oracle -----------------
+
+
+def _parse_both(text: str) -> tuple[str, str]:
+    """repr of what `text` loads to, or the exception class it raises, under
+    load_scenario's loader and under the pure-Python oracle. repr tells 1,
+    1.0 and True apart, keeps key order and shows nan."""
+    outcomes = []
+    for parse in (lambda t: yaml.load(t, Loader=scenario_module._LOADER),
+                  reference_load_yaml):
+        try:
+            outcomes.append(repr(parse(text)))
+        except (yaml.YAMLError, ValueError) as exc:
+            outcomes.append(type(exc).__name__)
+    return outcomes[0], outcomes[1]
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda path: path.stem)
+def test_fixture_loads_as_under_the_pure_python_oracle(path):
+    loaded, expected = _parse_both(path.read_text())
+    assert loaded == expected
+    assert expected.startswith("{")
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0])
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("name", sorted(WORKLOAD_TRACE_HASHES))
+def test_workload_loads_as_under_the_pure_python_oracle(name, seed, scale):
+    text = _benchmark_workloads().scenario_yaml(name, seed, scale)
+    loaded, expected = _parse_both(text)
+    assert loaded == expected
+    assert expected.startswith("{")
+
+
+_yaml_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2 ** 64, max_value=2 ** 200),
+    st.floats(allow_nan=False), st.text())
+_yaml_values = st.recursive(
+    _yaml_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(document=st.dictionaries(st.text(max_size=12), _yaml_values, max_size=6),
+       allow_unicode=st.booleans())
+def test_scenario_loader_matches_the_oracle_on_dumped_mappings(document,
+                                                               allow_unicode):
+    text = yaml.safe_dump(document, allow_unicode=allow_unicode,
+                          sort_keys=False)
+    loaded, expected = _parse_both(text)
+    assert loaded == expected
+    assert expected.startswith("{")
+
+
+# YAML 1.1 implicit types, tags, and documents both parsers reject
+HAND_WRITTEN_DOCUMENTS = {
+    "yes-off": "a: yes\nb: off\n",
+    "octal": "a: 0o17\nb: 017\n",
+    "hex": "a: 0x1F\n",
+    "underscore": "a: 1_000\n",
+    "sexagesimal": "a: 1:30\n",
+    "infinity": "a: .inf\nb: -.Inf\nc: .nan\n",
+    "tilde": "a: ~\n",
+    "date": "a: 2001-02-03\nb: 2001-12-14t21:59:43.10-05:00\n",
+    "merge-key": "base: &b {x: 1, y: 2}\nc:\n  <<: *b\n  y: 3\n",
+    "duplicate-key": "a: 1\na: 2\n",
+    "two-documents": "a: 1\n---\nb: 2\n",
+    "unclosed-flow-list": "nodes: [unclosed\n",
+    "tab-indent": "a:\n\tb: 1\n",
+    "bel": "a: \x07\n",
+    "bom": "\ufeffa: 1\n",
+    "str-tag": "a: !!str 5\n",
+}
+
+
+@pytest.mark.parametrize("text", list(HAND_WRITTEN_DOCUMENTS.values()),
+                         ids=list(HAND_WRITTEN_DOCUMENTS))
+def test_scenario_loader_matches_the_oracle_on_edge_cases(text):
+    loaded, expected = _parse_both(text)
+    assert loaded == expected
+
+
+@pytest.mark.parametrize("tag", ["!!python/object/apply:os.getcwd []",
+                                 "!!python/tuple [1, 2]"])
+def test_python_tags_in_a_scenario_are_a_parse_error(tag, tmp_path):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(minimal_scenario(name="NAME")))
+    assert load_scenario(path).name == "NAME"
+    path.write_text(path.read_text().replace("NAME", tag))
+    with pytest.raises(errors.ParseError, match="python/"):
+        load_scenario(path)
+
+
+def test_scenarios_are_parsed_with_libyaml_where_pyyaml_has_it(monkeypatch):
+    expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert scenario_module._LOADER is expected
+
+    class Spy(expected):
+        streams = 0
+
+        def __init__(self, stream):
+            Spy.streams += 1
+            super().__init__(stream)
+
+    monkeypatch.setattr(scenario_module, "_LOADER", Spy)
+    load_scenario(SCENARIO_DIR / "roaming.yaml")
+    assert Spy.streams == 1
 
 
 def test_run_produces_report_equal_to_trace_replay():

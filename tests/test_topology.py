@@ -233,6 +233,20 @@ def test_equal_latency_tie_goes_to_the_smaller_hop_node_ids():
     assert [l.link_id for l in topo.shortest_path("s", "t")] == expected
 
 
+def test_equal_latency_tie_goes_to_the_path_found_first():
+    # s-a-z and s-a-b-z both take 3 ms; [s, a, b, z] sorts first, but s-a-z
+    # is found when a settles, and b's equal-latency path does not replace it
+    topo = Topology()
+    for nid in ("s", "a", "b", "z"):
+        topo.add_node(nid, Tier.EDGE_MODULE, 1000, 1000, 1000)
+    for a, b, latency in (("s", "a", 1.0), ("a", "z", 2.0),
+                          ("a", "b", 1.0), ("b", "z", 1.0)):
+        topo.add_link(a, b, latency, 100)
+    expected = ["s--a", "a--z"]
+    assert [l.link_id for l in reference_shortest_path(topo, "s", "z")] == expected
+    assert [l.link_id for l in topo.shortest_path("s", "z")] == expected
+
+
 def test_adding_elements_drops_cached_routes(three_tier):
     assert three_tier.path_latency("gw1", "cloud") == 22
     three_tier.add_link("gw1", "cloud", 5, 100)
