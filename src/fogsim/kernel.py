@@ -85,7 +85,11 @@ def _round_floats(value):
 class TraceRecord:
     """One trace line. `details` are rounded when the record is made, by
     `Kernel.emit` or by parsing a trace that was written rounded, so
-    `to_json` dumps them as they are."""
+    `to_json` dumps them as they are.
+
+    Details are never mutated once a record is made: records may share
+    values, such as the per-node maps of consecutive `metrics_window`
+    records (see `Kernel.emit`)."""
 
     time_ms: int
     seq: int
@@ -175,11 +179,22 @@ class Kernel:
         self.schedule(fault.start + fault.duration, EventKind.FAULT_END,
                       {"fault": fault})
 
-    def emit(self, kind: str, subject: str, details: dict | None = None) -> TraceRecord:
-        # round at emission so the in-memory trace equals its JSON round-trip
+    def emit(self, kind: str, subject: str, details: dict | None = None,
+             rounded: dict | None = None) -> TraceRecord:
+        """Append a record of `details` and `rounded` to the trace.
+
+        `details` are copied with every float rounded to 9 places, so the
+        in-memory trace equals its JSON round trip. The values of `rounded`
+        go into the record as they are, neither copied nor walked: each must
+        equal its own rounding, with every float at 9 places and lists in
+        place of tuples. Records may then share such values, and no one
+        mutates them.
+        """
         self._trace_seq += 1
-        record = TraceRecord(self.now, self._trace_seq, kind, subject,
-                             _round_floats(details or {}))
+        fields = _round_floats(details or {})
+        if rounded:
+            fields.update(rounded)
+        record = TraceRecord(self.now, self._trace_seq, kind, subject, fields)
         self.trace.append(record)
         return record
 

@@ -30,7 +30,6 @@ from .migration import MigrationEngine
 from .scenario import SCRIPT_EVENTS, Scenario
 from .scheduler import AppInstance, Defer, InstanceStatus, Offload, \
     PlacementRequest, Scheduler
-from .topology import Tier
 
 
 class Runtime:
@@ -51,10 +50,6 @@ class Runtime:
         # fault key -> (Topology setter, target id) of each element it took down
         self._fault_effects: dict[tuple, list[tuple]] = {}
         self._rate_override: dict[str, float] = {}
-        # tiers are fixed once the topology is built
-        self._edge_modules = tuple(sorted(
-            nid for nid, node in self.topology.nodes.items()
-            if node.tier is Tier.EDGE_MODULE))
 
         kernel = self.kernel
         kernel.register(EventKind.ATTACH, self._on_attach)
@@ -227,7 +222,7 @@ class Runtime:
 
     def _nearest_edge(self, gateway: str) -> str | None:
         best = None
-        for nid in self._edge_modules:
+        for nid in self.topology.edge_modules:
             if not self.topology.nodes[nid].up:
                 continue
             lat = self.topology.path_latency_or_inf(gateway, nid)
@@ -401,9 +396,6 @@ class Runtime:
             self.kernel.emit("link_window", link_id, {
                 "delivered_mb": metrics.links[link_id],
                 "capacity_mb": link.bandwidth_mbps * dt / 8000.0})
-        alloc = {nid: {"cpu": n.allocated.cpu, "mem": n.allocated.mem,
-                       "storage": n.allocated.storage}
-                 for nid, n in sorted(self.topology.nodes.items())}
         statuses = {iid: self.scheduler.instances[iid].status.value
                     for iid in sorted(self.scheduler.instances)}
         self.kernel.emit("metrics_window", "network", {
@@ -414,10 +406,9 @@ class Runtime:
             "dropped_mb": metrics.dropped_mb,
             "uplink_mb": metrics.uplink_mb,
             "uplink_ratio": metrics.ratio_or_none(),
-            "utilization": self.topology.utilization_snapshot(),
-            "alloc": alloc,
             "instances": statuses,
-        })
+        }, rounded={"utilization": self.topology.utilization_snapshot(),
+                    "alloc": self.topology.alloc_snapshot()})
         self._window_start = now
 
     # -- faults -----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from . import errors
 from .catalog import AppKind, AppSpec, Catalog
 from .discovery import InstallRequest
 from .migration import StateBlob
-from .topology import ResourceVector, Tier, Topology
+from .topology import ResourceVector, Topology
 
 
 class InstanceStatus(str, Enum):
@@ -242,18 +242,21 @@ class Scheduler:
         """
         actions: list[Action] = []
         nodes = self.topology.nodes
-        # tentative allocations; vectors are immutable, so no copy is needed
-        alloc = {nid: n.allocated for nid, n in nodes.items()}
+        # tentative allocations, taken when the first victim search starts;
+        # until then they equal the live ones. Vectors are immutable, so no
+        # copy is needed.
+        alloc: dict[str, ResourceVector] | None = None
 
         def util(nid: str) -> float:
-            return alloc[nid].bottleneck_fraction(nodes[nid].capacity)
+            vec = nodes[nid].allocated if alloc is None else alloc[nid]
+            return vec.bottleneck_fraction(nodes[nid].capacity)
 
-        for node_id in sorted(nodes):
+        for node_id in self.topology.edge_modules:
             node = nodes[node_id]
-            if node.tier is not Tier.EDGE_MODULE or not node.up:
+            if not node.up or util(node_id) <= self.thresholds.high_watermark:
                 continue
-            if util(node_id) <= self.thresholds.high_watermark:
-                continue
+            if alloc is None:
+                alloc = {nid: n.allocated for nid, n in nodes.items()}
             victims = []
             for iid in sorted(self.instances):
                 inst = self.instances[iid]

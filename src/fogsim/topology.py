@@ -69,8 +69,9 @@ class ResourceVector:
 @dataclass
 class Node:
     """A compute node. `capacity` and `allocated` are ResourceVectors;
-    `allocated` changes only through Topology.reserve and release. `up` is
-    written only through Topology.set_node_up, which drops the cached routes."""
+    `allocated` changes only through Topology.reserve and release, which
+    mark the node's metrics-window entries stale. `up` is written only
+    through Topology.set_node_up, which drops the cached routes."""
 
     node_id: str
     tier: Tier
@@ -107,13 +108,26 @@ class Link:
 class Topology:
     """Mutable node/link graph. Up/down state changes only through
     set_link_up and set_node_up: routes are cached per source, and those
-    setters, add_node and add_link are what drop the cache."""
+    setters, add_node and add_link are what drop the cache. Allocations
+    change only through reserve and release, which mark the node whose
+    metrics-window entries must be rebuilt (see utilization_snapshot)."""
 
     nodes: dict[str, Node] = field(default_factory=dict)
     links: dict[str, Link] = field(default_factory=dict)
     _adjacency: dict[str, list[str]] = field(default_factory=dict)
     # source -> target -> link path, valid until the graph changes
     _routes: dict[str, dict[str, tuple[Link, ...]]] = field(
+        default_factory=dict, repr=False, compare=False)
+    # sorted edge-module ids, built on first use; tiers never change
+    _edge_modules: tuple[str, ...] | None = field(
+        default=None, repr=False, compare=False)
+    # metrics-window maps, by node id: utilization rounded to the trace's
+    # 9 places, and the allocation's components. Both are rebuilt as new
+    # dicts, never updated in place, once a node in _stale changed.
+    _stale: set[str] = field(default_factory=set, repr=False, compare=False)
+    _utilization: dict[str, float] = field(
+        default_factory=dict, repr=False, compare=False)
+    _alloc: dict[str, dict[str, float]] = field(
         default_factory=dict, repr=False, compare=False)
 
     # -- construction --------------------------------------------------------
@@ -131,6 +145,8 @@ class Topology:
             cpu_capacity, mem_capacity, storage_capacity))
         self._adjacency[node_id] = []
         self._routes.clear()
+        self._edge_modules = None
+        self._stale.add(node_id)
         return node_id
 
     def add_link(self, a: str, b: str, latency_ms: float, bandwidth_mbps: float,
@@ -166,6 +182,15 @@ class Topology:
             return self.links[link_id]
         except KeyError:
             raise errors.UnknownTarget(link_id) from None
+
+    @property
+    def edge_modules(self) -> tuple[str, ...]:
+        """Ids of the edge modules, sorted."""
+        if self._edge_modules is None:
+            self._edge_modules = tuple(sorted(
+                nid for nid, node in self.nodes.items()
+                if node.tier is Tier.EDGE_MODULE))
+        return self._edge_modules
 
     def links_at(self, node_id: str) -> tuple[str, ...]:
         """Ids of the links incident to a node, in the order they were added."""
@@ -267,6 +292,7 @@ class Topology:
             raise errors.InsufficientCapacity(
                 f"{node_id}: demand {demand} exceeds free {node.free}")
         node.allocated = allocated
+        self._stale.add(node_id)
 
     def release(self, node_id: str, demand: ResourceVector) -> None:
         node = self.node(node_id)
@@ -274,9 +300,43 @@ class Topology:
             raise errors.ReleaseUnderflow(
                 f"{node_id}: release {demand} exceeds allocated {node.allocated}")
         node.allocated = node.allocated - demand
+        self._stale.add(node_id)
 
     def utilization(self, node_id: str) -> float:
         return self.node(node_id).utilization()
 
+    # -- metrics-window maps ----------------------------------------------------
+
     def utilization_snapshot(self) -> dict[str, float]:
-        return {nid: n.utilization() for nid, n in sorted(self.nodes.items())}
+        """Every node's utilization by node id, sorted, rounded to 9 places.
+
+        The dict is shared: the same object is returned until an allocation
+        changes, and trace records hold it, so it must never be mutated.
+        """
+        if self._stale:
+            self._rebuild_window_maps()
+        return self._utilization
+
+    def alloc_snapshot(self) -> dict[str, dict[str, float]]:
+        """Every node's allocation by node id, sorted, as cpu/mem/storage.
+        Shared like utilization_snapshot's dict; never mutate it or its
+        entries."""
+        if self._stale:
+            self._rebuild_window_maps()
+        return self._alloc
+
+    def _rebuild_window_maps(self) -> None:
+        """New maps that rebuild the entries of the stale nodes only and
+        share every other entry with the maps they replace."""
+        utilization = dict(self._utilization)
+        alloc = dict(self._alloc)
+        for nid in self._stale:
+            node = self.nodes[nid]
+            vec = node.allocated
+            utilization[nid] = round(node.utilization(), 9)
+            # vector components are already rounded to 9 places
+            alloc[nid] = {"cpu": vec.cpu, "mem": vec.mem, "storage": vec.storage}
+        self._stale.clear()
+        ids = sorted(utilization)
+        self._utilization = {nid: utilization[nid] for nid in ids}
+        self._alloc = {nid: alloc[nid] for nid in ids}

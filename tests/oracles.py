@@ -5,7 +5,7 @@ exhaustive simple-path enumeration (not Dijkstra), placement by full
 enumeration over every node, and flow counters by re-accumulating trace
 deltas. They may be exponential; the graphs they see are tiny.
 
-Four exceptions copy earlier production code. reference_shortest_path is the
+Five exceptions copy earlier production code. reference_shortest_path is the
 uncached per-pair Dijkstra that Topology.shortest_path ran before routes were
 cached per source; it pins the exact path, tie-breaks included, that the cache
 must return. reference_record_json is TraceRecord.to_json as it was when it
@@ -14,7 +14,10 @@ reference_advance_all is FlowManager.advance_all as it was when every event
 integrated every active flow from the live topology and instance state; it
 pins the counters that lazy integration must reach. reference_load_yaml is
 the yaml.safe_load that load_scenario called before it parsed with libyaml;
-it pins the objects a scenario document loads to.
+it pins the objects a scenario document loads to. reference_window_maps is
+the per-node part of Runtime._close_window as it was when every window built
+both maps for every node and the kernel rounded them at emission; it pins
+the maps that the cached ones must equal.
 """
 
 from __future__ import annotations
@@ -95,6 +98,16 @@ def reference_record_json(record: TraceRecord) -> str:
         "subject": record.subject,
         "details": reference_round_floats(record.details),
     }, sort_keys=True, separators=(",", ":"))
+
+
+def reference_window_maps(topology: Topology) -> dict:
+    """The `utilization` and `alloc` maps of a metrics_window record, built
+    afresh for every node and rounded as the kernel rounds details."""
+    alloc = {nid: {"cpu": n.allocated.cpu, "mem": n.allocated.mem,
+                   "storage": n.allocated.storage}
+             for nid, n in sorted(topology.nodes.items())}
+    utilization = {nid: n.utilization() for nid, n in sorted(topology.nodes.items())}
+    return reference_round_floats({"utilization": utilization, "alloc": alloc})
 
 
 def brute_force_latency(topology: Topology, a: str, b: str) -> float:

@@ -290,9 +290,10 @@ WORKLOAD_TRACE_HASHES = {"star_steady": "e9f19e9da4fa43cf",
                          "fleet_ticks": "5b91a3713017c90a"}
 
 
-def _benchmark_workloads():
+def _perfbench_module(name: str):
+    """perfbench/<name>.py, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
+        f"perfbench_{name}", REPO_ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -301,9 +302,18 @@ def _benchmark_workloads():
 @pytest.mark.parametrize("name", sorted(WORKLOAD_TRACE_HASHES))
 def test_workload_trace_hash_is_unchanged(name, tmp_path):
     path = tmp_path / f"{name}.yaml"
-    path.write_text(_benchmark_workloads().scenario_yaml(name, 1))
+    path.write_text(_perfbench_module("workloads").scenario_yaml(name, 1))
     runtime = Runtime(load_scenario(path))
     assert runtime.run().hash()[:16] == WORKLOAD_TRACE_HASHES[name]
+
+
+def test_every_tracer_target_exists():
+    """perfbench --trace 1 wraps these by name; a rename would silently
+    drop its metric."""
+    targets = _perfbench_module("tracer").TARGETS
+    missing = [(getattr(owner, "__name__", owner), attr) for owner, attr in targets
+               if not callable(getattr(owner, attr, None))]
+    assert missing == []
 
 
 # --- scenario parsing: libyaml against the pure-Python oracle -----------------
@@ -334,7 +344,7 @@ def test_fixture_loads_as_under_the_pure_python_oracle(path):
 @pytest.mark.parametrize("seed", [1, 7])
 @pytest.mark.parametrize("name", sorted(WORKLOAD_TRACE_HASHES))
 def test_workload_loads_as_under_the_pure_python_oracle(name, seed, scale):
-    text = _benchmark_workloads().scenario_yaml(name, seed, scale)
+    text = _perfbench_module("workloads").scenario_yaml(name, seed, scale)
     loaded, expected = _parse_both(text)
     assert loaded == expected
     assert expected.startswith("{")

@@ -91,6 +91,16 @@ def test_emitted_floats_equal_their_json_roundtrip():
     assert replayed.records[0] == record
 
 
+def test_rounded_values_go_into_the_record_as_they_are():
+    kernel = Kernel()
+    shared = {"n1": 0.333333333, "n2": {"cpu": 12.5}}
+    first = kernel.emit("window", "a", {"ratio": 1 / 3}, rounded={"util": shared})
+    second = kernel.emit("window", "b", rounded={"util": shared})
+    assert first.details == {"ratio": 0.333333333, "util": shared}
+    assert first.details["util"] is shared and second.details["util"] is shared
+    assert Trace.from_jsonl(first.to_json()).records[0] == first
+
+
 def test_trace_jsonl_roundtrip_and_hash():
     kernel = Kernel()
     kernel.emit("a", "x", {"v": 1.5})

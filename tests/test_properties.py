@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -14,11 +15,14 @@ from fogsim.catalog import AppKind, AppSpec, Catalog, DeviceProfile
 from fogsim.discovery import DiscoveryService
 from fogsim.dataflow import Flow, FlowManager
 from fogsim.migration import MigrationEngine
+from fogsim.runtime import Runtime
+from fogsim.scenario import scenario_from_dict
 from fogsim.scheduler import (InstanceStatus, Offload, PlacementRequest, Scheduler,
                               Thresholds)
 from fogsim.topology import ResourceVector, Tier, Topology
 
-from oracles import ReferenceFlows, brute_force_place, reference_advance_all
+from oracles import (ReferenceFlows, brute_force_place, reference_advance_all,
+                     reference_window_maps)
 
 MODEL = "sensor"
 
@@ -200,6 +204,94 @@ def test_allocations_equal_hosted_plus_inbound_demands(seed, fractional, steps):
                            for g, e in zip(got, expected[nid])), (nid, got, expected[nid])
             else:
                 assert got == expected[nid], (nid, got, expected[nid])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 1_000_000), fractional=st.booleans(),
+       steps=st.lists(st.sampled_from(["place", "scale", "offload", "complete",
+                                       "window"]), min_size=1, max_size=20))
+def test_window_maps_match_a_fresh_computation(seed, fractional, steps):
+    """Random places, scales, offload starts and migration completes, with
+    metrics windows closed between them. Each metrics_window record carries,
+    byte for byte, the utilization and alloc maps that a fresh computation
+    over every node gives, and no record's maps change after it is made."""
+    rng = random.Random(seed)
+
+    def amount(low, high):
+        return rng.randint(low, high) + (rng.randint(1, 9) / 10 if fractional else 0)
+
+    edge = {"tier": "EdgeModule", "cpu": 8000, "mem": 16384, "storage": 491520}
+    runtime = Runtime(scenario_from_dict({
+        "schema_version": 1, "name": "windows", "duration_ms": 1_000_000,
+        "thresholds": {"high": 0.5, "low": 0.2},
+        "topology": {
+            "nodes": [{"id": "cloud", "tier": "CentralCloud", "cpu": 64000,
+                       "mem": 98304, "storage": 11534336},
+                      {"id": "edge0", **edge}, {"id": "edge1", **edge},
+                      {"id": "gw0", "tier": "Gateway", "cpu": 4000, "mem": 1024,
+                       "storage": 16384}],
+            "links": [{"a": "edge0", "b": "cloud", "latency_ms": 20,
+                       "bandwidth_mbps": 1000},
+                      {"a": "edge1", "b": "cloud", "latency_ms": 20,
+                       "bandwidth_mbps": 1000},
+                      {"a": "gw0", "b": "edge0", "latency_ms": 2,
+                       "bandwidth_mbps": 100},
+                      {"a": "gw0", "b": "edge1", "latency_ms": 5,
+                       "bandwidth_mbps": 100}]},
+        "apps": [{"id": app_id, "kind": "DataApp", "cpu": amount(100, 2000),
+                  "mem": amount(512, 4096), "storage": amount(128, 2048),
+                  "state_size_mb": 1} for app_id in ("a", "b")],
+    }))
+    topo, scheduler, engine = runtime.topology, runtime.scheduler, runtime.migrations
+    kernel = runtime.kernel
+    inbound: dict[str, str] = {}  # migrating instance id -> its target
+    windows = []  # (record, its maps as JSON when it was made)
+
+    def maps_json(maps) -> str:
+        return json.dumps({key: maps[key] for key in ("utilization", "alloc")},
+                          sort_keys=True)
+
+    def close_window():
+        kernel.now += 1
+        runtime._close_window()
+        record = kernel.trace.records[-1]
+        assert record.kind == "metrics_window"
+        assert maps_json(record.details) == maps_json(reference_window_maps(topo))
+        windows.append((record, maps_json(record.details)))
+
+    for step in steps:
+        running = sorted(iid for iid, inst in scheduler.instances.items()
+                         if inst.status is InstanceStatus.RUNNING)
+        if step == "place":
+            try:
+                scheduler.place(PlacementRequest(rng.choice("ab"), "gw0",
+                                                 rng.randint(1, 2)))
+            except errors.Unschedulable:
+                pass
+        elif step == "scale" and running:
+            try:
+                scheduler.scale(rng.choice(running), rng.randint(1, 3))
+            except errors.InsufficientCapacity:
+                pass
+        elif step == "offload":
+            for action in scheduler.check_thresholds(kernel.now):
+                if not isinstance(action, Offload):
+                    continue
+                try:
+                    inst = scheduler.validate_action(action)
+                    engine.start(inst, action.target, kernel.now)
+                except (errors.StaleAction, errors.TargetInfeasible):
+                    continue
+                inbound[inst.instance_id] = action.target
+        elif step == "complete" and inbound:
+            iid = rng.choice(sorted(inbound))
+            del inbound[iid]
+            engine.complete(scheduler.instance(iid))
+        elif step == "window":
+            close_window()
+    close_window()
+    for record, emitted in windows:
+        assert maps_json(record.details) == emitted
 
 
 FLOW_COUNTERS = ("generated", "delivered", "dropped", "buffered", "uplinked",

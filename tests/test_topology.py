@@ -270,6 +270,30 @@ def test_link_down_never_shortens_paths(seed):
     assert all(after[pair] >= before[pair] for pair in before)
 
 
+def test_window_maps_are_shared_until_an_allocation_changes(three_tier):
+    util, alloc = three_tier.utilization_snapshot(), three_tier.alloc_snapshot()
+    assert list(util) == list(alloc) == sorted(three_tier.nodes)
+    assert three_tier.utilization_snapshot() is util
+    assert three_tier.alloc_snapshot() is alloc
+    three_tier.reserve("gw1", MB(1000 / 3, 0, 0))
+    new_util, new_alloc = three_tier.utilization_snapshot(), three_tier.alloc_snapshot()
+    assert new_util["gw1"] == 0.083333333 and util["gw1"] == 0.0
+    assert new_alloc["gw1"] == {"cpu": 333.333333333, "mem": 0.0, "storage": 0.0}
+    assert alloc["gw1"]["cpu"] == 0.0
+    # what did not change is shared with the maps before
+    assert new_alloc["edge1"] is alloc["edge1"]
+    assert list(new_util) == list(new_alloc) == sorted(three_tier.nodes)
+    three_tier.release("gw1", MB(1000 / 3, 0, 0))
+    assert three_tier.utilization_snapshot() == util
+    assert three_tier.alloc_snapshot() == alloc
+
+
+def test_edge_modules_are_sorted_and_follow_added_nodes(three_tier):
+    assert three_tier.edge_modules == ("edge1",)
+    three_tier.add_node("edge0", Tier.EDGE_MODULE, 8000, 16384, 491520)
+    assert three_tier.edge_modules == ("edge0", "edge1")
+
+
 @settings(max_examples=50, deadline=None)
 @given(cpu=st.integers(0, 1000), mem=st.integers(0, 1000),
        storage=st.integers(0, 1000))
