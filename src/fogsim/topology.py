@@ -71,7 +71,8 @@ class Node:
     """A compute node. `capacity` and `allocated` are ResourceVectors;
     `allocated` changes only through Topology.reserve and release, which
     mark the node's metrics-window entries stale. `up` is written only
-    through Topology.set_node_up, which drops the cached routes."""
+    through Topology.set_node_up, which drops the cached routes that the
+    change can alter."""
 
     node_id: str
     tier: Tier
@@ -91,7 +92,7 @@ class Node:
 @dataclass
 class Link:
     """An undirected link. `up` is written only through Topology.set_link_up,
-    which drops the cached routes."""
+    which drops the cached routes that the change can alter."""
 
     link_id: str
     a: str
@@ -107,16 +108,19 @@ class Link:
 @dataclass
 class Topology:
     """Mutable node/link graph. Up/down state changes only through
-    set_link_up and set_node_up: routes are cached per source, and those
-    setters, add_node and add_link are what drop the cache. Allocations
+    set_link_up and set_node_up: routes are cached per source as a
+    shortest-path tree, and those setters drop the trees that their change
+    can alter, while add_node and add_link drop them all. Allocations
     change only through reserve and release, which mark the node whose
     metrics-window entries must be rebuilt (see utilization_snapshot)."""
 
     nodes: dict[str, Node] = field(default_factory=dict)
     links: dict[str, Link] = field(default_factory=dict)
-    _adjacency: dict[str, list[str]] = field(default_factory=dict)
-    # source -> target -> link path, valid until the graph changes
-    _routes: dict[str, dict[str, tuple[Link, ...]]] = field(
+    # node -> its links in the order they were added, each with its other end
+    _adjacency: dict[str, list[tuple[Link, str]]] = field(default_factory=dict)
+    # source -> its shortest-path tree, as (reached node -> last link of its
+    # path, None for the source; reached node -> settled latency)
+    _routes: dict[str, tuple[dict[str, Link | None], dict[str, float]]] = field(
         default_factory=dict, repr=False, compare=False)
     # sorted edge-module ids, built on first use; tiers never change
     _edge_modules: tuple[str, ...] | None = field(
@@ -165,9 +169,9 @@ class Topology:
             link_id = f"{a}--{b}"
         if link_id in self.links:
             raise errors.ValidationError(f"duplicate link id {link_id}")
-        self.links[link_id] = Link(link_id, a, b, latency_ms, bandwidth_mbps)
-        self._adjacency[a].append(link_id)
-        self._adjacency[b].append(link_id)
+        link = self.links[link_id] = Link(link_id, a, b, latency_ms, bandwidth_mbps)
+        self._adjacency[a].append((link, b))
+        self._adjacency[b].append((link, a))
         self._routes.clear()
         return link_id
 
@@ -195,27 +199,68 @@ class Topology:
     def links_at(self, node_id: str) -> tuple[str, ...]:
         """Ids of the links incident to a node, in the order they were added."""
         self.node(node_id)
-        return tuple(self._adjacency[node_id])
+        return tuple(link.link_id for link, _ in self._adjacency[node_id])
 
     # -- up/down state ---------------------------------------------------------
 
     def set_link_up(self, link_id: str, up: bool) -> bool:
-        """Bring a link up or down; True when its state changed."""
+        """Bring a link up or down; True when its state changed.
+
+        Down, it drops the cached trees that hold it: the last link of the
+        path to one of its ends, compared by identity since parallel links
+        join the same ends. Up, it drops a tree when the search from its
+        source would push an end of the link through it (see _pushes)."""
         link = self.link(link_id)
         changed = link.up != up
         if changed:
             link.up = up
-            self._routes.clear()
+            a, b, lat = link.a, link.b, link.latency_ms
+            if up:
+                self._drop_routes(lambda source, tree, latency:
+                                  self._pushes(source, latency, a, b, lat)
+                                  or self._pushes(source, latency, b, a, lat))
+            else:
+                self._drop_routes(lambda source, tree, latency:
+                                  tree.get(a) is link or tree.get(b) is link)
         return changed
 
     def set_node_up(self, node_id: str, up: bool) -> bool:
-        """Bring a node up or down; True when its state changed."""
+        """Bring a node up or down; True when its state changed.
+
+        Down, it drops the cached trees that reach it. Up, it drops the
+        trees that reach one of its neighbours across an up link."""
         node = self.node(node_id)
         changed = node.up != up
         if changed:
             node.up = up
-            self._routes.clear()
+            if up:
+                near = [nxt for link, nxt in self._adjacency[node_id] if link.up]
+                self._drop_routes(lambda source, tree, latency:
+                                  any(nid in tree for nid in near))
+            else:
+                self._drop_routes(lambda source, tree, latency: node_id in tree)
         return changed
+
+    def _drop_routes(self, alters) -> None:
+        """Drop the cached trees for which alters(source, tree, latency)
+        holds; every other tree stays as the same object."""
+        self._routes = {source: entry for source, entry in self._routes.items()
+                        if not alters(source, *entry)}
+
+    def _pushes(self, source: str, latency: dict[str, float], u: str, v: str,
+                lat: float) -> bool:
+        """Whether a search from source, on settling u, would push v across
+        a new link of latency lat, and so may route v, and what lies beyond
+        it, another way.
+
+        u must be settled, and v must be enterable: up, or the source,
+        whose own flag the search never checks. The comparison is <=, not
+        <: an equal-latency entry for v can still win its tie. An
+        unreached v counts as infinitely far.
+        """
+        du = latency.get(u)
+        return (du is not None and (v == source or self.nodes[v].up)
+                and du + lat <= latency.get(v, math.inf))
 
     # -- routing ---------------------------------------------------------------
 
@@ -227,60 +272,79 @@ class Topology:
         _route_tree). Answers come from a cached shortest-path tree per
         source; the returned list is the caller's own.
         """
-        tree = self._routes.get(a)
-        if tree is None:
-            self.node(a)
-            tree = self._routes[a] = self._route_tree(a)
-        route = tree.get(b)
-        if route is None:
+        tree = self._route(a)[0]
+        if b not in tree:
             self.node(b)
             raise errors.Unreachable(f"{a} -> {b}")
-        return list(route)
-
-    def _route_tree(self, a: str) -> dict[str, tuple[Link, ...]]:
-        """The link path from a to every node reachable over up elements.
-
-        Dijkstra that settles nodes in (latency, path node ids) order and
-        scans a settled node's links in the order they were added. A node's
-        path is replaced only by a strictly shorter one, so of equal-latency
-        paths the one through the earliest-settled predecessor wins, not the
-        one whose node ids sort first: with links s-a 1, a-z 2, a-b 1 and
-        b-z 1, z is reached by s, a, z. Each node's path is the one on its
-        first pop; pop order does not depend on a target, so it is the path
-        a search stopping there returns.
-        """
-        tree: dict[str, tuple[Link, ...]] = {}
-        best: dict[str, float] = {a: 0.0}
-        heap: list[tuple[float, list[str], str, tuple[Link, ...]]] = [
-            (0.0, [a], a, ())]
-        while heap:
-            dist, path_nodes, here, path_links = heapq.heappop(heap)
-            if here in tree:
-                continue
-            tree[here] = path_links
-            for lid in self._adjacency[here]:
-                link = self.links[lid]
-                if not link.up:
-                    continue
-                nxt = link.other_end(here)
-                if not self.nodes[nxt].up:
-                    continue
-                ndist = dist + link.latency_ms
-                if ndist < best.get(nxt, math.inf):
-                    best[nxt] = ndist
-                    heapq.heappush(heap, (ndist, path_nodes + [nxt], nxt,
-                                          path_links + (link,)))
-        return tree
+        path = []
+        while (link := tree[b]) is not None:
+            path.append(link)
+            b = link.other_end(b)
+        path.reverse()
+        return path
 
     def path_latency(self, a: str, b: str) -> float:
-        """Shortest-path latency in ms over up links; 0 when a == b."""
-        return sum(link.latency_ms for link in self.shortest_path(a, b))
+        """Shortest-path latency in ms over up links; 0 when a == b.
+
+        It is the latency the search settled b at: the path's link latencies
+        added in path order, starting from 0.
+        """
+        latency = self.path_latency_or_inf(a, b)
+        if latency == math.inf:
+            raise errors.Unreachable(f"{a} -> {b}")
+        return latency
 
     def path_latency_or_inf(self, a: str, b: str) -> float:
-        try:
-            return self.path_latency(a, b)
-        except errors.Unreachable:
+        """path_latency, but math.inf when no up path exists."""
+        latency = self._route(a)[1].get(b)
+        if latency is None:
+            self.node(b)
             return math.inf
+        return latency
+
+    def _route(self, a: str) -> tuple[dict[str, Link | None], dict[str, float]]:
+        entry = self._routes.get(a)
+        if entry is None:
+            self.node(a)
+            entry = self._routes[a] = self._route_tree(a)
+        return entry
+
+    def _route_tree(self, a: str) -> tuple[dict[str, Link | None], dict[str, float]]:
+        """The shortest-path tree from a over up elements: the last link of
+        the path to every reached node (None for a), and the latency each
+        reached node was settled at.
+
+        Dijkstra that settles nodes in (latency, path node ids) order and
+        scans a settled node's links in the order they were added. The
+        source's own up flag is never checked. A node's path is replaced
+        only by a strictly shorter one, so of equal-latency paths the one
+        through the earliest-settled predecessor wins, not the one whose
+        node ids sort first: with links s-a 1, a-z 2, a-b 1 and b-z 1, z is
+        reached by s, a, z. Each node's path is the one on its first pop;
+        pop order does not depend on a target, so it is the path a search
+        stopping there returns.
+        """
+        tree: dict[str, Link | None] = {}
+        best: dict[str, float] = {a: 0}
+        nodes, adjacency = self.nodes, self._adjacency
+        heappush, heappop, inf = heapq.heappush, heapq.heappop, math.inf
+        heap: list[tuple[float, tuple[str, ...], str, Link | None]] = [
+            (0, (a,), a, None)]
+        while heap:
+            dist, path_nodes, here, last = heappop(heap)
+            if here in tree:
+                continue
+            tree[here] = last
+            for link, nxt in adjacency[here]:
+                if not link.up or not nodes[nxt].up:
+                    continue
+                ndist = dist + link.latency_ms
+                if ndist < best.get(nxt, inf):
+                    best[nxt] = ndist
+                    heappush(heap, (ndist, path_nodes + (nxt,), nxt, link))
+        # pushes for a node only lower best, and its last push is its first
+        # pop, so best holds the settled latency of every reached node
+        return tree, best
 
     # -- resource accounting ---------------------------------------------------
 

@@ -1,15 +1,9 @@
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from fogsim.catalog import AppKind, AppSpec, Catalog, DeviceProfile, FirmwareEntry
 from fogsim.topology import ResourceVector, Tier, Topology
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-SCENARIO_DIR = REPO_ROOT / "scenarios"
-FIXTURES = sorted(SCENARIO_DIR.glob("*.yaml"))
 
 # one pass/fail line per acceptance criterion, printed after the run
 _acceptance_results: dict[str, str] = {}

@@ -21,7 +21,7 @@ from fogsim.scenario import load_scenario, scenario_from_dict
 from fogsim.scheduler import PlacementRequest, Scheduler
 from fogsim.topology import Link
 
-from conftest import FIXTURES, SCENARIO_DIR
+from fixture_paths import FIXTURES, SCENARIO_DIR
 from oracles import brute_force_place, recompute_counters
 from test_properties import random_world
 

@@ -19,7 +19,7 @@ from fogsim.report import report_from_trace, validate_trace
 from fogsim.runtime import Runtime
 from fogsim.scenario import SCRIPT_EVENTS, load_scenario, scenario_from_dict
 
-from conftest import FIXTURES, REPO_ROOT, SCENARIO_DIR
+from fixture_paths import FIXTURES, REPO_ROOT, SCENARIO_DIR
 from oracles import reference_load_yaml
 
 

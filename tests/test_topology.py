@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 
 import pytest
@@ -179,7 +181,7 @@ def _graph_and_toggles(draw):
     elements = [("link", lid) for lid in topo.links] + \
                [("node", nid) for nid in topo.nodes]
     toggles = draw(st.lists(st.tuples(st.sampled_from(elements), st.booleans()),
-                            max_size=8))
+                            max_size=24))
     return topo, toggles
 
 
@@ -198,7 +200,9 @@ def _assert_routes_match_fresh_search(topo):
                 assert topo.path_latency_or_inf(a, b) == math.inf
             else:
                 assert [l.link_id for l in path] == expected
-                assert topo.path_latency(a, b) == sum(l.latency_ms for l in path)
+                # added in path order; sum() compensates since Python 3.12
+                assert topo.path_latency(a, b) == functools.reduce(
+                    operator.add, (l.latency_ms for l in path), 0)
                 # the returned list is the caller's: mutating it changes nothing
                 path.reverse()
                 path.append(None)
@@ -254,6 +258,92 @@ def test_adding_elements_drops_cached_routes(three_tier):
     three_tier.add_node("edge2", Tier.EDGE_MODULE, 8000, 16384, 491520)
     three_tier.add_link("edge2", "gw1", 1, 100)
     assert three_tier.path_latency("gw1", "edge2") == 1
+
+
+def _graph(nodes, links):
+    """Edge modules `nodes`, and links (a, b, latency) with ids a--b."""
+    topo = Topology()
+    for nid in nodes:
+        topo.add_node(nid, Tier.EDGE_MODULE, 1000, 1000, 1000)
+    for a, b, latency in links:
+        topo.add_link(a, b, latency, 100)
+    return topo
+
+
+def _route_ids(topo, a, b):
+    return [l.link_id for l in topo.shortest_path(a, b)]
+
+
+def test_equal_latency_link_coming_up_takes_over_the_route():
+    # with a--z down, z is reached by s, a, b, z at 3 ms; a--z brings
+    # s, a, z at the same 3 ms, found first since a settles before b
+    topo = _graph("sabz", [("s", "a", 1.0), ("a", "z", 2.0),
+                           ("a", "b", 1.0), ("b", "z", 1.0)])
+    topo.set_link_up("a--z", False)
+    assert _route_ids(topo, "s", "z") == ["s--a", "a--b", "b--z"]
+    topo.set_link_up("a--z", True)
+    assert _route_ids(topo, "s", "z") == ["s--a", "a--z"]
+
+
+@pytest.mark.parametrize("source, target", [("s", "t"), ("t", "s")])
+def test_link_going_down_drops_the_trees_that_cross_it_either_way(source, target):
+    # s--x is entered at x from s and at s from t: a tree holds it as the
+    # last link of the path to either of its ends
+    topo = _graph("sxyt", [("s", "x", 1.0), ("x", "t", 1.0),
+                           ("s", "y", 2.0), ("y", "t", 2.0)])
+    assert "s--x" in _route_ids(topo, source, target)
+    topo.set_link_up("s--x", False)
+    assert topo.path_latency(source, target) == 4.0
+    assert "s--x" not in _route_ids(topo, source, target)
+
+
+def test_node_going_down_drops_the_trees_that_reach_it():
+    topo = _graph("sxyt", [("s", "x", 1.0), ("x", "t", 1.0),
+                           ("s", "y", 2.0), ("y", "t", 2.0)])
+    assert _route_ids(topo, "s", "t") == ["s--x", "x--t"]
+    topo.set_node_up("x", False)
+    assert _route_ids(topo, "s", "t") == ["s--y", "y--t"]
+    with pytest.raises(errors.Unreachable):
+        topo.shortest_path("s", "x")
+
+
+def test_a_down_source_routes_over_a_link_coming_up_at_it():
+    # the search never checks its source's own up flag
+    topo = _graph("st", [("s", "t", 1.0)])
+    topo.set_node_up("s", False)
+    topo.set_link_up("s--t", False)
+    with pytest.raises(errors.Unreachable):
+        topo.shortest_path("s", "t")
+    topo.set_link_up("s--t", True)
+    assert _route_ids(topo, "s", "t") == ["s--t"]
+
+
+def test_a_down_source_routes_to_a_neighbour_coming_up():
+    topo = _graph("st", [("s", "t", 1.0)])
+    topo.set_node_up("s", False)
+    topo.set_node_up("t", False)
+    with pytest.raises(errors.Unreachable):
+        topo.shortest_path("s", "t")
+    topo.set_node_up("t", True)
+    assert _route_ids(topo, "s", "t") == ["s--t"]
+
+
+def test_changes_no_cached_tree_can_feel_keep_every_tree():
+    # l1 runs beside s--a but is slower, so no tree uses it; x and y are
+    # reached from neither cached source
+    topo = _graph("saxy", [("s", "a", 1.0)])
+    topo.add_link("s", "a", 2.0, 100, link_id="l1")
+    topo.add_link("x", "y", 1.0, 100)
+    topo.set_link_up("x--y", False)
+    assert _route_ids(topo, "s", "a") == ["s--a"]
+    assert _route_ids(topo, "a", "s") == ["s--a"]
+    cached = dict(topo._routes)
+    assert set(cached) == {"s", "a"}
+    topo.set_link_up("l1", False)
+    topo.set_link_up("x--y", True)
+    assert topo._routes.keys() == cached.keys()
+    assert all(topo._routes[source] is cached[source] for source in cached)
+    assert _route_ids(topo, "s", "a") == ["s--a"]
 
 
 @settings(max_examples=30, deadline=None)
