@@ -81,7 +81,11 @@ def _round_floats(value):
     return value
 
 
-@dataclass(frozen=True)
+# the trace's JSON encoder: compact, keys sorted
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One trace line. `details` are rounded when the record is made, by
     `Kernel.emit` or by parsing a trace that was written rounded, so
@@ -89,22 +93,68 @@ class TraceRecord:
 
     Details are never mutated once a record is made: records may share
     values, such as the per-node maps of consecutive `metrics_window`
-    records (see `Kernel.emit`)."""
+    records (see `Kernel.emit`). `shared` names the detail keys whose values
+    came in through `Kernel.emit(..., rounded=...)`; `Trace.to_jsonl`
+    encodes each such value once per call and reuses its text in every
+    line that holds it, so a shared value mutated after emission would be
+    written stale. A parsed record shares nothing."""
 
     time_ms: int
     seq: int
     kind: str
     subject: str
     details: dict
+    shared: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
     def to_json(self) -> str:
-        return json.dumps({
+        return _encode({
             "time_ms": self.time_ms,
             "seq": self.seq,
             "kind": self.kind,
             "subject": self.subject,
             "details": self.details,
-        }, sort_keys=True, separators=(",", ":"))
+        })
+
+    def _write_shared(self, pieces: list[str], memo: dict) -> None:
+        """Append the pieces of this record's line to `pieces`: the same
+        text as `to_json`, with each shared value's text taken from `memo`."""
+        details, shared = self.details, self.shared
+        opening = '{"details":{'
+        for key in sorted(details):
+            value = details[key]
+            pieces.append(opening + _encode(key) + ":")
+            pieces.append(_shared_text(value, memo) if key in shared
+                          else _encode(value))
+            opening = ","
+        # {"kind":...,"time_ms":...} with its opening brace dropped
+        pieces.append("}," + _encode({
+            "kind": self.kind, "seq": self.seq, "subject": self.subject,
+            "time_ms": self.time_ms})[1:])
+
+
+def _shared_text(value, memo: dict) -> str:
+    """The JSON text of a shared value, encoded at most once per `memo`.
+
+    `memo` maps id(value) to (value, text); holding the value keeps its id
+    from being reused while the memo lives. A dict whose entries include
+    dicts is spliced from its entries' texts, and each dict entry is
+    memoised the same way, so maps that share entries encode each once.
+    Dict keys must be str, as in every value that equals its JSON round
+    trip.
+    """
+    entry = memo.get(id(value))
+    if entry is None:
+        if type(value) is dict and any(type(v) is dict for v in value.values()):
+            parts = []
+            for k in sorted(value):
+                v = value[k]
+                parts.append(_encode(k) + ":" + (
+                    _shared_text(v, memo) if type(v) is dict else _encode(v)))
+            text = "{" + ",".join(parts) + "}"
+        else:
+            text = _encode(value)
+        entry = memo[id(value)] = (value, text)
+    return entry[1]
 
 
 class Trace:
@@ -112,7 +162,8 @@ class Trace:
 
     A trace only grows, through `append`. `to_jsonl` serialises each record
     once: it keeps the text made so far and adds the lines of the records
-    appended since, so `hash` digests that same text."""
+    appended since, so `hash` digests that same text. Within one call, each
+    shared detail value (see `TraceRecord`) is encoded once."""
 
     def __init__(self, records: list[TraceRecord] | None = None):
         self.records: list[TraceRecord] = records or []
@@ -130,8 +181,15 @@ class Trace:
 
     def to_jsonl(self) -> str:
         if self._serialised < len(self.records):
-            self._text += "".join(r.to_json() + "\n"
-                                  for r in self.records[self._serialised:])
+            pieces: list[str] = []
+            memo: dict = {}  # shared values' texts, for this call only
+            for record in self.records[self._serialised:]:
+                if record.shared:
+                    record._write_shared(pieces, memo)
+                else:
+                    pieces.append(record.to_json())
+                pieces.append("\n")
+            self._text += "".join(pieces)
             self._serialised = len(self.records)
         return self._text
 
@@ -186,15 +244,20 @@ class Kernel:
         `details` are copied with every float rounded to 9 places, so the
         in-memory trace equals its JSON round trip. The values of `rounded`
         go into the record as they are, neither copied nor walked: each must
-        equal its own rounding, with every float at 9 places and lists in
-        place of tuples. Records may then share such values, and no one
-        mutates them.
+        equal its own rounding, with every float at 9 places, lists in place
+        of tuples and str dict keys. Records may then share such values, and
+        no one mutates them: the record marks their keys as shared, and
+        serialisation reuses one text per shared object, so a value mutated
+        after emission would be written stale.
         """
         self._trace_seq += 1
         fields = _round_floats(details or {})
+        shared = ()  # the empty tuple is a singleton; most records share nothing
         if rounded:
             fields.update(rounded)
-        record = TraceRecord(self.now, self._trace_seq, kind, subject, fields)
+            shared = tuple(rounded)
+        record = TraceRecord(self.now, self._trace_seq, kind, subject, fields,
+                             shared)
         self.trace.append(record)
         return record
 

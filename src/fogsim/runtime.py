@@ -20,8 +20,6 @@ buffer drains to empty, the split decides the sign of the zero left over.
 
 from __future__ import annotations
 
-import math
-
 from . import errors
 from .dataflow import FlowManager
 from .discovery import DiscoveryService
@@ -47,6 +45,8 @@ class Runtime:
         self._window_start = 0
         self._partition_depth = 0
         self._deferred_ticks = 0
+        # instance id -> status, as in the last metrics_window record
+        self._statuses: dict[str, str] = {}
         # fault key -> (Topology setter, target id) of each element it took down
         self._fault_effects: dict[tuple, list[tuple]] = {}
         self._rate_override: dict[str, float] = {}
@@ -220,18 +220,6 @@ class Runtime:
 
     # -- flows ---------------------------------------------------------------------
 
-    def _nearest_edge(self, gateway: str) -> str | None:
-        best = None
-        for nid in self.topology.edge_modules:
-            if not self.topology.nodes[nid].up:
-                continue
-            lat = self.topology.path_latency_or_inf(gateway, nid)
-            if lat == math.inf:
-                continue
-            if best is None or (lat, nid) < best:
-                best = (lat, nid)
-        return best[1] if best else None
-
     def _open_device_flow(self, device: str, gateway: str, paused: bool):
         attachment = self.discovery.attachments[device]
         profile = self.catalog.profile(attachment.model)
@@ -240,7 +228,7 @@ class Runtime:
         if serving is not None:
             sink, serving_id = serving.host, serving.instance_id
         else:
-            sink, serving_id = self._nearest_edge(gateway), None
+            sink, serving_id = self.topology.nearest_edge_module(gateway), None
         if sink is None:
             self._warn(device, "NoSink", gateway=gateway)
             return
@@ -398,6 +386,10 @@ class Runtime:
                 "capacity_mb": link.bandwidth_mbps * dt / 8000.0})
         statuses = {iid: self.scheduler.instances[iid].status.value
                     for iid in sorted(self.scheduler.instances)}
+        # an unchanged map is emitted as the previous window's object, which
+        # records share and never mutate
+        if statuses != self._statuses:
+            self._statuses = statuses
         self.kernel.emit("metrics_window", "network", {
             "window_start": self._window_start,
             "window_end": now,
@@ -406,8 +398,8 @@ class Runtime:
             "dropped_mb": metrics.dropped_mb,
             "uplink_mb": metrics.uplink_mb,
             "uplink_ratio": metrics.ratio_or_none(),
-            "instances": statuses,
-        }, rounded={"utilization": self.topology.utilization_snapshot(),
+        }, rounded={"instances": self._statuses,
+                    "utilization": self.topology.utilization_snapshot(),
                     "alloc": self.topology.alloc_snapshot()})
         self._window_start = now
 

@@ -125,6 +125,10 @@ class Topology:
     # sorted edge-module ids, built on first use; tiers never change
     _edge_modules: tuple[str, ...] | None = field(
         default=None, repr=False, compare=False)
+    # source -> its nearest edge module, read from its cached route tree and
+    # dropped whenever that tree is built again
+    _nearest_edge: dict[str, str | None] = field(
+        default_factory=dict, repr=False, compare=False)
     # metrics-window maps, by node id: utilization rounded to the trace's
     # 9 places, and the allocation's components. Both are rebuilt as new
     # dicts, never updated in place, once a node in _stale changed.
@@ -302,11 +306,26 @@ class Topology:
             return math.inf
         return latency
 
+    def nearest_edge_module(self, gateway: str) -> str | None:
+        """The edge module with the least path latency from a gateway, the
+        smaller id on a tie; None when no edge module is reachable.
+
+        The answer is kept beside the gateway's cached route tree, since it
+        depends only on that tree and the fixed edge-module ids.
+        """
+        latency = self._route(gateway)[1]
+        if gateway not in self._nearest_edge:
+            best = min(((latency[nid], nid) for nid in self.edge_modules
+                        if nid in latency), default=None)
+            self._nearest_edge[gateway] = best[1] if best else None
+        return self._nearest_edge[gateway]
+
     def _route(self, a: str) -> tuple[dict[str, Link | None], dict[str, float]]:
         entry = self._routes.get(a)
         if entry is None:
             self.node(a)
             entry = self._routes[a] = self._route_tree(a)
+            self._nearest_edge.pop(a, None)
         return entry
 
     def _route_tree(self, a: str) -> tuple[dict[str, Link | None], dict[str, float]]:

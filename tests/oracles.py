@@ -5,7 +5,7 @@ exhaustive simple-path enumeration (not Dijkstra), placement by full
 enumeration over every node, and flow counters by re-accumulating trace
 deltas. They may be exponential; the graphs they see are tiny.
 
-Five exceptions copy earlier production code. reference_shortest_path is the
+Six exceptions copy earlier production code. reference_shortest_path is the
 uncached per-pair Dijkstra that Topology.shortest_path ran before routes were
 cached per source; it pins the exact path, tie-breaks included, that the cache
 must return. reference_record_json is TraceRecord.to_json as it was when it
@@ -17,7 +17,10 @@ the yaml.safe_load that load_scenario called before it parsed with libyaml;
 it pins the objects a scenario document loads to. reference_window_maps is
 the per-node part of Runtime._close_window as it was when every window built
 both maps for every node and the kernel rounded them at emission; it pins
-the maps that the cached ones must equal.
+the maps that the cached ones must equal. reference_nearest_edge is
+Runtime._nearest_edge as it was before its answer was kept beside the route
+tree, with latencies found afresh; it pins the sink a flow without a serving
+Data-App goes to.
 """
 
 from __future__ import annotations
@@ -135,6 +138,23 @@ def brute_force_latency(topology: Topology, a: str, b: str) -> float:
 
     walk(a, frozenset({a}), 0.0)
     return best
+
+
+def reference_nearest_edge(topology: Topology, gateway: str) -> str | None:
+    """The up edge module with the least latency from `gateway`, the
+    smaller id on a tie, scanning every edge module; None when none is
+    reachable."""
+    best = None
+    for nid in sorted(topology.nodes):
+        node = topology.nodes[nid]
+        if node.tier is not Tier.EDGE_MODULE or not node.up:
+            continue
+        latency = brute_force_latency(topology, gateway, nid)
+        if latency == math.inf:
+            continue
+        if best is None or (latency, nid) < best:
+            best = (latency, nid)
+    return best[1] if best else None
 
 
 def all_pairs_latency(topology: Topology) -> dict[tuple[str, str], float]:

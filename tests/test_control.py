@@ -20,7 +20,7 @@ from fogsim.runtime import Runtime
 from fogsim.scenario import SCRIPT_EVENTS, load_scenario, scenario_from_dict
 
 from fixture_paths import FIXTURES, REPO_ROOT, SCENARIO_DIR
-from oracles import reference_load_yaml
+from oracles import reference_load_yaml, reference_record_json
 
 
 def minimal_scenario(**overrides) -> dict:
@@ -299,12 +299,31 @@ def _perfbench_module(name: str):
     return module
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOAD_TRACE_HASHES))
-def test_workload_trace_hash_is_unchanged(name, tmp_path):
+def _workload_path(name: str, tmp_path):
+    """The benchmark workload's seed-1 scenario, written under tmp_path."""
     path = tmp_path / f"{name}.yaml"
     path.write_text(_perfbench_module("workloads").scenario_yaml(name, 1))
-    runtime = Runtime(load_scenario(path))
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_TRACE_HASHES))
+def test_workload_trace_hash_is_unchanged(name, tmp_path):
+    runtime = Runtime(load_scenario(_workload_path(name, tmp_path)))
     assert runtime.run().hash()[:16] == WORKLOAD_TRACE_HASHES[name]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_TRACE_HASHES)
+                         + sorted(WORKLOAD_TRACE_HASHES))
+def test_trace_text_equals_the_per_record_reference(name, tmp_path):
+    path = _workload_path(name, tmp_path) if name in WORKLOAD_TRACE_HASHES \
+        else SCENARIO_DIR / f"{name}.yaml"
+    trace = Runtime(load_scenario(path)).run()
+    assert any(record.shared for record in trace)
+    text = trace.to_jsonl()
+    assert text == "".join(reference_record_json(r) + "\n" for r in trace)
+    parsed = Trace.from_jsonl(text)
+    assert not any(record.shared for record in parsed)
+    assert parsed.to_jsonl() == text
 
 
 def test_every_tracer_target_exists():

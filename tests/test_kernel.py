@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogsim import errors
+from fogsim import kernel as kernel_module
 from fogsim.kernel import (Event, EventKind, Fault, FaultKind, Kernel, Trace,
                            TraceRecord)
 
@@ -204,3 +205,82 @@ def test_records_are_rounded_once_and_serialise_as_before(details):
                     reference_round_floats(details)))
     replayed = Trace.from_jsonl(line).records[0]
     assert replayed == record and replayed.to_json() == line
+
+
+def _reference_jsonl(trace) -> str:
+    return "".join(reference_record_json(r) + "\n" for r in trace)
+
+
+def test_each_shared_value_is_encoded_once_per_call(monkeypatch):
+    encoded = []
+    encode = kernel_module._encode
+    monkeypatch.setattr(kernel_module, "_encode",
+                        lambda value: encoded.append(value) or encode(value))
+    entry = {"cpu": 1.5, "mem": 2.0}
+    alloc = {"n1": entry, "n2": {"cpu": 0.25}}
+    util = {"n1": 0.5, "n2": 0.125}
+    kernel = Kernel()
+    for i in range(5):
+        kernel.emit("window", "net", {"i": i}, rounded={"alloc": alloc, "util": util})
+
+    def times(obj):
+        return sum(value is obj for value in encoded)
+
+    text = kernel.trace.to_jsonl()
+    assert text == _reference_jsonl(kernel.trace)
+    assert [times(util), times(entry), times(alloc["n2"])] == [1, 1, 1]
+    # alloc holds dicts, so it is spliced from its entries' texts, once
+    assert times(alloc) == 0 and encoded.count("n1") == 1
+    encoded.clear()
+    kernel.emit("window", "net", rounded={"alloc": alloc, "util": util})
+    assert kernel.trace.to_jsonl() == _reference_jsonl(kernel.trace)
+    assert [times(util), times(entry), times(alloc["n2"])] == [1, 1, 1]
+
+
+def test_a_map_shared_across_calls_serialises_the_same():
+    kernel = Kernel()
+    shared = {"n1": {"cpu": 1.5}, "n2": 0.25}
+    kernel.emit("window", "a", {"v": 1}, rounded={"m": shared})
+    first = kernel.trace.to_jsonl()
+    record = kernel.emit("window", "b", rounded={"m": shared})
+    text = kernel.trace.to_jsonl()
+    assert text == first + record.to_json() + "\n" == _reference_jsonl(kernel.trace)
+    part = Trace(kernel.trace.records[1:])
+    assert part.records[0].shared == ("m",)
+    assert part.to_jsonl() == text[len(first):]
+    parsed = Trace.from_jsonl(text)
+    assert not any(r.shared for r in parsed) and parsed.to_jsonl() == text
+
+
+_json_keys = st.text(max_size=5)
+_rounded_leaves = st.one_of(_floats.map(lambda x: round(x, 9)), st.integers(),
+                            st.booleans(), st.none(), st.text(max_size=5),
+                            st.sampled_from(list(EventKind)))
+
+
+@st.composite
+def _records_sharing_dicts(draw):
+    """(details, rounded) pairs whose rounded values are drawn from a pool
+    of dicts that hold one another, so maps share entries and records
+    share maps."""
+    pool = draw(st.lists(st.dictionaries(_json_keys, _rounded_leaves, max_size=4),
+                         min_size=1, max_size=3))
+    for _ in range(2):  # maps of entries, then maps of maps
+        pool += draw(st.lists(st.dictionaries(
+            _json_keys, st.one_of(_rounded_leaves, st.sampled_from(pool)),
+            max_size=5), min_size=1, max_size=3))
+    return draw(st.lists(st.tuples(
+        st.dictionaries(_json_keys, _values, max_size=4),
+        st.dictionaries(_json_keys, st.sampled_from(pool), max_size=3)),
+        min_size=1, max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_records_sharing_dicts())
+def test_records_sharing_nested_dicts_serialise_as_the_reference(records):
+    kernel = Kernel()
+    for details, rounded in records:
+        kernel.emit("k", "s", details, rounded=rounded)
+    text = kernel.trace.to_jsonl()
+    assert text == _reference_jsonl(kernel.trace)
+    assert Trace.from_jsonl(text).to_jsonl() == text

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from fogsim import errors
 from fogsim.topology import ResourceVector, Tier, Topology
 
-from oracles import all_pairs_latency, brute_force_latency, reference_shortest_path
+from oracles import (all_pairs_latency, brute_force_latency, reference_nearest_edge,
+                     reference_shortest_path)
 
 MB = ResourceVector
 
@@ -171,8 +172,9 @@ _LATENCIES = st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.5, 2.25, 7.0])
 def _graph_and_toggles(draw):
     n = draw(st.integers(2, 6))
     topo = Topology()
+    tiers = st.sampled_from([Tier.EDGE_MODULE, Tier.GATEWAY])
     for i in range(n):
-        topo.add_node(f"n{i}", Tier.EDGE_MODULE, 1000, 1000, 1000)
+        topo.add_node(f"n{i}", draw(tiers), 1000, 1000, 1000)
     ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda e: e[0] != e[1])
     for k, (i, j) in enumerate(draw(st.lists(ends, max_size=12))):
@@ -208,6 +210,9 @@ def _assert_routes_match_fresh_search(topo):
                 path.append(None)
                 assert [l.link_id for l in topo.shortest_path(a, b)] == expected
             assert topo.path_latency_or_inf(a, b) == brute_force_latency(topo, a, b)
+        if topo.nodes[a].tier is Tier.GATEWAY:
+            # kept beside a's route tree, and as the scan finds it afresh
+            assert topo.nearest_edge_module(a) == reference_nearest_edge(topo, a)
 
 
 @settings(max_examples=100, deadline=None)
