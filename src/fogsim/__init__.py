@@ -12,12 +12,12 @@ from .control import run_scenario, run_scenario_file
 from .dataflow import Flow, FlowManager, WindowMetrics
 from .discovery import Attachment, DiscoveryService, InstallRequest
 from .kernel import Event, EventKind, Fault, FaultKind, Kernel, Trace, TraceRecord
-from .migration import MigrationEngine, MigrationRecord, StateBlob, transfer_duration
+from .migration import MigrationEngine, MigrationRecord, transfer_duration
 from .report import Report, report_from_trace
 from .runtime import Runtime
 from .scenario import Scenario, load_scenario, scenario_from_dict
 from .scheduler import (AppInstance, Defer, InstanceStatus, Offload,
-                        PlacementRequest, Scheduler, Thresholds)
+                        PlacementRequest, Scheduler, StateBlob, Thresholds)
 from .topology import Link, Node, ResourceVector, Tier, Topology
 
 __version__ = "0.1.0"

@@ -146,8 +146,3 @@ class Catalog:
         if not candidates:
             raise errors.NoCompatibleFirmware(f"({model}, {os_version})")
         return max(candidates, key=parse_version)
-
-    def resolve_iot_app(self, model: str) -> AppSpec:
-        """The IoT-App spec managing devices of the given profile."""
-        profile = self.profile(model)
-        return self.app(profile.iot_app)

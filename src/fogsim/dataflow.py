@@ -17,6 +17,7 @@ FlowManager), so flow state changes only through FlowManager methods.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import errors
@@ -93,9 +94,10 @@ class FlowManager:
     of contenders on each of those links, and how its deliveries reach the
     uplink. Each flow keeps the time its counters reach, and is integrated
     only just before one of those inputs changes: `set_rate` integrates the
-    flow itself; `open_flow`, `close_flow`, `set_paused`, `rebind` and the
-    two `reroute_*` methods also integrate the flows on the links it leaves
-    or joins. `advance_all` integrates every active flow, for a window close.
+    flow itself; `open_flow`, `close_flow`, `set_paused`, `rebind` and
+    `reroute_served` also integrate the flows on the links it leaves or
+    joins. `advance_all` integrates every active flow, for a window close,
+    and so does `reroute_all` before it re-derives any route.
     Integration reads only the indexed route, never the live topology or
     instance status, so a change there is followed by `reroute_all` (a link
     or node went up or down) or `reroute_served` (an instance's status or
@@ -138,8 +140,8 @@ class FlowManager:
         if device_id in self._active:
             raise errors.InvariantViolation(
                 f"{device_id} already has {self._active[device_id].flow_id}")
-        if not paused:
-            self.topology.path_latency(gateway, sink)  # raises Unreachable
+        if not paused and self.topology.path_latency_or_inf(gateway, sink) == math.inf:
+            raise errors.Unreachable(f"{gateway} -> {sink}")
         self._next_id += 1
         flow = Flow(f"flow-{self._next_id}", device_id, gateway, sink,
                     rate_kbps, serving_instance, paused=paused, last_ms=now)
@@ -184,9 +186,9 @@ class FlowManager:
         self._reroute([flow], now)
 
     def reroute_all(self, now: int) -> None:
-        """Re-derive every active flow's route after a link or node went up
-        or down."""
-        self._advance_clock(now)
+        """Integrate every active flow to `now`, then re-derive every active
+        flow's route after a link or node went up or down."""
+        self.advance_all(now)
         self._reroute(list(self._active.values()), now)
 
     def reroute_served(self, instance_id: str, now: int) -> None:
@@ -245,7 +247,7 @@ class FlowManager:
             return 1.0, False
         if host_tier is Tier.EDGE_MODULE:
             held = self._cloud is None or \
-                self._path_or_none(inst.host, self._cloud) is None
+                self.topology.path_latency_or_inf(inst.host, self._cloud) == math.inf
             return self.catalog.app(inst.app_id).aggregation_factor, held
         return None
 

@@ -9,33 +9,13 @@ pre-provisioned; only state transfer costs time.
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 from . import errors
 from .catalog import Catalog
+from .scheduler import AppInstance, InstanceStatus, StateBlob  # StateBlob: re-exported
 from .topology import Link, Topology
-
-if TYPE_CHECKING:
-    from .scheduler import AppInstance
-
-
-@dataclass
-class StateBlob:
-    """Mutable application state carried across migrations (includes user status)."""
-
-    size_mb: float = 0.0
-    version: int = 1
-    payload: dict = field(default_factory=dict)
-
-    def update(self, **entries) -> None:
-        self.payload.update(entries)
-        self.version += 1
-
-    def snapshot(self) -> "StateBlob":
-        return StateBlob(self.size_mb, self.version, copy.deepcopy(self.payload))
 
 
 @dataclass(frozen=True)
@@ -79,11 +59,9 @@ class MigrationEngine:
         # instance_id -> (record, state snapshot, reserved demand)
         self._pending: dict[str, tuple] = {}
 
-    def start(self, instance: "AppInstance", target: str, time: int) -> MigrationRecord:
+    def start(self, instance: AppInstance, target: str, time: int) -> MigrationRecord:
         """Begin a stop-and-copy move. Returns the (fully determined) record;
         the caller schedules completion at record.completed_at."""
-        from .scheduler import InstanceStatus  # local import avoids a cycle
-
         if instance.status is not InstanceStatus.RUNNING:
             raise errors.InstanceNotRunning(instance.instance_id)
         app = self.catalog.app(instance.app_id)
@@ -118,11 +96,9 @@ class MigrationEngine:
         self._pending[instance.instance_id] = (record, snapshot, demand)
         return record
 
-    def complete(self, instance: "AppInstance") -> MigrationRecord:
+    def complete(self, instance: AppInstance) -> MigrationRecord:
         """Finish the move: release the source, resume on the target with the
         state snapshot taken at start (version preserved)."""
-        from .scheduler import InstanceStatus
-
         record, snapshot, demand = self._pending.pop(instance.instance_id)
         self.topology.release(record.from_node, demand)
         instance.host = record.to_node
@@ -130,14 +106,12 @@ class MigrationEngine:
         instance.status = InstanceStatus.RUNNING
         return record
 
-    def roam(self, instance: "AppInstance", to_gateway: str, time: int) -> MigrationRecord:
+    def roam(self, instance: AppInstance, to_gateway: str, time: int) -> MigrationRecord:
         """Move a device's IoT-App to the gateway the device roamed to.
 
         When the target gateway lacks capacity the instance stays on the old
         gateway, Stopped; the caller records the warning.
         """
-        from .scheduler import InstanceStatus
-
         app = self.catalog.app(instance.app_id)
         if to_gateway == instance.host:
             return MigrationRecord(instance.instance_id, instance.host, to_gateway,

@@ -9,13 +9,16 @@ the end of the run, and closing one integrates every active flow to the
 clock, so fluid counters are exact for piecewise-constant rates.
 
 Faults and migration completions, which change which links and nodes are up
-or where an instance runs, integrate every active flow before they change
-anything; then a fault reroutes every flow and a completed offload rebinds
-the flows its instance serves. An offload starts after its tick's window
-close, when every flow is integrated too, and reroutes the flows its
-instance serves. Splitting every flow's integration at these events keeps
-the traces as they were when every event integrated every flow: where a
-buffer drains to empty, the split decides the sign of the zero left over.
+or where an instance runs, integrate every active flow. A fault does it
+inside FlowManager.reroute_all, after it has brought its elements up or down
+and before any route changes; integration reads only the indexed routes, so
+the up flags it set do not matter yet. A migration completion integrates
+explicitly before it moves the instance, then rebinds the flows its instance
+serves. An offload starts after its tick's window close, when every flow is
+integrated too, and reroutes the flows its instance serves. Splitting every
+flow's integration at these events keeps the traces as they were when every
+event integrated every flow: where a buffer drains to empty, the split
+decides the sign of the zero left over.
 """
 
 from __future__ import annotations
@@ -406,7 +409,6 @@ class Runtime:
     # -- faults -----------------------------------------------------------------------
 
     def _on_fault_start(self, event: Event):
-        self.flows.advance_all(self.kernel.now)
         fault: Fault = event.payload["fault"]
         key = (fault.target, fault.kind.value, fault.start)
         topo = self.topology
@@ -427,7 +429,6 @@ class Runtime:
             "fault_kind": fault.kind.value, "duration_ms": fault.duration})
 
     def _on_fault_end(self, event: Event):
-        self.flows.advance_all(self.kernel.now)
         fault: Fault = event.payload["fault"]
         key = (fault.target, fault.kind.value, fault.start)
         for set_up, target in self._fault_effects.pop(key, []):

@@ -113,18 +113,29 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _number(cast, mapping: dict, key: str, context: str):
-    """The required field `key` converted by `cast` (int or float), which
-    must be a finite number."""
+def _number(mapping: dict, key: str, context: str) -> float:
+    """The required field `key` as a float, which must be a finite number."""
     value = _require(mapping, key, context)
     try:
-        number = cast(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise errors.ParseError(
             f"{context}: {key} must be a number, got {value!r}") from None
     if not math.isfinite(number):
         raise errors.ParseError(f"{context}: {key} must be finite, got {value!r}")
     return number
+
+
+def _integer(mapping: dict, key: str, context: str) -> int:
+    """The required field `key`, which must be an integer: an int, or a
+    float with an integral value. Anything else, a bool, a fractional
+    number or a string included, is rejected rather than converted."""
+    value = _require(mapping, key, context)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise errors.ParseError(f"{context}: {key} must be an integer, got {value!r}")
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
@@ -138,17 +149,17 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     topo_section = raw.get("topology", {}) or {}
     thresholds_raw = {"high": 0.8, "low": 0.6, **(raw.get("thresholds", {}) or {})}
-    thresholds = Thresholds(_number(float, thresholds_raw, "high", "thresholds"),
-                            _number(float, thresholds_raw, "low", "thresholds"))
+    thresholds = Thresholds(_number(thresholds_raw, "high", "thresholds"),
+                            _number(thresholds_raw, "low", "thresholds"))
+    defaults = {"seed": 0, "scheduler_tick_ms": 1000, "buffer_mb": 10, **raw}
 
     try:
         scenario = Scenario(
             name=str(raw.get("name", "unnamed")),
-            duration_ms=int(_require(raw, "duration_ms", "scenario")),
-            seed=int(raw.get("seed", 0)),
-            scheduler_tick_ms=int(raw.get("scheduler_tick_ms", 1000)),
-            buffer_mb=_number(float, {"buffer_mb": 10, **raw}, "buffer_mb",
-                              "scenario"),
+            duration_ms=_integer(raw, "duration_ms", "scenario"),
+            seed=_integer(defaults, "seed", "scenario"),
+            scheduler_tick_ms=_integer(defaults, "scheduler_tick_ms", "scenario"),
+            buffer_mb=_number(defaults, "buffer_mb", "scenario"),
             thresholds=thresholds,
             nodes=list(topo_section.get("nodes", []) or []),
             links=list(topo_section.get("links", []) or []),
@@ -201,7 +212,7 @@ def _validate(scenario: Scenario) -> None:
         for entry in section:
             for key in _FINITE_FIELDS[context]:
                 if isinstance(entry, dict) and key in entry:
-                    _number(float, entry, key, context)
+                    _number(entry, key, context)
 
     # structural build; topology/catalog invariants surface here
     try:
@@ -237,9 +248,9 @@ def _validate(scenario: Scenario) -> None:
         etype = _require(entry, "type", ctx)
         if etype not in SCRIPT_EVENTS:
             raise errors.ParseError(f"{ctx}: unknown event type {etype!r}")
-        time = _require(entry, "time", ctx)
-        if not isinstance(time, int) or time < 0:
-            raise errors.InvariantViolation(f"{ctx}: time must be a non-negative int")
+        time = _integer(entry, "time", ctx)
+        if time < 0:
+            raise errors.InvariantViolation(f"{ctx}: time must be >= 0")
         if time > scenario.duration_ms:
             raise errors.InvariantViolation(
                 f"{ctx}: time {time} exceeds duration {scenario.duration_ms}")
@@ -266,11 +277,11 @@ def _validate(scenario: Scenario) -> None:
             if etype == "place" and entry["source"] not in topo.nodes:
                 raise errors.UnknownReference(f"{ctx}: unknown node {entry['source']}")
             # place defaults to one replica; scale reports < 1 at run time
-            replicas = _number(int, {"replicas": 1, **entry}, "replicas", ctx)
+            replicas = _integer({"replicas": 1, **entry}, "replicas", ctx)
             if etype == "place" and replicas < 1:
                 raise errors.InvariantViolation(f"{ctx}: replicas must be >= 1")
         elif etype == "workload":
-            if _number(float, entry, "data_rate_kbps", ctx) <= 0:
+            if _number(entry, "data_rate_kbps", ctx) <= 0:
                 raise errors.InvariantViolation(f"{ctx}: data_rate must be > 0")
 
     for i, f in enumerate(scenario.faults):
@@ -293,7 +304,7 @@ def _validate(scenario: Scenario) -> None:
                 topo.nodes[target].tier is not Tier.CENTRAL_CLOUD:
             raise errors.InvariantViolation(
                 f"{ctx}: CloudPartition target must be the central cloud node")
-        if _number(int, f, "start", ctx) < 0:
+        if _integer(f, "start", ctx) < 0:
             raise errors.InvariantViolation(f"{ctx}: start must be >= 0")
-        if _number(int, f, "duration_ms", ctx) <= 0:
+        if _integer(f, "duration_ms", ctx) <= 0:
             raise errors.InvariantViolation(f"{ctx}: duration_ms must be > 0")

@@ -12,13 +12,13 @@ actions are computed against a consistent snapshot and re-validated on apply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 from enum import Enum
 
 from . import errors
 from .catalog import AppKind, AppSpec, Catalog
 from .discovery import InstallRequest
-from .migration import StateBlob
 from .topology import ResourceVector, Topology
 
 
@@ -27,6 +27,22 @@ class InstanceStatus(str, Enum):
     RUNNING = "Running"
     MIGRATING = "Migrating"
     STOPPED = "Stopped"
+
+
+@dataclass
+class StateBlob:
+    """Mutable application state carried across migrations (includes user status)."""
+
+    size_mb: float = 0.0
+    version: int = 1
+    payload: dict = field(default_factory=dict)
+
+    def update(self, **entries) -> None:
+        self.payload.update(entries)
+        self.version += 1
+
+    def snapshot(self) -> "StateBlob":
+        return StateBlob(self.size_mb, self.version, copy.deepcopy(self.payload))
 
 
 @dataclass

@@ -107,10 +107,11 @@ class Link:
 
 @dataclass
 class Topology:
-    """Mutable node/link graph. Up/down state changes only through
-    set_link_up and set_node_up: routes are cached per source as a
-    shortest-path tree, and those setters drop the trees that their change
-    can alter, while add_node and add_link drop them all. Allocations
+    """Mutable node/link graph. Routes are cached per source as a
+    shortest-path tree, which callers query in two ways: shortest_path for
+    a path, path_latency_or_inf for a latency. Up/down state changes only
+    through set_link_up and set_node_up, which drop the trees that their
+    change can alter, while add_node and add_link drop them all. Allocations
     change only through reserve and release, which mark the node whose
     metrics-window entries must be rebuilt (see utilization_snapshot)."""
 
@@ -125,10 +126,6 @@ class Topology:
     # sorted edge-module ids, built on first use; tiers never change
     _edge_modules: tuple[str, ...] | None = field(
         default=None, repr=False, compare=False)
-    # source -> its nearest edge module, read from its cached route tree and
-    # dropped whenever that tree is built again
-    _nearest_edge: dict[str, str | None] = field(
-        default_factory=dict, repr=False, compare=False)
     # metrics-window maps, by node id: utilization rounded to the trace's
     # 9 places, and the allocation's components. Both are rebuilt as new
     # dicts, never updated in place, once a node in _stale changed.
@@ -287,19 +284,13 @@ class Topology:
         path.reverse()
         return path
 
-    def path_latency(self, a: str, b: str) -> float:
-        """Shortest-path latency in ms over up links; 0 when a == b.
+    def path_latency_or_inf(self, a: str, b: str) -> float:
+        """Shortest-path latency in ms over up links; 0 when a == b and
+        math.inf when no up path exists.
 
         It is the latency the search settled b at: the path's link latencies
         added in path order, starting from 0.
         """
-        latency = self.path_latency_or_inf(a, b)
-        if latency == math.inf:
-            raise errors.Unreachable(f"{a} -> {b}")
-        return latency
-
-    def path_latency_or_inf(self, a: str, b: str) -> float:
-        """path_latency, but math.inf when no up path exists."""
         latency = self._route(a)[1].get(b)
         if latency is None:
             self.node(b)
@@ -310,22 +301,18 @@ class Topology:
         """The edge module with the least path latency from a gateway, the
         smaller id on a tie; None when no edge module is reachable.
 
-        The answer is kept beside the gateway's cached route tree, since it
-        depends only on that tree and the fixed edge-module ids.
+        The latencies are read from the gateway's cached route tree.
         """
         latency = self._route(gateway)[1]
-        if gateway not in self._nearest_edge:
-            best = min(((latency[nid], nid) for nid in self.edge_modules
-                        if nid in latency), default=None)
-            self._nearest_edge[gateway] = best[1] if best else None
-        return self._nearest_edge[gateway]
+        best = min(((latency[nid], nid) for nid in self.edge_modules
+                    if nid in latency), default=None)
+        return best[1] if best else None
 
     def _route(self, a: str) -> tuple[dict[str, Link | None], dict[str, float]]:
         entry = self._routes.get(a)
         if entry is None:
             self.node(a)
             entry = self._routes[a] = self._route_tree(a)
-            self._nearest_edge.pop(a, None)
         return entry
 
     def _route_tree(self, a: str) -> tuple[dict[str, Link | None], dict[str, float]]:
@@ -384,9 +371,6 @@ class Topology:
                 f"{node_id}: release {demand} exceeds allocated {node.allocated}")
         node.allocated = node.allocated - demand
         self._stale.add(node_id)
-
-    def utilization(self, node_id: str) -> float:
-        return self.node(node_id).utilization()
 
     # -- metrics-window maps ----------------------------------------------------
 

@@ -18,9 +18,9 @@ it pins the objects a scenario document loads to. reference_window_maps is
 the per-node part of Runtime._close_window as it was when every window built
 both maps for every node and the kernel rounded them at emission; it pins
 the maps that the cached ones must equal. reference_nearest_edge is
-Runtime._nearest_edge as it was before its answer was kept beside the route
-tree, with latencies found afresh; it pins the sink a flow without a serving
-Data-App goes to.
+Runtime._nearest_edge as it was before Topology.nearest_edge_module read its
+latencies from the cached route tree, with latencies found afresh; it pins
+the sink a flow without a serving Data-App goes to.
 """
 
 from __future__ import annotations

@@ -93,19 +93,15 @@ def test_profile_must_reference_iot_app(catalog):
             DeviceProfile("cam", "2.0", "ZigBee", 10, "analytics"))
 
 
-def test_resolve_iot_app(catalog):
-    assert catalog.resolve_iot_app("smartband").app_id == "agent"
-
-
 def test_resolve_unknown_profile(catalog):
     with pytest.raises(errors.UnknownProfile):
-        catalog.resolve_iot_app("toaster")
+        catalog.profile("toaster")
 
 
 def test_resolve_dangling_app_reference(catalog):
     del catalog.apps["agent"]
     with pytest.raises(errors.DanglingAppReference):
-        catalog.resolve_iot_app("smartband")
+        catalog.app(catalog.profile("smartband").iot_app)
 
 
 @settings(max_examples=100, deadline=None)

@@ -224,6 +224,60 @@ def test_non_finite_number_is_a_parse_error(field, value, tmp_path, capsys):
     assert "invalid: ParseError" in capsys.readouterr().err
 
 
+def _set_script(kind, key):
+    def setter(raw, value):
+        next(e for e in raw["script"] if e["type"] == kind)[key] = value
+    return setter
+
+
+# integer field -> (its setter, its value in _integer_base(), a fractional
+# value that int() would truncate)
+INTEGER_FIELDS = {
+    "duration": (lambda raw, value: raw.update(duration_ms=value), 20000, 4999.9),
+    "seed": (lambda raw, value: raw.update(seed=value), 7, 1.5),
+    "scheduler-tick": (lambda raw, value: raw.update(scheduler_tick_ms=value),
+                       1000, 2.5),
+    "fault-start": (lambda raw, value: raw["faults"][0].update(start=value),
+                    1000, 1500.7),
+    "fault-duration": (lambda raw, value: raw["faults"][0].update(duration_ms=value),
+                       500, 0.5),
+    "place-replicas": (_set_script("place", "replicas"), 1, 1.5),
+    "scale-replicas": (_set_script("scale", "replicas"), 3, 2.5),
+    "script-time": (_set_script("attach", "time"), 0, 0.5),
+}
+
+
+def _integer_base() -> dict:
+    """The scaling fixture with one fault, so that every INTEGER_FIELDS
+    entry is there."""
+    raw = yaml.safe_load((SCENARIO_DIR / "scaling.yaml").read_text())
+    _set_faults()(raw)
+    return raw
+
+
+@pytest.mark.parametrize("kind", ["bool", "fraction"])
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_integer_field_rejects_bools_and_fractions(field, kind, tmp_path, capsys):
+    setter, _, fraction = INTEGER_FIELDS[field]
+    raw = _integer_base()
+    setter(raw, True if kind == "bool" else fraction)
+    with pytest.raises(errors.ParseError, match="must be an integer"):
+        scenario_from_dict(raw)
+    path = tmp_path / "not_an_integer.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["validate", str(path)]) == EXIT_VALIDATION
+    assert "invalid: ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_integer_field_takes_an_integral_float_as_its_int(field):
+    setter, value, _ = INTEGER_FIELDS[field]
+    raw = _integer_base()
+    expected = Runtime(scenario_from_dict(copy.deepcopy(raw))).run().hash()
+    setter(raw, float(value))
+    assert Runtime(scenario_from_dict(raw)).run().hash() == expected
+
+
 def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(errors.ParseError):
         load_scenario(tmp_path / "nope.yaml")
@@ -288,6 +342,10 @@ def test_fixture_trace_hash_is_unchanged(name):
 WORKLOAD_TRACE_HASHES = {"star_steady": "e9f19e9da4fa43cf",
                          "mesh_churn": "5282dadc50d285be",
                          "fleet_ticks": "5b91a3713017c90a"}
+# and at seed 7, which draws other roams, surges and faults
+WORKLOAD_SEED7_TRACE_HASHES = {"star_steady": "6d28f32783304f06",
+                               "mesh_churn": "794707c3581a995e",
+                               "fleet_ticks": "81d39af7a1611bfd"}
 
 
 def _perfbench_module(name: str):
@@ -299,17 +357,21 @@ def _perfbench_module(name: str):
     return module
 
 
-def _workload_path(name: str, tmp_path):
-    """The benchmark workload's seed-1 scenario, written under tmp_path."""
+def _workload_path(name: str, tmp_path, seed: int = 1):
+    """The benchmark workload's scenario at `seed`, written under tmp_path."""
     path = tmp_path / f"{name}.yaml"
-    path.write_text(_perfbench_module("workloads").scenario_yaml(name, 1))
+    path.write_text(_perfbench_module("workloads").scenario_yaml(name, seed))
     return path
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOAD_TRACE_HASHES))
-def test_workload_trace_hash_is_unchanged(name, tmp_path):
-    runtime = Runtime(load_scenario(_workload_path(name, tmp_path)))
-    assert runtime.run().hash()[:16] == WORKLOAD_TRACE_HASHES[name]
+@pytest.mark.parametrize("name, seed, expected", [
+    pytest.param(name, seed, hashes[name],
+                 id=name if seed == 1 else f"{name}-seed{seed}")
+    for seed, hashes in ((1, WORKLOAD_TRACE_HASHES), (7, WORKLOAD_SEED7_TRACE_HASHES))
+    for name in sorted(hashes)])
+def test_workload_trace_hash_is_unchanged(name, seed, expected, tmp_path):
+    runtime = Runtime(load_scenario(_workload_path(name, tmp_path, seed)))
+    assert runtime.run().hash()[:16] == expected
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_TRACE_HASHES)
@@ -520,6 +582,19 @@ def test_overlapping_faults_hold_the_link_down_until_the_last_ends(faults, probe
     runtime = Runtime(scenario_from_dict(minimal_scenario(faults=faults)))
     runtime.kernel.run(probe_ms)
     assert not runtime.topology.links["edge1--cloud"].up
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(d), faults by count: "
+                   "faults are keyed by (target, kind, start), so the second "
+                   "fault replaces the first one's effects with none, and "
+                   "neither end brings edge1--cloud back up")
+def test_same_start_faults_bring_the_link_back_up_after_both_end():
+    faults = [{"target": "edge1--cloud", "kind": "LinkDown", "start": 1500,
+               "duration_ms": duration} for duration in (500, 1000)]
+    runtime = Runtime(scenario_from_dict(minimal_scenario(faults=faults)))
+    for probe_ms in (2600, 4000):
+        runtime.kernel.run(probe_ms)
+        assert runtime.topology.links["edge1--cloud"].up, probe_ms
 
 
 def test_seed_override_recorded():

@@ -50,11 +50,11 @@ def test_add_link_validation(three_tier):
 
 
 def test_path_latency_identity(three_tier):
-    assert three_tier.path_latency("gw1", "gw1") == 0
+    assert three_tier.path_latency_or_inf("gw1", "gw1") == 0
 
 
 def test_path_latency_two_hops(three_tier):
-    assert three_tier.path_latency("gw1", "cloud") == 22
+    assert three_tier.path_latency_or_inf("gw1", "cloud") == 22
 
 
 def test_set_link_up_reports_a_change(three_tier):
@@ -64,7 +64,7 @@ def test_set_link_up_reports_a_change(three_tier):
     assert three_tier.path_latency_or_inf("gw1", "cloud") == math.inf
     assert three_tier.set_link_up("edge1--cloud", True) is True
     assert three_tier.set_link_up("edge1--cloud", True) is False
-    assert three_tier.path_latency("gw1", "cloud") == 22
+    assert three_tier.path_latency_or_inf("gw1", "cloud") == 22
     with pytest.raises(errors.UnknownTarget):
         three_tier.set_link_up("nope", False)
 
@@ -90,8 +90,7 @@ def test_links_at_lists_incident_links(three_tier):
 
 def test_path_latency_partition(three_tier):
     three_tier.set_link_up("edge1--cloud", False)
-    with pytest.raises(errors.Unreachable):
-        three_tier.path_latency("gw1", "cloud")
+    assert three_tier.path_latency_or_inf("gw1", "cloud") == math.inf
 
 
 def test_reserve_release_roundtrip(three_tier):
@@ -118,16 +117,16 @@ def test_release_underflow(three_tier):
 
 
 def test_utilization_is_bottleneck_fraction(three_tier):
-    assert three_tier.utilization("gw1") == 0.0
+    assert three_tier.node("gw1").utilization() == 0.0
     three_tier.reserve("gw1", MB(0, 512, 0))
-    assert three_tier.utilization("gw1") == 0.5
+    assert three_tier.node("gw1").utilization() == 0.5
     three_tier.reserve("gw1", MB(4000, 512, 16384))
-    assert three_tier.utilization("gw1") == 1.0
+    assert three_tier.node("gw1").utilization() == 1.0
 
 
 def test_utilization_unknown_node(three_tier):
     with pytest.raises(errors.UnknownNode):
-        three_tier.utilization("nope")
+        three_tier.node("nope").utilization()
 
 
 # --- properties ------------------------------------------------------------
@@ -203,7 +202,7 @@ def _assert_routes_match_fresh_search(topo):
             else:
                 assert [l.link_id for l in path] == expected
                 # added in path order; sum() compensates since Python 3.12
-                assert topo.path_latency(a, b) == functools.reduce(
+                assert topo.path_latency_or_inf(a, b) == functools.reduce(
                     operator.add, (l.latency_ms for l in path), 0)
                 # the returned list is the caller's: mutating it changes nothing
                 path.reverse()
@@ -211,7 +210,7 @@ def _assert_routes_match_fresh_search(topo):
                 assert [l.link_id for l in topo.shortest_path(a, b)] == expected
             assert topo.path_latency_or_inf(a, b) == brute_force_latency(topo, a, b)
         if topo.nodes[a].tier is Tier.GATEWAY:
-            # kept beside a's route tree, and as the scan finds it afresh
+            # read from a's route tree, as the scan finds it afresh
             assert topo.nearest_edge_module(a) == reference_nearest_edge(topo, a)
 
 
@@ -257,12 +256,12 @@ def test_equal_latency_tie_goes_to_the_path_found_first():
 
 
 def test_adding_elements_drops_cached_routes(three_tier):
-    assert three_tier.path_latency("gw1", "cloud") == 22
+    assert three_tier.path_latency_or_inf("gw1", "cloud") == 22
     three_tier.add_link("gw1", "cloud", 5, 100)
-    assert three_tier.path_latency("gw1", "cloud") == 5
+    assert three_tier.path_latency_or_inf("gw1", "cloud") == 5
     three_tier.add_node("edge2", Tier.EDGE_MODULE, 8000, 16384, 491520)
     three_tier.add_link("edge2", "gw1", 1, 100)
-    assert three_tier.path_latency("gw1", "edge2") == 1
+    assert three_tier.path_latency_or_inf("gw1", "edge2") == 1
 
 
 def _graph(nodes, links):
@@ -298,7 +297,7 @@ def test_link_going_down_drops_the_trees_that_cross_it_either_way(source, target
                            ("s", "y", 2.0), ("y", "t", 2.0)])
     assert "s--x" in _route_ids(topo, source, target)
     topo.set_link_up("s--x", False)
-    assert topo.path_latency(source, target) == 4.0
+    assert topo.path_latency_or_inf(source, target) == 4.0
     assert "s--x" not in _route_ids(topo, source, target)
 
 
