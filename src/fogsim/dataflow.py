@@ -94,14 +94,14 @@ class FlowManager:
     of contenders on each of those links, and how its deliveries reach the
     uplink. Each flow keeps the time its counters reach, and is integrated
     only just before one of those inputs changes: `set_rate` integrates the
-    flow itself; `open_flow`, `close_flow`, `set_paused`, `rebind` and
-    `reroute_served` also integrate the flows on the links it leaves or
-    joins. `advance_all` integrates every active flow, for a window close,
-    and so does `reroute_all` before it re-derives any route.
-    Integration reads only the indexed route, never the live topology or
-    instance status, so a change there is followed by `reroute_all` (a link
-    or node went up or down) or `reroute_served` (an instance's status or
-    host changed). Time never goes backwards across these methods.
+    flow itself; `open_flow`, `close_flow`, `set_paused`, `rebind`,
+    `reroute_served` and `reroute_all` also integrate the flows on the links
+    a flow leaves or joins. Only `advance_all`, for a window close,
+    integrates every active flow. Integration reads only the indexed route,
+    never the live topology or instance status, so a change there is
+    followed by `reroute_all` (a link or node went up or down) or
+    `reroute_served` (an instance's status or host changed). Time never goes
+    backwards across these methods.
     """
 
     def __init__(self, topology: Topology, catalog: Catalog,
@@ -186,9 +186,9 @@ class FlowManager:
         self._reroute([flow], now)
 
     def reroute_all(self, now: int) -> None:
-        """Integrate every active flow to `now`, then re-derive every active
-        flow's route after a link or node went up or down."""
-        self.advance_all(now)
+        """Re-derive every active flow's route after a link or node went up
+        or down."""
+        self._advance_clock(now)
         self._reroute(list(self._active.values()), now)
 
     def reroute_served(self, instance_id: str, now: int) -> None:
@@ -293,8 +293,7 @@ class FlowManager:
         return flow
 
     def advance_all(self, now: int) -> None:
-        """Integrate every active flow to `now`: the one path that integrates
-        them all, taken when a window closes."""
+        """Integrate every active flow to `now`, for a window close."""
         self._advance_clock(now)
         for flow in self._active.values():
             self._integrate(flow, now)
@@ -318,10 +317,13 @@ class FlowManager:
         share_mbps = min(link.bandwidth_mbps / len(contenders[link.link_id])
                          for link in path)
         capacity_mb = share_mbps * dt_ms / 8000.0
-        send = min(gen + flow.buffered, capacity_mb)
-        drained = max(0.0, send - gen)
-        if drained > 0:
-            flow.buffered -= drained
+        offered = gen + flow.buffered
+        send = min(offered, capacity_mb)
+        if send == offered:
+            # a full drain leaves an exact zero, not a rounding residue
+            flow.buffered = 0.0
+        elif send > gen:
+            flow.buffered -= send - gen
         self._deliver(flow, send, path)
         fresh_leftover = max(0.0, gen - send)
         if fresh_leftover > 0:

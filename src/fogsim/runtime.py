@@ -3,22 +3,11 @@ the event kernel and executes a scenario.
 
 Flows are integrated lazily (see FlowManager). Handlers change flow state
 only through FlowManager methods that take the clock, so an attach, detach,
-roam or workload change integrates just the flows whose rate, route or
-contenders it changes. Metric windows close at every scheduler tick and at
-the end of the run, and closing one integrates every active flow to the
-clock, so fluid counters are exact for piecewise-constant rates.
-
-Faults and migration completions, which change which links and nodes are up
-or where an instance runs, integrate every active flow. A fault does it
-inside FlowManager.reroute_all, after it has brought its elements up or down
-and before any route changes; integration reads only the indexed routes, so
-the up flags it set do not matter yet. A migration completion integrates
-explicitly before it moves the instance, then rebinds the flows its instance
-serves. An offload starts after its tick's window close, when every flow is
-integrated too, and reroutes the flows its instance serves. Splitting every
-flow's integration at these events keeps the traces as they were when every
-event integrated every flow: where a buffer drains to empty, the split
-decides the sign of the zero left over.
+roam, workload change, fault or migration completion integrates just the
+flows whose rate, route, contenders or uplink it changes. Metric windows
+close at every scheduler tick and at the end of the run, and closing one
+integrates every active flow to the clock, so fluid counters are exact for
+piecewise-constant rates.
 """
 
 from __future__ import annotations
@@ -207,11 +196,6 @@ class Runtime:
         except errors.FogSimError as exc:
             self._warn(device, type(exc).__name__, to_gateway=to_gateway)
             return
-        if record.downtime_ms == 0 and record.from_node == record.to_node:
-            self.kernel.emit("roam_completed", device, {
-                "from": record.from_node, "to": record.to_node,
-                "instance": instance.instance_id})
-            return
         self.kernel.emit("migration_started", instance.instance_id, {
             "from": record.from_node, "to": record.to_node,
             "bytes_mb": record.bytes_moved_mb, "downtime_ms": record.downtime_ms})
@@ -326,7 +310,8 @@ class Runtime:
             record = self.migrations.start(inst, action.target, self.kernel.now)
         except errors.FogSimError as exc:
             self.kernel.emit("stale_action", action.instance_id, {
-                "target": action.target, "detail": str(exc)})
+                "target": action.target, "reason": type(exc).__name__,
+                "detail": str(exc)})
             return
         self.flows.reroute_served(inst.instance_id, self.kernel.now)
         self.kernel.emit("offload", inst.instance_id, {
@@ -339,7 +324,6 @@ class Runtime:
 
     def _on_migration_complete(self, event: Event):
         now = self.kernel.now
-        self.flows.advance_all(now)
         iid = event.payload["instance"]
         inst = self.scheduler.instance(iid)
         record = self.migrations.complete(inst)

@@ -326,7 +326,7 @@ def test_empty_script_scenario_runs():
 
 # sha256 prefixes of the fixtures' `fogsim run` traces; a change to any of
 # them is a behaviour change and must name the records that moved
-FIXTURE_TRACE_HASHES = {"roaming": "8b380175453a130c",
+FIXTURE_TRACE_HASHES = {"roaming": "3f8615492d788b47",
                         "scaling": "fa59472aa104b5cb",
                         "partition": "0b22252e7dfbb83d"}
 
@@ -340,11 +340,11 @@ def test_fixture_trace_hash_is_unchanged(name):
 # sha256 prefixes of the benchmark workloads' traces at seed 1; these runs
 # reach the threshold loop, migrations and faults far more than the fixtures
 WORKLOAD_TRACE_HASHES = {"star_steady": "e9f19e9da4fa43cf",
-                         "mesh_churn": "5282dadc50d285be",
+                         "mesh_churn": "7cb784701653819d",
                          "fleet_ticks": "5b91a3713017c90a"}
 # and at seed 7, which draws other roams, surges and faults
 WORKLOAD_SEED7_TRACE_HASHES = {"star_steady": "6d28f32783304f06",
-                               "mesh_churn": "794707c3581a995e",
+                               "mesh_churn": "fdfd410b6c0f4160",
                                "fleet_ticks": "81d39af7a1611bfd"}
 
 

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import copy
+import math
+
 import pytest
 
 from fogsim import errors
-from fogsim.dataflow import FlowManager, WindowMetrics, generated_mb
+from fogsim.dataflow import Flow, FlowManager, WindowMetrics, generated_mb
 from fogsim.discovery import DiscoveryService
+from fogsim.kernel import Kernel
 from fogsim.migration import MigrationEngine
 from fogsim.scheduler import PlacementRequest, Scheduler
 from fogsim.topology import ResourceVector
+
+from oracles import ReferenceFlows, reference_advance_all
 
 
 @pytest.fixture
@@ -79,6 +85,48 @@ def test_resumed_flow_drains_buffer_with_headroom(world):
     flows.advance_all(2000)
     assert flow.buffered == 0.0
     assert flow.delivered == pytest.approx(2.0)
+
+
+def test_a_full_drain_leaves_an_exact_zero_wherever_it_is_split(world):
+    """30 Mbps buffers 0.375 MB over 100 ms paused, and the 100 Mbps link
+    drains it within [100, 200] ms. Wherever that interval is split, the
+    buffer ends at +0.0, not at a rounding residue of either sign, so the
+    flow_window record is the same bytes as the unsplit run's, and every
+    counter stays within 1e-9 of the eager reference."""
+    topo, scheduler, flows, _ = world
+    flow = flows.open_flow("dev1", "gw1", "edge1", 30_000, 0, paused=True)
+    flows.advance_all(100)
+    flows.set_paused(flow.flow_id, False, 100)
+    assert flow.buffered == pytest.approx(0.375)
+
+    def window_line(split_ms: int | None) -> str:
+        split = copy.deepcopy(flows)
+        if split_ms is not None:
+            split.advance_all(split_ms)
+        split.advance_all(200)
+        drained = split.flow(flow.flow_id)
+        assert drained.buffered == 0.0 and math.copysign(1.0, drained.buffered) == 1.0
+        ref = ReferenceFlows(topo, scheduler.catalog, scheduler, flows.buffer_mb)
+        expected = ref.flows[flow.flow_id] = Flow(
+            flow.flow_id, "dev1", "gw1", "edge1", 30_000, paused=True)
+        reference_advance_all(ref, 100)
+        expected.paused = False
+        mid_ms = split_ms or 100
+        reference_advance_all(ref, mid_ms - 100)
+        reference_advance_all(ref, 200 - mid_ms)
+        for counter in ("generated", "delivered", "dropped", "buffered",
+                        "w_generated", "w_delivered", "w_dropped"):
+            assert math.isclose(getattr(drained, counter), getattr(expected, counter),
+                                abs_tol=1e-9), (split_ms, counter)
+        [record] = split.close_window(0, 200).flows
+        kernel = Kernel()
+        kernel.now = 200
+        return kernel.emit("flow_window", flow.flow_id, record).to_json()
+
+    unsplit = window_line(None)
+    assert '"buffered_mb":0.0' in unsplit
+    for split_ms in range(101, 200):
+        assert window_line(split_ms) == unsplit, split_ms
 
 
 def test_rate_above_link_bandwidth_buffers(world):

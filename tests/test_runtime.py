@@ -1,0 +1,144 @@
+"""Runtime handlers: which flows they integrate, what they record on a
+rejected offload, and where an attach may land."""
+
+from __future__ import annotations
+
+import pytest
+
+from fogsim.runtime import Runtime
+from fogsim.scenario import load_scenario, scenario_from_dict
+from fogsim.scheduler import Offload
+from fogsim.topology import ResourceVector
+
+from fixture_paths import SCENARIO_DIR
+
+
+def two_edge_scenario(**overrides) -> dict:
+    """gw1 and gw2 under edge1, gw3 under edge2, both edges under the cloud.
+    `agg` is placed for gw1 on edge1 and `store` for gw2 in the cloud, and a
+    device attaches at each gateway at 200 ms, so three flows run:
+    gw1 -> edge1, gw2 -> edge1 -> cloud and gw3 -> edge2. No scheduler tick
+    falls before 10 s."""
+    edge = {"tier": "EdgeModule", "cpu": 8000, "mem": 16384, "storage": 491520}
+    gateway = {"tier": "Gateway", "cpu": 4000, "mem": 1024, "storage": 16384}
+    raw = {
+        "schema_version": 1, "name": "two-edge", "duration_ms": 20000,
+        "scheduler_tick_ms": 10000,
+        "topology": {
+            "nodes": [{"id": "cloud", "tier": "CentralCloud", "cpu": 64000,
+                       "mem": 98304, "storage": 11534336},
+                      {"id": "edge1", **edge}, {"id": "edge2", **edge},
+                      {"id": "gw1", **gateway}, {"id": "gw2", **gateway},
+                      {"id": "gw3", **gateway}],
+            "links": [{"a": a, "b": b, "latency_ms": latency, "bandwidth_mbps": 100}
+                      for a, b, latency in [("gw1", "edge1", 2), ("gw2", "edge1", 2),
+                                            ("gw3", "edge2", 2), ("edge1", "cloud", 20),
+                                            ("edge2", "cloud", 20)]]},
+        "apps": [{"id": "agent", "kind": "IoTApp", "cpu": 100, "mem": 64,
+                  "storage": 16, "state_size_mb": 1},
+                 {"id": "agg", "kind": "DataApp", "cpu": 500, "mem": 1024,
+                  "storage": 256, "state_size_mb": 1, "aggregation_factor": 4,
+                  "allowed_tiers": ["EdgeModule", "CentralCloud"]},
+                 {"id": "store", "kind": "DataApp", "cpu": 500, "mem": 1024,
+                  "storage": 256, "state_size_mb": 1,
+                  "allowed_tiers": ["CentralCloud"]}],
+        "devices": [{"model": "smartband", "os_version": "1.0", "protocol": "BLE",
+                     "data_rate_kbps": 100, "iot_app": "agent"}],
+        "firmware": [{"model": "smartband", "os_version": "1.0", "version": "1.2"}],
+        "script": [{"type": "place", "time": 100, "app": "agg", "source": "gw1"},
+                   {"type": "place", "time": 100, "app": "store", "source": "gw2"}]
+        + [{"type": "attach", "time": 200, "device": f"dev{i}", "gateway": f"gw{i}",
+            "model": "smartband", "os_version": "1.0"} for i in (1, 2, 3)],
+    }
+    raw.update(overrides)
+    return raw
+
+
+def flows_by_device(runtime: Runtime) -> dict:
+    return {flow.device_id: flow for flow in runtime.flows.flows.values()
+            if flow.active}
+
+
+def last_ms(runtime: Runtime) -> dict[str, int]:
+    return {device: flow.last_ms for device, flow in flows_by_device(runtime).items()}
+
+
+def test_a_fault_on_a_link_no_flow_crosses_integrates_no_flow():
+    faults = [{"target": "edge2--cloud", "kind": "LinkDown", "start": 1500,
+               "duration_ms": 1000}]
+    runtime = Runtime(scenario_from_dict(two_edge_scenario(faults=faults)))
+    runtime.kernel.run(1000)
+    before = last_ms(runtime)
+    assert set(before.values()) == {200}
+    runtime.kernel.run(1500)
+    assert not runtime.topology.links["edge2--cloud"].up
+    assert last_ms(runtime) == before
+    runtime.kernel.run(2500)
+    assert runtime.topology.links["edge2--cloud"].up
+    assert last_ms(runtime) == before
+
+
+def test_a_migration_completion_integrates_only_the_flows_it_reroutes():
+    """agg moves from edge1 to the cloud: its flow joins edge1--cloud, which
+    dev2's flow crosses, and dev3's flow shares no link with either."""
+    runtime = Runtime(scenario_from_dict(two_edge_scenario()))
+    runtime.kernel.run(1000)
+    runtime.kernel.now = 1000
+    routes = {device: [link.link_id for link in flow.path]
+              for device, flow in flows_by_device(runtime).items()}
+    assert routes == {"dev1": ["gw1--edge1"],
+                      "dev2": ["gw2--edge1", "edge1--cloud"],
+                      "dev3": ["gw3--edge2"]}
+    [agg] = [inst for inst in runtime.scheduler.instances.values()
+             if inst.app_id == "agg"]
+    assert agg.host == "edge1"
+    runtime._apply_offload(Offload(agg.instance_id, "edge1", "cloud", 1000))
+    [started] = [r for r in runtime.kernel.trace if r.kind == "migration_started"]
+    completed_at = 1000 + started.details["downtime_ms"]
+    # the offload integrated dev1's flow as it blocked it
+    runtime.kernel.run(completed_at - 1)
+    assert last_ms(runtime) == {"dev1": 1000, "dev2": 200, "dev3": 200}
+    runtime.kernel.run(completed_at)
+    assert agg.host == "cloud"
+    assert last_ms(runtime) == {"dev1": completed_at, "dev2": completed_at,
+                                "dev3": 200}
+
+
+@pytest.mark.parametrize("action, reason", [
+    (Offload("agg-1", "edge2", "cloud", 1000), "StaleAction"),
+    (Offload("agg-1", "edge1", "cloud", 1000), "TargetInfeasible"),
+], ids=["validate_action", "migration_start"])
+def test_a_rejected_offload_names_its_cause(action, reason):
+    """The first offload names the wrong source host, which validate_action
+    rejects; the second is valid, but edge1--cloud is down, so
+    MigrationEngine.start finds no path to the target."""
+    faults = [{"target": "edge1--cloud", "kind": "LinkDown", "start": 500,
+               "duration_ms": 1000}]
+    runtime = Runtime(scenario_from_dict(two_edge_scenario(faults=faults)))
+    runtime.kernel.run(1000)
+    assert "agg-1" in runtime.scheduler.instances
+    runtime._apply_offload(action)
+    [stale] = [r for r in runtime.kernel.trace if r.kind == "stale_action"]
+    assert stale.subject == "agg-1"
+    assert stale.details["reason"] == reason
+    assert stale.details["target"] == "cloud"
+    assert stale.details["detail"]
+    assert not any(r.kind == "migration_started" for r in runtime.kernel.trace)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(g): an attach at a gateway "
+                   "that a NodeDown has taken down still places the IoT-App there "
+                   "and opens the device's flow from it")
+def test_an_attach_at_a_down_gateway_places_nothing_there():
+    scenario = load_scenario(SCENARIO_DIR / "roaming.yaml")
+    scenario.script = scenario.script[:1]
+    scenario.faults = [{"target": "gw1", "kind": "NodeDown", "start": 500,
+                        "duration_ms": 3000}]
+    runtime = Runtime(scenario)
+    runtime.kernel.run(3000)
+    assert not runtime.topology.nodes["gw1"].up
+    trace = list(runtime.kernel.trace)
+    assert not [r for r in trace if r.kind == "instance_placed"
+                and r.details["host"] == "gw1"]
+    assert not [r for r in trace if r.kind == "flow_open" and r.details["src"] == "gw1"]
+    assert runtime.topology.nodes["gw1"].allocated == ResourceVector(0, 0, 0)
