@@ -48,6 +48,16 @@ def validate_trace(trace: Trace) -> None:
         raise errors.MalformedTrace("trace is truncated: no run_end record")
 
 
+def _number(value, nullable: bool = False):
+    """A detail the summary adds up after the record loop, checked while its
+    record is known: a number, or None where nullable."""
+    if value is None and nullable:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
 def report_from_trace(trace: Trace) -> Report:
     validate_trace(trace)
     report = Report()
@@ -55,48 +65,55 @@ def report_from_trace(trace: Trace) -> Report:
               "uplink_mb": 0.0}
     counts = {"attaches": 0, "detaches": 0, "installs": 0, "offloads": 0,
               "defers": 0, "roams": 0, "faults": 0, "stale_actions": 0}
-    for record in trace:
-        kind = record.kind
-        d = record.details
-        if kind == "scenario_loaded":
-            report.scenario = record.subject
-        elif kind == "metrics_window":
-            report.utilization_series.append((record.time_ms, d["utilization"]))
-            report.uplink_windows.append({
-                "window_start": d["window_start"],
-                "window_end": d["window_end"],
-                "generated_mb": d["generated_mb"],
-                "uplink_mb": d["uplink_mb"],
-                "uplink_ratio": d["uplink_ratio"],
-            })
-            for key in totals:
-                totals[key] += d[key]
-        elif kind == "migration_completed":
-            report.migrations.append({"instance": record.subject, **d})
-        elif kind == "flow_window":
-            report.loss_mb[record.subject] = d["cum_dropped_mb"]
-        elif kind == "defer":
-            report.deferred.append({"node": record.subject,
-                                    "time_ms": record.time_ms, **d})
-            counts["defers"] += 1
-        elif kind in ("warning", "install_warning", "roam_warning",
-                      "scale_warning"):
-            report.warnings.append({"kind": kind, "subject": record.subject,
-                                    "time_ms": record.time_ms, **d})
-        elif kind == "attach":
-            counts["attaches"] += 1
-        elif kind == "detach":
-            counts["detaches"] += 1
-        elif kind == "instance_placed":
-            counts["installs"] += 1
-        elif kind == "offload":
-            counts["offloads"] += 1
-        elif kind == "roam_completed":
-            counts["roams"] += 1
-        elif kind == "fault_start":
-            counts["faults"] += 1
-        elif kind == "stale_action":
-            counts["stale_actions"] += 1
+    try:
+        for record in trace:
+            kind = record.kind
+            d = record.details
+            if kind == "scenario_loaded":
+                report.scenario = record.subject
+            elif kind == "metrics_window":
+                report.utilization_series.append((record.time_ms, d["utilization"]))
+                report.uplink_windows.append({
+                    "window_start": d["window_start"],
+                    "window_end": d["window_end"],
+                    "generated_mb": d["generated_mb"],
+                    "uplink_mb": d["uplink_mb"],
+                    "uplink_ratio": _number(d["uplink_ratio"], nullable=True),
+                })
+                for key in totals:
+                    totals[key] += d[key]
+            elif kind == "migration_completed":
+                report.migrations.append({"instance": record.subject, **d})
+            elif kind == "flow_window":
+                report.loss_mb[record.subject] = _number(d["cum_dropped_mb"])
+            elif kind == "defer":
+                report.deferred.append({"node": record.subject,
+                                        "time_ms": record.time_ms, **d})
+                counts["defers"] += 1
+            elif kind in ("warning", "install_warning", "roam_warning",
+                          "scale_warning"):
+                report.warnings.append({"kind": kind, "subject": record.subject,
+                                        "time_ms": record.time_ms, **d})
+            elif kind == "attach":
+                counts["attaches"] += 1
+            elif kind == "detach":
+                counts["detaches"] += 1
+            elif kind == "instance_placed":
+                counts["installs"] += 1
+            elif kind == "offload":
+                counts["offloads"] += 1
+            elif kind == "roam_completed":
+                counts["roams"] += 1
+            elif kind == "fault_start":
+                counts["faults"] += 1
+            elif kind == "stale_action":
+                counts["stale_actions"] += 1
+    except (KeyError, TypeError) as exc:
+        # details of the wrong shape: a missing key, a list, or a value the
+        # summary cannot add up
+        raise errors.MalformedTrace(
+            f"record {record.seq} ({record.kind}): {type(exc).__name__}: {exc}") \
+            from None
 
     ratios = [w["uplink_ratio"] for w in report.uplink_windows
               if w["uplink_ratio"] is not None]

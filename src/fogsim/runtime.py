@@ -39,8 +39,8 @@ class Runtime:
         self._deferred_ticks = 0
         # instance id -> status, as in the last metrics_window record
         self._statuses: dict[str, str] = {}
-        # fault key -> (Topology setter, target id) of each element it took down
-        self._fault_effects: dict[tuple, list[tuple]] = {}
+        # (set_link_up or set_node_up, element id) -> faults holding it down
+        self._down_counts: dict[tuple, int] = {}
         self._rate_override: dict[str, float] = {}
 
         kernel = self.kernel
@@ -392,34 +392,33 @@ class Runtime:
 
     # -- faults -----------------------------------------------------------------------
 
-    def _on_fault_start(self, event: Event):
-        fault: Fault = event.payload["fault"]
-        key = (fault.target, fault.kind.value, fault.start)
+    def _hold(self, fault: Fault, delta: int):
+        """Add delta to the down count of each element the fault holds (its
+        link or node, or a partition's links at the cloud, which also defer
+        ticks); an element is up exactly while no active fault holds it."""
         topo = self.topology
         if fault.kind is FaultKind.LINK_DOWN:
-            taken = [(topo.set_link_up, fault.target)]
+            held = [(topo.set_link_up, fault.target)]
         elif fault.kind is FaultKind.NODE_DOWN:
-            taken = [(topo.set_node_up, fault.target)]
-        else:  # CloudPartition: every link incident to the central cloud node
-            taken = [(topo.set_link_up, lid) for lid in topo.links_at(fault.target)]
-            self._partition_depth += 1
-        # a fault restores only what it took down itself
-        effects = self._fault_effects[key] = []
-        for set_up, target in taken:
-            if set_up(target, False):
-                effects.append((set_up, target))
+            held = [(topo.set_node_up, fault.target)]
+        else:
+            held = [(topo.set_link_up, lid) for lid in topo.links_at(fault.target)]
+            self._partition_depth += delta
+        for set_up, target in held:
+            count = self._down_counts.get((set_up, target), 0) + delta
+            self._down_counts[set_up, target] = count
+            set_up(target, count == 0)
         self.flows.reroute_all(self.kernel.now)
+
+    def _on_fault_start(self, event: Event):
+        fault: Fault = event.payload["fault"]
+        self._hold(fault, 1)
         self.kernel.emit("fault_start", fault.target, {
             "fault_kind": fault.kind.value, "duration_ms": fault.duration})
 
     def _on_fault_end(self, event: Event):
         fault: Fault = event.payload["fault"]
-        key = (fault.target, fault.kind.value, fault.start)
-        for set_up, target in self._fault_effects.pop(key, []):
-            set_up(target, True)
-        self.flows.reroute_all(self.kernel.now)
-        if fault.kind is FaultKind.CLOUD_PARTITION:
-            self._partition_depth -= 1
+        self._hold(fault, -1)
         self.kernel.emit("fault_end", fault.target,
                          {"fault_kind": fault.kind.value})
         if fault.kind is FaultKind.CLOUD_PARTITION and \

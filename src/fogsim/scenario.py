@@ -43,6 +43,9 @@ _FINITE_FIELDS: dict[str, tuple[str, ...]] = {
     "device": ("data_rate_kbps",),
 }
 
+# script fields that name a device, node or app and, where given, must be strings
+_SCRIPT_NAMES = ("device", "gateway", "model", "to_gateway", "app", "source", "host")
+
 # libyaml's C parser under the SafeConstructor and Resolver of
 # yaml.safe_load, so documents load to the same objects; PyYAML's
 # pure-Python parser where PyYAML was built without libyaml
@@ -138,6 +141,24 @@ def _integer(mapping: dict, key: str, context: str) -> int:
     raise errors.ParseError(f"{context}: {key} must be an integer, got {value!r}")
 
 
+def _text(mapping: dict, key: str, context: str) -> str:
+    """The required field `key`, which must be a string."""
+    value = _require(mapping, key, context)
+    if not isinstance(value, str):
+        raise errors.ParseError(f"{context}: {key} must be a string, got {value!r}")
+    return value
+
+
+def _mapping(mapping: dict, key: str, context: str) -> dict:
+    """The optional field `key` as a mapping; empty where absent or null."""
+    value = mapping.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise errors.ParseError(f"{context}: {key} must be a mapping, got {value!r}")
+    return value
+
+
 def scenario_from_dict(raw: dict) -> Scenario:
     """Validate a raw scenario mapping and return a fully checked Scenario."""
     if not isinstance(raw, dict):
@@ -147,8 +168,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise errors.ParseError(
             f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
 
-    topo_section = raw.get("topology", {}) or {}
-    thresholds_raw = {"high": 0.8, "low": 0.6, **(raw.get("thresholds", {}) or {})}
+    topo_section = _mapping(raw, "topology", "scenario")
+    thresholds_raw = {"high": 0.8, "low": 0.6,
+                      **_mapping(raw, "thresholds", "scenario")}
     thresholds = Thresholds(_number(thresholds_raw, "high", "thresholds"),
                             _number(thresholds_raw, "low", "thresholds"))
     defaults = {"seed": 0, "scheduler_tick_ms": 1000, "buffer_mb": 10, **raw}
@@ -245,7 +267,7 @@ def _validate(scenario: Scenario) -> None:
         ctx = f"script[{i}]"
         if not isinstance(entry, dict):
             raise errors.ParseError(f"{ctx}: entries must be mappings")
-        etype = _require(entry, "type", ctx)
+        etype = _text(entry, "type", ctx)
         if etype not in SCRIPT_EVENTS:
             raise errors.ParseError(f"{ctx}: unknown event type {etype!r}")
         time = _integer(entry, "time", ctx)
@@ -256,7 +278,11 @@ def _validate(scenario: Scenario) -> None:
                 f"{ctx}: time {time} exceeds duration {scenario.duration_ms}")
         for required in SCRIPT_EVENTS[etype][1]:
             _require(entry, required, ctx)
+        for key in _SCRIPT_NAMES:
+            if key in entry:
+                _text(entry, key, ctx)
         if etype == "attach":
+            _mapping(entry, "preferences", ctx)
             if entry["model"] not in catalog.profiles:
                 raise errors.UnknownReference(f"{ctx}: unknown model {entry['model']}")
             if entry["gateway"] not in topo.nodes:
@@ -294,7 +320,7 @@ def _validate(scenario: Scenario) -> None:
             kind = FaultKind(f["kind"])
         except ValueError:
             raise errors.ParseError(f"{ctx}: unknown fault kind {f['kind']!r}") from None
-        target = f["target"]
+        target = _text(f, "target", ctx)
         if kind is FaultKind.LINK_DOWN:
             if target not in topo.links:
                 raise errors.UnknownReference(f"{ctx}: unknown link {target}")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import importlib.util
+import json
 import math
 
 import pytest
@@ -177,6 +178,39 @@ def test_malformed_scenario_is_a_typed_validation_error(mutate, expected,
     assert f"invalid: {expected.__name__}" in capsys.readouterr().err
 
 
+def _set_attach(**fields):
+    return lambda raw: raw["script"][0].update(fields)
+
+
+@pytest.mark.parametrize("mutate", [
+    _set_attach(type=["attach"]),
+    _set_attach(gateway=["gw1"]),
+    _set_attach(model=["smartband"]),
+    _set_attach(device=["dev1"]),
+    _set_attach(preferences=["quiet"]),
+    _append_script({"type": "roam", "time": 2000, "device": "dev1",
+                    "to_gateway": ["gw1"]}),
+    _append_script({"type": "scale", "time": 2000, "app": ["agent"],
+                    "replicas": 2}),
+    lambda raw: raw.update(faults=[{"target": ["edge1"], "kind": "NodeDown",
+                                    "start": 0, "duration_ms": 10}]),
+    lambda raw: raw.update(topology=[raw["topology"]]),
+    lambda raw: raw.update(thresholds=[0.8, 0.6]),
+], ids=["script-type", "attach-gateway", "attach-model", "attach-device",
+        "attach-preferences", "roam-to-gateway", "scale-app", "fault-target",
+        "topology", "thresholds"])
+def test_a_field_of_the_wrong_shape_is_a_validation_error(mutate, tmp_path, capsys):
+    """A list where a name or a mapping belongs fails validation under both
+    commands, never with a traceback at run time."""
+    raw = minimal_scenario()
+    mutate(raw)
+    path = tmp_path / "malformed.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == EXIT_VALIDATION, command
+        assert capsys.readouterr().err.startswith("invalid: ParseError"), command
+
+
 def _set_field(section, index, key):
     def setter(raw, value):
         entries = raw["topology"][section] if section in ("nodes", "links") \
@@ -340,11 +374,11 @@ def test_fixture_trace_hash_is_unchanged(name):
 # sha256 prefixes of the benchmark workloads' traces at seed 1; these runs
 # reach the threshold loop, migrations and faults far more than the fixtures
 WORKLOAD_TRACE_HASHES = {"star_steady": "e9f19e9da4fa43cf",
-                         "mesh_churn": "7cb784701653819d",
+                         "mesh_churn": "08045937294b7708",
                          "fleet_ticks": "5b91a3713017c90a"}
 # and at seed 7, which draws other roams, surges and faults
 WORKLOAD_SEED7_TRACE_HASHES = {"star_steady": "6d28f32783304f06",
-                               "mesh_churn": "fdfd410b6c0f4160",
+                               "mesh_churn": "0bf6c7cf229fe417",
                                "fleet_ticks": "81d39af7a1611bfd"}
 
 
@@ -569,9 +603,6 @@ def test_overlapping_faults_restore_every_element(starts):
     assert all(link.up for link in topo.links.values())
 
 
-@pytest.mark.xfail(strict=True, reason="up/down state is not counted per fault: "
-                   "the first fault to end brings edge1--cloud back up while "
-                   "the other still holds it down")
 @pytest.mark.parametrize("faults, probe_ms", [
     ([("edge1--cloud", "LinkDown", 1500), ("cloud", "CloudPartition", 2000)], 3750),
     ([("cloud", "CloudPartition", 1000), ("edge1--cloud", "LinkDown", 1500)], 3250),
@@ -584,10 +615,6 @@ def test_overlapping_faults_hold_the_link_down_until_the_last_ends(faults, probe
     assert not runtime.topology.links["edge1--cloud"].up
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(d), faults by count: "
-                   "faults are keyed by (target, kind, start), so the second "
-                   "fault replaces the first one's effects with none, and "
-                   "neither end brings edge1--cloud back up")
 def test_same_start_faults_bring_the_link_back_up_after_both_end():
     faults = [{"target": "edge1--cloud", "kind": "LinkDown", "start": 1500,
                "duration_ms": duration} for duration in (500, 1000)]
@@ -595,6 +622,51 @@ def test_same_start_faults_bring_the_link_back_up_after_both_end():
     for probe_ms in (2600, 4000):
         runtime.kernel.run(probe_ms)
         assert runtime.topology.links["edge1--cloud"].up, probe_ms
+
+
+# the edge1 -- cloud link is named after the node edge1, so holding one
+# must not hold the other
+FAULT_TARGETS = [("gw1--edge1", "LinkDown"), ("edge1", "LinkDown"),
+                 ("edge1", "NodeDown"), ("cloud", "CloudPartition")]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(schedule=st.lists(st.tuples(st.sampled_from(FAULT_TARGETS),
+                                   st.integers(0, 12), st.integers(1, 8)),
+                         max_size=6))
+def test_an_element_is_up_exactly_while_no_fault_holds_it(schedule):
+    """Random overlapping fault schedules, repeated and same-start faults
+    included. Faults start and end on multiples of 250 ms and the probes fall
+    halfway between, so no probe shares a time with a fault event. `store`
+    runs only in the cloud, so the flow from gw1 routes over both links."""
+    faults = [{"target": target, "kind": kind, "start": 250 * start,
+               "duration_ms": 250 * length}
+              for (target, kind), start, length in schedule]
+    store = {"id": "store", "kind": "DataApp", "cpu": 500, "mem": 1024,
+             "storage": 256, "state_size_mb": 1, "allowed_tiers": ["CentralCloud"]}
+    raw = minimal_scenario(faults=faults)
+    raw["topology"]["links"][1]["id"] = "edge1"
+    raw["apps"] = raw["apps"] + [store]
+    raw["script"] = [{"type": "place", "time": 0, "app": "store",
+                      "source": "gw1"}] + raw["script"]
+    runtime = Runtime(scenario_from_dict(raw))
+    topo = runtime.topology
+    for probe_ms in range(125, 5000, 250):
+        runtime.kernel.run(probe_ms)
+        active = [f for f in faults
+                  if f["start"] < probe_ms < f["start"] + f["duration_ms"]]
+        down_links = {f["target"] for f in active if f["kind"] == "LinkDown"}
+        if any(f["kind"] == "CloudPartition" for f in active):
+            down_links |= set(topo.links_at("cloud"))
+        down_nodes = {f["target"] for f in active if f["kind"] == "NodeDown"}
+        assert {lid for lid, link in topo.links.items() if not link.up} == \
+            down_links, probe_ms
+        assert {nid for nid, node in topo.nodes.items() if not node.up} == \
+            down_nodes, probe_ms
+        for flow in runtime.flows.flows.values():
+            if flow.active and flow.path is not None:
+                assert all(link.up and topo.nodes[link.a].up and topo.nodes[link.b].up
+                           for link in flow.path), (probe_ms, flow.flow_id)
 
 
 def test_seed_override_recorded():
@@ -659,6 +731,27 @@ def test_cli_report_non_utf8_is_a_malformed_trace(tmp_path, capsys):
     bad.write_bytes(b"\xff\xfe")
     assert main(["report", str(bad)]) == EXIT_RUNTIME
     assert "runtime error: MalformedTrace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, breaks", [
+    ("metrics_window", lambda record: record["details"].pop("utilization")),
+    ("scheduler_tick", lambda record: record.update(kind="defer", details=["edge1"])),
+    ("flow_window", lambda record: record["details"].update(cum_dropped_mb="0.5")),
+], ids=["metrics-window-without-utilization", "defer-details-a-list",
+        "cum-dropped-a-string"])
+def test_cli_report_names_a_record_of_the_wrong_shape(kind, breaks, tmp_path, capsys):
+    """Each trace passes validate_trace; the report then finds the bad record."""
+    trace, _ = run_scenario_file(SCENARIO_DIR / "roaming.yaml")
+    records = [json.loads(line) for line in trace.to_jsonl().splitlines()]
+    bad = [record for record in records if record["kind"] == kind][-1]
+    breaks(bad)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    validate_trace(Trace.from_jsonl(path.read_text()))
+    assert main(["report", str(path)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: MalformedTrace")
+    assert f"record {bad['seq']} " in err
 
 
 @pytest.mark.parametrize("option", ["--trace", "--metrics"])

@@ -142,3 +142,20 @@ def test_an_attach_at_a_down_gateway_places_nothing_there():
                 and r.details["host"] == "gw1"]
     assert not [r for r in trace if r.kind == "flow_open" and r.details["src"] == "gw1"]
     assert runtime.topology.nodes["gw1"].allocated == ResourceVector(0, 0, 0)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(g): a route tree never "
+                   "checks its source's own up flag, so a flow from a gateway "
+                   "that a NodeDown has taken down keeps delivering")
+def test_a_flow_from_a_down_gateway_delivers_nothing():
+    scenario = load_scenario(SCENARIO_DIR / "roaming.yaml")
+    scenario.script = scenario.script[:1]
+    scenario.faults = [{"target": "gw1", "kind": "NodeDown", "start": 2000,
+                        "duration_ms": 2000}]
+    runtime = Runtime(scenario)
+    runtime.kernel.run(4000)
+    windows = {r.time_ms: r.details for r in runtime.kernel.trace
+               if r.kind == "flow_window" and r.subject == "flow-1"}
+    assert windows[2000]["delivered_mb"] > 0
+    for end_ms in (3000, 4000):
+        assert windows[end_ms]["delivered_mb"] == 0, end_ms
