@@ -9,7 +9,9 @@ buffer and dropped beyond it — loss is measured, never assumed away.
 
 Aggregated results of edge-hosted Data-Apps trickle to the central cloud and
 are counted in the uplink; when the serving app runs in the cloud, raw bytes
-traverse gateway -> edge -> cloud and the uplink reflects that.
+traverse gateway -> edge -> cloud and the uplink reflects that. An edge's
+aggregate is held while the edge has no route to the cloud and is released
+into the first window that closes after it has one again.
 
 Flows are integrated lazily, one contention group at a time (see
 FlowManager), so flow state changes only through FlowManager methods.
@@ -55,11 +57,11 @@ class Flow:
     w_uplinked: float = 0.0
     # kept by FlowManager: the time the counters reach, the links the flow
     # contends on (None while inactive, blocked or unreachable), and the
-    # (divisor, held) its deliveries count toward the uplink with (None: not
-    # at all)
+    # (divisor, held_at) its deliveries count toward the uplink with (None:
+    # not at all); held_at is the edge host while it cannot reach the cloud
     last_ms: int = 0
     path: tuple[Link, ...] | None = None
-    uplink: tuple[float, bool] | None = None
+    uplink: tuple[float, str | None] | None = None
 
 
 @dataclass
@@ -122,8 +124,8 @@ class FlowManager:
         self._served: dict[str | None, dict[str, Flow]] = {}
         # link id -> flow id -> active flow routed over the link
         self._contenders: dict[str, dict[str, Flow]] = {}
-        # aggregated output held back while the cloud is unreachable
-        self.uplink_pending: float = 0.0
+        # edge host -> aggregated output held while it cannot reach the cloud
+        self._held: dict[str, float] = {}
         # where edge-hosted Data-Apps send their aggregated output
         self._cloud = next((nid for nid in sorted(topology.nodes)
                             if topology.nodes[nid].tier is Tier.CENTRAL_CLOUD), None)
@@ -208,12 +210,6 @@ class FlowManager:
 
     # -- routes -----------------------------------------------------------------------
 
-    def _path_or_none(self, a: str, b: str):
-        try:
-            return self.topology.shortest_path(a, b)
-        except errors.Unreachable:
-            return None
-
     def _is_blocked(self, flow: Flow) -> bool:
         if flow.paused:
             return True
@@ -224,19 +220,24 @@ class FlowManager:
         return False
 
     def _route(self, flow: Flow) -> tuple[tuple[Link, ...] | None,
-                                          tuple[float, bool] | None]:
+                                          tuple[float, str | None] | None]:
         """(path, uplink) of `flow` in the current topology and instance state."""
         if not flow.active or self._is_blocked(flow):
             return None, None
-        path = self._path_or_none(flow.src, flow.sink)
-        if path is None:
+        try:
+            path = self.topology.shortest_path(flow.src, flow.sink)
+        except errors.Unreachable:
             return None, None
         return tuple(path), self._uplink(flow)
 
-    def _uplink(self, flow: Flow) -> tuple[float, bool] | None:
-        """(divisor, held) of the flow's deliveries on the uplink: raw bytes
+    def _reaches_cloud(self, host: str) -> bool:
+        return self._cloud is not None and \
+            self.topology.path_latency_or_inf(host, self._cloud) != math.inf
+
+    def _uplink(self, flow: Flow) -> tuple[float, str | None] | None:
+        """(divisor, held_at) of the flow's deliveries on the uplink: raw bytes
         delivered to the cloud cross it already, an edge-hosted Data-App sends
-        its aggregate on, held back while the cloud is unreachable."""
+        its aggregate on, held at its host while that cannot reach the cloud."""
         if flow.serving_instance is None:
             return None
         inst = self.scheduler.instances.get(flow.serving_instance)
@@ -244,11 +245,10 @@ class FlowManager:
             return None
         host_tier = self.topology.nodes[inst.host].tier
         if host_tier is Tier.CENTRAL_CLOUD:
-            return 1.0, False
+            return 1.0, None
         if host_tier is Tier.EDGE_MODULE:
-            held = self._cloud is None or \
-                self.topology.path_latency_or_inf(inst.host, self._cloud) == math.inf
-            return self.catalog.app(inst.app_id).aggregation_factor, held
+            held_at = None if self._reaches_cloud(inst.host) else inst.host
+            return self.catalog.app(inst.app_id).aggregation_factor, held_at
         return None
 
     def _reroute(self, flows: list[Flow], now: int) -> None:
@@ -348,25 +348,19 @@ class FlowManager:
                 self._window_link_mb.get(link.link_id, 0.0) + amount_mb
         if flow.uplink is None:
             return
-        divisor, held = flow.uplink
+        divisor, held_at = flow.uplink
         up = amount_mb / divisor
-        if held:
-            self.uplink_pending += up
+        if held_at is not None:
+            self._held[held_at] = self._held.get(held_at, 0.0) + up
             return
         flow.uplinked += up
         flow.w_uplinked += up
 
-    def flush_pending_uplink(self) -> float:
-        """Release aggregated output held during a cloud partition. Credited to
-        the network-level window counter, not to a single flow."""
-        pending = self.uplink_pending
-        self.uplink_pending = 0.0
-        return pending
-
     # -- windows ----------------------------------------------------------------------
 
-    def close_window(self, window_start: int, window_end: int,
-                     extra_uplink_mb: float = 0.0) -> WindowMetrics:
+    def close_window(self, window_start: int, window_end: int) -> WindowMetrics:
+        """The window's metrics. Output held at an edge host that reaches the
+        cloud again counts toward the window's uplink, not a flow's."""
         flows_out = []
         totals = [0.0, 0.0, 0.0, 0.0]
         for fid in sorted(self.flows):
@@ -391,8 +385,12 @@ class FlowManager:
             totals[2] += flow.w_dropped
             totals[3] += flow.w_uplinked
             flow.w_generated = flow.w_delivered = flow.w_dropped = flow.w_uplinked = 0.0
+        released = 0.0
+        for host in sorted(self._held):
+            if self._reaches_cloud(host):
+                released += self._held.pop(host)
         metrics = WindowMetrics(window_start, window_end, totals[0], totals[1],
-                                totals[2], totals[3] + extra_uplink_mb,
+                                totals[2], totals[3] + released,
                                 flows_out, dict(self._window_link_mb))
         self._window_link_mb = {}
         return metrics

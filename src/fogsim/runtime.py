@@ -7,7 +7,8 @@ roam, workload change, fault or migration completion integrates just the
 flows whose rate, route, contenders or uplink it changes. Metric windows
 close at every scheduler tick and at the end of the run, and closing one
 integrates every active flow to the clock, so fluid counters are exact for
-piecewise-constant rates.
+piecewise-constant rates. FlowManager also decides which held edge output a
+window releases; a cloud partition here only defers scheduler ticks.
 """
 
 from __future__ import annotations
@@ -359,10 +360,7 @@ class Runtime:
         self.flows.advance_all(now)
         if now <= self._window_start:
             return
-        extra = 0.0
-        if self.flows.uplink_pending > 0 and self._partition_depth == 0:
-            extra = self.flows.flush_pending_uplink()
-        metrics = self.flows.close_window(self._window_start, now, extra)
+        metrics = self.flows.close_window(self._window_start, now)
         for f in metrics.flows:
             self.kernel.emit("flow_window", f["flow"], f)
         dt = now - self._window_start

@@ -117,8 +117,10 @@ def _require(mapping: dict, key: str, context: str):
 
 
 def _number(mapping: dict, key: str, context: str) -> float:
-    """The required field `key` as a float, which must be a finite number."""
+    """The required field `key` as a float: a finite number, not a bool."""
     value = _require(mapping, key, context)
+    if isinstance(value, bool):
+        raise errors.ParseError(f"{context}: {key} must be a number, got {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):

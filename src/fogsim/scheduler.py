@@ -204,8 +204,8 @@ class Scheduler:
         """Deploy the IoT-App for a freshly attached device on its gateway.
 
         Idempotent when the bound instance already runs there. Raises
-        GatewayFull when the gateway lacks capacity (device stays attached
-        but unmanaged; the caller records the warning).
+        GatewayFull when the gateway is down or lacks capacity (device stays
+        attached but unmanaged; the caller records the warning).
         """
         app = self.catalog.app(request.app_id)
         existing = self.bound_instance(request.device_id)
@@ -213,7 +213,7 @@ class Scheduler:
                 existing.status in (InstanceStatus.RUNNING, InstanceStatus.MIGRATING):
             return existing
         gateway = self.topology.node(request.gateway)
-        if not app.demand.fits_within(gateway.free):
+        if not gateway.up or not app.demand.fits_within(gateway.free):
             raise errors.GatewayFull(
                 f"{request.gateway} cannot host {request.app_id} for {request.device_id}")
         self.topology.reserve(request.gateway, app.demand)

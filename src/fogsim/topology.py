@@ -228,16 +228,17 @@ class Topology:
     def set_node_up(self, node_id: str, up: bool) -> bool:
         """Bring a node up or down; True when its state changed.
 
-        Down, it drops the cached trees that reach it. Up, it drops the
-        trees that reach one of its neighbours across an up link."""
+        Down, it drops the cached trees that reach it. Up, it drops its own
+        tree and the trees that reach one of its neighbours across an up
+        link."""
         node = self.node(node_id)
         changed = node.up != up
         if changed:
             node.up = up
             if up:
                 near = [nxt for link, nxt in self._adjacency[node_id] if link.up]
-                self._drop_routes(lambda source, tree, latency:
-                                  any(nid in tree for nid in near))
+                self._drop_routes(lambda source, tree, latency: source == node_id
+                                  or any(nid in tree for nid in near))
             else:
                 self._drop_routes(lambda source, tree, latency: node_id in tree)
         return changed
@@ -254,13 +255,12 @@ class Topology:
         a new link of latency lat, and so may route v, and what lies beyond
         it, another way.
 
-        u must be settled, and v must be enterable: up, or the source,
-        whose own flag the search never checks. The comparison is <=, not
-        <: an equal-latency entry for v can still win its tie. An
-        unreached v counts as infinitely far.
+        u must be settled, and v must be up. The comparison is <=, not <:
+        an equal-latency entry for v can still win its tie. An unreached v
+        counts as infinitely far.
         """
         du = latency.get(u)
-        return (du is not None and (v == source or self.nodes[v].up)
+        return (du is not None and self.nodes[v].up
                 and du + lat <= latency.get(v, math.inf))
 
     # -- routing ---------------------------------------------------------------
@@ -268,7 +268,8 @@ class Topology:
     def shortest_path(self, a: str, b: str) -> list[Link]:
         """Minimum-latency path over up links between up nodes, as a link list.
 
-        Empty list when a == b. Raises Unreachable when no up path exists.
+        Empty list when a == b and a is up. Raises Unreachable when no up
+        path exists.
         Of equal-latency paths, the first one the search finds wins (see
         _route_tree). Answers come from a cached shortest-path tree per
         source; the returned list is the caller's own.
@@ -285,8 +286,8 @@ class Topology:
         return path
 
     def path_latency_or_inf(self, a: str, b: str) -> float:
-        """Shortest-path latency in ms over up links; 0 when a == b and
-        math.inf when no up path exists.
+        """Shortest-path latency in ms over up links; 0 when a == b and a is
+        up, and math.inf when no up path exists.
 
         It is the latency the search settled b at: the path's link latencies
         added in path order, starting from 0.
@@ -318,18 +319,19 @@ class Topology:
     def _route_tree(self, a: str) -> tuple[dict[str, Link | None], dict[str, float]]:
         """The shortest-path tree from a over up elements: the last link of
         the path to every reached node (None for a), and the latency each
-        reached node was settled at.
+        reached node was settled at. Both are empty when a is down.
 
         Dijkstra that settles nodes in (latency, path node ids) order and
-        scans a settled node's links in the order they were added. The
-        source's own up flag is never checked. A node's path is replaced
-        only by a strictly shorter one, so of equal-latency paths the one
-        through the earliest-settled predecessor wins, not the one whose
-        node ids sort first: with links s-a 1, a-z 2, a-b 1 and b-z 1, z is
-        reached by s, a, z. Each node's path is the one on its first pop;
-        pop order does not depend on a target, so it is the path a search
-        stopping there returns.
+        scans a settled node's links in the order they were added. A node's
+        path is replaced only by a strictly shorter one, so of equal-latency
+        paths the one through the earliest-settled predecessor wins, not the
+        one whose node ids sort first: with links s-a 1, a-z 2, a-b 1 and
+        b-z 1, z is reached by s, a, z. Each node's path is the one on its
+        first pop; pop order does not depend on a target, so it is the path
+        a search stopping there returns.
         """
+        if not self.nodes[a].up:
+            return {}, {}
         tree: dict[str, Link | None] = {}
         best: dict[str, float] = {a: 0}
         nodes, adjacency = self.nodes, self._adjacency

@@ -12,12 +12,13 @@ must return. reference_record_json is TraceRecord.to_json as it was when it
 rounded every float again at serialisation; it pins the bytes of a record.
 reference_advance_all is FlowManager.advance_all as it was when every event
 integrated every active flow from the live topology and instance state; it
-pins the counters that lazy integration must reach. reference_load_yaml is
-the yaml.safe_load that load_scenario called before it parsed with libyaml;
-it pins the objects a scenario document loads to. reference_window_maps is
-the per-node part of Runtime._close_window as it was when every window built
-both maps for every node and the kernel rounded them at emission; it pins
-the maps that the cached ones must equal. reference_nearest_edge is
+pins the counters that lazy integration must reach, and, with
+reference_release_held, the output held at each edge host.
+reference_load_yaml is the yaml.safe_load that load_scenario called before it
+parsed with libyaml; it pins the objects a scenario document loads to.
+reference_window_maps is the per-node part of Runtime._close_window as it was
+when every window built both maps for every node and the kernel rounded them
+at emission; it pins the maps that the cached ones must equal. reference_nearest_edge is
 Runtime._nearest_edge as it was before Topology.nearest_edge_module read its
 latencies from the cached route tree, with latencies found afresh; it pins
 the sink a flow without a serving Data-App goes to.
@@ -43,13 +44,16 @@ from fogsim.topology import Link, Tier, Topology
 def reference_shortest_path(topology: Topology, a: str, b: str) -> list[Link]:
     """Minimum-latency path over up links between up nodes, searched afresh.
 
-    Empty list when a == b. Raises Unreachable when no up path exists.
-    Nodes settle in (latency, path node ids) order and a path is replaced
-    only by a strictly shorter one, so of equal-latency paths the one
-    through the earliest-settled predecessor wins, as in Topology._route_tree.
+    Empty list when a == b and a is up. Raises Unreachable when no up path
+    exists; a down node reaches nothing, itself included. Nodes settle in
+    (latency, path node ids) order and a path is replaced only by a strictly
+    shorter one, so of equal-latency paths the one through the
+    earliest-settled predecessor wins, as in Topology._route_tree.
     """
     topology.node(a)
     topology.node(b)
+    if not topology.nodes[a].up:
+        raise errors.Unreachable(f"{a} is down")
     if a == b:
         return []
     # Dijkstra keyed by (latency, path node ids); strict-< relaxation.
@@ -115,7 +119,9 @@ def reference_window_maps(topology: Topology) -> dict:
 
 def brute_force_latency(topology: Topology, a: str, b: str) -> float:
     """Minimum latency over every simple path using only up links/nodes;
-    math.inf when unreachable."""
+    math.inf when unreachable, as from a down node."""
+    if not topology.nodes[a].up:
+        return math.inf
     if a == b:
         return 0.0
     links = [l for l in topology.links.values() if l.up]
@@ -209,7 +215,8 @@ def recompute_counters(records) -> dict[str, dict[str, float]]:
 @dataclass
 class ReferenceFlows:
     """The state reference_advance_all integrates: flows whose fields the
-    caller writes directly, and the window's per-link volumes."""
+    caller writes directly, the window's per-link volumes, and the output
+    held at each edge host that cannot reach the cloud."""
 
     topology: Topology
     catalog: Catalog
@@ -217,7 +224,7 @@ class ReferenceFlows:
     buffer_mb: float
     flows: dict[str, Flow] = field(default_factory=dict)
     link_mb: dict[str, float] = field(default_factory=dict)
-    uplink_pending: float = 0.0
+    held: dict[str, float] = field(default_factory=dict)
 
 
 def _reference_path(ref: ReferenceFlows, a: str, b: str):
@@ -246,6 +253,22 @@ def _reference_absorb(ref: ReferenceFlows, flow: Flow, amount_mb: float) -> None
     flow.w_dropped += overflow
 
 
+def _reference_reaches_cloud(ref: ReferenceFlows, host: str) -> bool:
+    cloud = next((nid for nid in sorted(ref.topology.nodes)
+                  if ref.topology.nodes[nid].tier is Tier.CENTRAL_CLOUD), None)
+    return cloud is not None and _reference_path(ref, host, cloud) is not None
+
+
+def reference_release_held(ref: ReferenceFlows) -> float:
+    """Release, at a window close, the output held at every edge host that
+    reaches the cloud again, in host order; the amount released."""
+    released = 0.0
+    for host in sorted(ref.held):
+        if _reference_reaches_cloud(ref, host):
+            released += ref.held.pop(host)
+    return released
+
+
 def _reference_uplink(ref: ReferenceFlows, flow: Flow, delivered_mb: float) -> None:
     if flow.serving_instance is None:
         return
@@ -254,14 +277,12 @@ def _reference_uplink(ref: ReferenceFlows, flow: Flow, delivered_mb: float) -> N
         return
     app = ref.catalog.app(inst.app_id)
     host_tier = ref.topology.nodes[inst.host].tier
-    cloud = next((nid for nid in sorted(ref.topology.nodes)
-                  if ref.topology.nodes[nid].tier is Tier.CENTRAL_CLOUD), None)
     if host_tier is Tier.CENTRAL_CLOUD:
         up = delivered_mb
     elif host_tier is Tier.EDGE_MODULE:
         up = delivered_mb / app.aggregation_factor
-        if cloud is None or _reference_path(ref, inst.host, cloud) is None:
-            ref.uplink_pending += up
+        if not _reference_reaches_cloud(ref, inst.host):
+            ref.held[inst.host] = ref.held.get(inst.host, 0.0) + up
             return
     else:
         return

@@ -258,6 +258,15 @@ def test_non_finite_number_is_a_parse_error(field, value, tmp_path, capsys):
     assert "invalid: ParseError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", sorted(NON_FINITE_FIELDS))
+def test_a_bool_is_not_a_number(field):
+    """`true` would otherwise be taken as 1.0, e.g. a threshold of 1.0."""
+    raw = yaml.safe_load((SCENARIO_DIR / "scaling.yaml").read_text())
+    NON_FINITE_FIELDS[field](raw, True)
+    with pytest.raises(errors.ParseError):
+        scenario_from_dict(raw)
+
+
 def _set_script(kind, key):
     def setter(raw, value):
         next(e for e in raw["script"] if e["type"] == kind)[key] = value
@@ -627,7 +636,8 @@ def test_same_start_faults_bring_the_link_back_up_after_both_end():
 # the edge1 -- cloud link is named after the node edge1, so holding one
 # must not hold the other
 FAULT_TARGETS = [("gw1--edge1", "LinkDown"), ("edge1", "LinkDown"),
-                 ("edge1", "NodeDown"), ("cloud", "CloudPartition")]
+                 ("edge1", "NodeDown"), ("gw1", "NodeDown"),
+                 ("cloud", "CloudPartition")]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

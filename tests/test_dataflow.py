@@ -189,15 +189,14 @@ def test_uplink_held_while_cloud_unreachable(world):
     flows.advance_all(1000)
     window = flows.close_window(0, 1000)
     assert window.uplink_mb == 0.0
-    assert flows.uplink_pending == pytest.approx(0.00125)
-    # restored: the backlog is flushed into the next window
+    assert flows._held == {inst.host: pytest.approx(0.00125)}
+    # restored: the backlog is released into the next window
     topo.set_link_up("edge1--cloud", True)
     flows.reroute_all(1000)
-    extra = flows.flush_pending_uplink()
     flows.advance_all(2000)
-    after = flows.close_window(1000, 2000, extra_uplink_mb=extra)
+    after = flows.close_window(1000, 2000)
     assert after.uplink_mb == pytest.approx(0.0025)
-    assert flows.uplink_pending == 0.0
+    assert flows._held == {}
 
 
 def test_empty_window_has_no_ratio():

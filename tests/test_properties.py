@@ -22,7 +22,7 @@ from fogsim.scheduler import (InstanceStatus, Offload, PlacementRequest, Schedul
 from fogsim.topology import ResourceVector, Tier, Topology
 
 from oracles import (ReferenceFlows, brute_force_place, reference_advance_all,
-                     reference_window_maps)
+                     reference_release_held, reference_window_maps)
 
 MODEL = "sensor"
 
@@ -341,8 +341,8 @@ def test_lazy_flows_match_eager_integration(seed, n_steps, buffer_mb):
     """Random opens, closes, rate changes, pauses, resumes, rebinds, link
     toggles and migrations at random times, through the lazy FlowManager and
     through the eager reference, which integrates every flow at every step.
-    After every window both hold the same counters and link volumes, and
-    every flow conserves its bytes."""
+    After every window both hold the same counters, link volumes, uplink
+    and output held per edge host, and every flow conserves its bytes."""
     topo, catalog, discovery, scheduler, homes, instances = contended_world()
     flows = FlowManager(topo, catalog, discovery, scheduler, buffer_mb=buffer_mb)
     ref = ReferenceFlows(topo, catalog, scheduler, buffer_mb)
@@ -363,7 +363,12 @@ def test_lazy_flows_match_eager_integration(seed, n_steps, buffer_mb):
         for link_id in set(window.links) | set(ref.link_mb):
             assert math.isclose(window.links.get(link_id, 0.0),
                                 ref.link_mb.get(link_id, 0.0), abs_tol=1e-9), link_id
-        assert math.isclose(flows.uplink_pending, ref.uplink_pending, abs_tol=1e-9)
+        released = reference_release_held(ref)
+        assert math.isclose(window.uplink_mb, released + sum(
+            flow.w_uplinked for flow in ref.flows.values()), abs_tol=1e-9)
+        assert flows._held.keys() == ref.held.keys()
+        for host, held_mb in ref.held.items():
+            assert math.isclose(flows._held[host], held_mb, abs_tol=1e-9), host
         for flow in ref.flows.values():
             flow.w_generated = flow.w_delivered = flow.w_dropped = flow.w_uplinked = 0.0
         ref.link_mb.clear()

@@ -126,10 +126,8 @@ def test_a_rejected_offload_names_its_cause(action, reason):
     assert not any(r.kind == "migration_started" for r in runtime.kernel.trace)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(g): an attach at a gateway "
-                   "that a NodeDown has taken down still places the IoT-App there "
-                   "and opens the device's flow from it")
 def test_an_attach_at_a_down_gateway_places_nothing_there():
+    """The device stays attached but unmanaged, as at a full gateway."""
     scenario = load_scenario(SCENARIO_DIR / "roaming.yaml")
     scenario.script = scenario.script[:1]
     scenario.faults = [{"target": "gw1", "kind": "NodeDown", "start": 500,
@@ -142,11 +140,13 @@ def test_an_attach_at_a_down_gateway_places_nothing_there():
                 and r.details["host"] == "gw1"]
     assert not [r for r in trace if r.kind == "flow_open" and r.details["src"] == "gw1"]
     assert runtime.topology.nodes["gw1"].allocated == ResourceVector(0, 0, 0)
+    [attach] = [r for r in trace if r.kind == "attach"]
+    [warning] = [r for r in trace if r.kind == "install_warning"]
+    assert warning.subject == attach.subject
+    assert warning.details == {"gateway": "gw1", "reason": "GatewayFull"}
+    assert runtime.discovery.current_gateway(attach.subject) == "gw1"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(g): a route tree never "
-                   "checks its source's own up flag, so a flow from a gateway "
-                   "that a NodeDown has taken down keeps delivering")
 def test_a_flow_from_a_down_gateway_delivers_nothing():
     scenario = load_scenario(SCENARIO_DIR / "roaming.yaml")
     scenario.script = scenario.script[:1]
@@ -159,3 +159,24 @@ def test_a_flow_from_a_down_gateway_delivers_nothing():
     assert windows[2000]["delivered_mb"] > 0
     for end_ms in (3000, 4000):
         assert windows[end_ms]["delivered_mb"] == 0, end_ms
+
+
+def test_output_held_at_a_cut_edge_is_released_once_it_reaches_the_cloud():
+    """edge1--cloud is down over [2000, 5000] ms while edge2 and its link
+    stay up, so no partition holds the ticks: agg's aggregate on edge1 is
+    held, and so is dev2's raw flow to the cloud, until the link is back.
+    Nothing is lost, only delayed."""
+    faults = [{"target": "edge1--cloud", "kind": "LinkDown", "start": 2000,
+               "duration_ms": 3000}]
+
+    def uplink_by_window(faults):
+        runtime = Runtime(scenario_from_dict(two_edge_scenario(
+            faults=faults, scheduler_tick_ms=1000, duration_ms=8000)))
+        return {r.time_ms: r.details["uplink_mb"] for r in runtime.run()
+                if r.kind == "metrics_window"}
+
+    uplink = uplink_by_window(faults)
+    assert uplink[3000] == 0.0
+    assert uplink[4000] == 0.0
+    assert uplink[5000] == 0.009375
+    assert sum(uplink.values()) == pytest.approx(sum(uplink_by_window([]).values()))

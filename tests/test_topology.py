@@ -311,25 +311,23 @@ def test_node_going_down_drops_the_trees_that_reach_it():
         topo.shortest_path("s", "x")
 
 
-def test_a_down_source_routes_over_a_link_coming_up_at_it():
-    # the search never checks its source's own up flag
+@pytest.mark.parametrize("set_up, element", [("set_link_up", "s--t"),
+                                             ("set_node_up", "t")],
+                         ids=["link", "neighbour"])
+def test_a_down_source_reaches_nothing_until_it_comes_up(set_up, element):
+    """A link or neighbour coming up at a down source brings back no route,
+    not even to the source itself; the source coming up does."""
     topo = _graph("st", [("s", "t", 1.0)])
     topo.set_node_up("s", False)
-    topo.set_link_up("s--t", False)
-    with pytest.raises(errors.Unreachable):
-        topo.shortest_path("s", "t")
-    topo.set_link_up("s--t", True)
+    getattr(topo, set_up)(element, False)
+    getattr(topo, set_up)(element, True)
+    for target in ("s", "t"):
+        with pytest.raises(errors.Unreachable):
+            topo.shortest_path("s", target)
+        assert topo.path_latency_or_inf("s", target) == math.inf
+    topo.set_node_up("s", True)
     assert _route_ids(topo, "s", "t") == ["s--t"]
-
-
-def test_a_down_source_routes_to_a_neighbour_coming_up():
-    topo = _graph("st", [("s", "t", 1.0)])
-    topo.set_node_up("s", False)
-    topo.set_node_up("t", False)
-    with pytest.raises(errors.Unreachable):
-        topo.shortest_path("s", "t")
-    topo.set_node_up("t", True)
-    assert _route_ids(topo, "s", "t") == ["s--t"]
+    assert topo.path_latency_or_inf("s", "s") == 0
 
 
 def test_changes_no_cached_tree_can_feel_keep_every_tree():
