@@ -14,6 +14,8 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from json.decoder import JSONDecoder, scanstring
+from json.scanner import make_scanner
 from typing import Callable
 
 from . import errors
@@ -97,7 +99,9 @@ class TraceRecord:
     came in through `Kernel.emit(..., rounded=...)`; `Trace.to_jsonl`
     encodes each such value once per call and reuses its text in every
     line that holds it, so a shared value mutated after emission would be
-    written stale. A parsed record shares nothing."""
+    written stale. A parsed record marks nothing as shared, but it may hold
+    the very container objects of a record parsed before it (see
+    `Trace.from_jsonl`), so nothing may mutate parsed details either."""
 
     time_ms: int
     seq: int
@@ -157,6 +161,84 @@ def _shared_text(value, memo: dict) -> str:
     return entry[1]
 
 
+# json.loads' own scanner and string reader, called at an index of a line
+_scan = make_scanner(JSONDecoder())
+# how the trace writer opens every line
+_OPENING = '{"details":{'
+
+
+def _record(obj: dict, details) -> TraceRecord:
+    return TraceRecord(obj["time_ms"], obj["seq"], obj["kind"], obj["subject"],
+                       details)
+
+
+def _parse_line(line: str, seen: dict) -> TraceRecord:
+    """The record of one trace line, equal to the record of `json.loads(line)`.
+
+    A line in the writer's compact form whose details may hold a container
+    (a `{` after the opening, or a `[` anywhere) is read one detail value at
+    a time by `_walk_details`. Any other line is scanned once, in full.
+    Whatever these fast paths do not fully recognise (whitespace, a second
+    `details`, a scan error, a value ending before the line does) is parsed
+    again by `json.loads`, which raises the error the line deserves."""
+    try:
+        if line.startswith(_OPENING) and (line.find("{", len(_OPENING)) >= 0
+                                          or "[" in line):
+            record = _walk_details(line, seen)
+        else:
+            obj, end = _scan(line, 0)
+            record = _record(obj, obj["details"]) if end == len(line) else None
+    except (StopIteration, IndexError, ValueError, KeyError, TypeError):
+        record = None
+    if record is None:
+        obj = json.loads(line)
+        record = _record(obj, obj["details"])
+    return record
+
+
+def _walk_details(line: str, seen: dict) -> TraceRecord | None:
+    """The record of a line that opens with `_OPENING`, or None where the
+    line strays from the writer's compact form.
+
+    Where the text at a detail value's start begins with the text `seen`
+    holds for its key, and `,` or `}` follows that text, the value is the
+    one parsed from it before: equal text parses to an equal value, and the
+    `,` or `}` shows that the value ends there (the text of 12 begins with
+    that of 1). Other values are scanned, and `seen` keeps their text. The
+    fields after the details are parsed by one `json.loads`."""
+    details = {}
+    pos = len(_OPENING)
+    if line[pos] != "}":
+        while True:
+            if line[pos] != '"':
+                return None
+            key, pos = scanstring(line, pos + 1)
+            if line[pos] != ":":
+                return None
+            pos += 1
+            known = seen.get(key)
+            if (known is not None and line.startswith(known[0], pos)
+                    and line[pos + len(known[0])] in ",}"):
+                value = known[1]
+                pos += len(known[0])
+            else:
+                value, end = _scan(line, pos)
+                seen[key] = (line[pos:end], value)
+                pos = end
+            details[key] = value
+            if line[pos] == "}":
+                break
+            if line[pos] != ",":
+                return None
+            pos += 1
+    if line[pos + 1] != ",":
+        return None
+    rest = json.loads("{" + line[pos + 2:])
+    if "details" in rest:
+        return None
+    return _record(rest, details)
+
+
 class Trace:
     """Ordered record of a run; serializes to one JSON object per line.
 
@@ -198,14 +280,20 @@ class Trace:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
+        """The trace of `text`, one record per line; lines end at "\n" and
+        blank ones are skipped. Each record equals `json.loads` of its line,
+        and a bad line raises `MalformedTrace` naming it.
+
+        A detail value whose text repeats the text last parsed for its key
+        is not parsed again: the record holds that earlier value itself (see
+        `_parse_line`)."""
         records = []
-        for i, line in enumerate(text.splitlines()):
+        seen: dict = {}  # detail key -> (text, value) of its last parse
+        for i, line in enumerate(text.split("\n")):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                records.append(TraceRecord(obj["time_ms"], obj["seq"], obj["kind"],
-                                           obj["subject"], obj["details"]))
+                records.append(_parse_line(line, seen))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise errors.MalformedTrace(f"line {i + 1}: {exc}") from None
         return cls(records)

@@ -28,12 +28,16 @@ class Report:
 
 
 def validate_trace(trace: Trace) -> None:
-    """Structural checks: monotone clock, strictly increasing sequence numbers,
-    and a terminal run_end record."""
+    """Structural checks: integer clock and sequence numbers (a bool is not
+    one), string kind and subject, monotone clock, strictly increasing
+    sequence numbers, and a terminal run_end record."""
     last_time = -1
     last_seq = 0
     for record in trace:
-        if not isinstance(record.time_ms, int) or not isinstance(record.seq, int):
+        if (not isinstance(record.time_ms, int) or not isinstance(record.seq, int)
+                or isinstance(record.time_ms, bool) or isinstance(record.seq, bool)
+                or not isinstance(record.kind, str)
+                or not isinstance(record.subject, str)):
             raise errors.MalformedTrace(f"record {record.seq}: bad field types")
         if record.time_ms < last_time:
             raise errors.MalformedTrace(

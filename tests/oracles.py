@@ -5,7 +5,7 @@ exhaustive simple-path enumeration (not Dijkstra), placement by full
 enumeration over every node, and flow counters by re-accumulating trace
 deltas. They may be exponential; the graphs they see are tiny.
 
-Six exceptions copy earlier production code. reference_shortest_path is the
+Seven exceptions copy earlier production code. reference_shortest_path is the
 uncached per-pair Dijkstra that Topology.shortest_path ran before routes were
 cached per source; it pins the exact path, tie-breaks included, that the cache
 must return. reference_record_json is TraceRecord.to_json as it was when it
@@ -16,6 +16,9 @@ pins the counters that lazy integration must reach, and, with
 reference_release_held, the output held at each edge host.
 reference_load_yaml is the yaml.safe_load that load_scenario called before it
 parsed with libyaml; it pins the objects a scenario document loads to.
+reference_from_jsonl is Trace.from_jsonl as it was when it ran json.loads on
+every line in full, splitting lines at "\n" only as the reader now does; it
+pins the records and the errors of a trace text.
 reference_window_maps is the per-node part of Runtime._close_window as it was
 when every window built both maps for every node and the kernel rounded them
 at emission; it pins the maps that the cached ones must equal. reference_nearest_edge is
@@ -105,6 +108,23 @@ def reference_record_json(record: TraceRecord) -> str:
         "subject": record.subject,
         "details": reference_round_floats(record.details),
     }, sort_keys=True, separators=(",", ":"))
+
+
+def reference_from_jsonl(text: str) -> list[TraceRecord]:
+    """The records of a trace text, each line parsed in full by json.loads,
+    with the error Trace.from_jsonl raises for a bad line. Lines end at
+    "\n" only."""
+    records = []
+    for i, line in enumerate(text.split("\n")):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            records.append(TraceRecord(obj["time_ms"], obj["seq"], obj["kind"],
+                                       obj["subject"], obj["details"]))
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise errors.MalformedTrace(f"line {i + 1}: {exc}") from None
+    return records
 
 
 def reference_window_maps(topology: Topology) -> dict:

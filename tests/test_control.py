@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -21,7 +22,8 @@ from fogsim.runtime import Runtime
 from fogsim.scenario import SCRIPT_EVENTS, load_scenario, scenario_from_dict
 
 from fixture_paths import FIXTURES, REPO_ROOT, SCENARIO_DIR
-from oracles import reference_load_yaml, reference_record_json
+from oracles import (reference_from_jsonl, reference_load_yaml,
+                     reference_record_json)
 
 
 def minimal_scenario(**overrides) -> dict:
@@ -431,6 +433,24 @@ def test_trace_text_equals_the_per_record_reference(name, tmp_path):
     assert parsed.to_jsonl() == text
 
 
+@pytest.mark.parametrize("name, seed",
+                         [(name, None) for name in sorted(FIXTURE_TRACE_HASHES)]
+                         + [(name, seed) for seed in (1, 7)
+                            for name in sorted(WORKLOAD_TRACE_HASHES)])
+def test_parsed_records_equal_the_per_line_reference(name, seed, tmp_path):
+    path = SCENARIO_DIR / f"{name}.yaml" if seed is None \
+        else _workload_path(name, tmp_path, seed)
+    text = Runtime(load_scenario(path)).run().to_jsonl()
+    records = Trace.from_jsonl(text).records
+    assert records == reference_from_jsonl(text)
+    # consecutive windows whose alloc text is equal hold one parsed map
+    windows = [r.details["alloc"] for r in records if r.kind == "metrics_window"]
+    pairs = [(a, b) for a, b in zip(windows, windows[1:])
+             if json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)]
+    assert all(a is b for a, b in pairs)
+    assert pairs or name != "fleet_ticks"  # whose windows repeat most
+
+
 def test_every_tracer_target_exists():
     """perfbench --trace 1 wraps these by name; a rename would silently
     drop its metric."""
@@ -572,6 +592,27 @@ def test_reordered_trace_rejected():
     records[0], records[1] = records[1], records[0]
     with pytest.raises(errors.MalformedTrace):
         validate_trace(Trace(records))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seq", True), ("time_ms", False), ("kind", 1), ("subject", None),
+], ids=["seq-a-bool", "time-a-bool", "kind-an-int", "subject-null"])
+def test_a_record_field_of_the_wrong_type_is_rejected(field, value):
+    trace, _ = run_scenario_file(FIXTURES[0])
+    records = list(trace.records)
+    records[0] = dataclasses.replace(records[0], **{field: value})
+    with pytest.raises(errors.MalformedTrace, match="bad field types"):
+        validate_trace(Trace(records))
+
+
+def test_cli_report_rejects_a_bool_sequence_number(tmp_path, capsys):
+    trace, _ = run_scenario_file(SCENARIO_DIR / "roaming.yaml")
+    text = trace.to_jsonl()
+    assert '"seq":1,' in text.splitlines()[0]
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text.replace('"seq":1,', '"seq":true,', 1))
+    assert main(["report", str(path)]) == EXIT_RUNTIME
+    assert "bad field types" in capsys.readouterr().err
 
 
 def test_until_stops_the_clock():

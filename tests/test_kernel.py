@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,8 @@ from fogsim import kernel as kernel_module
 from fogsim.kernel import (Event, EventKind, Fault, FaultKind, Kernel, Trace,
                            TraceRecord)
 
-from oracles import reference_record_json, reference_round_floats
+from oracles import (reference_from_jsonl, reference_record_json,
+                     reference_round_floats)
 
 
 def test_events_run_in_time_then_fifo_order():
@@ -118,6 +120,26 @@ def test_malformed_trace_lines_rejected():
         Trace.from_jsonl("not json\n")
     with pytest.raises(errors.MalformedTrace):
         Trace.from_jsonl('{"time_ms": 0}\n')  # missing fields
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"],
+                         ids=["U+2028", "U+2029", "U+0085"])
+def test_a_string_may_hold_a_character_that_splitlines_splits_on(char):
+    """JSON allows these unescaped inside a string; only "\\n" ends a line."""
+    record = TraceRecord(0, 1, "k", f"s{char}t", {"note": f"a{char}b", "m": {"x": [1]}})
+    line = json.dumps({"details": record.details, "kind": record.kind,
+                       "seq": record.seq, "subject": record.subject, "time_ms": 0},
+                      ensure_ascii=False, separators=(",", ":"), sort_keys=True)
+    assert char in line
+    assert Trace.from_jsonl(line + "\n").records == [record]
+
+
+def test_lines_may_end_in_crlf():
+    kernel = Kernel()
+    kernel.emit("a", "x", {"v": 1.5})
+    kernel.emit("b", "y", {"m": {"w": [2.25]}})
+    text = kernel.trace.to_jsonl()
+    assert Trace.from_jsonl(text.replace("\n", "\r\n")).records == kernel.trace.records
 
 
 def test_trace_record_json_is_key_sorted_and_compact():
@@ -284,3 +306,164 @@ def test_records_sharing_nested_dicts_serialise_as_the_reference(records):
     text = kernel.trace.to_jsonl()
     assert text == _reference_jsonl(kernel.trace)
     assert Trace.from_jsonl(text).to_jsonl() == text
+
+
+def _value_span(line: str, key: str, value) -> tuple[int, int] | None:
+    """Where the text of detail `key` with `value` lies in `line`."""
+    head, text = kernel_module._encode(key) + ":", kernel_module._encode(value)
+    at = line.find(head + text)
+    return None if at < 0 else (at + len(head), at + len(head) + len(text))
+
+
+@st.composite
+def _mutated_lines(draw):
+    """The lines of a trace whose records share maps, each line kept as it
+    is or mutated: truncated, a character dropped, a character altered (in
+    a map the record shares, or a bracket, quote, colon or comma), whitespace
+    inserted, a key duplicated, or text appended. Each record is emitted up
+    to three times in a row, some of them with only the scalar detail `n`,
+    whose text often starts with the previous line's text for `n` without
+    equalling it."""
+    kernel = Kernel()
+    for details, rounded in draw(_records_sharing_dicts()):
+        for _ in range(draw(st.integers(1, 3))):
+            n = {"n": draw(st.sampled_from([1, 12, 120, 1.5]))}
+            if draw(st.booleans()):
+                kernel.emit("k", "s", {**details, **n}, rounded=rounded)
+            else:
+                kernel.emit("k", "s", n)
+    lines = []
+    for record, line in zip(kernel.trace, kernel.trace.to_jsonl().split("\n")):
+        marks = [i for i, c in enumerate(line) if c in ',:{}[]"']
+        how = draw(st.sampled_from(["keep", "truncate", "drop", "alter",
+                                    "whitespace", "duplicate", "append"]))
+        if how == "truncate":
+            line = line[:draw(st.integers(0, len(line) - 1))]
+        elif how == "drop":
+            at = draw(st.integers(0, len(line) - 1))
+            line = line[:at] + line[at + 1:]
+        elif how == "alter":
+            spans = [span for key in sorted(record.shared)
+                     if (span := _value_span(line, key, record.details[key]))]
+            if spans and draw(st.booleans()):
+                start, stop = draw(st.sampled_from(spans))
+                at = draw(st.integers(start, stop))  # stop: the character after
+            else:
+                at = draw(st.sampled_from(marks))
+            line = line[:at] + draw(st.sampled_from('09-.e" ,:{}[]x')) + line[at + 1:]
+        elif how == "whitespace":
+            at = draw(st.sampled_from(marks)) + draw(st.integers(0, 1))
+            line = line[:at] + draw(st.sampled_from(" \t\r")) + line[at:]
+        elif how == "duplicate":
+            key = draw(st.sampled_from(sorted(record.details) + ["details", "seq"]))
+            text = draw(st.sampled_from(
+                ['0', '1.5', '{"a":1}', "[1]", '"x"']
+                + [kernel_module._encode(v) for v in record.details.values()]))
+            if key in record.details and draw(st.booleans()):
+                opening = len('{"details":{')
+                line = (line[:opening] + kernel_module._encode(key) + ":" + text
+                        + "," + line[opening:])
+            elif draw(st.booleans()):
+                line = line[:-1] + "," + kernel_module._encode(key) + ":" + text + "}"
+            else:
+                line = '{"details":' + text + "," + line[1:]
+        elif how == "append":
+            line += draw(st.sampled_from(["x", "}", " ", "," + line, line]))
+        lines.append(line)
+    return lines
+
+
+def _exact(records) -> list[str]:
+    """Records as text that tells 1, 1.0, True and -0.0 apart and keeps
+    key order."""
+    return [json.dumps([r.time_ms, r.seq, r.kind, r.subject, r.details])
+            for r in records]
+
+
+def _assert_parses_as_the_reference(text: str) -> list[TraceRecord]:
+    try:
+        expected = reference_from_jsonl(text)
+    except errors.MalformedTrace as exc:
+        with pytest.raises(errors.MalformedTrace) as raised:
+            Trace.from_jsonl(text)
+        assert str(raised.value) == str(exc)
+        return []
+    records = Trace.from_jsonl(text).records
+    assert records == expected and _exact(records) == _exact(expected)
+    return records
+
+
+def _is_a_record(line: str) -> bool:
+    try:
+        return len(reference_from_jsonl(line)) == 1
+    except errors.MalformedTrace:
+        return False
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_mutated_lines())
+def test_a_mutated_trace_parses_as_the_per_line_reference(lines):
+    """Every line that is a record, then each malformed line in turn, so
+    every malformed line is read after all the values it might reuse."""
+    records = [line for line in lines if _is_a_record(line)]
+    for last in [[]] + [[line] for line in lines if not _is_a_record(line)]:
+        _assert_parses_as_the_reference("".join(line + "\n" for line in records + last))
+
+
+_FIELDS = ',"kind":"k","seq":2,"subject":"s","time_ms":0}'
+
+
+@pytest.mark.parametrize("line", [
+    '{"details":{"a":[1]}' + _FIELDS,                     # the value reused
+    '{"details":{"a":[1],"a":[2]}' + _FIELDS,             # the last one wins
+    '{"details":{"a":[1]},"details":{"b":2}' + _FIELDS,   # so here too
+    '{"details":{"a" :[1]}' + _FIELDS,
+    '{"details":{"a":[1] ,"b":2}' + _FIELDS,
+    '{"details":{"a":[1]} ' + _FIELDS,
+    '{"details":{"a":[1]}' + _FIELDS + " ",
+    '{"details":{"a":[1]}' + _FIELDS + "\r",
+    '{"details":{"n":12}' + _FIELDS,
+    '{"details":{"n":1}' + _FIELDS + " ",
+    '{"details":{},"kind":"k","seq":2,"subject":"[","time_ms":0}',
+    '{"details":{"a":[1]x"b":2}' + _FIELDS,
+    '{"details":{"a"x[1]}' + _FIELDS,
+    '{"details":{"a":[1]}x' + _FIELDS[1:],
+    '{"details":{"a":[1],}' + _FIELDS,
+    '{"details":{"a":[1]}' + _FIELDS + "x",
+    '{"details":{"n":1}' + _FIELDS + "x",
+    '{"details":{"a":[1]}}',
+    '{"details":{"a":[1]},"kind":"k","seq":2,"subject":"s"}',
+    '[{"details":{"a":[1]}}]',
+])
+def test_a_line_off_the_writers_form_parses_as_the_per_line_reference(line):
+    """After a line that has parsed `a` as [1] and `n` as 1."""
+    _assert_parses_as_the_reference(
+        '{"details":{"a":[1],"n":1},"kind":"k","seq":1,"subject":"s","time_ms":0}\n'
+        + line + "\n")
+
+
+def test_lines_that_balance_each_other_are_still_each_malformed():
+    """Joined into one array, these three lines would parse as three
+    records: the string opened on line 2 swallows the join. Line 1 holds two
+    records, which no reader of one record per line accepts."""
+    first, second = (TraceRecord(0, seq, "k", "s", {"a": seq}).to_json()
+                     for seq in (1, 2))
+    text = (f"{first},{second}\n" + '{"details":{"a":"\n'
+            + '"},"kind":"k","seq":3,"subject":"s","time_ms":0}\n')
+    with pytest.raises(errors.MalformedTrace, match="^line 1: Extra data"):
+        Trace.from_jsonl(text)
+    _assert_parses_as_the_reference(text)
+
+
+def test_a_repeated_detail_text_is_parsed_once_and_shared():
+    alloc = {"n1": {"cpu": 1.5}, "n2": {"cpu": 0.0}}
+    kernel = Kernel()
+    kernel.emit("window", "net", {"v": 1}, rounded={"alloc": alloc, "util": [1]})
+    kernel.emit("tick", "net", {"v": 2})
+    kernel.emit("window", "net", {"v": 1}, rounded={"alloc": alloc, "util": [1]})
+    kernel.emit("window", "net", {"v": 12}, rounded={"alloc": {"n1": 1}, "util": [12]})
+    records = _assert_parses_as_the_reference(kernel.trace.to_jsonl())
+    first, _, third, fourth = (r.details for r in records)
+    assert third["alloc"] is first["alloc"] and third["util"] is first["util"]
+    assert fourth["alloc"] == {"n1": 1} and fourth["util"] == [12]
+    assert not any(r.shared for r in records)

@@ -180,3 +180,22 @@ def test_output_held_at_a_cut_edge_is_released_once_it_reaches_the_cloud():
     assert uplink[4000] == 0.0
     assert uplink[5000] == 0.009375
     assert sum(uplink.values()) == pytest.approx(sum(uplink_by_window([]).values()))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="CHANGES.md FOUND entry on `_do_attach`/"
+                   "`_on_place`: nothing retries an install or a placement "
+                   "refused while the gateway was down")
+def test_a_gateway_back_up_gets_what_was_refused_while_it_was_down():
+    """gw1 is down over [50, 1050] ms, across agg's place at 100 ms and
+    dev1's attach at 200 ms, and up for the last 2.95 s of the run."""
+    faults = [{"target": "gw1", "kind": "NodeDown", "start": 50,
+               "duration_ms": 1000}]
+    runtime = Runtime(scenario_from_dict(two_edge_scenario(
+        faults=faults, duration_ms=4000)))
+    trace = list(runtime.run())
+    assert runtime.topology.nodes["gw1"].up
+    placed = [r.details for r in trace if r.kind == "instance_placed"]
+    assert any(d["app"] == "agg" for d in placed)
+    assert any(d.get("device") == "dev1" for d in placed)
+    assert any(r.details["device"] == "dev1" for r in trace if r.kind == "flow_open")
