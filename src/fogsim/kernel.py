@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from json.decoder import JSONDecoder, scanstring
+from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
 from typing import Callable
 
@@ -69,7 +70,11 @@ def _round_floats(value):
     """A copy of `value` with every float rounded to 9 places and tuples
     made lists. Leaves of exactly `float` or a `_PLAIN` type are handled
     inline; the call recurses only into containers and into subclasses such
-    as str enums."""
+    as str enums.
+
+    `Kernel.emit` walks the details of a kind not in `RECORD_KINDS` with it,
+    and of a declared kind only the `any` fields; a declared kind's numbers
+    are rounded field by field."""
     if isinstance(value, dict):
         return {k: round(v, 9) if type(v) is float
                 else v if type(v) in _PLAIN else _round_floats(v)
@@ -86,12 +91,162 @@ def _round_floats(value):
 # the trace's JSON encoder: compact, keys sorted
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
+# Record kinds of one fixed shape: kind -> its detail fields, in the order
+# they are emitted, each with its type. A "number" is an int or a finite
+# float, written as its repr; a "str" is a str, written by JSON's string
+# encoder; "any" is any JSON value, written by `_encode`. `Kernel.emit`
+# checks a declared kind's details against its row, and `Trace.to_jsonl`
+# writes its records through a line writer compiled from the row. Kinds
+# whose key set varies (`instance_placed`, `scheduler_tick`, `warning`) are
+# not declared, nor is `metrics_window`, whose maps records share (see
+# `TraceRecord`); they keep `_round_floats` and the generic encoder.
+RECORD_KINDS: dict[str, tuple[tuple[str, str], ...]] = {
+    "scenario_loaded": (("nodes", "any"), ("thresholds", "any"),
+                        ("scheduler_tick_ms", "number"), ("buffer_mb", "number"),
+                        ("seed", "number"), ("duration_ms", "number")),
+    "attach": (("gateway", "str"), ("model", "str"),
+               ("firmware_version", "any")),  # None: no compatible firmware
+    "install_request": (("app", "str"), ("gateway", "str")),
+    "install_warning": (("gateway", "str"), ("reason", "str")),
+    "detach": (("gateway", "str"),),
+    "roam_warning": (("to_gateway", "str"), ("reason", "str"), ("instance", "str")),
+    "flow_open": (("device", "str"), ("src", "str"), ("sink", "str"),
+                  ("rate_kbps", "number"), ("paused", "any")),
+    "flow_rebind": (("sink", "str"), ("serving", "str")),
+    "flow_resume": (("src", "str"), ("sink", "str")),
+    "flow_close": (("device", "str"),),
+    "workload_change": (("data_rate_kbps", "number"),),
+    "scale": (("replicas_from", "number"), ("replicas_to", "number"),
+              ("host", "str")),
+    "scale_warning": (("reason", "str"), ("requested", "number")),
+    "defer": (("instance", "any"), ("reason", "str")),  # instance may be None
+    "stale_action": (("target", "str"), ("reason", "str"), ("detail", "str")),
+    "offload": (("from", "str"), ("to", "str")),
+    "migration_started": (("from", "str"), ("to", "str"), ("bytes_mb", "number"),
+                          ("downtime_ms", "number")),
+    "migration_completed": (("from", "str"), ("to", "str"),
+                            ("started_at", "number"), ("completed_at", "number"),
+                            ("bytes_moved_mb", "number"), ("downtime_ms", "number"),
+                            ("state_version", "number"), ("replicas", "number")),
+    "roam_completed": (("from", "str"), ("to", "str"), ("instance", "str")),
+    "status_update": (("gateway", "str"), ("instance", "str"),
+                      ("state_version", "number")),
+    "flow_window": (("flow", "str"), ("device", "str"), ("generated_mb", "number"),
+                    ("delivered_mb", "number"), ("dropped_mb", "number"),
+                    ("uplink_mb", "number"), ("buffered_mb", "number"),
+                    ("cum_generated_mb", "number"), ("cum_delivered_mb", "number"),
+                    ("cum_dropped_mb", "number")),
+    "link_window": (("delivered_mb", "number"), ("capacity_mb", "number")),
+    "fault_start": (("fault_kind", "str"), ("duration_ms", "number")),
+    "fault_end": (("fault_kind", "str"),),
+    "run_end": (("duration_ms", "number"), ("migrations", "number")),
+}
+
+
+def _compile_writer(kind: str, fields: tuple[tuple[str, str], ...]):
+    """The line writer of a declared kind: a function of a record that
+    returns `to_json`'s text of it by one %-format, with each number as
+    its repr, each str through `encode_basestring_ascii` and each other
+    value through `_encode`. The repr of an int, or of a finite float, is
+    its JSON text."""
+    def literal(text: str) -> str:
+        return _encode(text).replace("%", "%%")
+
+    slots, args = [], []
+    for key, ftype in sorted(fields):
+        value = f"d[{key!r}]"
+        slots.append(literal(key) + (":%r" if ftype == "number" else ":%s"))
+        args.append(value if ftype == "number" else
+                    f"_text({value})" if ftype == "str" else f"_encode({value})")
+    line = ('{"details":{' + ",".join(slots) + '},"kind":' + literal(kind)
+            + ',"seq":%r,"subject":%s,"time_ms":%r}')
+    args += ["r.seq", "_text(r.subject)", "r.time_ms"]
+    namespace = {"__name__": __name__, "_text": encode_basestring_ascii,
+                 "_encode": _encode}
+    exec(f"def write(r):\n    d = r.details\n"
+         f"    return {line!r} % ({', '.join(args)})\n", namespace)
+    return namespace["write"]
+
+
+class _Layout:
+    """A declared kind, compiled from its `RECORD_KINDS` row: what
+    `Kernel.emit` checks and rounds, and the writer of its lines."""
+
+    __slots__ = ("kind", "keys", "numbers", "texts", "values", "write")
+
+    def __init__(self, kind: str, fields: tuple[tuple[str, str], ...]):
+        self.kind = kind
+        self.keys = frozenset(key for key, _ in fields)
+        self.numbers = tuple(key for key, ftype in fields if ftype == "number")
+        self.texts = tuple(key for key, ftype in fields if ftype == "str")
+        self.values = tuple(key for key, ftype in fields if ftype == "any")
+        self.write = _compile_writer(kind, fields)
+
+    def details(self, subject, details: dict) -> dict:
+        """A copy of `details`, equal to `_round_floats(details)`: each float
+        of a number field rounded to 9 places, and each any field rounded by
+        `_round_floats`. Raises InvariantViolation, naming the kind and the
+        field, where the keys differ from the declared ones, a number field
+        holds anything but an int or a finite float (a bool, None and str
+        included), or the subject or a str field holds no str.
+
+        Every declared key is looked up, so with the count of keys equal,
+        no KeyError means the key sets are equal."""
+        fields = dict(details)
+        if len(fields) != len(self.keys):
+            raise self._keys_error(fields)
+        try:
+            for key in self.numbers:
+                value = fields[key]
+                if type(value) is float:
+                    if value - value != 0.0:  # inf or nan
+                        raise self._number_error(key, value)
+                    if value:  # ±0.0 is its own rounding
+                        fields[key] = round(value, 9)
+                elif type(value) is not int:
+                    if not (isinstance(value, float) and value - value == 0.0):
+                        raise self._number_error(key, value)
+                    fields[key] = round(value, 9)  # a float subclass, made a float
+            for key in self.texts:
+                if not isinstance(fields[key], str):
+                    raise errors.InvariantViolation(
+                        f"{self.kind}: {key} must be a str, not {fields[key]!r}")
+            for key in self.values:
+                value = fields[key]
+                if type(value) not in _PLAIN:
+                    fields[key] = _round_floats(value)
+        except KeyError:
+            raise self._keys_error(fields) from None
+        if not isinstance(subject, str):
+            raise errors.InvariantViolation(
+                f"{self.kind}: subject must be a str, not {subject!r}")
+        return fields
+
+    def _keys_error(self, fields: dict) -> errors.InvariantViolation:
+        missing = sorted(self.keys - fields.keys())
+        extra = sorted(fields.keys() - self.keys, key=repr)  # keys of any type
+        return errors.InvariantViolation(
+            f"{self.kind}: missing {missing}, undeclared {extra}")
+
+    def _number_error(self, key: str, value) -> errors.InvariantViolation:
+        return errors.InvariantViolation(
+            f"{self.kind}: {key} must be a finite number, not {value!r}")
+
+
+_LAYOUTS = {kind: _Layout(kind, fields) for kind, fields in RECORD_KINDS.items()}
+
 
 @dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One trace line. `details` are rounded when the record is made, by
     `Kernel.emit` or by parsing a trace that was written rounded, so
     `to_json` dumps them as they are.
+
+    `writer` is the line writer of a record that `Kernel.emit` made for a
+    kind in `RECORD_KINDS`, compiled from the kind's row; `to_json` and
+    `Trace.to_jsonl` write such a record through it alone. Every other
+    record, parsed and hand-built ones included, is written by the generic
+    key-sorted encoder. Both give the same text for the same record.
 
     Details are never mutated once a record is made: records may share
     values, such as the per-node maps of consecutive `metrics_window`
@@ -109,8 +264,12 @@ class TraceRecord:
     subject: str
     details: dict
     shared: tuple[str, ...] = field(default=(), compare=False, repr=False)
+    writer: Callable[["TraceRecord"], str] | None = field(
+        default=None, compare=False, repr=False)
 
     def to_json(self) -> str:
+        if self.writer is not None:
+            return self.writer(self)
         return _encode({
             "time_ms": self.time_ms,
             "seq": self.seq,
@@ -244,8 +403,10 @@ class Trace:
 
     A trace only grows, through `append`. `to_jsonl` serialises each record
     once: it keeps the text made so far and adds the lines of the records
-    appended since, so `hash` digests that same text. Within one call, each
-    shared detail value (see `TraceRecord`) is encoded once."""
+    appended since, so `hash` digests that same text. A record with a
+    `writer` (a declared kind, see `RECORD_KINDS`) is written by that one
+    %-format; any other by the generic encoder, with each shared detail
+    value (see `TraceRecord`) encoded once per call."""
 
     def __init__(self, records: list[TraceRecord] | None = None):
         self.records: list[TraceRecord] = records or []
@@ -266,7 +427,10 @@ class Trace:
             pieces: list[str] = []
             memo: dict = {}  # shared values' texts, for this call only
             for record in self.records[self._serialised:]:
-                if record.shared:
+                writer = record.writer
+                if writer is not None:
+                    pieces.append(writer(record))
+                elif record.shared:
                     record._write_shared(pieces, memo)
                 else:
                     pieces.append(record.to_json())
@@ -280,22 +444,25 @@ class Trace:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
-        """The trace of `text`, one record per line; lines end at "\n" and
-        blank ones are skipped. Each record equals `json.loads` of its line,
-        and a bad line raises `MalformedTrace` naming it.
+        """The trace of `text`, one record per line; lines end at "\n", and
+        a line of JSON whitespace alone (" ", "\t", "\r") is skipped. Each
+        record equals `json.loads` of its line, and any other line that is
+        no record, one of other whitespace included, raises
+        `MalformedTrace` naming it.
 
         A detail value whose text repeats the text last parsed for its key
         is not parsed again: the record holds that earlier value itself (see
         `_parse_line`)."""
         records = []
         seen: dict = {}  # detail key -> (text, value) of its last parse
+        append, parse = records.append, _parse_line  # looked up once, not per line
         for i, line in enumerate(text.split("\n")):
-            if not line.strip():
-                continue
             try:
-                records.append(_parse_line(line, seen))
+                append(parse(line, seen))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise errors.MalformedTrace(f"line {i + 1}: {exc}") from None
+                # a blank line fails to parse too; only then is it looked at
+                if line.strip(" \t\r"):
+                    raise errors.MalformedTrace(f"line {i + 1}: {exc}") from None
         return cls(records)
 
 
@@ -329,23 +496,41 @@ class Kernel:
              rounded: dict | None = None) -> TraceRecord:
         """Append a record of `details` and `rounded` to the trace.
 
-        `details` are copied with every float rounded to 9 places, so the
-        in-memory trace equals its JSON round trip. The values of `rounded`
-        go into the record as they are, neither copied nor walked: each must
-        equal its own rounding, with every float at 9 places, lists in place
-        of tuples and str dict keys. Records may then share such values, and
-        no one mutates them: the record marks their keys as shared, and
+        For a kind declared in `RECORD_KINDS`, `details` must have exactly
+        the declared keys, a number field must hold an int or a finite float
+        and a str field a str, and `rounded` must be empty; anything else
+        raises InvariantViolation naming the kind and the field. The details
+        are copied with only the number fields' floats rounded to 9 places,
+        and any fields rounded by `_round_floats`, and the record carries its
+        kind's compiled writer.
+
+        For any other kind, `details` are copied through `_round_floats`,
+        with every float rounded to 9 places, so the in-memory trace equals
+        its JSON round trip. The values of `rounded` go into the record as
+        they are, neither copied nor walked: each must equal its own
+        rounding, with every float at 9 places, lists in place of tuples and
+        str dict keys. Records may then share such values, and no one
+        mutates them: the record marks their keys as shared, and
         serialisation reuses one text per shared object, so a value mutated
         after emission would be written stale.
         """
-        self._trace_seq += 1
-        fields = _round_floats(details or {})
+        layout = _LAYOUTS.get(kind)
         shared = ()  # the empty tuple is a singleton; most records share nothing
-        if rounded:
-            fields.update(rounded)
-            shared = tuple(rounded)
+        if layout is not None:
+            if rounded:
+                raise errors.InvariantViolation(
+                    f"{kind}: a declared kind takes no rounded values")
+            fields = layout.details(subject, details or {})
+            writer = layout.write
+        else:
+            fields = _round_floats(details or {})
+            if rounded:
+                fields.update(rounded)
+                shared = tuple(rounded)
+            writer = None
+        self._trace_seq += 1
         record = TraceRecord(self.now, self._trace_seq, kind, subject, fields,
-                             shared)
+                             shared, writer)
         self.trace.append(record)
         return record
 

@@ -113,10 +113,10 @@ def reference_record_json(record: TraceRecord) -> str:
 def reference_from_jsonl(text: str) -> list[TraceRecord]:
     """The records of a trace text, each line parsed in full by json.loads,
     with the error Trace.from_jsonl raises for a bad line. Lines end at
-    "\n" only."""
+    "\n" only, and a line of JSON whitespace alone is skipped."""
     records = []
     for i, line in enumerate(text.split("\n")):
-        if not line.strip():
+        if not line.strip(" \t\r"):
             continue
         try:
             obj = json.loads(line)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 
 from fogsim import errors
 from fogsim import kernel as kernel_module
-from fogsim.kernel import (Event, EventKind, Fault, FaultKind, Kernel, Trace,
-                           TraceRecord)
+from fogsim.kernel import (RECORD_KINDS, Event, EventKind, Fault, FaultKind,
+                           Kernel, Trace, TraceRecord)
 
+from fixture_paths import REPO_ROOT
 from oracles import (reference_from_jsonl, reference_record_json,
                      reference_round_floats)
 
@@ -142,6 +144,32 @@ def test_lines_may_end_in_crlf():
     assert Trace.from_jsonl(text.replace("\n", "\r\n")).records == kernel.trace.records
 
 
+@pytest.mark.parametrize("blank", ["", " ", "\t", "\r", " \t\r "])
+def test_a_line_of_json_whitespace_is_skipped(blank):
+    kernel = Kernel()
+    kernel.emit("a", "x", {"v": 1.5})
+    kernel.emit("b", "y", {"m": {"w": [2.25]}})
+    first, second = kernel.trace.to_jsonl().splitlines()
+    text = f"{blank}\n{first}\n{blank}\n{second}\n{blank}"
+    assert Trace.from_jsonl(text).records == kernel.trace.records
+    assert reference_from_jsonl(text) == kernel.trace.records
+
+
+@pytest.mark.parametrize("char", ["\x1c", "\xa0", "\u2028", "\x0b", "\x0c"],
+                         ids=["U+001C", "U+00A0", "U+2028", "U+000B", "U+000C"])
+def test_a_line_of_other_whitespace_is_malformed(char):
+    """str.strip removes these, but JSON allows none of them between
+    tokens, so such a line is no blank line but a bad record."""
+    kernel = Kernel()
+    kernel.emit("a", "x", {"v": 1.5})
+    kernel.emit("b", "y")
+    first, second = kernel.trace.to_jsonl().splitlines()
+    text = f"{first}\n {char}\t\n{second}\n"
+    with pytest.raises(errors.MalformedTrace, match="^line 2: "):
+        Trace.from_jsonl(text)
+    _assert_parses_as_the_reference(text)
+
+
 def test_trace_record_json_is_key_sorted_and_compact():
     record = TraceRecord(0, 1, "k", "s", {"b": 1, "a": 2})
     assert record.to_json() == \
@@ -231,6 +259,117 @@ def test_records_are_rounded_once_and_serialise_as_before(details):
 
 def _reference_jsonl(trace) -> str:
     return "".join(reference_record_json(r) + "\n" for r in trace)
+
+
+# --- declared record kinds: emission and the compiled writers ---------------
+
+_numbers = st.one_of(
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2, 2.5e-10, 0, 1, -7,
+                     2 ** 53 + 1, -(10 ** 30)]),
+    st.integers(-1000, 1000),
+    st.integers(min_value=2 ** 53, max_value=2 ** 200),
+    _floats,
+    _floats.map(_Float),
+)
+_texts = st.one_of(st.text(max_size=6), st.sampled_from(list(EventKind)))
+_typed_values = {"number": _numbers, "str": _texts, "any": _values}
+
+
+@st.composite
+def _declared_records(draw):
+    """(kind, subject, details) of a declared kind, each field drawn by its
+    declared type."""
+    kind = draw(st.sampled_from(sorted(RECORD_KINDS)))
+    details = {key: draw(_typed_values[ftype]) for key, ftype in RECORD_KINDS[kind]}
+    return kind, draw(_texts), details
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_declared_records(), min_size=1, max_size=4),
+       st.integers(0, 10 ** 9))
+def test_declared_records_round_as_before_and_write_as_the_reference(records, now):
+    kernel = Kernel()
+    kernel.now = now
+    for kind, subject, details in records:
+        record = kernel.emit(kind, subject, details)
+        assert record.writer is not None
+        # rounded exactly as the recursive walk rounds: -0.0, 1 and 1.0 apart
+        assert repr(record.details) == repr(kernel_module._round_floats(details))
+        # and written as the reference writes the unrounded input
+        assert record.to_json() == reference_record_json(
+            TraceRecord(now, record.seq, kind, subject, details))
+    text = kernel.trace.to_jsonl()
+    assert text == _reference_jsonl(kernel.trace)
+    parsed = Trace.from_jsonl(text)
+    assert parsed.records == kernel.trace.records and parsed.to_jsonl() == text
+
+
+def _valid_details(kind: str) -> dict:
+    return {key: {"number": 1.5, "str": "x", "any": None}[ftype]
+            for key, ftype in RECORD_KINDS[kind]}
+
+
+@pytest.mark.parametrize("kind", sorted(RECORD_KINDS))
+def test_a_declared_kind_takes_exactly_its_keys(kind):
+    kernel = Kernel()
+    details = _valid_details(kind)
+    first = next(iter(details))
+    without = {k: v for k, v in details.items() if k != first}
+    with pytest.raises(errors.InvariantViolation,
+                       match=rf"^{kind}: missing \['{first}'\], undeclared \[\]$"):
+        kernel.emit(kind, "s", without)
+    with pytest.raises(errors.InvariantViolation,
+                       match=rf"^{kind}: missing \[\], undeclared \['extra'\]$"):
+        kernel.emit(kind, "s", {**details, "extra": 1.5})
+    with pytest.raises(errors.InvariantViolation, match=rf"^{kind}: "):
+        kernel.emit(kind, "s", details, rounded={"extra": [1]})
+    assert len(kernel.trace) == 0
+    assert kernel.emit(kind, "s", details).seq == 1
+
+
+_NUMBER_FIELDS = [(kind, key) for kind, fields in sorted(RECORD_KINDS.items())
+                  for key, ftype in fields if ftype == "number"]
+
+
+@pytest.mark.parametrize("bad", [True, None, "1", math.inf, -math.inf, math.nan],
+                         ids=["bool", "None", "str", "inf", "-inf", "nan"])
+def test_a_number_field_takes_only_an_int_or_a_finite_float(bad):
+    assert _NUMBER_FIELDS
+    for kind, key in _NUMBER_FIELDS:
+        with pytest.raises(errors.InvariantViolation,
+                           match=rf"^{kind}: {key} must be a finite number, not "):
+            Kernel().emit(kind, "s", {**_valid_details(kind), key: bad})
+
+
+@pytest.mark.parametrize("bad", [None, 1, b"x"], ids=["None", "int", "bytes"])
+def test_a_str_field_and_the_subject_take_only_a_str(bad):
+    texts = [(kind, key) for kind, fields in sorted(RECORD_KINDS.items())
+             for key, ftype in fields if ftype == "str"]
+    assert texts
+    for kind, key in texts:
+        with pytest.raises(errors.InvariantViolation,
+                           match=rf"^{kind}: {key} must be a str, not "):
+            Kernel().emit(kind, "s", {**_valid_details(kind), key: bad})
+    for kind in RECORD_KINDS:
+        with pytest.raises(errors.InvariantViolation,
+                           match=rf"^{kind}: subject must be a str, not "):
+            Kernel().emit(kind, bad, _valid_details(kind))
+
+
+def _record_kinds_reference() -> str:
+    """The README's table of declared record kinds, made from RECORD_KINDS."""
+    lines = ["| Kind | Detail fields |", "|---|---|"]
+    for kind, fields in RECORD_KINDS.items():
+        lines.append(f"| `{kind}` | "
+                     + ", ".join(f"`{key}` {ftype}" for key, ftype in fields) + " |")
+    return "\n".join(lines) + "\n"
+
+
+def test_the_readme_lists_the_declared_record_kinds():
+    readme = (REPO_ROOT / "README.md").read_text()
+    section = readme.split("\n## Trace record kinds\n", 1)[1].split("\n## ", 1)[0]
+    table = [line for line in section.splitlines() if line.startswith("|")]
+    assert "\n".join(table) + "\n" == _record_kinds_reference()
 
 
 def test_each_shared_value_is_encoded_once_per_call(monkeypatch):
