@@ -105,6 +105,9 @@ def main(argv: list[str] | None = None) -> int:
         try:
             trace, report = run_scenario(scenario, until=args.until,
                                          seed=args.seed)
+        except errors.ValidationError as exc:  # --until out of range
+            print(f"invalid: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
         except errors.FogSimError as exc:
             print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_RUNTIME

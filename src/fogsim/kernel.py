@@ -91,15 +91,44 @@ def _round_floats(value):
 # the trace's JSON encoder: compact, keys sorted
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
+
+def _shared_text(value, memo: dict) -> str:
+    """The JSON text of a shared value, encoded at most once per `memo`.
+
+    `memo` maps id(value) to (value, text); holding the value keeps its id
+    from being reused while the memo lives. A dict whose entries include
+    dicts is spliced from its entries' texts, and each dict entry is
+    memoised the same way, so maps that share entries encode each once.
+    Dict keys must be str, as in every value that equals its JSON round
+    trip.
+    """
+    entry = memo.get(id(value))
+    if entry is None:
+        if type(value) is dict and any(type(v) is dict for v in value.values()):
+            parts = []
+            for k in sorted(value):
+                v = value[k]
+                parts.append(_encode(k) + ":" + (
+                    _shared_text(v, memo) if type(v) is dict else _encode(v)))
+            text = "{" + ",".join(parts) + "}"
+        else:
+            text = _encode(value)
+        entry = memo[id(value)] = (value, text)
+    return entry[1]
+
+
 # Record kinds of one fixed shape: kind -> its detail fields, in the order
 # they are emitted, each with its type. A "number" is an int or a finite
 # float, written as its repr; a "str" is a str, written by JSON's string
-# encoder; "any" is any JSON value, written by `_encode`. `Kernel.emit`
-# checks a declared kind's details against its row, and `Trace.to_jsonl`
-# writes its records through a line writer compiled from the row. Kinds
-# whose key set varies (`instance_placed`, `scheduler_tick`, `warning`) are
-# not declared, nor is `metrics_window`, whose maps records share (see
-# `TraceRecord`); they keep `_round_floats` and the generic encoder.
+# encoder; "any" is any JSON value, written by `_encode`; "shared" is a JSON
+# value that records may share, such as the per-node maps of consecutive
+# `metrics_window` records: it goes into the record as it is, neither copied
+# nor walked, so it must equal its own rounding, and it is written by
+# `_shared_text`. `Kernel.emit` checks a declared kind's details against its
+# row, and `Trace.to_jsonl` writes its records through a line writer
+# compiled from the row. Kinds whose key set varies (`instance_placed`,
+# `scheduler_tick`, `warning`) are not declared; they keep `_round_floats`
+# and the generic encoder.
 RECORD_KINDS: dict[str, tuple[tuple[str, str], ...]] = {
     "scenario_loaded": (("nodes", "any"), ("thresholds", "any"),
                         ("scheduler_tick_ms", "number"), ("buffer_mb", "number"),
@@ -137,6 +166,12 @@ RECORD_KINDS: dict[str, tuple[tuple[str, str], ...]] = {
                     ("cum_generated_mb", "number"), ("cum_delivered_mb", "number"),
                     ("cum_dropped_mb", "number")),
     "link_window": (("delivered_mb", "number"), ("capacity_mb", "number")),
+    "metrics_window": (("window_start", "number"), ("window_end", "number"),
+                       ("generated_mb", "number"), ("delivered_mb", "number"),
+                       ("dropped_mb", "number"), ("uplink_mb", "number"),
+                       ("uplink_ratio", "any"),  # None: nothing generated
+                       ("instances", "shared"), ("utilization", "shared"),
+                       ("alloc", "shared")),
     "fault_start": (("fault_kind", "str"), ("duration_ms", "number")),
     "fault_end": (("fault_kind", "str"),),
     "run_end": (("duration_ms", "number"), ("migrations", "number")),
@@ -144,11 +179,12 @@ RECORD_KINDS: dict[str, tuple[tuple[str, str], ...]] = {
 
 
 def _compile_writer(kind: str, fields: tuple[tuple[str, str], ...]):
-    """The line writer of a declared kind: a function of a record that
-    returns `to_json`'s text of it by one %-format, with each number as
-    its repr, each str through `encode_basestring_ascii` and each other
-    value through `_encode`. The repr of an int, or of a finite float, is
-    its JSON text."""
+    """The line writer of a declared kind: a function of a record and a
+    `_shared_text` memo that returns `to_json`'s text of the record by one
+    %-format, with each number as its repr, each str through
+    `encode_basestring_ascii`, each shared value through `_shared_text` and
+    each other value through `_encode`. The repr of an int, or of a finite
+    float, is its JSON text."""
     def literal(text: str) -> str:
         return _encode(text).replace("%", "%%")
 
@@ -157,13 +193,15 @@ def _compile_writer(kind: str, fields: tuple[tuple[str, str], ...]):
         value = f"d[{key!r}]"
         slots.append(literal(key) + (":%r" if ftype == "number" else ":%s"))
         args.append(value if ftype == "number" else
-                    f"_text({value})" if ftype == "str" else f"_encode({value})")
+                    f"_text({value})" if ftype == "str" else
+                    f"_shared({value}, memo)" if ftype == "shared" else
+                    f"_encode({value})")
     line = ('{"details":{' + ",".join(slots) + '},"kind":' + literal(kind)
             + ',"seq":%r,"subject":%s,"time_ms":%r}')
     args += ["r.seq", "_text(r.subject)", "r.time_ms"]
     namespace = {"__name__": __name__, "_text": encode_basestring_ascii,
-                 "_encode": _encode}
-    exec(f"def write(r):\n    d = r.details\n"
+                 "_encode": _encode, "_shared": _shared_text}
+    exec(f"def write(r, memo):\n    d = r.details\n"
          f"    return {line!r} % ({', '.join(args)})\n", namespace)
     return namespace["write"]
 
@@ -172,7 +210,7 @@ class _Layout:
     """A declared kind, compiled from its `RECORD_KINDS` row: what
     `Kernel.emit` checks and rounds, and the writer of its lines."""
 
-    __slots__ = ("kind", "keys", "numbers", "texts", "values", "write")
+    __slots__ = ("kind", "keys", "numbers", "texts", "values", "kept", "write")
 
     def __init__(self, kind: str, fields: tuple[tuple[str, str], ...]):
         self.kind = kind
@@ -180,15 +218,17 @@ class _Layout:
         self.numbers = tuple(key for key, ftype in fields if ftype == "number")
         self.texts = tuple(key for key, ftype in fields if ftype == "str")
         self.values = tuple(key for key, ftype in fields if ftype == "any")
+        self.kept = tuple(key for key, ftype in fields if ftype == "shared")
         self.write = _compile_writer(kind, fields)
 
     def details(self, subject, details: dict) -> dict:
         """A copy of `details`, equal to `_round_floats(details)`: each float
-        of a number field rounded to 9 places, and each any field rounded by
-        `_round_floats`. Raises InvariantViolation, naming the kind and the
-        field, where the keys differ from the declared ones, a number field
-        holds anything but an int or a finite float (a bool, None and str
-        included), or the subject or a str field holds no str.
+        of a number field rounded to 9 places, each any field rounded by
+        `_round_floats`, and each shared field holding its value itself.
+        Raises InvariantViolation, naming the kind and the field, where the
+        keys differ from the declared ones, a number field holds anything
+        but an int or a finite float (a bool, None and str included), or the
+        subject or a str field holds no str.
 
         Every declared key is looked up, so with the count of keys equal,
         no KeyError means the key sets are equal."""
@@ -215,6 +255,8 @@ class _Layout:
                 value = fields[key]
                 if type(value) not in _PLAIN:
                     fields[key] = _round_floats(value)
+            for key in self.kept:
+                fields[key]  # required, and taken as it is
         except KeyError:
             raise self._keys_error(fields) from None
         if not isinstance(subject, str):
@@ -249,27 +291,22 @@ class TraceRecord:
     key-sorted encoder. Both give the same text for the same record.
 
     Details are never mutated once a record is made: records may share
-    values, such as the per-node maps of consecutive `metrics_window`
-    records (see `Kernel.emit`). `shared` names the detail keys whose values
-    came in through `Kernel.emit(..., rounded=...)`; `Trace.to_jsonl`
-    encodes each such value once per call and reuses its text in every
-    line that holds it, so a shared value mutated after emission would be
-    written stale. A parsed record marks nothing as shared, but it may hold
-    the very container objects of a record parsed before it (see
-    `Trace.from_jsonl`), so nothing may mutate parsed details either."""
+    values, such as the maps of a declared kind's shared fields, whose text
+    `Trace.to_jsonl` reuses (see `RECORD_KINDS`), and the container objects
+    of a parsed record, which may be those of a record parsed before it
+    (see `Trace.from_jsonl`)."""
 
     time_ms: int
     seq: int
     kind: str
     subject: str
     details: dict
-    shared: tuple[str, ...] = field(default=(), compare=False, repr=False)
-    writer: Callable[["TraceRecord"], str] | None = field(
+    writer: Callable[["TraceRecord", dict], str] | None = field(
         default=None, compare=False, repr=False)
 
     def to_json(self) -> str:
         if self.writer is not None:
-            return self.writer(self)
+            return self.writer(self, {})
         return _encode({
             "time_ms": self.time_ms,
             "seq": self.seq,
@@ -277,47 +314,6 @@ class TraceRecord:
             "subject": self.subject,
             "details": self.details,
         })
-
-    def _write_shared(self, pieces: list[str], memo: dict) -> None:
-        """Append the pieces of this record's line to `pieces`: the same
-        text as `to_json`, with each shared value's text taken from `memo`."""
-        details, shared = self.details, self.shared
-        opening = '{"details":{'
-        for key in sorted(details):
-            value = details[key]
-            pieces.append(opening + _encode(key) + ":")
-            pieces.append(_shared_text(value, memo) if key in shared
-                          else _encode(value))
-            opening = ","
-        # {"kind":...,"time_ms":...} with its opening brace dropped
-        pieces.append("}," + _encode({
-            "kind": self.kind, "seq": self.seq, "subject": self.subject,
-            "time_ms": self.time_ms})[1:])
-
-
-def _shared_text(value, memo: dict) -> str:
-    """The JSON text of a shared value, encoded at most once per `memo`.
-
-    `memo` maps id(value) to (value, text); holding the value keeps its id
-    from being reused while the memo lives. A dict whose entries include
-    dicts is spliced from its entries' texts, and each dict entry is
-    memoised the same way, so maps that share entries encode each once.
-    Dict keys must be str, as in every value that equals its JSON round
-    trip.
-    """
-    entry = memo.get(id(value))
-    if entry is None:
-        if type(value) is dict and any(type(v) is dict for v in value.values()):
-            parts = []
-            for k in sorted(value):
-                v = value[k]
-                parts.append(_encode(k) + ":" + (
-                    _shared_text(v, memo) if type(v) is dict else _encode(v)))
-            text = "{" + ",".join(parts) + "}"
-        else:
-            text = _encode(value)
-        entry = memo[id(value)] = (value, text)
-    return entry[1]
 
 
 # json.loads' own scanner and string reader, called at an index of a line
@@ -405,8 +401,8 @@ class Trace:
     once: it keeps the text made so far and adds the lines of the records
     appended since, so `hash` digests that same text. A record with a
     `writer` (a declared kind, see `RECORD_KINDS`) is written by that one
-    %-format; any other by the generic encoder, with each shared detail
-    value (see `TraceRecord`) encoded once per call."""
+    %-format, with each shared value encoded once per call; any other by
+    the generic encoder."""
 
     def __init__(self, records: list[TraceRecord] | None = None):
         self.records: list[TraceRecord] = records or []
@@ -428,12 +424,8 @@ class Trace:
             memo: dict = {}  # shared values' texts, for this call only
             for record in self.records[self._serialised:]:
                 writer = record.writer
-                if writer is not None:
-                    pieces.append(writer(record))
-                elif record.shared:
-                    record._write_shared(pieces, memo)
-                else:
-                    pieces.append(record.to_json())
+                pieces.append(record.to_json() if writer is None
+                              else writer(record, memo))
                 pieces.append("\n")
             self._text += "".join(pieces)
             self._serialised = len(self.records)
@@ -492,45 +484,32 @@ class Kernel:
         self.schedule(fault.start + fault.duration, EventKind.FAULT_END,
                       {"fault": fault})
 
-    def emit(self, kind: str, subject: str, details: dict | None = None,
-             rounded: dict | None = None) -> TraceRecord:
-        """Append a record of `details` and `rounded` to the trace.
+    def emit(self, kind: str, subject: str,
+             details: dict | None = None) -> TraceRecord:
+        """Append a record of `details` to the trace.
 
         For a kind declared in `RECORD_KINDS`, `details` must have exactly
         the declared keys, a number field must hold an int or a finite float
-        and a str field a str, and `rounded` must be empty; anything else
-        raises InvariantViolation naming the kind and the field. The details
-        are copied with only the number fields' floats rounded to 9 places,
-        and any fields rounded by `_round_floats`, and the record carries its
-        kind's compiled writer.
+        and a str field a str; anything else raises InvariantViolation
+        naming the kind and the field. The details are copied with only the
+        number fields' floats rounded to 9 places, any fields rounded by
+        `_round_floats` and shared fields' values as they are, and the
+        record carries its kind's compiled writer.
 
         For any other kind, `details` are copied through `_round_floats`,
         with every float rounded to 9 places, so the in-memory trace equals
-        its JSON round trip. The values of `rounded` go into the record as
-        they are, neither copied nor walked: each must equal its own
-        rounding, with every float at 9 places, lists in place of tuples and
-        str dict keys. Records may then share such values, and no one
-        mutates them: the record marks their keys as shared, and
-        serialisation reuses one text per shared object, so a value mutated
-        after emission would be written stale.
+        its JSON round trip.
         """
         layout = _LAYOUTS.get(kind)
-        shared = ()  # the empty tuple is a singleton; most records share nothing
         if layout is not None:
-            if rounded:
-                raise errors.InvariantViolation(
-                    f"{kind}: a declared kind takes no rounded values")
             fields = layout.details(subject, details or {})
             writer = layout.write
         else:
             fields = _round_floats(details or {})
-            if rounded:
-                fields.update(rounded)
-                shared = tuple(rounded)
             writer = None
         self._trace_seq += 1
         record = TraceRecord(self.now, self._trace_seq, kind, subject, fields,
-                             shared, writer)
+                             writer)
         self.trace.append(record)
         return record
 

@@ -3,6 +3,7 @@ a stored trace yields exactly the report the run produced."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import errors
@@ -62,13 +63,17 @@ def _number(value, nullable: bool = False):
     return value
 
 
+# kinds the summary counts: record kind -> its summary key
+_COUNTED = {"attach": "attaches", "detach": "detaches", "instance_placed": "installs",
+            "offload": "offloads", "defer": "defers", "roam_completed": "roams",
+            "fault_start": "faults", "stale_action": "stale_actions"}
+
+
 def report_from_trace(trace: Trace) -> Report:
     validate_trace(trace)
     report = Report()
     totals = {"generated_mb": 0.0, "delivered_mb": 0.0, "dropped_mb": 0.0,
               "uplink_mb": 0.0}
-    counts = {"attaches": 0, "detaches": 0, "installs": 0, "offloads": 0,
-              "defers": 0, "roams": 0, "faults": 0, "stale_actions": 0}
     try:
         for record in trace:
             kind = record.kind
@@ -93,25 +98,10 @@ def report_from_trace(trace: Trace) -> Report:
             elif kind == "defer":
                 report.deferred.append({"node": record.subject,
                                         "time_ms": record.time_ms, **d})
-                counts["defers"] += 1
             elif kind in ("warning", "install_warning", "roam_warning",
                           "scale_warning"):
                 report.warnings.append({"kind": kind, "subject": record.subject,
                                         "time_ms": record.time_ms, **d})
-            elif kind == "attach":
-                counts["attaches"] += 1
-            elif kind == "detach":
-                counts["detaches"] += 1
-            elif kind == "instance_placed":
-                counts["installs"] += 1
-            elif kind == "offload":
-                counts["offloads"] += 1
-            elif kind == "roam_completed":
-                counts["roams"] += 1
-            elif kind == "fault_start":
-                counts["faults"] += 1
-            elif kind == "stale_action":
-                counts["stale_actions"] += 1
     except (KeyError, TypeError) as exc:
         # details of the wrong shape: a missing key, a list, or a value the
         # summary cannot add up
@@ -121,15 +111,16 @@ def report_from_trace(trace: Trace) -> Report:
 
     ratios = [w["uplink_ratio"] for w in report.uplink_windows
               if w["uplink_ratio"] is not None]
+    kinds = Counter(record.kind for record in trace)
     report.summary = {
-        **counts,
+        **{key: kinds[kind] for kind, key in _COUNTED.items()},
         "events": len(trace),
         "migrations": len(report.migrations),
         "total_generated_mb": round(totals["generated_mb"], 9),
         "total_delivered_mb": round(totals["delivered_mb"], 9),
         "total_dropped_mb": round(totals["dropped_mb"], 9),
         "total_uplink_mb": round(totals["uplink_mb"], 9),
-        "total_loss_mb": round(sum(report.loss_mb.values()), 9),
+        "total_loss_mb": round(sum(report.loss_mb.values(), 0.0), 9),
         "mean_uplink_ratio": (round(sum(ratios) / len(ratios), 9)
                               if ratios else None),
     }

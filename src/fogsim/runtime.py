@@ -95,7 +95,9 @@ class Runtime:
 
     def run(self, until: int | None = None):
         """Run to `until` (default: scenario duration), close the final metrics
-        window, and return the trace."""
+        window, and return the trace. A negative `until` is a ValidationError."""
+        if until is not None and until < 0:
+            raise errors.ValidationError(f"until must be >= 0, not {until}")
         horizon = self.scenario.duration_ms if until is None else until
         self.kernel.run(horizon)
         if self.kernel.now < horizon:
@@ -383,9 +385,10 @@ class Runtime:
             "dropped_mb": metrics.dropped_mb,
             "uplink_mb": metrics.uplink_mb,
             "uplink_ratio": metrics.ratio_or_none(),
-        }, rounded={"instances": self._statuses,
-                    "utilization": self.topology.utilization_snapshot(),
-                    "alloc": self.topology.alloc_snapshot()})
+            "instances": self._statuses,
+            "utilization": self.topology.utilization_snapshot(),
+            "alloc": self.topology.alloc_snapshot(),
+        })
         self._window_start = now
 
     # -- faults -----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import copy
 import dataclasses
 import hashlib
@@ -435,14 +436,16 @@ def _pinned_path(name: str, seed: int | None, tmp_path):
                               for name, seed in PINNED_RUNS])
 def test_trace_text_equals_the_per_record_reference(name, seed, tmp_path):
     trace = Runtime(load_scenario(_pinned_path(name, seed, tmp_path))).run()
-    assert any(record.shared for record in trace)
+    # consecutive windows hold one alloc map until an allocation changes
+    windows = [r.details["alloc"] for r in trace if r.kind == "metrics_window"]
+    assert any(a is b for a, b in zip(windows, windows[1:])) or name != "fleet_ticks"
     # a declared kind is written by its compiled writer, any other by to_json
     assert all((record.writer is not None) == (record.kind in RECORD_KINDS)
                for record in trace)
     text = trace.to_jsonl()
     assert text == "".join(reference_record_json(r) + "\n" for r in trace)
     parsed = Trace.from_jsonl(text)
-    assert not any(record.shared for record in parsed)
+    assert all(record.writer is None for record in parsed)
     assert parsed.to_jsonl() == text
 
 
@@ -459,12 +462,10 @@ def test_parsed_records_equal_the_per_line_reference(name, seed, tmp_path):
     assert pairs or name != "fleet_ticks"  # whose windows repeat most
 
 
-# Kinds emitted without a RECORD_KINDS row. instance_placed carries `device`
-# or `source`, scheduler_tick adds `replayed` to replayed ticks, and warning
-# carries the fields of its cause, so their key sets vary; metrics_window has
-# one key set, but its maps are shared between records and written by
-# TraceRecord._write_shared.
-UNDECLARED_KINDS = {"instance_placed", "scheduler_tick", "warning", "metrics_window"}
+# Kinds emitted without a RECORD_KINDS row, because their key sets vary:
+# instance_placed carries `device` or `source`, scheduler_tick adds
+# `replayed` to replayed ticks, and warning carries the fields of its cause.
+UNDECLARED_KINDS = {"instance_placed", "scheduler_tick", "warning"}
 
 
 def test_every_emitted_kind_is_declared_or_named_undeclared(tmp_path):
@@ -475,6 +476,33 @@ def test_every_emitted_kind_is_declared_or_named_undeclared(tmp_path):
         kinds.update(record.kind for record in trace)
     assert sorted(kinds - RECORD_KINDS.keys() - UNDECLARED_KINDS) == []
     assert UNDECLARED_KINDS <= kinds
+
+
+def _emit_calls() -> tuple[set[str], list[str]]:
+    """The kinds that `.emit(` calls in src/fogsim name, and where a call
+    names its kind by anything but a string literal."""
+    kinds, unnamed = set(), []
+    for path in sorted((REPO_ROOT / "src" / "fogsim").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "emit"):
+                continue
+            kind = node.args[0] if node.args else next(
+                (k.value for k in node.keywords if k.arg == "kind"), None)
+            if isinstance(kind, ast.Constant) and isinstance(kind.value, str):
+                kinds.add(kind.value)
+            else:
+                unnamed.append(f"{path.name}:{node.lineno}")
+    return kinds, unnamed
+
+
+def test_every_emit_in_the_source_names_a_declared_or_undeclared_kind():
+    """Unlike the guard above, this sees kinds that no pinned run emits."""
+    kinds, unnamed = _emit_calls()
+    assert unnamed == []
+    assert sorted(kinds - RECORD_KINDS.keys() - UNDECLARED_KINDS) == []
+    assert sorted(UNDECLARED_KINDS - kinds) == []
+    assert sorted(RECORD_KINDS.keys() - kinds) == []
 
 
 def test_every_tracer_target_exists():
@@ -647,6 +675,29 @@ def test_until_stops_the_clock():
     assert all(r.time_ms <= 2000 for r in trace.records)
 
 
+def test_a_negative_until_is_a_validation_error_and_zero_runs():
+    runtime = Runtime(scenario_from_dict(minimal_scenario()))
+    with pytest.raises(errors.ValidationError, match="until"):
+        runtime.run(-5)
+    assert len(runtime.kernel.trace) == 1  # scenario_loaded alone
+    trace, report = run_scenario(scenario_from_dict(minimal_scenario()), until=0)
+    assert [r.kind for r in trace] == ["scenario_loaded", "run_end"]
+    assert trace.records[-1].details["duration_ms"] == 0
+
+
+def test_every_report_total_is_a_float_when_no_window_closed(tmp_path):
+    """A run cut before its first window, and fleet_ticks, where no flow
+    ever closes a window."""
+    _, cut = run_scenario(scenario_from_dict(minimal_scenario()), until=0)
+    _, fleet = run_scenario_file(_workload_path("fleet_ticks", tmp_path))
+    for report in (cut, fleet):
+        totals = {key: value for key, value in report.summary.items()
+                  if key.startswith("total_")}
+        assert len(totals) == 5
+        assert {key: type(value) for key, value in totals.items()} == \
+            dict.fromkeys(totals, float)
+
+
 def test_every_script_type_has_a_runtime_handler():
     runtime = Runtime(scenario_from_dict(minimal_scenario()))
     for etype, (kind, _) in SCRIPT_EVENTS.items():
@@ -783,6 +834,19 @@ def test_cli_run_writes_trace_and_metrics(tmp_path, capsys):
     header = metrics_path.read_text().splitlines()[0]
     assert header.startswith("window_start,window_end,generated_mb")
     assert "scenario:" in capsys.readouterr().out
+
+
+def test_cli_run_rejects_a_negative_until(tmp_path, capsys):
+    trace_path = tmp_path / "out.jsonl"
+    code = main(["run", str(SCENARIO_DIR / "roaming.yaml"), "--until", "-5",
+                 "--trace", str(trace_path)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("invalid: ValidationError: ")
+    assert not trace_path.exists()
+    assert main(["run", str(SCENARIO_DIR / "roaming.yaml"), "--until", "0",
+                 "--trace", str(trace_path)]) == EXIT_OK
+    assert Trace.from_jsonl(trace_path.read_text()).records[-1].details == \
+        {"duration_ms": 0, "migrations": 0}
 
 
 def test_cli_report_roundtrip(tmp_path, capsys):

@@ -96,16 +96,6 @@ def test_emitted_floats_equal_their_json_roundtrip():
     assert replayed.records[0] == record
 
 
-def test_rounded_values_go_into_the_record_as_they_are():
-    kernel = Kernel()
-    shared = {"n1": 0.333333333, "n2": {"cpu": 12.5}}
-    first = kernel.emit("window", "a", {"ratio": 1 / 3}, rounded={"util": shared})
-    second = kernel.emit("window", "b", rounded={"util": shared})
-    assert first.details == {"ratio": 0.333333333, "util": shared}
-    assert first.details["util"] is shared and second.details["util"] is shared
-    assert Trace.from_jsonl(first.to_json()).records[0] == first
-
-
 def test_trace_jsonl_roundtrip_and_hash():
     kernel = Kernel()
     kernel.emit("a", "x", {"v": 1.5})
@@ -272,7 +262,22 @@ _numbers = st.one_of(
     _floats.map(_Float),
 )
 _texts = st.one_of(st.text(max_size=6), st.sampled_from(list(EventKind)))
-_typed_values = {"number": _numbers, "str": _texts, "any": _values}
+_json_keys = st.text(max_size=5)
+# leaves that equal their own rounding
+_rounded_leaves = st.one_of(_floats.map(lambda x: round(x, 9)), st.integers(),
+                            st.booleans(), st.none(), st.text(max_size=5),
+                            st.sampled_from(list(EventKind)))
+# maps that equal their own rounding, each holding maps or lists at times
+_rounded_maps = st.recursive(
+    st.dictionaries(_json_keys, _rounded_leaves, max_size=4),
+    lambda inner: st.dictionaries(
+        _json_keys, st.one_of(_rounded_leaves, inner,
+                              st.lists(_rounded_leaves, max_size=3)), max_size=4),
+    max_leaves=12)
+_typed_values = {"number": _numbers, "str": _texts, "any": _values,
+                 "shared": _rounded_maps}
+_SHARED_FIELDS = [key for key, ftype in RECORD_KINDS["metrics_window"]
+                  if ftype == "shared"]
 
 
 @st.composite
@@ -304,9 +309,11 @@ def test_declared_records_round_as_before_and_write_as_the_reference(records, no
     assert parsed.records == kernel.trace.records and parsed.to_jsonl() == text
 
 
-def _valid_details(kind: str) -> dict:
-    return {key: {"number": 1.5, "str": "x", "any": None}[ftype]
-            for key, ftype in RECORD_KINDS[kind]}
+def _valid_details(kind: str, **fields) -> dict:
+    """Details of `kind` with each field valid for its type, and `fields`
+    over them."""
+    return {**{key: {"number": 1.5, "str": "x", "any": None, "shared": {}}[ftype]
+               for key, ftype in RECORD_KINDS[kind]}, **fields}
 
 
 @pytest.mark.parametrize("kind", sorted(RECORD_KINDS))
@@ -321,10 +328,34 @@ def test_a_declared_kind_takes_exactly_its_keys(kind):
     with pytest.raises(errors.InvariantViolation,
                        match=rf"^{kind}: missing \[\], undeclared \['extra'\]$"):
         kernel.emit(kind, "s", {**details, "extra": 1.5})
-    with pytest.raises(errors.InvariantViolation, match=rf"^{kind}: "):
-        kernel.emit(kind, "s", details, rounded={"extra": [1]})
     assert len(kernel.trace) == 0
     assert kernel.emit(kind, "s", details).seq == 1
+
+
+def test_shared_values_go_into_the_record_as_they_are():
+    """Neither copied nor walked: each shared field holds the very object
+    it was given."""
+    kernel = Kernel()
+    shared = {"n1": 0.333333333, "n2": {"cpu": 12.5}}
+    maps = dict.fromkeys(_SHARED_FIELDS, shared)
+    first = kernel.emit("metrics_window", "a",
+                        _valid_details("metrics_window", uplink_ratio=1 / 3, **maps))
+    second = kernel.emit("metrics_window", "b", _valid_details("metrics_window", **maps))
+    assert first.details == _valid_details("metrics_window", uplink_ratio=0.333333333,
+                                           **maps)
+    assert all(record.details[key] is shared
+               for record in (first, second) for key in _SHARED_FIELDS)
+    assert Trace.from_jsonl(first.to_json()).records[0] == first
+
+
+def test_a_missing_shared_field_is_named():
+    details = _valid_details("metrics_window")
+    del details["alloc"]
+    kernel = Kernel()
+    with pytest.raises(errors.InvariantViolation,
+                       match=r"^metrics_window: missing \['alloc'\], undeclared \[\]$"):
+        kernel.emit("metrics_window", "net", details)
+    assert len(kernel.trace) == 0
 
 
 _NUMBER_FIELDS = [(kind, key) for kind, fields in sorted(RECORD_KINDS.items())
@@ -382,7 +413,8 @@ def test_each_shared_value_is_encoded_once_per_call(monkeypatch):
     util = {"n1": 0.5, "n2": 0.125}
     kernel = Kernel()
     for i in range(5):
-        kernel.emit("window", "net", {"i": i}, rounded={"alloc": alloc, "util": util})
+        kernel.emit("metrics_window", "net", _valid_details(
+            "metrics_window", window_start=i, alloc=alloc, utilization=util))
 
     def times(obj):
         return sum(value is obj for value in encoded)
@@ -393,7 +425,8 @@ def test_each_shared_value_is_encoded_once_per_call(monkeypatch):
     # alloc holds dicts, so it is spliced from its entries' texts, once
     assert times(alloc) == 0 and encoded.count("n1") == 1
     encoded.clear()
-    kernel.emit("window", "net", rounded={"alloc": alloc, "util": util})
+    kernel.emit("metrics_window", "net", _valid_details(
+        "metrics_window", alloc=alloc, utilization=util))
     assert kernel.trace.to_jsonl() == _reference_jsonl(kernel.trace)
     assert [times(util), times(entry), times(alloc["n2"])] == [1, 1, 1]
 
@@ -401,38 +434,34 @@ def test_each_shared_value_is_encoded_once_per_call(monkeypatch):
 def test_a_map_shared_across_calls_serialises_the_same():
     kernel = Kernel()
     shared = {"n1": {"cpu": 1.5}, "n2": 0.25}
-    kernel.emit("window", "a", {"v": 1}, rounded={"m": shared})
+    kernel.emit("metrics_window", "a",
+                _valid_details("metrics_window", window_start=1, alloc=shared))
     first = kernel.trace.to_jsonl()
-    record = kernel.emit("window", "b", rounded={"m": shared})
+    record = kernel.emit("metrics_window", "b",
+                         _valid_details("metrics_window", alloc=shared))
     text = kernel.trace.to_jsonl()
     assert text == first + record.to_json() + "\n" == _reference_jsonl(kernel.trace)
     part = Trace(kernel.trace.records[1:])
-    assert part.records[0].shared == ("m",)
+    assert part.records[0].details["alloc"] is shared
     assert part.to_jsonl() == text[len(first):]
     parsed = Trace.from_jsonl(text)
-    assert not any(r.shared for r in parsed) and parsed.to_jsonl() == text
-
-
-_json_keys = st.text(max_size=5)
-_rounded_leaves = st.one_of(_floats.map(lambda x: round(x, 9)), st.integers(),
-                            st.booleans(), st.none(), st.text(max_size=5),
-                            st.sampled_from(list(EventKind)))
+    assert all(r.writer is None for r in parsed) and parsed.to_jsonl() == text
 
 
 @st.composite
 def _records_sharing_dicts(draw):
-    """(details, rounded) pairs whose rounded values are drawn from a pool
-    of dicts that hold one another, so maps share entries and records
-    share maps."""
+    """metrics_window details whose shared fields are drawn from a pool of
+    dicts that hold one another, so maps share entries and records share
+    maps."""
     pool = draw(st.lists(st.dictionaries(_json_keys, _rounded_leaves, max_size=4),
                          min_size=1, max_size=3))
     for _ in range(2):  # maps of entries, then maps of maps
         pool += draw(st.lists(st.dictionaries(
             _json_keys, st.one_of(_rounded_leaves, st.sampled_from(pool)),
             max_size=5), min_size=1, max_size=3))
-    return draw(st.lists(st.tuples(
-        st.dictionaries(_json_keys, _values, max_size=4),
-        st.dictionaries(_json_keys, st.sampled_from(pool), max_size=3)),
+    types = {**_typed_values, "shared": st.sampled_from(pool)}
+    return draw(st.lists(st.fixed_dictionaries(
+        {key: types[ftype] for key, ftype in RECORD_KINDS["metrics_window"]}),
         min_size=1, max_size=6))
 
 
@@ -440,8 +469,8 @@ def _records_sharing_dicts(draw):
 @given(_records_sharing_dicts())
 def test_records_sharing_nested_dicts_serialise_as_the_reference(records):
     kernel = Kernel()
-    for details, rounded in records:
-        kernel.emit("k", "s", details, rounded=rounded)
+    for details in records:
+        kernel.emit("metrics_window", "s", details)
     text = kernel.trace.to_jsonl()
     assert text == _reference_jsonl(kernel.trace)
     assert Trace.from_jsonl(text).to_jsonl() == text
@@ -460,15 +489,15 @@ def _mutated_lines(draw):
     is or mutated: truncated, a character dropped, a character altered (in
     a map the record shares, or a bracket, quote, colon or comma), whitespace
     inserted, a key duplicated, or text appended. Each record is emitted up
-    to three times in a row, some of them with only the scalar detail `n`,
-    whose text often starts with the previous line's text for `n` without
-    equalling it."""
+    to three times in a row, some of them as a record of an undeclared kind
+    with only the scalar detail `window_start`, whose text often starts
+    with the previous line's text for it without equalling it."""
     kernel = Kernel()
-    for details, rounded in draw(_records_sharing_dicts()):
+    for details in draw(_records_sharing_dicts()):
         for _ in range(draw(st.integers(1, 3))):
-            n = {"n": draw(st.sampled_from([1, 12, 120, 1.5]))}
+            n = {"window_start": draw(st.sampled_from([1, 12, 120, 1.5]))}
             if draw(st.booleans()):
-                kernel.emit("k", "s", {**details, **n}, rounded=rounded)
+                kernel.emit("metrics_window", "s", {**details, **n})
             else:
                 kernel.emit("k", "s", n)
     lines = []
@@ -482,7 +511,7 @@ def _mutated_lines(draw):
             at = draw(st.integers(0, len(line) - 1))
             line = line[:at] + line[at + 1:]
         elif how == "alter":
-            spans = [span for key in sorted(record.shared)
+            spans = [span for key in _SHARED_FIELDS if key in record.details
                      if (span := _value_span(line, key, record.details[key]))]
             if spans and draw(st.booleans()):
                 start, stop = draw(st.sampled_from(spans))
@@ -597,12 +626,20 @@ def test_lines_that_balance_each_other_are_still_each_malformed():
 def test_a_repeated_detail_text_is_parsed_once_and_shared():
     alloc = {"n1": {"cpu": 1.5}, "n2": {"cpu": 0.0}}
     kernel = Kernel()
-    kernel.emit("window", "net", {"v": 1}, rounded={"alloc": alloc, "util": [1]})
-    kernel.emit("tick", "net", {"v": 2})
-    kernel.emit("window", "net", {"v": 1}, rounded={"alloc": alloc, "util": [1]})
-    kernel.emit("window", "net", {"v": 12}, rounded={"alloc": {"n1": 1}, "util": [12]})
+
+    def window(start, alloc, utilization):
+        kernel.emit("metrics_window", "net", _valid_details(
+            "metrics_window", window_start=start, alloc=alloc,
+            utilization=utilization))
+
+    window(1, alloc, {"n1": 1})
+    kernel.emit("tick", "net", {"window_start": 2})
+    window(1, alloc, {"n1": 1})
+    window(12, {"n1": 1}, {"n1": 12})
     records = _assert_parses_as_the_reference(kernel.trace.to_jsonl())
     first, _, third, fourth = (r.details for r in records)
-    assert third["alloc"] is first["alloc"] and third["util"] is first["util"]
-    assert fourth["alloc"] == {"n1": 1} and fourth["util"] == [12]
-    assert not any(r.shared for r in records)
+    assert third["alloc"] is first["alloc"]
+    assert third["utilization"] is first["utilization"]
+    assert fourth["alloc"] == {"n1": 1} and fourth["utilization"] == {"n1": 12}
+    assert fourth["window_start"] == 12
+    assert all(r.writer is None for r in records)
