@@ -278,7 +278,7 @@ class _Layout:
 _LAYOUTS = {kind: _Layout(kind, fields) for kind, fields in RECORD_KINDS.items()}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceRecord:
     """One trace line. `details` are rounded when the record is made, by
     `Kernel.emit` or by parsing a trace that was written rounded, so
@@ -290,11 +290,13 @@ class TraceRecord:
     record, parsed and hand-built ones included, is written by the generic
     key-sorted encoder. Both give the same text for the same record.
 
-    Details are never mutated once a record is made: records may share
-    values, such as the maps of a declared kind's shared fields, whose text
-    `Trace.to_jsonl` reuses (see `RECORD_KINDS`), and the container objects
-    of a parsed record, which may be those of a record parsed before it
-    (see `Trace.from_jsonl`)."""
+    A record and its details are never mutated once it is made: records
+    may share values, such as the maps of a declared kind's shared fields,
+    whose text `Trace.to_jsonl` reuses (see `RECORD_KINDS`), and the
+    container objects of a parsed record, which may be those of a record
+    parsed before it (see `Trace.from_jsonl`). The class is not frozen,
+    because a frozen one sets each field through `object.__setattr__`, and
+    every record is built twice in a run and its replay."""
 
     time_ms: int
     seq: int

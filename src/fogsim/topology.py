@@ -71,7 +71,7 @@ class Node:
     """A compute node. `capacity` and `allocated` are ResourceVectors;
     `allocated` changes only through Topology.reserve and release, which
     mark the node's metrics-window entries stale. `up` is written only
-    through Topology.set_node_up, which drops the cached routes that the
+    through Topology.set_node_up, which drops the cached searches that the
     change can alter."""
 
     node_id: str
@@ -92,7 +92,7 @@ class Node:
 @dataclass
 class Link:
     """An undirected link. `up` is written only through Topology.set_link_up,
-    which drops the cached routes that the change can alter."""
+    which drops the cached searches that the change can alter."""
 
     link_id: str
     a: str
@@ -105,23 +105,47 @@ class Link:
         return self.b if node_id == self.a else self.a
 
 
+class _Search:
+    """A shortest-path search from one source, grown only as far as the
+    queries on it have needed (see Topology._settle):
+
+    - tree: settled node -> last link of its path (None for the source),
+      in settle order;
+    - best: reached node, settled or pending -> the least latency pushed
+      for it, final once it settles;
+    - via: reached node -> the link of that push (None for the source);
+    - heap: pending (latency, path node ids) entries, holding no objects
+      the garbage collector tracks; the node is the path's last id.
+
+    All four are empty for a down source."""
+
+    __slots__ = ("tree", "best", "via", "heap")
+
+    def __init__(self, source: str, up: bool):
+        self.tree: dict[str, Link | None] = {}
+        self.best: dict[str, float] = {source: 0} if up else {}
+        self.via: dict[str, Link | None] = {source: None} if up else {}
+        self.heap: list[tuple[float, tuple[str, ...]]] = [(0, (source,))] if up else []
+
+
 @dataclass
 class Topology:
-    """Mutable node/link graph. Routes are cached per source as a
-    shortest-path tree, which callers query in two ways: shortest_path for
-    a path, path_latency_or_inf for a latency. Up/down state changes only
-    through set_link_up and set_node_up, which drop the trees that their
-    change can alter, while add_node and add_link drop them all. Allocations
-    change only through reserve and release, which mark the node whose
-    metrics-window entries must be rebuilt (see utilization_snapshot)."""
+    """Mutable node/link graph. Routes come from one cached search per
+    source, grown only until it answers the query at hand: shortest_path
+    for a path, path_latency_or_inf for a latency, nearest_edge_module for
+    the nearest edge module. Up/down state changes only through set_link_up
+    and set_node_up, which drop the searches whose settled or pending nodes
+    their change can alter, while add_node and add_link drop them all.
+    Allocations change only through reserve and release, which mark the
+    node whose metrics-window entries must be rebuilt (see
+    utilization_snapshot)."""
 
     nodes: dict[str, Node] = field(default_factory=dict)
     links: dict[str, Link] = field(default_factory=dict)
     # node -> its links in the order they were added, each with its other end
     _adjacency: dict[str, list[tuple[Link, str]]] = field(default_factory=dict)
-    # source -> its shortest-path tree, as (reached node -> last link of its
-    # path, None for the source; reached node -> settled latency)
-    _routes: dict[str, tuple[dict[str, Link | None], dict[str, float]]] = field(
+    # source -> its search, grown as far as queries have needed
+    _routes: dict[str, _Search] = field(
         default_factory=dict, repr=False, compare=False)
     # sorted edge-module ids, built on first use; tiers never change
     _edge_modules: tuple[str, ...] | None = field(
@@ -207,61 +231,63 @@ class Topology:
     def set_link_up(self, link_id: str, up: bool) -> bool:
         """Bring a link up or down; True when its state changed.
 
-        Down, it drops the cached trees that hold it: the last link of the
-        path to one of its ends, compared by identity since parallel links
-        join the same ends. Up, it drops a tree when the search from its
-        source would push an end of the link through it (see _pushes)."""
+        Down, it drops the cached searches for which it is the best link of
+        either end, settled or pending; it is compared by identity since
+        parallel links join the same ends. Up, it drops a search that, on
+        settling an end it has already settled, would have pushed the other
+        end through it (see _pushes)."""
         link = self.link(link_id)
         changed = link.up != up
         if changed:
             link.up = up
             a, b, lat = link.a, link.b, link.latency_ms
             if up:
-                self._drop_routes(lambda source, tree, latency:
-                                  self._pushes(source, latency, a, b, lat)
-                                  or self._pushes(source, latency, b, a, lat))
+                self._drop_routes(lambda source, search:
+                                  self._pushes(search, a, b, lat)
+                                  or self._pushes(search, b, a, lat))
             else:
-                self._drop_routes(lambda source, tree, latency:
-                                  tree.get(a) is link or tree.get(b) is link)
+                self._drop_routes(lambda source, search:
+                                  search.via.get(a) is link
+                                  or search.via.get(b) is link)
         return changed
 
     def set_node_up(self, node_id: str, up: bool) -> bool:
         """Bring a node up or down; True when its state changed.
 
-        Down, it drops the cached trees that reach it. Up, it drops its own
-        tree and the trees that reach one of its neighbours across an up
-        link."""
+        Down, it drops the cached searches that have reached it, settled or
+        pending. Up, it drops its own search and the searches that have
+        settled one of its neighbours across an up link."""
         node = self.node(node_id)
         changed = node.up != up
         if changed:
             node.up = up
             if up:
                 near = [nxt for link, nxt in self._adjacency[node_id] if link.up]
-                self._drop_routes(lambda source, tree, latency: source == node_id
-                                  or any(nid in tree for nid in near))
+                self._drop_routes(lambda source, search: source == node_id
+                                  or any(nid in search.tree for nid in near))
             else:
-                self._drop_routes(lambda source, tree, latency: node_id in tree)
+                self._drop_routes(lambda source, search: node_id in search.best)
         return changed
 
     def _drop_routes(self, alters) -> None:
-        """Drop the cached trees for which alters(source, tree, latency)
-        holds; every other tree stays as the same object."""
-        self._routes = {source: entry for source, entry in self._routes.items()
-                        if not alters(source, *entry)}
+        """Drop the cached searches for which alters(source, search) holds;
+        every other search stays as the same object."""
+        self._routes = {source: search for source, search in self._routes.items()
+                        if not alters(source, search)}
 
-    def _pushes(self, source: str, latency: dict[str, float], u: str, v: str,
-                lat: float) -> bool:
-        """Whether a search from source, on settling u, would push v across
-        a new link of latency lat, and so may route v, and what lies beyond
-        it, another way.
+    def _pushes(self, search: _Search, u: str, v: str, lat: float) -> bool:
+        """Whether the search, on settling u, would push v across a new
+        link of latency lat, and so may route v, and what lies beyond it,
+        another way.
 
-        u must be settled, and v must be up. The comparison is <=, not <:
-        an equal-latency entry for v can still win its tie. An unreached v
-        counts as infinitely far.
+        Only a settled u can: an unsettled one scans its links, the new one
+        included, when it settles. v must be up. The comparison is <=, not
+        <: an equal-latency entry for v can still win its tie. An unreached
+        v counts as infinitely far.
         """
-        du = latency.get(u)
-        return (du is not None and self.nodes[v].up
-                and du + lat <= latency.get(v, math.inf))
+        best = search.best
+        return (u in search.tree and self.nodes[v].up
+                and best[u] + lat <= best.get(v, math.inf))
 
     # -- routing ---------------------------------------------------------------
 
@@ -271,13 +297,13 @@ class Topology:
         Empty list when a == b and a is up. Raises Unreachable when no up
         path exists.
         Of equal-latency paths, the first one the search finds wins (see
-        _route_tree). Answers come from a cached shortest-path tree per
-        source; the returned list is the caller's own.
+        _settle). The search from a is cached and grown only until b
+        settles; the returned list is the caller's own.
         """
-        tree = self._route(a)[0]
-        if b not in tree:
-            self.node(b)
+        search = self._reach(a, b)
+        if search is None:
             raise errors.Unreachable(f"{a} -> {b}")
+        tree = search.tree
         path = []
         while (link := tree[b]) is not None:
             path.append(link)
@@ -292,67 +318,77 @@ class Topology:
         It is the latency the search settled b at: the path's link latencies
         added in path order, starting from 0.
         """
-        latency = self._route(a)[1].get(b)
-        if latency is None:
-            self.node(b)
-            return math.inf
-        return latency
+        search = self._reach(a, b)
+        return math.inf if search is None else search.best[b]
 
     def nearest_edge_module(self, gateway: str) -> str | None:
         """The edge module with the least path latency from a gateway, the
         smaller id on a tie; None when no edge module is reachable.
 
-        The latencies are read from the gateway's cached route tree.
+        The gateway's search grows until an edge module settles, at some
+        latency d, and then while its next node lies no further than d, so
+        every edge module at latency d has settled.
         """
-        latency = self._route(gateway)[1]
-        best = min(((latency[nid], nid) for nid in self.edge_modules
-                    if nid in latency), default=None)
-        return best[1] if best else None
+        search = self._search(gateway)
+        tree, best = search.tree, search.best
+        edges = self.edge_modules
+        if not any(nid in tree for nid in edges) \
+                and self._settle(search, frozenset(edges)) is None:
+            return None
+        self._settle(search, (), min(best[nid] for nid in edges if nid in tree))
+        return min((best[nid], nid) for nid in edges if nid in tree)[1]
 
-    def _route(self, a: str) -> tuple[dict[str, Link | None], dict[str, float]]:
-        entry = self._routes.get(a)
-        if entry is None:
+    def _search(self, a: str) -> _Search:
+        search = self._routes.get(a)
+        if search is None:
             self.node(a)
-            entry = self._routes[a] = self._route_tree(a)
-        return entry
+            search = self._routes[a] = _Search(a, self.nodes[a].up)
+        return search
 
-    def _route_tree(self, a: str) -> tuple[dict[str, Link | None], dict[str, float]]:
-        """The shortest-path tree from a over up elements: the last link of
-        the path to every reached node (None for a), and the latency each
-        reached node was settled at. Both are empty when a is down.
+    def _reach(self, a: str, b: str) -> _Search | None:
+        """The search from a, grown until b settles; None when b is
+        unreachable from a."""
+        search = self._search(a)
+        if b not in search.tree and self._settle(search, (b,)) is None:
+            self.node(b)
+            return None
+        return search
+
+    def _settle(self, search: _Search, targets, limit: float = math.inf) -> str | None:
+        """Grow the search until a node in `targets` settles, and return it;
+        None once no pending node lies within `limit`.
 
         Dijkstra that settles nodes in (latency, path node ids) order and
         scans a settled node's links in the order they were added. A node's
         path is replaced only by a strictly shorter one, so of equal-latency
         paths the one through the earliest-settled predecessor wins, not the
         one whose node ids sort first: with links s-a 1, a-z 2, a-b 1 and
-        b-z 1, z is reached by s, a, z. Each node's path is the one on its
-        first pop; pop order does not depend on a target, so it is the path
-        a search stopping there returns.
+        b-z 1, z is reached by s, a, z. Pop order does not depend on the
+        targets, so a search grown in steps settles every node as one grown
+        at once does. A pushed node's best latency only falls and its last
+        push is its first pop, so the popped entry is the one that via
+        names; later entries for a settled node are skipped.
         """
-        if not self.nodes[a].up:
-            return {}, {}
-        tree: dict[str, Link | None] = {}
-        best: dict[str, float] = {a: 0}
+        tree, best, via, heap = search.tree, search.best, search.via, search.heap
         nodes, adjacency = self.nodes, self._adjacency
         heappush, heappop, inf = heapq.heappush, heapq.heappop, math.inf
-        heap: list[tuple[float, tuple[str, ...], str, Link | None]] = [
-            (0, (a,), a, None)]
-        while heap:
-            dist, path_nodes, here, last = heappop(heap)
+        while heap and heap[0][0] <= limit:
+            dist, path_nodes = heappop(heap)
+            here = path_nodes[-1]
             if here in tree:
                 continue
-            tree[here] = last
+            tree[here] = via[here]
             for link, nxt in adjacency[here]:
                 if not link.up or not nodes[nxt].up:
                     continue
                 ndist = dist + link.latency_ms
                 if ndist < best.get(nxt, inf):
                     best[nxt] = ndist
-                    heappush(heap, (ndist, path_nodes + (nxt,), nxt, link))
-        # pushes for a node only lower best, and its last push is its first
-        # pop, so best holds the settled latency of every reached node
-        return tree, best
+                    via[nxt] = link
+                    heappush(heap, (ndist, path_nodes + (nxt,)))
+            if here in targets:
+                return here
+        return None
 
     # -- resource accounting ---------------------------------------------------
 

@@ -7,8 +7,8 @@ deltas. They may be exponential; the graphs they see are tiny.
 
 Seven exceptions copy earlier production code. reference_shortest_path is the
 uncached per-pair Dijkstra that Topology.shortest_path ran before routes were
-cached per source; it pins the exact path, tie-breaks included, that the cache
-must return. reference_record_json is TraceRecord.to_json as it was when it
+cached per source; it pins the exact path, tie-breaks included, that a
+cached search must return however far it had grown. reference_record_json is TraceRecord.to_json as it was when it
 rounded every float again at serialisation; it pins the bytes of a record.
 reference_advance_all is FlowManager.advance_all as it was when every event
 integrated every active flow from the live topology and instance state; it
@@ -23,7 +23,7 @@ reference_window_maps is the per-node part of Runtime._close_window as it was
 when every window built both maps for every node and the kernel rounded them
 at emission; it pins the maps that the cached ones must equal. reference_nearest_edge is
 Runtime._nearest_edge as it was before Topology.nearest_edge_module read its
-latencies from the cached route tree, with latencies found afresh; it pins
+latencies from the cached search, with latencies found afresh; it pins
 the sink a flow without a serving Data-App goes to.
 """
 
@@ -51,7 +51,7 @@ def reference_shortest_path(topology: Topology, a: str, b: str) -> list[Link]:
     exists; a down node reaches nothing, itself included. Nodes settle in
     (latency, path node ids) order and a path is replaced only by a strictly
     shorter one, so of equal-latency paths the one through the
-    earliest-settled predecessor wins, as in Topology._route_tree.
+    earliest-settled predecessor wins, as in Topology._settle.
     """
     topology.node(a)
     topology.node(b)

@@ -7,6 +7,9 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -403,10 +406,11 @@ def _perfbench_module(name: str):
     return module
 
 
-def _workload_path(name: str, tmp_path, seed: int = 1):
-    """The benchmark workload's scenario at `seed`, written under tmp_path."""
+def _workload_path(name: str, tmp_path, seed: int = 1, scale: float = 1.0):
+    """The benchmark workload's scenario at `seed` and `scale`, written
+    under tmp_path."""
     path = tmp_path / f"{name}.yaml"
-    path.write_text(_perfbench_module("workloads").scenario_yaml(name, seed))
+    path.write_text(_perfbench_module("workloads").scenario_yaml(name, seed, scale))
     return path
 
 
@@ -418,6 +422,37 @@ def _workload_path(name: str, tmp_path, seed: int = 1):
 def test_workload_trace_hash_is_unchanged(name, seed, expected, tmp_path):
     runtime = Runtime(load_scenario(_workload_path(name, tmp_path, seed)))
     assert runtime.run().hash()[:16] == expected
+
+
+# the workloads at seed 1 and four times their size: more gateways, devices,
+# faults and horizon, so a route or cache slip that only larger runs reach
+# still changes a pinned hash
+WORKLOAD_X4_TRACE_HASHES = {"star_steady": "b69f4fead80d5f2e",
+                            "mesh_churn": "9813b0672281dadf",
+                            "fleet_ticks": "3257e79cc1e2d6dc"}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_X4_TRACE_HASHES))
+def test_workload_trace_hash_at_four_times_the_size_is_unchanged(name, tmp_path):
+    runtime = Runtime(load_scenario(_workload_path(name, tmp_path, 1, 4)))
+    assert runtime.run().hash()[:16] == WORKLOAD_X4_TRACE_HASHES[name]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+def test_trace_hash_does_not_depend_on_the_string_hash_seed(hash_seed, tmp_path):
+    """String hashing, and with it set iteration order, changes with
+    PYTHONHASHSEED; the trace must not."""
+    path = _workload_path("mesh_churn", tmp_path)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from fogsim.cli import main; sys.exit(main(sys.argv[1:]))",
+         "run", str(path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert f"sha256 {WORKLOAD_TRACE_HASHES['mesh_churn']}" in done.stdout
 
 
 # the pinned runs: the fixtures, and the workloads at seeds 1 and 7

@@ -168,17 +168,31 @@ _LATENCIES = st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.5, 2.25, 7.0])
 
 
 @st.composite
-def _graph_and_toggles(draw):
-    n = draw(st.integers(2, 6))
+def _small_graphs(draw, max_nodes=6, min_links=0, max_links=12):
+    n = draw(st.integers(2, max_nodes))
     topo = Topology()
     tiers = st.sampled_from([Tier.EDGE_MODULE, Tier.GATEWAY])
     for i in range(n):
         topo.add_node(f"n{i}", draw(tiers), 1000, 1000, 1000)
     ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda e: e[0] != e[1])
-    for k, (i, j) in enumerate(draw(st.lists(ends, max_size=12))):
+    for k, (i, j) in enumerate(draw(st.lists(ends, min_size=min_links,
+                                             max_size=max_links))):
         # explicit ids allow parallel links between one pair
         topo.add_link(f"n{i}", f"n{j}", draw(_LATENCIES), 100, link_id=f"l{k}")
+    return topo
+
+
+def _toggle(topo, kind, element_id, up):
+    if kind == "link":
+        topo.set_link_up(element_id, up)
+    else:
+        topo.set_node_up(element_id, up)
+
+
+@st.composite
+def _graph_and_toggles(draw):
+    topo = draw(_small_graphs())
     elements = [("link", lid) for lid in topo.links] + \
                [("node", nid) for nid in topo.nodes]
     toggles = draw(st.lists(st.tuples(st.sampled_from(elements), st.booleans()),
@@ -210,7 +224,7 @@ def _assert_routes_match_fresh_search(topo):
                 assert [l.link_id for l in topo.shortest_path(a, b)] == expected
             assert topo.path_latency_or_inf(a, b) == brute_force_latency(topo, a, b)
         if topo.nodes[a].tier is Tier.GATEWAY:
-            # read from a's route tree, as the scan finds it afresh
+            # read from a's cached search, as the scan finds it afresh
             assert topo.nearest_edge_module(a) == reference_nearest_edge(topo, a)
 
 
@@ -220,11 +234,66 @@ def test_cached_routes_match_a_fresh_search_after_every_change(case):
     topo, toggles = case
     _assert_routes_match_fresh_search(topo)
     for (kind, element_id), up in toggles:
-        if kind == "link":
-            topo.set_link_up(element_id, up)
-        else:
-            topo.set_node_up(element_id, up)
+        _toggle(topo, kind, element_id, up)
         _assert_routes_match_fresh_search(topo)
+
+
+@st.composite
+def _graph_and_operations(draw):
+    """A graph and a mix of single queries and flips of a link's or a
+    node's state, so that searches are still partial when a change comes."""
+    topo = draw(_small_graphs(max_nodes=8, min_links=6, max_links=14))
+    ids = sorted(topo.nodes)
+    queries = st.tuples(st.sampled_from(["path", "latency", "nearest"]),
+                        st.sampled_from(ids), st.sampled_from(ids))
+    flips = st.sampled_from([("link", lid) for lid in topo.links]
+                            + [("node", nid) for nid in topo.nodes])
+    return topo, draw(st.lists(st.one_of(queries, flips), min_size=10, max_size=40))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_graph_and_operations())
+def test_partial_searches_answer_as_a_fresh_search_between_changes(case):
+    topo, operations = case
+    for operation in operations:
+        if len(operation) == 2:
+            kind, element_id = operation
+            element = topo.links[element_id] if kind == "link" else topo.nodes[element_id]
+            _toggle(topo, kind, element_id, not element.up)
+            continue
+        query, a, b = operation
+        if query == "nearest":
+            assert topo.nearest_edge_module(a) == reference_nearest_edge(topo, a)
+        elif query == "latency":
+            assert topo.path_latency_or_inf(a, b) == brute_force_latency(topo, a, b)
+        else:
+            try:
+                expected = [l.link_id for l in reference_shortest_path(topo, a, b)]
+            except errors.Unreachable:
+                with pytest.raises(errors.Unreachable):
+                    topo.shortest_path(a, b)
+            else:
+                assert [l.link_id for l in topo.shortest_path(a, b)] == expected
+
+
+def test_a_near_query_leaves_the_far_nodes_unsettled():
+    # a chain n0 - n1 - ... - n7 with an edge module at each end
+    ids = [f"n{i}" for i in range(8)]
+    topo = Topology()
+    for nid in ids:
+        tier = Tier.EDGE_MODULE if nid in ("n0", "n7") else Tier.GATEWAY
+        topo.add_node(nid, tier, 1000, 1000, 1000)
+    for a, b in zip(ids, ids[1:]):
+        topo.add_link(a, b, 1.0, 100)
+    assert topo.path_latency_or_inf("n2", "n3") == 1.0
+    search = topo._routes["n2"]
+    # n2 settled first, then n1 and n3 at 1 ms; n0 and n4 are pending
+    assert list(search.tree) == ["n2", "n1", "n3"]
+    assert set(search.best) == {"n0", "n1", "n2", "n3", "n4"}
+    assert topo.nearest_edge_module("n2") == "n0"
+    assert "n5" not in search.tree and "n7" not in search.best
+    assert topo.path_latency_or_inf("n2", "n7") == 5.0
+    assert list(search.tree) == ["n2", "n1", "n3", "n0", "n4", "n5", "n6", "n7"]
 
 
 def test_equal_latency_tie_goes_to_the_smaller_hop_node_ids():
