@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 from .kernel import Trace
@@ -12,9 +13,10 @@ from .scenario import Scenario, load_scenario, scenario_from_dict
 
 def run_scenario(scenario: Scenario, until: int | None = None,
                  seed: int | None = None) -> tuple[Trace, Report]:
-    """Execute a validated scenario and derive its report from the trace."""
+    """Execute a validated scenario and derive its report from the trace.
+    A `seed` runs a copy of the scenario under that seed."""
     if seed is not None:
-        scenario.seed = seed
+        scenario = dataclasses.replace(scenario, seed=seed)
     runtime = Runtime(scenario)
     trace = runtime.run(until)
     return trace, report_from_trace(trace)

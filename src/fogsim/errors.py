@@ -101,10 +101,6 @@ class GatewayFull(FogSimError):
     pass
 
 
-class StaleAction(FogSimError):
-    pass
-
-
 # --- migration --------------------------------------------------------------
 
 class LinkDown(FogSimError):

@@ -517,7 +517,8 @@ class Kernel:
 
     def run(self, until: int | None = None) -> Trace:
         """Execute queued events in (time, sequence) order until the queue is
-        empty or the clock would pass `until`."""
+        empty or the clock would pass `until`. An event of a kind with no
+        registered handler raises InvariantViolation naming the kind."""
         while self._queue:
             time, _, event = self._queue[0]
             if until is not None and time > until:
@@ -525,6 +526,8 @@ class Kernel:
             heapq.heappop(self._queue)
             self.now = time
             handler = self.handlers.get(event.kind)
-            if handler is not None:
-                handler(event)
+            if handler is None:
+                raise errors.InvariantViolation(
+                    f"no handler for event kind {event.kind.value}")
+            handler(event)
         return self.trace

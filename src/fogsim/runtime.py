@@ -17,7 +17,7 @@ from . import errors
 from .dataflow import FlowManager
 from .discovery import DiscoveryService
 from .kernel import Event, EventKind, Fault, FaultKind, Kernel
-from .migration import MigrationEngine
+from .migration import MigrationEngine, MigrationRecord
 from .scenario import SCRIPT_EVENTS, Scenario
 from .scheduler import AppInstance, Defer, InstanceStatus, Offload, \
     PlacementRequest, Scheduler
@@ -199,14 +199,17 @@ class Runtime:
         except errors.FogSimError as exc:
             self._warn(device, type(exc).__name__, to_gateway=to_gateway)
             return
-        self.kernel.emit("migration_started", instance.instance_id, {
-            "from": record.from_node, "to": record.to_node,
-            "bytes_mb": record.bytes_moved_mb, "downtime_ms": record.downtime_ms})
+        self._migration_started(record, device=device, roam=True)
         # sensor data produced during downtime buffers at the new gateway
         self._open_device_flow(device, to_gateway, paused=True)
+
+    def _migration_started(self, record: MigrationRecord, **payload):
+        """Record a started move and schedule its completion."""
+        self.kernel.emit("migration_started", record.instance_id, {
+            "from": record.from_node, "to": record.to_node,
+            "bytes_mb": record.bytes_moved_mb, "downtime_ms": record.downtime_ms})
         self.kernel.schedule(record.completed_at, EventKind.MIGRATION_COMPLETE,
-                             {"instance": instance.instance_id, "device": device,
-                              "roam": True})
+                             {"instance": record.instance_id, **payload})
 
     # -- flows ---------------------------------------------------------------------
 
@@ -299,7 +302,7 @@ class Runtime:
         self._run_threshold_loop()
 
     def _run_threshold_loop(self):
-        actions = self.scheduler.check_thresholds(self.kernel.now)
+        actions = self.scheduler.check_thresholds()
         for action in actions:
             if isinstance(action, Defer):
                 self.kernel.emit("defer", action.node, {
@@ -308,8 +311,10 @@ class Runtime:
             self._apply_offload(action)
 
     def _apply_offload(self, action: Offload):
+        """Start a decided offload; MigrationEngine.start re-checks it, and a
+        rejection is recorded as a stale_action naming start's error."""
         try:
-            inst = self.scheduler.validate_action(action)
+            inst = self.scheduler.instance(action.instance_id)
             record = self.migrations.start(inst, action.target, self.kernel.now)
         except errors.FogSimError as exc:
             self.kernel.emit("stale_action", action.instance_id, {
@@ -319,11 +324,7 @@ class Runtime:
         self.flows.reroute_served(inst.instance_id, self.kernel.now)
         self.kernel.emit("offload", inst.instance_id, {
             "from": record.from_node, "to": record.to_node})
-        self.kernel.emit("migration_started", inst.instance_id, {
-            "from": record.from_node, "to": record.to_node,
-            "bytes_mb": record.bytes_moved_mb, "downtime_ms": record.downtime_ms})
-        self.kernel.schedule(record.completed_at, EventKind.MIGRATION_COMPLETE,
-                             {"instance": inst.instance_id})
+        self._migration_started(record)
 
     def _on_migration_complete(self, event: Event):
         now = self.kernel.now

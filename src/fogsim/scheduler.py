@@ -7,7 +7,8 @@ module above the high watermark sheds its largest Data-App instances until
 it drops to the low watermark or nothing movable remains.
 
 Decide and apply are split so that fault injection between them is testable:
-actions are computed against a consistent snapshot and re-validated on apply.
+actions are computed against a consistent snapshot and re-validated on apply
+by MigrationEngine.start, the one check a move passes before it starts.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .topology import ResourceVector, Topology
 
 
 class InstanceStatus(str, Enum):
-    PENDING = "Pending"
     RUNNING = "Running"
     MIGRATING = "Migrating"
     STOPPED = "Stopped"
@@ -83,9 +83,7 @@ class PlacementRequest:
 @dataclass(frozen=True)
 class Offload:
     instance_id: str
-    source_host: str
     target: str
-    decided_at: int
 
 
 @dataclass(frozen=True)
@@ -246,7 +244,7 @@ class Scheduler:
 
     # -- threshold loop ------------------------------------------------------------
 
-    def check_thresholds(self, time: int) -> list[Action]:
+    def check_thresholds(self) -> list[Action]:
         """Offload decisions for every edge module above the high watermark.
 
         Victims are Running Data-App instances, largest bottleneck reservation
@@ -299,24 +297,9 @@ class Scheduler:
                     actions.append(Defer(node_id, inst.instance_id, "NoFeasibleTarget"))
                     deferred = True
                     continue
-                actions.append(Offload(inst.instance_id, node_id, target, time))
+                actions.append(Offload(inst.instance_id, target))
                 alloc[node_id] = alloc[node_id] - demand
                 alloc[target] = alloc[target] + demand
             if util(node_id) > self.thresholds.high_watermark and not deferred:
                 actions.append(Defer(node_id, None, "NoMovableInstance"))
         return actions
-
-    def validate_action(self, action: Offload) -> AppInstance:
-        """Re-check an offload decision against current state; StaleAction if
-        the world moved underneath it."""
-        inst = self.instances.get(action.instance_id)
-        if inst is None or inst.status is not InstanceStatus.RUNNING \
-                or inst.host != action.source_host:
-            raise errors.StaleAction(action.instance_id)
-        app = self.catalog.app(inst.app_id)
-        target = self.topology.nodes.get(action.target)
-        if target is None or not target.up or target.tier not in app.allowed_tiers:
-            raise errors.StaleAction(f"{action.instance_id}: target {action.target}")
-        if not app.demand.scaled(inst.replicas).fits_within(target.free):
-            raise errors.StaleAction(f"{action.instance_id}: target {action.target} full")
-        return inst

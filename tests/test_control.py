@@ -540,6 +540,31 @@ def test_every_emit_in_the_source_names_a_declared_or_undeclared_kind():
     assert sorted(RECORD_KINDS.keys() - kinds) == []
 
 
+def _raised_names() -> set[str]:
+    """The names that `raise` statements in src/fogsim raise: `X` of
+    `raise X(...)`, `raise errors.X(...)` and their forms without a call."""
+    names = set()
+    for path in sorted((REPO_ROOT / "src" / "fogsim").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+            elif isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_every_error_class_is_raised_in_the_source():
+    """Each FogSimError subclass is raised somewhere, so a class that
+    nothing raises any more goes with its last raise."""
+    classes = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.FogSimError)
+               and value is not errors.FogSimError}
+    assert sorted(classes - _raised_names()) == []
+
+
 def test_every_tracer_target_exists():
     """perfbench --trace 1 wraps these by name; a rename would silently
     drop its metric."""
@@ -837,6 +862,17 @@ def test_seed_override_recorded():
     trace, _ = run_scenario(scenario, seed=99)
     loaded = next(r for r in trace if r.kind == "scenario_loaded")
     assert loaded.details["seed"] == 99
+
+
+def test_a_seed_override_leaves_the_callers_scenario_as_it_was():
+    """Same scenario, same trace: a run under another seed does not change
+    the scenario that a later run without one reads."""
+    scenario = load_scenario(SCENARIO_DIR / "roaming.yaml")
+    hashes = [run_scenario(scenario, seed=seed)[0].hash()[:16]
+              for seed in (None, 99, None)]
+    assert hashes[0] == hashes[2] == FIXTURE_TRACE_HASHES["roaming"]
+    assert hashes[1] != hashes[0]
+    assert scenario.seed == 42
 
 
 # --- CLI ------------------------------------------------------------------------

@@ -76,6 +76,18 @@ def test_inject_fault_schedules_symmetric_window():
     assert times == [("start", 1000), ("end", 1500)]
 
 
+def test_an_event_without_a_handler_raises_naming_its_kind():
+    kernel = Kernel()
+    seen = []
+    kernel.register(EventKind.FLOW_ADVANCE, lambda e: seen.append(e.time))
+    kernel.schedule(10, EventKind.FLOW_ADVANCE)
+    kernel.schedule(20, EventKind.SCALE)
+    with pytest.raises(errors.InvariantViolation, match="Scale"):
+        kernel.run()
+    assert seen == [10]
+    assert kernel.now == 20
+
+
 def test_fault_duration_must_be_positive():
     with pytest.raises(errors.ValidationError):
         Fault("edge1", FaultKind.LINK_DOWN, 0, 0)

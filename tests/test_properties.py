@@ -175,13 +175,13 @@ def test_allocations_equal_hosted_plus_inbound_demands(seed, fractional, steps):
             except errors.InsufficientCapacity:
                 pass
         elif step == "offload":
-            for action in scheduler.check_thresholds(time):
+            for action in scheduler.check_thresholds():
                 if not isinstance(action, Offload):
                     continue
+                inst = scheduler.instance(action.instance_id)
                 try:
-                    inst = scheduler.validate_action(action)
                     engine.start(inst, action.target, time)
-                except (errors.StaleAction, errors.TargetInfeasible):
+                except errors.TargetInfeasible:
                     continue
                 inbound[inst.instance_id] = action.target
         elif step == "complete" and inbound:
@@ -274,13 +274,13 @@ def test_window_maps_match_a_fresh_computation(seed, fractional, steps):
             except errors.InsufficientCapacity:
                 pass
         elif step == "offload":
-            for action in scheduler.check_thresholds(kernel.now):
+            for action in scheduler.check_thresholds():
                 if not isinstance(action, Offload):
                     continue
+                inst = scheduler.instance(action.instance_id)
                 try:
-                    inst = scheduler.validate_action(action)
                     engine.start(inst, action.target, kernel.now)
-                except (errors.StaleAction, errors.TargetInfeasible):
+                except errors.TargetInfeasible:
                     continue
                 inbound[inst.instance_id] = action.target
         elif step == "complete" and inbound:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from fogsim.kernel import EventKind
 from fogsim.runtime import Runtime
 from fogsim.scenario import load_scenario, scenario_from_dict
 from fogsim.scheduler import Offload
@@ -92,7 +93,7 @@ def test_a_migration_completion_integrates_only_the_flows_it_reroutes():
     [agg] = [inst for inst in runtime.scheduler.instances.values()
              if inst.app_id == "agg"]
     assert agg.host == "edge1"
-    runtime._apply_offload(Offload(agg.instance_id, "edge1", "cloud", 1000))
+    runtime._apply_offload(Offload(agg.instance_id, "cloud"))
     [started] = [r for r in runtime.kernel.trace if r.kind == "migration_started"]
     completed_at = 1000 + started.details["downtime_ms"]
     # the offload integrated dev1's flow as it blocked it
@@ -104,26 +105,50 @@ def test_a_migration_completion_integrates_only_the_flows_it_reroutes():
                                 "dev3": 200}
 
 
-@pytest.mark.parametrize("action, reason", [
-    (Offload("agg-1", "edge2", "cloud", 1000), "StaleAction"),
-    (Offload("agg-1", "edge1", "cloud", 1000), "TargetInfeasible"),
-], ids=["validate_action", "migration_start"])
-def test_a_rejected_offload_names_its_cause(action, reason):
-    """The first offload names the wrong source host, which validate_action
-    rejects; the second is valid, but edge1--cloud is down, so
-    MigrationEngine.start finds no path to the target."""
-    faults = [{"target": "edge1--cloud", "kind": "LinkDown", "start": 500,
-               "duration_ms": 1000}]
-    runtime = Runtime(scenario_from_dict(two_edge_scenario(faults=faults)))
+@pytest.mark.parametrize("fault, detail", [
+    ({"target": "cloud", "kind": "NodeDown"}, "agg-1 -> cloud"),
+    ({"target": "edge1--cloud", "kind": "LinkDown"}, "agg-1 -> cloud: no up path"),
+], ids=["target_down", "no_path"])
+def test_a_rejected_offload_names_its_cause(fault, detail):
+    """Under low watermarks the threshold loop decides at 400 ms to move
+    agg-1 from edge1 to the cloud. At 500 ms the cloud goes down, or
+    edge1--cloud does, so MigrationEngine.start rejects the move at 1000 ms."""
+    faults = [{**fault, "start": 500, "duration_ms": 1000}]
+    runtime = Runtime(scenario_from_dict(two_edge_scenario(
+        faults=faults, thresholds={"high": 0.05, "low": 0.01})))
+    runtime.kernel.run(400)
+    [action] = runtime.scheduler.check_thresholds()
+    assert action == Offload("agg-1", "cloud")
     runtime.kernel.run(1000)
-    assert "agg-1" in runtime.scheduler.instances
     runtime._apply_offload(action)
     [stale] = [r for r in runtime.kernel.trace if r.kind == "stale_action"]
     assert stale.subject == "agg-1"
-    assert stale.details["reason"] == reason
-    assert stale.details["target"] == "cloud"
-    assert stale.details["detail"]
+    assert stale.details == {"target": "cloud", "reason": "TargetInfeasible",
+                             "detail": detail}
     assert not any(r.kind == "migration_started" for r in runtime.kernel.trace)
+    assert runtime.scheduler.instance("agg-1").host == "edge1"
+
+
+def test_a_stale_action_names_the_error_start_raised():
+    """An unknown instance, and one already migrating, are rejected with
+    the error that looking it up or MigrationEngine.start raises."""
+    runtime = Runtime(scenario_from_dict(two_edge_scenario()))
+    runtime.kernel.run(1000)
+    runtime.kernel.now = 1000
+    for action in (Offload("nope", "cloud"), Offload("agg-1", "cloud"),
+                   Offload("agg-1", "edge2")):
+        runtime._apply_offload(action)
+    started = [r.subject for r in runtime.kernel.trace if r.kind == "migration_started"]
+    assert started == ["agg-1"]
+    stale = [(r.subject, r.details["target"], r.details["reason"])
+             for r in runtime.kernel.trace if r.kind == "stale_action"]
+    assert stale == [("nope", "cloud", "UnknownInstance"),
+                     ("agg-1", "edge2", "InstanceNotRunning")]
+
+
+def test_the_runtime_handles_every_event_kind():
+    runtime = Runtime(scenario_from_dict(two_edge_scenario()))
+    assert set(runtime.kernel.handlers) == set(EventKind)
 
 
 def test_an_attach_at_a_down_gateway_places_nothing_there():

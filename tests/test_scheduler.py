@@ -145,12 +145,12 @@ def loaded_scheduler(catalog, replicas=3):
 
 def test_check_thresholds_below_watermark_is_quiet(catalog):
     scheduler, _ = loaded_scheduler(catalog, replicas=2)  # util 0.75
-    assert scheduler.check_thresholds(0) == []
+    assert scheduler.check_thresholds() == []
 
 
 def test_check_thresholds_emits_offload(catalog):
     scheduler, inst = loaded_scheduler(catalog, replicas=3)  # util 1.0
-    actions = scheduler.check_thresholds(1000)
+    actions = scheduler.check_thresholds()
     offloads = [a for a in actions if isinstance(a, Offload)]
     assert len(offloads) == 1
     assert offloads[0].instance_id == inst.instance_id  # largest reservation
@@ -162,7 +162,7 @@ def test_check_thresholds_defers_when_saturated(catalog):
     # block both alternative hosts
     scheduler.topology.reserve("edge2", ResourceVector(0, 16384, 0))
     scheduler.topology.reserve("cloud", ResourceVector(0, 98304, 0))
-    actions = scheduler.check_thresholds(1000)
+    actions = scheduler.check_thresholds()
     assert any(isinstance(a, Defer) and a.reason == "NoFeasibleTarget"
                for a in actions)
     assert not any(isinstance(a, Offload) for a in actions)
@@ -173,21 +173,22 @@ def test_check_thresholds_never_moves_iot_apps(three_tier, catalog):
     scheduler.install_iot_app(InstallRequest("dev1", "gw1", "agent"))
     # overload the edge with something unmovable
     three_tier.reserve("edge1", ResourceVector(0, 16000, 0))
-    actions = scheduler.check_thresholds(0)
+    actions = scheduler.check_thresholds()
     assert actions == [Defer("edge1", None, "NoMovableInstance")]
 
 
 def test_apply_offload_and_stale_action(catalog):
     scheduler, inst = loaded_scheduler(catalog, replicas=3)
     engine = MigrationEngine(scheduler.topology, scheduler.catalog)
-    [action] = [a for a in scheduler.check_thresholds(0)
+    [action] = [a for a in scheduler.check_thresholds()
                 if isinstance(a, Offload)]
+    checked = scheduler.instance(action.instance_id)
     # the target dies between decide and apply
     scheduler.topology.set_node_up(action.target, False)
-    with pytest.raises(errors.StaleAction):
-        scheduler.validate_action(action)
+    with pytest.raises(errors.TargetInfeasible):
+        engine.start(checked, action.target, 0)
+    assert checked.status is InstanceStatus.RUNNING
     scheduler.topology.set_node_up(action.target, True)
-    checked = scheduler.validate_action(action)
     record = engine.start(checked, action.target, 0)
     assert checked.status is InstanceStatus.MIGRATING
     assert record.to_node == action.target

@@ -183,21 +183,22 @@ def _small_graphs(draw, max_nodes=6, min_links=0, max_links=12):
     return topo
 
 
-def _toggle(topo, kind, element_id, up):
+def _flip(topo, kind, element_id):
+    """Take an up link or node down, or bring a down one up."""
     if kind == "link":
-        topo.set_link_up(element_id, up)
+        topo.set_link_up(element_id, not topo.links[element_id].up)
     else:
-        topo.set_node_up(element_id, up)
+        topo.set_node_up(element_id, not topo.nodes[element_id].up)
 
 
 @st.composite
-def _graph_and_toggles(draw):
+def _graph_and_flips(draw):
+    """A graph and flips of its links' and nodes' states: every flip
+    changes the graph, so every one can invalidate a cached search."""
     topo = draw(_small_graphs())
     elements = [("link", lid) for lid in topo.links] + \
                [("node", nid) for nid in topo.nodes]
-    toggles = draw(st.lists(st.tuples(st.sampled_from(elements), st.booleans()),
-                            max_size=24))
-    return topo, toggles
+    return topo, draw(st.lists(st.sampled_from(elements), min_size=4, max_size=24))
 
 
 def _assert_routes_match_fresh_search(topo):
@@ -228,13 +229,13 @@ def _assert_routes_match_fresh_search(topo):
             assert topo.nearest_edge_module(a) == reference_nearest_edge(topo, a)
 
 
-@settings(max_examples=100, deadline=None)
-@given(case=_graph_and_toggles())
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_graph_and_flips())
 def test_cached_routes_match_a_fresh_search_after_every_change(case):
-    topo, toggles = case
+    topo, flips = case
     _assert_routes_match_fresh_search(topo)
-    for (kind, element_id), up in toggles:
-        _toggle(topo, kind, element_id, up)
+    for kind, element_id in flips:
+        _flip(topo, kind, element_id)
         _assert_routes_match_fresh_search(topo)
 
 
@@ -257,9 +258,7 @@ def test_partial_searches_answer_as_a_fresh_search_between_changes(case):
     topo, operations = case
     for operation in operations:
         if len(operation) == 2:
-            kind, element_id = operation
-            element = topo.links[element_id] if kind == "link" else topo.nodes[element_id]
-            _toggle(topo, kind, element_id, not element.up)
+            _flip(topo, *operation)
             continue
         query, a, b = operation
         if query == "nearest":
