@@ -61,15 +61,15 @@ class MigrationEngine:
 
     def start(self, instance: AppInstance, target: str, time: int) -> MigrationRecord:
         """Begin a stop-and-copy move. Returns the (fully determined) record;
-        the caller schedules completion at record.completed_at."""
+        the caller schedules completion at record.completed_at. The instance's
+        own host is no target: TargetInfeasible, like any target it cannot
+        move to."""
         if instance.status is not InstanceStatus.RUNNING:
             raise errors.InstanceNotRunning(instance.instance_id)
         app = self.catalog.app(instance.app_id)
-        if target == instance.host:
-            return MigrationRecord(instance.instance_id, instance.host, target,
-                                   time, time, 0.0, 0)
         target_node = self.topology.node(target)
-        if not target_node.up or target_node.tier not in app.allowed_tiers:
+        if target == instance.host or not target_node.up \
+                or target_node.tier not in app.allowed_tiers:
             raise errors.TargetInfeasible(f"{instance.instance_id} -> {target}")
         demand = app.demand.scaled(instance.replicas)
         if not demand.fits_within(target_node.free):

@@ -20,7 +20,7 @@ from enum import Enum
 from . import errors
 from .catalog import AppKind, AppSpec, Catalog
 from .discovery import InstallRequest
-from .topology import ResourceVector, Topology
+from .topology import ResourceVector, Tier, Topology
 
 
 class InstanceStatus(str, Enum):
@@ -145,25 +145,29 @@ class Scheduler:
         Feasible: node up, tier allowed, capacity for replicas x demand,
         reachable from source, and within the app's latency requirement.
         Objective: minimal source latency, then most free bottleneck capacity,
-        then smallest node id. `alloc_override` maps every node to a tentative
+        then smallest node id. Only the nodes of the allowed tiers are
+        scanned, in id order; the key ends in the node id, so no order could
+        change the result. `alloc_override` maps every node to a tentative
         allocation (used by the offload loop); `util_cap_after` additionally
         rejects hosts that the placement would push above that utilization.
         """
+        topology = self.topology
         demand = app.demand.scaled(replicas)
         best_key = None
         best_host = None
-        for node_id in sorted(self.topology.nodes):
+        for node_id in sorted(node_id for tier in app.allowed_tiers
+                              for node_id in topology.nodes_of(tier)):
             if node_id in exclude:
                 continue
-            node = self.topology.nodes[node_id]
-            if not node.up or node.tier not in app.allowed_tiers:
+            node = topology.nodes[node_id]
+            if not node.up:
                 continue
             alloc = (node.allocated if alloc_override is None
                      else alloc_override[node_id])
             after = alloc + demand
             if not after.fits_within(node.capacity):
                 continue
-            latency = self.topology.path_latency_or_inf(source, node_id)
+            latency = topology.path_latency_or_inf(source, node_id)
             if latency == float("inf"):
                 continue
             if (app.latency_requirement_ms is not None
@@ -265,7 +269,7 @@ class Scheduler:
             vec = nodes[nid].allocated if alloc is None else alloc[nid]
             return vec.bottleneck_fraction(nodes[nid].capacity)
 
-        for node_id in self.topology.edge_modules:
+        for node_id in self.topology.nodes_of(Tier.EDGE_MODULE):
             node = nodes[node_id]
             if not node.up or util(node_id) <= self.thresholds.high_watermark:
                 continue

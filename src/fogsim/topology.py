@@ -115,17 +115,23 @@ class _Search:
       for it, final once it settles;
     - via: reached node -> the link of that push (None for the source);
     - heap: pending (latency, path node ids) entries, holding no objects
-      the garbage collector tracks; the node is the path's last id.
+      the garbage collector tracks; the node is the path's last id;
+    - held: the popped entries of the settled nodes whose links are not
+      scanned yet, in settle order, a suffix of tree;
+    - held_min: the least latency a held node could push a neighbour at,
+      its latency plus its shortest link's; inf when none is held.
 
-    All four are empty for a down source."""
+    All but held_min are empty for a down source."""
 
-    __slots__ = ("tree", "best", "via", "heap")
+    __slots__ = ("tree", "best", "via", "heap", "held", "held_min")
 
     def __init__(self, source: str, up: bool):
         self.tree: dict[str, Link | None] = {}
         self.best: dict[str, float] = {source: 0} if up else {}
         self.via: dict[str, Link | None] = {source: None} if up else {}
         self.heap: list[tuple[float, tuple[str, ...]]] = [(0, (source,))] if up else []
+        self.held: list[tuple[float, tuple[str, ...]]] = []
+        self.held_min = math.inf
 
 
 @dataclass
@@ -133,22 +139,25 @@ class Topology:
     """Mutable node/link graph. Routes come from one cached search per
     source, grown only until it answers the query at hand: shortest_path
     for a path, path_latency_or_inf for a latency, nearest_edge_module for
-    the nearest edge module. Up/down state changes only through set_link_up
-    and set_node_up, which drop the searches whose settled or pending nodes
-    their change can alter, while add_node and add_link drop them all.
-    Allocations change only through reserve and release, which mark the
-    node whose metrics-window entries must be rebuilt (see
-    utilization_snapshot)."""
+    the nearest edge module. A search scans a settled node's links only
+    once a later pop needs them (see _settle). Up/down state changes only
+    through set_link_up and set_node_up, which drop the searches whose
+    settled or pending nodes their change can alter, while add_node and
+    add_link drop them all. Allocations change only through reserve and
+    release, which mark the node whose metrics-window entries must be
+    rebuilt (see utilization_snapshot)."""
 
     nodes: dict[str, Node] = field(default_factory=dict)
     links: dict[str, Link] = field(default_factory=dict)
     # node -> its links in the order they were added, each with its other end
     _adjacency: dict[str, list[tuple[Link, str]]] = field(default_factory=dict)
+    # node -> the least latency of its links, up or down; inf with none
+    _shortest_link: dict[str, float] = field(default_factory=dict)
     # source -> its search, grown as far as queries have needed
     _routes: dict[str, _Search] = field(
         default_factory=dict, repr=False, compare=False)
-    # sorted edge-module ids, built on first use; tiers never change
-    _edge_modules: tuple[str, ...] | None = field(
+    # tier -> its sorted node ids, built on first use; tiers never change
+    _tiers: dict[Tier, tuple[str, ...]] | None = field(
         default=None, repr=False, compare=False)
     # metrics-window maps, by node id: utilization rounded to the trace's
     # 9 places, and the allocation's components. Both are rebuilt as new
@@ -173,8 +182,9 @@ class Topology:
         self.nodes[node_id] = Node(node_id, Tier(tier), ResourceVector(
             cpu_capacity, mem_capacity, storage_capacity))
         self._adjacency[node_id] = []
+        self._shortest_link[node_id] = math.inf
         self._routes.clear()
-        self._edge_modules = None
+        self._tiers = None
         self._stale.add(node_id)
         return node_id
 
@@ -197,6 +207,8 @@ class Topology:
         link = self.links[link_id] = Link(link_id, a, b, latency_ms, bandwidth_mbps)
         self._adjacency[a].append((link, b))
         self._adjacency[b].append((link, a))
+        for end in (a, b):
+            self._shortest_link[end] = min(self._shortest_link[end], latency_ms)
         self._routes.clear()
         return link_id
 
@@ -212,14 +224,12 @@ class Topology:
         except KeyError:
             raise errors.UnknownTarget(link_id) from None
 
-    @property
-    def edge_modules(self) -> tuple[str, ...]:
-        """Ids of the edge modules, sorted."""
-        if self._edge_modules is None:
-            self._edge_modules = tuple(sorted(
-                nid for nid, node in self.nodes.items()
-                if node.tier is Tier.EDGE_MODULE))
-        return self._edge_modules
+    def nodes_of(self, tier: Tier) -> tuple[str, ...]:
+        """Ids of the nodes of a tier, sorted."""
+        if self._tiers is None:
+            self._tiers = {t: tuple(sorted(nid for nid, node in self.nodes.items()
+                                           if node.tier is t)) for t in Tier}
+        return self._tiers[tier]
 
     def links_at(self, node_id: str) -> tuple[str, ...]:
         """Ids of the links incident to a node, in the order they were added."""
@@ -281,7 +291,9 @@ class Topology:
         another way.
 
         Only a settled u can: an unsettled one scans its links, the new one
-        included, when it settles. v must be up. The comparison is <=, not
+        included, when it settles. A held u, settled but not yet scanned,
+        counts as settled, which may drop a search that did not need it
+        but never keeps one that did. v must be up. The comparison is <=, not
         <: an equal-latency entry for v can still win its tie. An unreached
         v counts as infinitely far.
         """
@@ -331,7 +343,7 @@ class Topology:
         """
         search = self._search(gateway)
         tree, best = search.tree, search.best
-        edges = self.edge_modules
+        edges = self.nodes_of(Tier.EDGE_MODULE)
         if not any(nid in tree for nid in edges) \
                 and self._settle(search, frozenset(edges)) is None:
             return None
@@ -368,27 +380,53 @@ class Topology:
         at once does. A pushed node's best latency only falls and its last
         push is its first pop, so the popped entry is the one that via
         names; later entries for a settled node are skipped.
+
+        A settled node is held, its links not yet scanned, until the next
+        pop could be one of the entries it would push: until held_min, the
+        least latency a held node could push at, is no greater than the
+        heap top's (or `limit`, or the heap is empty). Then every held node
+        is scanned in settle order, reading the links and nodes as they are
+        then. Each scan pushes what it would have pushed at settling, and no
+        entry it pushes could have popped before, so the pops, and the
+        earliest-settled predecessor's win, are those of a search that
+        scans each node as it settles.
         """
-        tree, best, via, heap = search.tree, search.best, search.via, search.heap
-        nodes, adjacency = self.nodes, self._adjacency
+        tree, best, via, heap, held = (search.tree, search.best, search.via,
+                                       search.heap, search.held)
+        held_min = search.held_min
+        nodes, adjacency, shortest_link = self.nodes, self._adjacency, self._shortest_link
         heappush, heappop, inf = heapq.heappush, heapq.heappop, math.inf
-        while heap and heap[0][0] <= limit:
-            dist, path_nodes = heappop(heap)
+        found = None
+        while True:
+            if held and held_min <= (heap[0][0] if heap else inf) and held_min <= limit:
+                for dist, path_nodes in held:
+                    for link, nxt in adjacency[path_nodes[-1]]:
+                        if not link.up or not nodes[nxt].up:
+                            continue
+                        ndist = dist + link.latency_ms
+                        if ndist < best.get(nxt, inf):
+                            best[nxt] = ndist
+                            via[nxt] = link
+                            heappush(heap, (ndist, path_nodes + (nxt,)))
+                held.clear()
+                held_min = inf
+            if not heap or heap[0][0] > limit:
+                break
+            entry = heappop(heap)
+            dist, path_nodes = entry
             here = path_nodes[-1]
             if here in tree:
                 continue
             tree[here] = via[here]
-            for link, nxt in adjacency[here]:
-                if not link.up or not nodes[nxt].up:
-                    continue
-                ndist = dist + link.latency_ms
-                if ndist < best.get(nxt, inf):
-                    best[nxt] = ndist
-                    via[nxt] = link
-                    heappush(heap, (ndist, path_nodes + (nxt,)))
+            held.append(entry)
+            reach = dist + shortest_link[here]
+            if reach < held_min:
+                held_min = reach
             if here in targets:
-                return here
-        return None
+                found = here
+                break
+        search.held_min = held_min
+        return found
 
     # -- resource accounting ---------------------------------------------------
 

@@ -5,10 +5,13 @@ exhaustive simple-path enumeration (not Dijkstra), placement by full
 enumeration over every node, and flow counters by re-accumulating trace
 deltas. They may be exponential; the graphs they see are tiny.
 
-Seven exceptions copy earlier production code. reference_shortest_path is the
+Eight exceptions copy earlier production code. reference_shortest_path is the
 uncached per-pair Dijkstra that Topology.shortest_path ran before routes were
 cached per source; it pins the exact path, tie-breaks included, that a
-cached search must return however far it had grown. reference_record_json is TraceRecord.to_json as it was when it
+cached search must return however far it had grown.
+reference_settle_order is the eager search Topology._settle ran before it
+held settled nodes, scanning each node's links as it settled; it pins the
+order in which a cached search settles nodes, which the trace follows. reference_record_json is TraceRecord.to_json as it was when it
 rounded every float again at serialisation; it pins the bytes of a record.
 reference_advance_all is FlowManager.advance_all as it was when every event
 integrated every active flow from the live topology and instance state; it
@@ -81,6 +84,41 @@ def reference_shortest_path(topology: Topology, a: str, b: str) -> list[Link]:
                 heapq.heappush(heap, (ndist, path_nodes + [nxt], nxt,
                                       path_links + [lid]))
     raise errors.Unreachable(f"{a} -> {b}")
+
+
+def reference_settle_order(topology: Topology,
+                           source: str) -> list[tuple[str, str | None]]:
+    """Every node the search from `source` settles over up links between up
+    nodes, in settle order, each with the id of its path's last link (None
+    for the source), searched afresh; empty for a down source.
+
+    Nodes settle in (latency, path node ids) order; each scans its links in
+    the order they were added as it settles, and a node's entry is replaced
+    only by a strictly shorter one.
+    """
+    if not topology.nodes[source].up:
+        return []
+    best: dict[str, float] = {source: 0}
+    heap: list[tuple[float, tuple[str, ...], str | None]] = [(0, (source,), None)]
+    order: list[tuple[str, str | None]] = []
+    settled: set[str] = set()
+    while heap:
+        dist, path_nodes, last_link = heapq.heappop(heap)
+        here = path_nodes[-1]
+        if here in settled:
+            continue
+        settled.add(here)
+        order.append((here, last_link))
+        for lid in topology.links_at(here):
+            link = topology.links[lid]
+            nxt = link.other_end(here)
+            if not link.up or not topology.nodes[nxt].up:
+                continue
+            ndist = dist + link.latency_ms
+            if ndist < best.get(nxt, math.inf):
+                best[nxt] = ndist
+                heapq.heappush(heap, (ndist, path_nodes + (nxt,), lid))
+    return order
 
 
 def reference_load_yaml(text: str):

@@ -81,12 +81,12 @@ def test_migrate_data_app_to_cloud(world):
     assert done is record or done == record
 
 
-def test_migrate_same_host_is_noop(world):
+def test_migrate_to_the_current_host_is_infeasible(world):
     topo, scheduler, engine = world
     inst = scheduler.place(PlacementRequest("analytics", "gw1"))
     before = topo.node("edge1").allocated
-    record = engine.start(inst, "edge1", 500)
-    assert record.downtime_ms == 0 and record.bytes_moved_mb == 0
+    with pytest.raises(errors.TargetInfeasible):
+        engine.start(inst, "edge1", 500)
     assert inst.status is InstanceStatus.RUNNING
     assert topo.node("edge1").allocated == before  # nothing reserved twice
 

@@ -146,6 +146,24 @@ def test_a_stale_action_names_the_error_start_raised():
                      ("agg-1", "edge2", "InstanceNotRunning")]
 
 
+def test_an_offload_to_the_instance_s_own_host_is_a_stale_action():
+    """A move to where the instance already runs is no move: start rejects
+    it, nothing is scheduled, and the run goes on to its end."""
+    runtime = Runtime(scenario_from_dict(two_edge_scenario()))
+    runtime.kernel.run(1000)
+    runtime.kernel.now = 1000
+    runtime._apply_offload(Offload("agg-1", "edge1"))
+    [stale] = [r for r in runtime.kernel.trace if r.kind == "stale_action"]
+    assert stale.subject == "agg-1"
+    assert stale.details["target"] == "edge1"
+    assert stale.details["reason"] == "TargetInfeasible"
+    assert not any(r.kind in ("offload", "migration_started")
+                   for r in runtime.kernel.trace)
+    trace = runtime.run()
+    assert trace.records[-1].kind == "run_end"
+    assert runtime.scheduler.instance("agg-1").host == "edge1"
+
+
 def test_the_runtime_handles_every_event_kind():
     runtime = Runtime(scenario_from_dict(two_edge_scenario()))
     assert set(runtime.kernel.handlers) == set(EventKind)

@@ -13,7 +13,7 @@ from fogsim import errors
 from fogsim.topology import ResourceVector, Tier, Topology
 
 from oracles import (all_pairs_latency, brute_force_latency, reference_nearest_edge,
-                     reference_shortest_path)
+                     reference_settle_order, reference_shortest_path)
 
 MB = ResourceVector
 
@@ -193,9 +193,10 @@ def _flip(topo, kind, element_id):
 
 @st.composite
 def _graph_and_flips(draw):
-    """A graph and flips of its links' and nodes' states: every flip
-    changes the graph, so every one can invalidate a cached search."""
-    topo = draw(_small_graphs())
+    """A graph of at least four links and flips of its links' and nodes'
+    states: every flip changes the graph, so every one can invalidate a
+    cached search."""
+    topo = draw(_small_graphs(min_links=4))
     elements = [("link", lid) for lid in topo.links] + \
                [("node", nid) for nid in topo.nodes]
     return topo, draw(st.lists(st.sampled_from(elements), min_size=4, max_size=24))
@@ -275,6 +276,36 @@ def test_partial_searches_answer_as_a_fresh_search_between_changes(case):
                 assert [l.link_id for l in topo.shortest_path(a, b)] == expected
 
 
+def _run_query(topo, query, a, b):
+    if query == "nearest":
+        topo.nearest_edge_module(a)
+    elif query == "latency":
+        topo.path_latency_or_inf(a, b)
+    else:
+        try:
+            topo.shortest_path(a, b)
+        except errors.Unreachable:
+            pass
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_graph_and_operations())
+def test_cached_searches_settle_in_the_reference_order(case):
+    """The trace follows the order in which searches settle nodes, not only
+    their answers: after every query or flip, each cached search has
+    settled a prefix of the nodes an eager search on the current graph
+    settles, in the same order and each through the same last link."""
+    topo, operations = case
+    for operation in operations:
+        if len(operation) == 2:
+            _flip(topo, *operation)
+        else:
+            _run_query(topo, *operation)
+        for source, search in topo._routes.items():
+            settled = [(nid, link and link.link_id) for nid, link in search.tree.items()]
+            assert settled == reference_settle_order(topo, source)[:len(settled)]
+
+
 def test_a_near_query_leaves_the_far_nodes_unsettled():
     # a chain n0 - n1 - ... - n7 with an edge module at each end
     ids = [f"n{i}" for i in range(8)]
@@ -286,13 +317,39 @@ def test_a_near_query_leaves_the_far_nodes_unsettled():
         topo.add_link(a, b, 1.0, 100)
     assert topo.path_latency_or_inf("n2", "n3") == 1.0
     search = topo._routes["n2"]
-    # n2 settled first, then n1 and n3 at 1 ms; n0 and n4 are pending
+    # n2 settled first, then n1 and n3 at 1 ms; these two are held, their
+    # links unscanned, so n0 and n4 are not reached yet
     assert list(search.tree) == ["n2", "n1", "n3"]
-    assert set(search.best) == {"n0", "n1", "n2", "n3", "n4"}
+    assert [path[-1] for _, path in search.held] == ["n1", "n3"]
+    assert search.held_min == 2.0
+    assert set(search.best) == {"n1", "n2", "n3"}
     assert topo.nearest_edge_module("n2") == "n0"
     assert "n5" not in search.tree and "n7" not in search.best
     assert topo.path_latency_or_inf("n2", "n7") == 5.0
     assert list(search.tree) == ["n2", "n1", "n3", "n0", "n4", "n5", "n6", "n7"]
+
+
+def test_queries_from_a_gateway_to_every_edge_reach_no_other_edge_s_gateways():
+    """A cloud with four edges of four gateways each: settling an edge
+    holds it, and the next edge pops before any held edge's gateway could,
+    so no gateway under another edge is ever pushed."""
+    topo = Topology()
+    topo.add_node("cloud", Tier.CENTRAL_CLOUD, 1000, 1000, 1000)
+    edges = [f"e{i}" for i in range(4)]
+    for edge in edges:
+        topo.add_node(edge, Tier.EDGE_MODULE, 1000, 1000, 1000)
+        topo.add_link("cloud", edge, 20, 100)
+        for j in range(4):
+            topo.add_node(f"{edge}g{j}", Tier.GATEWAY, 1000, 1000, 1000)
+            topo.add_link(edge, f"{edge}g{j}", 2, 100)
+    for edge in edges:
+        assert topo.path_latency_or_inf("e0g0", edge) == (2 if edge == "e0" else 42)
+    search = topo._routes["e0g0"]
+    assert set(search.tree) == {"e0g0", "e0", "e0g1", "e0g2", "e0g3", "cloud", *edges}
+    assert not any(nid in search.best for edge in edges[1:]
+                   for nid in topo.nodes if nid.startswith(f"{edge}g"))
+    assert topo.path_latency_or_inf("e0g0", "e3g3") == 44
+    assert "e1g0" in search.best
 
 
 def test_equal_latency_tie_goes_to_the_smaller_hop_node_ids():
@@ -318,6 +375,22 @@ def test_equal_latency_tie_goes_to_the_path_found_first():
     for a, b, latency in (("s", "a", 1.0), ("a", "z", 2.0),
                           ("a", "b", 1.0), ("b", "z", 1.0)):
         topo.add_link(a, b, latency, 100)
+    expected = ["s--a", "a--z"]
+    assert [l.link_id for l in reference_shortest_path(topo, "s", "z")] == expected
+    assert [l.link_id for l in topo.shortest_path("s", "z")] == expected
+
+
+def test_held_nodes_are_scanned_in_settle_order():
+    # s-a-z and s-b-z both take 6 ms; a and b are both held when z is
+    # first needed, and a, settled first, must push z first
+    topo = Topology()
+    for nid in ("s", "a", "b", "z"):
+        topo.add_node(nid, Tier.EDGE_MODULE, 1000, 1000, 1000)
+    for a, b, latency in (("s", "a", 2.0), ("s", "b", 3.0),
+                          ("a", "z", 4.0), ("b", "z", 3.0)):
+        topo.add_link(a, b, latency, 100)
+    assert topo.path_latency_or_inf("s", "b") == 3.0
+    assert [path[-1] for _, path in topo._routes["s"].held] == ["a", "b"]
     expected = ["s--a", "a--z"]
     assert [l.link_id for l in reference_shortest_path(topo, "s", "z")] == expected
     assert [l.link_id for l in topo.shortest_path("s", "z")] == expected
@@ -448,10 +521,12 @@ def test_window_maps_are_shared_until_an_allocation_changes(three_tier):
     assert three_tier.alloc_snapshot() == alloc
 
 
-def test_edge_modules_are_sorted_and_follow_added_nodes(three_tier):
-    assert three_tier.edge_modules == ("edge1",)
+def test_nodes_of_a_tier_are_sorted_and_follow_added_nodes(three_tier):
+    assert three_tier.nodes_of(Tier.EDGE_MODULE) == ("edge1",)
     three_tier.add_node("edge0", Tier.EDGE_MODULE, 8000, 16384, 491520)
-    assert three_tier.edge_modules == ("edge0", "edge1")
+    assert three_tier.nodes_of(Tier.EDGE_MODULE) == ("edge0", "edge1")
+    assert three_tier.nodes_of(Tier.CENTRAL_CLOUD) == ("cloud",)
+    assert three_tier.nodes_of(Tier.GATEWAY) == ("gw1", "gw2")
 
 
 @settings(max_examples=50, deadline=None)
