@@ -56,11 +56,15 @@ class Flow:
     w_dropped: float = 0.0
     w_uplinked: float = 0.0
     # kept by FlowManager: the time the counters reach, the links the flow
-    # contends on (None while inactive, blocked or unreachable), and the
-    # (divisor, held_at) its deliveries count toward the uplink with (None:
-    # not at all); held_at is the edge host while it cannot reach the cloud
+    # contends on (None while inactive, blocked or unreachable), its fair
+    # share of the path's bandwidth in Mbps (the least over its links of the
+    # link's bandwidth over its contenders; kept with the path, and read only
+    # while it has one), and the (divisor, held_at) its deliveries count
+    # toward the uplink with (None: not at all); held_at is the edge host
+    # while it cannot reach the cloud
     last_ms: int = 0
     path: tuple[Link, ...] | None = None
+    share_mbps: float = 0.0
     uplink: tuple[float, str | None] | None = None
 
 
@@ -72,7 +76,9 @@ class WindowMetrics:
     delivered_mb: float
     dropped_mb: float
     uplink_mb: float
-    flows: list[dict] = field(default_factory=list)
+    # each reported flow's window: the values of its `flow_window` record,
+    # in the order of that kind's row in kernel.RECORD_KINDS
+    flows: list[tuple] = field(default_factory=list)
     links: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -254,7 +260,7 @@ class FlowManager:
     def _reroute(self, flows: list[Flow], now: int) -> None:
         """Re-derive the route of each of `flows`. A flow whose route changes,
         and every flow on a link it leaves or joins, is integrated to `now`
-        under the old routes first."""
+        under the old routes and shares first, then takes its new share."""
         changed = []
         for flow in flows:
             path, uplink = self._route(flow)
@@ -276,6 +282,11 @@ class FlowManager:
                 for link in path or ():
                     contenders.setdefault(link.link_id, {})[flow.flow_id] = flow
             flow.path, flow.uplink = path, uplink
+        # every flow on a link that gained or lost a contender is in `due`
+        for flow in due.values():
+            if flow.path is not None:
+                flow.share_mbps = min(link.bandwidth_mbps / len(contenders[link.link_id])
+                                      for link in flow.path)
 
     # -- integration ----------------------------------------------------------------
 
@@ -300,8 +311,8 @@ class FlowManager:
 
     def _integrate(self, flow: Flow, now: int) -> None:
         """Carry the flow from its last integration to `now` under its indexed
-        route: generate, deliver up to the fair bandwidth share, buffer or
-        drop the rest, drain the buffer with headroom."""
+        route and share: generate, deliver up to the fair bandwidth share,
+        buffer or drop the rest, drain the buffer with headroom."""
         dt_ms = now - flow.last_ms
         if dt_ms == 0:
             return
@@ -313,10 +324,7 @@ class FlowManager:
         if path is None:
             self._absorb(flow, gen)
             return
-        contenders = self._contenders
-        share_mbps = min(link.bandwidth_mbps / len(contenders[link.link_id])
-                         for link in path)
-        capacity_mb = share_mbps * dt_ms / 8000.0
+        capacity_mb = flow.share_mbps * dt_ms / 8000.0
         offered = gen + flow.buffered
         send = min(offered, capacity_mb)
         if send == offered:
@@ -368,18 +376,10 @@ class FlowManager:
             if flow.w_generated == 0 and flow.w_delivered == 0 and \
                     flow.w_dropped == 0 and not flow.active:
                 continue
-            flows_out.append({
-                "flow": flow.flow_id,
-                "device": flow.device_id,
-                "generated_mb": flow.w_generated,
-                "delivered_mb": flow.w_delivered,
-                "dropped_mb": flow.w_dropped,
-                "uplink_mb": flow.w_uplinked,
-                "buffered_mb": flow.buffered,
-                "cum_generated_mb": flow.generated,
-                "cum_delivered_mb": flow.delivered,
-                "cum_dropped_mb": flow.dropped,
-            })
+            flows_out.append((flow.flow_id, flow.device_id, flow.w_generated,
+                              flow.w_delivered, flow.w_dropped, flow.w_uplinked,
+                              flow.buffered, flow.generated, flow.delivered,
+                              flow.dropped))
             totals[0] += flow.w_generated
             totals[1] += flow.w_delivered
             totals[2] += flow.w_dropped

@@ -74,7 +74,7 @@ def _round_floats(value):
 
     `Kernel.emit` walks the details of a kind not in `RECORD_KINDS` with it,
     and of a declared kind only the `any` fields; a declared kind's numbers
-    are rounded field by field."""
+    are rounded field by field, by the kind's compiled checker."""
     if isinstance(value, dict):
         return {k: round(v, 9) if type(v) is float
                 else v if type(v) in _PLAIN else _round_floats(v)
@@ -124,11 +124,11 @@ def _shared_text(value, memo: dict) -> str:
 # value that records may share, such as the per-node maps of consecutive
 # `metrics_window` records: it goes into the record as it is, neither copied
 # nor walked, so it must equal its own rounding, and it is written by
-# `_shared_text`. `Kernel.emit` checks a declared kind's details against its
-# row, and `Trace.to_jsonl` writes its records through a line writer
-# compiled from the row. Kinds whose key set varies (`instance_placed`,
-# `scheduler_tick`, `warning`) are not declared; they keep `_round_floats`
-# and the generic encoder.
+# `_shared_text`. `Kernel.emit` checks and rounds a declared kind's details
+# by a checker compiled from its row, and `Trace.to_jsonl` writes its
+# records through a line writer compiled from the row. Kinds whose key set
+# varies (`instance_placed`, `scheduler_tick`, `warning`) are not declared;
+# they keep `_round_floats` and the generic encoder.
 RECORD_KINDS: dict[str, tuple[tuple[str, str], ...]] = {
     "scenario_loaded": (("nodes", "any"), ("thresholds", "any"),
                         ("scheduler_tick_ms", "number"), ("buffer_mb", "number"),
@@ -178,6 +178,15 @@ RECORD_KINDS: dict[str, tuple[tuple[str, str], ...]] = {
 }
 
 
+def _compile(signature: str, body: list[str], **names):
+    """The function `def {signature}:` with the lines of `body`, compiled
+    with `names` in scope."""
+    namespace = {"__name__": __name__, **names}
+    exec(f"def {signature}:\n" + "".join(f"    {line}\n" for line in body),
+         namespace)
+    return namespace[signature.partition("(")[0]]
+
+
 def _compile_writer(kind: str, fields: tuple[tuple[str, str], ...]):
     """The line writer of a declared kind: a function of a record and a
     `_shared_text` memo that returns `to_json`'s text of the record by one
@@ -199,80 +208,101 @@ def _compile_writer(kind: str, fields: tuple[tuple[str, str], ...]):
     line = ('{"details":{' + ",".join(slots) + '},"kind":' + literal(kind)
             + ',"seq":%r,"subject":%s,"time_ms":%r}')
     args += ["r.seq", "_text(r.subject)", "r.time_ms"]
-    namespace = {"__name__": __name__, "_text": encode_basestring_ascii,
-                 "_encode": _encode, "_shared": _shared_text}
-    exec(f"def write(r, memo):\n    d = r.details\n"
-         f"    return {line!r} % ({', '.join(args)})\n", namespace)
-    return namespace["write"]
+    return _compile("write(r, memo)",
+                    ["d = r.details", f"return {line!r} % ({', '.join(args)})"],
+                    _text=encode_basestring_ascii, _encode=_encode,
+                    _shared=_shared_text)
+
+
+def _number_error(kind: str, key: str, value) -> errors.InvariantViolation:
+    return errors.InvariantViolation(
+        f"{kind}: {key} must be a finite number, not {value!r}")
+
+
+def _str_error(kind: str, key: str, value) -> errors.InvariantViolation:
+    return errors.InvariantViolation(f"{kind}: {key} must be a str, not {value!r}")
+
+
+def _other_number(kind: str, key: str, value) -> float:
+    """A number field's value that is neither a float nor an int: a finite
+    float subclass, made a float by rounding; anything else raises."""
+    if isinstance(value, float) and value - value == 0.0:
+        return round(value, 9)
+    raise _number_error(kind, key, value)
+
+
+def _compile_builder(kind: str, fields: tuple[tuple[str, str], ...]):
+    """The checker of a declared kind: a function of the subject, a rounding
+    memo and the row's values in row order that returns the record's
+    details, equal to `_round_floats` of them.
+
+    It checks the number fields, then the str fields, then the subject, and
+    raises InvariantViolation, naming the kind and the field, where a number
+    field holds anything but an int or a finite float (a bool, None and str
+    included), or the subject or a str field holds no str. A nonzero float
+    of a number field is rounded to 9 places through `memo`, which maps a
+    float to its rounding, so each distinct float is rounded once per memo
+    and its records share the rounded object; ±0.0 is kept as it is, and a
+    float subclass is made a float. An any field is rounded by
+    `_round_floats`, and a shared field holds its value itself."""
+    names = [f"v{i}" for i in range(len(fields))]
+    numbers, texts, values = [], [], []
+    for v, (key, ftype) in zip(names, fields):
+        if ftype == "number":
+            numbers += [
+                f"if type({v}) is float:",
+                f"    if {v}:",  # ±0.0 is its own rounding
+                f"        r = memo.get({v})",
+                "        if r is None:",  # inf and nan are never stored
+                f"            if {v} - {v} != 0.0:",
+                f"                raise _number_error(kind, {key!r}, {v})",
+                f"            r = memo[{v}] = round({v}, 9)",
+                f"        {v} = r",
+                f"elif type({v}) is not int:",
+                f"    {v} = _other_number(kind, {key!r}, {v})"]
+        elif ftype == "str":
+            texts += [f"if not isinstance({v}, str):",
+                      f"    raise _str_error(kind, {key!r}, {v})"]
+        elif ftype == "any":
+            values += [f"if type({v}) not in _PLAIN:",
+                       f"    {v} = _round_floats({v})"]
+    subject = ["if not isinstance(subject, str):",
+               "    raise _str_error(kind, 'subject', subject)"]
+    result = ", ".join(f"{key!r}: {v}" for v, (key, _) in zip(names, fields))
+    body = numbers + texts + subject + values + [f"return {{{result}}}"]
+    return _compile(f"build(subject, memo, {', '.join(names)})", body, kind=kind,
+                    _number_error=_number_error, _str_error=_str_error,
+                    _other_number=_other_number, _PLAIN=_PLAIN,
+                    _round_floats=_round_floats)
 
 
 class _Layout:
-    """A declared kind, compiled from its `RECORD_KINDS` row: what
-    `Kernel.emit` checks and rounds, and the writer of its lines."""
+    """A declared kind, compiled from its `RECORD_KINDS` row: the checker
+    that makes its details from the row's values (see `_compile_builder`),
+    the same checker fed from a dict, and the writer of its lines."""
 
-    __slots__ = ("kind", "keys", "numbers", "texts", "values", "kept", "write")
+    __slots__ = ("kind", "keys", "build", "from_dict", "write")
 
     def __init__(self, kind: str, fields: tuple[tuple[str, str], ...]):
         self.kind = kind
         self.keys = frozenset(key for key, _ in fields)
-        self.numbers = tuple(key for key, ftype in fields if ftype == "number")
-        self.texts = tuple(key for key, ftype in fields if ftype == "str")
-        self.values = tuple(key for key, ftype in fields if ftype == "any")
-        self.kept = tuple(key for key, ftype in fields if ftype == "shared")
+        self.build = _compile_builder(kind, fields)
+        # every declared key is looked up, so with the count of keys equal,
+        # no KeyError means the key sets are equal
+        names = [f"v{i}" for i in range(len(fields))]
+        body = [f"if len(d) != {len(fields)}:", "    raise keys_error(d)", "try:"]
+        body += [f"    {v} = d[{key!r}]" for v, (key, _) in zip(names, fields)]
+        body += ["except KeyError:", "    raise keys_error(d) from None",
+                 f"return build(subject, memo, {', '.join(names)})"]
+        self.from_dict = _compile("from_dict(subject, memo, d)", body,
+                                  build=self.build, keys_error=self._keys_error)
         self.write = _compile_writer(kind, fields)
 
-    def details(self, subject, details: dict) -> dict:
-        """A copy of `details`, equal to `_round_floats(details)`: each float
-        of a number field rounded to 9 places, each any field rounded by
-        `_round_floats`, and each shared field holding its value itself.
-        Raises InvariantViolation, naming the kind and the field, where the
-        keys differ from the declared ones, a number field holds anything
-        but an int or a finite float (a bool, None and str included), or the
-        subject or a str field holds no str.
-
-        Every declared key is looked up, so with the count of keys equal,
-        no KeyError means the key sets are equal."""
-        fields = dict(details)
-        if len(fields) != len(self.keys):
-            raise self._keys_error(fields)
-        try:
-            for key in self.numbers:
-                value = fields[key]
-                if type(value) is float:
-                    if value - value != 0.0:  # inf or nan
-                        raise self._number_error(key, value)
-                    if value:  # ±0.0 is its own rounding
-                        fields[key] = round(value, 9)
-                elif type(value) is not int:
-                    if not (isinstance(value, float) and value - value == 0.0):
-                        raise self._number_error(key, value)
-                    fields[key] = round(value, 9)  # a float subclass, made a float
-            for key in self.texts:
-                if not isinstance(fields[key], str):
-                    raise errors.InvariantViolation(
-                        f"{self.kind}: {key} must be a str, not {fields[key]!r}")
-            for key in self.values:
-                value = fields[key]
-                if type(value) not in _PLAIN:
-                    fields[key] = _round_floats(value)
-            for key in self.kept:
-                fields[key]  # required, and taken as it is
-        except KeyError:
-            raise self._keys_error(fields) from None
-        if not isinstance(subject, str):
-            raise errors.InvariantViolation(
-                f"{self.kind}: subject must be a str, not {subject!r}")
-        return fields
-
-    def _keys_error(self, fields: dict) -> errors.InvariantViolation:
-        missing = sorted(self.keys - fields.keys())
-        extra = sorted(fields.keys() - self.keys, key=repr)  # keys of any type
+    def _keys_error(self, details: dict) -> errors.InvariantViolation:
+        missing = sorted(self.keys - details.keys())
+        extra = sorted(details.keys() - self.keys, key=repr)  # keys of any type
         return errors.InvariantViolation(
             f"{self.kind}: missing {missing}, undeclared {extra}")
-
-    def _number_error(self, key: str, value) -> errors.InvariantViolation:
-        return errors.InvariantViolation(
-            f"{self.kind}: {key} must be a finite number, not {value!r}")
 
 
 _LAYOUTS = {kind: _Layout(kind, fields) for kind, fields in RECORD_KINDS.items()}
@@ -486,26 +516,42 @@ class Kernel:
         self.schedule(fault.start + fault.duration, EventKind.FAULT_END,
                       {"fault": fault})
 
-    def emit(self, kind: str, subject: str,
-             details: dict | None = None) -> TraceRecord:
+    def emit(self, kind: str, subject: str, details: dict | tuple | None = None,
+             memo: dict | None = None) -> TraceRecord:
         """Append a record of `details` to the trace.
 
-        For a kind declared in `RECORD_KINDS`, `details` must have exactly
-        the declared keys, a number field must hold an int or a finite float
-        and a str field a str; anything else raises InvariantViolation
-        naming the kind and the field. The details are copied with only the
-        number fields' floats rounded to 9 places, any fields rounded by
-        `_round_floats` and shared fields' values as they are, and the
-        record carries its kind's compiled writer.
+        For a kind declared in `RECORD_KINDS`, `details` is a dict with
+        exactly the declared keys, or a tuple of the row's values in row
+        order. Both go through the kind's one compiled checker, which makes
+        the details and raises InvariantViolation for a bad value (see
+        `_compile_builder`); a dict with other keys or a tuple of another
+        length raises it too. The record carries the kind's compiled writer.
 
-        For any other kind, `details` are copied through `_round_floats`,
-        with every float rounded to 9 places, so the in-memory trace equals
-        its JSON round trip.
+        `memo` maps a float to its rounding. Records emitted with one memo
+        round each distinct float of a number field once and share the
+        rounded float object, which is safe since floats are immutable and
+        details are never mutated. Without a memo, each call rounds afresh.
+
+        For any other kind, `details` is a dict, copied through
+        `_round_floats`, with every float rounded to 9 places, so the
+        in-memory trace equals its JSON round trip.
         """
         layout = _LAYOUTS.get(kind)
         if layout is not None:
-            fields = layout.details(subject, details or {})
+            if memo is None:
+                memo = {}
+            if type(details) is not tuple:
+                fields = layout.from_dict(subject, memo, details or {})
+            elif len(details) == len(layout.keys):
+                fields = layout.build(subject, memo, *details)
+            else:
+                raise errors.InvariantViolation(
+                    f"{kind}: {len(layout.keys)} values in row order, "
+                    f"not {len(details)}")
             writer = layout.write
+        elif type(details) is tuple:
+            raise errors.InvariantViolation(
+                f"{kind}: values in row order need a declared kind")
         else:
             fields = _round_floats(details or {})
             writer = None

@@ -34,6 +34,9 @@ def transfer_duration(size_mb: float, path: list[Link]) -> int:
 
     duration = size * 8 / (min bandwidth along path, Mbps) * 1000
              + sum of link latencies, rounded up to whole ms.
+
+    A duration that is not finite is TargetInfeasible: the state cannot
+    cross the path.
     """
     if not path:
         raise errors.ValidationError("transfer path must be non-empty")
@@ -42,7 +45,11 @@ def transfer_duration(size_mb: float, path: list[Link]) -> int:
             raise errors.LinkDown(link.link_id)
     min_bw = min(link.bandwidth_mbps for link in path)
     latency = sum(link.latency_ms for link in path)
-    return math.ceil(size_mb * 8.0 / min_bw * 1000.0 + latency)
+    duration = size_mb * 8.0 / min_bw * 1000.0 + latency
+    if not math.isfinite(duration):
+        raise errors.TargetInfeasible(
+            f"{size_mb!r} MB over {min_bw!r} Mbps takes no finite time")
+    return math.ceil(duration)
 
 
 class MigrationEngine:

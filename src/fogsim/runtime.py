@@ -364,32 +364,27 @@ class Runtime:
         if now <= self._window_start:
             return
         metrics = self.flows.close_window(self._window_start, now)
-        for f in metrics.flows:
-            self.kernel.emit("flow_window", f["flow"], f)
+        kernel = self.kernel
+        memo: dict = {}  # this window's floats -> their roundings
+        for values in metrics.flows:
+            kernel.emit("flow_window", values[0], values, memo)
         dt = now - self._window_start
+        links = self.topology.links
         for link_id in sorted(metrics.links):
-            link = self.topology.links[link_id]
-            self.kernel.emit("link_window", link_id, {
-                "delivered_mb": metrics.links[link_id],
-                "capacity_mb": link.bandwidth_mbps * dt / 8000.0})
+            kernel.emit("link_window", link_id, (
+                metrics.links[link_id], links[link_id].bandwidth_mbps * dt / 8000.0),
+                memo)
         statuses = {iid: self.scheduler.instances[iid].status.value
                     for iid in sorted(self.scheduler.instances)}
         # an unchanged map is emitted as the previous window's object, which
         # records share and never mutate
         if statuses != self._statuses:
             self._statuses = statuses
-        self.kernel.emit("metrics_window", "network", {
-            "window_start": self._window_start,
-            "window_end": now,
-            "generated_mb": metrics.generated_mb,
-            "delivered_mb": metrics.delivered_mb,
-            "dropped_mb": metrics.dropped_mb,
-            "uplink_mb": metrics.uplink_mb,
-            "uplink_ratio": metrics.ratio_or_none(),
-            "instances": self._statuses,
-            "utilization": self.topology.utilization_snapshot(),
-            "alloc": self.topology.alloc_snapshot(),
-        })
+        kernel.emit("metrics_window", "network", (
+            self._window_start, now, metrics.generated_mb, metrics.delivered_mb,
+            metrics.dropped_mb, metrics.uplink_mb, metrics.ratio_or_none(),
+            self._statuses, self.topology.utilization_snapshot(),
+            self.topology.alloc_snapshot()), memo)
         self._window_start = now
 
     # -- faults -----------------------------------------------------------------------

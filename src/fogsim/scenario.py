@@ -214,6 +214,20 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(raw)
 
 
+def _finite_over_run(value: float, duration_ms: int, context: str) -> None:
+    """Reject a per-ms quantity, a rate or a bandwidth, whose product with
+    the run's duration is not finite: a window's generated_mb and its link
+    capacity are that product over the window, and no window of a run to
+    the scenario's duration is longer than the run."""
+    try:
+        finite = math.isfinite(value * duration_ms)
+    except OverflowError:  # a duration too large for a float
+        finite = False
+    if not finite:
+        raise errors.InvariantViolation(
+            f"{context} {value!r} times duration_ms {duration_ms} is not finite")
+
+
 def _validate(scenario: Scenario) -> None:
     if scenario.duration_ms <= 0:
         raise errors.InvariantViolation("duration_ms must be > 0")
@@ -262,6 +276,11 @@ def _validate(scenario: Scenario) -> None:
         if profile.iot_app not in catalog.apps:
             raise errors.UnknownReference(
                 f"device {profile.model} references unknown app {profile.iot_app}")
+        _finite_over_run(profile.data_rate_kbps, scenario.duration_ms,
+                         f"device {profile.model}: data_rate_kbps")
+    for link in topo.links.values():
+        _finite_over_run(link.bandwidth_mbps, scenario.duration_ms,
+                         f"link {link.link_id}: bandwidth_mbps")
 
     gateways = {nid for nid, n in topo.nodes.items() if n.tier is Tier.GATEWAY}
 
@@ -309,8 +328,10 @@ def _validate(scenario: Scenario) -> None:
             if etype == "place" and replicas < 1:
                 raise errors.InvariantViolation(f"{ctx}: replicas must be >= 1")
         elif etype == "workload":
-            if _number(entry, "data_rate_kbps", ctx) <= 0:
+            rate = _number(entry, "data_rate_kbps", ctx)
+            if rate <= 0:
                 raise errors.InvariantViolation(f"{ctx}: data_rate must be > 0")
+            _finite_over_run(rate, scenario.duration_ms, f"{ctx}: data_rate_kbps")
 
     for i, f in enumerate(scenario.faults):
         ctx = f"faults[{i}]"

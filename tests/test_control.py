@@ -264,6 +264,34 @@ def test_non_finite_number_is_a_parse_error(field, value, tmp_path, capsys):
     assert "invalid: ParseError" in capsys.readouterr().err
 
 
+# finite numbers whose product with the run's duration is not: the rate a
+# window's generated_mb and the bandwidth its link capacity are computed from
+OVERFLOWING_FIELDS = {
+    "device-rate": NON_FINITE_FIELDS["device-rate"],
+    "workload-rate": NON_FINITE_FIELDS["workload-rate"],
+    "link-bandwidth": NON_FINITE_FIELDS["link-bandwidth"],
+}
+
+
+@pytest.mark.parametrize("field", sorted(OVERFLOWING_FIELDS))
+def test_a_rate_or_bandwidth_that_overflows_over_the_run_is_rejected(field, tmp_path,
+                                                                    capsys):
+    raw = yaml.safe_load((SCENARIO_DIR / "scaling.yaml").read_text())
+    OVERFLOWING_FIELDS[field](raw, 1.7e308)
+    with pytest.raises(errors.InvariantViolation, match="times duration_ms 20000"):
+        scenario_from_dict(raw)
+    path = tmp_path / "overflowing.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["validate", str(path)]) == EXIT_VALIDATION
+    assert main(["run", str(path)]) == EXIT_VALIDATION
+    assert "invalid: InvariantViolation" in capsys.readouterr().err
+    # a value whose product is finite still runs
+    raw = yaml.safe_load((SCENARIO_DIR / "scaling.yaml").read_text())
+    OVERFLOWING_FIELDS[field](raw, 1e300)
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["run", str(path)]) == EXIT_OK
+
+
 @pytest.mark.parametrize("field", sorted(NON_FINITE_FIELDS))
 def test_a_bool_is_not_a_number(field):
     """`true` would otherwise be taken as 1.0, e.g. a threshold of 1.0."""

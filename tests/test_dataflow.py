@@ -11,7 +11,7 @@ from fogsim.discovery import DiscoveryService
 from fogsim.kernel import Kernel
 from fogsim.migration import MigrationEngine
 from fogsim.scheduler import PlacementRequest, Scheduler
-from fogsim.topology import ResourceVector
+from fogsim.topology import ResourceVector, Tier, Topology
 
 from oracles import ReferenceFlows, reference_advance_all
 
@@ -149,6 +149,31 @@ def test_fair_share_on_contended_link(world):
     for flow in (f1, f2):
         assert flow.delivered == pytest.approx(6.25)  # half the link each
         assert flow.buffered == pytest.approx(6.25)
+
+
+def test_shares_follow_a_contender_that_joins_and_leaves(catalog):
+    """gw1 reaches edge1 over 100 Mbps and edge2 over 40 Mbps."""
+    topo = Topology()
+    for node, tier in (("edge1", Tier.EDGE_MODULE), ("edge2", Tier.EDGE_MODULE),
+                       ("gw1", Tier.GATEWAY)):
+        topo.add_node(node, tier, 8000, 16384, 491520)
+    topo.add_link("gw1", "edge1", 2, 100)
+    topo.add_link("gw1", "edge2", 2, 40)
+    discovery = DiscoveryService(topo, catalog)
+    flows = FlowManager(topo, catalog, discovery, Scheduler(topo, catalog))
+    for device in ("dev1", "dev2"):
+        discovery.handle_attach("gw1", device, "smartband", "1.0", 0)
+    f1 = flows.open_flow("dev1", "gw1", "edge1", 200_000, 0)
+    assert f1.share_mbps == 100.0
+    f2 = flows.open_flow("dev2", "gw1", "edge1", 200_000, 1000)  # joins
+    assert (f1.share_mbps, f2.share_mbps) == (50.0, 50.0)
+    flows.rebind(f2.flow_id, "edge2", None, 2000)  # leaves
+    assert (f1.share_mbps, f2.share_mbps) == (100.0, 40.0)
+    flows.advance_all(3000)
+    # 1 s alone, 1 s halved, 1 s alone: 100, 50 and 100 Mbps of 200
+    assert f1.delivered == pytest.approx((100 + 50 + 100) / 8)
+    # 1 s halved, then 1 s at edge2's 40 Mbps
+    assert f2.delivered == pytest.approx((50 + 40) / 8)
 
 
 def test_uplink_ratio_edge_hosted(world):

@@ -305,20 +305,101 @@ def _declared_records(draw):
 @given(st.lists(_declared_records(), min_size=1, max_size=4),
        st.integers(0, 10 ** 9))
 def test_declared_records_round_as_before_and_write_as_the_reference(records, now):
-    kernel = Kernel()
-    kernel.now = now
+    """Each record is emitted from its dict, and again from its values in
+    row order with one memo shared by all the tuple-form records, as a
+    window close emits them."""
+    kernel, by_row = Kernel(), Kernel()
+    kernel.now = by_row.now = now
+    memo: dict = {}
     for kind, subject, details in records:
-        record = kernel.emit(kind, subject, details)
-        assert record.writer is not None
-        # rounded exactly as the recursive walk rounds: -0.0, 1 and 1.0 apart
-        assert repr(record.details) == repr(kernel_module._round_floats(details))
-        # and written as the reference writes the unrounded input
-        assert record.to_json() == reference_record_json(
-            TraceRecord(now, record.seq, kind, subject, details))
+        values = tuple(details[key] for key, _ in RECORD_KINDS[kind])
+        for record in (kernel.emit(kind, subject, details),
+                       by_row.emit(kind, subject, values, memo)):
+            assert record.writer is not None
+            # rounded exactly as the recursive walk rounds: -0.0, 1 and 1.0 apart
+            assert repr(record.details) == repr(kernel_module._round_floats(details))
+            # and written as the reference writes the unrounded input
+            assert record.to_json() == reference_record_json(
+                TraceRecord(now, record.seq, kind, subject, details))
+    # a memo holds each nonzero finite float it rounded, as round rounds it
+    assert all(type(x) is float and x and rounded == round(x, 9)
+               and type(rounded) is float for x, rounded in memo.items())
     text = kernel.trace.to_jsonl()
-    assert text == _reference_jsonl(kernel.trace)
+    assert text == _reference_jsonl(kernel.trace) == by_row.trace.to_jsonl()
+    assert by_row.trace.records == kernel.trace.records
     parsed = Trace.from_jsonl(text)
     assert parsed.records == kernel.trace.records and parsed.to_jsonl() == text
+
+
+def test_a_memo_rounds_each_float_once_and_shares_the_result():
+    kernel = Kernel()
+    memo: dict = {}
+    third = 1 / 3
+    first = kernel.emit("link_window", "l1", (third, _Float(2 / 3)), memo)
+    second = kernel.emit("link_window", "l2", (-0.0, third), memo)
+    assert memo == {third: round(third, 9)}  # a float subclass is not memoised
+    assert first.details["delivered_mb"] is second.details["capacity_mb"]
+    assert first.details["delivered_mb"] == round(third, 9)
+    assert type(first.details["capacity_mb"]) is float
+    assert first.details["capacity_mb"] == round(2 / 3, 9)
+    assert math.copysign(1.0, second.details["delivered_mb"]) == -1.0
+    # a hit returns the memo's value, whatever it holds
+    memo[0.5] = 0.25
+    assert kernel.emit("link_window", "l3", (0.5, 0), memo).details == {
+        "delivered_mb": 0.25, "capacity_mb": 0}
+    # without a memo, each call rounds afresh
+    assert kernel.emit("link_window", "l4", (third, third)).details == {
+        "delivered_mb": round(third, 9), "capacity_mb": round(third, 9)}
+
+
+_BAD_NUMBERS = [True, None, "1", math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def _declared_with_one_bad_value(draw):
+    """(kind, subject, details) of a declared kind, each field valid for its
+    type, and at most one bad value: in a number field, in a str field, or
+    as the subject."""
+    kind, subject, details = draw(_declared_records())
+    fields = RECORD_KINDS[kind]
+    where = draw(st.sampled_from(["none", "subject"] + [
+        key for key, ftype in fields if ftype in ("number", "str")]))
+    if where == "subject":
+        subject = draw(st.sampled_from([None, 1, b"x", 1.5]))
+    elif where != "none":
+        ftype = dict(fields)[where]
+        details[where] = draw(st.sampled_from(
+            _BAD_NUMBERS if ftype == "number" else [None, 1, b"x", 1.5, True]))
+    return kind, subject, details
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_declared_with_one_bad_value())
+def test_one_checker_takes_both_forms(case):
+    """A dict and its values in row order make equal records, written as
+    equal lines, and fail with the same message."""
+    kind, subject, details = case
+    values = tuple(details[key] for key, _ in RECORD_KINDS[kind])
+    outcomes = []
+    for form in (details, values):
+        try:
+            record = Kernel().emit(kind, subject, form)
+        except errors.InvariantViolation as exc:
+            outcomes.append(("raised", str(exc)))
+        else:
+            outcomes.append((record, record.to_json()))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_a_tuple_of_another_length_or_an_undeclared_kind_is_named():
+    kernel = Kernel()
+    with pytest.raises(errors.InvariantViolation,
+                       match=r"^link_window: 2 values in row order, not 3$"):
+        kernel.emit("link_window", "l", (1.0, 2.0, 3.0))
+    with pytest.raises(errors.InvariantViolation,
+                       match=r"^thing: values in row order need a declared kind$"):
+        kernel.emit("thing", "s", (1.0,))
+    assert len(kernel.trace) == 0
 
 
 def _valid_details(kind: str, **fields) -> dict:
@@ -374,7 +455,7 @@ _NUMBER_FIELDS = [(kind, key) for kind, fields in sorted(RECORD_KINDS.items())
                   for key, ftype in fields if ftype == "number"]
 
 
-@pytest.mark.parametrize("bad", [True, None, "1", math.inf, -math.inf, math.nan],
+@pytest.mark.parametrize("bad", _BAD_NUMBERS,
                          ids=["bool", "None", "str", "inf", "-inf", "nan"])
 def test_a_number_field_takes_only_an_int_or_a_finite_float(bad):
     assert _NUMBER_FIELDS

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import pytest
+import yaml
 
 from fogsim import errors
+from fogsim.control import run_scenario
 from fogsim.discovery import InstallRequest
 from fogsim.migration import MigrationEngine, StateBlob, transfer_duration
 from fogsim.scheduler import InstanceStatus, PlacementRequest, Scheduler
+from fogsim.scenario import scenario_from_dict
 from fogsim.topology import Link, ResourceVector, Tier, Topology
+
+from fixture_paths import SCENARIO_DIR
 
 
 def link(latency, bw):
@@ -29,6 +34,36 @@ def test_transfer_duration_rounds_up():
 
 def test_transfer_duration_zero_payload_still_pays_latency():
     assert transfer_duration(0, [link(5, 100)]) == 5
+
+
+def test_a_transfer_of_no_finite_duration_is_infeasible():
+    with pytest.raises(errors.TargetInfeasible,
+                       match=r"^1\.7e\+308 MB over 100 Mbps takes no finite time$"):
+        transfer_duration(1.7e308, [link(2, 100)])
+    with pytest.raises(errors.TargetInfeasible):
+        transfer_duration(1e300, [link(2, 1e-10)])
+
+
+def test_an_offload_of_no_finite_duration_is_a_stale_action():
+    """scaling.yaml offloads city-analytics at 11 s; a state that cannot
+    cross the path in finite time leaves the instance where it is."""
+    raw = yaml.safe_load((SCENARIO_DIR / "scaling.yaml").read_text())
+    [app] = [a for a in raw["apps"] if a["id"] == "city-analytics"]
+    app["state_size_mb"] = 1.7e308
+    trace, _ = run_scenario(scenario_from_dict(raw))
+    stale = [r for r in trace if r.kind == "stale_action"]
+    assert stale and {r.details["reason"] for r in stale} == {"TargetInfeasible"}
+    assert "takes no finite time" in stale[0].details["detail"]
+    assert not any(r.kind in ("offload", "migration_started") for r in trace)
+
+
+def test_a_roam_of_no_finite_duration_is_a_warning():
+    raw = yaml.safe_load((SCENARIO_DIR / "roaming.yaml").read_text())
+    raw["apps"][0]["state_size_mb"] = 1.7e308
+    trace, _ = run_scenario(scenario_from_dict(raw))
+    warnings = [r for r in trace if r.kind == "warning"]
+    assert warnings and {r.details["reason"] for r in warnings} == {"TargetInfeasible"}
+    assert not any(r.kind in ("roam_completed", "migration_started") for r in trace)
 
 
 def test_transfer_duration_empty_path_rejected():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -342,7 +343,8 @@ def test_lazy_flows_match_eager_integration(seed, n_steps, buffer_mb):
     toggles and migrations at random times, through the lazy FlowManager and
     through the eager reference, which integrates every flow at every step.
     After every window both hold the same counters, link volumes, uplink
-    and output held per edge host, and every flow conserves its bytes."""
+    and output held per edge host, and every flow conserves its bytes. After
+    every step each routed flow's kept share is the one its path gives it."""
     topo, catalog, discovery, scheduler, homes, instances = contended_world()
     flows = FlowManager(topo, catalog, discovery, scheduler, buffer_mb=buffer_mb)
     ref = ReferenceFlows(topo, catalog, scheduler, buffer_mb)
@@ -373,8 +375,19 @@ def test_lazy_flows_match_eager_integration(seed, n_steps, buffer_mb):
             flow.w_generated = flow.w_delivered = flow.w_dropped = flow.w_uplinked = 0.0
         ref.link_mb.clear()
 
+    def assert_fresh_shares():
+        """Each flow with a path holds the share its path gives it now."""
+        counts = Counter(link.link_id for flow in flows.flows.values()
+                         for link in flow.path or ())
+        for fid, flow in flows.flows.items():
+            if flow.path is not None:
+                assert flow.active
+                assert flow.share_mbps == min(link.bandwidth_mbps / counts[link.link_id]
+                                              for link in flow.path), fid
+
     rng = random.Random(seed)
     for _ in range(n_steps):
+        assert_fresh_shares()
         op = rng.choice(FLOW_STEPS)
         dt = rng.choice([0, rng.randint(1, 800)])
         now += dt
@@ -432,4 +445,5 @@ def test_lazy_flows_match_eager_integration(seed, n_steps, buffer_mb):
                 serving = rng.choice([None] + instances)
                 flows.rebind(fid, sink, serving, now)
                 expected.sink, expected.serving_instance = sink, serving
+    assert_fresh_shares()
     close_window()
