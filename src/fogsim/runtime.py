@@ -18,7 +18,7 @@ from .dataflow import FlowManager
 from .discovery import DiscoveryService
 from .kernel import Event, EventKind, Fault, FaultKind, Kernel
 from .migration import MigrationEngine, MigrationRecord
-from .scenario import SCRIPT_EVENTS, Scenario
+from .scenario import SCRIPT_EVENTS, Scenario, validate_until
 from .scheduler import AppInstance, Defer, InstanceStatus, Offload, \
     PlacementRequest, Scheduler
 
@@ -95,9 +95,11 @@ class Runtime:
 
     def run(self, until: int | None = None):
         """Run to `until` (default: scenario duration), close the final metrics
-        window, and return the trace. A negative `until` is a ValidationError."""
-        if until is not None and until < 0:
-            raise errors.ValidationError(f"until must be >= 0, not {until}")
+        window, and return the trace. An `until` that is negative, or so far
+        past the scenario's duration that the run's rates times it overflow,
+        is a ValidationError (see validate_until)."""
+        if until is not None:
+            validate_until(self.scenario, self.topology, self.catalog, until)
         horizon = self.scenario.duration_ms if until is None else until
         self.kernel.run(horizon)
         if self.kernel.now < horizon:

@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
+from yaml.events import (DocumentEndEvent, MappingEndEvent, MappingStartEvent,
+                         ScalarEvent, SequenceEndEvent, SequenceStartEvent,
+                         StreamEndEvent)
+from yaml.nodes import ScalarNode
 
 from . import errors
 from .catalog import AppKind, AppSpec, Catalog, DeviceProfile, FirmwareEntry
@@ -46,9 +50,11 @@ _FINITE_FIELDS: dict[str, tuple[str, ...]] = {
 # script fields that name a device, node or app and, where given, must be strings
 _SCRIPT_NAMES = ("device", "gateway", "model", "to_gateway", "app", "source", "host")
 
-# libyaml's C parser under the SafeConstructor and Resolver of
-# yaml.safe_load, so documents load to the same objects; PyYAML's
-# pure-Python parser where PyYAML was built without libyaml
+# The parser whose events _load_yaml builds documents from, and whose
+# Resolver and SafeConstructor (those of yaml.safe_load) type its scalars:
+# libyaml's C parser, or PyYAML's pure-Python parser where PyYAML was built
+# without libyaml. yaml.load with this loader reads the documents the event
+# builder leaves to PyYAML.
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
@@ -200,6 +206,106 @@ def scenario_from_dict(raw: dict) -> Scenario:
     return scenario
 
 
+class _Unusual(Exception):
+    """The document uses what the event builder leaves to PyYAML's loader:
+    an anchor, an alias, an explicit tag, a merge or value key, a mapping
+    or sequence as a key, a second document, or a scalar its tag cannot
+    construct."""
+
+
+_MERGE_OR_VALUE = frozenset({"tag:yaml.org,2002:merge", "tag:yaml.org,2002:value"})
+_NO_KEY = object()  # the mapping being built waits for a key, not a value
+
+
+def _load_yaml(text: str):
+    """The document in `text`, as yaml.load(text, Loader=_LOADER) loads it:
+    the same objects, types, key order and errors.
+
+    Built in one pass over the loader's events, without PyYAML's node
+    graph: the loader's resolver types each distinct scalar, and its
+    constructor builds only those not typed as strings. A document that
+    uses anything listed in _Unusual is handed whole to yaml.load. The
+    builder lets through only the parser's own errors, which yaml.load
+    meets first too, since it parses the whole document before it
+    constructs anything."""
+    try:
+        return _build_from_events(text)
+    except _Unusual:
+        return yaml.load(text, Loader=_LOADER)
+
+
+def _build_from_events(text: str):
+    loader = _LOADER(text)
+    try:
+        get_event = loader.get_event
+        plain_tag = loader.DEFAULT_SCALAR_TAG
+        # (value, implicit) -> the scalar built from it; scalars are
+        # immutable, so each distinct text is resolved and built once
+        scalars = {}
+
+        def build_scalar(value, implicit):
+            tag = loader.resolve(ScalarNode, value, implicit)
+            if tag == plain_tag:
+                return value
+            if tag in _MERGE_OR_VALUE:
+                raise _Unusual
+            try:
+                return loader.construct_object(ScalarNode(tag, value), deep=True)
+            except Exception:  # yaml.load raises the constructor's own error
+                raise _Unusual from None
+
+        get_event()  # stream start
+        if type(get_event()) is StreamEndEvent:  # else a document start
+            return None
+        document = []  # receives the root node
+        top, key, stack = document, _NO_KEY, []
+        while True:
+            event = get_event()
+            kind = type(event)
+            if kind is ScalarEvent:
+                tag = event.tag
+                if event.anchor is not None or tag is not None and tag != "!":
+                    raise _Unusual
+                memo = event.value, event.implicit
+                try:
+                    value = scalars[memo]
+                except KeyError:
+                    value = scalars[memo] = build_scalar(*memo)
+            elif kind is MappingEndEvent or kind is SequenceEndEvent:
+                top, key = stack.pop()
+                continue
+            elif kind is MappingStartEvent or kind is SequenceStartEvent:
+                tag = event.tag
+                if event.anchor is not None or tag is not None and tag != "!":
+                    raise _Unusual
+                value = {} if kind is MappingStartEvent else []
+                if type(top) is list:
+                    top.append(value)
+                elif key is _NO_KEY:  # a mapping or sequence as a key
+                    raise _Unusual
+                else:
+                    top[key] = value
+                stack.append((top, _NO_KEY))
+                top, key = value, _NO_KEY
+                continue
+            elif kind is DocumentEndEvent:
+                break
+            else:  # an alias
+                raise _Unusual
+            if type(top) is list:
+                top.append(value)
+            elif key is _NO_KEY:
+                key = value
+            else:
+                top[key] = value
+                key = _NO_KEY
+        if type(get_event()) is not StreamEndEvent:  # a second document
+            raise _Unusual
+        return document[0]
+    finally:
+        loader.dispose()
+
+
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
@@ -207,25 +313,53 @@ def load_scenario(path: str | Path) -> Scenario:
     except (OSError, UnicodeDecodeError) as exc:
         raise errors.ParseError(f"cannot read scenario {path}: {exc}") from None
     try:
-        raw = yaml.load(text, Loader=_LOADER)
+        raw = _load_yaml(text)
     except (yaml.YAMLError, ValueError) as exc:
         # ValueError: a scalar its tag cannot construct, e.g. 2001-02-30
         raise errors.ParseError(f"{path}: {exc}") from None
     return scenario_from_dict(raw)
 
 
-def _finite_over_run(value: float, duration_ms: int, context: str) -> None:
+def _finite_over_run(value: float, run_ms: int, context: str,
+                     length: str = "duration_ms",
+                     error: type[errors.FogSimError] = errors.InvariantViolation
+                     ) -> None:
     """Reject a per-ms quantity, a rate or a bandwidth, whose product with
-    the run's duration is not finite: a window's generated_mb and its link
-    capacity are that product over the window, and no window of a run to
-    the scenario's duration is longer than the run."""
+    the run's length, named `length`, is not finite: a window's generated_mb
+    and its link capacity are that product over the window, and no window
+    of a run is longer than the run."""
     try:
-        finite = math.isfinite(value * duration_ms)
-    except OverflowError:  # a duration too large for a float
+        finite = math.isfinite(value * run_ms)
+    except OverflowError:  # a length too large for a float
         finite = False
     if not finite:
-        raise errors.InvariantViolation(
-            f"{context} {value!r} times duration_ms {duration_ms} is not finite")
+        raise error(f"{context} {value!r} times {length} {run_ms} is not finite")
+
+
+def validate_until(scenario: Scenario, topology: Topology, catalog: Catalog,
+                   until: int) -> None:
+    """Raise ValidationError unless a run of `scenario` may stop at `until`
+    ms: until must be >= 0 and convert to a float, and a run past the
+    scenario's duration must keep finite every product _validate checks
+    against duration_ms (each device rate, workload rate and link bandwidth
+    times the run's length)."""
+    if until < 0:
+        raise errors.ValidationError(f"until must be >= 0, not {until}")
+    try:
+        float(until)
+    except OverflowError:
+        raise errors.ValidationError(
+            f"until has {len(str(until))} digits, too many for a float") from None
+    if until <= scenario.duration_ms:
+        return  # _validate checked the products over the duration
+    per_ms = [(f"device {p.model}: data_rate_kbps", p.data_rate_kbps)
+              for p in catalog.profiles.values()]
+    per_ms += [(f"link {l.link_id}: bandwidth_mbps", l.bandwidth_mbps)
+               for l in topology.links.values()]
+    per_ms += [(f"script[{i}]: data_rate_kbps", float(e["data_rate_kbps"]))
+               for i, e in enumerate(scenario.script) if e["type"] == "workload"]
+    for context, value in per_ms:
+        _finite_over_run(value, until, context, "until", errors.ValidationError)
 
 
 def _validate(scenario: Scenario) -> None:

@@ -602,7 +602,7 @@ def test_every_tracer_target_exists():
     assert missing == []
 
 
-# --- scenario parsing: libyaml against the pure-Python oracle -----------------
+# --- scenario parsing: the event builder against the pure-Python oracle -------
 
 
 def _parse_both(text: str) -> tuple[str, str]:
@@ -610,8 +610,7 @@ def _parse_both(text: str) -> tuple[str, str]:
     load_scenario's loader and under the pure-Python oracle. repr tells 1,
     1.0 and True apart, keeps key order and shows nan."""
     outcomes = []
-    for parse in (lambda t: yaml.load(t, Loader=scenario_module._LOADER),
-                  reference_load_yaml):
+    for parse in (scenario_module._load_yaml, reference_load_yaml):
         try:
             outcomes.append(repr(parse(text)))
         except (yaml.YAMLError, ValueError) as exc:
@@ -677,12 +676,44 @@ HAND_WRITTEN_DOCUMENTS = {
     "bel": "a: \x07\n",
     "bom": "\ufeffa: 1\n",
     "str-tag": "a: !!str 5\n",
+    "anchor-alias": "a: &x [1, 2]\nb: *x\n",
+    "recursive-alias": "a: &x [1, *x]\n",
+    "float-tag": "a: !!float 1\n",
+    "non-specific-tag": "a: ! 5\nb: ! [1]\n",
+    "set-tag": "a: !!set {x, y}\n",
+    "omap-tag": "a: !!omap [x: 1]\n",
+    "value-key": "=: 1\n",
+    "value-as-value": "a: =\n",
+    "merge-key-in-flow-mapping": "a: &b {x: 1}\nc: {<<: *b, y: 2}\n",
+    "quoted-merge-key": "'<<': 1\n",
+    "list-key-in-flow-mapping": "{[1]: 2}\n",
+    "list-key-in-block-mapping": "? [a]\n: b\n",
+    "empty-text": "",
+    "document-start-only": "---\n",
+    "tilde-document": "~\n",
+    "bad-date-before-unclosed-flow-list": "a: 2001-02-30\nb: [unclosed\n",
+    "bad-date-in-first-of-two-documents": "a: 2001-02-30\n---\nb: 1\n",
+    "duplicate-anchor": "a: &x 1\nb: &x 2\n",
+    "undefined-alias": "a: *x\n",
+    "end-marker": "a: 1\n...\n",
+    "yaml-directive": "%YAML 1.1\n---\na: 1\n",
+    "block-scalars": "a: |\n  x\n  y\nb: >-\n  p\n  q\n",
+    "duplicate-key-in-flow-mapping": "{a: 1, b: 2, a: 3}\n",
+    "equal-keys": "{1: a, 1.0: b, true: c, 0x1: d}\n",
+    "nan-keys": "{.nan: 1, .nan: 2}\n",
+    "repeated-scalars": "[1, '1', \"1\", 1.0, yes, 'yes', ~, '~']\n",
 }
 
 
+@pytest.mark.parametrize("loader", [scenario_module._LOADER, yaml.SafeLoader],
+                         ids=["_LOADER", "SafeLoader"])
 @pytest.mark.parametrize("text", list(HAND_WRITTEN_DOCUMENTS.values()),
                          ids=list(HAND_WRITTEN_DOCUMENTS))
-def test_scenario_loader_matches_the_oracle_on_edge_cases(text):
+def test_scenario_loader_matches_the_oracle_on_edge_cases(text, loader,
+                                                          monkeypatch):
+    """Under libyaml's parser where PyYAML has it, and under the
+    pure-Python parser that platforms without libyaml use."""
+    monkeypatch.setattr(scenario_module, "_LOADER", loader)
     loaded, expected = _parse_both(text)
     assert loaded == expected
 
@@ -698,11 +729,10 @@ def test_python_tags_in_a_scenario_are_a_parse_error(tag, tmp_path):
         load_scenario(path)
 
 
-def test_scenarios_are_parsed_with_libyaml_where_pyyaml_has_it(monkeypatch):
-    expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-    assert scenario_module._LOADER is expected
-
-    class Spy(expected):
+def _loader_spy(monkeypatch):
+    """Replace load_scenario's loader class with a subclass that counts
+    its instances, one per parse of a text."""
+    class Spy(scenario_module._LOADER):
         streams = 0
 
         def __init__(self, stream):
@@ -710,8 +740,55 @@ def test_scenarios_are_parsed_with_libyaml_where_pyyaml_has_it(monkeypatch):
             super().__init__(stream)
 
     monkeypatch.setattr(scenario_module, "_LOADER", Spy)
-    load_scenario(SCENARIO_DIR / "roaming.yaml")
-    assert Spy.streams == 1
+    return Spy
+
+
+def test_scenarios_are_parsed_with_libyaml_where_pyyaml_has_it():
+    expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert scenario_module._LOADER is expected
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda path: path.stem)
+def test_fixtures_load_in_one_pass_of_the_parser(path, monkeypatch):
+    spy = _loader_spy(monkeypatch)
+    load_scenario(path)
+    assert spy.streams == 1
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0])
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("name", sorted(WORKLOAD_TRACE_HASHES))
+def test_workloads_load_in_one_pass_of_the_parser(name, seed, scale, tmp_path,
+                                                  monkeypatch):
+    path = _workload_path(name, tmp_path, seed, scale)
+    spy = _loader_spy(monkeypatch)
+    load_scenario(path)
+    assert spy.streams == 1
+
+
+def test_a_scenario_with_an_alias_loads_through_pyyaml_to_the_same_scenario(
+        tmp_path, monkeypatch):
+    plain = yaml.safe_dump(minimal_scenario(), sort_keys=False)
+    assert plain.count("model: smartband") == 3
+    aliased = plain.replace("model: smartband", "model: &m smartband", 1) \
+        .replace("model: smartband", "model: *m")
+    paths = tmp_path / "plain.yaml", tmp_path / "aliased.yaml"
+    paths[0].write_text(plain)
+    paths[1].write_text(aliased)
+    spy = _loader_spy(monkeypatch)
+    expected = load_scenario(paths[0])
+    assert spy.streams == 1
+    assert load_scenario(paths[1]) == expected
+    assert spy.streams == 3  # the event builder stops at the anchor
+
+
+def test_equal_flow_lists_load_as_distinct_objects():
+    document = scenario_module._load_yaml("a: [1, x]\nb: [1, x]\nc: {k: 1}\n"
+                                          "d: {k: 1}\n")
+    assert document == {"a": [1, "x"], "b": [1, "x"], "c": {"k": 1},
+                        "d": {"k": 1}}
+    assert document["a"] is not document["b"]
+    assert document["c"] is not document["d"]
 
 
 def test_run_produces_report_equal_to_trace_replay():
@@ -771,6 +848,38 @@ def test_a_negative_until_is_a_validation_error_and_zero_runs():
     trace, report = run_scenario(scenario_from_dict(minimal_scenario()), until=0)
     assert [r.kind for r in trace] == ["scenario_loaded", "run_end"]
     assert trace.records[-1].details["duration_ms"] == 0
+
+
+def _scenario_with_a_workload_rate(rate: float) -> dict:
+    raw = minimal_scenario()
+    raw["script"].append({"type": "workload", "time": 2000, "device": "dev1",
+                          "data_rate_kbps": rate})
+    return raw
+
+
+@pytest.mark.parametrize("raw, until", [
+    (minimal_scenario(), 10 ** 306),
+    (minimal_scenario(), 10 ** 309),
+    (_scenario_with_a_workload_rate(1e300), 10 ** 10),
+    (minimal_scenario(topology={"nodes": minimal_scenario()["topology"]["nodes"]},
+                      devices=[], firmware=[], script=[]), 10 ** 309),
+], ids=["product-overflows", "too-large-for-a-float", "workload-rate",
+        "no-rate-too-large-for-a-float"])
+def test_an_until_too_long_for_the_scenario_is_a_validation_error(raw, until):
+    """The check load_scenario applies to duration_ms: each rate and
+    bandwidth times the run's length must be finite."""
+    runtime = Runtime(scenario_from_dict(raw))
+    with pytest.raises(errors.ValidationError, match="until"):
+        runtime.run(until)
+    assert len(runtime.kernel.trace) == 1  # scenario_loaded alone
+
+
+@pytest.mark.parametrize("until", [10 ** 306, 10 ** 309],
+                         ids=["product-overflows", "too-large-for-a-float"])
+def test_cli_run_rejects_an_until_too_long_for_the_scenario(until, capsys):
+    code = main(["run", str(SCENARIO_DIR / "scaling.yaml"), "--until", str(until)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("invalid: ValidationError: ")
 
 
 def test_every_report_total_is_a_float_when_no_window_closed(tmp_path):
