@@ -62,32 +62,6 @@ class Event:
     payload: dict = field(default_factory=dict)
 
 
-# leaf types that rounding passes through as they are
-_PLAIN = frozenset({str, int, bool, type(None)})
-
-
-def _round_floats(value):
-    """A copy of `value` with every float rounded to 9 places and tuples
-    made lists. Leaves of exactly `float` or a `_PLAIN` type are handled
-    inline; the call recurses only into containers and into subclasses such
-    as str enums.
-
-    `Kernel.emit` walks the details of a kind not in `RECORD_KINDS` with it,
-    and of a declared kind only the `any` fields; a declared kind's numbers
-    are rounded field by field, by the kind's compiled checker."""
-    if isinstance(value, dict):
-        return {k: round(v, 9) if type(v) is float
-                else v if type(v) in _PLAIN else _round_floats(v)
-                for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [round(v, 9) if type(v) is float
-                else v if type(v) in _PLAIN else _round_floats(v)
-                for v in value]
-    if isinstance(value, float):
-        return round(value, 9)
-    return value
-
-
 # the trace's JSON encoder: compact, keys sorted
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -117,30 +91,35 @@ def _shared_text(value, memo: dict) -> str:
     return entry[1]
 
 
-# Record kinds of one fixed shape: kind -> its detail fields, in the order
-# they are emitted, each with its type. A "number" is an int or a finite
-# float, written as its repr; a "str" is a str, written by JSON's string
-# encoder; "any" is any JSON value, written by `_encode`; "shared" is a JSON
-# value that records may share, such as the per-node maps of consecutive
-# `metrics_window` records: it goes into the record as it is, neither copied
-# nor walked, so it must equal its own rounding, and it is written by
-# `_shared_text`. `Kernel.emit` checks and rounds a declared kind's details
-# by a checker compiled from its row, and `Trace.to_jsonl` writes its
-# records through a line writer compiled from the row. Kinds whose key set
-# varies (`instance_placed`, `scheduler_tick`, `warning`) are not declared;
-# they keep `_round_floats` and the generic encoder.
+# Record kinds: kind -> its detail fields, each with its type, in the order
+# of the values a kind takes in row order. A key ending in "?" names a field
+# that may be absent;
+# the others are always present. A "number" is an int or a finite float,
+# written as its repr; a "str" is a str, written by JSON's string encoder; a
+# "bool" is a bool; "str or null" and "number or null" also take None.
+# "any" and "shared" are JSON values that go into the record as they are,
+# neither copied nor walked, so each must equal its own rounding. An "any"
+# value is written by `_encode`; a "shared" one, which records may share,
+# such as the per-node maps of consecutive `metrics_window` records, by
+# `_shared_text`. `Kernel.emit` checks and rounds a kind's details by a
+# checker compiled from its row, and `Trace.to_jsonl` writes its records
+# through a line writer compiled from the row, one of each for each order of
+# keys that details are emitted with (see `_Layout`).
 RECORD_KINDS: dict[str, tuple[tuple[str, str], ...]] = {
     "scenario_loaded": (("nodes", "any"), ("thresholds", "any"),
                         ("scheduler_tick_ms", "number"), ("buffer_mb", "number"),
                         ("seed", "number"), ("duration_ms", "number")),
     "attach": (("gateway", "str"), ("model", "str"),
-               ("firmware_version", "any")),  # None: no compatible firmware
+               ("firmware_version", "str or null")),  # None: no compatible firmware
     "install_request": (("app", "str"), ("gateway", "str")),
     "install_warning": (("gateway", "str"), ("reason", "str")),
+    # placed for an attached device, or by a scripted place for a source
+    "instance_placed": (("app", "str"), ("host", "str"), ("replicas", "number"),
+                        ("device?", "str"), ("source?", "str")),
     "detach": (("gateway", "str"),),
     "roam_warning": (("to_gateway", "str"), ("reason", "str"), ("instance", "str")),
     "flow_open": (("device", "str"), ("src", "str"), ("sink", "str"),
-                  ("rate_kbps", "number"), ("paused", "any")),
+                  ("rate_kbps", "number"), ("paused", "bool")),
     "flow_rebind": (("sink", "str"), ("serving", "str")),
     "flow_resume": (("src", "str"), ("sink", "str")),
     "flow_close": (("device", "str"),),
@@ -148,7 +127,8 @@ RECORD_KINDS: dict[str, tuple[tuple[str, str], ...]] = {
     "scale": (("replicas_from", "number"), ("replicas_to", "number"),
               ("host", "str")),
     "scale_warning": (("reason", "str"), ("requested", "number")),
-    "defer": (("instance", "any"), ("reason", "str")),  # instance may be None
+    "scheduler_tick": (("skipped", "bool"), ("replayed?", "bool")),
+    "defer": (("instance", "str or null"), ("reason", "str")),
     "stale_action": (("target", "str"), ("reason", "str"), ("detail", "str")),
     "offload": (("from", "str"), ("to", "str")),
     "migration_started": (("from", "str"), ("to", "str"), ("bytes_mb", "number"),
@@ -169,12 +149,17 @@ RECORD_KINDS: dict[str, tuple[tuple[str, str], ...]] = {
     "metrics_window": (("window_start", "number"), ("window_end", "number"),
                        ("generated_mb", "number"), ("delivered_mb", "number"),
                        ("dropped_mb", "number"), ("uplink_mb", "number"),
-                       ("uplink_ratio", "any"),  # None: nothing generated
+                       ("uplink_ratio", "number or null"),  # None: nothing generated
                        ("instances", "shared"), ("utilization", "shared"),
                        ("alloc", "shared")),
     "fault_start": (("fault_kind", "str"), ("duration_ms", "number")),
     "fault_end": (("fault_kind", "str"),),
     "run_end": (("duration_ms", "number"), ("migrations", "number")),
+    # a step the runtime could not take: its reason, and the fields of its cause
+    "warning": (("reason", "str"), ("gateway?", "str"), ("source?", "str"),
+                ("detail?", "str"), ("model?", "str"), ("os_version?", "str"),
+                ("instance?", "str"), ("to_gateway?", "str"), ("sink?", "str"),
+                ("host?", "str")),
 }
 
 
@@ -188,9 +173,9 @@ def _compile(signature: str, body: list[str], **names):
 
 
 def _compile_writer(kind: str, fields: tuple[tuple[str, str], ...]):
-    """The line writer of a declared kind: a function of a record and a
-    `_shared_text` memo that returns `to_json`'s text of the record by one
-    %-format, with each number as its repr, each str through
+    """The line writer of a declared kind's `fields`: a function of a
+    record and a `_shared_text` memo that returns `to_json`'s text of the
+    record by one %-format, with each number as its repr, each str through
     `encode_basestring_ascii`, each shared value through `_shared_text` and
     each other value through `_encode`. The repr of an int, or of a finite
     float, is its JSON text."""
@@ -214,98 +199,93 @@ def _compile_writer(kind: str, fields: tuple[tuple[str, str], ...]):
                     _shared=_shared_text)
 
 
-def _number_error(kind: str, key: str, value) -> errors.InvariantViolation:
-    return errors.InvariantViolation(
-        f"{kind}: {key} must be a finite number, not {value!r}")
-
-
-def _str_error(kind: str, key: str, value) -> errors.InvariantViolation:
-    return errors.InvariantViolation(f"{kind}: {key} must be a str, not {value!r}")
-
-
-def _other_number(kind: str, key: str, value) -> float:
-    """A number field's value that is neither a float nor an int: a finite
-    float subclass, made a float by rounding; anything else raises."""
-    if isinstance(value, float) and value - value == 0.0:
-        return round(value, 9)
-    raise _number_error(kind, key, value)
+# a checked field type -> the test its value fails, and what it must be
+_CHECKS = {"number": ("type({v}) is not int", "a finite number"),
+           "str": ("not isinstance({v}, str)", "a str"),
+           "bool": ("type({v}) is not bool", "a bool")}
 
 
 def _compile_builder(kind: str, fields: tuple[tuple[str, str], ...]):
-    """The checker of a declared kind: a function of the subject, a rounding
-    memo and the row's values in row order that returns the record's
-    details, equal to `_round_floats` of them.
+    """The checker of a declared kind's `fields`: a function of the
+    subject, a rounding memo and the fields' values that returns the
+    record's details, keyed in the order of `fields`.
 
-    It checks the number fields, then the str fields, then the subject, and
-    raises InvariantViolation, naming the kind and the field, where a number
-    field holds anything but an int or a finite float (a bool, None and str
-    included), or the subject or a str field holds no str. A nonzero float
-    of a number field is rounded to 9 places through `memo`, which maps a
-    float to its rounding, so each distinct float is rounded once per memo
-    and its records share the rounded object; ±0.0 is kept as it is, and a
-    float subclass is made a float. An any field is rounded by
-    `_round_floats`, and a shared field holds its value itself."""
+    It checks the fields in order, then the subject, and raises
+    InvariantViolation, naming the kind and the field, where a number field
+    holds anything but an int or a finite float (a bool, None and str
+    included), a str field or the subject no str, or a bool field no bool;
+    an "or null" field also takes None. A nonzero float of a number field
+    is rounded to 9 places through `memo`, which maps a float to its
+    rounding, so each distinct float is rounded once per memo and records
+    share the rounded object; ±0.0 is kept as it is, and a float subclass
+    is made a float. An any or shared field holds its value itself."""
     names = [f"v{i}" for i in range(len(fields))]
-    numbers, texts, values = [], [], []
+    body = []
     for v, (key, ftype) in zip(names, fields):
-        if ftype == "number":
-            numbers += [
+        base, _, nullable = ftype.partition(" or ")
+        if base not in _CHECKS:
+            continue
+        test, expected = _CHECKS[base]
+        test = test.format(v=v) + (f" and {v} is not None" if nullable else "")
+        expected += " or None" if nullable else ""
+        fail = f"_error({f'{kind}: {key} must be {expected}, not '!r} + repr({v}))"
+        if base == "number":
+            body += [
                 f"if type({v}) is float:",
                 f"    if {v}:",  # ±0.0 is its own rounding
                 f"        r = memo.get({v})",
                 "        if r is None:",  # inf and nan are never stored
                 f"            if {v} - {v} != 0.0:",
-                f"                raise _number_error(kind, {key!r}, {v})",
+                f"                raise {fail}",
                 f"            r = memo[{v}] = round({v}, 9)",
                 f"        {v} = r",
-                f"elif type({v}) is not int:",
-                f"    {v} = _other_number(kind, {key!r}, {v})"]
-        elif ftype == "str":
-            texts += [f"if not isinstance({v}, str):",
-                      f"    raise _str_error(kind, {key!r}, {v})"]
-        elif ftype == "any":
-            values += [f"if type({v}) not in _PLAIN:",
-                       f"    {v} = _round_floats({v})"]
-    subject = ["if not isinstance(subject, str):",
-               "    raise _str_error(kind, 'subject', subject)"]
+                f"elif {test}:",  # a finite float subclass is made a float
+                f"    if not isinstance({v}, float) or {v} - {v} != 0.0:",
+                f"        raise {fail}",
+                f"    {v} = round({v}, 9)"]
+        else:
+            body += [f"if {test}:", f"    raise {fail}"]
+    body += ["if not isinstance(subject, str):",
+             f"    raise _error({kind + ': subject must be a str, not '!r}"
+             " + repr(subject))"]
     result = ", ".join(f"{key!r}: {v}" for v, (key, _) in zip(names, fields))
-    body = numbers + texts + subject + values + [f"return {{{result}}}"]
-    return _compile(f"build(subject, memo, {', '.join(names)})", body, kind=kind,
-                    _number_error=_number_error, _str_error=_str_error,
-                    _other_number=_other_number, _PLAIN=_PLAIN,
-                    _round_floats=_round_floats)
+    return _compile(f"build(subject, memo, {', '.join(names)})",
+                    body + [f"return {{{result}}}"], _error=errors.InvariantViolation)
 
 
 class _Layout:
-    """A declared kind, compiled from its `RECORD_KINDS` row: the checker
-    that makes its details from the row's values (see `_compile_builder`),
-    the same checker fed from a dict, and the writer of its lines."""
+    """A declared kind, compiled from its `RECORD_KINDS` row: for each key
+    order that its details are emitted with, the checker that makes them
+    from their values in that order (see `_compile_builder`) and the writer
+    of their lines, compiled on first use. A kind whose fields are always
+    present also takes its values in row order, through `row`."""
 
-    __slots__ = ("kind", "keys", "build", "from_dict", "write")
+    __slots__ = ("kind", "types", "required", "compiled", "row")
 
-    def __init__(self, kind: str, fields: tuple[tuple[str, str], ...]):
+    def __init__(self, kind: str, row: tuple[tuple[str, str], ...]):
         self.kind = kind
-        self.keys = frozenset(key for key, _ in fields)
-        self.build = _compile_builder(kind, fields)
-        # every declared key is looked up, so with the count of keys equal,
-        # no KeyError means the key sets are equal
-        names = [f"v{i}" for i in range(len(fields))]
-        body = [f"if len(d) != {len(fields)}:", "    raise keys_error(d)", "try:"]
-        body += [f"    {v} = d[{key!r}]" for v, (key, _) in zip(names, fields)]
-        body += ["except KeyError:", "    raise keys_error(d) from None",
-                 f"return build(subject, memo, {', '.join(names)})"]
-        self.from_dict = _compile("from_dict(subject, memo, d)", body,
-                                  build=self.build, keys_error=self._keys_error)
-        self.write = _compile_writer(kind, fields)
+        self.types = {key.rstrip("?"): ftype for key, ftype in row}
+        self.required = frozenset(key for key, _ in row if not key.endswith("?"))
+        self.compiled: dict[tuple, tuple] = {}  # keys -> (checker, writer)
+        # values in row order cannot say which fields are absent
+        self.row = self.compile(tuple(self.types)) \
+            if len(self.required) == len(row) else None
 
-    def _keys_error(self, details: dict) -> errors.InvariantViolation:
-        missing = sorted(self.keys - details.keys())
-        extra = sorted(details.keys() - self.keys, key=repr)  # keys of any type
-        return errors.InvariantViolation(
-            f"{self.kind}: missing {missing}, undeclared {extra}")
+    def compile(self, keys: tuple) -> tuple:
+        """The checker and the writer of details with `keys` in this order,
+        or InvariantViolation naming a missing or an undeclared key."""
+        if not self.required <= set(keys) <= self.types.keys():
+            missing = sorted(self.required.difference(keys))
+            extra = sorted(set(keys) - self.types.keys(), key=repr)  # of any type
+            raise errors.InvariantViolation(
+                f"{self.kind}: missing {missing}, undeclared {extra}")
+        fields = tuple((key, self.types[key]) for key in keys)
+        pair = self.compiled[keys] = (_compile_builder(self.kind, fields),
+                                      _compile_writer(self.kind, fields))
+        return pair
 
 
-_LAYOUTS = {kind: _Layout(kind, fields) for kind, fields in RECORD_KINDS.items()}
+_LAYOUTS = {kind: _Layout(kind, row) for kind, row in RECORD_KINDS.items()}
 
 
 @dataclass(slots=True)
@@ -314,11 +294,10 @@ class TraceRecord:
     `Kernel.emit` or by parsing a trace that was written rounded, so
     `to_json` dumps them as they are.
 
-    `writer` is the line writer of a record that `Kernel.emit` made for a
-    kind in `RECORD_KINDS`, compiled from the kind's row; `to_json` and
-    `Trace.to_jsonl` write such a record through it alone. Every other
-    record, parsed and hand-built ones included, is written by the generic
-    key-sorted encoder. Both give the same text for the same record.
+    `writer` is the line writer compiled for the kind and keys of a record
+    that `Kernel.emit` made; `to_json` and `Trace.to_jsonl` write the record
+    through it alone. A parsed or hand-built record has none and is written
+    by the generic key-sorted encoder, which gives the same text.
 
     A record and its details are never mutated once it is made: records
     may share values, such as the maps of a declared kind's shared fields,
@@ -339,13 +318,8 @@ class TraceRecord:
     def to_json(self) -> str:
         if self.writer is not None:
             return self.writer(self, {})
-        return _encode({
-            "time_ms": self.time_ms,
-            "seq": self.seq,
-            "kind": self.kind,
-            "subject": self.subject,
-            "details": self.details,
-        })
+        return _encode({"time_ms": self.time_ms, "seq": self.seq, "kind": self.kind,
+                        "subject": self.subject, "details": self.details})
 
 
 # json.loads' own scanner and string reader, called at an index of a line
@@ -432,9 +406,9 @@ class Trace:
     A trace only grows, through `append`. `to_jsonl` serialises each record
     once: it keeps the text made so far and adds the lines of the records
     appended since, so `hash` digests that same text. A record with a
-    `writer` (a declared kind, see `RECORD_KINDS`) is written by that one
-    %-format, with each shared value encoded once per call; any other by
-    the generic encoder."""
+    `writer` (each record `Kernel.emit` makes, see `RECORD_KINDS`) is
+    written by that one %-format, with each shared value encoded once per
+    call; a parsed or hand-built one by the generic encoder."""
 
     def __init__(self, records: list[TraceRecord] | None = None):
         self.records: list[TraceRecord] = records or []
@@ -516,45 +490,40 @@ class Kernel:
         self.schedule(fault.start + fault.duration, EventKind.FAULT_END,
                       {"fault": fault})
 
-    def emit(self, kind: str, subject: str, details: dict | tuple | None = None,
+    def emit(self, kind: str, subject: str, details: dict | tuple,
              memo: dict | None = None) -> TraceRecord:
         """Append a record of `details` to the trace.
 
-        For a kind declared in `RECORD_KINDS`, `details` is a dict with
-        exactly the declared keys, or a tuple of the row's values in row
-        order. Both go through the kind's one compiled checker, which makes
-        the details and raises InvariantViolation for a bad value (see
-        `_compile_builder`); a dict with other keys or a tuple of another
-        length raises it too. The record carries the kind's compiled writer.
+        `kind` is declared in `RECORD_KINDS`, and `details` is a dict of its
+        fields, with every one that is always present; or, where all are,
+        a tuple of their values in row order. The checker compiled for these
+        keys in this order makes the record's details (see
+        `_compile_builder`), and the record carries the writer compiled for
+        them. A bad value, an undeclared kind, a dict with other keys or a
+        tuple of another length raises InvariantViolation and appends nothing.
 
         `memo` maps a float to its rounding. Records emitted with one memo
         round each distinct float of a number field once and share the
         rounded float object, which is safe since floats are immutable and
         details are never mutated. Without a memo, each call rounds afresh.
-
-        For any other kind, `details` is a dict, copied through
-        `_round_floats`, with every float rounded to 9 places, so the
-        in-memory trace equals its JSON round trip.
         """
         layout = _LAYOUTS.get(kind)
-        if layout is not None:
-            if memo is None:
-                memo = {}
-            if type(details) is not tuple:
-                fields = layout.from_dict(subject, memo, details or {})
-            elif len(details) == len(layout.keys):
-                fields = layout.build(subject, memo, *details)
-            else:
+        if layout is None:
+            raise errors.InvariantViolation(f"{kind}: not a declared record kind")
+        if type(details) is tuple:
+            if layout.row is None:
                 raise errors.InvariantViolation(
-                    f"{kind}: {len(layout.keys)} values in row order, "
+                    f"{kind}: fields may be absent, so details must be a dict")
+            if len(details) != len(layout.types):
+                raise errors.InvariantViolation(
+                    f"{kind}: {len(layout.types)} values in row order, "
                     f"not {len(details)}")
-            writer = layout.write
-        elif type(details) is tuple:
-            raise errors.InvariantViolation(
-                f"{kind}: values in row order need a declared kind")
+            build, writer = layout.row
         else:
-            fields = _round_floats(details or {})
-            writer = None
+            keys = tuple(details)
+            build, writer = layout.compiled.get(keys) or layout.compile(keys)
+            details = details.values()
+        fields = build(subject, {} if memo is None else memo, *details)
         self._trace_seq += 1
         record = TraceRecord(self.now, self._trace_seq, kind, subject, fields,
                              writer)

@@ -3,7 +3,6 @@ a stored trace yields exactly the report the run produced."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from . import errors
@@ -74,10 +73,13 @@ def report_from_trace(trace: Trace) -> Report:
     report = Report()
     totals = {"generated_mb": 0.0, "delivered_mb": 0.0, "dropped_mb": 0.0,
               "uplink_mb": 0.0}
+    counts = dict.fromkeys(_COUNTED, 0)
     try:
         for record in trace:
             kind = record.kind
             d = record.details
+            if kind in counts:
+                counts[kind] += 1
             if kind == "scenario_loaded":
                 report.scenario = record.subject
             elif kind == "metrics_window":
@@ -111,9 +113,8 @@ def report_from_trace(trace: Trace) -> Report:
 
     ratios = [w["uplink_ratio"] for w in report.uplink_windows
               if w["uplink_ratio"] is not None]
-    kinds = Counter(record.kind for record in trace)
     report.summary = {
-        **{key: kinds[kind] for kind, key in _COUNTED.items()},
+        **{key: counts[kind] for kind, key in _COUNTED.items()},
         "events": len(trace),
         "migrations": len(report.migrations),
         "total_generated_mb": round(totals["generated_mb"], 9),

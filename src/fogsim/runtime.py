@@ -64,13 +64,14 @@ class Runtime:
     # -- setup -------------------------------------------------------------------
 
     def _emit_scenario_loaded(self):
+        # both maps go into the record as they are: ResourceVector rounds capacities
         nodes = {nid: {"tier": n.tier.value, "cpu": n.capacity.cpu,
                        "mem": n.capacity.mem, "storage": n.capacity.storage}
                  for nid, n in sorted(self.topology.nodes.items())}
         self.kernel.emit("scenario_loaded", self.scenario.name, {
             "nodes": nodes,
-            "thresholds": {"high": self.scenario.thresholds.high_watermark,
-                           "low": self.scenario.thresholds.low_watermark},
+            "thresholds": {"high": round(self.scenario.thresholds.high_watermark, 9),
+                           "low": round(self.scenario.thresholds.low_watermark, 9)},
             "scheduler_tick_ms": self.scenario.scheduler_tick_ms,
             "buffer_mb": self.scenario.buffer_mb,
             "seed": self.scenario.seed,

@@ -215,6 +215,12 @@ class _Unusual(Exception):
 
 _MERGE_OR_VALUE = frozenset({"tag:yaml.org,2002:merge", "tag:yaml.org,2002:value"})
 _NO_KEY = object()  # the mapping being built waits for a key, not a value
+# how deep mappings and sequences may nest: scenarios nest about 4 deep, and
+# PyYAML's composer recurses once per level, into a crash under libyaml
+_MAX_DEPTH = 100
+_TOO_DEEP = f"nesting deeper than {_MAX_DEPTH} levels"
+_OPENINGS, _CLOSINGS = (MappingStartEvent, SequenceStartEvent), \
+    (MappingEndEvent, SequenceEndEvent)
 
 
 def _load_yaml(text: str):
@@ -227,11 +233,26 @@ def _load_yaml(text: str):
     uses anything listed in _Unusual is handed whole to yaml.load. The
     builder lets through only the parser's own errors, which yaml.load
     meets first too, since it parses the whole document before it
-    constructs anything."""
+    constructs anything. Nesting past _MAX_DEPTH is a MarkedYAMLError."""
     try:
         return _build_from_events(text)
     except _Unusual:
         return yaml.load(text, Loader=_LOADER)
+
+
+def _check_depth(get_event, depth: int) -> None:
+    """Pull the loader's remaining events, the first of them `depth`
+    containers deep, and raise where they nest deeper than _MAX_DEPTH;
+    stop quietly at a parser error, which yaml.load then raises."""
+    event = None
+    while type(event) is not StreamEndEvent:
+        try:
+            event = get_event()
+        except yaml.YAMLError:
+            return
+        depth += (type(event) in _OPENINGS) - (type(event) in _CLOSINGS)
+        if depth > _MAX_DEPTH:
+            raise yaml.MarkedYAMLError(problem=_TOO_DEEP, problem_mark=event.start_mark)
 
 
 def _build_from_events(text: str):
@@ -275,6 +296,9 @@ def _build_from_events(text: str):
                 top, key = stack.pop()
                 continue
             elif kind is MappingStartEvent or kind is SequenceStartEvent:
+                if len(stack) == _MAX_DEPTH:
+                    raise yaml.MarkedYAMLError(problem=_TOO_DEEP,
+                                               problem_mark=event.start_mark)
                 tag = event.tag
                 if event.anchor is not None or tag is not None and tag != "!":
                     raise _Unusual
@@ -302,6 +326,11 @@ def _build_from_events(text: str):
         if type(get_event()) is not StreamEndEvent:  # a second document
             raise _Unusual
         return document[0]
+    except _Unusual:
+        # yaml.load composes recursively, so the rest must not nest too deep;
+        # a container the builder refused is not on the stack
+        _check_depth(loader.get_event, len(stack) + (kind in _OPENINGS))
+        raise
     finally:
         loader.dispose()
 

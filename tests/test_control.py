@@ -502,9 +502,8 @@ def test_trace_text_equals_the_per_record_reference(name, seed, tmp_path):
     # consecutive windows hold one alloc map until an allocation changes
     windows = [r.details["alloc"] for r in trace if r.kind == "metrics_window"]
     assert any(a is b for a, b in zip(windows, windows[1:])) or name != "fleet_ticks"
-    # a declared kind is written by its compiled writer, any other by to_json
-    assert all((record.writer is not None) == (record.kind in RECORD_KINDS)
-               for record in trace)
+    # every emitted record is written by the writer compiled for its keys
+    assert all(record.writer is not None for record in trace)
     text = trace.to_jsonl()
     assert text == "".join(reference_record_json(r) + "\n" for r in trace)
     parsed = Trace.from_jsonl(text)
@@ -525,30 +524,21 @@ def test_parsed_records_equal_the_per_line_reference(name, seed, tmp_path):
     assert pairs or name != "fleet_ticks"  # whose windows repeat most
 
 
-# Kinds emitted without a RECORD_KINDS row, because their key sets vary:
-# instance_placed carries `device` or `source`, scheduler_tick adds
-# `replayed` to replayed ticks, and warning carries the fields of its cause.
-UNDECLARED_KINDS = {"instance_placed", "scheduler_tick", "warning"}
-
-
-def test_every_emitted_kind_is_declared_or_named_undeclared(tmp_path):
-    assert UNDECLARED_KINDS.isdisjoint(RECORD_KINDS)
-    kinds = set()
-    for name, seed in PINNED_RUNS:
-        trace = Runtime(load_scenario(_pinned_path(name, seed, tmp_path))).run()
-        kinds.update(record.kind for record in trace)
-    assert sorted(kinds - RECORD_KINDS.keys() - UNDECLARED_KINDS) == []
-    assert UNDECLARED_KINDS <= kinds
-
-
-def _emit_calls() -> tuple[set[str], list[str]]:
-    """The kinds that `.emit(` calls in src/fogsim name, and where a call
-    names its kind by anything but a string literal."""
-    kinds, unnamed = set(), []
+def _emit_calls() -> tuple[set[str], set[str], list[str]]:
+    """The kinds that `.emit(` calls in src/fogsim name, the keywords that
+    `._warn(` calls pass, and where a call names its kind, or passes its
+    keywords, by anything but a string literal or a keyword name."""
+    kinds, warned, unnamed = set(), set(), []
     for path in sorted((REPO_ROOT / "src" / "fogsim").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "emit"):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr == "_warn":
+                if any(k.arg is None for k in node.keywords):  # **details
+                    unnamed.append(f"{path.name}:{node.lineno}")
+                warned.update(k.arg for k in node.keywords if k.arg is not None)
+            if node.func.attr != "emit":
                 continue
             kind = node.args[0] if node.args else next(
                 (k.value for k in node.keywords if k.arg == "kind"), None)
@@ -556,16 +546,18 @@ def _emit_calls() -> tuple[set[str], list[str]]:
                 kinds.add(kind.value)
             else:
                 unnamed.append(f"{path.name}:{node.lineno}")
-    return kinds, unnamed
+    return kinds, warned, unnamed
 
 
-def test_every_emit_in_the_source_names_a_declared_or_undeclared_kind():
-    """Unlike the guard above, this sees kinds that no pinned run emits."""
-    kinds, unnamed = _emit_calls()
+def test_every_emit_in_the_source_names_a_declared_kind():
+    """Emitting an undeclared kind raises, and a pinned run reaches only
+    some emit calls and some warnings' key sets; this sees them all."""
+    kinds, warned, unnamed = _emit_calls()
     assert unnamed == []
-    assert sorted(kinds - RECORD_KINDS.keys() - UNDECLARED_KINDS) == []
-    assert sorted(UNDECLARED_KINDS - kinds) == []
-    assert sorted(RECORD_KINDS.keys() - kinds) == []
+    assert sorted(kinds ^ RECORD_KINDS.keys()) == []
+    # _warn takes the reason positionally, and the fields of the cause by name
+    warning_fields = {key.rstrip("?") for key, _ in RECORD_KINDS["warning"]}
+    assert sorted(warned ^ (warning_fields - {"reason"})) == []
 
 
 def _raised_names() -> set[str]:
@@ -677,6 +669,7 @@ HAND_WRITTEN_DOCUMENTS = {
     "bom": "\ufeffa: 1\n",
     "str-tag": "a: !!str 5\n",
     "anchor-alias": "a: &x [1, 2]\nb: *x\n",
+    "anchor-before-unclosed-flow-list": "a: &x 1\nb: [[unclosed\n",
     "recursive-alias": "a: &x [1, *x]\n",
     "float-tag": "a: !!float 1\n",
     "non-specific-tag": "a: ! 5\nb: ! [1]\n",
@@ -789,6 +782,44 @@ def test_equal_flow_lists_load_as_distinct_objects():
                         "d": {"k": 1}}
     assert document["a"] is not document["b"]
     assert document["c"] is not document["d"]
+
+
+@pytest.mark.parametrize("anchor", ["", "&n "], ids=["plain", "anchored"])
+def test_deep_nesting_is_a_parse_error_not_a_crash(anchor, tmp_path):
+    """A flow list nested 50,000 deep. With an anchor, the document goes to
+    PyYAML's loader, whose composer recurses once per level. The CLI runs
+    in a subprocess, so that a crash cannot take the test run with it."""
+    depth = 50_000
+    text = (SCENARIO_DIR / "scaling.yaml").read_text()
+    text += f"notes: {anchor}" + "[" * depth + "]" * depth + "\n"
+    path = tmp_path / "deep.yaml"
+    path.write_text(text + ("more: *n\n" if anchor else ""))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from fogsim.cli import main; sys.exit(main(sys.argv[1:]))",
+         "validate", str(path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_VALIDATION, (done.returncode, done.stderr[-300:])
+    assert done.stderr.startswith("invalid: ParseError: ")
+    assert "nesting deeper than 100 levels" in done.stderr
+
+
+@pytest.mark.parametrize("loader", [scenario_module._LOADER, yaml.SafeLoader],
+                         ids=["_LOADER", "SafeLoader"])
+@pytest.mark.parametrize("anchor", ["", "&n "], ids=["plain", "anchored"])
+def test_documents_nest_at_most_100_deep(anchor, loader, monkeypatch):
+    monkeypatch.setattr(scenario_module, "_LOADER", loader)
+    for text in (f"a: {anchor}" + "[" * 99 + "]" * 99 + "\n",  # 100 with the root
+                 anchor + "[" * 100 + "]" * 100 + "\n"):
+        loaded, expected = _parse_both(text)
+        assert loaded == expected and expected.startswith(("{", "["))
+    for text in (f"a: {anchor}" + "[" * 100 + "]" * 100 + "\n",
+                 anchor + "{a: " * 101 + "}" * 101 + "\n",
+                 "a: &x 1\nb: " + "[" * 101 + "\n"):  # unclosed, past the limit
+        with pytest.raises(yaml.YAMLError, match="^nesting deeper than 100 levels"):
+            scenario_module._load_yaml(text)
 
 
 def test_run_produces_report_equal_to_trace_replay():

@@ -95,24 +95,31 @@ def test_fault_duration_must_be_positive():
 
 def test_emit_assigns_strictly_increasing_seq():
     kernel = Kernel()
-    r1 = kernel.emit("thing", "a", {"x": 1})
-    r2 = kernel.emit("thing", "b")
+    r1 = kernel.emit("detach", "a", {"gateway": "g"})
+    r2 = kernel.emit("flow_close", "b", {"device": "a"})
     assert (r1.seq, r2.seq) == (1, 2)
     assert r1.time_ms == 0
 
 
+def _emit_two(kernel: Kernel) -> None:
+    """A record of scalars, then one whose details hold a map of a list."""
+    kernel.emit("link_window", "x", {"delivered_mb": 1.5, "capacity_mb": 2})
+    kernel.emit("scenario_loaded", "y",
+                _valid_details("scenario_loaded", nodes={"w": [1, 2.25]}))
+
+
 def test_emitted_floats_equal_their_json_roundtrip():
     kernel = Kernel()
-    record = kernel.emit("metrics", "n", {"ratio": 0.1 + 0.2, "vals": [1 / 3]})
+    record = kernel.emit("link_window", "n", (0.1 + 0.2, 1 / 3))
     replayed = Trace.from_jsonl(record.to_json())
     assert replayed.records[0] == record
 
 
 def test_trace_jsonl_roundtrip_and_hash():
     kernel = Kernel()
-    kernel.emit("a", "x", {"v": 1.5})
+    _emit_two(kernel)
     kernel.now = 10
-    kernel.emit("b", "y", {"nested": {"w": [1, 2.25]}})
+    kernel.emit("link_window", "z", (1, 2.25))
     text = kernel.trace.to_jsonl()
     replayed = Trace.from_jsonl(text)
     assert replayed.records == kernel.trace.records
@@ -140,8 +147,7 @@ def test_a_string_may_hold_a_character_that_splitlines_splits_on(char):
 
 def test_lines_may_end_in_crlf():
     kernel = Kernel()
-    kernel.emit("a", "x", {"v": 1.5})
-    kernel.emit("b", "y", {"m": {"w": [2.25]}})
+    _emit_two(kernel)
     text = kernel.trace.to_jsonl()
     assert Trace.from_jsonl(text.replace("\n", "\r\n")).records == kernel.trace.records
 
@@ -149,8 +155,7 @@ def test_lines_may_end_in_crlf():
 @pytest.mark.parametrize("blank", ["", " ", "\t", "\r", " \t\r "])
 def test_a_line_of_json_whitespace_is_skipped(blank):
     kernel = Kernel()
-    kernel.emit("a", "x", {"v": 1.5})
-    kernel.emit("b", "y", {"m": {"w": [2.25]}})
+    _emit_two(kernel)
     first, second = kernel.trace.to_jsonl().splitlines()
     text = f"{blank}\n{first}\n{blank}\n{second}\n{blank}"
     assert Trace.from_jsonl(text).records == kernel.trace.records
@@ -163,8 +168,7 @@ def test_a_line_of_other_whitespace_is_malformed(char):
     """str.strip removes these, but JSON allows none of them between
     tokens, so such a line is no blank line but a bad record."""
     kernel = Kernel()
-    kernel.emit("a", "x", {"v": 1.5})
-    kernel.emit("b", "y")
+    _emit_two(kernel)
     first, second = kernel.trace.to_jsonl().splitlines()
     text = f"{first}\n {char}\t\n{second}\n"
     with pytest.raises(errors.MalformedTrace, match="^line 2: "):
@@ -184,10 +188,11 @@ def _sha256(text: str) -> str:
 
 def test_appends_after_serialising_reach_the_text_and_the_hash():
     kernel = Kernel()
-    kernel.emit("a", "x", {"v": 1.5})
+    kernel.emit("link_window", "x", (1.5, 2))
     first = kernel.trace.to_jsonl()
     assert kernel.trace.hash() == _sha256(first)
-    record = kernel.emit("b", "y", {"w": [2.25]})
+    record = kernel.emit("scenario_loaded", "y",
+                         _valid_details("scenario_loaded", nodes={"w": [2.25]}))
     text = kernel.trace.to_jsonl()
     assert text == first + record.to_json() + "\n"
     assert kernel.trace.hash() == _sha256(text) != _sha256(first)
@@ -195,15 +200,16 @@ def test_appends_after_serialising_reach_the_text_and_the_hash():
 
 def test_each_record_is_serialised_once(monkeypatch):
     calls = []
-    to_json = TraceRecord.to_json
-    monkeypatch.setattr(TraceRecord, "to_json",
-                        lambda self: calls.append(self.seq) or to_json(self))
+    layout = kernel_module._LAYOUTS["detach"]
+    build, write = layout.row
+    monkeypatch.setattr(layout, "row", (
+        build, lambda r, memo: calls.append(r.seq) or write(r, memo)))
     kernel = Kernel()
-    kernel.emit("a", "x")
-    kernel.emit("b", "y")
+    kernel.emit("detach", "x", ("g",))
+    kernel.emit("detach", "y", ("g",))
     kernel.trace.to_jsonl()
     kernel.trace.hash()
-    kernel.emit("c", "z")
+    kernel.emit("detach", "z", ("g",))
     kernel.trace.hash()
     kernel.trace.to_jsonl()
     assert calls == [1, 2, 3]
@@ -212,7 +218,7 @@ def test_each_record_is_serialised_once(monkeypatch):
 def test_trace_built_from_a_slice_serialises_on_its_own():
     kernel = Kernel()
     for name in "abc":
-        kernel.emit(name, name, {"v": 0.5})
+        kernel.emit("link_window", name, (0.5, 1))
     full = kernel.trace.to_jsonl()
     part = Trace(kernel.trace.records[:2])
     assert part.to_jsonl() == "".join(full.splitlines(keepends=True)[:2])
@@ -245,16 +251,13 @@ _values = st.recursive(
 
 @settings(max_examples=100, deadline=None)
 @given(st.dictionaries(st.text(max_size=5), _values, max_size=6))
-def test_records_are_rounded_once_and_serialise_as_before(details):
-    kernel = Kernel()
-    record = kernel.emit("k", "s", details)
+def test_hand_built_records_serialise_and_parse_as_the_reference(details):
+    """Records of any details, rounded by the reference rounding, as a
+    parsed trace holds them."""
+    record = TraceRecord(0, 1, "k", "s", reference_round_floats(details))
     line = record.to_json()
     # the reference rounds again at serialisation, which must change no byte
     assert line == reference_record_json(record)
-    # and emission rounds exactly as the recursive rounding did
-    assert line == reference_record_json(
-        TraceRecord(record.time_ms, record.seq, "k", "s",
-                    reference_round_floats(details)))
     replayed = Trace.from_jsonl(line).records[0]
     assert replayed == record and replayed.to_json() == line
 
@@ -286,18 +289,33 @@ _rounded_maps = st.recursive(
         _json_keys, st.one_of(_rounded_leaves, inner,
                               st.lists(_rounded_leaves, max_size=3)), max_size=4),
     max_leaves=12)
-_typed_values = {"number": _numbers, "str": _texts, "any": _values,
-                 "shared": _rounded_maps}
-_SHARED_FIELDS = [key for key, ftype in RECORD_KINDS["metrics_window"]
+_typed_values = {"number": _numbers, "str": _texts, "bool": st.booleans(),
+                 "number or null": st.none() | _numbers,
+                 "str or null": st.none() | _texts,
+                 "any": _rounded_leaves | _rounded_maps, "shared": _rounded_maps}
+
+
+def _fields(kind: str) -> list[tuple[str, str, bool]]:
+    """(key, type, whether it may be absent) of each field of `kind`."""
+    return [(key.rstrip("?"), ftype, key.endswith("?"))
+            for key, ftype in RECORD_KINDS[kind]]
+
+
+# kinds whose fields are always present, so they take values in row order
+_FIXED_KINDS = sorted(kind for kind in RECORD_KINDS
+                      if not any(optional for *_, optional in _fields(kind)))
+_SHARED_FIELDS = [key for key, ftype, _ in _fields("metrics_window")
                   if ftype == "shared"]
 
 
 @st.composite
-def _declared_records(draw):
+def _declared_records(draw, kinds=sorted(RECORD_KINDS)):
     """(kind, subject, details) of a declared kind, each field drawn by its
-    declared type."""
-    kind = draw(st.sampled_from(sorted(RECORD_KINDS)))
-    details = {key: draw(_typed_values[ftype]) for key, ftype in RECORD_KINDS[kind]}
+    declared type, and each field that may be absent present or not."""
+    kind = draw(st.sampled_from(kinds))
+    details = {key: draw(_typed_values[ftype])
+               for key, ftype, optional in _fields(kind)
+               if not optional or draw(st.booleans())}
     return kind, draw(_texts), details
 
 
@@ -305,19 +323,20 @@ def _declared_records(draw):
 @given(st.lists(_declared_records(), min_size=1, max_size=4),
        st.integers(0, 10 ** 9))
 def test_declared_records_round_as_before_and_write_as_the_reference(records, now):
-    """Each record is emitted from its dict, and again from its values in
-    row order with one memo shared by all the tuple-form records, as a
-    window close emits them."""
+    """Each record is emitted from its dict, and again with one memo shared
+    by all the records, from its values in row order where the kind takes
+    them, as a window close emits them."""
     kernel, by_row = Kernel(), Kernel()
     kernel.now = by_row.now = now
     memo: dict = {}
     for kind, subject, details in records:
-        values = tuple(details[key] for key, _ in RECORD_KINDS[kind])
+        values = tuple(details[key] for key, _, _ in _fields(kind)) \
+            if kind in _FIXED_KINDS else details
         for record in (kernel.emit(kind, subject, details),
                        by_row.emit(kind, subject, values, memo)):
             assert record.writer is not None
-            # rounded exactly as the recursive walk rounds: -0.0, 1 and 1.0 apart
-            assert repr(record.details) == repr(kernel_module._round_floats(details))
+            # rounded as the recursive reference rounds: -0.0, 1 and 1.0 apart
+            assert repr(record.details) == repr(reference_round_floats(details))
             # and written as the reference writes the unrounded input
             assert record.to_json() == reference_record_json(
                 TraceRecord(now, record.seq, kind, subject, details))
@@ -352,24 +371,26 @@ def test_a_memo_rounds_each_float_once_and_shares_the_result():
         "delivered_mb": round(third, 9), "capacity_mb": round(third, 9)}
 
 
-_BAD_NUMBERS = [True, None, "1", math.inf, -math.inf, math.nan]
+# bad values of each checked type
+_BAD_VALUES = {"number": [True, None, "1", math.inf, -math.inf, math.nan],
+               "number or null": [True, "1", math.inf, math.nan],
+               "str": [None, 1, b"x", 1.5, True], "str or null": [1, b"x", True],
+               "bool": [None, 0, 1, "true"]}
 
 
 @st.composite
 def _declared_with_one_bad_value(draw):
-    """(kind, subject, details) of a declared kind, each field valid for its
-    type, and at most one bad value: in a number field, in a str field, or
-    as the subject."""
-    kind, subject, details = draw(_declared_records())
-    fields = RECORD_KINDS[kind]
-    where = draw(st.sampled_from(["none", "subject"] + [
-        key for key, ftype in fields if ftype in ("number", "str")]))
+    """(kind, subject, details) of a kind that takes values in row order,
+    each field valid for its type, and at most one bad value: in a checked
+    field, or as the subject."""
+    kind, subject, details = draw(_declared_records(_FIXED_KINDS))
+    types = {key: ftype for key, ftype, _ in _fields(kind)}
+    where = draw(st.sampled_from(
+        ["none", "subject"] + [key for key in types if types[key] in _BAD_VALUES]))
     if where == "subject":
         subject = draw(st.sampled_from([None, 1, b"x", 1.5]))
     elif where != "none":
-        ftype = dict(fields)[where]
-        details[where] = draw(st.sampled_from(
-            _BAD_NUMBERS if ftype == "number" else [None, 1, b"x", 1.5, True]))
+        details[where] = draw(st.sampled_from(_BAD_VALUES[types[where]]))
     return kind, subject, details
 
 
@@ -379,7 +400,7 @@ def test_one_checker_takes_both_forms(case):
     """A dict and its values in row order make equal records, written as
     equal lines, and fail with the same message."""
     kind, subject, details = case
-    values = tuple(details[key] for key, _ in RECORD_KINDS[kind])
+    values = tuple(details[key] for key, _, _ in _fields(kind))
     outcomes = []
     for form in (details, values):
         try:
@@ -391,26 +412,38 @@ def test_one_checker_takes_both_forms(case):
     assert outcomes[0] == outcomes[1]
 
 
-def test_a_tuple_of_another_length_or_an_undeclared_kind_is_named():
+@pytest.mark.parametrize("details", [{"x": 1}, (1.0,)], ids=["dict", "tuple"])
+def test_an_undeclared_kind_is_named_and_appends_nothing(details):
+    kernel = Kernel()
+    with pytest.raises(errors.InvariantViolation,
+                       match=r"^thing: not a declared record kind$"):
+        kernel.emit("thing", "s", details)
+    assert len(kernel.trace) == 0
+
+
+def test_a_tuple_of_another_length_or_for_a_key_set_that_varies_is_named():
     kernel = Kernel()
     with pytest.raises(errors.InvariantViolation,
                        match=r"^link_window: 2 values in row order, not 3$"):
         kernel.emit("link_window", "l", (1.0, 2.0, 3.0))
-    with pytest.raises(errors.InvariantViolation,
-                       match=r"^thing: values in row order need a declared kind$"):
-        kernel.emit("thing", "s", (1.0,))
+    with pytest.raises(errors.InvariantViolation, match=r"^scheduler_tick: fields "
+                       r"may be absent, so details must be a dict$"):
+        kernel.emit("scheduler_tick", "s", (False,))
     assert len(kernel.trace) == 0
 
 
 def _valid_details(kind: str, **fields) -> dict:
-    """Details of `kind` with each field valid for its type, and `fields`
-    over them."""
-    return {**{key: {"number": 1.5, "str": "x", "any": None, "shared": {}}[ftype]
-               for key, ftype in RECORD_KINDS[kind]}, **fields}
+    """Details of `kind` with every field, each valid for its type, and
+    `fields` over them."""
+    valid = {"number": 1.5, "str": "x", "bool": True, "number or null": None,
+             "str or null": None, "any": None, "shared": {}}
+    return {**{key: valid[ftype] for key, ftype, _ in _fields(kind)}, **fields}
 
 
 @pytest.mark.parametrize("kind", sorted(RECORD_KINDS))
 def test_a_declared_kind_takes_exactly_its_keys(kind):
+    """Every key that is always present, any of those that may be absent,
+    and no other."""
     kernel = Kernel()
     details = _valid_details(kind)
     first = next(iter(details))
@@ -423,6 +456,29 @@ def test_a_declared_kind_takes_exactly_its_keys(kind):
         kernel.emit(kind, "s", {**details, "extra": 1.5})
     assert len(kernel.trace) == 0
     assert kernel.emit(kind, "s", details).seq == 1
+    for key, _, optional in _fields(kind):
+        if optional:
+            record = kernel.emit(kind, "s", {k: v for k, v in details.items()
+                                             if k != key})
+            assert key not in record.details
+            assert f'"{key}"' not in record.to_json()
+
+
+def test_each_order_of_keys_is_compiled_once_and_kept():
+    layout = kernel_module._LAYOUTS["warning"]
+    kernel = Kernel()
+    first = kernel.emit("warning", "d", {"reason": "NoSink", "gateway": "g"})
+    second = kernel.emit("warning", "e", {"reason": "NoSink", "gateway": "h"})
+    third = kernel.emit("warning", "d", {"reason": "NoBoundApp", "to_gateway": "g"})
+    assert first.writer is second.writer is not third.writer
+    assert layout.compiled[("reason", "gateway")][1] is first.writer
+    swapped = kernel.emit("warning", "d", {"gateway": "g", "reason": "NoSink"})
+    assert list(swapped.details) == ["gateway", "reason"]
+    assert swapped.writer is not first.writer
+    assert swapped.details == first.details
+    assert swapped.to_json() == first.to_json().replace('"seq":1', '"seq":4')
+    assert third.to_json() == ('{"details":{"reason":"NoBoundApp","to_gateway":"g"},'
+                               '"kind":"warning","seq":3,"subject":"d","time_ms":0}')
 
 
 def test_shared_values_go_into_the_record_as_they_are():
@@ -451,29 +507,28 @@ def test_a_missing_shared_field_is_named():
     assert len(kernel.trace) == 0
 
 
-_NUMBER_FIELDS = [(kind, key) for kind, fields in sorted(RECORD_KINDS.items())
-                  for key, ftype in fields if ftype == "number"]
+_EXPECTED = {"number": "a finite number", "str": "a str", "bool": "a bool"}
 
 
-@pytest.mark.parametrize("bad", _BAD_NUMBERS,
-                         ids=["bool", "None", "str", "inf", "-inf", "nan"])
-def test_a_number_field_takes_only_an_int_or_a_finite_float(bad):
-    assert _NUMBER_FIELDS
-    for kind, key in _NUMBER_FIELDS:
-        with pytest.raises(errors.InvariantViolation,
-                           match=rf"^{kind}: {key} must be a finite number, not "):
-            Kernel().emit(kind, "s", {**_valid_details(kind), key: bad})
+@pytest.mark.parametrize("ftype", sorted(_BAD_VALUES))
+def test_a_checked_field_takes_only_its_type(ftype):
+    base, _, nullable = ftype.partition(" or ")
+    expected = _EXPECTED[base] + (" or None" if nullable else "")
+    fields = [(kind, key) for kind in sorted(RECORD_KINDS)
+              for key, t, _ in _fields(kind) if t == ftype]
+    assert fields
+    for kind, key in fields:
+        for bad in _BAD_VALUES[ftype]:
+            with pytest.raises(errors.InvariantViolation,
+                               match=rf"^{kind}: {key} must be {expected}, not "):
+                Kernel().emit(kind, "s", {**_valid_details(kind), key: bad})
+        if nullable:
+            record = Kernel().emit(kind, "s", {**_valid_details(kind), key: None})
+            assert record.details[key] is None and f'"{key}":null' in record.to_json()
 
 
 @pytest.mark.parametrize("bad", [None, 1, b"x"], ids=["None", "int", "bytes"])
-def test_a_str_field_and_the_subject_take_only_a_str(bad):
-    texts = [(kind, key) for kind, fields in sorted(RECORD_KINDS.items())
-             for key, ftype in fields if ftype == "str"]
-    assert texts
-    for kind, key in texts:
-        with pytest.raises(errors.InvariantViolation,
-                           match=rf"^{kind}: {key} must be a str, not "):
-            Kernel().emit(kind, "s", {**_valid_details(kind), key: bad})
+def test_the_subject_takes_only_a_str(bad):
     for kind in RECORD_KINDS:
         with pytest.raises(errors.InvariantViolation,
                            match=rf"^{kind}: subject must be a str, not "):
@@ -554,7 +609,7 @@ def _records_sharing_dicts(draw):
             max_size=5), min_size=1, max_size=3))
     types = {**_typed_values, "shared": st.sampled_from(pool)}
     return draw(st.lists(st.fixed_dictionaries(
-        {key: types[ftype] for key, ftype in RECORD_KINDS["metrics_window"]}),
+        {key: types[ftype] for key, ftype, _ in _fields("metrics_window")}),
         min_size=1, max_size=6))
 
 
@@ -582,9 +637,9 @@ def _mutated_lines(draw):
     is or mutated: truncated, a character dropped, a character altered (in
     a map the record shares, or a bracket, quote, colon or comma), whitespace
     inserted, a key duplicated, or text appended. Each record is emitted up
-    to three times in a row, some of them as a record of an undeclared kind
-    with only the scalar detail `window_start`, whose text often starts
-    with the previous line's text for it without equalling it."""
+    to three times in a row, some of them as a hand-built record with only
+    the scalar detail `window_start`, whose text often starts with the
+    previous line's text for it without equalling it."""
     kernel = Kernel()
     for details in draw(_records_sharing_dicts()):
         for _ in range(draw(st.integers(1, 3))):
@@ -592,7 +647,7 @@ def _mutated_lines(draw):
             if draw(st.booleans()):
                 kernel.emit("metrics_window", "s", {**details, **n})
             else:
-                kernel.emit("k", "s", n)
+                kernel.trace.append(TraceRecord(0, 0, "k", "s", n))
     lines = []
     for record, line in zip(kernel.trace, kernel.trace.to_jsonl().split("\n")):
         marks = [i for i, c in enumerate(line) if c in ',:{}[]"']
@@ -726,7 +781,7 @@ def test_a_repeated_detail_text_is_parsed_once_and_shared():
             utilization=utilization))
 
     window(1, alloc, {"n1": 1})
-    kernel.emit("tick", "net", {"window_start": 2})
+    kernel.trace.append(TraceRecord(0, 0, "tick", "net", {"window_start": 2}))
     window(1, alloc, {"n1": 1})
     window(12, {"n1": 1}, {"n1": 12})
     records = _assert_parses_as_the_reference(kernel.trace.to_jsonl())
