@@ -80,8 +80,8 @@ class Runtime:
 
     def _schedule_script(self):
         for entry in self.scenario.script:
-            kind, _ = SCRIPT_EVENTS[entry["type"]]
-            self.kernel.schedule(entry["time"], kind, dict(entry))
+            self.kernel.schedule(entry["time"], SCRIPT_EVENTS[entry["type"]],
+                                 dict(entry))
         for fault in self.scenario.build_faults():
             known = self.topology.links if fault.kind is FaultKind.LINK_DOWN \
                 else self.topology.nodes
@@ -118,8 +118,8 @@ class Runtime:
 
     def _on_attach(self, event: Event):
         p = event.payload
-        self._do_attach(p["device"], p["gateway"], p["model"],
-                        str(p.get("os_version", "")), p.get("preferences"))
+        self._do_attach(p["device"], p["gateway"], p["model"], p["os_version"],
+                        p["preferences"])
 
     def _do_attach(self, device: str, gateway: str, model: str,
                    os_version: str, preferences=None):
@@ -240,7 +240,7 @@ class Runtime:
 
     def _on_workload(self, event: Event):
         device = event.payload["device"]
-        rate = float(event.payload["data_rate_kbps"])
+        rate = event.payload["data_rate_kbps"]
         self._rate_override[device] = rate
         flow = self.flows.active_flow_for(device)
         if flow is not None:
@@ -251,7 +251,7 @@ class Runtime:
 
     def _on_place(self, event: Event):
         p = event.payload
-        req = PlacementRequest(p["app"], p["source"], int(p.get("replicas", 1)))
+        req = PlacementRequest(p["app"], p["source"], p["replicas"])
         try:
             inst = self.scheduler.place(req)
         except errors.Unschedulable as exc:
@@ -271,7 +271,7 @@ class Runtime:
     def _on_scale(self, event: Event):
         p = event.payload
         app_id = p["app"]
-        host = p.get("host")
+        host = p["host"]
         target = None
         for iid in sorted(self.scheduler.instances):
             inst = self.scheduler.instances[iid]
@@ -284,10 +284,10 @@ class Runtime:
             return
         old = target.replicas
         try:
-            self.scheduler.scale(target.instance_id, int(p["replicas"]))
+            self.scheduler.scale(target.instance_id, p["replicas"])
         except errors.FogSimError as exc:
             self.kernel.emit("scale_warning", target.instance_id, {
-                "reason": type(exc).__name__, "requested": int(p["replicas"])})
+                "reason": type(exc).__name__, "requested": p["replicas"]})
             return
         self.kernel.emit("scale", target.instance_id, {
             "replicas_from": old, "replicas_to": target.replicas,

@@ -9,7 +9,8 @@ script, and fault injections. Everything a run does is stated here up front.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -26,29 +27,76 @@ from .topology import ResourceVector, Tier, Topology
 
 SCHEMA_VERSION = 1
 
-# script type -> (event kind it schedules, fields it requires)
-SCRIPT_EVENTS: dict[str, tuple[EventKind, frozenset[str]]] = {
-    "attach": (EventKind.ATTACH, frozenset({"device", "gateway", "model"})),
-    "detach": (EventKind.DETACH, frozenset({"device", "gateway"})),
-    "roam": (EventKind.ROAM, frozenset({"device", "to_gateway"})),
-    "place": (EventKind.PLACE, frozenset({"app", "source"})),
-    "scale": (EventKind.SCALE, frozenset({"app", "replicas"})),
-    "workload": (EventKind.WORKLOAD_CHANGE,
-                 frozenset({"device", "data_rate_kbps"})),
-    "flow_advance": (EventKind.FLOW_ADVANCE, frozenset()),
+# script type -> the event kind it schedules
+SCRIPT_EVENTS: dict[str, EventKind] = {
+    "attach": EventKind.ATTACH,
+    "detach": EventKind.DETACH,
+    "roam": EventKind.ROAM,
+    "place": EventKind.PLACE,
+    "scale": EventKind.SCALE,
+    "workload": EventKind.WORKLOAD_CHANGE,
+    "flow_advance": EventKind.FLOW_ADVANCE,
 }
 
-# section -> numeric fields that, where given, must be finite numbers
-_FINITE_FIELDS: dict[str, tuple[str, ...]] = {
-    "node": ("cpu", "mem", "storage"),
-    "link": ("latency_ms", "bandwidth_mbps"),
-    "app": ("cpu", "mem", "storage", "latency_requirement_ms",
-            "aggregation_factor", "state_size_mb"),
-    "device": ("data_rate_kbps",),
-}
+REQUIRED = "required"  # the default of a field that must be given
 
-# script fields that name a device, node or app and, where given, must be strings
-_SCRIPT_NAMES = ("device", "gateway", "model", "to_gateway", "app", "source", "host")
+# Scenario fields: section -> field -> (type, default, bound), the bound left
+# out where there is none (see _TYPES and _BOUNDS). A script entry has the
+# fields of "script" and of the section its type names. An absent or null
+# field takes its default, which is already of its type. A reference type
+# ("node", "gateway", "app", "model") takes the name of one declared before
+# it, so the sections that declare names come before those that use them.
+SCENARIO_FIELDS: dict[str, dict[str, tuple]] = {
+    "scenario": {
+        "schema_version": ("integer", REQUIRED), "name": ("str", "unnamed"),
+        "duration_ms": ("integer", REQUIRED, "> 0"),
+        "seed": ("integer", 0),  # a label recorded in the trace; nothing is random
+        "scheduler_tick_ms": ("integer", 1000, "> 0"),
+        "buffer_mb": ("number", 10.0, ">= 0"),
+        "thresholds": ("mapping of thresholds", {}),
+        "topology": ("mapping of topology", {}),
+        "apps": ("list of app", []), "devices": ("list of device", []),
+        "firmware": ("list of firmware", []), "script": ("list of script", []),
+        "faults": ("list of fault", [])},
+    "thresholds": {"high": ("number", Thresholds.high_watermark),
+                   "low": ("number", Thresholds.low_watermark)},
+    "topology": {"nodes": ("list of node", []), "links": ("list of link", [])},
+    "node": {"id": ("str", REQUIRED), "tier": ("tier", REQUIRED),
+             "cpu": ("number", REQUIRED), "mem": ("number", REQUIRED),
+             "storage": ("number", REQUIRED)},
+    "link": {"a": ("node", REQUIRED), "b": ("node", REQUIRED),
+             "latency_ms": ("number", REQUIRED), "bandwidth_mbps": ("number", REQUIRED),
+             "id": ("str", None)},  # None: the topology names it a--b
+    "app": {"id": ("str", REQUIRED), "kind": ("app kind", REQUIRED),
+            "cpu": ("number", 0.0), "mem": ("number", 0.0), "storage": ("number", 0.0),
+            "latency_requirement_ms": ("number", None),  # None: no requirement
+            "aggregation_factor": ("number", 1.0), "state_size_mb": ("number", 0.0),
+            "allowed_tiers": ("tier list", [])},  # []: every tier its kind may use
+    "device": {"model": ("str", REQUIRED), "os_version": ("str", REQUIRED),
+               "protocol": ("str", "other"), "data_rate_kbps": ("number", REQUIRED),
+               "iot_app": ("app", REQUIRED)},
+    "firmware": {"model": ("str", REQUIRED), "os_version": ("str", REQUIRED),
+                 "version": ("str", REQUIRED)},
+    "script": {"type": ("script type", REQUIRED),
+               "time": ("integer", REQUIRED, ">= 0")},
+    "attach": {"device": ("str", REQUIRED), "gateway": ("node", REQUIRED),
+               "model": ("model", REQUIRED),
+               "os_version": ("str", ""),  # "": the model's
+               "preferences": ("mapping", None)},
+    "detach": {"device": ("str", REQUIRED), "gateway": ("node", REQUIRED)},
+    "roam": {"device": ("str", REQUIRED), "to_gateway": ("gateway", REQUIRED)},
+    "place": {"app": ("app", REQUIRED), "source": ("node", REQUIRED),
+              "replicas": ("integer", 1, ">= 1")},
+    # a replica count below 1 is a scale_warning at run time
+    "scale": {"app": ("app", REQUIRED), "replicas": ("integer", REQUIRED),
+              "host": ("str", None)},  # None: the first running instance's
+    "workload": {"device": ("str", REQUIRED),
+                 "data_rate_kbps": ("number", REQUIRED, "> 0")},
+    "flow_advance": {},
+    "fault": {"target": ("str", REQUIRED), "kind": ("fault kind", REQUIRED),
+              "start": ("integer", REQUIRED, ">= 0"),
+              "duration_ms": ("integer", REQUIRED, "> 0")},
+}
 
 # The parser whose events _load_yaml builds documents from, and whose
 # Resolver and SafeConstructor (those of yaml.safe_load) type its scalars:
@@ -60,111 +108,147 @@ _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 @dataclass
 class Scenario:
+    """A checked scenario: its fields, and each entry's, are those
+    SCENARIO_FIELDS declares, each converted to its type or at its default."""
+
     name: str
     duration_ms: int
-    seed: int = 0  # a label recorded in the trace; nothing is random
-    scheduler_tick_ms: int = 1000
-    buffer_mb: float = 10.0
-    thresholds: Thresholds = field(default_factory=Thresholds)
-    nodes: list[dict] = field(default_factory=list)
-    links: list[dict] = field(default_factory=list)
-    apps: list[dict] = field(default_factory=list)
-    devices: list[dict] = field(default_factory=list)
-    firmware: list[dict] = field(default_factory=list)
-    script: list[dict] = field(default_factory=list)
-    faults: list[dict] = field(default_factory=list)
+    seed: int
+    scheduler_tick_ms: int
+    buffer_mb: float
+    thresholds: Thresholds
+    nodes: list[dict]
+    links: list[dict]
+    apps: list[dict]
+    devices: list[dict]
+    firmware: list[dict]
+    script: list[dict]
+    faults: list[dict]
 
     # -- construction of run-time objects -------------------------------------
 
     def build_topology(self) -> Topology:
         topo = Topology()
         for n in self.nodes:
-            topo.add_node(n["id"], Tier(n["tier"]), float(n["cpu"]),
-                          float(n["mem"]), float(n["storage"]))
+            topo.add_node(n["id"], Tier(n["tier"]), n["cpu"], n["mem"], n["storage"])
         for l in self.links:
-            topo.add_link(l["a"], l["b"], float(l["latency_ms"]),
-                          float(l["bandwidth_mbps"]), l.get("id"))
+            topo.add_link(l["a"], l["b"], l["latency_ms"], l["bandwidth_mbps"], l["id"])
         return topo
 
     def build_catalog(self) -> Catalog:
         catalog = Catalog()
         for a in self.apps:
-            tiers = a.get("allowed_tiers")
-            spec = AppSpec(
-                app_id=a["id"],
-                kind=AppKind(a["kind"]),
-                demand=ResourceVector(float(a.get("cpu", 0)),
-                                      float(a.get("mem", 0)),
-                                      float(a.get("storage", 0))),
-                latency_requirement_ms=a.get("latency_requirement_ms"),
-                aggregation_factor=float(a.get("aggregation_factor", 1)),
-                state_size_mb=float(a.get("state_size_mb", 0)),
-                allowed_tiers=frozenset(Tier(t) for t in tiers) if tiers else frozenset(),
-            )
-            catalog.register_app(spec)
+            catalog.register_app(AppSpec(
+                a["id"], AppKind(a["kind"]),
+                ResourceVector(a["cpu"], a["mem"], a["storage"]),
+                a["latency_requirement_ms"], a["aggregation_factor"],
+                a["state_size_mb"], frozenset(map(Tier, a["allowed_tiers"]))))
         for d in self.devices:
             catalog.register_profile(DeviceProfile(
-                d["model"], str(d["os_version"]), d.get("protocol", "other"),
-                float(d["data_rate_kbps"]), d["iot_app"]))
+                d["model"], d["os_version"], d["protocol"], d["data_rate_kbps"],
+                d["iot_app"]))
         for f in self.firmware:
             catalog.register_firmware(FirmwareEntry(
-                f["model"], str(f["os_version"]), str(f["version"])))
+                f["model"], f["os_version"], f["version"]))
         return catalog
 
     def build_faults(self) -> list[Fault]:
-        return [Fault(f["target"], FaultKind(f["kind"]), int(f["start"]),
-                      int(f["duration_ms"])) for f in self.faults]
+        return [Fault(f["target"], FaultKind(f["kind"]), f["start"], f["duration_ms"])
+                for f in self.faults]
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise errors.ParseError(f"{context}: missing required field {key!r}")
-    return mapping[key]
+_MAX_FLOAT = sys.float_info.max
+_TIERS = tuple(tier.value for tier in Tier)
+_CHOICES = {"tier": _TIERS, "app kind": tuple(kind.value for kind in AppKind),
+          "fault kind": tuple(kind.value for kind in FaultKind),
+          "script type": tuple(SCRIPT_EVENTS)}
+# field type -> the test its value must pass, what the value must be, and
+# what makes the field's value of it, where that is not the value itself
+_TYPES = {
+    "integer": (lambda v: type(v) is not bool and isinstance(v, int)
+                or isinstance(v, float) and v.is_integer(), "an integer", int),
+    # NaN compares false, and an int beyond the float range overflows float()
+    "number": (lambda v: type(v) is not bool and isinstance(v, (int, float))
+               and -_MAX_FLOAT <= v <= _MAX_FLOAT, "a finite number", float),
+    "str": (lambda v: isinstance(v, str), "a string", None),
+    "mapping": (lambda v: isinstance(v, dict), "a mapping", None),
+    "tier list": (lambda v: isinstance(v, list) and all(map(_TIERS.__contains__, v)),
+                  f"a list of {', '.join(_TIERS)}", None),
+    **{ftype: (names.__contains__, f"one of {', '.join(names)}", None)
+       for ftype, names in _CHOICES.items()},
+}
+_REFERENCES = ("node", "gateway", "app", "model")  # a str naming one declared
+_BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1}
+# section -> the reference type its entries declare, and the field naming them
+_DECLARES = {"node": ("node", "id"), "app": ("app", "id"), "device": ("model", "model")}
 
 
-def _number(mapping: dict, key: str, context: str) -> float:
-    """The required field `key` as a float: a finite number, not a bool."""
-    value = _require(mapping, key, context)
-    if isinstance(value, bool):
-        raise errors.ParseError(f"{context}: {key} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise errors.ParseError(
-            f"{context}: {key} must be a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise errors.ParseError(f"{context}: {key} must be finite, got {value!r}")
-    return number
+def _row(fields: dict[str, tuple]) -> list[tuple]:
+    """A section's fields as _walk reads them: each field's key, default,
+    the section of a "mapping of" or "list of" type and whether it is a
+    list, its type's test, expected and maker, its reference type, and its
+    bound with that bound's test."""
+    row = []
+    for key, (ftype, default, *bound) in fields.items():
+        of, _, inner = ftype.partition(" of ")
+        reference = ftype if ftype in _REFERENCES else None
+        checks = (None,) * 3 if inner else _TYPES["str" if reference else ftype]
+        bound = bound[0] if bound else None
+        row.append((key, default, inner, of == "list", *checks, reference,
+                    bound, _BOUNDS.get(bound)))
+    return row
 
 
-def _integer(mapping: dict, key: str, context: str) -> int:
-    """The required field `key`, which must be an integer: an int, or a
-    float with an integral value. Anything else, a bool, a fractional
-    number or a string included, is rejected rather than converted."""
-    value = _require(mapping, key, context)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise errors.ParseError(f"{context}: {key} must be an integer, got {value!r}")
+_ROWS = {section: _row(fields) for section, fields in SCENARIO_FIELDS.items()}
 
 
-def _text(mapping: dict, key: str, context: str) -> str:
-    """The required field `key`, which must be a string."""
-    value = _require(mapping, key, context)
-    if not isinstance(value, str):
-        raise errors.ParseError(f"{context}: {key} must be a string, got {value!r}")
-    return value
-
-
-def _mapping(mapping: dict, key: str, context: str) -> dict:
-    """The optional field `key` as a mapping; empty where absent or null."""
-    value = mapping.get(key)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise errors.ParseError(f"{context}: {key} must be a mapping, got {value!r}")
-    return value
+def _walk(section: str, raw, ctx: str, known: dict[str, set],
+          entry: dict | None = None) -> dict:
+    """The entry `raw` of `section`, named `ctx`, with each field of the
+    section checked and made of its type, an absent or null optional field
+    at its default, and each bound kept, added to `entry` or a new dict.
+    `known` holds the names declared by the entries walked so far, by
+    reference type; this entry's join them. A "mapping of S" or "list of S"
+    field holds a mapping, or a list of mappings, each walked as an entry of
+    section S."""
+    if not isinstance(raw, dict):
+        raise errors.ParseError(f"{ctx} must be a mapping, got {raw!r}")
+    entry = {} if entry is None else entry
+    for key, default, inner, is_list, test, expected, make, reference, bound, \
+            within in _ROWS[section]:
+        value = raw.get(key)
+        if value is None and default is not REQUIRED:
+            if not inner:
+                entry[key] = default
+                continue
+            value = default
+        elif value is None and key not in raw:
+            raise errors.ParseError(f"{ctx}: missing required field {key!r}")
+        if not inner:
+            if not test(value):
+                raise errors.ParseError(f"{ctx}: {key} must be {expected}, got {value!r}")
+            if make is not None:
+                value = make(value)
+            if reference is not None and value not in known[reference]:
+                raise errors.UnknownReference(f"{ctx}: unknown {reference} {value}")
+        elif not is_list:
+            value = _walk(inner, value, key, known)
+        elif isinstance(value, list):
+            value = [_walk(inner, item, f"{key}[{i}]", known)
+                     for i, item in enumerate(value)]
+        else:
+            raise errors.ParseError(f"{ctx}: {key} must be a list, got {value!r}")
+        if within is not None and not within(value):
+            raise errors.InvariantViolation(f"{ctx}: {key} must be {bound}")
+        entry[key] = value
+    if section == "script":
+        _walk(entry["type"], raw, ctx, known, entry)
+    elif section in _DECLARES:
+        kind, name = _DECLARES[section]
+        known[kind].add(entry[name])
+        if entry.get("tier") == Tier.GATEWAY.value:
+            known["gateway"].add(entry[name])
+    return entry
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
@@ -175,33 +259,11 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if version != SCHEMA_VERSION:
         raise errors.ParseError(
             f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
-
-    topo_section = _mapping(raw, "topology", "scenario")
-    thresholds_raw = {"high": 0.8, "low": 0.6,
-                      **_mapping(raw, "thresholds", "scenario")}
-    thresholds = Thresholds(_number(thresholds_raw, "high", "thresholds"),
-                            _number(thresholds_raw, "low", "thresholds"))
-    defaults = {"seed": 0, "scheduler_tick_ms": 1000, "buffer_mb": 10, **raw}
-
-    try:
-        scenario = Scenario(
-            name=str(raw.get("name", "unnamed")),
-            duration_ms=_integer(raw, "duration_ms", "scenario"),
-            seed=_integer(defaults, "seed", "scenario"),
-            scheduler_tick_ms=_integer(defaults, "scheduler_tick_ms", "scenario"),
-            buffer_mb=_number(defaults, "buffer_mb", "scenario"),
-            thresholds=thresholds,
-            nodes=list(topo_section.get("nodes", []) or []),
-            links=list(topo_section.get("links", []) or []),
-            apps=list(raw.get("apps", []) or []),
-            devices=list(raw.get("devices", []) or []),
-            firmware=list(raw.get("firmware", []) or []),
-            script=list(raw.get("script", []) or []),
-            faults=list(raw.get("faults", []) or []),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise errors.ParseError(str(exc)) from None
-
+    fields = _walk("scenario", raw, "scenario", {kind: set() for kind in _REFERENCES})
+    del fields["schema_version"]
+    thresholds = fields.pop("thresholds")
+    scenario = Scenario(**fields.pop("topology"), **fields, thresholds=Thresholds(
+        thresholds["high"], thresholds["low"]))
     _validate(scenario)
     return scenario
 
@@ -385,128 +447,49 @@ def validate_until(scenario: Scenario, topology: Topology, catalog: Catalog,
               for p in catalog.profiles.values()]
     per_ms += [(f"link {l.link_id}: bandwidth_mbps", l.bandwidth_mbps)
                for l in topology.links.values()]
-    per_ms += [(f"script[{i}]: data_rate_kbps", float(e["data_rate_kbps"]))
+    per_ms += [(f"script[{i}]: data_rate_kbps", e["data_rate_kbps"])
                for i, e in enumerate(scenario.script) if e["type"] == "workload"]
     for context, value in per_ms:
         _finite_over_run(value, until, context, "until", errors.ValidationError)
 
 
 def _validate(scenario: Scenario) -> None:
-    if scenario.duration_ms <= 0:
-        raise errors.InvariantViolation("duration_ms must be > 0")
-    if scenario.scheduler_tick_ms <= 0:
-        raise errors.InvariantViolation("scheduler_tick_ms must be > 0")
-    if scenario.buffer_mb < 0:
-        raise errors.InvariantViolation("buffer_mb must be >= 0")
-
-    for section, key, context in ((scenario.nodes, "id", "node"),
-                                  (scenario.apps, "id", "app"),
-                                  (scenario.devices, "model", "device"),
-                                  (scenario.firmware, "model", "firmware")):
-        for entry in section:
-            if not isinstance(entry, dict):
-                raise errors.ParseError(f"{context} entries must be mappings")
-            _require(entry, key, context)
-
-    for section, context in ((scenario.nodes, "node"), (scenario.links, "link"),
-                             (scenario.apps, "app"), (scenario.devices, "device")):
-        for entry in section:
-            for key in _FINITE_FIELDS[context]:
-                if isinstance(entry, dict) and key in entry:
-                    _number(entry, key, context)
-
-    # structural build; topology/catalog invariants surface here
+    """The checks across fields of a scenario whose fields are checked: the
+    topology and catalog invariants, script times against the duration, an
+    attach at a gateway, each fault's target, and the rates and bandwidths
+    whose products with the duration must be finite."""
     try:
         topo = scenario.build_topology()
-    except errors.UnknownNode as exc:
-        raise errors.UnknownReference(f"link endpoint: {exc}") from None
     except errors.FogSimError as exc:
         raise errors.InvariantViolation(f"topology: {exc}") from None
-    except KeyError as exc:
-        raise errors.ParseError(f"topology: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise errors.ParseError(f"topology: {exc}") from None
     try:
         catalog = scenario.build_catalog()
     except errors.FogSimError as exc:
         raise errors.InvariantViolation(f"catalog: {exc}") from None
-    except KeyError as exc:
-        raise errors.ParseError(f"catalog: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise errors.ParseError(f"catalog: {exc}") from None
 
+    duration = scenario.duration_ms
     for profile in catalog.profiles.values():
-        if profile.iot_app not in catalog.apps:
-            raise errors.UnknownReference(
-                f"device {profile.model} references unknown app {profile.iot_app}")
-        _finite_over_run(profile.data_rate_kbps, scenario.duration_ms,
+        _finite_over_run(profile.data_rate_kbps, duration,
                          f"device {profile.model}: data_rate_kbps")
     for link in topo.links.values():
-        _finite_over_run(link.bandwidth_mbps, scenario.duration_ms,
+        _finite_over_run(link.bandwidth_mbps, duration,
                          f"link {link.link_id}: bandwidth_mbps")
-
-    gateways = {nid for nid, n in topo.nodes.items() if n.tier is Tier.GATEWAY}
 
     for i, entry in enumerate(scenario.script):
         ctx = f"script[{i}]"
-        if not isinstance(entry, dict):
-            raise errors.ParseError(f"{ctx}: entries must be mappings")
-        etype = _text(entry, "type", ctx)
-        if etype not in SCRIPT_EVENTS:
-            raise errors.ParseError(f"{ctx}: unknown event type {etype!r}")
-        time = _integer(entry, "time", ctx)
-        if time < 0:
-            raise errors.InvariantViolation(f"{ctx}: time must be >= 0")
-        if time > scenario.duration_ms:
+        if entry["time"] > duration:
             raise errors.InvariantViolation(
-                f"{ctx}: time {time} exceeds duration {scenario.duration_ms}")
-        for required in SCRIPT_EVENTS[etype][1]:
-            _require(entry, required, ctx)
-        for key in _SCRIPT_NAMES:
-            if key in entry:
-                _text(entry, key, ctx)
-        if etype == "attach":
-            _mapping(entry, "preferences", ctx)
-            if entry["model"] not in catalog.profiles:
-                raise errors.UnknownReference(f"{ctx}: unknown model {entry['model']}")
-            if entry["gateway"] not in topo.nodes:
-                raise errors.UnknownReference(f"{ctx}: unknown node {entry['gateway']}")
-            if entry["gateway"] not in gateways:
-                raise errors.InvariantViolation(
-                    f"{ctx}: {entry['gateway']} is not a gateway")
-        elif etype == "detach":
-            if entry["gateway"] not in topo.nodes:
-                raise errors.UnknownReference(f"{ctx}: unknown node {entry['gateway']}")
-        elif etype == "roam":
-            if entry["to_gateway"] not in gateways:
-                raise errors.UnknownReference(
-                    f"{ctx}: unknown gateway {entry['to_gateway']}")
-        elif etype in ("place", "scale"):
-            if entry["app"] not in catalog.apps:
-                raise errors.UnknownReference(f"{ctx}: unknown app {entry['app']}")
-            if etype == "place" and entry["source"] not in topo.nodes:
-                raise errors.UnknownReference(f"{ctx}: unknown node {entry['source']}")
-            # place defaults to one replica; scale reports < 1 at run time
-            replicas = _integer({"replicas": 1, **entry}, "replicas", ctx)
-            if etype == "place" and replicas < 1:
-                raise errors.InvariantViolation(f"{ctx}: replicas must be >= 1")
-        elif etype == "workload":
-            rate = _number(entry, "data_rate_kbps", ctx)
-            if rate <= 0:
-                raise errors.InvariantViolation(f"{ctx}: data_rate must be > 0")
-            _finite_over_run(rate, scenario.duration_ms, f"{ctx}: data_rate_kbps")
+                f"{ctx}: time {entry['time']} exceeds duration {duration}")
+        if entry["type"] == "attach" and \
+                topo.nodes[entry["gateway"]].tier is not Tier.GATEWAY:
+            raise errors.InvariantViolation(
+                f"{ctx}: {entry['gateway']} is not a gateway")
+        if entry["type"] == "workload":
+            _finite_over_run(entry["data_rate_kbps"], duration,
+                             f"{ctx}: data_rate_kbps")
 
     for i, f in enumerate(scenario.faults):
-        ctx = f"faults[{i}]"
-        if not isinstance(f, dict):
-            raise errors.ParseError(f"{ctx}: entries must be mappings")
-        for key in ("target", "kind", "start", "duration_ms"):
-            _require(f, key, ctx)
-        try:
-            kind = FaultKind(f["kind"])
-        except ValueError:
-            raise errors.ParseError(f"{ctx}: unknown fault kind {f['kind']!r}") from None
-        target = _text(f, "target", ctx)
+        ctx, kind, target = f"faults[{i}]", FaultKind(f["kind"]), f["target"]
         if kind is FaultKind.LINK_DOWN:
             if target not in topo.links:
                 raise errors.UnknownReference(f"{ctx}: unknown link {target}")
@@ -516,7 +499,3 @@ def _validate(scenario: Scenario) -> None:
                 topo.nodes[target].tier is not Tier.CENTRAL_CLOUD:
             raise errors.InvariantViolation(
                 f"{ctx}: CloudPartition target must be the central cloud node")
-        if _integer(f, "start", ctx) < 0:
-            raise errors.InvariantViolation(f"{ctx}: start must be >= 0")
-        if _integer(f, "duration_ms", ctx) <= 0:
-            raise errors.InvariantViolation(f"{ctx}: duration_ms must be > 0")

@@ -23,7 +23,8 @@ from fogsim.control import run_scenario, run_scenario_file
 from fogsim.kernel import RECORD_KINDS, Trace
 from fogsim.report import report_from_trace, validate_trace
 from fogsim.runtime import Runtime
-from fogsim.scenario import SCRIPT_EVENTS, load_scenario, scenario_from_dict
+from fogsim.scenario import (REQUIRED, SCENARIO_FIELDS, SCRIPT_EVENTS, load_scenario,
+                             scenario_from_dict)
 
 from fixture_paths import FIXTURES, REPO_ROOT, SCENARIO_DIR
 from oracles import (reference_from_jsonl, reference_load_yaml,
@@ -156,6 +157,16 @@ def _set_faults(**fault):
         "duration_ms": 500, **fault}])
 
 
+def _rename_node(old, new):
+    """Name the node `old` `new` in the node list and in every link."""
+    def mutate(raw):
+        for entry in raw["topology"]["nodes"] + raw["topology"]["links"]:
+            for key in ("id", "a", "b"):
+                if entry.get(key) == old:
+                    entry[key] = new
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, expected", [
     (lambda raw: raw["topology"]["nodes"][0].pop("tier"), errors.ParseError),
     (lambda raw: raw["topology"]["nodes"][1].update(tier="Fog"), errors.ParseError),
@@ -167,10 +178,14 @@ def _set_faults(**fault):
     (lambda raw: raw["script"][0].update(replicas="two"), errors.ParseError),
     (_set_faults(start=-5), errors.InvariantViolation),
     (lambda raw: raw["script"][0].update(replicas=0), errors.InvariantViolation),
+    (_rename_node("edge2", 7), errors.ParseError),
+    (lambda raw: raw["topology"]["links"][1].update(id=4), errors.ParseError),
+    (lambda raw: raw["apps"][0].update(latency_requirement_ms="5"), errors.ParseError),
 ], ids=["node-without-tier", "unknown-tier", "link-without-latency",
         "device-rate-not-a-number", "workload-rate-not-a-number",
         "fault-duration-not-a-number", "place-replicas-not-a-number",
-        "fault-start-negative", "place-replicas-zero"])
+        "fault-start-negative", "place-replicas-zero", "node-id-not-a-str",
+        "link-id-not-a-str", "latency-requirement-quoted"])
 def test_malformed_scenario_is_a_typed_validation_error(mutate, expected,
                                                          tmp_path, capsys):
     raw = yaml.safe_load((SCENARIO_DIR / "scaling.yaml").read_text())
@@ -299,6 +314,19 @@ def test_a_bool_is_not_a_number(field):
     NON_FINITE_FIELDS[field](raw, True)
     with pytest.raises(errors.ParseError):
         scenario_from_dict(raw)
+
+
+@pytest.mark.parametrize("field", sorted(NON_FINITE_FIELDS))
+def test_a_quoted_number_is_not_a_number(field, tmp_path, capsys):
+    """YAML reads `"10"` as a string, which no number or integer field takes."""
+    raw = yaml.safe_load((SCENARIO_DIR / "scaling.yaml").read_text())
+    NON_FINITE_FIELDS[field](raw, "10")
+    with pytest.raises(errors.ParseError):
+        scenario_from_dict(raw)
+    path = tmp_path / "quoted.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["validate", str(path)]) == EXIT_VALIDATION
+    assert "invalid: ParseError" in capsys.readouterr().err
 
 
 def _set_script(kind, key):
@@ -483,6 +511,41 @@ def test_trace_hash_does_not_depend_on_the_string_hash_seed(hash_seed, tmp_path)
     assert f"sha256 {WORKLOAD_TRACE_HASHES['mesh_churn']}" in done.stdout
 
 
+def _undeclared_keys(section: str, raw: dict, where: str) -> list[str]:
+    """The keys of `raw`, an entry of `section`, and of the entries nested
+    in it, that SCENARIO_FIELDS does not declare."""
+    fields = dict(SCENARIO_FIELDS[section])
+    if section == "script":
+        fields.update(SCENARIO_FIELDS[raw["type"]])
+    undeclared = [f"{where}.{key}" for key in raw if key not in fields]
+    for key, value in raw.items():
+        of, _, inner = fields.get(key, ("",))[0].partition(" of ")
+        if of == "mapping":
+            undeclared += _undeclared_keys(inner, value, f"{where}.{key}")
+        elif of == "list":
+            for i, entry in enumerate(value):
+                undeclared += _undeclared_keys(inner, entry, f"{where}.{key}[{i}]")
+    return undeclared
+
+
+def _scenario_fields_reference() -> str:
+    """The README's table of scenario fields, made from SCENARIO_FIELDS."""
+    lines = ["| Section | Field | Type | Default | Bound |", "|---|---|---|---|---|"]
+    for section, fields in SCENARIO_FIELDS.items():
+        for key, (ftype, default, *bound) in fields.items():
+            default = "required" if default is REQUIRED else f"`{json.dumps(default)}`"
+            bound = f"`{bound[0]}`" if bound else ""
+            lines.append(f"| `{section}` | `{key}` | {ftype} | {default} | {bound} |")
+    return "\n".join(lines) + "\n"
+
+
+def test_the_readme_lists_the_declared_scenario_fields():
+    readme = (REPO_ROOT / "README.md").read_text()
+    section = readme.split("\n## Scenario fields\n", 1)[1].split("\n## ", 1)[0]
+    table = [line for line in section.splitlines() if line.startswith("|")]
+    assert "\n".join(table) + "\n" == _scenario_fields_reference()
+
+
 # the pinned runs: the fixtures, and the workloads at seeds 1 and 7
 PINNED_RUNS = ([(name, None) for name in sorted(FIXTURE_TRACE_HASHES)]
                + [(name, seed) for seed in (1, 7)
@@ -492,6 +555,13 @@ PINNED_RUNS = ([(name, None) for name in sorted(FIXTURE_TRACE_HASHES)]
 def _pinned_path(name: str, seed: int | None, tmp_path):
     return SCENARIO_DIR / f"{name}.yaml" if seed is None \
         else _workload_path(name, tmp_path, seed)
+
+
+@pytest.mark.parametrize("name, seed", PINNED_RUNS)
+def test_every_key_the_pinned_scenarios_write_is_declared(name, seed, tmp_path):
+    """So rejecting undeclared keys would move no pinned hash."""
+    raw = yaml.safe_load(_pinned_path(name, seed, tmp_path).read_text())
+    assert _undeclared_keys("scenario", raw, "scenario") == []
 
 
 @pytest.mark.parametrize("name, seed", PINNED_RUNS,
@@ -928,7 +998,7 @@ def test_every_report_total_is_a_float_when_no_window_closed(tmp_path):
 
 def test_every_script_type_has_a_runtime_handler():
     runtime = Runtime(scenario_from_dict(minimal_scenario()))
-    for etype, (kind, _) in SCRIPT_EVENTS.items():
+    for etype, kind in SCRIPT_EVENTS.items():
         assert kind in runtime.kernel.handlers, etype
 
 
