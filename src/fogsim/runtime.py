@@ -100,7 +100,7 @@ class Runtime:
         past the scenario's duration that the run's rates times it overflow,
         is a ValidationError (see validate_until)."""
         if until is not None:
-            validate_until(self.scenario, self.topology, self.catalog, until)
+            validate_until(self.scenario, until)
         horizon = self.scenario.duration_ms if until is None else until
         self.kernel.run(horizon)
         if self.kernel.now < horizon:

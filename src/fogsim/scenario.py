@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import yaml
@@ -20,7 +21,8 @@ from yaml.events import (DocumentEndEvent, MappingEndEvent, MappingStartEvent,
 from yaml.nodes import ScalarNode
 
 from . import errors
-from .catalog import AppKind, AppSpec, Catalog, DeviceProfile, FirmwareEntry
+from .catalog import (AppKind, AppSpec, Catalog, DeviceProfile, FirmwareEntry,
+                      parse_version)
 from .kernel import EventKind, Fault, FaultKind
 from .scheduler import Thresholds
 from .topology import ResourceVector, Tier, Topology
@@ -42,10 +44,12 @@ REQUIRED = "required"  # the default of a field that must be given
 
 # Scenario fields: section -> field -> (type, default, bound), the bound left
 # out where there is none (see _TYPES and _BOUNDS). A script entry has the
-# fields of "script" and of the section its type names. An absent or null
-# field takes its default, which is already of its type. A reference type
-# ("node", "gateway", "app", "model") takes the name of one declared before
-# it, so the sections that declare names come before those that use them.
+# fields of "script" and of the section its type names, and a fault entry
+# those of "fault" and of the section its kind names (see _DISPATCH). An
+# absent or null field takes its default, which is already of its type. A
+# reference type (see _REFERENCES) takes the name of an entry declared
+# before it, so the sections that declare names come before those that use
+# them.
 SCENARIO_FIELDS: dict[str, dict[str, tuple]] = {
     "scenario": {
         "schema_version": ("integer", REQUIRED), "name": ("str", "unnamed"),
@@ -61,25 +65,32 @@ SCENARIO_FIELDS: dict[str, dict[str, tuple]] = {
     "thresholds": {"high": ("number", Thresholds.high_watermark),
                    "low": ("number", Thresholds.low_watermark)},
     "topology": {"nodes": ("list of node", []), "links": ("list of link", [])},
+    # below the 9-place precision of vectors and the trace, a capacity may round to 0
     "node": {"id": ("str", REQUIRED), "tier": ("tier", REQUIRED),
-             "cpu": ("number", REQUIRED), "mem": ("number", REQUIRED),
-             "storage": ("number", REQUIRED)},
+             "cpu": ("number", REQUIRED, ">= 1e-9"),
+             "mem": ("number", REQUIRED, ">= 1e-9"),
+             "storage": ("number", REQUIRED, ">= 1e-9")},
     "link": {"a": ("node", REQUIRED), "b": ("node", REQUIRED),
-             "latency_ms": ("number", REQUIRED), "bandwidth_mbps": ("number", REQUIRED),
-             "id": ("str", None)},  # None: the topology names it a--b
-    "app": {"id": ("str", REQUIRED), "kind": ("app kind", REQUIRED),
-            "cpu": ("number", 0.0), "mem": ("number", 0.0), "storage": ("number", 0.0),
+             "latency_ms": ("number", REQUIRED, ">= 0"),
+             "bandwidth_mbps": ("number", REQUIRED, "> 0"),
+             "id": ("str", None)},  # None: named a--b, as the topology names it
+    "app": {"id": ("str", REQUIRED, "non-empty"), "kind": ("app kind", REQUIRED),
+            "cpu": ("number", 0.0, ">= 0"), "mem": ("number", 0.0, ">= 0"),
+            "storage": ("number", 0.0, ">= 0"),
             "latency_requirement_ms": ("number", None),  # None: no requirement
-            "aggregation_factor": ("number", 1.0), "state_size_mb": ("number", 0.0),
+            "aggregation_factor": ("number", 1.0, ">= 1"),
+            "state_size_mb": ("number", 0.0, ">= 0"),
             "allowed_tiers": ("tier list", [])},  # []: every tier its kind may use
-    "device": {"model": ("str", REQUIRED), "os_version": ("str", REQUIRED),
-               "protocol": ("str", "other"), "data_rate_kbps": ("number", REQUIRED),
-               "iot_app": ("app", REQUIRED)},
-    "firmware": {"model": ("str", REQUIRED), "os_version": ("str", REQUIRED),
-                 "version": ("str", REQUIRED)},
+    "device": {"model": ("str", REQUIRED, "non-empty"), "os_version": ("str", REQUIRED),
+               "protocol": ("str", "other"),
+               "data_rate_kbps": ("number", REQUIRED, "> 0"),
+               "iot_app": ("iot app", REQUIRED)},
+    "firmware": {"model": ("str", REQUIRED, "non-empty"),
+                 "os_version": ("str", REQUIRED, "non-empty"),
+                 "version": ("str", REQUIRED, "a dotted version")},
     "script": {"type": ("script type", REQUIRED),
                "time": ("integer", REQUIRED, ">= 0")},
-    "attach": {"device": ("str", REQUIRED), "gateway": ("node", REQUIRED),
+    "attach": {"device": ("str", REQUIRED), "gateway": ("gateway", REQUIRED),
                "model": ("model", REQUIRED),
                "os_version": ("str", ""),  # "": the model's
                "preferences": ("mapping", None)},
@@ -93,9 +104,12 @@ SCENARIO_FIELDS: dict[str, dict[str, tuple]] = {
     "workload": {"device": ("str", REQUIRED),
                  "data_rate_kbps": ("number", REQUIRED, "> 0")},
     "flow_advance": {},
-    "fault": {"target": ("str", REQUIRED), "kind": ("fault kind", REQUIRED),
+    "fault": {"kind": ("fault kind", REQUIRED),
               "start": ("integer", REQUIRED, ">= 0"),
               "duration_ms": ("integer", REQUIRED, "> 0")},
+    "LinkDown": {"target": ("link", REQUIRED)},
+    "NodeDown": {"target": ("node", REQUIRED)},
+    "CloudPartition": {"target": ("cloud", REQUIRED)},
 }
 
 # The parser whose events _load_yaml builds documents from, and whose
@@ -177,45 +191,72 @@ _TYPES = {
     **{ftype: (names.__contains__, f"one of {', '.join(names)}", None)
        for ftype, names in _CHOICES.items()},
 }
-_REFERENCES = ("node", "gateway", "app", "model")  # a str naming one declared
-_BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1}
-# section -> the reference type its entries declare, and the field naming them
-_DECLARES = {"node": ("node", "id"), "app": ("app", "id"), "device": ("model", "model")}
+# reference type -> the kind of entry it names, and the field and value
+# narrowing that kind, where they do
+_REFERENCES = {"node": ("node", None, None), "link": ("link", None, None),
+               "app": ("app", None, None), "model": ("model", None, None),
+               "gateway": ("node", "tier", "Gateway"),
+               "cloud": ("node", "tier", "CentralCloud"),
+               "iot app": ("app", "kind", "IoTApp")}
+
+
+def _is_version(value: str) -> bool:
+    """Whether catalog.parse_version, which FirmwareEntry calls, takes `value`."""
+    try:
+        parse_version(value)
+    except errors.ValidationError:
+        return False
+    return True
+
+
+_BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
+           ">= 1e-9": lambda v: v >= 1e-9, "non-empty": bool,
+           "a dotted version": _is_version}
+# section -> the kind of name its entries declare, and an entry's name; a
+# link without an id is named a--b, as the topology names it
+_DECLARES = {"node": ("node", itemgetter("id")), "app": ("app", itemgetter("id")),
+             "link": ("link", lambda l: l["id"] if l["id"] is not None
+                      else f"{l['a']}--{l['b']}"),
+             "device": ("model", itemgetter("model")),
+             "firmware": ("firmware", itemgetter("model", "os_version", "version"))}
+# section -> the field naming the section that holds the rest of its fields
+_DISPATCH = {"script": "type", "fault": "kind"}
+# app kind -> the tiers its apps may run on
+_KIND_TIERS = {"IoTApp": {"Gateway"}, "DataApp": {"EdgeModule", "CentralCloud"}}
 
 
 def _row(fields: dict[str, tuple]) -> list[tuple]:
     """A section's fields as _walk reads them: each field's key, default,
     the section of a "mapping of" or "list of" type and whether it is a
-    list, its type's test, expected and maker, its reference type, and its
-    bound with that bound's test."""
+    list, its type's test, expected and maker, its reference type's kind,
+    narrowing field and value, and its bound with that bound's test."""
     row = []
     for key, (ftype, default, *bound) in fields.items():
         of, _, inner = ftype.partition(" of ")
-        reference = ftype if ftype in _REFERENCES else None
-        checks = (None,) * 3 if inner else _TYPES["str" if reference else ftype]
+        reference = _REFERENCES.get(ftype, (None,) * 3)
+        checks = (None,) * 3 if inner else _TYPES["str" if reference[0] else ftype]
         bound = bound[0] if bound else None
-        row.append((key, default, inner, of == "list", *checks, reference,
-                    bound, _BOUNDS.get(bound)))
+        row.append((key, default, inner, of == "list", *checks, *reference,
+                    bound, None if bound is None else _BOUNDS[bound]))
     return row
 
 
 _ROWS = {section: _row(fields) for section, fields in SCENARIO_FIELDS.items()}
 
 
-def _walk(section: str, raw, ctx: str, known: dict[str, set],
+def _walk(section: str, raw, ctx: str, known: dict[str, dict],
           entry: dict | None = None) -> dict:
     """The entry `raw` of `section`, named `ctx`, with each field of the
     section checked and made of its type, an absent or null optional field
     at its default, and each bound kept, added to `entry` or a new dict.
-    `known` holds the names declared by the entries walked so far, by
-    reference type; this entry's join them. A "mapping of S" or "list of S"
-    field holds a mapping, or a list of mappings, each walked as an entry of
-    section S."""
+    `known` maps each kind to the names, and their entries, walked so far;
+    this entry's joins them once. A "mapping of S" or "list of S" field holds
+    a mapping, or a list of mappings, each walked as an entry of section S."""
     if not isinstance(raw, dict):
         raise errors.ParseError(f"{ctx} must be a mapping, got {raw!r}")
     entry = {} if entry is None else entry
-    for key, default, inner, is_list, test, expected, make, reference, bound, \
-            within in _ROWS[section]:
+    for key, default, inner, is_list, test, expected, make, kind, narrow, want, \
+            bound, within in _ROWS[section]:
         value = raw.get(key)
         if value is None and default is not REQUIRED:
             if not inner:
@@ -229,8 +270,13 @@ def _walk(section: str, raw, ctx: str, known: dict[str, set],
                 raise errors.ParseError(f"{ctx}: {key} must be {expected}, got {value!r}")
             if make is not None:
                 value = make(value)
-            if reference is not None and value not in known[reference]:
-                raise errors.UnknownReference(f"{ctx}: unknown {reference} {value}")
+            if kind is not None:
+                named = known[kind].get(value)
+                if named is None:
+                    raise errors.UnknownReference(f"{ctx}: unknown {kind} {value}")
+                if narrow is not None and named[narrow] != want:
+                    raise errors.InvariantViolation(
+                        f"{ctx}: {key} {value} is not of {narrow} {want}")
         elif not is_list:
             value = _walk(inner, value, key, known)
         elif isinstance(value, list):
@@ -241,13 +287,14 @@ def _walk(section: str, raw, ctx: str, known: dict[str, set],
         if within is not None and not within(value):
             raise errors.InvariantViolation(f"{ctx}: {key} must be {bound}")
         entry[key] = value
-    if section == "script":
-        _walk(entry["type"], raw, ctx, known, entry)
+    if section in _DISPATCH:
+        _walk(entry[_DISPATCH[section]], raw, ctx, known, entry)
     elif section in _DECLARES:
-        kind, name = _DECLARES[section]
-        known[kind].add(entry[name])
-        if entry.get("tier") == Tier.GATEWAY.value:
-            known["gateway"].add(entry[name])
+        kind, name_of = _DECLARES[section]
+        name = name_of(entry)
+        if name in known[kind]:
+            raise errors.InvariantViolation(f"{ctx}: duplicate {kind} {name}")
+        known[kind][name] = entry
     return entry
 
 
@@ -259,7 +306,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if version != SCHEMA_VERSION:
         raise errors.ParseError(
             f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
-    fields = _walk("scenario", raw, "scenario", {kind: set() for kind in _REFERENCES})
+    fields = _walk("scenario", raw, "scenario", {k: {} for k, _ in _DECLARES.values()})
     del fields["schema_version"]
     thresholds = fields.pop("thresholds")
     scenario = Scenario(**fields.pop("topology"), **fields, thresholds=Thresholds(
@@ -411,29 +458,28 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(raw)
 
 
-def _finite_over_run(value: float, run_ms: int, context: str,
-                     length: str = "duration_ms",
-                     error: type[errors.FogSimError] = errors.InvariantViolation
-                     ) -> None:
-    """Reject a per-ms quantity, a rate or a bandwidth, whose product with
-    the run's length, named `length`, is not finite: a window's generated_mb
-    and its link capacity are that product over the window, and no window
-    of a run is longer than the run."""
-    try:
-        finite = math.isfinite(value * run_ms)
-    except OverflowError:  # a length too large for a float
-        finite = False
-    if not finite:
-        raise error(f"{context} {value!r} times {length} {run_ms} is not finite")
+def _check_per_ms(scenario: Scenario, run_ms: int, length: str,
+                  error: type[errors.FogSimError]) -> None:
+    """Reject a device or workload rate or a link bandwidth whose product with
+    the run's length `run_ms`, named `length`, is not finite: a window's
+    generated_mb and link capacity are that product over the window, and no
+    window of a run is longer than the run."""
+    per_ms = [(f"{section}[{i}]: {key}", entry[key]) for section, key in (
+        ("devices", "data_rate_kbps"), ("links", "bandwidth_mbps"),
+        ("script", "data_rate_kbps"))  # only a workload entry has a rate
+        for i, entry in enumerate(getattr(scenario, section)) if key in entry]
+    for context, value in per_ms:
+        try:
+            finite = math.isfinite(value * run_ms)
+        except OverflowError:  # a length too large for a float
+            finite = False
+        if not finite:
+            raise error(f"{context} {value!r} times {length} {run_ms} is not finite")
 
 
-def validate_until(scenario: Scenario, topology: Topology, catalog: Catalog,
-                   until: int) -> None:
-    """Raise ValidationError unless a run of `scenario` may stop at `until`
-    ms: until must be >= 0 and convert to a float, and a run past the
-    scenario's duration must keep finite every product _validate checks
-    against duration_ms (each device rate, workload rate and link bandwidth
-    times the run's length)."""
+def validate_until(scenario: Scenario, until: int) -> None:
+    """Raise ValidationError unless a run of `scenario` may stop at `until` ms: until
+    is >= 0 and a float, and a longer run keeps _check_per_ms's products finite."""
     if until < 0:
         raise errors.ValidationError(f"until must be >= 0, not {until}")
     try:
@@ -441,61 +487,24 @@ def validate_until(scenario: Scenario, topology: Topology, catalog: Catalog,
     except OverflowError:
         raise errors.ValidationError(
             f"until has {len(str(until))} digits, too many for a float") from None
-    if until <= scenario.duration_ms:
-        return  # _validate checked the products over the duration
-    per_ms = [(f"device {p.model}: data_rate_kbps", p.data_rate_kbps)
-              for p in catalog.profiles.values()]
-    per_ms += [(f"link {l.link_id}: bandwidth_mbps", l.bandwidth_mbps)
-               for l in topology.links.values()]
-    per_ms += [(f"script[{i}]: data_rate_kbps", e["data_rate_kbps"])
-               for i, e in enumerate(scenario.script) if e["type"] == "workload"]
-    for context, value in per_ms:
-        _finite_over_run(value, until, context, "until", errors.ValidationError)
+    if until > scenario.duration_ms:  # else _validate checked the products
+        _check_per_ms(scenario, until, "until", errors.ValidationError)
 
 
 def _validate(scenario: Scenario) -> None:
-    """The checks across fields of a scenario whose fields are checked: the
-    topology and catalog invariants, script times against the duration, an
-    attach at a gateway, each fault's target, and the rates and bandwidths
-    whose products with the duration must be finite."""
-    try:
-        topo = scenario.build_topology()
-    except errors.FogSimError as exc:
-        raise errors.InvariantViolation(f"topology: {exc}") from None
-    try:
-        catalog = scenario.build_catalog()
-    except errors.FogSimError as exc:
-        raise errors.InvariantViolation(f"catalog: {exc}") from None
-
+    """The checks that span fields or depend on the run's length: script times,
+    a link's two ends, an app's tiers against its kind, and _check_per_ms."""
     duration = scenario.duration_ms
-    for profile in catalog.profiles.values():
-        _finite_over_run(profile.data_rate_kbps, duration,
-                         f"device {profile.model}: data_rate_kbps")
-    for link in topo.links.values():
-        _finite_over_run(link.bandwidth_mbps, duration,
-                         f"link {link.link_id}: bandwidth_mbps")
-
     for i, entry in enumerate(scenario.script):
-        ctx = f"script[{i}]"
         if entry["time"] > duration:
             raise errors.InvariantViolation(
-                f"{ctx}: time {entry['time']} exceeds duration {duration}")
-        if entry["type"] == "attach" and \
-                topo.nodes[entry["gateway"]].tier is not Tier.GATEWAY:
+                f"script[{i}]: time {entry['time']} exceeds duration {duration}")
+    for i, link in enumerate(scenario.links):
+        if link["a"] == link["b"]:
+            raise errors.InvariantViolation(f"links[{i}]: a self-loop at {link['a']}")
+    for i, app in enumerate(scenario.apps):
+        tiers = _KIND_TIERS[app["kind"]]
+        if not tiers.issuperset(app["allowed_tiers"]):
             raise errors.InvariantViolation(
-                f"{ctx}: {entry['gateway']} is not a gateway")
-        if entry["type"] == "workload":
-            _finite_over_run(entry["data_rate_kbps"], duration,
-                             f"{ctx}: data_rate_kbps")
-
-    for i, f in enumerate(scenario.faults):
-        ctx, kind, target = f"faults[{i}]", FaultKind(f["kind"]), f["target"]
-        if kind is FaultKind.LINK_DOWN:
-            if target not in topo.links:
-                raise errors.UnknownReference(f"{ctx}: unknown link {target}")
-        elif target not in topo.nodes:
-            raise errors.UnknownReference(f"{ctx}: unknown node {target}")
-        if kind is FaultKind.CLOUD_PARTITION and \
-                topo.nodes[target].tier is not Tier.CENTRAL_CLOUD:
-            raise errors.InvariantViolation(
-                f"{ctx}: CloudPartition target must be the central cloud node")
+                f"apps[{i}]: {app['kind']} apps run only on {', '.join(sorted(tiers))}")
+    _check_per_ms(scenario, duration, "duration_ms", errors.InvariantViolation)

@@ -199,6 +199,153 @@ def test_malformed_scenario_is_a_typed_validation_error(mutate, expected,
     assert f"invalid: {expected.__name__}" in capsys.readouterr().err
 
 
+def _entries(raw, section):
+    """A list of the scenario, or of its topology."""
+    return raw["topology"][section] if section in ("nodes", "links") else raw[section]
+
+
+def _append(section, **entry):
+    return lambda raw: _entries(raw, section).append(dict(entry))
+
+
+def _update(section, index, **fields):
+    return lambda raw: _entries(raw, section)[index].update(fields)
+
+
+def _iot_app_is_a_data_app(raw):
+    raw["apps"].append({"id": "agg", "kind": "DataApp"})
+    raw["devices"][0]["iot_app"] = "agg"
+
+
+_GW_EDGE = {"latency_ms": 2, "bandwidth_mbps": 100}
+
+# one row per rule the topology and catalog builders also keep
+BUILDER_RULES = {
+    "duplicate-node-id": _append("nodes", id="cloud", tier="CentralCloud",
+                                 cpu=1, mem=1, storage=1),
+    "duplicate-app-id": _append("apps", id="agent", kind="IoTApp"),
+    "duplicate-device-model": _append("devices", model="smartband", os_version="2.0",
+                                      data_rate_kbps=5, iot_app="agent"),
+    "duplicate-firmware": _append("firmware", model="smartband", os_version="1.0",
+                                  version="1.2"),
+    "duplicate-unnamed-link": _append("links", a="gw1", b="edge1", **_GW_EDGE),
+    "capacity-below-1e-9": _update("nodes", 1, cpu=1e-10),
+    "negative-app-demand": _update("apps", 0, mem=-1),
+    "aggregation-factor-below-1": _update("apps", 0, aggregation_factor=0.5),
+    "negative-state-size": _update("apps", 0, state_size_mb=-1),
+    "zero-device-rate": _update("devices", 0, data_rate_kbps=0),
+    "self-loop": _append("links", a="edge1", b="edge1", **_GW_EDGE),
+    "zero-bandwidth": _update("links", 0, bandwidth_mbps=0),
+    "negative-latency": _update("links", 0, latency_ms=-1),
+    "empty-app-id": _append("apps", id="", kind="DataApp"),
+    "empty-device-model": _append("devices", model="", os_version="1.0",
+                                  data_rate_kbps=5, iot_app="agent"),
+    "empty-firmware-model": _update("firmware", 0, model=""),
+    "empty-firmware-os-version": _update("firmware", 0, os_version=""),
+    "unparseable-firmware-version": _update("firmware", 0, version="1.x"),
+    "iot-app-on-an-edge-module": _update("apps", 0, allowed_tiers=["EdgeModule"]),
+    "iot-app-is-a-data-app": _iot_app_is_a_data_app,
+}
+
+
+@pytest.mark.parametrize("rule", sorted(BUILDER_RULES))
+def test_a_builder_rule_fails_validation_not_the_run(rule, tmp_path, capsys):
+    """Every rule the builders keep is one of the scenario's own: both
+    commands reject the scenario before anything is built."""
+    raw = minimal_scenario()
+    BUILDER_RULES[rule](raw)
+    with pytest.raises(errors.InvariantViolation):
+        scenario_from_dict(copy.deepcopy(raw))
+    path = tmp_path / "invalid.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == EXIT_VALIDATION, command
+        assert capsys.readouterr().err.startswith("invalid: InvariantViolation"), command
+
+
+# values at the builders' boundaries, which validate and build
+BUILDER_BOUNDARIES = {
+    "capacity-1e-9": _update("nodes", 1, cpu=1e-9),
+    "zero-latency": _update("links", 0, latency_ms=0),
+    "aggregation-factor-1": _update("apps", 0, aggregation_factor=1),
+    "firmware-version-with-a-space": _update("firmware", 0, version=" 1"),
+    "unnamed-links-both-ways": _append("links", a="edge1", b="gw1", **_GW_EDGE),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(BUILDER_BOUNDARIES))
+def test_a_value_at_a_builder_boundary_validates_and_builds(rule, tmp_path, capsys):
+    raw = minimal_scenario()
+    BUILDER_BOUNDARIES[rule](raw)
+    Runtime(scenario_from_dict(copy.deepcopy(raw)))
+    path = tmp_path / "boundary.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["validate", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("ok: mini")
+
+
+@pytest.mark.parametrize("mutate, expected", [
+    (_set_faults(kind="NodeDown", target="gw1--edge1"), errors.UnknownReference),
+    (_set_faults(kind="LinkDown", target="gw1"), errors.UnknownReference),
+    (_set_faults(kind="CloudPartition", target="ghost"), errors.UnknownReference),
+    (_set_faults(kind="CloudPartition", target="edge1"), errors.InvariantViolation),
+    (_update("script", 0, gateway="ghost"), errors.UnknownReference),
+    (_update("script", 0, gateway="cloud"), errors.InvariantViolation),
+    (_append_script({"type": "roam", "time": 2000, "device": "dev1",
+                     "to_gateway": "ghost"}), errors.UnknownReference),
+    (_append_script({"type": "roam", "time": 2000, "device": "dev1",
+                     "to_gateway": "edge1"}), errors.InvariantViolation),
+    (_update("devices", 0, iot_app="ghost"), errors.UnknownReference),
+    (_iot_app_is_a_data_app, errors.InvariantViolation),
+], ids=["node-down-on-a-link", "link-down-on-a-node", "partition-of-no-node",
+        "partition-of-an-edge", "attach-at-no-node", "attach-at-the-cloud",
+        "roam-to-no-node", "roam-to-an-edge", "device-of-no-app",
+        "device-of-a-data-app"])
+def test_a_reference_names_a_declared_entry_of_its_kind(mutate, expected):
+    """An undeclared name is an UnknownReference; a declared name of the
+    wrong kind, such as a node that is not a gateway, is an
+    InvariantViolation."""
+    raw = minimal_scenario()
+    mutate(raw)
+    with pytest.raises(expected):
+        scenario_from_dict(raw)
+
+
+@pytest.mark.parametrize("kind, target", [
+    ("LinkDown", "gw1--edge1"), ("NodeDown", "edge1"), ("CloudPartition", "cloud")])
+def test_each_fault_kind_takes_a_target_of_its_kind(kind, target):
+    raw = minimal_scenario()
+    _set_faults(kind=kind, target=target)(raw)
+    assert scenario_from_dict(raw).build_faults()[0].target == target
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("validation built a run-time object")
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda path: path.stem)
+def test_validation_builds_nothing_and_a_runtime_builds_once(path, monkeypatch):
+    with monkeypatch.context() as patched:
+        for name in ("Topology", "Catalog", "AppSpec", "DeviceProfile",
+                     "FirmwareEntry", "ResourceVector"):
+            patched.setattr(scenario_module, name, _refuse)
+        scenario = load_scenario(path)
+        scenario_module.validate_until(scenario, 2 * scenario.duration_ms)
+    builds = []
+    for name in ("build_topology", "build_catalog"):
+        build = getattr(scenario_module.Scenario, name)
+        monkeypatch.setattr(scenario_module.Scenario, name,
+                            lambda self, build=build: builds.append(build) or build(self))
+    Runtime(scenario)
+    assert len(builds) == 2
+
+
+def test_a_field_bound_must_be_declared():
+    """A misspelt bound fails when the table is read, not silently."""
+    with pytest.raises(KeyError):
+        scenario_module._row({"cpu": ("number", 0.0, ">=0")})
+
+
 def _set_attach(**fields):
     return lambda raw: raw["script"][0].update(fields)
 
@@ -513,10 +660,11 @@ def test_trace_hash_does_not_depend_on_the_string_hash_seed(hash_seed, tmp_path)
 
 def _undeclared_keys(section: str, raw: dict, where: str) -> list[str]:
     """The keys of `raw`, an entry of `section`, and of the entries nested
-    in it, that SCENARIO_FIELDS does not declare."""
+    in it, that SCENARIO_FIELDS does not declare. A script or fault entry
+    has the fields of the section its type or kind names, too."""
     fields = dict(SCENARIO_FIELDS[section])
-    if section == "script":
-        fields.update(SCENARIO_FIELDS[raw["type"]])
+    if section in scenario_module._DISPATCH:
+        fields.update(SCENARIO_FIELDS[raw[scenario_module._DISPATCH[section]]])
     undeclared = [f"{where}.{key}" for key in raw if key not in fields]
     for key, value in raw.items():
         of, _, inner = fields.get(key, ("",))[0].partition(" of ")
