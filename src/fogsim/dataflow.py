@@ -82,16 +82,11 @@ class WindowMetrics:
     links: dict[str, float] = field(default_factory=dict)
 
     @property
-    def ratio(self) -> float:
+    def ratio(self) -> float | None:
+        """Uplink over generated volume; None when nothing was generated."""
         if self.generated_mb == 0:
-            raise errors.EmptyWindow(f"window [{self.window_start}, {self.window_end}]")
-        return self.uplink_mb / self.generated_mb
-
-    def ratio_or_none(self) -> float | None:
-        try:
-            return self.ratio
-        except errors.EmptyWindow:
             return None
+        return self.uplink_mb / self.generated_mb
 
 
 class FlowManager:

@@ -125,10 +125,6 @@ class NotAttached(FogSimError):
     pass
 
 
-class EmptyWindow(FogSimError):
-    pass
-
-
 class UnknownFlow(FogSimError):
     pass
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import errors
-from .kernel import Trace
+from .kernel import RECORD_KINDS, Trace, TraceRecord
 
 
 @dataclass
@@ -27,39 +27,25 @@ class Report:
         return lines
 
 
-def validate_trace(trace: Trace) -> None:
-    """Structural checks: integer clock and sequence numbers (a bool is not
-    one), string kind and subject, monotone clock, strictly increasing
-    sequence numbers, and a terminal run_end record."""
-    last_time = -1
-    last_seq = 0
-    for record in trace:
-        if (not isinstance(record.time_ms, int) or not isinstance(record.seq, int)
-                or isinstance(record.time_ms, bool) or isinstance(record.seq, bool)
-                or not isinstance(record.kind, str)
-                or not isinstance(record.subject, str)):
-            raise errors.MalformedTrace(f"record {record.seq}: bad field types")
-        if record.time_ms < last_time:
-            raise errors.MalformedTrace(
-                f"record {record.seq}: clock went backwards "
-                f"({record.time_ms} < {last_time})")
-        if record.seq <= last_seq:
-            raise errors.MalformedTrace(
-                f"record {record.seq}: sequence not strictly increasing")
-        last_time = record.time_ms
-        last_seq = record.seq
-    if len(trace) == 0 or trace.records[-1].kind != "run_end":
-        raise errors.MalformedTrace("trace is truncated: no run_end record")
+# a type of a detail the report reads -> the exact types of its values, so a
+# bool is no number
+_TYPES = {"number": (int, float), "number or null": (int, float, type(None)),
+          "mapping": (dict,)}
+# the metrics_window details the report copies or adds up, each with the type
+# kernel.RECORD_KINDS declares for it and that type's values; the shared
+# utilization must be a mapping
+_WINDOW = tuple((key, ftype, _TYPES[ftype]) for key, ftype
+                in (*RECORD_KINDS["metrics_window"], ("utilization", "mapping"))
+                if ftype in _TYPES)
+_MISSING = object()
 
 
-def _number(value, nullable: bool = False):
-    """A detail the summary adds up after the record loop, checked while its
-    record is known: a number, or None where nullable."""
-    if value is None and nullable:
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return value
+def _bad_detail(record: TraceRecord, key: str, ftype: str) -> errors.MalformedTrace:
+    """The error of a detail `key` of `record` that is missing or not of
+    `ftype`, naming the record's seq, its kind and the key."""
+    problem = (f"must be a {ftype}, got {record.details[key]!r}"
+               if key in record.details else "is missing")
+    return errors.MalformedTrace(f"record {record.seq} ({record.kind}): {key} {problem}")
 
 
 # kinds the summary counts: record kind -> its summary key
@@ -69,47 +55,63 @@ _COUNTED = {"attach": "attaches", "detach": "detaches", "instance_placed": "inst
 
 
 def report_from_trace(trace: Trace) -> Report:
-    validate_trace(trace)
+    """The report of `trace`, read in one pass. Each record must have an
+    int `seq` and `time_ms` (a bool is not one), a str kind and subject,
+    and a mapping of details; `seq` strictly increases, the clock never
+    goes back, and the last record is run_end. A record that breaks these,
+    or a detail the report reads that is missing or not of its declared
+    type, raises MalformedTrace naming the record."""
     report = Report()
     totals = {"generated_mb": 0.0, "delivered_mb": 0.0, "dropped_mb": 0.0,
               "uplink_mb": 0.0}
     counts = dict.fromkeys(_COUNTED, 0)
-    try:
-        for record in trace:
-            kind = record.kind
-            d = record.details
-            if kind in counts:
-                counts[kind] += 1
-            if kind == "scenario_loaded":
-                report.scenario = record.subject
-            elif kind == "metrics_window":
-                report.utilization_series.append((record.time_ms, d["utilization"]))
-                report.uplink_windows.append({
-                    "window_start": d["window_start"],
-                    "window_end": d["window_end"],
-                    "generated_mb": d["generated_mb"],
-                    "uplink_mb": d["uplink_mb"],
-                    "uplink_ratio": _number(d["uplink_ratio"], nullable=True),
-                })
-                for key in totals:
-                    totals[key] += d[key]
-            elif kind == "migration_completed":
-                report.migrations.append({"instance": record.subject, **d})
-            elif kind == "flow_window":
-                report.loss_mb[record.subject] = _number(d["cum_dropped_mb"])
-            elif kind == "defer":
-                report.deferred.append({"node": record.subject,
-                                        "time_ms": record.time_ms, **d})
-            elif kind in ("warning", "install_warning", "roam_warning",
-                          "scale_warning"):
-                report.warnings.append({"kind": kind, "subject": record.subject,
-                                        "time_ms": record.time_ms, **d})
-    except (KeyError, TypeError) as exc:
-        # details of the wrong shape: a missing key, a list, or a value the
-        # summary cannot add up
-        raise errors.MalformedTrace(
-            f"record {record.seq} ({record.kind}): {type(exc).__name__}: {exc}") \
-            from None
+    last_time, last_seq, kind = -1, 0, None
+    for record in trace:
+        seq, time_ms, kind, d = record.seq, record.time_ms, record.kind, record.details
+        if (type(seq) is not int or type(time_ms) is not int
+                or not isinstance(kind, str) or not isinstance(record.subject, str)):
+            raise errors.MalformedTrace(f"record {seq}: bad field types")
+        if not isinstance(d, dict):
+            raise errors.MalformedTrace(
+                f"record {seq} ({kind}): details must be a mapping, got {d!r}")
+        if time_ms < last_time:
+            raise errors.MalformedTrace(
+                f"record {seq}: clock went backwards ({time_ms} < {last_time})")
+        if seq <= last_seq:
+            raise errors.MalformedTrace(
+                f"record {seq}: sequence not strictly increasing")
+        last_time, last_seq = time_ms, seq
+        if kind in counts:
+            counts[kind] += 1
+        # the most frequent kinds first
+        if kind == "flow_window":
+            dropped = d.get("cum_dropped_mb")
+            if type(dropped) not in _TYPES["number"]:
+                raise _bad_detail(record, "cum_dropped_mb", "number")
+            report.loss_mb[record.subject] = dropped
+        elif kind == "metrics_window":
+            for key, ftype, types in _WINDOW:
+                if type(d.get(key, _MISSING)) not in types:
+                    raise _bad_detail(record, key, ftype)
+            report.utilization_series.append((time_ms, d["utilization"]))
+            report.uplink_windows.append({
+                "window_start": d["window_start"], "window_end": d["window_end"],
+                "generated_mb": d["generated_mb"], "uplink_mb": d["uplink_mb"],
+                "uplink_ratio": d["uplink_ratio"]})
+            for key in totals:
+                totals[key] += d[key]
+        elif kind == "scenario_loaded":
+            report.scenario = record.subject
+        elif kind == "migration_completed":
+            report.migrations.append({"instance": record.subject, **d})
+        elif kind == "defer":
+            report.deferred.append({"node": record.subject, "time_ms": time_ms, **d})
+        elif kind in ("warning", "install_warning", "roam_warning",
+                      "scale_warning"):
+            report.warnings.append({"kind": kind, "subject": record.subject,
+                                    "time_ms": time_ms, **d})
+    if kind != "run_end":
+        raise errors.MalformedTrace("trace is truncated: no run_end record")
 
     ratios = [w["uplink_ratio"] for w in report.uplink_windows
               if w["uplink_ratio"] is not None]

@@ -385,7 +385,7 @@ class Runtime:
             self._statuses = statuses
         kernel.emit("metrics_window", "network", (
             self._window_start, now, metrics.generated_mb, metrics.delivered_mb,
-            metrics.dropped_mb, metrics.uplink_mb, metrics.ratio_or_none(),
+            metrics.dropped_mb, metrics.uplink_mb, metrics.ratio,
             self._statuses, self.topology.utilization_snapshot(),
             self.topology.alloc_snapshot()), memo)
         self._window_start = now

@@ -96,7 +96,7 @@ SCENARIO_FIELDS: dict[str, dict[str, tuple]] = {
                "preferences": ("mapping", None)},
     "detach": {"device": ("str", REQUIRED), "gateway": ("node", REQUIRED)},
     "roam": {"device": ("str", REQUIRED), "to_gateway": ("gateway", REQUIRED)},
-    "place": {"app": ("app", REQUIRED), "source": ("node", REQUIRED),
+    "place": {"app": ("data app", REQUIRED), "source": ("node", REQUIRED),
               "replicas": ("integer", 1, ">= 1")},
     # a replica count below 1 is a scale_warning at run time
     "scale": {"app": ("app", REQUIRED), "replicas": ("integer", REQUIRED),
@@ -197,7 +197,8 @@ _REFERENCES = {"node": ("node", None, None), "link": ("link", None, None),
                "app": ("app", None, None), "model": ("model", None, None),
                "gateway": ("node", "tier", "Gateway"),
                "cloud": ("node", "tier", "CentralCloud"),
-               "iot app": ("app", "kind", "IoTApp")}
+               "iot app": ("app", "kind", "IoTApp"),
+               "data app": ("app", "kind", "DataApp")}
 
 
 def _is_version(value: str) -> bool:

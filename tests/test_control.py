@@ -21,7 +21,7 @@ from fogsim import scenario as scenario_module
 from fogsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from fogsim.control import run_scenario, run_scenario_file
 from fogsim.kernel import RECORD_KINDS, Trace
-from fogsim.report import report_from_trace, validate_trace
+from fogsim.report import report_from_trace
 from fogsim.runtime import Runtime
 from fogsim.scenario import (REQUIRED, SCENARIO_FIELDS, SCRIPT_EVENTS, load_scenario,
                              scenario_from_dict)
@@ -181,11 +181,13 @@ def _rename_node(old, new):
     (_rename_node("edge2", 7), errors.ParseError),
     (lambda raw: raw["topology"]["links"][1].update(id=4), errors.ParseError),
     (lambda raw: raw["apps"][0].update(latency_requirement_ms="5"), errors.ParseError),
+    (_append_script({"time": 1500, "type": "place", "app": "traffic-sensor-agent",
+                     "source": "gw1"}), errors.InvariantViolation),
 ], ids=["node-without-tier", "unknown-tier", "link-without-latency",
         "device-rate-not-a-number", "workload-rate-not-a-number",
         "fault-duration-not-a-number", "place-replicas-not-a-number",
         "fault-start-negative", "place-replicas-zero", "node-id-not-a-str",
-        "link-id-not-a-str", "latency-requirement-quoted"])
+        "link-id-not-a-str", "latency-requirement-quoted", "place-of-an-iot-app"])
 def test_malformed_scenario_is_a_typed_validation_error(mutate, expected,
                                                          tmp_path, capsys):
     raw = yaml.safe_load((SCENARIO_DIR / "scaling.yaml").read_text())
@@ -297,10 +299,14 @@ def test_a_value_at_a_builder_boundary_validates_and_builds(rule, tmp_path, caps
                      "to_gateway": "edge1"}), errors.InvariantViolation),
     (_update("devices", 0, iot_app="ghost"), errors.UnknownReference),
     (_iot_app_is_a_data_app, errors.InvariantViolation),
+    (_append_script({"type": "place", "time": 1500, "app": "ghost",
+                     "source": "gw1"}), errors.UnknownReference),
+    (_append_script({"type": "place", "time": 1500, "app": "agent",
+                     "source": "gw1"}), errors.InvariantViolation),
 ], ids=["node-down-on-a-link", "link-down-on-a-node", "partition-of-no-node",
         "partition-of-an-edge", "attach-at-no-node", "attach-at-the-cloud",
         "roam-to-no-node", "roam-to-an-edge", "device-of-no-app",
-        "device-of-a-data-app"])
+        "device-of-a-data-app", "place-of-no-app", "place-of-an-iot-app"])
 def test_a_reference_names_a_declared_entry_of_its_kind(mutate, expected):
     """An undeclared name is an UnknownReference; a declared name of the
     wrong kind, such as a node that is not a gateway, is an
@@ -705,6 +711,27 @@ def _pinned_path(name: str, seed: int | None, tmp_path):
         else _workload_path(name, tmp_path, seed)
 
 
+# sha256 prefixes of the repr of each pinned run's report
+REPORT_HASHES = {("partition", None): "8f60aa2b17f2a0a5",
+                 ("roaming", None): "e8ec3335105f8c82",
+                 ("scaling", None): "e9536b97ead59163",
+                 ("fleet_ticks", 1): "ed5a75780c0f4943",
+                 ("mesh_churn", 1): "4c9d0b13f081b8bc",
+                 ("star_steady", 1): "b3b419c372ffc2f1",
+                 ("fleet_ticks", 7): "ff082a3721ca8f65",
+                 ("mesh_churn", 7): "51264ef62149721e",
+                 ("star_steady", 7): "335a14b6a2c5f62e"}
+
+
+@pytest.mark.parametrize("name, seed", PINNED_RUNS,
+                         ids=[name if seed in (None, 1) else f"{name}-seed{seed}"
+                              for name, seed in PINNED_RUNS])
+def test_the_report_of_a_pinned_run_is_unchanged(name, seed, tmp_path):
+    trace = Runtime(load_scenario(_pinned_path(name, seed, tmp_path))).run()
+    text = repr(report_from_trace(trace))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == REPORT_HASHES[name, seed]
+
+
 @pytest.mark.parametrize("name, seed", PINNED_RUNS)
 def test_every_key_the_pinned_scenarios_write_is_declared(name, seed, tmp_path):
     """So rejecting undeclared keys would move no pinned hash."""
@@ -1051,7 +1078,7 @@ def test_truncated_trace_rejected():
     trace, _ = run_scenario_file(FIXTURES[0])
     truncated = Trace(trace.records[:-1])
     with pytest.raises(errors.MalformedTrace):
-        validate_trace(truncated)
+        report_from_trace(truncated)
 
 
 def test_reordered_trace_rejected():
@@ -1059,7 +1086,7 @@ def test_reordered_trace_rejected():
     records = list(trace.records)
     records[0], records[1] = records[1], records[0]
     with pytest.raises(errors.MalformedTrace):
-        validate_trace(Trace(records))
+        report_from_trace(Trace(records))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -1070,7 +1097,22 @@ def test_a_record_field_of_the_wrong_type_is_rejected(field, value):
     records = list(trace.records)
     records[0] = dataclasses.replace(records[0], **{field: value})
     with pytest.raises(errors.MalformedTrace, match="bad field types"):
-        validate_trace(Trace(records))
+        report_from_trace(Trace(records))
+
+
+def test_the_report_reads_a_trace_once():
+    trace, report = run_scenario_file(FIXTURES[0])
+
+    class CountedTrace(Trace):
+        iterations = 0
+
+        def __iter__(self):
+            self.iterations += 1
+            return super().__iter__()
+
+    counted = CountedTrace(trace.records)
+    assert report_from_trace(counted) == report
+    assert counted.iterations == 1
 
 
 def test_cli_report_rejects_a_bool_sequence_number(tmp_path, capsys):
@@ -1331,25 +1373,42 @@ def test_cli_report_non_utf8_is_a_malformed_trace(tmp_path, capsys):
     assert "runtime error: MalformedTrace" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind, breaks", [
-    ("metrics_window", lambda record: record["details"].pop("utilization")),
-    ("scheduler_tick", lambda record: record.update(kind="defer", details=["edge1"])),
-    ("flow_window", lambda record: record["details"].update(cum_dropped_mb="0.5")),
+@pytest.mark.parametrize("kind, breaks, field", [
+    ("metrics_window", lambda record: record["details"].pop("utilization"),
+     "utilization"),
+    ("scheduler_tick", lambda record: record.update(kind="defer", details=["edge1"]),
+     "details"),
+    ("flow_window", lambda record: record["details"].update(cum_dropped_mb="0.5"),
+     "cum_dropped_mb"),
+    ("metrics_window", lambda record: record["details"].update(window_start="0"),
+     "window_start"),
+    ("metrics_window", lambda record: record["details"].update(generated_mb=True),
+     "generated_mb"),
+    ("metrics_window", lambda record: record["details"].update(utilization=[1]),
+     "utilization"),
+    ("metrics_window", lambda record: record["details"].pop("uplink_mb"), "uplink_mb"),
+    ("run_end", lambda record: record.update(details=list(record["details"].values())),
+     "details"),
 ], ids=["metrics-window-without-utilization", "defer-details-a-list",
-        "cum-dropped-a-string"])
-def test_cli_report_names_a_record_of_the_wrong_shape(kind, breaks, tmp_path, capsys):
-    """Each trace passes validate_trace; the report then finds the bad record."""
+        "cum-dropped-a-string", "window-start-a-string", "generated-a-bool",
+        "utilization-a-list", "metrics-window-without-uplink", "run-end-details-a-list"])
+def test_cli_report_names_a_record_of_the_wrong_shape(kind, breaks, field, tmp_path,
+                                                      capsys):
+    """Each trace parses; the report then names the bad record, its kind and
+    the field."""
     trace, _ = run_scenario_file(SCENARIO_DIR / "roaming.yaml")
     records = [json.loads(line) for line in trace.to_jsonl().splitlines()]
     bad = [record for record in records if record["kind"] == kind][-1]
     breaks(bad)
     path = tmp_path / "bad.jsonl"
     path.write_text("".join(json.dumps(record) + "\n" for record in records))
-    validate_trace(Trace.from_jsonl(path.read_text()))
+    named = f"record {bad['seq']} ({bad['kind']}): {field} "
+    with pytest.raises(errors.MalformedTrace) as raised:
+        report_from_trace(Trace.from_jsonl(path.read_text()))
+    assert str(raised.value).startswith(named)
     assert main(["report", str(path)]) == EXIT_RUNTIME
     err = capsys.readouterr().err
-    assert err.startswith("runtime error: MalformedTrace")
-    assert f"record {bad['seq']} " in err
+    assert err.startswith(f"runtime error: MalformedTrace: {named}")
 
 
 @pytest.mark.parametrize("option", ["--trace", "--metrics"])

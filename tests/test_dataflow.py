@@ -226,9 +226,7 @@ def test_uplink_held_while_cloud_unreachable(world):
 
 def test_empty_window_has_no_ratio():
     window = WindowMetrics(0, 1000, 0.0, 0.0, 0.0, 0.0)
-    with pytest.raises(errors.EmptyWindow):
-        _ = window.ratio
-    assert window.ratio_or_none() is None
+    assert window.ratio is None
 
 
 def test_close_window_reports_link_volumes(world):
