@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from json.decoder import JSONDecoder, scanstring
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from json.scanner import make_scanner
 from typing import Callable
 
@@ -62,33 +62,51 @@ class Event:
     payload: dict = field(default_factory=dict)
 
 
-# the trace's JSON encoder: compact, keys sorted
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# the trace's JSON encoder: compact, keys sorted. JSONEncoder.encode builds
+# this C encoder anew on each call; built once, it skips the circular-reference
+# check, since a trace value is a tree.
+_chunks = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                         None, ":", ",", True, False, True)
 
 
-def _shared_text(value, memo: dict) -> str:
-    """The JSON text of a shared value, encoded at most once per `memo`.
+def _encode(value) -> str:
+    return "".join(_chunks(value, 0))
 
-    `memo` maps id(value) to (value, text); holding the value keeps its id
-    from being reused while the memo lives. A dict whose entries include
-    dicts is spliced from its entries' texts, and each dict entry is
-    memoised the same way, so maps that share entries encode each once.
-    Dict keys must be str, as in every value that equals its JSON round
-    trip.
+
+def _shared_text(value, slot: str, memo: dict) -> str:
+    """The JSON text of a shared value, written against the last value
+    written at `slot` (a kind's field) with this `memo`.
+
+    `memo` maps a slot to (value, text, index, pieces) of its last value:
+    for a dict, `pieces` holds the `"key":value` text of each entry in key
+    order and `index` each key's position there. Holding the value keeps
+    its entries alive, so an entry that is the last one's object is no new
+    object at a reused address. The same value again reuses its text. A
+    dict with the same keys as the last one encodes only the entries whose
+    value is not the last one's object, and any other dict encodes every
+    entry; a value that is no dict is encoded whole. Dict keys must be str,
+    as in every value that equals its JSON round trip.
     """
-    entry = memo.get(id(value))
-    if entry is None:
-        if type(value) is dict and any(type(v) is dict for v in value.values()):
-            parts = []
-            for k in sorted(value):
-                v = value[k]
-                parts.append(_encode(k) + ":" + (
-                    _shared_text(v, memo) if type(v) is dict else _encode(v)))
-            text = "{" + ",".join(parts) + "}"
-        else:
-            text = _encode(value)
-        entry = memo[id(value)] = (value, text)
-    return entry[1]
+    last = memo.get(slot)
+    if last is not None and last[0] is value:
+        return last[1]
+    if type(value) is not dict:
+        text = _encode(value)
+        memo[slot] = (value, text, None, None)
+        return text
+    if last is not None and last[2] is not None and value.keys() == last[2].keys():
+        prev, _, index, pieces = last
+        for k, v in value.items():
+            if v is not prev[k]:
+                pieces[index[k]] = encode_basestring_ascii(k) + ":" + _encode(v)
+    else:
+        keys = sorted(value)
+        index = {k: i for i, k in enumerate(keys)}
+        pieces = [encode_basestring_ascii(k) + ":" + _encode(value[k])
+                  for k in keys]
+    text = "{" + ",".join(pieces) + "}"
+    memo[slot] = (value, text, index, pieces)
+    return text
 
 
 # Record kinds: kind -> its detail fields, each with its type, in the order
@@ -101,10 +119,12 @@ def _shared_text(value, memo: dict) -> str:
 # neither copied nor walked, so each must equal its own rounding. An "any"
 # value is written by `_encode`; a "shared" one, which records may share,
 # such as the per-node maps of consecutive `metrics_window` records, by
-# `_shared_text`. `Kernel.emit` checks and rounds a kind's details by a
-# checker compiled from its row, and `Trace.to_jsonl` writes its records
-# through a line writer compiled from the row, one of each for each order of
-# keys that details are emitted with (see `_Layout`).
+# `_shared_text`, against the value last written at the same kind and field,
+# so that a map encodes only the entries whose objects changed.
+# `Kernel.emit` checks and rounds a kind's details by a checker compiled from
+# its row, and `Trace.to_jsonl` writes its records through a line writer
+# compiled from the row, one of each for each order of keys that details are
+# emitted with (see `_Layout`).
 RECORD_KINDS: dict[str, tuple[tuple[str, str], ...]] = {
     "scenario_loaded": (("nodes", "any"), ("thresholds", "any"),
                         ("scheduler_tick_ms", "number"), ("buffer_mb", "number"),
@@ -176,8 +196,9 @@ def _compile_writer(kind: str, fields: tuple[tuple[str, str], ...]):
     """The line writer of a declared kind's `fields`: a function of a
     record and a `_shared_text` memo that returns `to_json`'s text of the
     record by one %-format, with each number as its repr, each str through
-    `encode_basestring_ascii`, each shared value through `_shared_text` and
-    each other value through `_encode`. The repr of an int, or of a finite
+    `encode_basestring_ascii`, each shared value through `_shared_text` at
+    its slot "kind.key", written against the slot's last value, and each
+    other value through `_encode`. The repr of an int, or of a finite
     float, is its JSON text."""
     def literal(text: str) -> str:
         return _encode(text).replace("%", "%%")
@@ -188,7 +209,8 @@ def _compile_writer(kind: str, fields: tuple[tuple[str, str], ...]):
         slots.append(literal(key) + (":%r" if ftype == "number" else ":%s"))
         args.append(value if ftype == "number" else
                     f"_text({value})" if ftype == "str" else
-                    f"_shared({value}, memo)" if ftype == "shared" else
+                    f"_shared({value}, {f'{kind}.{key}'!r}, memo)"
+                    if ftype == "shared" else
                     f"_encode({value})")
     line = ('{"details":{' + ",".join(slots) + '},"kind":' + literal(kind)
             + ',"seq":%r,"subject":%s,"time_ms":%r}')
@@ -300,12 +322,13 @@ class TraceRecord:
     by the generic key-sorted encoder, which gives the same text.
 
     A record and its details are never mutated once it is made: records
-    may share values, such as the maps of a declared kind's shared fields,
-    whose text `Trace.to_jsonl` reuses (see `RECORD_KINDS`), and the
-    container objects of a parsed record, which may be those of a record
-    parsed before it (see `Trace.from_jsonl`). The class is not frozen,
-    because a frozen one sets each field through `object.__setattr__`, and
-    every record is built twice in a run and its replay."""
+    may share values, such as the maps of a declared kind's shared fields
+    and their entries, whose text `Trace.to_jsonl` reuses (see
+    `_shared_text`), and the container objects of a parsed record, which
+    may be those of a record parsed before it (see `Trace.from_jsonl`).
+    The class is not frozen, because a frozen one sets each field through
+    `object.__setattr__`, and every record is built twice in a run and its
+    replay."""
 
     time_ms: int
     seq: int
@@ -407,8 +430,9 @@ class Trace:
     once: it keeps the text made so far and adds the lines of the records
     appended since, so `hash` digests that same text. A record with a
     `writer` (each record `Kernel.emit` makes, see `RECORD_KINDS`) is
-    written by that one %-format, with each shared value encoded once per
-    call; a parsed or hand-built one by the generic encoder."""
+    written by that one %-format, with each shared value written against
+    the last one at its slot in the same call (see `_shared_text`); a
+    parsed or hand-built one by the generic encoder."""
 
     def __init__(self, records: list[TraceRecord] | None = None):
         self.records: list[TraceRecord] = records or []
@@ -427,7 +451,7 @@ class Trace:
     def to_jsonl(self) -> str:
         if self._serialised < len(self.records):
             pieces: list[str] = []
-            memo: dict = {}  # shared values' texts, for this call only
+            memo: dict = {}  # each slot's last shared value, for this call only
             for record in self.records[self._serialised:]:
                 writer = record.writer
                 pieces.append(record.to_json() if writer is None

@@ -470,7 +470,9 @@ class Topology:
 
     def _rebuild_window_maps(self) -> None:
         """New maps that rebuild the entries of the stale nodes only and
-        share every other entry with the maps they replace."""
+        share every other entry with the maps they replace. A copy keeps
+        the sorted order of the ids it copies, and a stale entry keeps its
+        place, so the ids are sorted again only where a node was added."""
         utilization = dict(self._utilization)
         alloc = dict(self._alloc)
         for nid in self._stale:
@@ -480,6 +482,9 @@ class Topology:
             # vector components are already rounded to 9 places
             alloc[nid] = {"cpu": vec.cpu, "mem": vec.mem, "storage": vec.storage}
         self._stale.clear()
-        ids = sorted(utilization)
-        self._utilization = {nid: utilization[nid] for nid in ids}
-        self._alloc = {nid: alloc[nid] for nid in ids}
+        if len(utilization) > len(self._utilization):
+            ids = sorted(utilization)
+            utilization = {nid: utilization[nid] for nid in ids}
+            alloc = {nid: alloc[nid] for nid in ids}
+        self._utilization = utilization
+        self._alloc = alloc

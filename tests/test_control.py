@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogsim import errors
+from fogsim import kernel as kernel_module
 from fogsim import scenario as scenario_module
 from fogsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from fogsim.control import run_scenario, run_scenario_file
@@ -645,6 +646,46 @@ WORKLOAD_X4_TRACE_HASHES = {"star_steady": "b69f4fead80d5f2e",
 def test_workload_trace_hash_at_four_times_the_size_is_unchanged(name, tmp_path):
     runtime = Runtime(load_scenario(_workload_path(name, tmp_path, 1, 4)))
     assert runtime.run().hash()[:16] == WORKLOAD_X4_TRACE_HASHES[name]
+
+
+def test_fleet_ticks_writes_each_map_against_the_last_at_its_slot(monkeypatch,
+                                                                  tmp_path):
+    """Counts the `_encode` calls of serialising fleet_ticks at seed 1: a
+    slot's first map encodes each of its entries, a later new map with the
+    same keys only the entries whose object changed, and every field that
+    is no number, str or shared value is encoded whole."""
+    trace = Runtime(load_scenario(_workload_path("fleet_ticks", tmp_path))).run()
+    expected, entries, last = 0, 0, {}
+    for record in trace:
+        for key, ftype in kernel_module._LAYOUTS[record.kind].types.items():
+            if key not in record.details or ftype in ("number", "str"):
+                continue
+            value = record.details[key]
+            if ftype != "shared":
+                expected += 1
+                continue
+            prev, last[record.kind, key] = last.get((record.kind, key)), value
+            if value is prev:
+                continue
+            entries += len(value)
+            if type(prev) is dict and prev.keys() == value.keys():
+                expected += sum(v is not prev[k] for k, v in value.items())
+            else:
+                expected += len(value)
+    calls = []
+    encode = kernel_module._encode
+
+    def counting(value):
+        calls.append(value)
+        return encode(value)
+
+    monkeypatch.setattr(kernel_module, "_encode", counting)
+    for writer in {record.writer for record in trace}:
+        monkeypatch.setitem(writer.__globals__, "_encode", counting)
+    assert trace.to_jsonl() and trace.hash()[:16] == WORKLOAD_TRACE_HASHES["fleet_ticks"]
+    assert len(calls) == expected
+    # the new maps hold far more entries than were encoded
+    assert (len(calls), entries) == (1220, 37842)
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "12345"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -563,20 +564,35 @@ def test_each_shared_value_is_encoded_once_per_call(monkeypatch):
     for i in range(5):
         kernel.emit("metrics_window", "net", _valid_details(
             "metrics_window", window_start=i, alloc=alloc, utilization=util))
+    # a later window replaces one entry of each map
+    new_entry, new_share = {"cpu": 3.0, "mem": 2.0}, 0.75
+    later_alloc, later_util = {**alloc, "n1": new_entry}, {**util, "n2": new_share}
+    kernel.emit("metrics_window", "net", _valid_details(
+        "metrics_window", alloc=later_alloc, utilization=later_util))
 
     def times(obj):
         return sum(value is obj for value in encoded)
 
     text = kernel.trace.to_jsonl()
     assert text == _reference_jsonl(kernel.trace)
-    assert [times(util), times(entry), times(alloc["n2"])] == [1, 1, 1]
-    # alloc holds dicts, so it is spliced from its entries' texts, once
-    assert times(alloc) == 0 and encoded.count("n1") == 1
+    # no whole map is encoded, only its entries
+    assert [times(m) for m in (util, alloc, later_util, later_alloc)] == [0] * 4
+    # each entry once while its object is unchanged, the later window included
+    assert [times(util["n1"]), times(util["n2"]),
+            times(entry), times(alloc["n2"])] == [1, 1, 1, 1]
+    # and the later window encodes the entries it replaced alone
+    entries = [v for m in (alloc, util, later_alloc, later_util)
+               for v in m.values()]
+    written = [v for v in encoded if any(v is e for e in entries)]
+    assert len(written) == 6 and written[4] is new_entry and written[5] is new_share
     encoded.clear()
     kernel.emit("metrics_window", "net", _valid_details(
         "metrics_window", alloc=alloc, utilization=util))
     assert kernel.trace.to_jsonl() == _reference_jsonl(kernel.trace)
-    assert [times(util), times(entry), times(alloc["n2"])] == [1, 1, 1]
+    # a new call starts with no last map: every entry once more
+    assert [times(util["n1"]), times(util["n2"]),
+            times(entry), times(alloc["n2"])] == [1, 1, 1, 1]
+    assert times(util) == times(alloc) == 0
 
 
 def test_a_map_shared_across_calls_serialises_the_same():
@@ -622,6 +638,66 @@ def test_records_sharing_nested_dicts_serialise_as_the_reference(records):
     text = kernel.trace.to_jsonl()
     assert text == _reference_jsonl(kernel.trace)
     assert Trace.from_jsonl(text).to_jsonl() == text
+
+
+@st.composite
+def _map_chains(draw):
+    """Shared values for one slot, each derived from the one before by one
+    edit: the same object again, an entry's value replaced by a new object
+    (a copy, an equal value of another type, or any value), a key added, a
+    key removed, a value that is no dict, or a map whose entries are maps
+    and entries met before, so maps share inner dicts."""
+    value = draw(st.dictionaries(_json_keys, _rounded_leaves, max_size=4))
+    chain, seen = [value], [value]
+    for _ in range(draw(st.integers(1, 10))):
+        edit = draw(st.sampled_from(
+            ["same", "replace", "add", "remove", "no dict", "nest"]))
+        current = value if type(value) is dict else {}
+        if edit == "same":
+            pass
+        elif edit == "replace" and current:
+            key = draw(st.sampled_from(sorted(current)))
+            old = current[key]
+            equal = [copy.deepcopy(old)]
+            if type(old) is float:
+                equal.append(float(repr(old)))
+            elif type(old) is bool:
+                equal.append(int(old))  # equal, yet written otherwise
+            elif type(old) is int and abs(old) < 2 ** 53:
+                equal.append(float(old))
+            value = {**current, key: draw(st.sampled_from(equal) | _rounded_leaves)}
+        elif edit in ("replace", "add"):
+            value = {**current, draw(_json_keys): draw(_rounded_leaves)}
+        elif edit == "remove" and current:
+            key = draw(st.sampled_from(sorted(current)))
+            value = {k: v for k, v in current.items() if k != key}
+        elif edit == "no dict":
+            value = draw(_rounded_leaves | st.lists(_rounded_leaves, max_size=3))
+        else:  # nest, or remove from an empty map
+            value = draw(st.dictionaries(_json_keys, st.sampled_from(seen),
+                                         max_size=4))
+        chain.append(value)
+        if type(value) is dict:
+            seen += [value] + [v for v in value.values() if type(v) is dict]
+    return chain
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_map_chains(), st.integers(0, 11))
+def test_a_chain_of_maps_at_one_slot_writes_as_the_reference(chain, split):
+    """Each map goes to `alloc`, and the one before it to `utilization`, so
+    the slots see the same objects apart; the chain is written in one call,
+    and again split over two calls, the second of which starts afresh."""
+    whole, halves = Kernel(), Kernel()
+    for i, value in enumerate(chain):
+        details = _valid_details("metrics_window", window_start=i, alloc=value,
+                                 utilization=chain[i - 1] if i else {})
+        whole.emit("metrics_window", "net", details)
+        halves.emit("metrics_window", "net", details)
+        if i == split:
+            assert halves.trace.to_jsonl() == _reference_jsonl(halves.trace)
+    text = whole.trace.to_jsonl()
+    assert text == _reference_jsonl(whole.trace) == halves.trace.to_jsonl()
 
 
 def _value_span(line: str, key: str, value) -> tuple[int, int] | None:

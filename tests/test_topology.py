@@ -521,6 +521,24 @@ def test_window_maps_are_shared_until_an_allocation_changes(three_tier):
     assert three_tier.alloc_snapshot() == alloc
 
 
+def test_a_node_added_after_a_snapshot_joins_the_maps_in_sorted_order(three_tier):
+    util, alloc = three_tier.utilization_snapshot(), three_tier.alloc_snapshot()
+    three_tier.add_node("edge0", Tier.EDGE_MODULE, 8000, 16384, 491520)
+    three_tier.reserve("gw1", MB(500, 0, 0))
+    new_util, new_alloc = three_tier.utilization_snapshot(), three_tier.alloc_snapshot()
+    assert list(new_util) == list(new_alloc) == sorted(three_tier.nodes)
+    assert new_util["edge0"] == 0.0 and new_util["gw1"] == 0.125
+    assert new_alloc["edge0"] == {"cpu": 0.0, "mem": 0.0, "storage": 0.0}
+    # every entry that did not change is shared with the maps before
+    assert all(new_alloc[nid] is alloc[nid] for nid in alloc if nid != "gw1")
+    assert new_alloc["gw1"] is not alloc["gw1"]
+    # the next rebuild adds no node, and keeps the order
+    three_tier.reserve("cloud", MB(1, 0, 0))
+    assert list(three_tier.utilization_snapshot()) == sorted(three_tier.nodes)
+    assert list(three_tier.alloc_snapshot()) == sorted(three_tier.nodes)
+    assert list(util) == list(alloc) == ["cloud", "edge1", "gw1", "gw2"]
+
+
 def test_nodes_of_a_tier_are_sorted_and_follow_added_nodes(three_tier):
     assert three_tier.nodes_of(Tier.EDGE_MODULE) == ("edge1",)
     three_tier.add_node("edge0", Tier.EDGE_MODULE, 8000, 16384, 491520)
