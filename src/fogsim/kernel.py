@@ -14,6 +14,7 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from json.decoder import JSONDecoder, scanstring
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from json.scanner import make_scanner
@@ -324,8 +325,9 @@ class TraceRecord:
     A record and its details are never mutated once it is made: records
     may share values, such as the maps of a declared kind's shared fields
     and their entries, whose text `Trace.to_jsonl` reuses (see
-    `_shared_text`), and the container objects of a parsed record, which
-    may be those of a record parsed before it (see `Trace.from_jsonl`).
+    `_shared_text`), and the container objects of a parsed record and the
+    entries of its maps, which may be those of a record parsed before it
+    (see `Trace.from_jsonl`).
     The class is not frozen, because a frozen one sets each field through
     `object.__setattr__`, and every record is built twice in a run and its
     replay."""
@@ -361,7 +363,8 @@ def _parse_line(line: str, seen: dict) -> TraceRecord:
 
     A line in the writer's compact form whose details may hold a container
     (a `{` after the opening, or a `[` anywhere) is read one detail value at
-    a time by `_walk_details`. Any other line is scanned once, in full.
+    a time by `_walk_details`, against the values `seen` holds from earlier
+    lines. Any other line is scanned once, in full.
     Whatever these fast paths do not fully recognise (whitespace, a second
     `details`, a scan error, a value ending before the line does) is parsed
     again by `json.loads`, which raises the error the line deserves."""
@@ -380,6 +383,113 @@ def _parse_line(line: str, seen: dict) -> TraceRecord:
     return record
 
 
+# A key's maps are spliced while each splice reads at most one entry per
+# this many characters of the new map's text. Reading one entry in Python
+# costs about what the C scanner spends on 250 to 800 characters of a map
+# (CPython 3.11: maps of numbers, of strings and of small maps), so past
+# that a splice costs more than scanning the map whole.
+_CHARS_PER_READ = 512
+
+
+def _read_map(line: str, pos: int, known: tuple) -> tuple:
+    """`seen`'s entry for the value that opens with `{` at `line[pos]`,
+    given `known`, the entry of the last value at its key.
+
+    An entry is (text, value) for a value scanned whole; (text, map,
+    lengths) for a map that `_splice` read, with the length of each entry
+    of its text; and (text, value, None) at a key that no longer splices.
+    A value after a non-empty map is spliced against it, the lengths of a
+    map that was scanned whole being found first, and any other value is
+    scanned whole. A key stops splicing, and scans its maps whole while it
+    holds maps, where a splice fails (the new map or the last one is off
+    the compact form, or their keys differ) or reads more than one entry
+    per `_CHARS_PER_READ` characters of the new map's text."""
+    text, prev = known[0], known[1]
+    if len(known) == 2 and (type(prev) is not dict or not prev):
+        value, end = _scan(line, pos)
+        return line[pos:end], value
+    try:
+        lengths = known[2] if len(known) == 3 else _entry_lengths(text, len(prev))
+        spliced = lengths and _splice(line, pos, text, prev, lengths)
+    except StopIteration:  # whitespace before a value
+        spliced = None
+    if spliced:
+        return spliced
+    value, end = _scan(line, pos)
+    return line[pos:end], value, None
+
+
+def _entry_lengths(text: str, size: int) -> list[int] | None:
+    """The length of each entry of map `text`, its `,` or `}` included, or
+    None where an entry strays from the compact form or the text holds other
+    than `size` entries (a key given twice)."""
+    lengths, start = [], 1
+    while text[start] == '"':
+        _, end = scanstring(text, start + 1)
+        if text[end] != ":":
+            return None
+        _, end = _scan(text, end + 1)
+        lengths.append(end + 1 - start)
+        if text[end] == "}":
+            return lengths if len(lengths) == size else None
+        if text[end] != ",":
+            return None
+        start = end + 1
+    return None
+
+
+def _splice(line: str, pos: int, text: str, prev: dict,
+            lengths: list[int]) -> tuple | None:
+    """`seen`'s entry for the map that opens at `line[pos]`, read against
+    `prev`, the map parsed from `text`, whose entries are `lengths` long
+    (each with its `,` or `}`); or None where the new map is not `prev`'s
+    keys in `prev`'s order in the compact form.
+
+    The new text is compared with `text` a run of whole entries at a time,
+    by slice compares: the rest of the map, else runs of 1, 2, 4, ...
+    entries, then halves of the first run that differs, down to its one
+    entry that differs. An entry of equal text is `prev`'s entry object.
+    An entry of other text is read, and must hold `prev`'s key at its
+    position and end in the same `,` or `}`. The new map is a copy of
+    `prev` with the entries read, so its keys keep `prev`'s order, which is
+    the order of the text. The entry holds no lengths where the splice read
+    more entries than `_CHARS_PER_READ` allows."""
+    bounds = list(accumulate(lengths, initial=1))  # entry j: bounds[j]:bounds[j+1]
+    last = len(lengths)
+    value, new_lengths, reads = dict(prev), lengths.copy(), 0
+    i, shift = 0, pos  # old entry i starts at bounds[i] + shift in line
+    while i < last:
+        if line.startswith(text[bounds[i]:], bounds[i] + shift):
+            break  # the rest is equal
+        lo, step = i, 1  # entries before lo are equal
+        while True:  # the runs make up the rest, which differs, so one differs
+            hi = min(lo + step, last)
+            if not line.startswith(text[bounds[lo]:bounds[hi]], bounds[lo] + shift):
+                break
+            lo, step = hi, step * 2
+        while hi - lo > 1:  # an entry from lo to hi - 1 differs
+            mid = (lo + hi) // 2
+            if line.startswith(text[bounds[lo]:bounds[mid]], bounds[lo] + shift):
+                lo = mid
+            else:
+                hi = mid
+        start = bounds[lo] + shift
+        if line[start] != '"':
+            return None
+        key, end = scanstring(line, start + 1)
+        if not text.startswith(line[start:end + 1], bounds[lo]):  # `"key":`
+            return None
+        value[key], end = _scan(line, end + 1)
+        if line[end] != ("}" if hi == last else ","):
+            return None
+        new_lengths[lo] = end + 1 - start
+        reads += 1
+        i, shift = hi, end + 1 - bounds[hi]
+    end = bounds[last] + shift
+    return (line[pos:end], value,
+            new_lengths if reads * _CHARS_PER_READ <= end - pos else None)
+
+
 def _walk_details(line: str, seen: dict) -> TraceRecord | None:
     """The record of a line that opens with `_OPENING`, or None where the
     line strays from the writer's compact form.
@@ -388,8 +498,11 @@ def _walk_details(line: str, seen: dict) -> TraceRecord | None:
     holds for its key, and `,` or `}` follows that text, the value is the
     one parsed from it before: equal text parses to an equal value, and the
     `,` or `}` shows that the value ends there (the text of 12 begins with
-    that of 1). Other values are scanned, and `seen` keeps their text. The
-    fields after the details are parsed by one `json.loads`."""
+    that of 1). A map of other text is read against the last map at its key
+    by `_read_map`, so only its entries whose text changed are parsed, and
+    its other entries are the last map's objects. Any other value is
+    scanned. `seen` keeps each key's last text and value. The fields after
+    the details are parsed by one `json.loads`."""
     details = {}
     pos = len(_OPENING)
     if line[pos] != "}":
@@ -405,10 +518,14 @@ def _walk_details(line: str, seen: dict) -> TraceRecord | None:
                     and line[pos + len(known[0])] in ",}"):
                 value = known[1]
                 pos += len(known[0])
-            else:
+            elif line[pos] != "{" or known is None:
                 value, end = _scan(line, pos)
                 seen[key] = (line[pos:end], value)
                 pos = end
+            else:
+                known = seen[key] = _read_map(line, pos, known)
+                value = known[1]
+                pos += len(known[0])
             details[key] = value
             if line[pos] == "}":
                 break
@@ -473,10 +590,12 @@ class Trace:
         `MalformedTrace` naming it.
 
         A detail value whose text repeats the text last parsed for its key
-        is not parsed again: the record holds that earlier value itself (see
-        `_parse_line`)."""
+        is not parsed again: the record holds that earlier value itself. A
+        map whose text differs is read against the last map at its key, and
+        parses only the entries whose text changed; each other entry is the
+        last map's entry object (see `_walk_details`)."""
         records = []
-        seen: dict = {}  # detail key -> (text, value) of its last parse
+        seen: dict = {}  # detail key -> its last text and value (see _read_map)
         append, parse = records.append, _parse_line  # looked up once, not per line
         for i, line in enumerate(text.split("\n")):
             try:

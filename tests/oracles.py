@@ -22,6 +22,9 @@ parsed with libyaml; it pins the objects a scenario document loads to.
 reference_from_jsonl is Trace.from_jsonl as it was when it ran json.loads on
 every line in full, splitting lines at "\n" only as the reader now does; it
 pins the records and the errors of a trace text.
+reference_shared_entries models, from a trace's text and json.loads alone,
+which maps Trace.from_jsonl reads against the last map at their key; it pins
+which entries of parsed maps are the objects of the map before them.
 reference_window_maps is the per-node part of Runtime._close_window as it was
 when every window built both maps for every node and the kernel rounded them
 at emission; it pins the maps that the cached ones must equal. reference_nearest_edge is
@@ -163,6 +166,61 @@ def reference_from_jsonl(text: str) -> list[TraceRecord]:
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise errors.MalformedTrace(f"line {i + 1}: {exc}") from None
     return records
+
+
+def _json_text(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def reference_shared_entries(
+        text: str, chars_per_read: int) -> list[tuple[int, int, str, str, bool]]:
+    """For each map of a trace text in the writer's form that follows a
+    non-empty map at its detail key with other text, and each entry key of
+    both maps whose value in the later one is a float, a dict or a list (a
+    parse makes each anew): (the index of the record of the earlier map,
+    that of the later one, the detail key, the entry key, whether the later
+    map holds the earlier map's object there).
+
+    Only a line whose details hold a `{` after the opening `{"details":{`,
+    or a `[` anywhere, is read a detail at a time, so only such lines count.
+    A key's value of the last text at the key is that value again. A map of
+    other text after a non-empty map is spliced where its keys are the last
+    map's keys in their order, and then holds the last map's object for
+    each entry of equal text. Otherwise, or where the splice reads more
+    entries, those of other text, than one per `chars_per_read` characters
+    of the map's text, the key stops splicing, and its maps are read whole,
+    holding none of the last map's objects, until a line read a detail at a
+    time holds a value there that is no map."""
+    opening = '{"details":{'
+    shared, last = [], {}  # key -> (record index, text, value, stopped)
+    index = -1
+    for line in text.split("\n"):
+        if not line.strip(" \t\r"):
+            continue
+        index += 1
+        if not (line.startswith(opening)
+                and (line.find("{", len(opening)) >= 0 or "[" in line)):
+            continue
+        for key, value in json.loads(line)["details"].items():
+            value_text = _json_text(value)
+            known = last.get(key)
+            if known is not None and known[1] == value_text:
+                continue
+            stopped = False
+            if type(value) is dict and known is not None:
+                prev, stopped = known[2], known[3]
+                if type(prev) is dict and prev:
+                    spliced = not stopped and list(prev) == list(value)
+                    same = {k: _json_text(v) == _json_text(prev[k])
+                            for k, v in value.items() if k in prev}
+                    shared += [(known[0], index, key, k, spliced and equal)
+                               for k, equal in same.items()
+                               if type(value[k]) in (float, dict, list)]
+                    changed = len(value) - sum(same.values())
+                    stopped = (not spliced
+                               or changed * chars_per_read > len(value_text))
+            last[key] = (index, value_text, value, stopped)
+    return shared
 
 
 def reference_window_maps(topology: Topology) -> dict:

@@ -29,7 +29,7 @@ from fogsim.scenario import (REQUIRED, SCENARIO_FIELDS, SCRIPT_EVENTS, load_scen
 
 from fixture_paths import FIXTURES, REPO_ROOT, SCENARIO_DIR
 from oracles import (reference_from_jsonl, reference_load_yaml,
-                     reference_record_json)
+                     reference_record_json, reference_shared_entries)
 
 
 def minimal_scenario(**overrides) -> dict:
@@ -644,8 +644,19 @@ WORKLOAD_X4_TRACE_HASHES = {"star_steady": "b69f4fead80d5f2e",
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_X4_TRACE_HASHES))
 def test_workload_trace_hash_at_four_times_the_size_is_unchanged(name, tmp_path):
+    """And the trace parses as the per-line reference, key order included."""
     runtime = Runtime(load_scenario(_workload_path(name, tmp_path, 1, 4)))
-    assert runtime.run().hash()[:16] == WORKLOAD_X4_TRACE_HASHES[name]
+    trace = runtime.run()
+    assert trace.hash()[:16] == WORKLOAD_X4_TRACE_HASHES[name]
+    text = trace.to_jsonl()
+    assert _exact(Trace.from_jsonl(text).records) == _exact(reference_from_jsonl(text))
+
+
+def _exact(records) -> list[str]:
+    """Records as text that tells 1, 1.0, True and -0.0 apart and keeps
+    key order."""
+    return [json.dumps([r.time_ms, r.seq, r.kind, r.subject, r.details])
+            for r in records]
 
 
 def test_fleet_ticks_writes_each_map_against_the_last_at_its_slot(monkeypatch,
@@ -686,6 +697,49 @@ def test_fleet_ticks_writes_each_map_against_the_last_at_its_slot(monkeypatch,
     assert len(calls) == expected
     # the new maps hold far more entries than were encoded
     assert (len(calls), entries) == (1220, 37842)
+
+
+def test_fleet_ticks_parses_each_map_against_the_last_at_its_key(monkeypatch,
+                                                                  tmp_path):
+    """Counts the value scans of `Trace.from_jsonl` on fleet_ticks at seed
+    1. A line whose details hold no container is scanned once. In a line
+    read a detail at a time, a value of the last text at its key is not
+    scanned, and any other value is scanned once, except a map after a map
+    at its key: it scans only its entries whose text changed, and the first
+    such map at each key also scans each entry of the map before it, to
+    find where they end. No key's maps change their keys, and no splice
+    reads so many entries that its key stops splicing."""
+    text = Runtime(load_scenario(_workload_path("fleet_ticks", tmp_path))).run().to_jsonl()
+    opening, encode = kernel_module._OPENING, kernel_module._encode
+    expected, map_scans, entries, last, found = 0, 0, 0, {}, set()
+    for line in text.split("\n"):  # the last one empty, which is scanned too
+        if not (line.startswith(opening)
+                and (line.find("{", len(opening)) >= 0 or "[" in line)):
+            expected += 1
+            continue
+        for key, value in json.loads(line)["details"].items():
+            if key in last and encode(last[key]) == encode(value):
+                continue
+            prev, last[key] = last.get(key), value
+            if type(prev) is not dict or type(value) is not dict:
+                expected += 1
+                continue
+            assert list(prev) == list(value)
+            scans = sum(encode(v) != encode(prev[k]) for k, v in value.items())
+            scans += 0 if key in found else len(prev)
+            found.add(key)
+            expected += scans
+            map_scans += scans
+            entries += len(value)
+    calls = []
+    scan = kernel_module._scan
+    monkeypatch.setattr(kernel_module, "_scan",
+                        lambda s, i: calls.append(i) or scan(s, i))
+    assert Trace.from_jsonl(text).records == reference_from_jsonl(text)
+    assert len(calls) == expected
+    # the maps of other text hold far more entries than were scanned, and
+    # 594 of the scans find where the entries of each key's first map end
+    assert (map_scans, entries) == (818, 37248)
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "12345"])
@@ -801,13 +855,20 @@ def test_trace_text_equals_the_per_record_reference(name, seed, tmp_path):
 def test_parsed_records_equal_the_per_line_reference(name, seed, tmp_path):
     text = Runtime(load_scenario(_pinned_path(name, seed, tmp_path))).run().to_jsonl()
     records = Trace.from_jsonl(text).records
-    assert records == reference_from_jsonl(text)
+    reference = reference_from_jsonl(text)
+    assert records == reference and _exact(records) == _exact(reference)
     # consecutive windows whose alloc text is equal hold one parsed map
     windows = [r.details["alloc"] for r in records if r.kind == "metrics_window"]
     pairs = [(a, b) for a, b in zip(windows, windows[1:])
              if json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)]
     assert all(a is b for a, b in pairs)
     assert pairs or name != "fleet_ticks"  # whose windows repeat most
+    # and of windows whose maps differ, a map read against the one before
+    # it holds that map's object for each entry of equal text
+    expected = reference_shared_entries(text, kernel_module._CHARS_PER_READ)
+    assert [records[b].details[key][k] is records[a].details[key][k]
+            for a, b, key, k, _ in expected] == [shared for *_, shared in expected]
+    assert any(shared for *_, shared in expected) or name != "fleet_ticks"
 
 
 def _emit_calls() -> tuple[set[str], set[str], list[str]]:
@@ -1389,15 +1450,21 @@ def test_cli_run_rejects_a_negative_until(tmp_path, capsys):
         {"duration_ms": 0, "migrations": 0}
 
 
-def test_cli_report_roundtrip(tmp_path, capsys):
+@pytest.mark.parametrize("name", ["roaming", "fleet_ticks"])
+def test_cli_report_roundtrip(name, tmp_path, capsys):
+    """fleet_ticks at seed 1, whose window maps are read against the last
+    map at their key, as well as a fixture."""
+    path = SCENARIO_DIR / f"{name}.yaml" if name == "roaming" \
+        else _workload_path(name, tmp_path)
     trace_path = tmp_path / "out.jsonl"
-    main(["run", str(SCENARIO_DIR / "roaming.yaml"), "--trace", str(trace_path)])
+    assert main(["run", str(path), "--trace", str(trace_path)]) == EXIT_OK
     run_out = capsys.readouterr().out
     assert main(["report", str(trace_path)]) == EXIT_OK
     report_out = capsys.readouterr().out
-    # every summary line of the run reappears when replaying the trace
-    for line in report_out.splitlines():
-        assert line in run_out
+    # replaying the trace prints each summary line of the run, and no other
+    *summary, trace_line = run_out.splitlines()
+    assert trace_line.startswith("trace: ") and summary
+    assert report_out.splitlines() == summary
 
 
 def test_cli_report_missing_and_malformed(tmp_path, capsys):

@@ -16,7 +16,7 @@ from fogsim.kernel import (RECORD_KINDS, Event, EventKind, Fault, FaultKind,
 
 from fixture_paths import REPO_ROOT
 from oracles import (reference_from_jsonl, reference_record_json,
-                     reference_round_floats)
+                     reference_round_floats, reference_shared_entries)
 
 
 def test_events_run_in_time_then_fifo_order():
@@ -711,13 +711,23 @@ def _value_span(line: str, key: str, value) -> tuple[int, int] | None:
 def _mutated_lines(draw):
     """The lines of a trace whose records share maps, each line kept as it
     is or mutated: truncated, a character dropped, a character altered (in
-    a map the record shares, or a bracket, quote, colon or comma), whitespace
-    inserted, a key duplicated, or text appended. Each record is emitted up
-    to three times in a row, some of them as a hand-built record with only
-    the scalar detail `window_start`, whose text often starts with the
-    previous line's text for it without equalling it."""
+    a map the record shares, or a bracket, quote, colon or comma), a `,` or
+    `}` in a map the record shares replaced, whitespace inserted, a key
+    duplicated, or text appended. Some records carry a chain
+    of maps (see `_map_chains`), so that consecutive maps at a key often
+    share their keys, and a mutation lands on a map read against the last
+    one. Each record is emitted up to three times in a row, some of them as
+    a hand-built record with only the scalar detail `window_start`, whose
+    text often starts with the previous line's text for it without
+    equalling it."""
     kernel = Kernel()
-    for details in draw(_records_sharing_dicts()):
+    records = draw(_records_sharing_dicts())
+    if draw(st.booleans()):
+        chain = draw(_map_chains())
+        records += [_valid_details("metrics_window", alloc=value,
+                                   utilization=chain[i - 1] if i else {})
+                    for i, value in enumerate(chain)]
+    for details in records:
         for _ in range(draw(st.integers(1, 3))):
             n = {"window_start": draw(st.sampled_from([1, 12, 120, 1.5]))}
             if draw(st.booleans()):
@@ -727,7 +737,7 @@ def _mutated_lines(draw):
     lines = []
     for record, line in zip(kernel.trace, kernel.trace.to_jsonl().split("\n")):
         marks = [i for i, c in enumerate(line) if c in ',:{}[]"']
-        how = draw(st.sampled_from(["keep", "truncate", "drop", "alter",
+        how = draw(st.sampled_from(["keep", "truncate", "drop", "alter", "separator",
                                     "whitespace", "duplicate", "append"]))
         if how == "truncate":
             line = line[:draw(st.integers(0, len(line) - 1))]
@@ -743,6 +753,14 @@ def _mutated_lines(draw):
             else:
                 at = draw(st.sampled_from(marks))
             line = line[:at] + draw(st.sampled_from('09-.e" ,:{}[]x')) + line[at + 1:]
+        elif how == "separator":
+            ends = [at for key in _SHARED_FIELDS if key in record.details
+                    if (span := _value_span(line, key, record.details[key]))
+                    for at in range(*span) if line[at] in ",}"]
+            if ends:
+                at = draw(st.sampled_from(ends))
+                line = (line[:at] + draw(st.sampled_from(["}", ",", ",}", "}}", ""]))
+                        + line[at + 1:])
         elif how == "whitespace":
             at = draw(st.sampled_from(marks)) + draw(st.integers(0, 1))
             line = line[:at] + draw(st.sampled_from(" \t\r")) + line[at:]
@@ -793,13 +811,23 @@ def _is_a_record(line: str) -> bool:
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(_mutated_lines())
-def test_a_mutated_trace_parses_as_the_per_line_reference(lines):
-    """Every line that is a record, then each malformed line in turn, so
-    every malformed line is read after all the values it might reuse."""
+@given(_mutated_lines(), st.sampled_from([0, kernel_module._CHARS_PER_READ]))
+def test_a_mutated_trace_parses_as_the_per_line_reference(lines, chars_per_read):
+    """Every line that is a record, then each malformed line in turn, read
+    after all the records, so after all the values it might reuse, and
+    read after the records before it, so after the map it would be read
+    against. With the read rule at 0, a key stops splicing only where a
+    splice fails."""
     records = [line for line in lines if _is_a_record(line)]
-    for last in [[]] + [[line] for line in lines if not _is_a_record(line)]:
-        _assert_parses_as_the_reference("".join(line + "\n" for line in records + last))
+    traces = [records]
+    for i, line in enumerate(lines):
+        if not _is_a_record(line):
+            before = [earlier for earlier in lines[:i] if _is_a_record(earlier)]
+            traces += [records + [line], before + [line]]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel_module, "_CHARS_PER_READ", chars_per_read)
+        for trace in traces:
+            _assert_parses_as_the_reference("".join(line + "\n" for line in trace))
 
 
 _FIELDS = ',"kind":"k","seq":2,"subject":"s","time_ms":0}'
@@ -867,3 +895,124 @@ def test_a_repeated_detail_text_is_parsed_once_and_shared():
     assert fourth["alloc"] == {"n1": 1} and fourth["utilization"] == {"n1": 12}
     assert fourth["window_start"] == 12
     assert all(r.writer is None for r in records)
+
+
+# --- maps read against the last map at their key ----------------------------
+
+def _assert_maps_share_as_the_rule_says(text: str, records, chars_per_read: int):
+    """Each entry of a parsed map is the object of the map before it at its
+    key exactly where reference_shared_entries says."""
+    expected = reference_shared_entries(text, chars_per_read)
+    assert [records[b].details[key][k] is records[a].details[key][k]
+            for a, b, key, k, _ in expected] == [shared for *_, shared in expected]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_map_chains(), st.integers(0, 11),
+       st.sampled_from([0, kernel_module._CHARS_PER_READ]))
+def test_a_chain_of_maps_at_one_key_parses_as_the_reference(chain, split,
+                                                           chars_per_read):
+    """Each map goes to `alloc`, and the one before it to `utilization`, one
+    record a line. The trace is parsed whole, and again split after line
+    `split` over two calls, the second of which starts afresh. With the read
+    rule at 0, a key stops splicing only where a splice fails."""
+    kernel = Kernel()
+    for i, value in enumerate(chain):
+        kernel.emit("metrics_window", "net", _valid_details(
+            "metrics_window", window_start=i, alloc=value,
+            utilization=chain[i - 1] if i else {}))
+    lines = [line + "\n" for line in kernel.trace.to_jsonl().split("\n")[:-1]]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel_module, "_CHARS_PER_READ", chars_per_read)
+        for part in ("".join(lines), "".join(lines[:split + 1]),
+                     "".join(lines[split + 1:])):
+            records = _assert_parses_as_the_reference(part)
+            _assert_maps_share_as_the_rule_says(part, records, chars_per_read)
+
+
+@pytest.mark.parametrize("maps, shared", [
+    (['{"a":[1],"b":[2],"c":[3]}', '{"a":[9],"b":[2],"c":[3]}'], "bc"),
+    (['{"a":[1],"b":[2],"c":[3]}', '{"a":[1],"b":[2],"c":[9]}'], "ab"),
+    (['{"a":[1],"b":[2],"c":[3]}', '{"a":[7],"b":[8],"c":[9]}'], ""),
+    (['{"a":[1],"b":1,"c":[3]}', '{"a":[1],"b":12,"c":[3]}'], "ac"),
+    (['{"a":[1],"b":12,"c":[3]}', '{"a":[1],"b":1,"c":[3]}'], "ac"),
+    (['{"a":[1],"b":[2],"c":[3]}', '{"a":[1],"b":[2],"c":1}',
+      '{"a":[1],"b":[2],"c":12}'], "ab"),
+    (['{"a":"x","b":[2]}', r'{"a":"},\"b\":[2]}","b":[2]}'], "b"),
+    (['{"a":"x","b":[2]}', r'{"a":"\",\"","b":[2]}'], "b"),
+    ([r'{"a":"},\"b\":[2]}","b":[2]}', '{"a":"x","b":[2]}'], "b"),
+    (['{"a":[1],"c":[3]}', '{"a":[1],"b":[2],"c":[3]}'], ""),       # added
+    (['{"a":[1]}', '{"a":[1],"b":[2]}'], ""),
+    (['{"a":[1],"b":[2],"c":[3]}', '{"a":[1],"c":[3]}'], ""),       # removed
+    (['{"a":[1],"b":[2]}', '{"a":[1]}'], ""),
+    (['{"a":[1],"b":[2]}', '{"a":[1],"x":[2]}'], ""),               # renamed
+    (['{"a":[1],"b":[2]}', '{"b":[2],"a":[1]}'], ""),               # moved
+    (['[1]', '{"a":[1]}'], ""),                                     # no dict
+    (['1', '{"a":[1],"b":[2]}', '{"a":[9],"b":[2]}'], "b"),
+    (['{}', '{"a":[1]}'], ""),
+    (['{"a":[1],"a":[2],"b":[3]}', '{"a":[2],"b":[4]}'], ""),       # duplicates
+    (['{"a":[1],"a":[2]}', '{"a":[5],"a":[2]}'], ""),
+    (['{"a":[1],"b":[2]}', '{"a":[1],"a":[5],"b":[2]}'], ""),
+    (['{"a":[1],"b":[2]}', '{"a":[1],"b":[2],"b":[3]}'], ""),
+    (['{"a":[1],"b":[2]}', '{"a":[9],"a":[1],"b":[2]}'], ""),
+    (['{"a":[1],"b":[2]}', '{"a":[1], "b":[2]}'], ""),              # whitespace
+    (['{"a":[1],"b":[2]}', '{"a": [9],"b":[2]}'], ""),
+    (['{"a":[1],"b":[2]}', '{"a":[9] ,"b":[2]}'], ""),
+    (['{"a":[1],"b":[2]}', '{ "a":[1],"b":[2]}'], ""),
+    (['{"a":[1],"b":[2]}', '{"a":[1],"b":[2] }'], ""),
+    (['{"a":[1],"b":[2]}', '{"a":[1, 9],"b":[2]}'], "b"),
+    (['{"a": [1],"b":[2]}', '{"a":[1],"b":[9]}'], ""),
+    (['{"a":[1],"b":[2]}', '{"a":[9],"b":[2],}'], ""),              # malformed
+    (['{"a":[1],"b":[2]}', '{"a":[9]}"b":[2]}'], ""),
+    (['{"a":[1],"b":[2]}', '{"a":[9],,"b":[2]}'], ""),
+    (['{"a":[1],"b":[2]}', '{"a":[9],"b":[2]'], ""),
+], ids=["first", "last", "every", "grows", "shrinks", "grows-last",
+        "string-brace", "string-comma", "string-was-brace", "added", "added-last",
+        "removed", "removed-last", "renamed", "moved", "list-before", "int-before",
+        "empty-before", "duplicate-before", "duplicate-both", "duplicate",
+        "duplicate-last",
+        "duplicate-first", "space-before-key", "space-before-value",
+        "space-before-comma", "space-after-brace", "space-before-brace",
+        "space-in-a-value", "space-in-the-last", "trailing-comma",
+        "brace-for-comma", "double-comma", "unclosed"])
+def test_a_map_read_against_the_last_at_its_key_parses_as_the_reference(
+        maps, shared, monkeypatch):
+    """The maps at key `m`, one a line, with the read rule at 0; `shared`
+    names the entries of the last map that are the map before's objects."""
+    monkeypatch.setattr(kernel_module, "_CHARS_PER_READ", 0)
+    text = "".join('{"details":{"m":%s,"n":%d},"kind":"k","seq":%d,'
+                   '"subject":"s","time_ms":0}\n' % (m, i, i)
+                   for i, m in enumerate(maps))
+    records = _assert_parses_as_the_reference(text)
+    if records:
+        prev, last = (r.details["m"] for r in records[-2:])
+        assert "".join(k for k, v in last.items()
+                       if isinstance(prev, dict) and v is prev.get(k)) == shared
+
+
+def test_a_key_splices_while_each_splice_reads_few_entries_for_its_text():
+    """A map of 14-character entries, long enough for two reads under the
+    read rule and too short for three: splices that read one and two
+    entries keep the key splicing, one that reads three stops it, so the
+    next map is read whole, until a value that is no map starts the key
+    afresh."""
+    per_read = kernel_module._CHARS_PER_READ
+    base = {f"n{i:02d}": [i, 0.5] for i in range(2 * per_read // 14 + 1)}
+    assert 2 * per_read <= len(kernel_module._encode(base)) < 3 * per_read
+
+    def changed(mark, count, first=None):  # the last `count` entries marked
+        return {**base, **{k: [first, mark] for k in list(base)[-count:]},
+                **({} if first is None else {"n00": [first]})}
+
+    values = [base, changed(0.25, 1), changed(0.75, 2), changed(0.125, 3),
+              changed(0.125, 3, first=0), [7], base, changed(0.25, 1)]
+    text = "".join(TraceRecord(0, seq, "k", "s", {"m": value}).to_json() + "\n"
+                   for seq, value in enumerate(values))
+    records = _assert_parses_as_the_reference(text)
+    maps = [r.details["m"] for r in records]
+    shared = [sum(v is prev[k] for k, v in new.items())
+              if type(prev) is dict and type(new) is dict else None
+              for prev, new in zip(maps, maps[1:])]
+    size = len(base)
+    assert shared == [size - 1, size - 2, size - 3, 0, None, None, size - 1]
+    _assert_maps_share_as_the_rule_says(text, records, per_read)
