@@ -502,7 +502,7 @@ def _walk_details(line: str, seen: dict) -> TraceRecord | None:
     by `_read_map`, so only its entries whose text changed are parsed, and
     its other entries are the last map's objects. Any other value is
     scanned. `seen` keeps each key's last text and value. The fields after
-    the details are parsed by one `json.loads`."""
+    the details are scanned as one object, which must end the line."""
     details = {}
     pos = len(_OPENING)
     if line[pos] != "}":
@@ -534,8 +534,9 @@ def _walk_details(line: str, seen: dict) -> TraceRecord | None:
             pos += 1
     if line[pos + 1] != ",":
         return None
-    rest = json.loads("{" + line[pos + 2:])
-    if "details" in rest:
+    tail = "{" + line[pos + 2:]
+    rest, end = _scan(tail, 0)  # a dict, as the tail opens with `{`
+    if end != len(tail) or "details" in rest:
         return None
     return _record(rest, details)
 

@@ -22,6 +22,9 @@ from .scenario import SCRIPT_EVENTS, Scenario, validate_until
 from .scheduler import AppInstance, Defer, InstanceStatus, Offload, \
     PlacementRequest, Scheduler
 
+# each status's plain str value, read without the Enum `value` descriptor
+_STATUS_VALUES = {member: member.value for member in InstanceStatus}
+
 
 class Runtime:
     def __init__(self, scenario: Scenario):
@@ -377,8 +380,9 @@ class Runtime:
             kernel.emit("link_window", link_id, (
                 metrics.links[link_id], links[link_id].bandwidth_mbps * dt / 8000.0),
                 memo)
-        statuses = {iid: self.scheduler.instances[iid].status.value
-                    for iid in sorted(self.scheduler.instances)}
+        instances = self.scheduler.instances
+        statuses = {iid: _STATUS_VALUES[instances[iid].status]
+                    for iid in sorted(instances)}
         # an unchanged map is emitted as the previous window's object, which
         # records share and never mutate
         if statuses != self._statuses:

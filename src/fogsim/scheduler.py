@@ -164,8 +164,8 @@ class Scheduler:
                 continue
             alloc = (node.allocated if alloc_override is None
                      else alloc_override[node_id])
-            after = alloc + demand
-            if not after.fits_within(node.capacity):
+            util_after = alloc.fraction_with(demand, node.capacity)
+            if util_after is None:
                 continue
             latency = topology.path_latency_or_inf(source, node_id)
             if latency == float("inf"):
@@ -174,8 +174,7 @@ class Scheduler:
                     and latency > app.latency_requirement_ms):
                 continue
             util_now = alloc.bottleneck_fraction(node.capacity)
-            if (util_cap_after is not None
-                    and after.bottleneck_fraction(node.capacity) > util_cap_after):
+            if util_cap_after is not None and util_after > util_cap_after:
                 continue
             key = (latency, util_now, node_id)
             if best_key is None or key < best_key:
@@ -264,14 +263,13 @@ class Scheduler:
         # until then they equal the live ones. Vectors are immutable, so no
         # copy is needed.
         alloc: dict[str, ResourceVector] | None = None
-
-        def util(nid: str) -> float:
-            vec = nodes[nid].allocated if alloc is None else alloc[nid]
-            return vec.bottleneck_fraction(nodes[nid].capacity)
-
+        high, low = self.thresholds.high_watermark, self.thresholds.low_watermark
         for node_id in self.topology.nodes_of(Tier.EDGE_MODULE):
             node = nodes[node_id]
-            if not node.up or util(node_id) <= self.thresholds.high_watermark:
+            if not node.up:
+                continue
+            vec = node.allocated if alloc is None else alloc[node_id]
+            if vec.bottleneck_fraction(node.capacity) <= high:
                 continue
             if alloc is None:
                 alloc = {nid: n.allocated for nid, n in nodes.items()}
@@ -291,12 +289,12 @@ class Scheduler:
                 -v[2].bottleneck_fraction(node.capacity), v[0].instance_id))
             deferred = False
             for inst, app, demand in victims:
-                if util(node_id) <= self.thresholds.low_watermark:
+                if alloc[node_id].bottleneck_fraction(node.capacity) <= low:
                     break
                 target = self.select_host(
                     app, inst.source, inst.replicas,
                     exclude=frozenset({node_id}), alloc_override=alloc,
-                    util_cap_after=self.thresholds.high_watermark)
+                    util_cap_after=high)
                 if target is None:
                     actions.append(Defer(node_id, inst.instance_id, "NoFeasibleTarget"))
                     deferred = True
@@ -304,6 +302,7 @@ class Scheduler:
                 actions.append(Offload(inst.instance_id, target))
                 alloc[node_id] = alloc[node_id] - demand
                 alloc[target] = alloc[target] + demand
-            if util(node_id) > self.thresholds.high_watermark and not deferred:
+            if (alloc[node_id].bottleneck_fraction(node.capacity) > high
+                    and not deferred):
                 actions.append(Defer(node_id, None, "NoMovableInstance"))
         return actions

@@ -65,6 +65,18 @@ class ResourceVector:
         return max(self.cpu / capacity.cpu, self.mem / capacity.mem,
                    self.storage / capacity.storage)
 
+    def fraction_with(self, demand: "ResourceVector",
+                      capacity: "ResourceVector") -> float | None:
+        """`(self + demand).bottleneck_fraction(capacity)`, or None where
+        `self + demand` does not fit within `capacity`, without building the
+        sum: its components are rounded as `__post_init__` rounds them."""
+        cpu = round(self.cpu + demand.cpu, 9)
+        mem = round(self.mem + demand.mem, 9)
+        storage = round(self.storage + demand.storage, 9)
+        if cpu > capacity.cpu or mem > capacity.mem or storage > capacity.storage:
+            return None
+        return max(cpu / capacity.cpu, mem / capacity.mem, storage / capacity.storage)
+
 
 @dataclass
 class Node:

@@ -285,25 +285,36 @@ def all_pairs_latency(topology: Topology) -> dict[tuple[str, str], float]:
 
 
 def brute_force_place(topology: Topology, app: AppSpec, source: str,
-                      replicas: int) -> str | None:
-    """Enumerate every node; filter by tier, capacity, reachability and
-    latency requirement; pick by (latency, bottleneck utilization, node_id)."""
+                      replicas: int, exclude: frozenset[str] = frozenset(),
+                      alloc_override: dict | None = None,
+                      util_cap_after: float | None = None) -> str | None:
+    """Enumerate every node; filter by exclusion, tier, capacity,
+    reachability, latency requirement and, given `util_cap_after`, the
+    utilization after placing; pick by (latency, bottleneck utilization,
+    node_id). `alloc_override` maps every node to the allocation to use in
+    place of its own. Each product and sum is rounded to 9 places, as a
+    ResourceVector's components are."""
     candidates = []
-    demand = (app.demand.cpu * replicas, app.demand.mem * replicas,
-              app.demand.storage * replicas)
+    demand = (round(app.demand.cpu * replicas, 9), round(app.demand.mem * replicas, 9),
+              round(app.demand.storage * replicas, 9))
     for node_id in sorted(topology.nodes):
         node = topology.nodes[node_id]
-        if not node.up or node.tier not in app.allowed_tiers:
+        if node_id in exclude or not node.up or node.tier not in app.allowed_tiers:
             continue
-        alloc = (node.allocated.cpu, node.allocated.mem, node.allocated.storage)
+        vec = node.allocated if alloc_override is None else alloc_override[node_id]
+        alloc = (vec.cpu, vec.mem, vec.storage)
         caps = (node.capacity.cpu, node.capacity.mem, node.capacity.storage)
-        if any(a + d > c for a, d, c in zip(alloc, demand, caps)):
+        after = [round(a + d, 9) for a, d in zip(alloc, demand)]
+        if any(a > c for a, c in zip(after, caps)):
             continue
         latency = brute_force_latency(topology, source, node_id)
         if latency == math.inf:
             continue
         if app.latency_requirement_ms is not None and \
                 latency > app.latency_requirement_ms:
+            continue
+        if util_cap_after is not None and \
+                max(a / c for a, c in zip(after, caps)) > util_cap_after:
             continue
         utilization = max(a / c for a, c in zip(alloc, caps))
         candidates.append((latency, utilization, node_id))

@@ -26,6 +26,7 @@ from fogsim.report import report_from_trace
 from fogsim.runtime import Runtime
 from fogsim.scenario import (REQUIRED, SCENARIO_FIELDS, SCRIPT_EVENTS, load_scenario,
                              scenario_from_dict)
+from fogsim.topology import ResourceVector
 
 from fixture_paths import FIXTURES, REPO_ROOT, SCENARIO_DIR
 from oracles import (reference_from_jsonl, reference_load_yaml,
@@ -707,8 +708,9 @@ def test_fleet_ticks_parses_each_map_against_the_last_at_its_key(monkeypatch,
     scanned, and any other value is scanned once, except a map after a map
     at its key: it scans only its entries whose text changed, and the first
     such map at each key also scans each entry of the map before it, to
-    find where they end. No key's maps change their keys, and no splice
-    reads so many entries that its key stops splicing."""
+    find where they end; the fields after its details are scanned once. No
+    key's maps change their keys, and no splice reads so many entries that
+    its key stops splicing."""
     text = Runtime(load_scenario(_workload_path("fleet_ticks", tmp_path))).run().to_jsonl()
     opening, encode = kernel_module._OPENING, kernel_module._encode
     expected, map_scans, entries, last, found = 0, 0, 0, {}, set()
@@ -717,6 +719,7 @@ def test_fleet_ticks_parses_each_map_against_the_last_at_its_key(monkeypatch,
                 and (line.find("{", len(opening)) >= 0 or "[" in line)):
             expected += 1
             continue
+        expected += 1  # the fields after the details
         for key, value in json.loads(line)["details"].items():
             if key in last and encode(last[key]) == encode(value):
                 continue
@@ -740,6 +743,29 @@ def test_fleet_ticks_parses_each_map_against_the_last_at_its_key(monkeypatch,
     # the maps of other text hold far more entries than were scanned, and
     # 594 of the scans find where the entries of each key's first map end
     assert (map_scans, entries) == (818, 37248)
+
+
+def test_fleet_ticks_placement_builds_no_vector_beyond_the_demand(monkeypatch,
+                                                                   tmp_path):
+    """A placement over fleet_ticks' 17 candidate hosts, plain and as the
+    offload loop asks it (one host excluded, tentative allocations, a
+    utilization cap), builds one ResourceVector, the scaled demand: each
+    host is tested on its allocation plus the demand without building the
+    sum."""
+    scheduler = Runtime(load_scenario(_workload_path("fleet_ticks", tmp_path))).scheduler
+    app = scheduler.catalog.app("video-analytics")
+    alloc = {nid: node.allocated for nid, node in scheduler.topology.nodes.items()}
+    demand = app.demand.scaled(2)
+    built = []
+    post_init = ResourceVector.__post_init__
+    monkeypatch.setattr(ResourceVector, "__post_init__",
+                        lambda vec: built.append(vec) or post_init(vec))
+    for options in ({}, {"exclude": frozenset({"edge01"}), "alloc_override": alloc,
+                         "util_cap_after": 0.8}):
+        built.clear()
+        host = scheduler.select_host(app, "gw01-01", 2, **options)
+        assert host == ("edge01" if not options else "cloud")
+        assert built == [demand]
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "12345"])

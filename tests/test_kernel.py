@@ -851,6 +851,10 @@ _FIELDS = ',"kind":"k","seq":2,"subject":"s","time_ms":0}'
     '{"details":{"a":[1],}' + _FIELDS,
     '{"details":{"a":[1]}' + _FIELDS + "x",
     '{"details":{"n":1}' + _FIELDS + "x",
+    '{"details":{"m":{"x":1}}' + _FIELDS + "\t",       # the tail's scan ends early
+    '{"details":{"m":{"x":1}}' + _FIELDS + "}",
+    '{"details":{"a":[1]}' + _FIELDS[:-1] + " }",        # whitespace it reads
+    '{"details":{"a":[1]}' + _FIELDS[:-1] + ',"details":{"b":2}}',
     '{"details":{"a":[1]}}',
     '{"details":{"a":[1]},"kind":"k","seq":2,"subject":"s"}',
     '[{"details":{"a":[1]}}]',

@@ -28,18 +28,25 @@ from oracles import (ReferenceFlows, brute_force_place, reference_advance_all,
 MODEL = "sensor"
 
 
-def random_world(seed: int):
-    """A small random three-tier topology with partially loaded hosts."""
+def random_world(seed: int, fractional: bool = False):
+    """A small random three-tier topology with partially loaded hosts. With
+    `fractional`, each capacity and demand component is a multiple of 0.1
+    up to a few units, so sums meet capacities that float addition misses."""
     rng = random.Random(seed)
+
+    def units(*components):
+        return [rng.randint(1, 40) / 10 for _ in components] if fractional \
+            else components
+
     topo = Topology()
-    topo.add_node("cloud", Tier.CENTRAL_CLOUD, 64000, 98304, 11534336)
+    topo.add_node("cloud", Tier.CENTRAL_CLOUD, *units(64000, 98304, 11534336))
     n_edges = rng.randint(1, 3)
     for i in range(n_edges):
-        topo.add_node(f"edge{i}", Tier.EDGE_MODULE, 8000, 16384, 491520)
+        topo.add_node(f"edge{i}", Tier.EDGE_MODULE, *units(8000, 16384, 491520))
         topo.add_link(f"edge{i}", "cloud", rng.randint(10, 40), 1000)
     n_gws = rng.randint(1, 2)
     for i in range(n_gws):
-        topo.add_node(f"gw{i}", Tier.GATEWAY, 4000, 1024, 16384)
+        topo.add_node(f"gw{i}", Tier.GATEWAY, *units(4000, 1024, 16384))
         topo.add_link(f"gw{i}", f"edge{rng.randrange(n_edges)}",
                       rng.randint(1, 10), 100)
     # occasional extra edge-to-edge link and a random preexisting load
@@ -56,28 +63,52 @@ def random_world(seed: int):
         topo.set_link_up(victim, False)
 
     catalog = Catalog()
+    demand = [rng.randint(1, 10) / 10 for _ in range(3)] if fractional else \
+        [rng.randint(100, 1000), rng.randint(512, 8192), rng.randint(128, 2048)]
     catalog.register_app(AppSpec(
-        "app", AppKind.DATA_APP,
-        ResourceVector(rng.randint(100, 1000), rng.randint(512, 8192),
-                       rng.randint(128, 2048)),
+        "app", AppKind.DATA_APP, ResourceVector(*demand),
         latency_requirement_ms=rng.choice([None, 15, 50, 100])))
     source = f"gw{rng.randrange(n_gws)}"
     return topo, catalog, source, rng
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 1_000_000))
-def test_placement_agrees_with_exhaustive_search(seed):
-    topo, catalog, source, rng = random_world(seed)
+@given(seed=st.integers(0, 1_000_000), fractional=st.booleans())
+def test_placement_agrees_with_exhaustive_search(seed, fractional):
+    """`place`, and `select_host` with exclusions, tentative allocations
+    and a utilization cap, pick the host that full enumeration picks. Some
+    tentative allocations plus the demand fill a host exactly."""
+    topo, catalog, source, rng = random_world(seed, fractional)
     scheduler = Scheduler(topo, catalog)
+    app = catalog.app("app")
     replicas = rng.randint(1, 2)
-    expected = brute_force_place(topo, catalog.app("app"), source, replicas)
+    expected = brute_force_place(topo, app, source, replicas)
     if expected is None:
         with pytest.raises(errors.Unschedulable):
             scheduler.place(PlacementRequest("app", source, replicas))
     else:
         inst = scheduler.place(PlacementRequest("app", source, replicas))
         assert inst.host == expected
+    demand = app.demand.scaled(replicas)
+    alloc_override = {}
+    for nid, node in sorted(topo.nodes.items()):
+        cap, draw = node.capacity, rng.random()
+        if draw < 1 / 3:
+            alloc_override[nid] = node.allocated
+        elif draw < 2 / 3:  # full once the demand is added, where it fits
+            alloc_override[nid] = ResourceVector(
+                max(cap.cpu - demand.cpu, 0), max(cap.mem - demand.mem, 0),
+                max(cap.storage - demand.storage, 0))
+        else:
+            alloc_override[nid] = ResourceVector(
+                cap.cpu * rng.random(), cap.mem * rng.random(),
+                cap.storage * rng.random())
+    exclude = frozenset(rng.sample(sorted(topo.nodes), rng.randint(0, 2)))
+    util_cap_after = rng.choice([None, 0.5, 0.8, 1.0])
+    assert scheduler.select_host(app, source, replicas, exclude, alloc_override,
+                                 util_cap_after) \
+        == brute_force_place(topo, app, source, replicas, exclude,
+                             alloc_override, util_cap_after)
 
 
 @settings(max_examples=100, deadline=None)

@@ -45,6 +45,24 @@ def test_place_matches_bruteforce(three_tier, catalog):
     assert scheduler.place(PlacementRequest("analytics", "gw1")).host == expected
 
 
+def test_placement_tests_the_rounded_sum():
+    """A host is tested on its allocation plus the demand rounded as a
+    vector is: 0.1 + 0.2 exceeds 0.3, but rounds to it, so the host fits."""
+    topo = Topology()
+    topo.add_node("edge", Tier.EDGE_MODULE, 0.3, 1, 1)
+    topo.add_node("gw", Tier.GATEWAY, 1, 1, 1)
+    topo.add_link("gw", "edge", 1, 100)
+    topo.reserve("edge", ResourceVector(0.1, 0, 0))
+    catalog = Catalog()
+    catalog.register_app(AppSpec("app", AppKind.DATA_APP, ResourceVector(0.2, 0, 0)))
+    app = catalog.app("app")
+    assert 0.1 + 0.2 > 0.3 and round(0.1 + 0.2, 9) == 0.3
+    assert Scheduler(topo, catalog).select_host(app, "gw", 1) == "edge"
+    assert brute_force_place(topo, app, "gw", 1) == "edge"
+    topo.reserve("edge", app.demand)  # the reservation agrees
+    assert topo.node("edge").allocated.cpu == 0.3
+
+
 def test_place_overflows_to_cloud_when_edge_full(catalog):
     topo = two_edge_world()
     # saturate both edges
