@@ -79,7 +79,7 @@ class MigrationEngine:
                 or target_node.tier not in app.allowed_tiers:
             raise errors.TargetInfeasible(f"{instance.instance_id} -> {target}")
         demand = app.demand.scaled(instance.replicas)
-        if not demand.fits_within(target_node.free):
+        if not target_node.fits(demand):
             raise errors.TargetInfeasible(
                 f"{instance.instance_id} -> {target}: insufficient capacity")
         if app.latency_requirement_ms is not None:
@@ -125,7 +125,7 @@ class MigrationEngine:
                                    time, time, 0.0, 0)
         target_node = self.topology.node(to_gateway)
         demand = app.demand.scaled(instance.replicas)
-        if not target_node.up or not demand.fits_within(target_node.free):
+        if not target_node.up or not target_node.fits(demand):
             instance.status = InstanceStatus.STOPPED
             raise errors.TargetGatewayFull(
                 f"{to_gateway} cannot host {instance.instance_id}")

@@ -3,6 +3,7 @@ a stored trace yields exactly the report the run produced."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from . import errors
@@ -27,16 +28,16 @@ class Report:
         return lines
 
 
-# a type of a detail the report reads -> the exact types of its values, so a
-# bool is no number
-_TYPES = {"number": (int, float), "number or null": (int, float, type(None)),
-          "mapping": (dict,)}
-# the metrics_window details the report copies or adds up, each with the type
-# kernel.RECORD_KINDS declares for it and that type's values; the shared
-# utilization must be a mapping
+# a numeric type of a detail the report reads -> the exact types of its
+# values, so a bool is no number
+_TYPES = {"number": (int, float), "number or null": (int, float, type(None))}
+# the metrics_window numbers the report copies or adds up, each with the type
+# kernel.RECORD_KINDS declares for it and that type's values
 _WINDOW = tuple((key, ftype, _TYPES[ftype]) for key, ftype
-                in (*RECORD_KINDS["metrics_window"], ("utilization", "mapping"))
-                if ftype in _TYPES)
+                in RECORD_KINDS["metrics_window"] if ftype in _TYPES)
+# a number the report reads lies within this of zero, the largest float: so
+# it is no NaN, no infinity, and no int too large to add to a float
+_LARGEST = sys.float_info.max
 _MISSING = object()
 
 
@@ -58,15 +59,20 @@ def report_from_trace(trace: Trace) -> Report:
     """The report of `trace`, read in one pass. Each record must have an
     int `seq` and `time_ms` (a bool is not one), a str kind and subject,
     and a mapping of details; `seq` strictly increases, the clock never
-    goes back, and the last record is run_end. A record that breaks these,
-    or a detail the report reads that is missing or not of its declared
-    type, raises MalformedTrace naming the record."""
+    goes back, and the last record is run_end, the only one. A record that
+    breaks these, or a detail the report reads that is missing, not of its
+    declared type or, for a number, not finite, raises MalformedTrace
+    naming the record."""
     report = Report()
     totals = {"generated_mb": 0.0, "delivered_mb": 0.0, "dropped_mb": 0.0,
               "uplink_mb": 0.0}
     counts = dict.fromkeys(_COUNTED, 0)
     last_time, last_seq, kind = -1, 0, None
+    number, largest = _TYPES["number"], _LARGEST
     for record in trace:
+        if kind == "run_end":
+            raise errors.MalformedTrace(
+                f"record {record.seq} ({record.kind}): after run_end")
         seq, time_ms, kind, d = record.seq, record.time_ms, record.kind, record.details
         if (type(seq) is not int or type(time_ms) is not int
                 or not isinstance(kind, str) or not isinstance(record.subject, str)):
@@ -86,13 +92,17 @@ def report_from_trace(trace: Trace) -> Report:
         # the most frequent kinds first
         if kind == "flow_window":
             dropped = d.get("cum_dropped_mb")
-            if type(dropped) not in _TYPES["number"]:
-                raise _bad_detail(record, "cum_dropped_mb", "number")
+            if type(dropped) not in number or not -largest <= dropped <= largest:
+                raise _bad_detail(record, "cum_dropped_mb", "finite number")
             report.loss_mb[record.subject] = dropped
         elif kind == "metrics_window":
             for key, ftype, types in _WINDOW:
-                if type(d.get(key, _MISSING)) not in types:
-                    raise _bad_detail(record, key, ftype)
+                value = d.get(key, _MISSING)
+                if type(value) not in types or (
+                        value is not None and not -largest <= value <= largest):
+                    raise _bad_detail(record, key, f"finite {ftype}")
+            if type(d.get("utilization")) is not dict:
+                raise _bad_detail(record, "utilization", "mapping")
             report.utilization_series.append((time_ms, d["utilization"]))
             report.uplink_windows.append({
                 "window_start": d["window_start"], "window_end": d["window_end"],

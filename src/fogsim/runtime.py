@@ -46,6 +46,7 @@ class Runtime:
         # (set_link_up or set_node_up, element id) -> faults holding it down
         self._down_counts: dict[tuple, int] = {}
         self._rate_override: dict[str, float] = {}
+        self._ran = False
 
         kernel = self.kernel
         kernel.register(EventKind.ATTACH, self._on_attach)
@@ -101,9 +102,16 @@ class Runtime:
         """Run to `until` (default: scenario duration), close the final metrics
         window, and return the trace. An `until` that is negative, or so far
         past the scenario's duration that the run's rates times it overflow,
-        is a ValidationError (see validate_until)."""
+        is a ValidationError (see validate_until) and starts no run. A
+        Runtime runs once: a second call is an InvariantViolation and
+        appends nothing. To step a run, step `kernel.run(t)`, then call this."""
+        if self._ran:
+            raise errors.InvariantViolation(
+                f"{self.scenario.name}: the run ended at {self.kernel.now} ms; "
+                f"a Runtime runs once")
         if until is not None:
             validate_until(self.scenario, until)
+        self._ran = True
         horizon = self.scenario.duration_ms if until is None else until
         self.kernel.run(horizon)
         if self.kernel.now < horizon:

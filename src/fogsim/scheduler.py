@@ -147,12 +147,14 @@ class Scheduler:
         Objective: minimal source latency, then most free bottleneck capacity,
         then smallest node id. Only the nodes of the allowed tiers are
         scanned, in id order; the key ends in the node id, so no order could
-        change the result. `alloc_override` maps every node to a tentative
-        allocation (used by the offload loop); `util_cap_after` additionally
-        rejects hosts that the placement would push above that utilization.
+        change the result. `alloc_override` maps some nodes to a tentative
+        allocation (used by the offload loop); any other node is read at its
+        own. `util_cap_after` additionally rejects hosts that the placement
+        would push above that utilization.
         """
         topology = self.topology
         demand = app.demand.scaled(replicas)
+        overlay = alloc_override or {}
         best_key = None
         best_host = None
         for node_id in sorted(node_id for tier in app.allowed_tiers
@@ -162,8 +164,7 @@ class Scheduler:
             node = topology.nodes[node_id]
             if not node.up:
                 continue
-            alloc = (node.allocated if alloc_override is None
-                     else alloc_override[node_id])
+            alloc = overlay.get(node_id, node.allocated)
             util_after = alloc.fraction_with(demand, node.capacity)
             if util_after is None:
                 continue
@@ -214,7 +215,7 @@ class Scheduler:
                 existing.status in (InstanceStatus.RUNNING, InstanceStatus.MIGRATING):
             return existing
         gateway = self.topology.node(request.gateway)
-        if not gateway.up or not app.demand.fits_within(gateway.free):
+        if not gateway.up or not gateway.fits(app.demand):
             raise errors.GatewayFull(
                 f"{request.gateway} cannot host {request.app_id} for {request.device_id}")
         self.topology.reserve(request.gateway, app.demand)
@@ -254,25 +255,20 @@ class Scheduler:
         first; IoT-Apps are pinned to their device's gateway and never moved.
         Targets must absorb the instance without themselves crossing the high
         watermark, which keeps constant workloads flap-free. Decisions are
-        computed against a tentative allocation snapshot so several actions in
-        one tick stay mutually consistent.
+        computed against tentative allocations so several actions in one tick
+        stay mutually consistent.
         """
         actions: list[Action] = []
         nodes = self.topology.nodes
-        # tentative allocations, taken when the first victim search starts;
-        # until then they equal the live ones. Vectors are immutable, so no
-        # copy is needed.
-        alloc: dict[str, ResourceVector] | None = None
+        # tentative allocations of the nodes this tick has moved load off or
+        # onto; every other node's is its own
+        alloc: dict[str, ResourceVector] = {}
         high, low = self.thresholds.high_watermark, self.thresholds.low_watermark
         for node_id in self.topology.nodes_of(Tier.EDGE_MODULE):
             node = nodes[node_id]
-            if not node.up:
+            load = alloc.get(node_id, node.allocated)
+            if not node.up or load.bottleneck_fraction(node.capacity) <= high:
                 continue
-            vec = node.allocated if alloc is None else alloc[node_id]
-            if vec.bottleneck_fraction(node.capacity) <= high:
-                continue
-            if alloc is None:
-                alloc = {nid: n.allocated for nid, n in nodes.items()}
             victims = []
             for iid in sorted(self.instances):
                 inst = self.instances[iid]
@@ -289,7 +285,7 @@ class Scheduler:
                 -v[2].bottleneck_fraction(node.capacity), v[0].instance_id))
             deferred = False
             for inst, app, demand in victims:
-                if alloc[node_id].bottleneck_fraction(node.capacity) <= low:
+                if load.bottleneck_fraction(node.capacity) <= low:
                     break
                 target = self.select_host(
                     app, inst.source, inst.replicas,
@@ -300,9 +296,8 @@ class Scheduler:
                     deferred = True
                     continue
                 actions.append(Offload(inst.instance_id, target))
-                alloc[node_id] = alloc[node_id] - demand
-                alloc[target] = alloc[target] + demand
-            if (alloc[node_id].bottleneck_fraction(node.capacity) > high
-                    and not deferred):
+                load = alloc[node_id] = load - demand
+                alloc[target] = alloc.get(target, nodes[target].allocated) + demand
+            if load.bottleneck_fraction(node.capacity) > high and not deferred:
                 actions.append(Defer(node_id, None, "NoMovableInstance"))
         return actions

@@ -92,9 +92,9 @@ class Node:
     allocated: ResourceVector = ResourceVector()
     up: bool = True
 
-    @property
-    def free(self) -> ResourceVector:
-        return self.capacity - self.allocated
+    def fits(self, demand: ResourceVector) -> bool:
+        """Whether `demand` fits beside the allocation: the one capacity rule."""
+        return self.allocated.fraction_with(demand, self.capacity) is not None
 
     def utilization(self) -> float:
         """Bottleneck utilization: the largest per-resource allocated fraction."""
@@ -445,11 +445,11 @@ class Topology:
     def reserve(self, node_id: str, demand: ResourceVector) -> None:
         """Reserve a demand vector on a node, all-or-nothing."""
         node = self.node(node_id)
-        allocated = node.allocated + demand
-        if not allocated.fits_within(node.capacity):
+        if not node.fits(demand):
             raise errors.InsufficientCapacity(
-                f"{node_id}: demand {demand} exceeds free {node.free}")
-        node.allocated = allocated
+                f"{node_id}: demand {demand} exceeds free "
+                f"{node.capacity - node.allocated}")
+        node.allocated = node.allocated + demand
         self._stale.add(node_id)
 
     def release(self, node_id: str, demand: ResourceVector) -> None:

@@ -291,8 +291,8 @@ def brute_force_place(topology: Topology, app: AppSpec, source: str,
     """Enumerate every node; filter by exclusion, tier, capacity,
     reachability, latency requirement and, given `util_cap_after`, the
     utilization after placing; pick by (latency, bottleneck utilization,
-    node_id). `alloc_override` maps every node to the allocation to use in
-    place of its own. Each product and sum is rounded to 9 places, as a
+    node_id). `alloc_override` maps some nodes to the allocation to use in
+    place of their own. Each product and sum is rounded to 9 places, as a
     ResourceVector's components are."""
     candidates = []
     demand = (round(app.demand.cpu * replicas, 9), round(app.demand.mem * replicas, 9),
@@ -301,7 +301,7 @@ def brute_force_place(topology: Topology, app: AppSpec, source: str,
         node = topology.nodes[node_id]
         if node_id in exclude or not node.up or node.tier not in app.allowed_tiers:
             continue
-        vec = node.allocated if alloc_override is None else alloc_override[node_id]
+        vec = (alloc_override or {}).get(node_id, node.allocated)
         alloc = (vec.cpu, vec.mem, vec.storage)
         caps = (node.capacity.cpu, node.capacity.mem, node.capacity.storage)
         after = [round(a + d, 9) for a, d in zip(alloc, demand)]

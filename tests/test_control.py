@@ -768,6 +768,40 @@ def test_fleet_ticks_placement_builds_no_vector_beyond_the_demand(monkeypatch,
         assert built == [demand]
 
 
+def test_fleet_ticks_offload_loop_overlays_only_the_nodes_it_moved_load_on(
+        monkeypatch, tmp_path):
+    """Each tentative allocation map the threshold loop hands select_host
+    holds only the edges it has moved load off and the hosts it has moved
+    load onto in that tick; select_host reads every other node at its own
+    allocation. The run's trace is unchanged."""
+    runtime = Runtime(load_scenario(_workload_path("fleet_ticks", tmp_path)))
+    scheduler = runtime.scheduler
+    select_host, check_thresholds = scheduler.select_host, scheduler.check_thresholds
+    written: set[str] = set()
+    sizes = []
+
+    def spied_check():
+        written.clear()
+        return check_thresholds()
+
+    def spied_select(app, source, replicas, exclude=frozenset(), alloc_override=None,
+                     util_cap_after=None):
+        if alloc_override is not None:
+            sizes.append(len(alloc_override))
+            assert set(alloc_override) <= written
+        host = select_host(app, source, replicas, exclude, alloc_override,
+                           util_cap_after)
+        if alloc_override is not None and host is not None:
+            written.update(exclude, {host})  # the victim's edge and its target
+        return host
+
+    monkeypatch.setattr(scheduler, "check_thresholds", spied_check)
+    monkeypatch.setattr(scheduler, "select_host", spied_select)
+    trace = runtime.run()
+    assert trace.hash()[:16] == WORKLOAD_TRACE_HASHES["fleet_ticks"]
+    assert (len(sizes), sorted(set(sizes))) == (48, [0, 2])
+
+
 @pytest.mark.parametrize("hash_seed", ["0", "12345"])
 def test_trace_hash_does_not_depend_on_the_string_hash_seed(hash_seed, tmp_path):
     """String hashing, and with it set iteration order, changes with
@@ -931,6 +965,20 @@ def test_every_emit_in_the_source_names_a_declared_kind():
     # _warn takes the reason positionally, and the fields of the cause by name
     warning_fields = {key.rstrip("?") for key, _ in RECORD_KINDS["warning"]}
     assert sorted(warned ^ (warning_fields - {"reason"})) == []
+
+
+def test_the_source_has_one_capacity_rule():
+    """Every capacity decision goes through Node.fits, the rounded-sum test
+    that Topology.reserve makes: no module reads a node's `.free`, and only
+    topology.py compares vectors with fits_within."""
+    reads = []
+    for path in sorted((REPO_ROOT / "src" / "fogsim").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and (
+                    node.attr == "free"
+                    or node.attr == "fits_within" and path.name != "topology.py"):
+                reads.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert reads == []
 
 
 def _raised_names() -> set[str]:
@@ -1293,6 +1341,41 @@ def test_an_until_too_long_for_the_scenario_is_a_validation_error(raw, until):
     assert len(runtime.kernel.trace) == 1  # scenario_loaded alone
 
 
+@pytest.mark.parametrize("first, second", [(5000, None), (None, 3000), (700, 1400)],
+                         ids=["cut-then-whole", "whole-then-cut", "stepped"])
+def test_a_runtime_runs_once(first, second):
+    """A second Runtime.run raises, naming when the run ended, and appends
+    nothing: a trace holds one run and one run_end. Stepping a run is
+    Kernel.run's."""
+    runtime = Runtime(load_scenario(SCENARIO_DIR / "roaming.yaml"))
+    records = list(runtime.run(first).records)
+    ended = runtime.scenario.duration_ms if first is None else first
+    with pytest.raises(errors.InvariantViolation, match=f" ended at {ended} ms;"):
+        runtime.run(second)
+    assert runtime.kernel.trace.records == records
+    assert [r.kind for r in records].count("run_end") == 1
+
+
+def test_a_run_stepped_through_the_kernel_hashes_as_one_run():
+    runtime = Runtime(load_scenario(SCENARIO_DIR / "roaming.yaml"))
+    with pytest.raises(errors.ValidationError, match="until"):
+        runtime.run(-5)  # rejected before it starts a run
+    for t in range(0, runtime.scenario.duration_ms, 700):
+        runtime.kernel.run(t)
+    assert runtime.run().hash()[:16] == FIXTURE_TRACE_HASHES["roaming"]
+
+
+@pytest.mark.parametrize("kind", ["run_end", "warning"])
+def test_a_record_after_run_end_is_rejected(kind):
+    trace, _ = run_scenario_file(SCENARIO_DIR / "roaming.yaml")
+    last = trace.records[-1]
+    after = dataclasses.replace(last, seq=last.seq + 1, kind=kind, details={
+        "duration_ms": 0, "migrations": 0} if kind == "run_end" else {"reason": "x"})
+    with pytest.raises(errors.MalformedTrace,
+                       match=rf"^record {last.seq + 1} \({kind}\): after run_end$"):
+        report_from_trace(Trace([*trace.records, after]))
+
+
 @pytest.mark.parametrize("until", [10 ** 306, 10 ** 309],
                          ids=["product-overflows", "too-large-for-a-float"])
 def test_cli_run_rejects_an_until_too_long_for_the_scenario(until, capsys):
@@ -1523,9 +1606,21 @@ def test_cli_report_non_utf8_is_a_malformed_trace(tmp_path, capsys):
     ("metrics_window", lambda record: record["details"].pop("uplink_mb"), "uplink_mb"),
     ("run_end", lambda record: record.update(details=list(record["details"].values())),
      "details"),
+    ("flow_window", lambda record: record["details"].update(cum_dropped_mb=math.nan),
+     "cum_dropped_mb"),
+    ("metrics_window", lambda record: record["details"].update(generated_mb=math.nan),
+     "generated_mb"),
+    ("metrics_window", lambda record: record["details"].update(uplink_ratio=math.inf),
+     "uplink_ratio"),
+    ("metrics_window", lambda record: record["details"].update(delivered_mb=-math.inf),
+     "delivered_mb"),
+    ("metrics_window", lambda record: record["details"].update(uplink_mb=10 ** 400),
+     "uplink_mb"),
 ], ids=["metrics-window-without-utilization", "defer-details-a-list",
         "cum-dropped-a-string", "window-start-a-string", "generated-a-bool",
-        "utilization-a-list", "metrics-window-without-uplink", "run-end-details-a-list"])
+        "utilization-a-list", "metrics-window-without-uplink", "run-end-details-a-list",
+        "cum-dropped-nan", "generated-nan", "uplink-ratio-infinite",
+        "delivered-minus-infinite", "uplink-an-int-beyond-a-float"])
 def test_cli_report_names_a_record_of_the_wrong_shape(kind, breaks, field, tmp_path,
                                                       capsys):
     """Each trace parses; the report then names the bad record, its kind and

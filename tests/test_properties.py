@@ -28,15 +28,23 @@ from oracles import (ReferenceFlows, brute_force_place, reference_advance_all,
 MODEL = "sensor"
 
 
-def random_world(seed: int, fractional: bool = False):
+def random_world(seed: int, fractional: str | None = None):
     """A small random three-tier topology with partially loaded hosts. With
-    `fractional`, each capacity and demand component is a multiple of 0.1
-    up to a few units, so sums meet capacities that float addition misses."""
+    `fractional` "tenths", each capacity and demand component is a multiple
+    of 0.1 up to a few units, so sums meet capacities that float addition
+    misses. With "large", each is a 9-place fraction of 1e5 to 1e10, where
+    a rounded sum and a rounded difference can answer a fit differently."""
     rng = random.Random(seed)
 
+    def draw(low, high):
+        return round(rng.uniform(low, high), 9)
+
     def units(*components):
-        return [rng.randint(1, 40) / 10 for _ in components] if fractional \
-            else components
+        if fractional == "tenths":
+            return [rng.randint(1, 40) / 10 for _ in components]
+        if fractional == "large":
+            return [draw(1e6, 1e10) for _ in components]
+        return components
 
     topo = Topology()
     topo.add_node("cloud", Tier.CENTRAL_CLOUD, *units(64000, 98304, 11534336))
@@ -63,8 +71,13 @@ def random_world(seed: int, fractional: bool = False):
         topo.set_link_up(victim, False)
 
     catalog = Catalog()
-    demand = [rng.randint(1, 10) / 10 for _ in range(3)] if fractional else \
-        [rng.randint(100, 1000), rng.randint(512, 8192), rng.randint(128, 2048)]
+    if fractional == "tenths":
+        demand = [rng.randint(1, 10) / 10 for _ in range(3)]
+    elif fractional == "large":
+        demand = [draw(1e5, 1e9) for _ in range(3)]
+    else:
+        demand = [rng.randint(100, 1000), rng.randint(512, 8192),
+                  rng.randint(128, 2048)]
     catalog.register_app(AppSpec(
         "app", AppKind.DATA_APP, ResourceVector(*demand),
         latency_requirement_ms=rng.choice([None, 15, 50, 100])))
@@ -73,11 +86,13 @@ def random_world(seed: int, fractional: bool = False):
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 1_000_000), fractional=st.booleans())
+@given(seed=st.integers(0, 1_000_000),
+       fractional=st.sampled_from([None, "tenths", "large"]))
 def test_placement_agrees_with_exhaustive_search(seed, fractional):
     """`place`, and `select_host` with exclusions, tentative allocations
-    and a utilization cap, pick the host that full enumeration picks. Some
-    tentative allocations plus the demand fill a host exactly."""
+    of some nodes and a utilization cap, pick the host that full
+    enumeration picks. Some tentative allocations plus the demand fill a
+    host exactly."""
     topo, catalog, source, rng = random_world(seed, fractional)
     scheduler = Scheduler(topo, catalog)
     app = catalog.app("app")
@@ -94,8 +109,8 @@ def test_placement_agrees_with_exhaustive_search(seed, fractional):
     for nid, node in sorted(topo.nodes.items()):
         cap, draw = node.capacity, rng.random()
         if draw < 1 / 3:
-            alloc_override[nid] = node.allocated
-        elif draw < 2 / 3:  # full once the demand is added, where it fits
+            continue  # read at its own allocation
+        if draw < 2 / 3:  # full once the demand is added, where it fits
             alloc_override[nid] = ResourceVector(
                 max(cap.cpu - demand.cpu, 0), max(cap.mem - demand.mem, 0),
                 max(cap.storage - demand.storage, 0))

@@ -63,6 +63,97 @@ def test_placement_tests_the_rounded_sum():
     assert topo.node("edge").allocated.cpu == 0.3
 
 
+# (storage capacity, allocated, demand, fits) in MB. The allocation plus the
+# demand, each sum rounded to 9 places as a vector's components are, fits the
+# capacity in the first row and exceeds it in the second; the demand against
+# the capacity minus the allocation, rounded, answers the opposite in both.
+BOUNDARY = [(19983942.017714307, 9690715.325693, 10293226.692021308, True),
+            (974285792.3145779, 284113816.9185285, 690171975.3960495, False)]
+BOUNDARY_IDS = ["fits-near-1e7", "overflows-near-1e9"]
+
+
+def boundary_world(capacity, allocated, demand, kind):
+    """A gateway `gw` beside a host `near` with room for anything and a
+    host `far` of `capacity` storage with `allocated` reserved, the tier
+    of `kind`'s app `app` of `demand` storage. `near` is closer to `gw`."""
+    tier = Tier.GATEWAY if kind is AppKind.IOT_APP else Tier.EDGE_MODULE
+    topo = Topology()
+    topo.add_node("gw", Tier.GATEWAY, 1, 1, 1)
+    topo.add_node("near", tier, 1, 1, 1e10)
+    topo.add_node("far", tier, 1, 1, capacity)
+    topo.add_link("gw", "near", 1, 100)
+    topo.add_link("near", "far", 1, 100)
+    topo.reserve("far", ResourceVector(0, 0, allocated))
+    catalog = Catalog()
+    catalog.register_app(AppSpec("app", kind, ResourceVector(0, 0, demand)))
+    return topo, catalog
+
+
+@pytest.mark.parametrize("capacity, allocated, demand, fits", BOUNDARY,
+                         ids=BOUNDARY_IDS)
+def test_the_boundary_rows_split_the_two_rules(capacity, allocated, demand, fits):
+    assert (round(allocated + demand, 9) <= capacity) is fits
+    assert (demand <= round(capacity - allocated, 9)) is not fits
+
+
+@pytest.mark.parametrize("capacity, allocated, demand, fits", BOUNDARY,
+                         ids=BOUNDARY_IDS)
+def test_an_install_tests_its_gateway_as_reserve_does(capacity, allocated, demand,
+                                                      fits):
+    topo, catalog = boundary_world(capacity, allocated, demand, AppKind.IOT_APP)
+    scheduler = Scheduler(topo, catalog)
+    if fits:
+        assert scheduler.install_iot_app(InstallRequest("dev", "far", "app")).host == "far"
+        assert topo.node("far").allocated.storage == round(allocated + demand, 9)
+    else:
+        with pytest.raises(errors.GatewayFull):
+            scheduler.install_iot_app(InstallRequest("dev", "far", "app"))
+        with pytest.raises(errors.InsufficientCapacity):
+            topo.reserve("far", catalog.app("app").demand)
+        assert topo.node("far").allocated.storage == allocated
+
+
+@pytest.mark.parametrize("capacity, allocated, demand, fits", BOUNDARY,
+                         ids=BOUNDARY_IDS)
+def test_an_offload_starts_on_the_host_placement_picked(capacity, allocated, demand,
+                                                        fits):
+    """select_host, with the source's host excluded as the threshold loop
+    excludes it, and MigrationEngine.start answer alike: no stale action
+    for a decision made at the same instant."""
+    topo, catalog = boundary_world(capacity, allocated, demand, AppKind.DATA_APP)
+    scheduler = Scheduler(topo, catalog)
+    inst = scheduler.place(PlacementRequest("app", "gw"))
+    assert inst.host == "near"
+    target = scheduler.select_host(catalog.app("app"), "gw", 1,
+                                   exclude=frozenset({"near"}))
+    engine = MigrationEngine(topo, catalog)
+    if fits:
+        assert target == "far"
+        assert engine.start(inst, "far", 0).to_node == "far"
+        assert topo.node("far").allocated.storage == round(allocated + demand, 9)
+    else:
+        assert target is None
+        with pytest.raises(errors.TargetInfeasible, match="insufficient capacity$"):
+            engine.start(inst, "far", 0)
+        assert inst.status is InstanceStatus.RUNNING
+
+
+@pytest.mark.parametrize("capacity, allocated, demand, fits", BOUNDARY,
+                         ids=BOUNDARY_IDS)
+def test_a_roam_tests_its_gateway_as_reserve_does(capacity, allocated, demand, fits):
+    topo, catalog = boundary_world(capacity, allocated, demand, AppKind.IOT_APP)
+    inst = Scheduler(topo, catalog).install_iot_app(InstallRequest("dev", "near", "app"))
+    engine = MigrationEngine(topo, catalog)
+    if fits:
+        assert engine.roam(inst, "far", 0).to_node == "far"
+        assert inst.status is InstanceStatus.MIGRATING
+    else:
+        with pytest.raises(errors.TargetGatewayFull):
+            engine.roam(inst, "far", 0)
+        assert inst.status is InstanceStatus.STOPPED
+        assert topo.node("far").allocated.storage == allocated
+
+
 def test_place_overflows_to_cloud_when_edge_full(catalog):
     topo = two_edge_world()
     # saturate both edges

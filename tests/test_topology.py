@@ -95,7 +95,7 @@ def test_path_latency_partition(three_tier):
 
 def test_reserve_release_roundtrip(three_tier):
     three_tier.reserve("gw1", MB(0, 512, 0))
-    assert three_tier.node("gw1").free.mem == 512
+    assert three_tier.node("gw1").allocated == MB(0, 512, 0)
     three_tier.release("gw1", MB(0, 512, 0))
     assert three_tier.node("gw1").allocated == MB(0, 0, 0)
 
