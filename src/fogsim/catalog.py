@@ -17,6 +17,14 @@ class AppKind(str, Enum):
     DATA_APP = "DataApp"
 
 
+# app kind -> the tiers its apps may run on, and those an app runs on when
+# it names none
+KIND_TIERS: dict[AppKind, frozenset[Tier]] = {
+    AppKind.IOT_APP: frozenset({Tier.GATEWAY}),
+    AppKind.DATA_APP: frozenset({Tier.EDGE_MODULE, Tier.CENTRAL_CLOUD}),
+}
+
+
 def parse_version(version: str) -> tuple[int, ...]:
     """Parse a dotted numeric version; components compare numerically (1.10 > 1.9)."""
     try:
@@ -49,19 +57,12 @@ class AppSpec:
                 f"{self.app_id}: aggregation_factor must be >= 1")
         if self.state_size_mb < 0:
             raise errors.ValidationError(f"{self.app_id}: state_size must be >= 0")
-        tiers = self.allowed_tiers
-        if self.kind is AppKind.IOT_APP:
-            if not tiers:
-                tiers = frozenset({Tier.GATEWAY})
-            if tiers != {Tier.GATEWAY}:
-                raise errors.TierViolation(
-                    f"{self.app_id}: IoT-Apps run only on gateways, got {sorted(t.value for t in tiers)}")
-        else:
-            if not tiers:
-                tiers = frozenset({Tier.EDGE_MODULE, Tier.CENTRAL_CLOUD})
-            if not tiers <= {Tier.EDGE_MODULE, Tier.CENTRAL_CLOUD}:
-                raise errors.TierViolation(
-                    f"{self.app_id}: Data-Apps run only on edge modules or the central cloud")
+        kind_tiers = KIND_TIERS[self.kind]
+        tiers = self.allowed_tiers or kind_tiers
+        if not tiers <= kind_tiers:
+            raise errors.ValidationError(
+                f"{self.app_id}: {self.kind.value} apps run only on "
+                f"{', '.join(sorted(t.value for t in kind_tiers))}")
         object.__setattr__(self, "allowed_tiers", tiers)
 
 
@@ -107,7 +108,7 @@ class Catalog:
 
     def register_app(self, spec: AppSpec) -> str:
         if spec.app_id in self.apps:
-            raise errors.DuplicateAppId(spec.app_id)
+            raise errors.ValidationError(f"duplicate app id: {spec.app_id}")
         self.apps[spec.app_id] = spec
         return spec.app_id
 
@@ -122,7 +123,7 @@ class Catalog:
             raise errors.ValidationError(f"duplicate device profile: {profile.model}")
         existing = self.apps.get(profile.iot_app)
         if existing is not None and existing.kind is not AppKind.IOT_APP:
-            raise errors.TierViolation(
+            raise errors.ValidationError(
                 f"profile {profile.model} must reference an IoT-App, "
                 f"{profile.iot_app} is a {existing.kind.value}")
         self.profiles[profile.model] = profile
@@ -136,13 +137,12 @@ class Catalog:
 
     def register_firmware(self, entry: FirmwareEntry) -> None:
         if entry.key in self.firmware:
-            raise errors.DuplicateFirmware(str(entry.key))
+            raise errors.ValidationError(f"duplicate firmware: {entry.key}")
         self.firmware[entry.key] = entry
 
-    def match_firmware(self, model: str, os_version: str) -> str:
-        """Highest firmware version exactly matching (model, os_version)."""
-        candidates = [e.firmware_version for e in self.firmware.values()
-                      if e.model == model and e.os_version == os_version]
-        if not candidates:
-            raise errors.NoCompatibleFirmware(f"({model}, {os_version})")
-        return max(candidates, key=parse_version)
+    def match_firmware(self, model: str, os_version: str) -> str | None:
+        """Highest firmware version exactly matching (model, os_version), or
+        None where none does."""
+        return max((e.firmware_version for e in self.firmware.values()
+                    if e.model == model and e.os_version == os_version),
+                   key=parse_version, default=None)

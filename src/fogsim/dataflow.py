@@ -139,7 +139,7 @@ class FlowManager:
         """Open a device's flow at `now`; a device has one active flow at a time."""
         self._advance_clock(now)
         if self.discovery.current_gateway(device_id) != gateway:
-            raise errors.NotAttached(f"{device_id} at {gateway}")
+            raise errors.NotAttachedHere(f"{device_id} at {gateway}")
         if device_id in self._active:
             raise errors.InvariantViolation(
                 f"{device_id} already has {self._active[device_id].flow_id}")

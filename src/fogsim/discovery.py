@@ -1,5 +1,5 @@
-"""Gateway agent behavior: device attach/detach, firmware matching, and
-install requests toward the orchestrator.
+"""Gateway agent behavior: device attach/detach, firmware matching, and the
+IoT-App a newly attached device asks the orchestrator to install.
 
 Discovery is event-driven: the scenario script injects attach/detach events
 and roaming is an explicit detach followed by an attach at the new gateway.
@@ -9,16 +9,10 @@ Firmware lookup is recorded in the trace but costs no simulated time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from . import errors
 from .catalog import Catalog
 from .topology import Tier, Topology
-
-
-class AttachmentStatus(str, Enum):
-    ATTACHED = "Attached"
-    DETACHED = "Detached"
 
 
 @dataclass
@@ -27,79 +21,45 @@ class Attachment:
     model: str
     os_version: str
     gateway: str
-    attached_at: int
-    status: AttachmentStatus = AttachmentStatus.ATTACHED
-
-
-@dataclass(frozen=True)
-class InstallRequest:
-    """Request to deploy the managing IoT-App for a device onto its gateway."""
-
-    device_id: str
-    gateway: str
-    app_id: str
-
-
-@dataclass(frozen=True)
-class DiscoveryOutcome:
-    attachment: Attachment
-    firmware_version: str | None
-    install_request: InstallRequest | None
 
 
 class DiscoveryService:
     def __init__(self, topology: Topology, catalog: Catalog):
         self.topology = topology
         self.catalog = catalog
-        # device_id -> most recent Attachment (at most one Attached at a time)
+        # device_id -> its Attachment, while the device is attached
         self.attachments: dict[str, Attachment] = {}
 
     def handle_attach(self, gateway: str, device_id: str, model: str,
-                      os_version: str, time: int) -> DiscoveryOutcome:
-        """Discover a device at a gateway.
+                      os_version: str) -> tuple[str | None, str | None]:
+        """Discover a device at a gateway and return `(firmware_version,
+        app_id)`: the best-matching firmware, None where none matches (which
+        does not block onboarding), and the profile's IoT-App to install.
 
-        Creates the attachment, resolves the best-matching firmware, and emits
-        an install request for the profile's IoT-App. Re-attaching at the same
-        gateway is idempotent and emits no duplicate request. Attaching while
-        attached elsewhere is an error: roaming detaches first.
+        Re-attaching at the same gateway is idempotent and returns no app id.
+        Attaching while attached elsewhere is an error: roaming detaches first.
         """
         node = self.topology.node(gateway)
         if node.tier is not Tier.GATEWAY:
             raise errors.NotAGateway(gateway)
-        if model not in self.catalog.profiles:
-            raise errors.UnknownDeviceProfile(model)
-        profile = self.catalog.profiles[model]
-
+        app_id = self.catalog.profile(model).iot_app
         current = self.attachments.get(device_id)
-        if current is not None and current.status is AttachmentStatus.ATTACHED:
-            if current.gateway == gateway:
-                return DiscoveryOutcome(current, self._lookup_firmware(model, os_version), None)
+        if current is None:
+            self.attachments[device_id] = Attachment(device_id, model, os_version,
+                                                     gateway)
+        elif current.gateway == gateway:
+            app_id = None
+        else:
             raise errors.AlreadyAttachedElsewhere(
                 f"{device_id} is attached at {current.gateway}")
+        return self.catalog.match_firmware(model, os_version), app_id
 
-        attachment = Attachment(device_id, model, os_version, gateway, time)
-        self.attachments[device_id] = attachment
-        firmware = self._lookup_firmware(model, os_version)
-        request = InstallRequest(device_id, gateway, profile.iot_app)
-        return DiscoveryOutcome(attachment, firmware, request)
-
-    def handle_detach(self, gateway: str, device_id: str, time: int) -> Attachment:
+    def handle_detach(self, gateway: str, device_id: str) -> None:
         current = self.attachments.get(device_id)
-        if (current is None or current.status is not AttachmentStatus.ATTACHED
-                or current.gateway != gateway):
+        if current is None or current.gateway != gateway:
             raise errors.NotAttachedHere(f"{device_id} at {gateway}")
-        current.status = AttachmentStatus.DETACHED
-        return current
+        del self.attachments[device_id]
 
     def current_gateway(self, device_id: str) -> str | None:
         current = self.attachments.get(device_id)
-        if current is not None and current.status is AttachmentStatus.ATTACHED:
-            return current.gateway
-        return None
-
-    def _lookup_firmware(self, model: str, os_version: str) -> str | None:
-        # Missing firmware does not block onboarding; the runtime traces a warning.
-        try:
-            return self.catalog.match_firmware(model, os_version)
-        except errors.NoCompatibleFirmware:
-            return None
+        return None if current is None else current.gateway

@@ -5,25 +5,13 @@ class FogSimError(Exception):
     """Base class for every error raised by the simulator."""
 
 
+class ValidationError(FogSimError):
+    """A constructor or call argument breaks a rule of the object it builds."""
+
+
 # --- topology ---------------------------------------------------------------
 
-class DuplicateNodeId(FogSimError):
-    pass
-
-
-class InvalidCapacity(FogSimError):
-    pass
-
-
 class UnknownNode(FogSimError):
-    pass
-
-
-class SelfLoop(FogSimError):
-    pass
-
-
-class NonPositiveBandwidth(FogSimError):
     pass
 
 
@@ -41,26 +29,6 @@ class ReleaseUnderflow(FogSimError):
 
 # --- catalog ----------------------------------------------------------------
 
-class DuplicateAppId(FogSimError):
-    pass
-
-
-class TierViolation(FogSimError):
-    pass
-
-
-class ValidationError(FogSimError):
-    pass
-
-
-class DuplicateFirmware(FogSimError):
-    pass
-
-
-class NoCompatibleFirmware(FogSimError):
-    pass
-
-
 class UnknownProfile(FogSimError):
     pass
 
@@ -72,10 +40,6 @@ class DanglingAppReference(FogSimError):
 # --- discovery --------------------------------------------------------------
 
 class NotAGateway(FogSimError):
-    pass
-
-
-class UnknownDeviceProfile(FogSimError):
     pass
 
 
@@ -115,15 +79,7 @@ class InstanceNotRunning(FogSimError):
     pass
 
 
-class TargetGatewayFull(FogSimError):
-    pass
-
-
 # --- dataflow ---------------------------------------------------------------
-
-class NotAttached(FogSimError):
-    pass
-
 
 class UnknownFlow(FogSimError):
     pass

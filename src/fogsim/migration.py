@@ -127,6 +127,5 @@ class MigrationEngine:
         demand = app.demand.scaled(instance.replicas)
         if not target_node.up or not target_node.fits(demand):
             instance.status = InstanceStatus.STOPPED
-            raise errors.TargetGatewayFull(
-                f"{to_gateway} cannot host {instance.instance_id}")
+            raise errors.GatewayFull(f"{to_gateway} cannot host {instance.instance_id}")
         return self.start(instance, to_gateway, time)

@@ -101,18 +101,23 @@ class Runtime:
     def run(self, until: int | None = None):
         """Run to `until` (default: scenario duration), close the final metrics
         window, and return the trace. An `until` that is negative, or so far
-        past the scenario's duration that the run's rates times it overflow,
-        is a ValidationError (see validate_until) and starts no run. A
-        Runtime runs once: a second call is an InvariantViolation and
-        appends nothing. To step a run, step `kernel.run(t)`, then call this."""
+        past the scenario's duration that the run's rates times it overflow
+        (see validate_until), or an end before the clock a stepped kernel
+        reached, is a ValidationError and starts no run. A Runtime runs
+        once: a second call is an InvariantViolation and appends nothing. To
+        step a run, step `kernel.run(t)`, then call this."""
         if self._ran:
             raise errors.InvariantViolation(
                 f"{self.scenario.name}: the run ended at {self.kernel.now} ms; "
                 f"a Runtime runs once")
         if until is not None:
             validate_until(self.scenario, until)
-        self._ran = True
         horizon = self.scenario.duration_ms if until is None else until
+        if horizon < self.kernel.now:
+            raise errors.ValidationError(
+                f"{self.scenario.name}: the run cannot end at {horizon} ms, "
+                f"before the clock at {self.kernel.now} ms")
+        self._ran = True
         self.kernel.run(horizon)
         if self.kernel.now < horizon:
             self.kernel.now = horizon
@@ -137,22 +142,19 @@ class Runtime:
         if not os_version and model in self.catalog.profiles:
             os_version = self.catalog.profiles[model].os_version
         try:
-            outcome = self.discovery.handle_attach(gateway, device, model,
-                                                   os_version, self.kernel.now)
+            firmware, app_id = self.discovery.handle_attach(gateway, device, model,
+                                                            os_version)
         except errors.FogSimError as exc:
             self._warn(device, type(exc).__name__, gateway=gateway, detail=str(exc))
             return
         self.kernel.emit("attach", device, {
-            "gateway": gateway, "model": model,
-            "firmware_version": outcome.firmware_version})
-        if outcome.firmware_version is None:
+            "gateway": gateway, "model": model, "firmware_version": firmware})
+        if firmware is None:
             self._warn(device, "NoCompatibleFirmware", model=model,
                        os_version=os_version)
-        if outcome.install_request is None:
+        if app_id is None:
             return  # idempotent re-attach at the same gateway
-        request = outcome.install_request
-        self.kernel.emit("install_request", device,
-                         {"app": request.app_id, "gateway": gateway})
+        self.kernel.emit("install_request", device, {"app": app_id, "gateway": gateway})
         existing = self.scheduler.bound_instance(device)
         if existing is not None:
             if existing.status is InstanceStatus.STOPPED:
@@ -162,7 +164,7 @@ class Runtime:
                 self._start_roam(device, existing, gateway)
                 return
         try:
-            inst = self.scheduler.install_iot_app(request, preferences)
+            inst = self.scheduler.install_iot_app(device, gateway, app_id, preferences)
         except errors.GatewayFull:
             self.kernel.emit("install_warning", device,
                              {"gateway": gateway, "reason": "GatewayFull"})
@@ -177,7 +179,7 @@ class Runtime:
 
     def _do_detach(self, device: str, gateway: str):
         try:
-            self.discovery.handle_detach(gateway, device, self.kernel.now)
+            self.discovery.handle_detach(gateway, device)
         except errors.FogSimError as exc:
             self._warn(device, type(exc).__name__, gateway=gateway)
             return
@@ -194,18 +196,17 @@ class Runtime:
         to_gateway = event.payload["to_gateway"]
         if self.scheduler.bound_instance(device) is None:
             self._warn(device, "NoBoundApp", to_gateway=to_gateway)
-        current = self.discovery.current_gateway(device)
         attachment = self.discovery.attachments.get(device)
-        if current is None or attachment is None:
+        if attachment is None:
             self._warn(device, "NotAttachedHere", to_gateway=to_gateway)
             return
-        self._do_detach(device, current)
+        self._do_detach(device, attachment.gateway)
         self._do_attach(device, to_gateway, attachment.model, attachment.os_version)
 
     def _start_roam(self, device: str, instance: AppInstance, to_gateway: str):
         try:
             record = self.migrations.roam(instance, to_gateway, self.kernel.now)
-        except errors.TargetGatewayFull:
+        except errors.GatewayFull:
             self.kernel.emit("roam_warning", device, {
                 "to_gateway": to_gateway, "reason": "TargetGatewayFull",
                 "instance": instance.instance_id})

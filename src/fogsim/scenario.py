@@ -21,8 +21,8 @@ from yaml.events import (DocumentEndEvent, MappingEndEvent, MappingStartEvent,
 from yaml.nodes import ScalarNode
 
 from . import errors
-from .catalog import (AppKind, AppSpec, Catalog, DeviceProfile, FirmwareEntry,
-                      parse_version)
+from .catalog import (KIND_TIERS, AppKind, AppSpec, Catalog, DeviceProfile,
+                      FirmwareEntry, parse_version)
 from .kernel import EventKind, Fault, FaultKind
 from .scheduler import Thresholds
 from .topology import ResourceVector, Tier, Topology
@@ -222,8 +222,6 @@ _DECLARES = {"node": ("node", itemgetter("id")), "app": ("app", itemgetter("id")
              "firmware": ("firmware", itemgetter("model", "os_version", "version"))}
 # section -> the field naming the section that holds the rest of its fields
 _DISPATCH = {"script": "type", "fault": "kind"}
-# app kind -> the tiers its apps may run on
-_KIND_TIERS = {"IoTApp": {"Gateway"}, "DataApp": {"EdgeModule", "CentralCloud"}}
 
 
 def _row(fields: dict[str, tuple]) -> list[tuple]:
@@ -504,8 +502,9 @@ def _validate(scenario: Scenario) -> None:
         if link["a"] == link["b"]:
             raise errors.InvariantViolation(f"links[{i}]: a self-loop at {link['a']}")
     for i, app in enumerate(scenario.apps):
-        tiers = _KIND_TIERS[app["kind"]]
-        if not tiers.issuperset(app["allowed_tiers"]):
+        tiers = KIND_TIERS[AppKind(app["kind"])]
+        if not tiers.issuperset(map(Tier, app["allowed_tiers"])):
             raise errors.InvariantViolation(
-                f"apps[{i}]: {app['kind']} apps run only on {', '.join(sorted(tiers))}")
+                f"apps[{i}]: {app['kind']} apps run only on "
+                f"{', '.join(sorted(tier.value for tier in tiers))}")
     _check_per_ms(scenario, duration, "duration_ms", errors.InvariantViolation)

@@ -19,7 +19,6 @@ from enum import Enum
 
 from . import errors
 from .catalog import AppKind, AppSpec, Catalog
-from .discovery import InstallRequest
 from .topology import ResourceVector, Tier, Topology
 
 
@@ -201,31 +200,30 @@ class Scheduler:
             self._data_apps.setdefault(req.source, []).append(inst)
         return inst
 
-    def install_iot_app(self, request: InstallRequest,
+    def install_iot_app(self, device: str, gateway: str, app_id: str,
                         preferences: dict | None = None) -> AppInstance:
-        """Deploy the IoT-App for a freshly attached device on its gateway.
+        """Deploy the IoT-App `app_id` for a freshly attached device on its
+        gateway.
 
         Idempotent when the bound instance already runs there. Raises
         GatewayFull when the gateway is down or lacks capacity (device stays
         attached but unmanaged; the caller records the warning).
         """
-        app = self.catalog.app(request.app_id)
-        existing = self.bound_instance(request.device_id)
-        if existing is not None and existing.host == request.gateway and \
+        app = self.catalog.app(app_id)
+        existing = self.bound_instance(device)
+        if existing is not None and existing.host == gateway and \
                 existing.status in (InstanceStatus.RUNNING, InstanceStatus.MIGRATING):
             return existing
-        gateway = self.topology.node(request.gateway)
-        if not gateway.up or not gateway.fits(app.demand):
-            raise errors.GatewayFull(
-                f"{request.gateway} cannot host {request.app_id} for {request.device_id}")
-        self.topology.reserve(request.gateway, app.demand)
+        node = self.topology.node(gateway)
+        if not node.up or not node.fits(app.demand):
+            raise errors.GatewayFull(f"{gateway} cannot host {app_id} for {device}")
+        self.topology.reserve(gateway, app.demand)
         state = StateBlob(size_mb=app.state_size_mb,
                           payload=dict(preferences or {}))
-        inst = AppInstance(self._new_instance_id(request.app_id), request.app_id,
-                           request.gateway, 1, request.gateway, state,
-                           bound_device=request.device_id)
+        inst = AppInstance(self._new_instance_id(app_id), app_id, gateway, 1,
+                           gateway, state, bound_device=device)
         self.instances[inst.instance_id] = inst
-        self._bound.setdefault(request.device_id, []).append(inst)
+        self._bound.setdefault(device, []).append(inst)
         return inst
 
     def scale(self, instance_id: str, new_replicas: int) -> AppInstance:

@@ -185,10 +185,10 @@ class Topology:
     def add_node(self, node_id: str, tier: Tier, cpu_capacity: float,
                  mem_capacity: float, storage_capacity: float) -> str:
         if node_id in self.nodes:
-            raise errors.DuplicateNodeId(node_id)
+            raise errors.ValidationError(f"duplicate node id {node_id}")
         # below the 9-place precision of vectors and the trace, a capacity may round to 0
         if min(cpu_capacity, mem_capacity, storage_capacity) < 1e-9:
-            raise errors.InvalidCapacity(
+            raise errors.ValidationError(
                 f"{node_id}: capacities must be >= 1e-9 "
                 f"(cpu={cpu_capacity}, mem={mem_capacity}, storage={storage_capacity})")
         self.nodes[node_id] = Node(node_id, Tier(tier), ResourceVector(
@@ -207,9 +207,9 @@ class Topology:
         if b not in self.nodes:
             raise errors.UnknownNode(b)
         if a == b:
-            raise errors.SelfLoop(a)
+            raise errors.ValidationError(f"a self-loop at {a}")
         if bandwidth_mbps <= 0:
-            raise errors.NonPositiveBandwidth(f"{a}-{b}: {bandwidth_mbps}")
+            raise errors.ValidationError(f"{a}-{b}: bandwidth must be > 0")
         if latency_ms < 0:
             raise errors.ValidationError(f"{a}-{b}: latency must be >= 0")
         if link_id is None:

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogsim import errors
-from fogsim.catalog import (AppKind, AppSpec, Catalog, DeviceProfile,
+from fogsim.catalog import (KIND_TIERS, AppKind, AppSpec, Catalog, DeviceProfile,
                             FirmwareEntry, parse_version)
+from fogsim.scenario import scenario_from_dict
 from fogsim.topology import ResourceVector, Tier
 
 
@@ -24,15 +25,33 @@ def test_iot_app_defaults_to_gateway_tier(catalog):
 
 
 def test_iot_app_on_edge_is_tier_violation():
-    with pytest.raises(errors.TierViolation):
+    with pytest.raises(errors.ValidationError,
+                       match="^bad: IoTApp apps run only on Gateway$"):
         AppSpec("bad", AppKind.IOT_APP, ResourceVector(1, 1, 1),
                 allowed_tiers=frozenset({Tier.EDGE_MODULE}))
 
 
 def test_data_app_on_gateway_is_tier_violation():
-    with pytest.raises(errors.TierViolation):
+    with pytest.raises(errors.ValidationError,
+                       match="^bad: DataApp apps run only on CentralCloud, EdgeModule$"):
         AppSpec("bad", AppKind.DATA_APP, ResourceVector(1, 1, 1),
                 allowed_tiers=frozenset({Tier.GATEWAY}))
+
+
+@pytest.mark.parametrize("kind", list(AppKind), ids=lambda kind: kind.value)
+def test_an_app_kind_s_tiers_are_one_row_of_the_tier_table(kind):
+    """AppSpec's default tiers and the scenario's tier check both read
+    KIND_TIERS: an app naming no tier gets the row, and a scenario app
+    naming one outside it is rejected."""
+    row = KIND_TIERS[kind]
+    assert AppSpec("a", kind, ResourceVector(1, 1, 1)).allowed_tiers == row
+    outside = sorted(tier.value for tier in set(Tier) - row)
+    raw = {"schema_version": 1, "duration_ms": 1000,
+           "apps": [{"id": "a", "kind": kind.value, "allowed_tiers": outside[:1]}]}
+    with pytest.raises(errors.InvariantViolation,
+                       match=rf"^apps\[0\]: {kind.value} apps run only on "
+                             f"{', '.join(sorted(tier.value for tier in row))}$"):
+        scenario_from_dict(raw)
 
 
 def test_aggregation_factor_below_one_rejected():
@@ -42,14 +61,15 @@ def test_aggregation_factor_below_one_rejected():
 
 
 def test_duplicate_app_id(catalog):
-    with pytest.raises(errors.DuplicateAppId):
+    with pytest.raises(errors.ValidationError, match="^duplicate app id: agent$"):
         catalog.register_app(AppSpec("agent", AppKind.IOT_APP,
                                      ResourceVector(1, 1, 1)))
 
 
 def test_register_firmware_and_duplicates(catalog):
     catalog.register_firmware(FirmwareEntry("m1", "os2", "1.4"))
-    with pytest.raises(errors.DuplicateFirmware):
+    with pytest.raises(errors.ValidationError,
+                       match=r"^duplicate firmware: \('m1', 'os2', '1\.4'\)$"):
         catalog.register_firmware(FirmwareEntry("m1", "os2", "1.4"))
     with pytest.raises(errors.ValidationError):
         FirmwareEntry("", "os2", "1.0")
@@ -73,8 +93,7 @@ def test_match_firmware_singleton():
 
 
 def test_match_firmware_unknown_model(catalog):
-    with pytest.raises(errors.NoCompatibleFirmware):
-        catalog.match_firmware("toaster", "1.0")
+    assert catalog.match_firmware("toaster", "1.0") is None
 
 
 def test_unparseable_version_rejected():
@@ -88,7 +107,8 @@ def test_device_profile_validation():
 
 
 def test_profile_must_reference_iot_app(catalog):
-    with pytest.raises(errors.TierViolation):
+    with pytest.raises(errors.ValidationError, match="^profile cam must reference an "
+                       "IoT-App, analytics is a DataApp$"):
         catalog.register_profile(
             DeviceProfile("cam", "2.0", "ZigBee", 10, "analytics"))
 

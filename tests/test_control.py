@@ -1006,6 +1006,29 @@ def test_every_error_class_is_raised_in_the_source():
     assert sorted(classes - _raised_names()) == []
 
 
+def _imported_modules(path) -> set[str]:
+    """The modules the imports in `path` name, the fogsim package's by their
+    own name: `m` of `from .m import x`, `from . import m`,
+    `from fogsim.m import x` and `import fogsim.m`."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.removeprefix("fogsim.") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("fogsim").lstrip(".")
+            names.update([module] if module else [alias.name for alias in node.names])
+    return names
+
+
+def test_only_the_runtime_dataflow_and_the_package_import_discovery():
+    """The orchestrator takes plain values from the gateway agent, so the
+    scheduler, among others, does not import it."""
+    src = REPO_ROOT / "src" / "fogsim"
+    importers = [path.stem for path in sorted(src.rglob("*.py"))
+                 if "discovery" in _imported_modules(path)]
+    assert importers == ["__init__", "dataflow", "runtime"]
+
+
 def test_every_tracer_target_exists():
     """perfbench --trace 1 wraps these by name; a rename would silently
     drop its metric."""
@@ -1354,6 +1377,32 @@ def test_a_runtime_runs_once(first, second):
         runtime.run(second)
     assert runtime.kernel.trace.records == records
     assert [r.kind for r in records].count("run_end") == 1
+
+
+def test_a_run_cannot_end_before_the_stepped_clock():
+    """An `until` before the time the kernel was stepped to raises, naming
+    both times, appends nothing, and leaves the Runtime to run."""
+    runtime = Runtime(load_scenario(SCENARIO_DIR / "roaming.yaml"))
+    runtime.kernel.run(5000)
+    records = list(runtime.kernel.trace.records)
+    with pytest.raises(errors.ValidationError, match=r"^roaming-demo: the run cannot "
+                       r"end at 3000 ms, before the clock at 5000 ms$"):
+        runtime.run(3000)
+    assert runtime.kernel.trace.records == records
+    assert runtime.run().hash()[:16] == FIXTURE_TRACE_HASHES["roaming"]
+
+
+def test_a_run_cannot_end_at_its_duration_once_stepped_past_it():
+    """A fault may end after the scenario's duration, and a kernel stepped
+    to it has passed the default end."""
+    raw = yaml.safe_load((SCENARIO_DIR / "roaming.yaml").read_text())
+    raw["faults"] = [{"kind": "LinkDown", "target": "gw1--edge1", "start": 11000,
+                      "duration_ms": 2000}]
+    runtime = Runtime(scenario_from_dict(raw))
+    runtime.kernel.run(13000)
+    with pytest.raises(errors.ValidationError,
+                       match=r"cannot end at 12000 ms, before the clock at 13000 ms$"):
+        runtime.run()
 
 
 def test_a_run_stepped_through_the_kernel_hashes_as_one_run():

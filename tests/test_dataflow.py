@@ -21,7 +21,7 @@ def world(three_tier, catalog):
     discovery = DiscoveryService(three_tier, catalog)
     scheduler = Scheduler(three_tier, catalog)
     flows = FlowManager(three_tier, catalog, discovery, scheduler, buffer_mb=10)
-    discovery.handle_attach("gw1", "dev1", "smartband", "1.0", 0)
+    discovery.handle_attach("gw1", "dev1", "smartband", "1.0")
     return three_tier, scheduler, flows, discovery
 
 
@@ -36,7 +36,7 @@ def test_generated_mb_zero_dt():
 
 def test_open_flow_requires_attachment(world):
     _, _, flows, _ = world
-    with pytest.raises(errors.NotAttached):
+    with pytest.raises(errors.NotAttachedHere, match="^ghost at gw1$"):
         flows.open_flow("ghost", "gw1", "edge1", 100, 0)
 
 
@@ -141,7 +141,7 @@ def test_rate_above_link_bandwidth_buffers(world):
 
 def test_fair_share_on_contended_link(world):
     topo, _, flows, discovery = world
-    discovery.handle_attach("gw1", "dev2", "smartband", "1.0", 0)
+    discovery.handle_attach("gw1", "dev2", "smartband", "1.0")
     # both flows cross gw1--edge1 (100 Mbps) at 100 Mbps each
     f1 = flows.open_flow("dev1", "gw1", "edge1", 100_000, 0)
     f2 = flows.open_flow("dev2", "gw1", "edge1", 100_000, 0)
@@ -162,7 +162,7 @@ def test_shares_follow_a_contender_that_joins_and_leaves(catalog):
     discovery = DiscoveryService(topo, catalog)
     flows = FlowManager(topo, catalog, discovery, Scheduler(topo, catalog))
     for device in ("dev1", "dev2"):
-        discovery.handle_attach("gw1", device, "smartband", "1.0", 0)
+        discovery.handle_attach("gw1", device, "smartband", "1.0")
     f1 = flows.open_flow("dev1", "gw1", "edge1", 200_000, 0)
     assert f1.share_mbps == 100.0
     f2 = flows.open_flow("dev2", "gw1", "edge1", 200_000, 1000)  # joins
@@ -277,7 +277,7 @@ def test_a_device_has_one_active_flow(world):
 
 def test_opening_a_contender_integrates_the_flows_on_its_links(world):
     _, _, flows, discovery = world
-    discovery.handle_attach("gw1", "dev2", "smartband", "1.0", 0)
+    discovery.handle_attach("gw1", "dev2", "smartband", "1.0")
     # 100 Mbps into the 100 Mbps gw1--edge1 link: alone for a second, then shared
     first = flows.open_flow("dev1", "gw1", "edge1", 100_000, 0)
     second = flows.open_flow("dev2", "gw1", "edge1", 100_000, 1000)

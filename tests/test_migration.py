@@ -5,7 +5,6 @@ import yaml
 
 from fogsim import errors
 from fogsim.control import run_scenario
-from fogsim.discovery import InstallRequest
 from fogsim.migration import MigrationEngine, StateBlob, transfer_duration
 from fogsim.scheduler import InstanceStatus, PlacementRequest, Scheduler
 from fogsim.scenario import scenario_from_dict
@@ -173,7 +172,7 @@ def test_migrate_unreachable_target(world):
 
 def test_roam_between_gateways(world):
     topo, scheduler, engine = world
-    inst = scheduler.install_iot_app(InstallRequest("dev1", "gw1", "agent"))
+    inst = scheduler.install_iot_app("dev1", "gw1", "agent")
     inst.state.update(steps=1200)
     record = engine.roam(inst, "gw2", 2000)
     # 1 MB over gw1-edge1-gw2: 80 ms + 4 ms latency
@@ -188,9 +187,9 @@ def test_roam_between_gateways(world):
 
 def test_roam_to_full_gateway_stops_instance(world):
     topo, scheduler, engine = world
-    inst = scheduler.install_iot_app(InstallRequest("dev1", "gw1", "agent"))
+    inst = scheduler.install_iot_app("dev1", "gw1", "agent")
     topo.reserve("gw2", ResourceVector(0, 1000, 0))
-    with pytest.raises(errors.TargetGatewayFull):
+    with pytest.raises(errors.GatewayFull, match="^gw2 cannot host agent-1$"):
         engine.roam(inst, "gw2", 0)
     # the app stays put but stops serving; its reservation is kept
     assert inst.status is InstanceStatus.STOPPED
@@ -200,7 +199,7 @@ def test_roam_to_full_gateway_stops_instance(world):
 
 def test_roam_same_gateway_is_noop(world):
     _, scheduler, engine = world
-    inst = scheduler.install_iot_app(InstallRequest("dev1", "gw1", "agent"))
+    inst = scheduler.install_iot_app("dev1", "gw1", "agent")
     record = engine.roam(inst, "gw1", 0)
     assert record.downtime_ms == 0
     assert inst.status is InstanceStatus.RUNNING

@@ -154,7 +154,7 @@ def test_flow_conservation_under_random_advances(seed, steps):
     scheduler = Scheduler(topo, catalog)
     flows = FlowManager(topo, catalog, discovery, scheduler,
                         buffer_mb=rng.choice([0, 1, 10]))
-    discovery.handle_attach(source, "dev", MODEL, "1.0", 0)
+    discovery.handle_attach(source, "dev", MODEL, "1.0")
     sink = rng.choice([n for n, node in sorted(topo.nodes.items())
                        if node.tier is not Tier.GATEWAY])
     now = 0
@@ -370,7 +370,7 @@ def contended_world():
     scheduler = Scheduler(topo, catalog)
     homes = {}
     for i, gw in enumerate(["gw1", "gw1", "gw2", "gw2", "gw3", "gw3"]):
-        discovery.handle_attach(gw, f"d{i}", MODEL, "1.0", 0)
+        discovery.handle_attach(gw, f"d{i}", MODEL, "1.0")
         homes[f"d{i}"] = gw
     instances = [scheduler.place(PlacementRequest("agg", gw)).instance_id
                  for gw in ("gw1", "gw3")]

@@ -4,7 +4,6 @@ import pytest
 
 from fogsim import errors
 from fogsim.catalog import AppKind, AppSpec, Catalog
-from fogsim.discovery import InstallRequest
 from fogsim.migration import MigrationEngine
 from fogsim.scheduler import (Defer, InstanceStatus, Offload,
                               PlacementRequest, Scheduler, Thresholds)
@@ -103,11 +102,11 @@ def test_an_install_tests_its_gateway_as_reserve_does(capacity, allocated, deman
     topo, catalog = boundary_world(capacity, allocated, demand, AppKind.IOT_APP)
     scheduler = Scheduler(topo, catalog)
     if fits:
-        assert scheduler.install_iot_app(InstallRequest("dev", "far", "app")).host == "far"
+        assert scheduler.install_iot_app("dev", "far", "app").host == "far"
         assert topo.node("far").allocated.storage == round(allocated + demand, 9)
     else:
         with pytest.raises(errors.GatewayFull):
-            scheduler.install_iot_app(InstallRequest("dev", "far", "app"))
+            scheduler.install_iot_app("dev", "far", "app")
         with pytest.raises(errors.InsufficientCapacity):
             topo.reserve("far", catalog.app("app").demand)
         assert topo.node("far").allocated.storage == allocated
@@ -142,13 +141,13 @@ def test_an_offload_starts_on_the_host_placement_picked(capacity, allocated, dem
                          ids=BOUNDARY_IDS)
 def test_a_roam_tests_its_gateway_as_reserve_does(capacity, allocated, demand, fits):
     topo, catalog = boundary_world(capacity, allocated, demand, AppKind.IOT_APP)
-    inst = Scheduler(topo, catalog).install_iot_app(InstallRequest("dev", "near", "app"))
+    inst = Scheduler(topo, catalog).install_iot_app("dev", "near", "app")
     engine = MigrationEngine(topo, catalog)
     if fits:
         assert engine.roam(inst, "far", 0).to_node == "far"
         assert inst.status is InstanceStatus.MIGRATING
     else:
-        with pytest.raises(errors.TargetGatewayFull):
+        with pytest.raises(errors.GatewayFull, match="^far cannot host app-1$"):
             engine.roam(inst, "far", 0)
         assert inst.status is InstanceStatus.STOPPED
         assert topo.node("far").allocated.storage == allocated
@@ -203,23 +202,23 @@ def test_place_tie_breaks_by_free_capacity_then_id(catalog):
 
 
 def test_install_iot_app_on_device_gateway(scheduler):
-    inst = scheduler.install_iot_app(InstallRequest("dev1", "gw1", "agent"))
+    inst = scheduler.install_iot_app("dev1", "gw1", "agent")
     assert inst.host == "gw1"
     assert inst.bound_device == "dev1"
     assert scheduler.topology.node("gw1").allocated.mem == 64
 
 
 def test_install_iot_app_idempotent(scheduler):
-    first = scheduler.install_iot_app(InstallRequest("dev1", "gw1", "agent"))
-    second = scheduler.install_iot_app(InstallRequest("dev1", "gw1", "agent"))
+    first = scheduler.install_iot_app("dev1", "gw1", "agent")
+    second = scheduler.install_iot_app("dev1", "gw1", "agent")
     assert first is second
     assert scheduler.topology.node("gw1").allocated.mem == 64
 
 
 def test_install_iot_app_gateway_full(scheduler):
     scheduler.topology.reserve("gw1", ResourceVector(0, 1000, 0))
-    with pytest.raises(errors.GatewayFull):
-        scheduler.install_iot_app(InstallRequest("dev1", "gw1", "agent"))
+    with pytest.raises(errors.GatewayFull, match="^gw1 cannot host agent for dev1$"):
+        scheduler.install_iot_app("dev1", "gw1", "agent")
 
 
 def test_scale_up_down_and_noop(scheduler):
@@ -279,7 +278,7 @@ def test_check_thresholds_defers_when_saturated(catalog):
 
 def test_check_thresholds_never_moves_iot_apps(three_tier, catalog):
     scheduler = Scheduler(three_tier, catalog)
-    scheduler.install_iot_app(InstallRequest("dev1", "gw1", "agent"))
+    scheduler.install_iot_app("dev1", "gw1", "agent")
     # overload the edge with something unmovable
     three_tier.reserve("edge1", ResourceVector(0, 16000, 0))
     actions = scheduler.check_thresholds()
@@ -312,7 +311,7 @@ def test_unknown_instance_is_a_typed_error(scheduler):
 
 def test_serving_instance_is_the_first_running_or_migrating_data_app(scheduler):
     assert scheduler.serving_instance("gw1") is None
-    scheduler.install_iot_app(InstallRequest("dev1", "gw1", "agent"))
+    scheduler.install_iot_app("dev1", "gw1", "agent")
     assert scheduler.serving_instance("gw1") is None  # IoT-Apps serve no flows
     first = scheduler.place(PlacementRequest("analytics", "gw1"))
     second = scheduler.place(PlacementRequest("analytics", "gw1"))

@@ -27,21 +27,23 @@ def test_add_node_reference_hardware_profiles(three_tier):
 
 def test_add_node_rejects_zero_capacity():
     topo = Topology()
-    with pytest.raises(errors.InvalidCapacity):
+    with pytest.raises(errors.ValidationError, match="^n: capacities must be >= 1e-9 "):
         topo.add_node("n", Tier.GATEWAY, 100, 0, 100)
-    with pytest.raises(errors.InvalidCapacity):  # would round to 0 in the vector
+    # would round to 0 in the vector
+    with pytest.raises(errors.ValidationError, match="^n: capacities must be >= 1e-9 "):
         topo.add_node("n", Tier.GATEWAY, 100, 1e-10, 100)
 
 
 def test_add_node_duplicate(three_tier):
-    with pytest.raises(errors.DuplicateNodeId):
+    with pytest.raises(errors.ValidationError, match="^duplicate node id gw1$"):
         three_tier.add_node("gw1", Tier.GATEWAY, 1, 1, 1)
 
 
 def test_add_link_validation(three_tier):
-    with pytest.raises(errors.SelfLoop):
+    with pytest.raises(errors.ValidationError, match="^a self-loop at gw1$"):
         three_tier.add_link("gw1", "gw1", 1, 10)
-    with pytest.raises(errors.NonPositiveBandwidth):
+    with pytest.raises(errors.ValidationError,
+                       match="^gw1-cloud: bandwidth must be > 0$"):
         three_tier.add_link("gw1", "cloud", 1, 0)
     with pytest.raises(errors.UnknownNode):
         three_tier.add_link("gw1", "nope", 1, 10)
