@@ -98,13 +98,22 @@ class FlowManager:
     uplink. Each flow keeps the time its counters reach, and is integrated
     only just before one of those inputs changes: `set_rate` integrates the
     flow itself; `open_flow`, `close_flow`, `set_paused`, `rebind`,
-    `reroute_served` and `reroute_all` also integrate the flows on the links
-    a flow leaves or joins. Only `advance_all`, for a window close,
+    `reroute_served` and `reroute_dropped` also integrate the flows on the
+    links a flow leaves or joins. Only `advance_all`, for a window close,
     integrates every active flow. Integration reads only the indexed route,
     never the live topology or instance status, so a change there is
-    followed by `reroute_all` (a link or node went up or down) or
+    followed by `reroute_dropped` (a link or node went up or down) or
     `reroute_served` (an instance's status or host changed). Time never goes
     backwards across these methods.
+
+    A route reads two cached searches: the path comes from the search at
+    the flow's source, and whether an edge-hosted Data-App's output is held
+    from the cloud's search. A search that a fault does not drop answers as
+    it did before, so `reroute_dropped` re-derives only the flows whose
+    source's search was dropped and, when the cloud's was, the flows whose
+    edge host gained or lost its route to the cloud. A blocked flow asks no
+    search; `set_paused` or `reroute_served` re-derives it when it is
+    unblocked.
     """
 
     def __init__(self, topology: Topology, catalog: Catalog,
@@ -188,11 +197,21 @@ class FlowManager:
         flow.serving_instance = serving_instance
         self._reroute([flow], now)
 
-    def reroute_all(self, now: int) -> None:
-        """Re-derive every active flow's route after a link or node went up
-        or down."""
+    def reroute_dropped(self, now: int) -> None:
+        """Re-derive the routes a link or node going up or down can change:
+        those of the active flows whose source's search the topology dropped
+        since the last call and, if the cloud's search was dropped, of the
+        routed flows whose uplink now differs, held at an edge host that
+        regained the cloud or no longer held at one that lost it. Every
+        other flow's route reads searches that answer as they did when it
+        was derived."""
         self._advance_clock(now)
-        self._reroute(list(self._active.values()), now)
+        dropped = self.topology.take_dropped()
+        cloud_dropped = self._cloud in dropped
+        self._reroute([flow for flow in self._active.values()
+                       if flow.src in dropped
+                       or cloud_dropped and flow.uplink is not None
+                       and self._uplink(flow) != flow.uplink], now)
 
     def reroute_served(self, instance_id: str, now: int) -> None:
         """Re-derive the routes of the flows `instance_id` serves after its
@@ -232,8 +251,11 @@ class FlowManager:
         return tuple(path), self._uplink(flow)
 
     def _reaches_cloud(self, host: str) -> bool:
+        """Whether `host` has a route to the cloud. Links are undirected and
+        a route needs both ends up, so this is whether the cloud reaches
+        `host`, which the cloud's one search answers for every host."""
         return self._cloud is not None and \
-            self.topology.path_latency_or_inf(host, self._cloud) != math.inf
+            self.topology.path_latency_or_inf(self._cloud, host) != math.inf
 
     def _uplink(self, flow: Flow) -> tuple[float, str | None] | None:
         """(divisor, held_at) of the flow's deliveries on the uplink: raw bytes

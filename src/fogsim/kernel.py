@@ -541,6 +541,14 @@ def _walk_details(line: str, seen: dict) -> TraceRecord | None:
     return _record(rest, details)
 
 
+# Characters of trace text hashed per chunk. An ASCII chunk's copies stay
+# below glibc malloc's default 128 KiB mmap threshold and so reuse heap
+# memory; a copy of the whole trace is megabytes of fresh memory, whose
+# cost varied with the process's memory layout by up to a third of the
+# time of serialising the trace.
+_HASH_CHUNK = 1 << 15
+
+
 class Trace:
     """Ordered record of a run; serializes to one JSON object per line.
 
@@ -580,7 +588,13 @@ class Trace:
         return self._text
 
     def hash(self) -> str:
-        return hashlib.sha256(self.to_jsonl().encode()).hexdigest()
+        """sha256 of the UTF-8 text `to_jsonl` returns, hashed a chunk at a
+        time so that no second copy of the whole trace is made."""
+        text = self.to_jsonl()
+        digest = hashlib.sha256()
+        for start in range(0, len(text), _HASH_CHUNK):
+            digest.update(text[start:start + _HASH_CHUNK].encode())
+        return digest.hexdigest()
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":

@@ -421,7 +421,7 @@ class Runtime:
             count = self._down_counts.get((set_up, target), 0) + delta
             self._down_counts[set_up, target] = count
             set_up(target, count == 0)
-        self.flows.reroute_all(self.kernel.now)
+        self.flows.reroute_dropped(self.kernel.now)
 
     def _on_fault_start(self, event: Event):
         fault: Fault = event.payload["fault"]

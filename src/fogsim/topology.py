@@ -155,9 +155,10 @@ class Topology:
     once a later pop needs them (see _settle). Up/down state changes only
     through set_link_up and set_node_up, which drop the searches whose
     settled or pending nodes their change can alter, while add_node and
-    add_link drop them all. Allocations change only through reserve and
-    release, which mark the node whose metrics-window entries must be
-    rebuilt (see utilization_snapshot)."""
+    add_link drop them all; take_dropped names the sources dropped since it
+    last ran. Allocations change only through reserve and release, which
+    mark the node whose metrics-window entries must be rebuilt (see
+    utilization_snapshot)."""
 
     nodes: dict[str, Node] = field(default_factory=dict)
     links: dict[str, Link] = field(default_factory=dict)
@@ -168,6 +169,8 @@ class Topology:
     # source -> its search, grown as far as queries have needed
     _routes: dict[str, _Search] = field(
         default_factory=dict, repr=False, compare=False)
+    # sources whose searches were dropped since take_dropped last ran
+    _dropped: set[str] = field(default_factory=set, repr=False, compare=False)
     # tier -> its sorted node ids, built on first use; tiers never change
     _tiers: dict[Tier, tuple[str, ...]] | None = field(
         default=None, repr=False, compare=False)
@@ -195,6 +198,7 @@ class Topology:
             cpu_capacity, mem_capacity, storage_capacity))
         self._adjacency[node_id] = []
         self._shortest_link[node_id] = math.inf
+        self._dropped.update(self._routes)
         self._routes.clear()
         self._tiers = None
         self._stale.add(node_id)
@@ -221,6 +225,7 @@ class Topology:
         self._adjacency[b].append((link, a))
         for end in (a, b):
             self._shortest_link[end] = min(self._shortest_link[end], latency_ms)
+        self._dropped.update(self._routes)
         self._routes.clear()
         return link_id
 
@@ -292,10 +297,24 @@ class Topology:
         return changed
 
     def _drop_routes(self, alters) -> None:
-        """Drop the cached searches for which alters(source, search) holds;
-        every other search stays as the same object."""
-        self._routes = {source: search for source, search in self._routes.items()
-                        if not alters(source, search)}
+        """Drop the cached searches for which alters(source, search) holds,
+        and note their sources for take_dropped; every other search stays
+        as the same object, and answers as a fresh search would."""
+        kept = {}
+        for source, search in self._routes.items():
+            if alters(source, search):
+                self._dropped.add(source)
+            else:
+                kept[source] = search
+        self._routes = kept
+
+    def take_dropped(self) -> set[str]:
+        """The sources whose cached searches were dropped since the last
+        call. Every other search cached then is the same object now, so a
+        node it had settled keeps its path and latency, and a node it had
+        found unreachable stays unreachable."""
+        dropped, self._dropped = self._dropped, set()
+        return dropped
 
     def _pushes(self, search: _Search, u: str, v: str, lat: float) -> bool:
         """Whether the search, on settling u, would push v across a new

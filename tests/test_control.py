@@ -802,6 +802,36 @@ def test_fleet_ticks_offload_loop_overlays_only_the_nodes_it_moved_load_on(
     assert (len(sizes), sorted(set(sizes))) == (48, [0, 2])
 
 
+def test_mesh_churn_faults_re_derive_only_the_flows_they_can_change(tmp_path):
+    """Counts the flow routes derived while a fault takes effect on
+    mesh_churn at seed 1. Its 28 fault starts and ends see 1,680 active
+    flows in all; only the flows whose gateway's search a fault dropped,
+    or whose edge host gained or lost the cloud, are derived again. The
+    run's trace is unchanged."""
+    runtime = Runtime(load_scenario(_workload_path("mesh_churn", tmp_path)))
+    flows, hold = runtime.flows, runtime._hold
+    route = flows._route
+    holding, derived = [], []
+
+    def spied_hold(fault, delta):
+        holding.append(fault)
+        try:
+            hold(fault, delta)
+        finally:
+            holding.pop()
+
+    def spied_route(flow):
+        if holding:
+            derived.append(flow.flow_id)
+        return route(flow)
+
+    runtime._hold = spied_hold
+    flows._route = spied_route
+    trace = runtime.run()
+    assert trace.hash()[:16] == WORKLOAD_TRACE_HASHES["mesh_churn"]
+    assert len(derived) <= 500
+
+
 @pytest.mark.parametrize("hash_seed", ["0", "12345"])
 def test_trace_hash_does_not_depend_on_the_string_hash_seed(hash_seed, tmp_path):
     """String hashing, and with it set iteration order, changes with

@@ -210,17 +210,72 @@ def test_uplink_held_while_cloud_unreachable(world):
     flows.open_flow("dev1", "gw1", inst.host, 100, 0,
                     serving_instance=inst.instance_id)
     topo.set_link_up("edge1--cloud", False)
-    flows.reroute_all(0)
+    flows.reroute_dropped(0)
     flows.advance_all(1000)
     window = flows.close_window(0, 1000)
     assert window.uplink_mb == 0.0
     assert flows._held == {inst.host: pytest.approx(0.00125)}
     # restored: the backlog is released into the next window
     topo.set_link_up("edge1--cloud", True)
-    flows.reroute_all(1000)
+    flows.reroute_dropped(1000)
     flows.advance_all(2000)
     after = flows.close_window(1000, 2000)
     assert after.uplink_mb == pytest.approx(0.0025)
+    assert flows._held == {}
+
+
+def test_a_link_down_that_drops_no_search_from_a_flows_source_leaves_it_be(
+        world, monkeypatch):
+    """gw1's search settled gw1 and edge1 only, so edge1--cloud going down
+    keeps it: the flow from gw1 is neither re-derived nor integrated, while
+    the flow from gw2, whose search crossed the link, loses its route."""
+    topo, _, flows, discovery = world
+    discovery.handle_attach("gw2", "dev2", "smartband", "1.0")
+    near = flows.open_flow("dev1", "gw1", "edge1", 100, 0)
+    far = flows.open_flow("dev2", "gw2", "cloud", 100, 0)
+    derived = []
+    route = flows._route
+    monkeypatch.setattr(flows, "_route",
+                        lambda flow: derived.append(flow.flow_id) or route(flow))
+    topo.set_link_up("edge1--cloud", False)
+    flows.reroute_dropped(1000)
+    assert derived == [far.flow_id]
+    assert (near.last_ms, [link.link_id for link in near.path]) == (0, ["gw1--edge1"])
+    assert (far.last_ms, far.path) == (1000, None)
+
+
+def test_held_output_flows_again_when_a_link_beyond_the_flows_search_returns(catalog):
+    """edge2 loses the cloud with both cloud links down and regains it when
+    edge1--cloud comes back: gw1's search, which settled gw1 and edge2
+    only, is kept, and the cloud's, which is dropped, re-derives the flow
+    whose output was held at edge2."""
+    topo = Topology()
+    topo.add_node("cloud", Tier.CENTRAL_CLOUD, 64000, 98304, 11534336)
+    for node, tier in (("edge1", Tier.EDGE_MODULE), ("edge2", Tier.EDGE_MODULE),
+                       ("gw1", Tier.GATEWAY)):
+        topo.add_node(node, tier, 8000, 16384, 491520)
+    topo.add_link("edge1", "cloud", 20, 100)
+    topo.add_link("edge2", "cloud", 20, 100)
+    topo.add_link("edge1", "edge2", 4, 100)
+    topo.add_link("gw1", "edge2", 2, 100)
+    discovery = DiscoveryService(topo, catalog)
+    scheduler = Scheduler(topo, catalog)
+    flows = FlowManager(topo, catalog, discovery, scheduler)
+    discovery.handle_attach("gw1", "dev1", "smartband", "1.0")
+    inst = scheduler.place(PlacementRequest("analytics", "gw1"))
+    assert inst.host == "edge2"
+    flow = flows.open_flow("dev1", "gw1", "edge2", 100, 0, inst.instance_id)
+    for link_id in ("edge1--cloud", "edge2--cloud"):
+        topo.set_link_up(link_id, False)
+    flows.reroute_dropped(1000)
+    assert flow.uplink == (10, "edge2")
+    topo.set_link_up("edge1--cloud", True)
+    flows.reroute_dropped(2000)
+    assert flow.uplink == (10, None)
+    flows.advance_all(3000)
+    window = flows.close_window(0, 3000)
+    # 1 s held, 1 s held then released, 1 s uplinked: all of it reaches the cloud
+    assert window.uplink_mb == pytest.approx(3 * 0.00125)
     assert flows._held == {}
 
 

@@ -199,6 +199,17 @@ def test_appends_after_serialising_reach_the_text_and_the_hash():
     assert kernel.trace.hash() == _sha256(text) != _sha256(first)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 64, None])
+def test_a_trace_is_hashed_as_its_whole_text_in_any_chunks(monkeypatch, chunk):
+    """None: one chunk exactly as long as the text."""
+    kernel = Kernel()
+    _emit_two(kernel)
+    text = kernel.trace.to_jsonl()
+    monkeypatch.setattr(kernel_module, "_HASH_CHUNK", chunk or len(text))
+    assert kernel.trace.hash() == _sha256(text)
+    assert Trace().hash() == _sha256("")
+
+
 def test_each_record_is_serialised_once(monkeypatch):
     calls = []
     layout = kernel_module._LAYOUTS["detach"]

@@ -23,7 +23,8 @@ from fogsim.scheduler import (InstanceStatus, Offload, PlacementRequest, Schedul
 from fogsim.topology import ResourceVector, Tier, Topology
 
 from oracles import (ReferenceFlows, brute_force_place, reference_advance_all,
-                     reference_release_held, reference_window_maps)
+                     reference_release_held, reference_shortest_path,
+                     reference_window_maps)
 
 MODEL = "sensor"
 
@@ -386,8 +387,9 @@ FLOW_STEPS = ["open", "open", "close", "rate", "pause", "resume", "rebind",
        buffer_mb=st.sampled_from([0.0, 0.05, 1.0]))
 def test_lazy_flows_match_eager_integration(seed, n_steps, buffer_mb):
     """Random opens, closes, rate changes, pauses, resumes, rebinds, link
-    toggles and migrations at random times, through the lazy FlowManager and
-    through the eager reference, which integrates every flow at every step.
+    and node toggles and migrations at random times, through the lazy
+    FlowManager and through the eager reference, which integrates every
+    flow at every step.
     After every window both hold the same counters, link volumes, uplink
     and output held per edge host, and every flow conserves its bytes. After
     every step each routed flow's kept share is the one its path gives it."""
@@ -459,9 +461,12 @@ def test_lazy_flows_match_eager_integration(seed, n_steps, buffer_mb):
             close_window()
             window_start = now
         elif op == "toggle":
-            link_id = rng.choice(sorted(topo.links))
-            topo.set_link_up(link_id, not topo.links[link_id].up)
-            flows.reroute_all(now)
+            target = rng.choice(sorted(topo.links) + sorted(topo.nodes))
+            if target in topo.links:
+                topo.set_link_up(target, not topo.links[target].up)
+            else:
+                topo.set_node_up(target, not topo.nodes[target].up)
+            flows.reroute_dropped(now)
         elif op == "migrate":
             inst = scheduler.instance(rng.choice(instances))
             if inst.status is InstanceStatus.MIGRATING:
@@ -493,3 +498,107 @@ def test_lazy_flows_match_eager_integration(seed, n_steps, buffer_mb):
                 expected.sink, expected.serving_instance = sink, serving
     assert_fresh_shares()
     close_window()
+
+
+def fresh_route(topo, catalog, scheduler, flow):
+    """(path link ids, uplink) of an active flow derived afresh: paths from
+    the uncached reference search, and an edge host's reachability searched
+    from the host towards the cloud."""
+    inst = scheduler.instances.get(flow.serving_instance)
+    if flow.paused or inst is not None and inst.status is not InstanceStatus.RUNNING:
+        return None, None
+    try:
+        path = tuple(link.link_id
+                     for link in reference_shortest_path(topo, flow.src, flow.sink))
+    except errors.Unreachable:
+        return None, None
+    if inst is None:
+        return path, None
+    tier = topo.nodes[inst.host].tier
+    if tier is Tier.CENTRAL_CLOUD:
+        return path, (1.0, None)
+    try:
+        reference_shortest_path(topo, inst.host, "cloud")
+        held_at = None
+    except errors.Unreachable:
+        held_at = inst.host
+    return path, (catalog.app(inst.app_id).aggregation_factor, held_at)
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 1_000_000), n_steps=st.integers(1, 40))
+def test_rerouting_dropped_searches_matches_a_fresh_derivation(seed, n_steps):
+    """Overlapping faults on links and nodes (gateways, edges and the cloud),
+    several at a time as a partition holds links, each element down while
+    any fault holds it, as Runtime._hold counts them; between them, pauses,
+    resumes, migrations and queries that grow searches no flow asks of.
+    Flows are served by no instance, by an edge-hosted one and by the cloud.
+    After every step each active flow's path, uplink and share are those of
+    a fresh derivation, so reroute_dropped, which re-derives only the flows
+    whose searches were dropped, misses no route that changed."""
+    topo, catalog, discovery, scheduler, homes, instances = contended_world()
+    rng = random.Random(seed)
+    engine = MigrationEngine(topo, catalog)
+    to_cloud = scheduler.instance(rng.choice(instances))
+    engine.start(to_cloud, "cloud", 0)
+    engine.complete(to_cloud)
+    flows = FlowManager(topo, catalog, discovery, scheduler)
+    for device in sorted(homes):
+        serving = rng.choice([None] + instances)
+        sink = scheduler.instance(serving).host if serving else \
+            rng.choice(["edge1", "edge2", "cloud"])
+        flows.open_flow(device, homes[device], sink, 100, 0, serving,
+                        paused=rng.random() < 0.2)
+    elements = [(topo.set_link_up, lid) for lid in sorted(topo.links)] + \
+        [(topo.set_node_up, nid) for nid in sorted(topo.nodes)]
+    faults: list = []
+    down: Counter = Counter()
+    now = 0
+
+    def assert_fresh_routes():
+        fresh = {device: fresh_route(topo, catalog, scheduler, flow)
+                 for device, flow in flows._active.items()}
+        counts = Counter(lid for path, _ in fresh.values() for lid in path or ())
+        for device, (path, uplink) in fresh.items():
+            flow = flows.active_flow_for(device)
+            kept = flow.path and tuple(link.link_id for link in flow.path)
+            assert (kept, flow.uplink) == (path, uplink), flow.flow_id
+            if path is not None:
+                assert flow.share_mbps == min(topo.links[lid].bandwidth_mbps / counts[lid]
+                                              for lid in path), flow.flow_id
+
+    for _ in range(n_steps):
+        now += rng.randint(0, 500)
+        op = rng.random()
+        if op < 0.6:
+            for _ in range(rng.randint(1, 3)):
+                if faults and rng.random() < 0.5:
+                    element, delta = faults.pop(rng.randrange(len(faults))), -1
+                else:
+                    element, delta = rng.choice(elements), 1
+                    faults.append(element)
+                down[element] += delta
+                set_up, target = element
+                set_up(target, down[element] == 0)
+            flows.reroute_dropped(now)
+        elif op < 0.75:
+            flow = flows.active_flow_for(rng.choice(sorted(homes)))
+            flows.set_paused(flow.flow_id, not flow.paused, now)
+        elif op < 0.9:
+            inst = scheduler.instance(rng.choice(instances))
+            if inst.status is InstanceStatus.MIGRATING:
+                engine.complete(inst)
+                for flow in flows.served_by(inst.instance_id):
+                    flows.rebind(flow.flow_id, inst.host, inst.instance_id, now)
+            else:
+                target = rng.choice(sorted({"edge1", "edge2", "cloud"} - {inst.host}))
+                try:
+                    engine.start(inst, target, now)
+                except errors.TargetInfeasible:
+                    continue
+                flows.reroute_served(inst.instance_id, now)
+        else:
+            topo.path_latency_or_inf(rng.choice(sorted(topo.nodes)),
+                                     rng.choice(sorted(topo.nodes)))
+            topo.nearest_edge_module(rng.choice(["gw1", "gw2", "gw3"]))
+        assert_fresh_routes()
