@@ -2,6 +2,8 @@
 
 Placement picks, among feasible hosts, the one minimizing source-to-host
 latency, tie-broken by most free bottleneck capacity and then by node id.
+It tests hosts nearest first and stops at the latency of the first feasible
+one, which picks the host a scan of every host would.
 The offload loop uses a high/low watermark pair for hysteresis: an edge
 module above the high watermark sheds its largest Data-App instances until
 it drops to the low watermark or nothing movable remains.
@@ -14,6 +16,7 @@ by MigrationEngine.start, the one check a move passes before it starts.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -141,46 +144,36 @@ class Scheduler:
                     util_cap_after: float | None = None) -> str | None:
         """Best feasible host for `replicas` of `app` fed from `source`, or None.
 
-        Feasible: node up, tier allowed, capacity for replicas x demand,
-        reachable from source, and within the app's latency requirement.
+        Feasible: node up and not excluded, tier allowed, capacity for
+        replicas x demand, reachable from source, and within the app's
+        latency requirement.
         Objective: minimal source latency, then most free bottleneck capacity,
-        then smallest node id. Only the nodes of the allowed tiers are
-        scanned, in id order; the key ends in the node id, so no order could
-        change the result. `alloc_override` maps some nodes to a tentative
+        then smallest node id. The hosts are tested nearest first (see
+        Topology.nearest), and none beyond the latency of the first feasible
+        one: every such host loses on latency, so the pick is that of a
+        scan of every host. `alloc_override` maps some nodes to a tentative
         allocation (used by the offload loop); any other node is read at its
         own. `util_cap_after` additionally rejects hosts that the placement
         would push above that utilization.
         """
-        topology = self.topology
+        nodes = self.topology.nodes
         demand = app.demand.scaled(replicas)
         overlay = alloc_override or {}
-        best_key = None
-        best_host = None
-        for node_id in sorted(node_id for tier in app.allowed_tiers
-                              for node_id in topology.nodes_of(tier)):
+
+        def rank(node_id: str) -> tuple[float, str] | None:
             if node_id in exclude:
-                continue
-            node = topology.nodes[node_id]
-            if not node.up:
-                continue
+                return None
+            node = nodes[node_id]
             alloc = overlay.get(node_id, node.allocated)
             util_after = alloc.fraction_with(demand, node.capacity)
-            if util_after is None:
-                continue
-            latency = topology.path_latency_or_inf(source, node_id)
-            if latency == float("inf"):
-                continue
-            if (app.latency_requirement_ms is not None
-                    and latency > app.latency_requirement_ms):
-                continue
-            util_now = alloc.bottleneck_fraction(node.capacity)
-            if util_cap_after is not None and util_after > util_cap_after:
-                continue
-            key = (latency, util_now, node_id)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_host = node_id
-        return best_host
+            if util_after is None or (util_cap_after is not None
+                                      and util_after > util_cap_after):
+                return None
+            return alloc.bottleneck_fraction(node.capacity), node_id
+
+        limit = app.latency_requirement_ms
+        return self.topology.nearest(source, app.allowed_tiers, rank,
+                                     math.inf if limit is None else limit)
 
     # -- placement and scaling ---------------------------------------------------
 

@@ -22,6 +22,9 @@ class Tier(str, Enum):
     GATEWAY = "Gateway"
 
 
+_EDGE_MODULES = frozenset({Tier.EDGE_MODULE})
+
+
 @dataclass(frozen=True)
 class ResourceVector:
     """A (cpu, mem, storage) quantity: an app's demand, a node's capacity or
@@ -150,15 +153,15 @@ class _Search:
 class Topology:
     """Mutable node/link graph. Routes come from one cached search per
     source, grown only until it answers the query at hand: shortest_path
-    for a path, path_latency_or_inf for a latency, nearest_edge_module for
-    the nearest edge module. A search scans a settled node's links only
-    once a later pop needs them (see _settle). Up/down state changes only
-    through set_link_up and set_node_up, which drop the searches whose
-    settled or pending nodes their change can alter, while add_node and
-    add_link drop them all; take_dropped names the sources dropped since it
-    last ran. Allocations change only through reserve and release, which
-    mark the node whose metrics-window entries must be rebuilt (see
-    utilization_snapshot)."""
+    for a path, path_latency_or_inf for a latency, nearest for the nearest
+    node of some tiers that a caller accepts. A search scans a settled
+    node's links only once a later pop needs them (see _settle). Up/down
+    state changes only through set_link_up and set_node_up, which drop the
+    searches whose settled or pending nodes their change can alter, while
+    add_node and add_link drop them all; take_dropped names the sources
+    dropped since it last ran. Allocations change only through reserve and
+    release, which mark the node whose metrics-window entries must be
+    rebuilt (see utilization_snapshot)."""
 
     nodes: dict[str, Node] = field(default_factory=dict)
     links: dict[str, Link] = field(default_factory=dict)
@@ -174,6 +177,9 @@ class Topology:
     # tier -> its sorted node ids, built on first use; tiers never change
     _tiers: dict[Tier, tuple[str, ...]] | None = field(
         default=None, repr=False, compare=False)
+    # set of tiers -> the ids of their nodes, built on first use by nearest
+    _members_of: dict[frozenset[Tier], frozenset[str]] = field(
+        default_factory=dict, repr=False, compare=False)
     # metrics-window maps, by node id: utilization rounded to the trace's
     # 9 places, and the allocation's components. Both are rebuilt as new
     # dicts, never updated in place, once a node in _stale changed.
@@ -201,6 +207,7 @@ class Topology:
         self._dropped.update(self._routes)
         self._routes.clear()
         self._tiers = None
+        self._members_of.clear()
         self._stale.add(node_id)
         return node_id
 
@@ -247,6 +254,14 @@ class Topology:
             self._tiers = {t: tuple(sorted(nid for nid, node in self.nodes.items()
                                            if node.tier is t)) for t in Tier}
         return self._tiers[tier]
+
+    def _members(self, tiers: frozenset[Tier]) -> frozenset[str]:
+        """Ids of the nodes of a set of tiers."""
+        members = self._members_of.get(tiers)
+        if members is None:
+            members = self._members_of[tiers] = frozenset(
+                nid for tier in tiers for nid in self.nodes_of(tier))
+        return members
 
     def links_at(self, node_id: str) -> tuple[str, ...]:
         """Ids of the links incident to a node, in the order they were added."""
@@ -366,20 +381,37 @@ class Topology:
 
     def nearest_edge_module(self, gateway: str) -> str | None:
         """The edge module with the least path latency from a gateway, the
-        smaller id on a tie; None when no edge module is reachable.
+        smaller id on a tie; None when no edge module is reachable."""
+        return self.nearest(gateway, _EDGE_MODULES, lambda nid: nid)
 
-        The gateway's search grows until an edge module settles, at some
-        latency d, and then while its next node lies no further than d, so
-        every edge module at latency d has settled.
+    def nearest(self, source: str, tiers: frozenset[Tier], rank,
+                limit: float = math.inf) -> str | None:
+        """The node of `tiers` with the least path latency from `source`,
+        no more than `limit`, that `rank` accepts; None when there is none.
+        rank(node id) is None to refuse a node, and of the accepted nodes
+        at the least latency the one of least rank wins.
+
+        The candidates are walked nearest first, in the order the source's
+        search settles them, and the search grows only as far as the walk
+        needs: until one is accepted at some latency d, and then while its
+        next node lies no further than d, so every candidate at latency d
+        is ranked and none beyond it is. rank must not query routes.
         """
-        search = self._search(gateway)
-        tree, best = search.tree, search.best
-        edges = self.nodes_of(Tier.EDGE_MODULE)
-        if not any(nid in tree for nid in edges) \
-                and self._settle(search, frozenset(edges)) is None:
-            return None
-        self._settle(search, (), min(best[nid] for nid in edges if nid in tree))
-        return min((best[nid], nid) for nid in edges if nid in tree)[1]
+        search = self._search(source)
+        best = search.best
+        members = self._members(tiers)
+        chosen = chosen_rank = None
+        for nid in search.tree:
+            latency = best[nid]
+            if latency > limit:
+                return chosen
+            if nid in members and (key := rank(nid)) is not None \
+                    and (chosen is None or key < chosen_rank):
+                chosen, chosen_rank, limit = nid, key, latency
+        while (nid := self._settle(search, members, limit)) is not None:
+            if (key := rank(nid)) is not None and (chosen is None or key < chosen_rank):
+                chosen, chosen_rank, limit = nid, key, best[nid]
+        return chosen
 
     def _search(self, a: str) -> _Search:
         search = self._routes.get(a)

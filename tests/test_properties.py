@@ -22,7 +22,8 @@ from fogsim.scheduler import (InstanceStatus, Offload, PlacementRequest, Schedul
                               Thresholds)
 from fogsim.topology import ResourceVector, Tier, Topology
 
-from oracles import (ReferenceFlows, brute_force_place, reference_advance_all,
+from oracles import (ReferenceFlows, brute_force_latency, brute_force_place,
+                     reference_advance_all, reference_nearest_edge,
                      reference_release_held, reference_shortest_path,
                      reference_window_maps)
 
@@ -105,7 +106,18 @@ def test_placement_agrees_with_exhaustive_search(seed, fractional):
     else:
         inst = scheduler.place(PlacementRequest("app", source, replicas))
         assert inst.host == expected
-    demand = app.demand.scaled(replicas)
+    exclude, alloc_override, util_cap_after = draw_offload_filters(
+        topo, app.demand.scaled(replicas), rng)
+    assert scheduler.select_host(app, source, replicas, exclude, alloc_override,
+                                 util_cap_after) \
+        == brute_force_place(topo, app, source, replicas, exclude,
+                             alloc_override, util_cap_after)
+
+
+def draw_offload_filters(topo, demand, rng):
+    """Random (exclude, alloc_override, util_cap_after) arguments of
+    select_host, as the offload loop passes them: some tentative
+    allocations plus the demand fill a host exactly."""
     alloc_override = {}
     for nid, node in sorted(topo.nodes.items()):
         cap, draw = node.capacity, rng.random()
@@ -120,11 +132,126 @@ def test_placement_agrees_with_exhaustive_search(seed, fractional):
                 cap.cpu * rng.random(), cap.mem * rng.random(),
                 cap.storage * rng.random())
     exclude = frozenset(rng.sample(sorted(topo.nodes), rng.randint(0, 2)))
-    util_cap_after = rng.choice([None, 0.5, 0.8, 1.0])
-    assert scheduler.select_host(app, source, replicas, exclude, alloc_override,
-                                 util_cap_after) \
-        == brute_force_place(topo, app, source, replicas, exclude,
-                             alloc_override, util_cap_after)
+    return exclude, alloc_override, rng.choice([None, 0.5, 0.8, 1.0])
+
+
+def tied_world(seed: int):
+    """A random three-tier graph whose link latencies are 1 or 2 ms, so that
+    many hosts lie at equal latency from a source, with a Data-App whose
+    latency requirement, when it has one, is the latency of some host.
+
+    The source is any node, an edge or the cloud included, so it may be an
+    allowed host itself. Nodes carry random loads; some nodes and links are
+    down, the source included. Half the time the source's search has
+    already been grown by latency queries to random nodes."""
+    rng = random.Random(seed)
+    topo = Topology()
+    topo.add_node("cloud", Tier.CENTRAL_CLOUD, 64000, 98304, 11534336)
+    edges = [f"edge{i}" for i in range(rng.randint(2, 5))]
+    for edge in edges:
+        topo.add_node(edge, Tier.EDGE_MODULE, 8000, 16384, 491520)
+        topo.add_link(edge, "cloud", rng.choice([1, 2]), 1000)
+    for i, a in enumerate(edges):
+        for b in edges[i + 1:]:
+            if rng.random() < 0.3:
+                topo.add_link(a, b, rng.choice([1, 2]), 100)
+    for i in range(rng.randint(1, 3)):
+        topo.add_node(f"gw{i}", Tier.GATEWAY, 4000, 1024, 16384)
+        for edge in rng.sample(edges, rng.randint(1, 2)):
+            topo.add_link(f"gw{i}", edge, rng.choice([1, 2]), 100)
+    for nid in sorted(topo.nodes):
+        node = topo.nodes[nid]
+        frac = rng.choice([0.0, 0.25, 0.5, 0.9, 1.0])
+        topo.reserve(nid, ResourceVector(0, node.capacity.mem * frac, 0))
+    for nid in sorted(topo.nodes):
+        if rng.random() < 0.1:
+            topo.set_node_up(nid, False)
+    for lid in sorted(topo.links):
+        if rng.random() < 0.1:
+            topo.set_link_up(lid, False)
+    source = rng.choice(sorted(topo.nodes))
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 4)):
+            topo.path_latency_or_inf(source, rng.choice(sorted(topo.nodes)))
+    tiers = rng.choice([frozenset({Tier.EDGE_MODULE}), frozenset({Tier.CENTRAL_CLOUD}),
+                        frozenset({Tier.EDGE_MODULE, Tier.CENTRAL_CLOUD})])
+    latencies = sorted({brute_force_latency(topo, source, nid) for nid in topo.nodes
+                        if topo.nodes[nid].tier in tiers} - {math.inf})
+    app = AppSpec("app", AppKind.DATA_APP,
+                  ResourceVector(rng.randint(100, 1000), rng.choice([512, 4096, 8192]),
+                                 rng.randint(128, 2048)),
+                  latency_requirement_ms=rng.choice([None] + latencies),
+                  allowed_tiers=tiers)
+    catalog = Catalog()
+    catalog.register_app(app)
+    return topo, catalog, source, rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 1_000_000))
+def test_placement_among_equal_latency_hosts_agrees_with_exhaustive_search(seed):
+    """Where many hosts tie on latency, and the latency requirement sits on
+    a tie, `place` and `select_host` with the offload loop's filters pick
+    the host that full enumeration picks, and nearest_edge_module the edge
+    module the reference picks. A second query on the search the first one
+    grew answers the same."""
+    topo, catalog, source, rng = tied_world(seed)
+    scheduler = Scheduler(topo, catalog)
+    app = catalog.app("app")
+    replicas = rng.randint(1, 2)
+    for _ in range(2):
+        assert topo.nearest_edge_module(source) == reference_nearest_edge(topo, source)
+        exclude, alloc_override, util_cap_after = draw_offload_filters(
+            topo, app.demand.scaled(replicas), rng)
+        assert scheduler.select_host(app, source, replicas, exclude, alloc_override,
+                                     util_cap_after) \
+            == brute_force_place(topo, app, source, replicas, exclude,
+                                 alloc_override, util_cap_after)
+    expected = brute_force_place(topo, app, source, replicas)
+    if expected is None:
+        with pytest.raises(errors.Unschedulable):
+            scheduler.place(PlacementRequest("app", source, replicas))
+    else:
+        assert scheduler.place(PlacementRequest("app", source, replicas)).host == expected
+
+
+def assert_routes_from(topo, source):
+    """Every path and latency from `source` is that of a fresh search."""
+    for nid in sorted(topo.nodes):
+        try:
+            expected = [link.link_id
+                        for link in reference_shortest_path(topo, source, nid)]
+        except errors.Unreachable:
+            with pytest.raises(errors.Unreachable):
+                topo.shortest_path(source, nid)
+            assert topo.path_latency_or_inf(source, nid) == math.inf
+            continue
+        assert [link.link_id for link in topo.shortest_path(source, nid)] == expected, nid
+        assert topo.path_latency_or_inf(source, nid) \
+            == sum(topo.links[lid].latency_ms for lid in expected), nid
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 1_000_000))
+def test_a_search_stopped_by_placement_resumes_as_a_fresh_search(seed):
+    """select_host stops the source's search at the latency of the first
+    feasible host, or at the latency requirement. Links and nodes then
+    change state, zero to two times, each followed by another placement
+    query. Grown on from where it stopped, the search answers every path
+    and latency as a fresh search does."""
+    topo, catalog, source, rng = tied_world(seed)
+    scheduler = Scheduler(topo, catalog)
+    app = catalog.app("app")
+    scheduler.select_host(app, source, 1)
+    for _ in range(rng.randint(0, 2)):
+        target = rng.choice(sorted(topo.links) + sorted(topo.nodes))
+        if target in topo.links:
+            topo.set_link_up(target, not topo.links[target].up)
+        else:
+            topo.set_node_up(target, not topo.nodes[target].up)
+        assert scheduler.select_host(app, source, 1) \
+            == brute_force_place(topo, app, source, 1)
+    assert_routes_from(topo, source)
 
 
 @settings(max_examples=100, deadline=None)
@@ -531,13 +658,15 @@ def test_rerouting_dropped_searches_matches_a_fresh_derivation(seed, n_steps):
     """Overlapping faults on links and nodes (gateways, edges and the cloud),
     several at a time as a partition holds links, each element down while
     any fault holds it, as Runtime._hold counts them; between them, pauses,
-    resumes, migrations and queries that grow searches no flow asks of.
-    Flows are served by no instance, by an edge-hosted one and by the cloud.
+    resumes, migrations and queries that grow searches no flow asks of,
+    placements among them, which stop a search at a latency. Flows are served by no instance, by an edge-hosted one and by the cloud.
     After every step each active flow's path, uplink and share are those of
     a fresh derivation, so reroute_dropped, which re-derives only the flows
     whose searches were dropped, misses no route that changed."""
     topo, catalog, discovery, scheduler, homes, instances = contended_world()
     rng = random.Random(seed)
+    near = AppSpec("near", AppKind.DATA_APP, ResourceVector(100, 64, 16),
+                   latency_requirement_ms=rng.choice([None, 2, 3, 6, 22]))
     engine = MigrationEngine(topo, catalog)
     to_cloud = scheduler.instance(rng.choice(instances))
     engine.start(to_cloud, "cloud", 0)
@@ -601,4 +730,5 @@ def test_rerouting_dropped_searches_matches_a_fresh_derivation(seed, n_steps):
             topo.path_latency_or_inf(rng.choice(sorted(topo.nodes)),
                                      rng.choice(sorted(topo.nodes)))
             topo.nearest_edge_module(rng.choice(["gw1", "gw2", "gw3"]))
+            scheduler.select_host(near, rng.choice(["gw1", "gw2", "gw3"]), 1)
         assert_fresh_routes()
