@@ -11,7 +11,7 @@ from .catalog import AppKind, AppSpec, Catalog, DeviceProfile, FirmwareEntry
 from .control import run_scenario, run_scenario_file
 from .dataflow import Flow, FlowManager, WindowMetrics
 from .discovery import Attachment, DiscoveryService
-from .kernel import Event, EventKind, Fault, FaultKind, Kernel, Trace, TraceRecord
+from .kernel import EventKind, FaultKind, Kernel, Trace, TraceRecord
 from .migration import MigrationEngine, MigrationRecord, transfer_duration
 from .report import Report, report_from_trace
 from .runtime import Runtime

@@ -49,7 +49,6 @@ class Flow:
     delivered: float = 0.0
     dropped: float = 0.0
     buffered: float = 0.0
-    uplinked: float = 0.0
     # per-window deltas, reset by close_window
     w_generated: float = 0.0
     w_delivered: float = 0.0
@@ -378,7 +377,6 @@ class FlowManager:
         if held_at is not None:
             self._held[held_at] = self._held.get(held_at, 0.0) + up
             return
-        flow.uplinked += up
         flow.w_uplinked += up
 
     # -- windows ----------------------------------------------------------------------

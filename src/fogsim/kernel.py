@@ -1,5 +1,5 @@
-"""Deterministic discrete-event engine: event queue, integer-ms clock, fault
-injection, and line-delimited trace emission.
+"""Deterministic discrete-event engine: event queue, integer-ms clock, and
+line-delimited trace emission.
 
 The clock is an integer millisecond counter to avoid floating-point drift.
 Events execute in (time, sequence) order; the sequence number breaks ties
@@ -41,26 +41,6 @@ class FaultKind(str, Enum):
     LINK_DOWN = "LinkDown"
     NODE_DOWN = "NodeDown"
     CLOUD_PARTITION = "CloudPartition"
-
-
-@dataclass(frozen=True)
-class Fault:
-    target: str  # link_id or node_id
-    kind: FaultKind
-    start: int
-    duration: int
-
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise errors.ValidationError("fault duration must be > 0")
-
-
-@dataclass(frozen=True)
-class Event:
-    time: int
-    seq: int
-    kind: EventKind
-    payload: dict = field(default_factory=dict)
 
 
 # the trace's JSON encoder: compact, keys sorted. JSONEncoder.encode builds
@@ -623,30 +603,26 @@ class Trace:
 
 
 class Kernel:
+    """Runs each queued event by calling its kind's handler with the one
+    object the event was scheduled with, its entry."""
+
     def __init__(self):
         self.now: int = 0
         self.trace = Trace()
-        self.handlers: dict[EventKind, Callable[[Event], None]] = {}
-        self._queue: list[tuple[int, int, Event]] = []
+        self.handlers: dict[EventKind, Callable[[object], None]] = {}
+        self._queue: list[tuple[int, int, EventKind, object]] = []
         self._event_seq = 0
         self._trace_seq = 0
 
-    def register(self, kind: EventKind, handler: Callable[[Event], None]) -> None:
+    def register(self, kind: EventKind, handler: Callable[[object], None]) -> None:
         self.handlers[kind] = handler
 
-    def schedule(self, time: int, kind: EventKind, payload: dict | None = None) -> Event:
+    def schedule(self, time: int, kind: EventKind, entry: object = None) -> None:
+        """Queue an event of `kind` at `time`, whose handler takes `entry`."""
         if time < self.now:
             raise errors.TimeInPast(f"{time} < {self.now}")
         self._event_seq += 1
-        event = Event(int(time), self._event_seq, kind, payload or {})
-        heapq.heappush(self._queue, (event.time, event.seq, event))
-        return event
-
-    def inject_fault(self, fault: Fault) -> None:
-        """Schedule the start and end of a fault window."""
-        self.schedule(fault.start, EventKind.FAULT_START, {"fault": fault})
-        self.schedule(fault.start + fault.duration, EventKind.FAULT_END,
-                      {"fault": fault})
+        heapq.heappush(self._queue, (int(time), self._event_seq, kind, entry))
 
     def emit(self, kind: str, subject: str, details: dict | tuple,
              memo: dict | None = None) -> TraceRecord:
@@ -693,14 +669,14 @@ class Kernel:
         empty or the clock would pass `until`. An event of a kind with no
         registered handler raises InvariantViolation naming the kind."""
         while self._queue:
-            time, _, event = self._queue[0]
+            time, _, kind, entry = self._queue[0]
             if until is not None and time > until:
                 break
             heapq.heappop(self._queue)
             self.now = time
-            handler = self.handlers.get(event.kind)
+            handler = self.handlers.get(kind)
             if handler is None:
                 raise errors.InvariantViolation(
-                    f"no handler for event kind {event.kind.value}")
-            handler(event)
+                    f"no handler for event kind {kind.value}")
+            handler(entry)
         return self.trace

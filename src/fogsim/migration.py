@@ -117,12 +117,10 @@ class MigrationEngine:
         """Move a device's IoT-App to the gateway the device roamed to.
 
         When the target gateway lacks capacity the instance stays on the old
-        gateway, Stopped; the caller records the warning.
+        gateway, Stopped; the caller records the warning. The instance's own
+        gateway is no target: `start` raises TargetInfeasible.
         """
         app = self.catalog.app(instance.app_id)
-        if to_gateway == instance.host:
-            return MigrationRecord(instance.instance_id, instance.host, to_gateway,
-                                   time, time, 0.0, 0)
         target_node = self.topology.node(to_gateway)
         demand = app.demand.scaled(instance.replicas)
         if not target_node.up or not target_node.fits(demand):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from . import errors
 from .dataflow import FlowManager
 from .discovery import DiscoveryService
-from .kernel import Event, EventKind, Fault, FaultKind, Kernel
+from .kernel import EventKind, FaultKind, Kernel
 from .migration import MigrationEngine, MigrationRecord
 from .scenario import SCRIPT_EVENTS, Scenario, validate_until
 from .scheduler import AppInstance, Defer, InstanceStatus, Offload, \
@@ -54,7 +54,7 @@ class Runtime:
         kernel.register(EventKind.ROAM, self._on_roam)
         kernel.register(EventKind.WORKLOAD_CHANGE, self._on_workload)
         kernel.register(EventKind.FLOW_ADVANCE,
-                        lambda ev: self.flows.advance_all(self.kernel.now))
+                        lambda _: self.flows.advance_all(self.kernel.now))
         kernel.register(EventKind.SCHEDULER_TICK, self._on_tick)
         kernel.register(EventKind.MIGRATION_COMPLETE, self._on_migration_complete)
         kernel.register(EventKind.FAULT_START, self._on_fault_start)
@@ -83,15 +83,19 @@ class Runtime:
         })
 
     def _schedule_script(self):
+        """Queue each script entry, the start and the end of each fault
+        window, and the scheduler ticks; each event's handler takes its
+        entry as it is, and mutates none."""
         for entry in self.scenario.script:
-            self.kernel.schedule(entry["time"], SCRIPT_EVENTS[entry["type"]],
-                                 dict(entry))
-        for fault in self.scenario.build_faults():
-            known = self.topology.links if fault.kind is FaultKind.LINK_DOWN \
+            self.kernel.schedule(entry["time"], SCRIPT_EVENTS[entry["type"]], entry)
+        for fault in self.scenario.faults:
+            known = self.topology.links if fault["kind"] == FaultKind.LINK_DOWN \
                 else self.topology.nodes
-            if fault.target not in known:
-                raise errors.UnknownTarget(fault.target)
-            self.kernel.inject_fault(fault)
+            if fault["target"] not in known:
+                raise errors.UnknownTarget(fault["target"])
+            self.kernel.schedule(fault["start"], EventKind.FAULT_START, fault)
+            self.kernel.schedule(fault["start"] + fault["duration_ms"],
+                                 EventKind.FAULT_END, fault)
         tick = self.scenario.scheduler_tick_ms
         for t in range(tick, self.scenario.duration_ms + 1, tick):
             self.kernel.schedule(t, EventKind.SCHEDULER_TICK)
@@ -132,10 +136,9 @@ class Runtime:
 
     # -- attach / detach / roam -------------------------------------------------------
 
-    def _on_attach(self, event: Event):
-        p = event.payload
-        self._do_attach(p["device"], p["gateway"], p["model"], p["os_version"],
-                        p["preferences"])
+    def _on_attach(self, entry: dict):
+        self._do_attach(entry["device"], entry["gateway"], entry["model"],
+                        entry["os_version"], entry["preferences"])
 
     def _do_attach(self, device: str, gateway: str, model: str,
                    os_version: str, preferences=None):
@@ -162,7 +165,9 @@ class Runtime:
                 return
             if existing.host != gateway:
                 self._start_roam(device, existing, gateway)
-                return
+            else:  # it runs here still: nothing to install or place
+                self._open_device_flow(device, gateway, paused=False)
+            return
         try:
             inst = self.scheduler.install_iot_app(device, gateway, app_id, preferences)
         except errors.GatewayFull:
@@ -174,8 +179,8 @@ class Runtime:
             "device": device})
         self._open_device_flow(device, gateway, paused=False)
 
-    def _on_detach(self, event: Event):
-        self._do_detach(event.payload["device"], event.payload["gateway"])
+    def _on_detach(self, entry: dict):
+        self._do_detach(entry["device"], entry["gateway"])
 
     def _do_detach(self, device: str, gateway: str):
         try:
@@ -189,11 +194,11 @@ class Runtime:
             self.flows.close_flow(flow.flow_id, self.kernel.now)
             self.kernel.emit("flow_close", flow.flow_id, {"device": device})
 
-    def _on_roam(self, event: Event):
+    def _on_roam(self, entry: dict):
         """Scripted roam: detach from the current gateway, attach at the new
         one; the attach path migrates the bound IoT-App."""
-        device = event.payload["device"]
-        to_gateway = event.payload["to_gateway"]
+        device = entry["device"]
+        to_gateway = entry["to_gateway"]
         if self.scheduler.bound_instance(device) is None:
             self._warn(device, "NoBoundApp", to_gateway=to_gateway)
         attachment = self.discovery.attachments.get(device)
@@ -214,17 +219,16 @@ class Runtime:
         except errors.FogSimError as exc:
             self._warn(device, type(exc).__name__, to_gateway=to_gateway)
             return
-        self._migration_started(record, device=device, roam=True)
+        self._migration_started(record)
         # sensor data produced during downtime buffers at the new gateway
         self._open_device_flow(device, to_gateway, paused=True)
 
-    def _migration_started(self, record: MigrationRecord, **payload):
+    def _migration_started(self, record: MigrationRecord):
         """Record a started move and schedule its completion."""
         self.kernel.emit("migration_started", record.instance_id, {
             "from": record.from_node, "to": record.to_node,
             "bytes_mb": record.bytes_moved_mb, "downtime_ms": record.downtime_ms})
-        self.kernel.schedule(record.completed_at, EventKind.MIGRATION_COMPLETE,
-                             {"instance": record.instance_id, **payload})
+        self.kernel.schedule(record.completed_at, EventKind.MIGRATION_COMPLETE, record)
 
     # -- flows ---------------------------------------------------------------------
 
@@ -250,9 +254,9 @@ class Runtime:
             "device": device, "src": gateway, "sink": sink,
             "rate_kbps": rate, "paused": paused})
 
-    def _on_workload(self, event: Event):
-        device = event.payload["device"]
-        rate = event.payload["data_rate_kbps"]
+    def _on_workload(self, entry: dict):
+        device = entry["device"]
+        rate = entry["data_rate_kbps"]
         self._rate_override[device] = rate
         flow = self.flows.active_flow_for(device)
         if flow is not None:
@@ -261,13 +265,13 @@ class Runtime:
 
     # -- scripted placement and scaling ------------------------------------------------
 
-    def _on_place(self, event: Event):
-        p = event.payload
-        req = PlacementRequest(p["app"], p["source"], p["replicas"])
+    def _on_place(self, entry: dict):
+        req = PlacementRequest(entry["app"], entry["source"], entry["replicas"])
         try:
             inst = self.scheduler.place(req)
         except errors.Unschedulable as exc:
-            self._warn(p["app"], "Unschedulable", source=p["source"], detail=str(exc))
+            self._warn(entry["app"], "Unschedulable", source=entry["source"],
+                       detail=str(exc))
             return
         self.kernel.emit("instance_placed", inst.instance_id, {
             "app": inst.app_id, "host": inst.host, "replicas": inst.replicas,
@@ -280,26 +284,22 @@ class Runtime:
                 self.kernel.emit("flow_rebind", flow.flow_id, {
                     "sink": inst.host, "serving": inst.instance_id})
 
-    def _on_scale(self, event: Event):
-        p = event.payload
-        app_id = p["app"]
-        host = p["host"]
-        target = None
-        for iid in sorted(self.scheduler.instances):
-            inst = self.scheduler.instances[iid]
-            if inst.app_id == app_id and inst.status is InstanceStatus.RUNNING \
-                    and (host is None or inst.host == host):
-                target = inst
-                break
+    def _on_scale(self, entry: dict):
+        app_id = entry["app"]
+        host = entry["host"]
+        target = min((inst for inst in self.scheduler.instances.values()
+                      if inst.app_id == app_id and inst.status is InstanceStatus.RUNNING
+                      and (host is None or inst.host == host)),
+                     key=lambda inst: inst.instance_id, default=None)
         if target is None:
             self._warn(app_id, "NoRunningInstance", host=host or "")
             return
         old = target.replicas
         try:
-            self.scheduler.scale(target.instance_id, p["replicas"])
+            self.scheduler.scale(target.instance_id, entry["replicas"])
         except errors.FogSimError as exc:
             self.kernel.emit("scale_warning", target.instance_id, {
-                "reason": type(exc).__name__, "requested": p["replicas"]})
+                "reason": type(exc).__name__, "requested": entry["replicas"]})
             return
         self.kernel.emit("scale", target.instance_id, {
             "replicas_from": old, "replicas_to": target.replicas,
@@ -307,7 +307,7 @@ class Runtime:
 
     # -- scheduler tick and threshold loop ----------------------------------------------
 
-    def _on_tick(self, event: Event):
+    def _on_tick(self, _):
         self._close_window()
         if self._partition_depth > 0:
             self._deferred_ticks += 1
@@ -341,11 +341,15 @@ class Runtime:
             "from": record.from_node, "to": record.to_node})
         self._migration_started(record)
 
-    def _on_migration_complete(self, event: Event):
+    def _on_migration_complete(self, record: MigrationRecord):
+        """Finish a move. Only IoT-Apps roam, and each is bound to its device,
+        so the move of a bound instance is a roam, which resumes the device's
+        flow; any other is an offload of a Data-App, which rebinds the flows
+        it serves."""
         now = self.kernel.now
-        iid = event.payload["instance"]
+        iid = record.instance_id
         inst = self.scheduler.instance(iid)
-        record = self.migrations.complete(inst)
+        self.migrations.complete(inst)
         self.migrations_completed += 1
         self.kernel.emit("migration_completed", iid, {
             "from": record.from_node, "to": record.to_node,
@@ -353,8 +357,8 @@ class Runtime:
             "bytes_moved_mb": record.bytes_moved_mb,
             "downtime_ms": record.downtime_ms,
             "state_version": inst.state.version, "replicas": inst.replicas})
-        if event.payload.get("roam"):
-            device = event.payload["device"]
+        device = inst.bound_device
+        if device is not None:
             flow = self.flows.active_flow_for(device)
             if flow is not None and flow.paused:
                 self.flows.set_paused(flow.flow_id, False, now)
@@ -405,17 +409,17 @@ class Runtime:
 
     # -- faults -----------------------------------------------------------------------
 
-    def _hold(self, fault: Fault, delta: int):
-        """Add delta to the down count of each element the fault holds (its
-        link or node, or a partition's links at the cloud, which also defer
-        ticks); an element is up exactly while no active fault holds it."""
+    def _hold(self, fault: dict, delta: int):
+        """Add delta to the down count of each element the fault entry holds
+        (its link or node, or a partition's links at the cloud, which also
+        defer ticks); an element is up exactly while no active fault holds it."""
         topo = self.topology
-        if fault.kind is FaultKind.LINK_DOWN:
-            held = [(topo.set_link_up, fault.target)]
-        elif fault.kind is FaultKind.NODE_DOWN:
-            held = [(topo.set_node_up, fault.target)]
+        if fault["kind"] == FaultKind.LINK_DOWN:
+            held = [(topo.set_link_up, fault["target"])]
+        elif fault["kind"] == FaultKind.NODE_DOWN:
+            held = [(topo.set_node_up, fault["target"])]
         else:
-            held = [(topo.set_link_up, lid) for lid in topo.links_at(fault.target)]
+            held = [(topo.set_link_up, lid) for lid in topo.links_at(fault["target"])]
             self._partition_depth += delta
         for set_up, target in held:
             count = self._down_counts.get((set_up, target), 0) + delta
@@ -423,18 +427,15 @@ class Runtime:
             set_up(target, count == 0)
         self.flows.reroute_dropped(self.kernel.now)
 
-    def _on_fault_start(self, event: Event):
-        fault: Fault = event.payload["fault"]
+    def _on_fault_start(self, fault: dict):
         self._hold(fault, 1)
-        self.kernel.emit("fault_start", fault.target, {
-            "fault_kind": fault.kind.value, "duration_ms": fault.duration})
+        self.kernel.emit("fault_start", fault["target"], {
+            "fault_kind": fault["kind"], "duration_ms": fault["duration_ms"]})
 
-    def _on_fault_end(self, event: Event):
-        fault: Fault = event.payload["fault"]
+    def _on_fault_end(self, fault: dict):
         self._hold(fault, -1)
-        self.kernel.emit("fault_end", fault.target,
-                         {"fault_kind": fault.kind.value})
-        if fault.kind is FaultKind.CLOUD_PARTITION and \
+        self.kernel.emit("fault_end", fault["target"], {"fault_kind": fault["kind"]})
+        if fault["kind"] == FaultKind.CLOUD_PARTITION and \
                 self._partition_depth == 0 and self._deferred_ticks > 0:
             replay = self._deferred_ticks
             self._deferred_ticks = 0

@@ -23,7 +23,7 @@ from yaml.nodes import ScalarNode
 from . import errors
 from .catalog import (KIND_TIERS, AppKind, AppSpec, Catalog, DeviceProfile,
                       FirmwareEntry, parse_version)
-from .kernel import EventKind, Fault, FaultKind
+from .kernel import EventKind, FaultKind
 from .scheduler import Thresholds
 from .topology import ResourceVector, Tier, Topology
 
@@ -165,10 +165,6 @@ class Scenario:
             catalog.register_firmware(FirmwareEntry(
                 f["model"], f["os_version"], f["version"]))
         return catalog
-
-    def build_faults(self) -> list[Fault]:
-        return [Fault(f["target"], FaultKind(f["kind"]), f["start"], f["duration_ms"])
-                for f in self.faults]
 
 
 _MAX_FLOAT = sys.float_info.max

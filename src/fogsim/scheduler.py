@@ -261,8 +261,7 @@ class Scheduler:
             if not node.up or load.bottleneck_fraction(node.capacity) <= high:
                 continue
             victims = []
-            for iid in sorted(self.instances):
-                inst = self.instances[iid]
+            for inst in self.instances.values():
                 if inst.host != node_id or inst.status is not InstanceStatus.RUNNING:
                     continue
                 app = self.catalog.app(inst.app_id)

@@ -413,7 +413,6 @@ def _reference_uplink(ref: ReferenceFlows, flow: Flow, delivered_mb: float) -> N
             return
     else:
         return
-    flow.uplinked += up
     flow.w_uplinked += up
 
 

@@ -179,6 +179,7 @@ def _rename_node(old, new):
     (_set_faults(duration_ms="ten"), errors.ParseError),
     (lambda raw: raw["script"][0].update(replicas="two"), errors.ParseError),
     (_set_faults(start=-5), errors.InvariantViolation),
+    (_set_faults(duration_ms=0), errors.InvariantViolation),
     (lambda raw: raw["script"][0].update(replicas=0), errors.InvariantViolation),
     (_rename_node("edge2", 7), errors.ParseError),
     (lambda raw: raw["topology"]["links"][1].update(id=4), errors.ParseError),
@@ -188,7 +189,7 @@ def _rename_node(old, new):
 ], ids=["node-without-tier", "unknown-tier", "link-without-latency",
         "device-rate-not-a-number", "workload-rate-not-a-number",
         "fault-duration-not-a-number", "place-replicas-not-a-number",
-        "fault-start-negative", "place-replicas-zero", "node-id-not-a-str",
+        "fault-start-negative", "fault-duration-zero", "place-replicas-zero", "node-id-not-a-str",
         "link-id-not-a-str", "latency-requirement-quoted", "place-of-an-iot-app"])
 def test_malformed_scenario_is_a_typed_validation_error(mutate, expected,
                                                          tmp_path, capsys):
@@ -324,7 +325,10 @@ def test_a_reference_names_a_declared_entry_of_its_kind(mutate, expected):
 def test_each_fault_kind_takes_a_target_of_its_kind(kind, target):
     raw = minimal_scenario()
     _set_faults(kind=kind, target=target)(raw)
-    assert scenario_from_dict(raw).build_faults()[0].target == target
+    trace = Runtime(scenario_from_dict(raw)).run()
+    assert [(r.kind, r.subject, r.details["fault_kind"]) for r in trace
+            if r.kind.startswith("fault_")] == [("fault_start", target, kind),
+                                                ("fault_end", target, kind)]
 
 
 def _refuse(*args, **kwargs):
@@ -639,7 +643,8 @@ def test_workload_trace_hash_is_unchanged(name, seed, expected, tmp_path):
 # faults and horizon, so a route or cache slip that only larger runs reach
 # still changes a pinned hash
 WORKLOAD_X4_TRACE_HASHES = {"star_steady": "b69f4fead80d5f2e",
-                            "mesh_churn": "9813b0672281dadf",
+                            # 2 re-attaches where the device's IoT-App runs
+                            "mesh_churn": "a63f45e0ab537763",
                             "fleet_ticks": "3257e79cc1e2d6dc"}
 
 
@@ -1054,6 +1059,30 @@ def test_the_source_has_one_capacity_rule():
                     or node.attr == "fits_within" and path.name != "topology.py"):
                 reads.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert reads == []
+
+
+def test_a_handler_takes_its_entry_and_no_event_box():
+    """Each queued event carries the one object its handler reads: no
+    handler in runtime.py reads a `.payload`, and kernel.py defines no
+    Event or Fault class to box one in."""
+    runtime_py = ast.parse((REPO_ROOT / "src" / "fogsim" / "runtime.py").read_text())
+    assert [node.lineno for node in ast.walk(runtime_py)
+            if isinstance(node, ast.Attribute) and node.attr == "payload"] == []
+    kernel_py = ast.parse((REPO_ROOT / "src" / "fogsim" / "kernel.py").read_text())
+    assert {node.name for node in ast.walk(kernel_py)
+            if isinstance(node, ast.ClassDef)}.isdisjoint({"Event", "Fault"})
+
+
+def test_one_scenario_runs_twice_to_one_trace_and_keeps_its_entries(tmp_path):
+    """Handlers take the scenario's script and fault entries themselves, not
+    copies, so they must mutate none: a second run of the same Scenario
+    object gives the same trace, and the entries are as they were."""
+    scenario = load_scenario(_workload_path("mesh_churn", tmp_path))
+    assert scenario.script and scenario.faults
+    entries = copy.deepcopy((scenario.script, scenario.faults))
+    hashes = [Runtime(scenario).run().hash() for _ in range(2)]
+    assert hashes[0] == hashes[1]
+    assert (scenario.script, scenario.faults) == entries
 
 
 def _raised_names() -> set[str]:

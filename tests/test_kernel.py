@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from fogsim import errors
 from fogsim import kernel as kernel_module
-from fogsim.kernel import (RECORD_KINDS, Event, EventKind, Fault, FaultKind,
-                           Kernel, Trace, TraceRecord)
+from fogsim.kernel import RECORD_KINDS, EventKind, Kernel, Trace, TraceRecord
 
 from fixture_paths import REPO_ROOT
 from oracles import (reference_from_jsonl, reference_record_json,
@@ -22,7 +21,7 @@ from oracles import (reference_from_jsonl, reference_record_json,
 def test_events_run_in_time_then_fifo_order():
     kernel = Kernel()
     seen = []
-    kernel.register(EventKind.FLOW_ADVANCE, lambda e: seen.append(e.payload["tag"]))
+    kernel.register(EventKind.FLOW_ADVANCE, lambda entry: seen.append(entry["tag"]))
     kernel.schedule(10, EventKind.FLOW_ADVANCE, {"tag": "b"})
     kernel.schedule(5, EventKind.FLOW_ADVANCE, {"tag": "a"})
     kernel.schedule(10, EventKind.FLOW_ADVANCE, {"tag": "c"})  # same time: FIFO
@@ -33,7 +32,7 @@ def test_events_run_in_time_then_fifo_order():
 
 def test_schedule_in_past_rejected():
     kernel = Kernel()
-    kernel.register(EventKind.FLOW_ADVANCE, lambda e: None)
+    kernel.register(EventKind.FLOW_ADVANCE, lambda entry: None)
     kernel.schedule(100, EventKind.FLOW_ADVANCE)
     kernel.run()
     with pytest.raises(errors.TimeInPast):
@@ -43,7 +42,7 @@ def test_schedule_in_past_rejected():
 def test_run_until_leaves_later_events_queued():
     kernel = Kernel()
     seen = []
-    kernel.register(EventKind.FLOW_ADVANCE, lambda e: seen.append(e.time))
+    kernel.register(EventKind.FLOW_ADVANCE, lambda entry: seen.append(kernel.now))
     for t in (100, 200, 300):
         kernel.schedule(t, EventKind.FLOW_ADVANCE)
     kernel.run(until=200)
@@ -56,10 +55,10 @@ def test_handler_can_schedule_followups():
     kernel = Kernel()
     seen = []
 
-    def handler(event: Event):
-        seen.append(event.time)
-        if event.time < 30:
-            kernel.schedule(event.time + 10, EventKind.FLOW_ADVANCE)
+    def handler(entry):
+        seen.append(kernel.now)
+        if kernel.now < 30:
+            kernel.schedule(kernel.now + 10, EventKind.FLOW_ADVANCE)
 
     kernel.register(EventKind.FLOW_ADVANCE, handler)
     kernel.schedule(10, EventKind.FLOW_ADVANCE)
@@ -67,31 +66,30 @@ def test_handler_can_schedule_followups():
     assert seen == [10, 20, 30]
 
 
-def test_inject_fault_schedules_symmetric_window():
+def test_a_handler_takes_the_entry_its_event_was_scheduled_with():
+    """The entry is handed over as it is, not copied; an event scheduled
+    without one hands over None."""
     kernel = Kernel()
-    times = []
-    kernel.register(EventKind.FAULT_START, lambda e: times.append(("start", e.time)))
-    kernel.register(EventKind.FAULT_END, lambda e: times.append(("end", e.time)))
-    kernel.inject_fault(Fault("edge1", FaultKind.NODE_DOWN, 1000, 500))
+    seen = []
+    kernel.register(EventKind.FAULT_START, seen.append)
+    kernel.register(EventKind.SCHEDULER_TICK, seen.append)
+    entry = {"target": "edge1", "kind": "NodeDown", "start": 1000, "duration_ms": 500}
+    kernel.schedule(1000, EventKind.FAULT_START, entry)
+    kernel.schedule(1500, EventKind.SCHEDULER_TICK)
     kernel.run()
-    assert times == [("start", 1000), ("end", 1500)]
+    assert len(seen) == 2 and seen[0] is entry and seen[1] is None
 
 
 def test_an_event_without_a_handler_raises_naming_its_kind():
     kernel = Kernel()
     seen = []
-    kernel.register(EventKind.FLOW_ADVANCE, lambda e: seen.append(e.time))
+    kernel.register(EventKind.FLOW_ADVANCE, lambda entry: seen.append(kernel.now))
     kernel.schedule(10, EventKind.FLOW_ADVANCE)
     kernel.schedule(20, EventKind.SCALE)
     with pytest.raises(errors.InvariantViolation, match="Scale"):
         kernel.run()
     assert seen == [10]
     assert kernel.now == 20
-
-
-def test_fault_duration_must_be_positive():
-    with pytest.raises(errors.ValidationError):
-        Fault("edge1", FaultKind.LINK_DOWN, 0, 0)
 
 
 def test_emit_assigns_strictly_increasing_seq():

@@ -197,9 +197,14 @@ def test_roam_to_full_gateway_stops_instance(world):
     assert topo.node("gw1").allocated.mem == 64
 
 
-def test_roam_same_gateway_is_noop(world):
-    _, scheduler, engine = world
+def test_a_roam_to_the_instance_s_own_gateway_is_target_infeasible(world):
+    """It is no move, so no record comes back that a completion could be
+    scheduled for; the instance keeps running where it is, holding one
+    reservation."""
+    topo, scheduler, engine = world
     inst = scheduler.install_iot_app("dev1", "gw1", "agent")
-    record = engine.roam(inst, "gw1", 0)
-    assert record.downtime_ms == 0
-    assert inst.status is InstanceStatus.RUNNING
+    allocated = topo.node("gw1").allocated
+    with pytest.raises(errors.TargetInfeasible, match=r"-> gw1$"):
+        engine.roam(inst, "gw1", 0)
+    assert inst.status is InstanceStatus.RUNNING and inst.host == "gw1"
+    assert topo.node("gw1").allocated == allocated

@@ -299,7 +299,8 @@ def test_flow_conservation_under_random_advances(seed, steps):
     assert flow.generated == pytest.approx(
         flow.delivered + flow.dropped + flow.buffered)
     assert flow.buffered <= flows.buffer_mb + 1e-9
-    assert flow.uplinked <= flow.delivered + 1e-9
+    # no window closes, so the window counters are the cumulative ones
+    assert flow.w_uplinked <= flow.w_delivered + 1e-9
 
 
 @settings(max_examples=100, deadline=None)
@@ -469,7 +470,7 @@ def test_window_maps_match_a_fresh_computation(seed, fractional, steps):
         assert maps_json(record.details) == emitted
 
 
-FLOW_COUNTERS = ("generated", "delivered", "dropped", "buffered", "uplinked",
+FLOW_COUNTERS = ("generated", "delivered", "dropped", "buffered",
                  "w_generated", "w_delivered", "w_dropped", "w_uplinked")
 
 

@@ -191,28 +191,42 @@ def test_an_attach_at_a_down_gateway_places_nothing_there():
     assert runtime.discovery.current_gateway(attach.subject) == "gw1"
 
 
-def test_a_re_attach_at_the_same_gateway_reinstalls_the_bound_instance():
+def test_a_re_attach_at_the_same_gateway_reuses_the_bound_instance():
     """A detach leaves the device's IoT-App running on its gateway, so the
-    re-attach there asks for the install again and gets that instance back,
-    holding one reservation, and the device's data flows again."""
+    re-attach there asks for the install again but installs and places
+    nothing: the instance keeps its one reservation, and the device's data
+    flows again."""
     scenario = load_scenario(SCENARIO_DIR / "roaming.yaml")
     scenario.script[2]["gateway"] = "gw1"  # the re-attach at 6200 ms
     runtime = Runtime(scenario)
     trace = runtime.run()
-    assert trace.hash()[:16] == "4063e3e5a4fa3352"
+    assert trace.hash()[:16] == "9360458de7c10644"
     assert [(r.kind, r.subject, r.details) for r in trace if r.time_ms == 6200] == [
         ("attach", "wearable-1", {"gateway": "gw1", "model": "smartband",
                                   "firmware_version": "1.4"}),
         ("install_request", "wearable-1", {"app": "life-signs-agent", "gateway": "gw1"}),
-        ("instance_placed", "life-signs-agent-1", {
-            "app": "life-signs-agent", "host": "gw1", "replicas": 1,
-            "device": "wearable-1"}),
         ("flow_open", "flow-2", {"device": "wearable-1", "src": "gw1", "sink": "edge1",
                                  "rate_kbps": 100.0, "paused": False})]
     assert list(runtime.scheduler.instances) == ["life-signs-agent-1"]
     assert runtime.topology.nodes["gw1"].allocated == ResourceVector(100, 64, 16)
-    # one instance, counted at each of its two instance_placed records
-    assert report_from_trace(trace).summary["installs"] == 2
+    assert report_from_trace(trace).summary["installs"] == 1
+
+
+def test_a_re_attach_at_the_gateway_a_roam_leaves_places_nothing():
+    """While the IoT-App's move to gw2 is in flight it still runs on gw1, so
+    a roam back there asks for the install but neither installs nor places
+    the Migrating instance again."""
+    scenario = load_scenario(SCENARIO_DIR / "roaming.yaml")
+    scenario.script.append({"time": 6201, "type": "roam", "device": "wearable-1",
+                            "to_gateway": "gw1"})
+    runtime = Runtime(scenario)
+    trace = runtime.run()
+    assert [(r.kind, r.details.get("gateway")) for r in trace if r.time_ms == 6201] == [
+        ("detach", "gw2"), ("flow_close", None), ("attach", "gw1"),
+        ("install_request", "gw1"), ("flow_open", None)]
+    assert [r.subject for r in trace if r.kind == "instance_placed"] == [
+        "life-signs-agent-1"]
+    assert list(runtime.scheduler.instances) == ["life-signs-agent-1"]
 
 
 def test_a_flow_from_a_down_gateway_delivers_nothing():
