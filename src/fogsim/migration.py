@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 from . import errors
-from .catalog import Catalog
-from .scheduler import AppInstance, InstanceStatus, StateBlob  # StateBlob: re-exported
-from .topology import Link, Topology
+from .scheduler import AppInstance, InstanceStatus, Scheduler, \
+    StateBlob  # StateBlob: re-exported
+from .topology import Link
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,14 @@ class MigrationEngine:
     mark Migrating) and complete (release source, resume on target).
 
     Between the phases the instance's resources are reserved on both nodes,
-    never on neither.
+    never on neither. It moves the scheduler's instances and writes their
+    statuses through Scheduler.set_status.
     """
 
-    def __init__(self, topology: Topology, catalog: Catalog):
-        self.topology = topology
-        self.catalog = catalog
+    def __init__(self, scheduler: Scheduler):
+        self.scheduler = scheduler
+        self.topology = scheduler.topology
+        self.catalog = scheduler.catalog
         # instance_id -> (record, state snapshot, reserved demand)
         self._pending: dict[str, tuple] = {}
 
@@ -97,7 +99,7 @@ class MigrationEngine:
         snapshot = instance.state.snapshot()
         duration = transfer_duration(snapshot.size_mb, path)
         self.topology.reserve(target, demand)
-        instance.status = InstanceStatus.MIGRATING
+        self.scheduler.set_status(instance, InstanceStatus.MIGRATING)
         record = MigrationRecord(instance.instance_id, instance.host, target,
                                  time, time + duration, snapshot.size_mb, duration)
         self._pending[instance.instance_id] = (record, snapshot, demand)
@@ -110,7 +112,7 @@ class MigrationEngine:
         self.topology.release(record.from_node, demand)
         instance.host = record.to_node
         instance.state = snapshot
-        instance.status = InstanceStatus.RUNNING
+        self.scheduler.set_status(instance, InstanceStatus.RUNNING)
         return record
 
     def roam(self, instance: AppInstance, to_gateway: str, time: int) -> MigrationRecord:
@@ -124,6 +126,6 @@ class MigrationEngine:
         target_node = self.topology.node(to_gateway)
         demand = app.demand.scaled(instance.replicas)
         if not target_node.up or not target_node.fits(demand):
-            instance.status = InstanceStatus.STOPPED
+            self.scheduler.set_status(instance, InstanceStatus.STOPPED)
             raise errors.GatewayFull(f"{to_gateway} cannot host {instance.instance_id}")
         return self.start(instance, to_gateway, time)

@@ -22,9 +22,6 @@ from .scenario import SCRIPT_EVENTS, Scenario, validate_until
 from .scheduler import AppInstance, Defer, InstanceStatus, Offload, \
     PlacementRequest, Scheduler
 
-# each status's plain str value, read without the Enum `value` descriptor
-_STATUS_VALUES = {member: member.value for member in InstanceStatus}
-
 
 class Runtime:
     def __init__(self, scenario: Scenario):
@@ -34,15 +31,13 @@ class Runtime:
         self.kernel = Kernel()
         self.discovery = DiscoveryService(self.topology, self.catalog)
         self.scheduler = Scheduler(self.topology, self.catalog, scenario.thresholds)
-        self.migrations = MigrationEngine(self.topology, self.catalog)
+        self.migrations = MigrationEngine(self.scheduler)
         self.flows = FlowManager(self.topology, self.catalog, self.discovery,
                                  self.scheduler, scenario.buffer_mb)
         self.migrations_completed = 0
         self._window_start = 0
         self._partition_depth = 0
         self._deferred_ticks = 0
-        # instance id -> status, as in the last metrics_window record
-        self._statuses: dict[str, str] = {}
         # (set_link_up or set_node_up, element id) -> faults holding it down
         self._down_counts: dict[tuple, int] = {}
         self._rate_override: dict[str, float] = {}
@@ -393,17 +388,10 @@ class Runtime:
             kernel.emit("link_window", link_id, (
                 metrics.links[link_id], links[link_id].bandwidth_mbps * dt / 8000.0),
                 memo)
-        instances = self.scheduler.instances
-        statuses = {iid: _STATUS_VALUES[instances[iid].status]
-                    for iid in sorted(instances)}
-        # an unchanged map is emitted as the previous window's object, which
-        # records share and never mutate
-        if statuses != self._statuses:
-            self._statuses = statuses
         kernel.emit("metrics_window", "network", (
             self._window_start, now, metrics.generated_mb, metrics.delivered_mb,
             metrics.dropped_mb, metrics.uplink_mb, metrics.ratio,
-            self._statuses, self.topology.utilization_snapshot(),
+            self.scheduler.status_snapshot(), self.topology.utilization_snapshot(),
             self.topology.alloc_snapshot()), memo)
         self._window_start = now
 

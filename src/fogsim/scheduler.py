@@ -6,7 +6,9 @@ It tests hosts nearest first and stops at the latency of the first feasible
 one, which picks the host a scan of every host would.
 The offload loop uses a high/low watermark pair for hysteresis: an edge
 module above the high watermark sheds its largest Data-App instances until
-it drops to the low watermark or nothing movable remains.
+it drops to the low watermark or nothing movable remains. The loop walks
+only the edge modules above the high watermark, a set kept from the
+allocations that changed, so a tick in which none changed costs nothing.
 
 Decide and apply are split so that fault injection between them is testable:
 actions are computed against a consistent snapshot and re-validated on apply
@@ -15,7 +17,6 @@ by MigrationEngine.start, the one check a move passes before it starts.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -31,20 +32,21 @@ class InstanceStatus(str, Enum):
     STOPPED = "Stopped"
 
 
+# each status's plain str value, read without the Enum `value` descriptor
+_STATUS_VALUES = {member: member.value for member in InstanceStatus}
+
+
 @dataclass
 class StateBlob:
-    """Mutable application state carried across migrations (includes user status)."""
+    """Application state carried across migrations (includes user status)."""
 
     size_mb: float = 0.0
     version: int = 1
     payload: dict = field(default_factory=dict)
 
-    def update(self, **entries) -> None:
-        self.payload.update(entries)
-        self.version += 1
-
     def snapshot(self) -> "StateBlob":
-        return StateBlob(self.size_mb, self.version, copy.deepcopy(self.payload))
+        """The state a move copies; it shares `payload`, which nothing mutates."""
+        return StateBlob(self.size_mb, self.version, self.payload)
 
 
 @dataclass
@@ -110,6 +112,13 @@ class Scheduler:
         self._bound: dict[str, list[AppInstance]] = {}
         # source node -> the Data-App instances placed for it
         self._data_apps: dict[str, list[AppInstance]] = {}
+        # the edge modules whose allocation is above the high watermark, as
+        # of the allocations check_thresholds last took from the topology
+        self._hot: set[str] = set()
+        # instance id -> status value, sorted, rebuilt by status_snapshot
+        # only once an instance was added or a status written
+        self._statuses: dict[str, str] = {}
+        self._statuses_stale = False
 
     # -- helpers ---------------------------------------------------------------
 
@@ -117,6 +126,32 @@ class Scheduler:
         n = self._counters.get(app_id, 0) + 1
         self._counters[app_id] = n
         return f"{app_id}-{n}"
+
+    def _add(self, inst: AppInstance) -> None:
+        self.instances[inst.instance_id] = inst
+        self._statuses_stale = True
+
+    def set_status(self, inst: AppInstance, status: InstanceStatus) -> None:
+        """Write an instance's status; the one way a status changes after
+        the instance is added, so that status_snapshot sees it."""
+        inst.status = status
+        self._statuses_stale = True
+
+    def status_snapshot(self) -> dict[str, str]:
+        """Every instance's status value by instance id, sorted.
+
+        The dict is shared: the same object is returned until an instance
+        is added or a status is written and the map differs, and trace
+        records hold it, so it must never be mutated.
+        """
+        if self._statuses_stale:
+            self._statuses_stale = False
+            instances = self.instances
+            statuses = {iid: _STATUS_VALUES[instances[iid].status]
+                        for iid in sorted(instances)}
+            if statuses != self._statuses:
+                self._statuses = statuses
+        return self._statuses
 
     def instance(self, instance_id: str) -> AppInstance:
         try:
@@ -188,7 +223,7 @@ class Scheduler:
         inst = AppInstance(self._new_instance_id(req.app), req.app, host,
                            req.replicas, req.source,
                            StateBlob(size_mb=app.state_size_mb))
-        self.instances[inst.instance_id] = inst
+        self._add(inst)
         if app.kind is AppKind.DATA_APP:
             self._data_apps.setdefault(req.source, []).append(inst)
         return inst
@@ -196,17 +231,14 @@ class Scheduler:
     def install_iot_app(self, device: str, gateway: str, app_id: str,
                         preferences: dict | None = None) -> AppInstance:
         """Deploy the IoT-App `app_id` for a freshly attached device on its
-        gateway.
+        gateway; the caller installs only for a device with no bound
+        instance.
 
-        Idempotent when the bound instance already runs there. Raises
-        GatewayFull when the gateway is down or lacks capacity (device stays
-        attached but unmanaged; the caller records the warning).
+        Raises GatewayFull when the gateway is down or lacks capacity
+        (device stays attached but unmanaged; the caller records the
+        warning).
         """
         app = self.catalog.app(app_id)
-        existing = self.bound_instance(device)
-        if existing is not None and existing.host == gateway and \
-                existing.status in (InstanceStatus.RUNNING, InstanceStatus.MIGRATING):
-            return existing
         node = self.topology.node(gateway)
         if not node.up or not node.fits(app.demand):
             raise errors.GatewayFull(f"{gateway} cannot host {app_id} for {device}")
@@ -215,7 +247,7 @@ class Scheduler:
                           payload=dict(preferences or {}))
         inst = AppInstance(self._new_instance_id(app_id), app_id, gateway, 1,
                            gateway, state, bound_device=device)
-        self.instances[inst.instance_id] = inst
+        self._add(inst)
         self._bound.setdefault(device, []).append(inst)
         return inst
 
@@ -242,20 +274,36 @@ class Scheduler:
     def check_thresholds(self) -> list[Action]:
         """Offload decisions for every edge module above the high watermark.
 
+        It walks only those edges, in id order, skipping the down ones: it
+        takes the nodes Topology.take_reallocated names and re-tests just
+        them to keep its set of edges over `high`, so a tick in which no
+        allocation changed tests no node. Up/down changes move no
+        allocation and need no update: a down edge stays in the set and is
+        skipped.
+
         Victims are Running Data-App instances, largest bottleneck reservation
         first; IoT-Apps are pinned to their device's gateway and never moved.
         Targets must absorb the instance without themselves crossing the high
         watermark, which keeps constant workloads flap-free. Decisions are
         computed against tentative allocations so several actions in one tick
-        stay mutually consistent.
+        stay mutually consistent; a target is never pushed above `high`, so
+        no edge outside the set crosses it within the tick.
         """
         actions: list[Action] = []
         nodes = self.topology.nodes
+        high, low = self.thresholds.high_watermark, self.thresholds.low_watermark
+        hot = self._hot
+        for node_id in self.topology.take_reallocated():
+            node = nodes[node_id]
+            if node.tier is Tier.EDGE_MODULE and \
+                    node.allocated.bottleneck_fraction(node.capacity) > high:
+                hot.add(node_id)
+            else:
+                hot.discard(node_id)
         # tentative allocations of the nodes this tick has moved load off or
         # onto; every other node's is its own
         alloc: dict[str, ResourceVector] = {}
-        high, low = self.thresholds.high_watermark, self.thresholds.low_watermark
-        for node_id in self.topology.nodes_of(Tier.EDGE_MODULE):
+        for node_id in sorted(hot):
             node = nodes[node_id]
             load = alloc.get(node_id, node.allocated)
             if not node.up or load.bottleneck_fraction(node.capacity) <= high:

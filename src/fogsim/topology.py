@@ -85,7 +85,8 @@ class ResourceVector:
 class Node:
     """A compute node. `capacity` and `allocated` are ResourceVectors;
     `allocated` changes only through Topology.reserve and release, which
-    mark the node's metrics-window entries stale. `up` is written only
+    mark the node's metrics-window entries stale and note it for the
+    scheduler's hot set. `up` is written only
     through Topology.set_node_up, which drops the cached searches that the
     change can alter."""
 
@@ -161,7 +162,9 @@ class Topology:
     add_node and add_link drop them all; take_dropped names the sources
     dropped since it last ran. Allocations change only through reserve and
     release, which mark the node whose metrics-window entries must be
-    rebuilt (see utilization_snapshot)."""
+    rebuilt (see utilization_snapshot) and note it for take_reallocated,
+    from which the scheduler keeps its set of edge modules over the high
+    watermark: a tick in which no allocation changed tests no node."""
 
     nodes: dict[str, Node] = field(default_factory=dict)
     links: dict[str, Link] = field(default_factory=dict)
@@ -188,6 +191,9 @@ class Topology:
         default_factory=dict, repr=False, compare=False)
     _alloc: dict[str, dict[str, float]] = field(
         default_factory=dict, repr=False, compare=False)
+    # nodes whose allocation changed since take_reallocated last ran; a node
+    # is added with none allocated, so it is noted only once it has some
+    _reallocated: set[str] = field(default_factory=set, repr=False, compare=False)
 
     # -- construction --------------------------------------------------------
 
@@ -502,6 +508,7 @@ class Topology:
                 f"{node.capacity - node.allocated}")
         node.allocated = node.allocated + demand
         self._stale.add(node_id)
+        self._reallocated.add(node_id)
 
     def release(self, node_id: str, demand: ResourceVector) -> None:
         node = self.node(node_id)
@@ -510,6 +517,13 @@ class Topology:
                 f"{node_id}: release {demand} exceeds allocated {node.allocated}")
         node.allocated = node.allocated - demand
         self._stale.add(node_id)
+        self._reallocated.add(node_id)
+
+    def take_reallocated(self) -> set[str]:
+        """The nodes whose allocation reserve or release changed since the
+        last call."""
+        reallocated, self._reallocated = self._reallocated, set()
+        return reallocated
 
     # -- metrics-window maps ----------------------------------------------------
 

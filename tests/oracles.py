@@ -5,7 +5,7 @@ exhaustive simple-path enumeration (not Dijkstra), placement by full
 enumeration over every node, and flow counters by re-accumulating trace
 deltas. They may be exponential; the graphs they see are tiny.
 
-Eight exceptions copy earlier production code. reference_shortest_path is the
+Nine exceptions copy earlier production code. reference_shortest_path is the
 uncached per-pair Dijkstra that Topology.shortest_path ran before routes were
 cached per source; it pins the exact path, tie-breaks included, that a
 cached search must return however far it had grown.
@@ -31,6 +31,9 @@ at emission; it pins the maps that the cached ones must equal. reference_nearest
 Runtime._nearest_edge as it was before Topology.nearest_edge_module read its
 latencies from the cached search, with latencies found afresh; it pins
 the sink a flow without a serving Data-App goes to.
+reference_check_thresholds is Scheduler.check_thresholds as it was when
+every tick tested every up edge module against the high watermark; it pins
+the actions that the loop over the kept set of hot edges must return.
 """
 
 from __future__ import annotations
@@ -43,11 +46,11 @@ from dataclasses import dataclass, field
 import yaml
 
 from fogsim import errors
-from fogsim.catalog import AppSpec, Catalog
+from fogsim.catalog import AppKind, AppSpec, Catalog
 from fogsim.dataflow import Flow, generated_mb
 from fogsim.kernel import TraceRecord
-from fogsim.scheduler import InstanceStatus, Scheduler
-from fogsim.topology import Link, Tier, Topology
+from fogsim.scheduler import Action, Defer, InstanceStatus, Offload, Scheduler
+from fogsim.topology import Link, ResourceVector, Tier, Topology
 
 
 def reference_shortest_path(topology: Topology, a: str, b: str) -> list[Link]:
@@ -231,6 +234,62 @@ def reference_window_maps(topology: Topology) -> dict:
              for nid, n in sorted(topology.nodes.items())}
     utilization = {nid: n.utilization() for nid, n in sorted(topology.nodes.items())}
     return reference_round_floats({"utilization": utilization, "alloc": alloc})
+
+
+def reference_check_thresholds(scheduler: Scheduler) -> list[Action]:
+    """The offload decisions of one tick, testing every up edge module in id
+    order against the high watermark; it reads the scheduler and changes
+    nothing."""
+    actions: list[Action] = []
+    nodes = scheduler.topology.nodes
+    alloc: dict[str, ResourceVector] = {}
+    high = scheduler.thresholds.high_watermark
+    low = scheduler.thresholds.low_watermark
+    for node_id in scheduler.topology.nodes_of(Tier.EDGE_MODULE):
+        node = nodes[node_id]
+        load = alloc.get(node_id, node.allocated)
+        if not node.up or load.bottleneck_fraction(node.capacity) <= high:
+            continue
+        victims = []
+        for inst in scheduler.instances.values():
+            if inst.host != node_id or inst.status is not InstanceStatus.RUNNING:
+                continue
+            app = scheduler.catalog.app(inst.app_id)
+            if app.kind is not AppKind.DATA_APP:
+                continue
+            victims.append((inst, app, app.demand.scaled(inst.replicas)))
+        if not victims:
+            actions.append(Defer(node_id, None, "NoMovableInstance"))
+            continue
+        victims.sort(key=lambda v: (
+            -v[2].bottleneck_fraction(node.capacity), v[0].instance_id))
+        deferred = False
+        for inst, app, demand in victims:
+            if load.bottleneck_fraction(node.capacity) <= low:
+                break
+            target = scheduler.select_host(
+                app, inst.source, inst.replicas,
+                exclude=frozenset({node_id}), alloc_override=alloc,
+                util_cap_after=high)
+            if target is None:
+                actions.append(Defer(node_id, inst.instance_id, "NoFeasibleTarget"))
+                deferred = True
+                continue
+            actions.append(Offload(inst.instance_id, target))
+            load = alloc[node_id] = load - demand
+            alloc[target] = alloc.get(target, nodes[target].allocated) + demand
+        if load.bottleneck_fraction(node.capacity) > high and not deferred:
+            actions.append(Defer(node_id, None, "NoMovableInstance"))
+    return actions
+
+
+def reference_hot_edges(scheduler: Scheduler) -> set[str]:
+    """The edge modules, up or down, whose allocation is above the high
+    watermark, found by testing every one."""
+    nodes = scheduler.topology.nodes
+    high = scheduler.thresholds.high_watermark
+    return {nid for nid in scheduler.topology.nodes_of(Tier.EDGE_MODULE)
+            if nodes[nid].allocated.bottleneck_fraction(nodes[nid].capacity) > high}
 
 
 def brute_force_latency(topology: Topology, a: str, b: str) -> float:

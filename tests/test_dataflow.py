@@ -194,7 +194,7 @@ def test_uplink_ratio_rises_when_app_moves_to_cloud(world):
                            serving_instance=inst.instance_id)
     flows.advance_all(1000)
     before = flows.close_window(0, 1000)
-    engine = MigrationEngine(topo, scheduler.catalog)
+    engine = MigrationEngine(scheduler)
     record = engine.start(inst, "cloud", 1000)
     engine.complete(inst)
     flows.rebind(flow.flow_id, inst.host, inst.instance_id, 1000)

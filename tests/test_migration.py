@@ -77,12 +77,11 @@ def test_transfer_duration_link_down():
         transfer_duration(10, [down])
 
 
-def test_state_blob_update_and_snapshot():
-    blob = StateBlob(size_mb=1, payload={"hr": 60})
+def test_a_snapshot_carries_size_version_and_payload():
+    blob = StateBlob(size_mb=1, version=3, payload={"hr": 60})
     snap = blob.snapshot()
-    blob.update(hr=90)
-    assert blob.version == 2
-    assert snap.version == 1 and snap.payload == {"hr": 60}
+    assert snap is not blob
+    assert (snap.size_mb, snap.version, snap.payload) == (1, 3, {"hr": 60})
 
 
 # --- engine -------------------------------------------------------------------
@@ -91,14 +90,14 @@ def test_state_blob_update_and_snapshot():
 @pytest.fixture
 def world(three_tier, catalog):
     scheduler = Scheduler(three_tier, catalog)
-    engine = MigrationEngine(three_tier, catalog)
+    engine = MigrationEngine(scheduler)
     return three_tier, scheduler, engine
 
 
 def test_migrate_data_app_to_cloud(world):
     topo, scheduler, engine = world
     inst = scheduler.place(PlacementRequest("analytics", "gw1"))
-    inst.state.update(model="v1")
+    state = inst.state
     record = engine.start(inst, "cloud", 1000)
     # both reservations held while the copy is in flight
     assert inst.status is InstanceStatus.MIGRATING
@@ -110,7 +109,7 @@ def test_migrate_data_app_to_cloud(world):
     done = engine.complete(inst)
     assert inst.host == "cloud"
     assert inst.status is InstanceStatus.RUNNING
-    assert inst.state.payload == {"model": "v1"}  # state travels with the app
+    assert inst.state == state  # state travels with the app
     assert topo.node("edge1").allocated.mem == 0
     assert done is record or done == record
 
@@ -156,7 +155,7 @@ def test_migrate_latency_budget_checked_against_source(three_tier, catalog):
                                  ResourceVector(100, 512, 128),
                                  latency_requirement_ms=10, state_size_mb=1))
     scheduler = Scheduler(three_tier, catalog)
-    engine = MigrationEngine(three_tier, catalog)
+    engine = MigrationEngine(scheduler)
     inst = scheduler.place(PlacementRequest("strict", "gw1"))
     with pytest.raises(errors.TargetInfeasible):
         engine.start(inst, "cloud", 0)
@@ -172,8 +171,7 @@ def test_migrate_unreachable_target(world):
 
 def test_roam_between_gateways(world):
     topo, scheduler, engine = world
-    inst = scheduler.install_iot_app("dev1", "gw1", "agent")
-    inst.state.update(steps=1200)
+    inst = scheduler.install_iot_app("dev1", "gw1", "agent", {"steps": 1200})
     record = engine.roam(inst, "gw2", 2000)
     # 1 MB over gw1-edge1-gw2: 80 ms + 4 ms latency
     assert record.downtime_ms == 84

@@ -8,7 +8,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fogsim import errors
@@ -23,7 +23,8 @@ from fogsim.scheduler import (InstanceStatus, Offload, PlacementRequest, Schedul
 from fogsim.topology import ResourceVector, Tier, Topology
 
 from oracles import (ReferenceFlows, brute_force_latency, brute_force_place,
-                     reference_advance_all, reference_nearest_edge,
+                     reference_advance_all, reference_check_thresholds,
+                     reference_hot_edges, reference_nearest_edge,
                      reference_release_held, reference_shortest_path,
                      reference_window_maps)
 
@@ -333,7 +334,7 @@ def test_allocations_equal_hosted_plus_inbound_demands(seed, fractional, steps):
     # low watermarks make the threshold loop offload after a placement or two
     scheduler = Scheduler(topo, catalog, Thresholds(high_watermark=0.5,
                                                      low_watermark=0.2))
-    engine = MigrationEngine(topo, catalog)
+    engine = MigrationEngine(scheduler)
     inbound: dict[str, str] = {}  # migrating instance id -> its target
 
     for time, step in enumerate(steps):
@@ -386,11 +387,17 @@ def test_allocations_equal_hosted_plus_inbound_demands(seed, fractional, steps):
 @given(seed=st.integers(0, 1_000_000), fractional=st.booleans(),
        steps=st.lists(st.sampled_from(["place", "scale", "offload", "complete",
                                        "window"]), min_size=1, max_size=20))
+# a window before an offload's start and none after it but the last; one
+# between the start and the completion, and none after the completion
+@example(seed=0, fractional=False, steps=["place", "place", "window", "offload"])
+@example(seed=0, fractional=False,
+         steps=["place", "place", "offload", "window", "complete"])
 def test_window_maps_match_a_fresh_computation(seed, fractional, steps):
     """Random places, scales, offload starts and migration completes, with
     metrics windows closed between them. Each metrics_window record carries,
     byte for byte, the utilization and alloc maps that a fresh computation
-    over every node gives, and no record's maps change after it is made."""
+    over every node gives and the status of every instance in id order, and
+    no record's maps change after it is made."""
     rng = random.Random(seed)
 
     def amount(low, high):
@@ -425,14 +432,18 @@ def test_window_maps_match_a_fresh_computation(seed, fractional, steps):
 
     def maps_json(maps) -> str:
         return json.dumps({key: maps[key] for key in ("utilization", "alloc")},
-                          sort_keys=True)
+                          sort_keys=True) + json.dumps(maps["instances"])
 
     def close_window():
         kernel.now += 1
         runtime._close_window()
         record = kernel.trace.records[-1]
         assert record.kind == "metrics_window"
-        assert maps_json(record.details) == maps_json(reference_window_maps(topo))
+        instances = scheduler.instances
+        assert maps_json(record.details) == maps_json({
+            **reference_window_maps(topo),
+            "instances": {iid: instances[iid].status.value
+                          for iid in sorted(instances)}})
         windows.append((record, maps_json(record.details)))
 
     for step in steps:
@@ -468,6 +479,108 @@ def test_window_maps_match_a_fresh_computation(seed, fractional, steps):
     close_window()
     for record, emitted in windows:
         assert maps_json(record.details) == emitted
+
+
+def hot_world(seed: int, fractional: bool):
+    """Two edges under a cloud and a gateway near each edge, with two random
+    Data-Apps and `pad`, a Data-App of cpu only, a tenth with fractional
+    demands, so that scaling it can bring an edge's cpu exactly to the high
+    watermark of 0.5: every cpu allocation is then a multiple of the pad's."""
+    rng = random.Random(seed)
+    topo = Topology()
+    topo.add_node("cloud", Tier.CENTRAL_CLOUD, 64000, 98304, 11534336)
+    for i in range(2):
+        topo.add_node(f"edge{i}", Tier.EDGE_MODULE, 8000, 16384, 491520)
+        topo.add_link(f"edge{i}", "cloud", 20, 1000)
+    for i in range(2):
+        topo.add_node(f"gw{i}", Tier.GATEWAY, 4000, 1024, 16384)
+        topo.add_link(f"gw{i}", f"edge{i}", 2, 100)
+        topo.add_link(f"gw{i}", f"edge{1 - i}", 5, 100)
+
+    def amount(low, high):
+        return rng.randint(low, high) + (rng.randint(1, 9) / 10 if fractional else 0)
+
+    catalog = Catalog()
+    for app_id in ("a", "b"):
+        catalog.register_app(AppSpec(
+            app_id, AppKind.DATA_APP,
+            ResourceVector(amount(100, 2000), amount(512, 4096), amount(128, 2048)),
+            state_size_mb=1))
+    catalog.register_app(AppSpec("pad", AppKind.DATA_APP,
+                                 ResourceVector(0.1 if fractional else 1, 0, 0),
+                                 state_size_mb=1))
+    scheduler = Scheduler(topo, catalog, Thresholds(high_watermark=0.5,
+                                                     low_watermark=0.2))
+    return rng, topo, scheduler
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 1_000_000), fractional=st.booleans(),
+       steps=st.lists(st.sampled_from(["place", "scale", "offload", "complete",
+                                       "down", "up", "exact"]),
+                      min_size=1, max_size=25))
+def test_the_hot_set_loop_acts_as_a_scan_of_every_edge(seed, fractional, steps):
+    """Random places, scales, offload starts, migration completes, edges
+    going down and up, and scales that bring an edge's cpu exactly to the
+    high watermark. After every step the threshold loop over the kept set of
+    hot edges returns the actions of a loop that tests every up edge, and
+    the set is that of a scan of every edge's allocation."""
+    rng, topo, scheduler = hot_world(seed, fractional)
+    engine = MigrationEngine(scheduler)
+    high = scheduler.thresholds.high_watermark
+    edges = topo.nodes_of(Tier.EDGE_MODULE)
+    actions = []
+    inbound: set[str] = set()  # migrating instance ids
+
+    for time, step in enumerate(steps):
+        running = sorted(iid for iid, inst in scheduler.instances.items()
+                         if inst.status is InstanceStatus.RUNNING)
+        if step == "place":
+            try:
+                scheduler.place(PlacementRequest(rng.choice(["a", "b", "pad"]),
+                                                 rng.choice(["gw0", "gw1"]),
+                                                 rng.randint(1, 2)))
+            except errors.Unschedulable:
+                pass
+        elif step == "scale" and running:
+            try:
+                scheduler.scale(rng.choice(running), rng.randint(1, 3))
+            except errors.InsufficientCapacity:
+                pass
+        elif step == "offload":
+            for action in actions:
+                if not isinstance(action, Offload):
+                    continue
+                inst = scheduler.instance(action.instance_id)
+                try:
+                    engine.start(inst, action.target, time)
+                except errors.TargetInfeasible:
+                    continue
+                inbound.add(inst.instance_id)
+        elif step == "complete" and inbound:
+            iid = rng.choice(sorted(inbound))
+            inbound.remove(iid)
+            engine.complete(scheduler.instance(iid))
+        elif step in ("down", "up"):
+            topo.set_node_up(rng.choice(edges), step == "up")
+        elif step == "exact":
+            pads = [inst for iid in running
+                    if (inst := scheduler.instance(iid)).app_id == "pad"
+                    and inst.host in edges]
+            if pads:
+                pad = rng.choice(pads)
+                node = topo.nodes[pad.host]
+                unit = scheduler.catalog.app("pad").demand.cpu
+                replicas = pad.replicas + round(
+                    (node.capacity.cpu * high - node.allocated.cpu) / unit)
+                if replicas >= 1:
+                    scheduler.scale(pad.instance_id, replicas)
+                    assert node.allocated.cpu == node.capacity.cpu * high
+
+        expected = reference_check_thresholds(scheduler)
+        actions = scheduler.check_thresholds()
+        assert actions == expected
+        assert scheduler._hot == reference_hot_edges(scheduler)
 
 
 FLOW_COUNTERS = ("generated", "delivered", "dropped", "buffered",
@@ -524,7 +637,7 @@ def test_lazy_flows_match_eager_integration(seed, n_steps, buffer_mb):
     topo, catalog, discovery, scheduler, homes, instances = contended_world()
     flows = FlowManager(topo, catalog, discovery, scheduler, buffer_mb=buffer_mb)
     ref = ReferenceFlows(topo, catalog, scheduler, buffer_mb)
-    engine = MigrationEngine(topo, catalog)
+    engine = MigrationEngine(scheduler)
     now = window_start = 0
 
     def close_window():
@@ -668,7 +781,7 @@ def test_rerouting_dropped_searches_matches_a_fresh_derivation(seed, n_steps):
     rng = random.Random(seed)
     near = AppSpec("near", AppKind.DATA_APP, ResourceVector(100, 64, 16),
                    latency_requirement_ms=rng.choice([None, 2, 3, 6, 22]))
-    engine = MigrationEngine(topo, catalog)
+    engine = MigrationEngine(scheduler)
     to_cloud = scheduler.instance(rng.choice(instances))
     engine.start(to_cloud, "cloud", 0)
     engine.complete(to_cloud)

@@ -229,6 +229,96 @@ def test_a_re_attach_at_the_gateway_a_roam_leaves_places_nothing():
     assert list(runtime.scheduler.instances) == ["life-signs-agent-1"]
 
 
+def test_a_refused_roam_shows_stopped_in_the_next_window():
+    """gw2 has too little memory for the IoT-App, so the re-attach there at
+    6200 ms stops it on gw1. The IoT-App installed at 1000 ms shows in the
+    window that the tick at 1000 ms closes, and its stop in the first window
+    that closes after 6200 ms."""
+    scenario = load_scenario(SCENARIO_DIR / "roaming.yaml")
+    [gw2] = [n for n in scenario.nodes if n["id"] == "gw2"]
+    gw2["mem"] = 32
+    runtime = Runtime(scenario)
+
+    def window_statuses(end_ms):
+        [record] = [r for r in runtime.kernel.trace
+                    if r.kind == "metrics_window" and r.time_ms == end_ms]
+        return dict(record.details["instances"])
+
+    runtime.kernel.run(6500)
+    assert window_statuses(1000) == {"life-signs-agent-1": "Running"}
+    assert window_statuses(6000) == {"life-signs-agent-1": "Running"}
+    assert [r.kind for r in runtime.kernel.trace if r.time_ms == 6200][-1] == \
+        "roam_warning"
+    runtime.run()
+    assert window_statuses(7000) == {"life-signs-agent-1": "Stopped"}
+
+
+def _down_intervals(trace) -> dict[str, list[tuple[int, int]]]:
+    """Node id -> the [start, end] of each NodeDown fault on it, from the
+    fault_start and fault_end records."""
+    starts: dict[str, list[int]] = {}
+    intervals: dict[str, list[tuple[int, int]]] = {}
+    for r in trace:
+        if r.details.get("fault_kind") != "NodeDown":
+            continue
+        if r.kind == "fault_start":
+            starts.setdefault(r.subject, []).append(r.time_ms)
+        elif r.kind == "fault_end":
+            intervals.setdefault(r.subject, []).append(
+                (starts[r.subject].pop(0), r.time_ms))
+    return intervals
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1(b): a migration completes onto a "
+                   "node that went down while it was in flight")
+def test_no_migration_completes_onto_a_down_node():
+    """scaling.yaml with edge2 down over [11200, 14200] ms, while the
+    offload to it that started at 11000 ms is in flight. Read from the
+    trace alone: no migration_completed names a target that is down at its
+    time."""
+    scenario = load_scenario(SCENARIO_DIR / "scaling.yaml")
+    scenario.faults.append({"target": "edge2", "kind": "NodeDown", "start": 11200,
+                            "duration_ms": 3000})
+    trace = list(Runtime(scenario).run())
+    down = _down_intervals(trace)
+    assert down == {"edge2": [(11200, 14200)]}
+    completed = [r for r in trace if r.kind == "migration_completed"]
+    assert completed
+    for r in completed:
+        assert not any(start <= r.time_ms < end
+                       for start, end in down.get(r.details["to"], ())), r
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1(m): a roam back during the roam "
+                   "leaves the IoT-App on the gateway the device left")
+def test_the_last_status_update_names_the_device_s_gateway():
+    """roaming.yaml with wearable-1 roaming back to gw1 at 6201 ms, while
+    its IoT-App's move from gw1 to gw2 is in flight. Read from the trace
+    alone: the last status_update names the gateway of the device's last
+    attach before it, with no detach since."""
+    scenario = load_scenario(SCENARIO_DIR / "roaming.yaml")
+    scenario.script.append({"time": 6201, "type": "roam", "device": "wearable-1",
+                            "to_gateway": "gw1"})
+    trace = list(Runtime(scenario).run())
+    attached = None
+    last_update = None
+    for r in trace:
+        if r.subject != "wearable-1":
+            continue
+        if r.kind == "attach":
+            attached = r.details["gateway"]
+        elif r.kind == "detach":
+            attached = None
+        elif r.kind == "status_update":
+            last_update = (r.details["gateway"], attached)
+    assert last_update is not None
+    gateway, attached = last_update
+    assert attached == "gw1"
+    assert gateway == attached
+
+
 def test_a_flow_from_a_down_gateway_delivers_nothing():
     scenario = load_scenario(SCENARIO_DIR / "roaming.yaml")
     scenario.script = scenario.script[:1]

@@ -125,7 +125,7 @@ def test_an_offload_starts_on_the_host_placement_picked(capacity, allocated, dem
     assert inst.host == "near"
     target = scheduler.select_host(catalog.app("app"), "gw", 1,
                                    exclude=frozenset({"near"}))
-    engine = MigrationEngine(topo, catalog)
+    engine = MigrationEngine(scheduler)
     if fits:
         assert target == "far"
         assert engine.start(inst, "far", 0).to_node == "far"
@@ -141,8 +141,9 @@ def test_an_offload_starts_on_the_host_placement_picked(capacity, allocated, dem
                          ids=BOUNDARY_IDS)
 def test_a_roam_tests_its_gateway_as_reserve_does(capacity, allocated, demand, fits):
     topo, catalog = boundary_world(capacity, allocated, demand, AppKind.IOT_APP)
-    inst = Scheduler(topo, catalog).install_iot_app("dev", "near", "app")
-    engine = MigrationEngine(topo, catalog)
+    scheduler = Scheduler(topo, catalog)
+    inst = scheduler.install_iot_app("dev", "near", "app")
+    engine = MigrationEngine(scheduler)
     if fits:
         assert engine.roam(inst, "far", 0).to_node == "far"
         assert inst.status is InstanceStatus.MIGRATING
@@ -205,13 +206,6 @@ def test_install_iot_app_on_device_gateway(scheduler):
     inst = scheduler.install_iot_app("dev1", "gw1", "agent")
     assert inst.host == "gw1"
     assert inst.bound_device == "dev1"
-    assert scheduler.topology.node("gw1").allocated.mem == 64
-
-
-def test_install_iot_app_idempotent(scheduler):
-    first = scheduler.install_iot_app("dev1", "gw1", "agent")
-    second = scheduler.install_iot_app("dev1", "gw1", "agent")
-    assert first is second
     assert scheduler.topology.node("gw1").allocated.mem == 64
 
 
@@ -285,9 +279,41 @@ def test_check_thresholds_never_moves_iot_apps(three_tier, catalog):
     assert actions == [Defer("edge1", None, "NoMovableInstance")]
 
 
+def test_an_edge_exactly_at_the_high_watermark_is_not_hot(catalog):
+    topo = two_edge_world()
+    scheduler = Scheduler(topo, catalog, Thresholds(0.5, 0.2))
+    inst = scheduler.place(PlacementRequest("analytics", "gw1", 2))
+    assert topo.nodes["edge1"].utilization() == 0.5
+    assert scheduler.check_thresholds() == []
+    assert scheduler._hot == set()
+    scheduler.scale(inst.instance_id, 3)
+    assert scheduler.check_thresholds() == [Offload(inst.instance_id, "cloud")]
+    assert scheduler._hot == {"edge1"}
+
+
+def test_a_tick_after_no_reserve_or_release_tests_no_node(catalog, monkeypatch):
+    """The loop re-tests only the nodes whose allocation changed since the
+    last tick; an edge going down or up changes none."""
+    scheduler, inst = loaded_scheduler(catalog, replicas=2)  # util 0.75
+    assert scheduler.check_thresholds() == []
+    tested = []
+    fraction = ResourceVector.bottleneck_fraction
+    monkeypatch.setattr(ResourceVector, "bottleneck_fraction",
+                        lambda self, capacity: tested.append(self)
+                        or fraction(self, capacity))
+    assert scheduler.check_thresholds() == []
+    scheduler.topology.set_node_up("edge1", False)
+    scheduler.topology.set_node_up("edge1", True)
+    assert scheduler.check_thresholds() == []
+    assert tested == []
+    scheduler.scale(inst.instance_id, 1)  # a release on edge1
+    assert scheduler.check_thresholds() == []
+    assert tested == [scheduler.topology.nodes["edge1"].allocated]
+
+
 def test_apply_offload_and_stale_action(catalog):
     scheduler, inst = loaded_scheduler(catalog, replicas=3)
-    engine = MigrationEngine(scheduler.topology, scheduler.catalog)
+    engine = MigrationEngine(scheduler)
     [action] = [a for a in scheduler.check_thresholds()
                 if isinstance(a, Offload)]
     checked = scheduler.instance(action.instance_id)
@@ -317,7 +343,7 @@ def test_serving_instance_is_the_first_running_or_migrating_data_app(scheduler):
     second = scheduler.place(PlacementRequest("analytics", "gw1"))
     assert scheduler.serving_instance("gw1") is first
     assert scheduler.serving_instance("gw2") is None
-    MigrationEngine(scheduler.topology, scheduler.catalog).start(first, "cloud", 0)
+    MigrationEngine(scheduler).start(first, "cloud", 0)
     assert scheduler.serving_instance("gw1") is first  # still serves while migrating
     first.status = InstanceStatus.STOPPED
     assert scheduler.serving_instance("gw1") is second
