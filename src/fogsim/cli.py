@@ -13,10 +13,11 @@ import argparse
 import csv
 import sys
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 from . import errors
 from .control import run_scenario
-from .kernel import Trace
+from .kernel import Trace, records
 from .report import Report, report_from_trace
 from .scenario import load_scenario
 
@@ -70,11 +71,16 @@ def _write_metrics(path: Path, trace: Trace) -> None:
                             + [d["utilization"][n] for n in nodes])
 
 
-def _decode_trace(data: bytes) -> str:
-    try:
-        return data.decode()
-    except UnicodeDecodeError as exc:
-        raise errors.MalformedTrace(f"not UTF-8: {exc}") from None
+def _trace_lines(fh: BinaryIO) -> Iterator[str]:
+    """The lines of a trace file opened in binary, read and decoded one at
+    a time; a line that is not UTF-8 raises MalformedTrace naming it. Lines
+    end at b"\n", as `Trace.from_jsonl`'s end at "\n": no UTF-8 character
+    but "\n" holds that byte."""
+    for i, line in enumerate(fh):
+        try:
+            yield line.removesuffix(b"\n").decode()
+        except UnicodeDecodeError as exc:
+            raise errors.MalformedTrace(f"line {i + 1}: not UTF-8: {exc}") from None
 
 
 def _print_report(report: Report) -> None:
@@ -124,14 +130,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"trace: {len(trace)} records, sha256 {trace.hash()[:16]}")
         return EXIT_OK
 
-    # report
+    # report: the file's records are folded as they are read, and none kept
     try:
-        data = Path(args.trace).read_bytes()
+        with open(args.trace, "rb") as fh:
+            report = report_from_trace(records(_trace_lines(fh)))
     except OSError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    try:
-        report = report_from_trace(Trace.from_jsonl(_decode_trace(data)))
     except errors.FogSimError as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -14,11 +14,11 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, chain
 from json.decoder import JSONDecoder, scanstring
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from json.scanner import make_scanner
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import errors
 
@@ -307,7 +307,8 @@ class TraceRecord:
     and their entries, whose text `Trace.to_jsonl` reuses (see
     `_shared_text`), and the container objects of a parsed record and the
     entries of its maps, which may be those of a record parsed before it
-    (see `Trace.from_jsonl`).
+    (see `Trace.from_jsonl`). Records read in one run of plain lines also
+    share their key strings (see `records`).
     The class is not frozen, because a frozen one sets each field through
     `object.__setattr__`, and every record is built twice in a run and its
     replay."""
@@ -331,36 +332,111 @@ class TraceRecord:
 _scan = make_scanner(JSONDecoder())
 # how the trace writer opens every line
 _OPENING = '{"details":{'
+# The most consecutive plain lines scanned in one call (see `records`), so
+# that a trace with few container lines is not copied whole into one text.
+_RUN_LINES = 256
 
 
-def _record(obj: dict, details) -> TraceRecord:
-    return TraceRecord(obj["time_ms"], obj["seq"], obj["kind"], obj["subject"],
-                       details)
-
-
-def _parse_line(line: str, seen: dict) -> TraceRecord:
-    """The record of one trace line, equal to the record of `json.loads(line)`.
-
-    A line in the writer's compact form whose details may hold a container
-    (a `{` after the opening, or a `[` anywhere) is read one detail value at
-    a time by `_walk_details`, against the values `seen` holds from earlier
-    lines. Any other line is scanned once, in full.
-    Whatever these fast paths do not fully recognise (whitespace, a second
-    `details`, a scan error, a value ending before the line does) is parsed
-    again by `json.loads`, which raises the error the line deserves."""
+def _alone(line: str, i: int) -> list[TraceRecord]:
+    """The record of line `i`, parsed alone by `json.loads`, in a list; no
+    record for a line of JSON whitespace alone (" ", "\t", "\r"); and for
+    any other line that is no record, MalformedTrace naming it."""
     try:
-        if line.startswith(_OPENING) and (line.find("{", len(_OPENING)) >= 0
-                                          or "[" in line):
-            record = _walk_details(line, seen)
-        else:
-            obj, end = _scan(line, 0)
-            record = _record(obj, obj["details"]) if end == len(line) else None
-    except (StopIteration, IndexError, ValueError, KeyError, TypeError):
-        record = None
-    if record is None:
         obj = json.loads(line)
-        record = _record(obj, obj["details"])
-    return record
+        return [TraceRecord(obj["time_ms"], obj["seq"], obj["kind"], obj["subject"],
+                            obj["details"])]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        # a blank line fails to parse too; only then is it looked at
+        if line.strip(" \t\r"):
+            raise errors.MalformedTrace(f"line {i + 1}: {exc}") from None
+        return []
+
+
+def _run_batches(run: list[str], stop: int) -> Iterable[list[TraceRecord]]:
+    """The record lists of `run`, consecutive plain lines that end before
+    line index `stop`: one list, from one scan of the JSON array
+    `"[" + ",\n".join(run) + "]"` (a run of one line: of the line itself),
+    where that scan ends where the text does and gives one value per line,
+    and each value holds the record fields; else one list per line, each
+    parsed alone, up to the first bad line.
+
+    An accepted value is `json.loads` of its line. Each line opens a value
+    with its `{`. No string crosses into the next line, since the strict
+    scanner rejects a raw "\n" in one; with no `[`, every container is an
+    object, and one left open at a line's end meets `,` and then `{` where a
+    key must come. So each value starts and ends in its own line, and one
+    value per line means each line is one value and JSON whitespace, which
+    is what `json.loads` takes; a stray `]` ends the array early. So every
+    value is a dict, and building a record raises at most KeyError."""
+    text = run[0] if len(run) == 1 else "[" + ",\n".join(run) + "]"
+    try:
+        values, end = _scan(text, 0)
+        if end == len(text):
+            if len(run) == 1:
+                return ([TraceRecord(values["time_ms"], values["seq"], values["kind"],
+                                     values["subject"], values["details"])],)
+            if len(values) == len(run):
+                return ([TraceRecord(v["time_ms"], v["seq"], v["kind"], v["subject"],
+                                     v["details"]) for v in values],)
+    except (StopIteration, ValueError, KeyError):
+        pass
+    return map(_alone, run, range(stop - len(run), stop))
+
+
+def _batches(lines: Iterable[str]) -> Iterator[Iterable[TraceRecord]]:
+    """The records of `lines`, in order, in batches (see `records`)."""
+    seen: dict = {}  # detail key -> its last text and value (see _read_map)
+    run: list[str] = []
+    opening, details_at, cap = _OPENING, len(_OPENING), _RUN_LINES
+    try:
+        for i, line in enumerate(lines):
+            opens = line.startswith(opening)
+            if opens and line.find("{", details_at) < 0 and "[" not in line:
+                run.append(line)
+                if len(run) < cap:
+                    continue
+                done, run = run, []
+                yield from _run_batches(done, i + 1)
+                continue
+            if run:
+                done, run = run, []
+                yield from _run_batches(done, i)
+            record = None
+            if opens:  # details that may hold a container
+                try:
+                    record = _walk_details(line, seen)
+                except (StopIteration, IndexError, ValueError, KeyError, TypeError):
+                    pass
+            yield (record,) if record is not None else _alone(line, i)
+    except Exception:
+        # A run is pending here only where reading the next line failed,
+        # such as a line that is no UTF-8: the run is read first, as a
+        # reader of one line at a time would.
+        if run:
+            yield from _run_batches(run, i + 1)
+        raise
+    if run:
+        yield from _run_batches(run, i + 1)
+
+
+def records(lines: Iterable[str]) -> Iterator[TraceRecord]:
+    """The records of trace `lines`, one per line, in order: the one trace
+    reader. A line of JSON whitespace alone (" ", "\t", "\r") holds none.
+    Each record equals `json.loads` of its line, and the first line that is
+    no record, one of other whitespace included, raises `MalformedTrace`
+    naming it (by its index in `lines`, from 1), after the records of the
+    lines before it; so does any error of reading a line from `lines`.
+
+    A line is plain where it opens with the writer's `{"details":{` and
+    holds no other `{` and no `[`, so its details hold no container. A run
+    of up to `_RUN_LINES` consecutive plain lines is read in one scan, and
+    its records share their key strings (see `_run_batches`); where that scan
+    is not accepted, each line of the run is parsed alone. A line that
+    opens so and may hold a container is read a detail value at a time by
+    `_walk_details`, which reuses values of earlier such lines. Whatever
+    the fast paths do not fully recognise is parsed again by `json.loads`,
+    which raises the error the line deserves."""
+    return chain.from_iterable(_batches(lines))
 
 
 # A key's maps are spliced while each splice reads at most one entry per
@@ -518,7 +594,8 @@ def _walk_details(line: str, seen: dict) -> TraceRecord | None:
     rest, end = _scan(tail, 0)  # a dict, as the tail opens with `{`
     if end != len(tail) or "details" in rest:
         return None
-    return _record(rest, details)
+    return TraceRecord(rest["time_ms"], rest["seq"], rest["kind"], rest["subject"],
+                       details)
 
 
 # Characters of trace text hashed per chunk. An ASCII chunk's copies stay
@@ -578,28 +655,17 @@ class Trace:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
-        """The trace of `text`, one record per line; lines end at "\n", and
-        a line of JSON whitespace alone (" ", "\t", "\r") is skipped. Each
-        record equals `json.loads` of its line, and any other line that is
-        no record, one of other whitespace included, raises
-        `MalformedTrace` naming it.
+        """The trace of `text`, whose lines end at "\n": the records that
+        `records` reads from them, or its `MalformedTrace`.
 
-        A detail value whose text repeats the text last parsed for its key
-        is not parsed again: the record holds that earlier value itself. A
-        map whose text differs is read against the last map at its key, and
-        parses only the entries whose text changed; each other entry is the
-        last map's entry object (see `_walk_details`)."""
-        records = []
-        seen: dict = {}  # detail key -> its last text and value (see _read_map)
-        append, parse = records.append, _parse_line  # looked up once, not per line
-        for i, line in enumerate(text.split("\n")):
-            try:
-                append(parse(line, seen))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                # a blank line fails to parse too; only then is it looked at
-                if line.strip(" \t\r"):
-                    raise errors.MalformedTrace(f"line {i + 1}: {exc}") from None
-        return cls(records)
+        A run of plain lines is scanned in one call, and its records share
+        their key strings. A detail value whose text repeats the text last
+        parsed for its key is not parsed again: the record holds that
+        earlier value itself. A map whose text differs is read against the
+        last map at its key, and parses only the entries whose text
+        changed; each other entry is the last map's entry object (see
+        `_walk_details`)."""
+        return cls(list(records(text.split("\n"))))
 
 
 class Kernel:

@@ -4,10 +4,11 @@ a stored trace yields exactly the report the run produced."""
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import errors
-from .kernel import RECORD_KINDS, Trace, TraceRecord
+from .kernel import RECORD_KINDS, TraceRecord
 
 
 @dataclass
@@ -55,21 +56,22 @@ _COUNTED = {"attach": "attaches", "detach": "detaches", "instance_placed": "inst
             "fault_start": "faults", "stale_action": "stale_actions"}
 
 
-def report_from_trace(trace: Trace) -> Report:
-    """The report of `trace`, read in one pass. Each record must have an
-    int `seq` and `time_ms` (a bool is not one), a str kind and subject,
-    and a mapping of details; `seq` strictly increases, the clock never
-    goes back, and the last record is run_end, the only one. A record that
-    breaks these, or a detail the report reads that is missing, not of its
-    declared type or, for a number, not finite, raises MalformedTrace
-    naming the record."""
+def report_from_trace(trace: Iterable[TraceRecord]) -> Report:
+    """The report of `trace`, any iterable of records, such as a `Trace` or
+    the stream `kernel.records` reads, folded in one pass that keeps no
+    record. Each record must have an int `seq` and `time_ms` (a bool is
+    not one), a str kind and subject, and a mapping of details; `seq`
+    strictly increases, the clock never goes back, and the last record is
+    run_end, the only one. A record that breaks these, or a detail the
+    report reads that is missing, not of its declared type or, for a
+    number, not finite, raises MalformedTrace naming the record."""
     report = Report()
     totals = {"generated_mb": 0.0, "delivered_mb": 0.0, "dropped_mb": 0.0,
               "uplink_mb": 0.0}
     counts = dict.fromkeys(_COUNTED, 0)
-    last_time, last_seq, kind = -1, 0, None
+    last_time, last_seq, kind, events = -1, 0, None, 0
     number, largest = _TYPES["number"], _LARGEST
-    for record in trace:
+    for events, record in enumerate(trace, 1):
         if kind == "run_end":
             raise errors.MalformedTrace(
                 f"record {record.seq} ({record.kind}): after run_end")
@@ -127,7 +129,7 @@ def report_from_trace(trace: Trace) -> Report:
               if w["uplink_ratio"] is not None]
     report.summary = {
         **{key: counts[kind] for kind, key in _COUNTED.items()},
-        "events": len(trace),
+        "events": events,
         "migrations": len(report.migrations),
         "total_generated_mb": round(totals["generated_mb"], 9),
         "total_delivered_mb": round(totals["delivered_mb"], 9),

@@ -21,9 +21,10 @@ reference_load_yaml is the yaml.safe_load that load_scenario called before it
 parsed with libyaml; it pins the objects a scenario document loads to.
 reference_from_jsonl is Trace.from_jsonl as it was when it ran json.loads on
 every line in full, splitting lines at "\n" only as the reader now does; it
-pins the records and the errors of a trace text.
+pins the records and the errors that kernel.records, which scans runs of
+plain lines as one JSON array each, must give for a trace text.
 reference_shared_entries models, from a trace's text and json.loads alone,
-which maps Trace.from_jsonl reads against the last map at their key; it pins
+which maps kernel.records reads against the last map at their key; it pins
 which entries of parsed maps are the objects of the map before them.
 reference_window_maps is the per-node part of Runtime._close_window as it was
 when every window built both maps for every node and the kernel rounded them

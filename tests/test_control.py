@@ -705,49 +705,105 @@ def test_fleet_ticks_writes_each_map_against_the_last_at_its_slot(monkeypatch,
     assert (len(calls), entries) == (1220, 37842)
 
 
-def test_fleet_ticks_parses_each_map_against_the_last_at_its_key(monkeypatch,
-                                                                  tmp_path):
-    """Counts the value scans of `Trace.from_jsonl` on fleet_ticks at seed
-    1. A line whose details hold no container is scanned once. In a line
-    read a detail at a time, a value of the last text at its key is not
-    scanned, and any other value is scanned once, except a map after a map
-    at its key: it scans only its entries whose text changed, and the first
-    such map at each key also scans each entry of the map before it, to
-    find where they end; the fields after its details are scanned once. No
-    key's maps change their keys, and no splice reads so many entries that
-    its key stops splicing."""
-    text = Runtime(load_scenario(_workload_path("fleet_ticks", tmp_path))).run().to_jsonl()
+def _plain_runs(lines: list[str]) -> list[list[str]]:
+    """The runs of consecutive plain lines, which open with the writer's
+    `{"details":{` and hold no other `{` and no `[`, each cut after
+    `_RUN_LINES` lines: `kernel.records` scans each run in one call."""
+    opening, cap = kernel_module._OPENING, kernel_module._RUN_LINES
+    runs, run = [], None
+    for line in lines:
+        if not (line.startswith(opening) and line.find("{", len(opening)) < 0
+                and "[" not in line):
+            run = None
+            continue
+        if run is None or len(run) == cap:
+            run = []
+            runs.append(run)
+        run.append(line)
+    return runs
+
+
+def _container_scans(lines: list[str]) -> tuple[int, int, int]:
+    """The value scans of reading the lines that open with the writer's
+    `{"details":{` and may hold a container, a detail at a time: a value of
+    the last text at its key is not scanned, and any other value is scanned
+    once, except a map after a map at its key: it scans only its entries
+    whose text changed, and the first such map at each key also scans each
+    entry of the map before it, to find where they end; the fields after
+    the details are scanned once. Holds where no key's maps change their
+    keys, and no splice reads so many entries that its key stops splicing.
+    Also the scans of map entries, and the entries of the maps of other
+    text."""
     opening, encode = kernel_module._OPENING, kernel_module._encode
-    expected, map_scans, entries, last, found = 0, 0, 0, {}, set()
-    for line in text.split("\n"):  # the last one empty, which is scanned too
+    scans, map_scans, entries, last, found = 0, 0, 0, {}, set()
+    for line in lines:
         if not (line.startswith(opening)
                 and (line.find("{", len(opening)) >= 0 or "[" in line)):
-            expected += 1
             continue
-        expected += 1  # the fields after the details
+        scans += 1  # the fields after the details
         for key, value in json.loads(line)["details"].items():
             if key in last and encode(last[key]) == encode(value):
                 continue
             prev, last[key] = last.get(key), value
             if type(prev) is not dict or type(value) is not dict:
-                expected += 1
+                scans += 1
                 continue
             assert list(prev) == list(value)
-            scans = sum(encode(v) != encode(prev[k]) for k, v in value.items())
-            scans += 0 if key in found else len(prev)
+            entry_scans = sum(encode(v) != encode(prev[k]) for k, v in value.items())
+            entry_scans += 0 if key in found else len(prev)
             found.add(key)
-            expected += scans
-            map_scans += scans
+            scans += entry_scans
+            map_scans += entry_scans
             entries += len(value)
+    return scans, map_scans, entries
+
+
+def test_fleet_ticks_parses_each_map_against_the_last_at_its_key(monkeypatch,
+                                                                  tmp_path):
+    """Counts the value scans of `Trace.from_jsonl` on fleet_ticks at seed
+    1: one per run of plain lines, and those of each line read a detail at
+    a time (see `_container_scans`). A line of neither kind, such as the
+    empty one after the last, is parsed by `json.loads` alone."""
+    text = Runtime(load_scenario(_workload_path("fleet_ticks", tmp_path))).run().to_jsonl()
+    lines = text.split("\n")
+    runs = _plain_runs(lines)
+    scans, map_scans, entries = _container_scans(lines)
     calls = []
     scan = kernel_module._scan
     monkeypatch.setattr(kernel_module, "_scan",
                         lambda s, i: calls.append(i) or scan(s, i))
     assert Trace.from_jsonl(text).records == reference_from_jsonl(text)
-    assert len(calls) == expected
+    assert len(calls) == len(runs) + scans
+    # 409 plain lines in 201 runs, 135 of them of one line, between the
+    # window lines
+    assert (sum(map(len, runs)), len(runs), sum(len(run) == 1 for run in runs)) \
+        == (409, 201, 135)
     # the maps of other text hold far more entries than were scanned, and
     # 594 of the scans find where the entries of each key's first map end
     assert (map_scans, entries) == (818, 37248)
+
+
+def test_star_steady_scans_each_run_of_plain_lines_once(monkeypatch, tmp_path):
+    """On star_steady at seed 1, nearly every line is plain: the runs
+    between the window lines, cut every `_RUN_LINES` lines, are each
+    scanned once, as the run's lines joined by ",\\n" in brackets (a run
+    of one line as the line itself), and the lines read a detail at a time
+    scan as `_container_scans` says."""
+    text = Runtime(load_scenario(_workload_path("star_steady", tmp_path))).run().to_jsonl()
+    lines = text.split("\n")
+    runs = _plain_runs(lines)
+    scans, _, _ = _container_scans(lines)
+    calls = []
+    scan = kernel_module._scan
+    monkeypatch.setattr(kernel_module, "_scan",
+                        lambda s, i: calls.append((s, i)) or scan(s, i))
+    records = Trace.from_jsonl(text).records
+    assert _exact(records) == _exact(reference_from_jsonl(text))
+    assert len(calls) == len(runs) + scans
+    assert [call for call in calls if call[1] == 0 and call[0].startswith(("[", "{\"d"))] \
+        == [(run[0] if len(run) == 1 else "[" + ",\n".join(run) + "]", 0) for run in runs]
+    assert max(map(len, runs)) == kernel_module._RUN_LINES
+    assert (len(lines), sum(map(len, runs)), len(runs)) == (5343, 5331, 26)
 
 
 def test_fleet_ticks_placement_builds_no_vector_beyond_the_demand(monkeypatch,
@@ -1416,6 +1472,60 @@ def test_the_report_reads_a_trace_once():
     counted = CountedTrace(trace.records)
     assert report_from_trace(counted) == report
     assert counted.iterations == 1
+
+
+def test_the_report_folds_any_iterable_of_records():
+    """A one-shot iterator, such as the stream `kernel.records` reads, and
+    its events are counted as they go by."""
+    trace, report = run_scenario_file(FIXTURES[0])
+    assert report_from_trace(iter(trace.records)) == report
+    assert report_from_trace(kernel_module.records(
+        trace.to_jsonl().split("\n"))) == report
+    assert report.summary["events"] == len(trace)
+
+
+def test_cli_report_streams_the_file_and_builds_no_trace(tmp_path, capsys,
+                                                         monkeypatch):
+    path = tmp_path / "out.jsonl"
+    assert main(["run", str(SCENARIO_DIR / "roaming.yaml"), "--trace", str(path)]) \
+        == EXIT_OK
+    *summary, _ = capsys.readouterr().out.splitlines()
+
+    def refused(*args):
+        raise AssertionError("a Trace was built")
+    monkeypatch.setattr(Trace, "__init__", refused)
+    assert main(["report", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == summary
+
+
+def test_cli_report_names_a_line_that_is_not_utf8(tmp_path, capsys):
+    trace, _ = run_scenario_file(SCENARIO_DIR / "roaming.yaml")
+    first, *rest = trace.to_jsonl().encode().split(b"\n")
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"\n".join([first, b'{"details":{"a":"\xff"}}', *rest]))
+    assert main(["report", str(path)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith(
+        "runtime error: MalformedTrace: line 2: not UTF-8: ")
+
+
+@pytest.mark.parametrize("bad", [b"garbage", b'{"details":{"a":"\xff"}}'],
+                         ids=["not-json", "not-utf8"])
+def test_cli_report_meets_a_record_after_run_end_before_a_later_bad_line(
+        bad, tmp_path, capsys):
+    """The report folds each record as it is read, so a record after the
+    run_end fails before a bad line after it is read, one that fails as it
+    is read, being no UTF-8, included; a parsed trace fails at the bad line
+    first."""
+    trace, _ = run_scenario_file(SCENARIO_DIR / "roaming.yaml")
+    last = trace.records[-1]
+    after = dataclasses.replace(last, seq=last.seq + 1)
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes((trace.to_jsonl() + after.to_json() + "\n").encode() + bad + b"\n")
+    with pytest.raises(errors.MalformedTrace, match=f"^line {len(trace) + 2}: "):
+        Trace.from_jsonl(path.read_bytes().decode(errors="replace"))
+    assert main(["report", str(path)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == (f"runtime error: MalformedTrace: record "
+                                       f"{last.seq + 1} (run_end): after run_end\n")
 
 
 def test_cli_report_rejects_a_bool_sequence_number(tmp_path, capsys):

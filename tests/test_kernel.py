@@ -726,9 +726,10 @@ def _mutated_lines(draw):
     of maps (see `_map_chains`), so that consecutive maps at a key often
     share their keys, and a mutation lands on a map read against the last
     one. Each record is emitted up to three times in a row, some of them as
-    a hand-built record with only the scalar detail `window_start`, whose
-    text often starts with the previous line's text for it without
-    equalling it."""
+    a run of up to four hand-built records with only the scalar detail
+    `window_start`, whose text often starts with the previous line's text
+    for it without equalling it; so runs of plain lines are read in one
+    scan and mutated too."""
     kernel = Kernel()
     records = draw(_records_sharing_dicts())
     if draw(st.booleans()):
@@ -736,13 +737,16 @@ def _mutated_lines(draw):
         records += [_valid_details("metrics_window", alloc=value,
                                    utilization=chain[i - 1] if i else {})
                     for i, value in enumerate(chain)]
+    starts = st.sampled_from([1, 12, 120, 1.5])
     for details in records:
         for _ in range(draw(st.integers(1, 3))):
-            n = {"window_start": draw(st.sampled_from([1, 12, 120, 1.5]))}
             if draw(st.booleans()):
-                kernel.emit("metrics_window", "s", {**details, **n})
-            else:
-                kernel.trace.append(TraceRecord(0, 0, "k", "s", n))
+                kernel.emit("metrics_window", "s",
+                            {**details, "window_start": draw(starts)})
+                continue
+            for _ in range(draw(st.integers(1, 4))):
+                kernel.trace.append(
+                    TraceRecord(0, 0, "k", "s", {"window_start": draw(starts)}))
     lines = []
     for record, line in zip(kernel.trace, kernel.trace.to_jsonl().split("\n")):
         marks = [i for i, c in enumerate(line) if c in ',:{}[]"']
@@ -823,16 +827,18 @@ def _is_a_record(line: str) -> bool:
 @given(_mutated_lines(), st.sampled_from([0, kernel_module._CHARS_PER_READ]))
 def test_a_mutated_trace_parses_as_the_per_line_reference(lines, chars_per_read):
     """Every line that is a record, then each malformed line in turn, read
-    after all the records, so after all the values it might reuse, and
-    read after the records before it, so after the map it would be read
-    against. With the read rule at 0, a key stops splicing only where a
+    after all the records, so after all the values it might reuse; read
+    after the records before it, so after the map it would be read against;
+    and read in its place among the records, so inside its run of plain
+    lines. With the read rule at 0, a key stops splicing only where a
     splice fails."""
     records = [line for line in lines if _is_a_record(line)]
     traces = [records]
     for i, line in enumerate(lines):
         if not _is_a_record(line):
             before = [earlier for earlier in lines[:i] if _is_a_record(earlier)]
-            traces += [records + [line], before + [line]]
+            after = [later for later in lines[i + 1:] if _is_a_record(later)]
+            traces += [records + [line], before + [line], before + [line] + after]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernel_module, "_CHARS_PER_READ", chars_per_read)
         for trace in traces:
@@ -886,6 +892,151 @@ def test_lines_that_balance_each_other_are_still_each_malformed():
     with pytest.raises(errors.MalformedTrace, match="^line 1: Extra data"):
         Trace.from_jsonl(text)
     _assert_parses_as_the_reference(text)
+
+
+# --- runs of plain lines, each scanned in one call ---------------------------
+
+def _plain(seq: int) -> str:
+    """A plain line: its details hold no container."""
+    return TraceRecord(seq, seq, "k", "s", {"n": seq, "t": "x"}).to_json()
+
+
+_PLAIN = _plain(0)
+# plain lines that are no record
+_BAD_PLAIN = {
+    "extra-value": _PLAIN + ",1",
+    "ends-in-a-string": _PLAIN[:_PLAIN.index('"x"') + 2],
+    "stray-bracket": _PLAIN + "]",
+    "bracket-in-the-details": _PLAIN.replace("},", "]},", 1),
+    "cut-in-the-details": _PLAIN[:_PLAIN.index('"t"')],
+    "no-time": '{"details":{"n":1},"kind":"k","seq":1,"subject":"s"}',
+    "no-fields": '{"details":{"n":1}}',
+}
+
+
+@pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("bad", sorted(_BAD_PLAIN))
+def test_a_bad_plain_line_in_a_run_parses_as_the_per_line_reference(bad, at):
+    """Placed first, in the middle and last of a run of five lines, and
+    alone: the error names the bad line. The run's records are not
+    accepted, and the good lines before the bad one are read first."""
+    lines = [_plain(seq) for seq in range(1, 6)]
+    lines[at] = _BAD_PLAIN[bad]
+    for trace in (lines, [lines[at]]):
+        text = "".join(line + "\n" for line in trace)
+        with pytest.raises(errors.MalformedTrace):
+            reference_from_jsonl(text)
+        _assert_parses_as_the_reference(text)
+    read = []
+    with pytest.raises(errors.MalformedTrace, match=f"^line {at + 1}: "):
+        read.extend(kernel_module.records(lines))
+    assert read == reference_from_jsonl("\n".join(lines[:at]))
+
+
+def test_the_lines_before_a_failed_read_are_read_first():
+    """Where reading `lines` fails, as `fogsim report`'s reader does at a
+    line that is no UTF-8, the records of the run of plain lines before it
+    come first, as from a reader of one line at a time."""
+    def lines():
+        yield _plain(1)
+        yield _plain(2)
+        raise errors.MalformedTrace("line 3: unreadable")
+    read = []
+    with pytest.raises(errors.MalformedTrace, match="^line 3: unreadable$"):
+        read.extend(kernel_module.records(lines()))
+    assert [record.seq for record in read] == [1, 2]
+
+
+@pytest.mark.parametrize("end", [" ", "\t", "\r", " \t\r"],
+                         ids=["space", "tab", "cr", "all"])
+def test_a_plain_line_may_end_in_json_whitespace(end):
+    lines = [_plain(seq) for seq in range(1, 6)]
+    for at in (0, 2, 4):
+        trace = lines.copy()
+        trace[at] += end
+        records = _assert_parses_as_the_reference("\n".join(trace))
+        assert len(records) == 5
+    assert len(_assert_parses_as_the_reference(_PLAIN + end)) == 1
+
+
+@pytest.mark.parametrize("blank", ["", " ", "\t\r"], ids=["empty", "space", "tab-cr"])
+def test_a_blank_line_splits_a_run(blank):
+    lines = [_plain(1), _plain(2), blank, _plain(3), blank, blank, _plain(4)]
+    assert len(_assert_parses_as_the_reference("\n".join(lines))) == 4
+
+
+def _counting_scans(patch) -> list[tuple[str, int]]:
+    """The text and index of each `_scan` call from now on."""
+    calls, scan = [], kernel_module._scan
+    patch.setattr(kernel_module, "_scan",
+                  lambda text, i: calls.append((text, i)) or scan(text, i))
+    return calls
+
+
+@pytest.mark.parametrize("at", [149, 255, 256, 299],
+                         ids=["middle", "last-of-a-run", "first-after-the-cap", "last"])
+def test_a_bad_line_in_a_long_run_is_named(at, monkeypatch):
+    """300 plain lines make a run of `_RUN_LINES` (256) and one of 44. A
+    bad line inside either, or at the boundary the cap makes, is named,
+    not the first line of its run, and the run before it is read in one
+    scan."""
+    assert kernel_module._RUN_LINES == 256
+    lines = [_plain(seq) for seq in range(1, 301)]
+    lines[at] = _PLAIN + ",1"
+    text = "\n".join(lines)
+    with pytest.raises(errors.MalformedTrace, match=f"^line {at + 1}: Extra data"):
+        Trace.from_jsonl(text)
+    _assert_parses_as_the_reference(text)
+    calls = _counting_scans(monkeypatch)
+    with pytest.raises(errors.MalformedTrace):
+        Trace.from_jsonl(text)
+    assert len(calls) == (1 if at < 256 else 2)
+
+
+def test_a_run_longer_than_the_cap_is_scanned_a_cap_at_a_time(monkeypatch):
+    """600 plain lines, then a line with a map, then 1 plain line: runs of
+    256, 256 and 88 lines, each scanned as its lines joined by ",\\n" in
+    brackets, and a run of one line, scanned as the line itself."""
+    lines = [_plain(seq) for seq in range(1, 601)]
+    walked = TraceRecord(0, 601, "k", "s", {"m": {"x": 1}}).to_json()
+    last = _plain(602)
+    text = "\n".join([*lines, walked, last]) + "\n"
+    calls = _counting_scans(monkeypatch)
+    records = _assert_parses_as_the_reference(text)
+    assert [r.seq for r in records] == list(range(1, 603))
+    runs = [lines[:256], lines[256:512], lines[512:]]
+    assert [text for text, _ in calls if not text.startswith('{"kind"')] == \
+        ["[" + ",\n".join(run) + "]" for run in runs] + [walked, last]
+    # the map is scanned at its index in the walked line, and the fields
+    # after the details as one object
+    assert calls[3] == (walked, walked.index('{"x"'))
+    assert [i for _, i in calls] == [0, 0, 0, calls[3][1], 0, 0]
+
+
+def test_records_of_one_run_share_their_key_strings():
+    first, second = Trace.from_jsonl(_plain(1) + "\n" + _plain(2)).records
+    assert all(a is b for a, b in zip(first.details, second.details))
+
+
+def test_a_line_holding_a_list_is_read_a_detail_at_a_time():
+    """So its list is the object a later line of the same text at that key
+    holds, as for any container line; a plain line holds no `[`."""
+    listed = TraceRecord(0, 1, "k", "s", {"a": [1], "n": 2}).to_json()
+    mapped = TraceRecord(0, 2, "k", "s", {"a": [1], "m": {"x": 1}}).to_json()
+    first, second = _assert_parses_as_the_reference(f"{listed}\n{mapped}\n")
+    assert second.details["a"] is first.details["a"]
+
+
+@pytest.mark.parametrize("line", [
+    '{"kind":"k"}', '{"seq":1}', '{"details":{}}', '{"details":{"a":{}}}',
+    '{"details":{"a":[]}}',
+], ids=["kind", "seq", "plain-details", "map-details", "list-details"])
+def test_a_record_missing_fields_is_named_as_the_reference_names_it(line):
+    """The first missing field in the reference's order (time_ms, seq,
+    kind, subject, details) is the one named."""
+    with pytest.raises(errors.MalformedTrace, match="^line 2: 'time_ms'$"):
+        Trace.from_jsonl(f"{_PLAIN}\n{line}\n")
+    _assert_parses_as_the_reference(f"{_PLAIN}\n{line}\n")
 
 
 def test_a_repeated_detail_text_is_parsed_once_and_shared():
