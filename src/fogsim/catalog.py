@@ -99,12 +99,14 @@ class FirmwareEntry:
 
 class Catalog:
     """App specs keyed by app_id, device profiles keyed by model, firmware
-    entries keyed by (model, os_version, version)."""
+    entries keyed by (model, os_version, version), and the highest firmware
+    version keyed by (model, os_version)."""
 
     def __init__(self):
         self.apps: dict[str, AppSpec] = {}
         self.profiles: dict[str, DeviceProfile] = {}
         self.firmware: dict[tuple[str, str, str], FirmwareEntry] = {}
+        self.latest_firmware: dict[tuple[str, str], str] = {}
 
     def register_app(self, spec: AppSpec) -> str:
         if spec.app_id in self.apps:
@@ -139,10 +141,13 @@ class Catalog:
         if entry.key in self.firmware:
             raise errors.ValidationError(f"duplicate firmware: {entry.key}")
         self.firmware[entry.key] = entry
+        platform = entry.model, entry.os_version
+        latest = self.latest_firmware.get(platform)
+        # of equal versions, such as 1.0 and 1.00, the first registered stays
+        if latest is None or parse_version(entry.firmware_version) > parse_version(latest):
+            self.latest_firmware[platform] = entry.firmware_version
 
     def match_firmware(self, model: str, os_version: str) -> str | None:
         """Highest firmware version exactly matching (model, os_version), or
         None where none does."""
-        return max((e.firmware_version for e in self.firmware.values()
-                    if e.model == model and e.os_version == os_version),
-                   key=parse_version, default=None)
+        return self.latest_firmware.get((model, os_version))

@@ -9,6 +9,7 @@ script, and fault injections. Everything a run does is stated here up front.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
@@ -311,10 +312,11 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
 
 class _Unusual(Exception):
-    """The document uses what the event builder leaves to PyYAML's loader:
-    an anchor, an alias, an explicit tag, a merge or value key, a mapping
-    or sequence as a key, a second document, or a scalar its tag cannot
-    construct."""
+    """The document is outside what the reader at hand takes. The line
+    reader takes only the line form (see _read_lines). The event builder
+    leaves to PyYAML's loader a document with an anchor, an alias, an
+    explicit tag, a merge or value key, a mapping or sequence as a key, a
+    second document, or a scalar its tag cannot construct."""
 
 
 _MERGE_OR_VALUE = frozenset({"tag:yaml.org,2002:merge", "tag:yaml.org,2002:value"})
@@ -325,23 +327,165 @@ _MAX_DEPTH = 100
 _TOO_DEEP = f"nesting deeper than {_MAX_DEPTH} levels"
 _OPENINGS, _CLOSINGS = (MappingStartEvent, SequenceStartEvent), \
     (MappingEndEvent, SequenceEndEvent)
+# the line form's longest line: PyYAML reads no key longer than this
+_MAX_LINE = 1024
+_PLAIN_TOKEN = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*|~")
+_QUOTED_TOKEN = re.compile(r"'[A-Za-z0-9_. -]*'|\"[A-Za-z0-9_. -]*\"")
 
 
 def _load_yaml(text: str):
     """The document in `text`, as yaml.load(text, Loader=_LOADER) loads it:
     the same objects, types, key order and errors.
 
-    Built in one pass over the loader's events, without PyYAML's node
-    graph: the loader's resolver types each distinct scalar, and its
-    constructor builds only those not typed as strings. A document that
-    uses anything listed in _Unusual is handed whole to yaml.load. The
-    builder lets through only the parser's own errors, which yaml.load
-    meets first too, since it parses the whole document before it
-    constructs anything. Nesting past _MAX_DEPTH is a MarkedYAMLError."""
+    A document in the line form is read by _read_lines, without the
+    parser. Any other is built in one pass over the loader's events,
+    without PyYAML's node graph: the loader's resolver types each distinct
+    scalar, and its constructor builds only those not typed as strings. A
+    document that uses anything the event builder lists in _Unusual is
+    handed whole to yaml.load. The builder lets through only the parser's
+    own errors, which yaml.load meets first too, since it parses the whole
+    document before it constructs anything. Nesting past _MAX_DEPTH is a
+    MarkedYAMLError."""
+    try:
+        return _read_lines(text)
+    except _Unusual:
+        pass
     try:
         return _build_from_events(text)
     except _Unusual:
         return yaml.load(text, Loader=_LOADER)
+
+
+def _build_scalar(loader, value: str, implicit: tuple[bool, bool]):
+    """The scalar `value` as `loader` types and constructs it, its
+    `implicit` flags those of its event; _Unusual where it resolves to a
+    merge or value key or its tag cannot construct it."""
+    tag = loader.resolve(ScalarNode, value, implicit)
+    if tag == loader.DEFAULT_SCALAR_TAG:
+        return value
+    if tag in _MERGE_OR_VALUE:
+        raise _Unusual
+    try:
+        return loader.construct_object(ScalarNode(tag, value), deep=True)
+    except Exception:  # yaml.load raises the constructor's own error
+        raise _Unusual from None
+
+
+class _Tokens(dict):
+    """Token -> the scalar it loads to: a plain token typed by `loader` as
+    a plain scalar, a quoted one the str between its quotes. Each distinct
+    token is checked and typed once; any other text is _Unusual."""
+
+    def __init__(self, loader):
+        super().__init__()
+        self.loader = loader
+
+    def __missing__(self, token: str):
+        if _PLAIN_TOKEN.fullmatch(token):
+            value = _build_scalar(self.loader, token, (True, False))
+        elif _QUOTED_TOKEN.fullmatch(token):
+            value = token[1:-1]
+        else:
+            raise _Unusual
+        self[token] = value
+        return value
+
+
+def _read_lines(text: str) -> dict:
+    """The document in `text` if it is in the line form, else _Unusual.
+
+    Each line of the form is blank, a full-line comment, `KEY:` opening a
+    deeper block mapping or a block sequence at the same or deeper
+    indentation, `KEY: VALUE` with VALUE a token, a flow mapping or `[]`,
+    or `- ` and a flow mapping. A flow mapping is `{}` or `{PAIRS}`, PAIRS
+    being `TOKEN: TOKEN` joined by `, `, and may break after a `,` to go on
+    at a deeper line. A token is plain, `[A-Za-z0-9_][A-Za-z0-9_.-]*` or
+    `~`, or a single- or double-quoted run of `[A-Za-z0-9_. -]`: it has no
+    escape, no indicator and no `: ` or `, `, so each is the one scalar it
+    spells. The document is a non-empty mapping of printable ASCII,
+    indented with spaces, with no trailing space, line over _MAX_LINE,
+    document marker, directive, anchor, alias, tag or trailing comment.
+    Its block collections nest less than _MAX_DEPTH deep, so that none of
+    its collections nests deeper than _MAX_DEPTH."""
+    if not (text.isascii() and text.replace("\n", "").isprintable()) \
+            or " \n" in text or text.endswith(" "):
+        raise _Unusual
+    loader = _LOADER("")
+    try:
+        return _read_line_form(iter(text.split("\n")), _Tokens(loader))
+    finally:
+        loader.dispose()
+
+
+def _read_line_form(lines, tokens: _Tokens) -> dict:
+    """The line-form document of the iterator `lines`, typed by `tokens`."""
+    root = None
+    stack = []  # (indent, collection) of each open block collection, innermost last
+    opened = None  # (indent, mapping, key) of a `KEY:` line, whose block is next
+
+    def flow_mapping(text: str, indent: int) -> dict:
+        """The flow mapping opening `text`, of a line `indent` deep."""
+        while text[-1] == ",":  # it goes on at the next line
+            line = next(lines, "")
+            body = line.lstrip(" ")
+            if not body or len(line) - len(body) <= indent or len(line) > _MAX_LINE:
+                raise _Unusual
+            text += " " + body
+        if text[-1] != "}":
+            raise _Unusual
+        mapping = {}
+        if len(text) > 2:
+            for pair in text[1:-1].split(", "):
+                key, _, value = pair.partition(": ")
+                mapping[tokens[key]] = tokens[value]
+        return mapping
+
+    for line in lines:
+        body = line.lstrip(" ")
+        if not body or body[0] == "#":
+            continue
+        if len(line) > _MAX_LINE:
+            raise _Unusual
+        indent = len(line) - len(body)
+        item = body[:2] == "- "
+        if opened is not None:
+            parent_indent, mapping, key = opened
+            opened = None
+            # a block collection's own collections are one level deeper
+            if indent < parent_indent or indent == parent_indent and not item \
+                    or len(stack) + 1 >= _MAX_DEPTH:
+                raise _Unusual
+            mapping[key] = collection = [] if item else {}
+            stack.append((indent, collection))
+        else:
+            while stack and stack[-1][0] > indent:
+                stack.pop()
+            if root is None:
+                root = {}
+                stack.append((indent, root))
+            elif not item and stack and stack[-1][0] == indent \
+                    and type(stack[-1][1]) is list:
+                stack.pop()  # a sequence as deep as its key ends at the next key
+            if not stack or stack[-1][0] != indent or (type(stack[-1][1]) is list) != item:
+                raise _Unusual
+            collection = stack[-1][1]
+        if item:
+            if body[2] != "{":
+                raise _Unusual
+            collection.append(flow_mapping(body[2:], indent))
+            continue
+        key, colon, value = body.partition(": ")
+        if not colon:
+            if body[-1] != ":":
+                raise _Unusual
+            opened = indent, collection, tokens[body[:-1]]
+        elif value[0] == "{":
+            collection[tokens[key]] = flow_mapping(value, indent)
+        else:
+            collection[tokens[key]] = [] if value == "[]" else tokens[value]
+    if root is None or opened is not None:  # no mapping, or a `KEY:` with no block
+        raise _Unusual
+    return root
 
 
 def _check_depth(get_event, depth: int) -> None:
@@ -363,22 +507,9 @@ def _build_from_events(text: str):
     loader = _LOADER(text)
     try:
         get_event = loader.get_event
-        plain_tag = loader.DEFAULT_SCALAR_TAG
         # (value, implicit) -> the scalar built from it; scalars are
         # immutable, so each distinct text is resolved and built once
         scalars = {}
-
-        def build_scalar(value, implicit):
-            tag = loader.resolve(ScalarNode, value, implicit)
-            if tag == plain_tag:
-                return value
-            if tag in _MERGE_OR_VALUE:
-                raise _Unusual
-            try:
-                return loader.construct_object(ScalarNode(tag, value), deep=True)
-            except Exception:  # yaml.load raises the constructor's own error
-                raise _Unusual from None
-
         get_event()  # stream start
         if type(get_event()) is StreamEndEvent:  # else a document start
             return None
@@ -395,7 +526,7 @@ def _build_from_events(text: str):
                 try:
                     value = scalars[memo]
                 except KeyError:
-                    value = scalars[memo] = build_scalar(*memo)
+                    value = scalars[memo] = _build_scalar(loader, *memo)
             elif kind is MappingEndEvent or kind is SequenceEndEvent:
                 top, key = stack.pop()
                 continue

@@ -124,6 +124,15 @@ def test_resolve_dangling_app_reference(catalog):
         catalog.app(catalog.profile("smartband").iot_app)
 
 
+@pytest.mark.parametrize("first, second", [("1.0", "1.00"), ("1.00", "1.0")])
+def test_match_firmware_keeps_the_first_of_equal_versions(first, second):
+    """As max() does: 1.0 and 1.00 parse to the same version."""
+    cat = Catalog()
+    cat.register_firmware(FirmwareEntry("m", "os", first))
+    cat.register_firmware(FirmwareEntry("m", "os", second))
+    assert cat.match_firmware("m", "os") == first
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 100_000))
 def test_match_firmware_equals_bruteforce_max(seed):

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 import yaml
@@ -1327,16 +1328,25 @@ def test_python_tags_in_a_scenario_are_a_parse_error(tag, tmp_path):
 
 
 def _loader_spy(monkeypatch):
-    """Replace load_scenario's loader class with a subclass that counts
-    its instances, one per parse of a text."""
+    """Replace load_scenario's loader class with a subclass that records
+    the text each instance parses, and count the event builder's calls.
+    The line reader makes one instance, given no text, only to type its
+    tokens; each pass of the parser over a text makes one given the text."""
     class Spy(scenario_module._LOADER):
-        streams = 0
+        texts = []
+        built = 0
 
         def __init__(self, stream):
-            Spy.streams += 1
+            Spy.texts.append(stream)
             super().__init__(stream)
 
+    def build_from_events(text):
+        Spy.built += 1
+        return real_build_from_events(text)
+
+    real_build_from_events = scenario_module._build_from_events
     monkeypatch.setattr(scenario_module, "_LOADER", Spy)
+    monkeypatch.setattr(scenario_module, "_build_from_events", build_from_events)
     return Spy
 
 
@@ -1347,9 +1357,10 @@ def test_scenarios_are_parsed_with_libyaml_where_pyyaml_has_it():
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda path: path.stem)
 def test_fixtures_load_in_one_pass_of_the_parser(path, monkeypatch):
+    """The one pass is the line reader's: no loader parses the text."""
     spy = _loader_spy(monkeypatch)
     load_scenario(path)
-    assert spy.streams == 1
+    assert spy.texts == [""]
 
 
 @pytest.mark.parametrize("scale", [0.5, 1.0])
@@ -1357,15 +1368,17 @@ def test_fixtures_load_in_one_pass_of_the_parser(path, monkeypatch):
 @pytest.mark.parametrize("name", sorted(WORKLOAD_TRACE_HASHES))
 def test_workloads_load_in_one_pass_of_the_parser(name, seed, scale, tmp_path,
                                                   monkeypatch):
+    """The one pass is the line reader's: no loader parses the text."""
     path = _workload_path(name, tmp_path, seed, scale)
     spy = _loader_spy(monkeypatch)
     load_scenario(path)
-    assert spy.streams == 1
+    assert spy.texts == [""]
 
 
 def test_a_scenario_with_an_alias_loads_through_pyyaml_to_the_same_scenario(
         tmp_path, monkeypatch):
-    plain = yaml.safe_dump(minimal_scenario(), sort_keys=False)
+    plain = yaml.safe_dump(minimal_scenario(), sort_keys=False,
+                           default_flow_style=None)
     assert plain.count("model: smartband") == 3
     aliased = plain.replace("model: smartband", "model: &m smartband", 1) \
         .replace("model: smartband", "model: *m")
@@ -1374,9 +1387,173 @@ def test_a_scenario_with_an_alias_loads_through_pyyaml_to_the_same_scenario(
     paths[1].write_text(aliased)
     spy = _loader_spy(monkeypatch)
     expected = load_scenario(paths[0])
-    assert spy.streams == 1
+    assert (spy.texts, spy.built) == ([""], 0)  # the line reader alone
     assert load_scenario(paths[1]) == expected
-    assert spy.streams == 3  # the event builder stops at the anchor
+    # the line reader stops at the anchor, the event builder too
+    assert (spy.texts, spy.built) == (["", "", aliased, aliased], 1)
+
+
+def _shipped_scenario_texts():
+    workloads = _perfbench_module("workloads")
+    texts = [pytest.param(path.read_text(), id=path.stem) for path in FIXTURES]
+    return texts + [
+        pytest.param(workloads.scenario_yaml(name, seed, scale),
+                     id=f"{name}-seed{seed}-x{scale}")
+        for name in sorted(WORKLOAD_TRACE_HASHES) for seed in (1, 7)
+        for scale in (0.5, 1.0)]
+
+
+@pytest.mark.parametrize("text", _shipped_scenario_texts())
+def test_shipped_scenarios_take_the_line_reader(text, monkeypatch):
+    def build_from_events(text):
+        raise AssertionError("left the line form")
+
+    monkeypatch.setattr(scenario_module, "_build_from_events", build_from_events)
+    assert scenario_module._load_yaml(text) == reference_load_yaml(text)
+
+
+# --- the line form: documents the line reader takes, and near misses ----------
+
+# plain tokens of YAML 1.1's implicit types, none whose construction fails
+_PLAIN_TOKENS = st.one_of(
+    st.sampled_from(["yes", "on", "Off", "NO", "y", "true", "null", "Null", "~",
+                     "0x1F", "1_000", "017", "0o17", "0b101", "2001-02-03",
+                     "1.5", "1.0e-3", "6.", "1..2", "nan", "inf", "a-b", "x.y",
+                     "_", "0"]),
+    st.integers(min_value=0).map(str),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]{0,8}", fullmatch=True))
+_QUOTED_TOKENS = st.builds("{0}{1}{0}".format, st.sampled_from("'\""),
+                           st.from_regex(r"[A-Za-z0-9_. -]{0,8}", fullmatch=True))
+_TOKENS = _PLAIN_TOKENS | _QUOTED_TOKENS
+
+
+def _flow_mapping_lines(draw, indent: int) -> list[str]:
+    """A flow mapping opened on a line `indent` deep: its text on that line,
+    and each line it goes on at after a comma."""
+    pairs = [f"{key}: {value}" for key, value in
+             draw(st.lists(st.tuples(_TOKENS, _TOKENS), max_size=4))]
+    lines = ["{" + ", ".join(pairs[:1])]
+    for pair in pairs[1:]:
+        if draw(st.booleans()):
+            lines[-1] += ","
+            lines.append(" " * (indent + draw(st.integers(1, 3))) + pair)
+        else:
+            lines[-1] += ", " + pair
+    lines[-1] += "}"
+    return lines
+
+
+def _block_mapping_lines(draw, indent: int, depth: int) -> list[str]:
+    lines = []
+    kinds = ["token", "flow", "[]", "mapping", "sequence"][:5 if depth < 4 else 3]
+    for _ in range(draw(st.integers(1, 4))):
+        line = " " * indent + draw(_TOKENS) + ":"
+        kind = draw(st.sampled_from(kinds))
+        if kind == "token":
+            lines.append(f"{line} {draw(_TOKENS)}")
+        elif kind == "[]":
+            lines.append(f"{line} []")
+        elif kind == "flow":
+            first, *rest = _flow_mapping_lines(draw, indent)
+            lines += [f"{line} {first}", *rest]
+        elif kind == "mapping":
+            lines.append(line)
+            lines += _block_mapping_lines(draw, indent + draw(st.integers(1, 3)),
+                                          depth + 1)
+        else:  # a sequence as deep as its key, or deeper
+            lines.append(line)
+            deep = indent + draw(st.integers(0, 2))
+            for _ in range(draw(st.integers(1, 3))):
+                first, *rest = _flow_mapping_lines(draw, deep)
+                lines += [" " * deep + "- " + first, *rest]
+        lines += draw(st.lists(st.sampled_from(["", "#", "  # a comment"]),
+                               max_size=1))
+    return lines
+
+
+@st.composite
+def _line_form_lines(draw) -> list[str]:
+    return _block_mapping_lines(draw, 0, 1)
+
+
+# near misses of the line form: texts outside it, each made of a line-form
+# {document} and tokens {key} and {value}
+_NEAR_MISSES = {
+    "trailing-comment": "{document}{key}: {value} # c\n",
+    "anchor": "{document}{key}: &a {value}\n",
+    "alias": "{document}x: &a {value}\n{key}: *a\n",
+    "str-tag": "{document}{key}: !!str {value}\n",
+    "quote-in-quotes": "{document}{key}: 'it''s'\n",
+    "backslash-in-quotes": '{document}{key}: "a\\tb"\n',
+    "comma-in-quotes": "{document}{key}: {{k: 'a, b'}}\n",
+    "colon-in-quotes": '{document}{key}: "a: b"\n',
+    "tab-in-quotes": "{document}{key}: 'a\tb'\n",
+    "tab-indent": "{document}{key}:\n\tk: {value}\n",
+    "trailing-space": "{document}{key}: {value} \n",
+    "crlf": "{document}{key}: {value}\r\n",
+    "non-ascii": "{document}{key}: caf\u00e9\n",
+    "continuation-not-deeper": "{document}{key}:\n  - {{a: {value},\n  b: 1}}\n",
+    "key-continuation-not-deeper": "{document}{key}: {{a: {value},\nb: 1}}\n",
+    "in-between-key": "{document}{key}:\n   a: {value}\n  b: 1\n",
+    "key-without-block": "{document}{key}:\n",
+    "document-start": "---\n{document}",
+    "document-end": "{document}...\n",
+    "merge-key": "{document}{key}:\n  <<: {{a: {value}}}\n",
+    "leading-dot": "{document}{key}: .5\n",
+    "bad-date": "{document}{key}: 2001-02-30\n",
+    "long-line": "{document}x: " + "a" * 1022 + "\n",
+    "long-key": "{document}" + "a" * 1023 + ": 1\n",
+    "empty": "",
+    "comments-only": "# c\n\n",
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=_line_form_lines(),
+       loader=st.sampled_from([scenario_module._LOADER, yaml.SafeLoader]))
+def test_line_form_documents_load_as_under_the_oracle_by_the_line_reader(lines,
+                                                                         loader):
+    text = "\n".join(lines) + "\n"
+    with mock.patch.object(scenario_module, "_LOADER", loader), \
+            mock.patch.object(scenario_module, "_build_from_events",
+                              side_effect=AssertionError("left the line form")):
+        loaded, expected = _parse_both(text)
+    assert loaded == expected
+    assert expected.startswith("{")
+    assert repr(scenario_module._build_from_events(text)) == loaded
+
+
+@pytest.mark.parametrize("near_miss", sorted(_NEAR_MISSES))
+@settings(max_examples=20, deadline=None)
+@given(lines=_line_form_lines(), key=_TOKENS, value=_PLAIN_TOKENS)
+def test_near_misses_of_the_line_form_load_as_under_the_oracle(near_miss, lines,
+                                                                key, value):
+    text = _NEAR_MISSES[near_miss].format(document="\n".join(lines) + "\n",
+                                          key=key, value=value)
+    with pytest.raises(scenario_module._Unusual):
+        scenario_module._read_lines(text)
+    loaded, expected = _parse_both(text)
+    assert loaded == expected
+
+
+def _nested_block_mappings(levels: int) -> str:
+    return "".join(f"{' ' * i}k:\n" for i in range(levels - 1)) \
+        + f"{' ' * (levels - 1)}k: v\n"
+
+
+def test_block_nesting_past_the_limit_leaves_the_line_form():
+    """The line reader takes block collections nesting less than 100 deep;
+    deeper nesting takes the event builder, whose limit is 100."""
+    text = _nested_block_mappings(99)
+    assert scenario_module._read_lines(text) == reference_load_yaml(text)
+    text = _nested_block_mappings(100)
+    loaded, expected = _parse_both(text)
+    assert loaded == expected and expected.startswith("{")
+    text = _nested_block_mappings(101)
+    with pytest.raises(scenario_module._Unusual):
+        scenario_module._read_lines(text)
+    with pytest.raises(yaml.YAMLError, match="^nesting deeper than 100 levels"):
+        scenario_module._load_yaml(text)
 
 
 def test_equal_flow_lists_load_as_distinct_objects():
