@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import errors
-from .scheduler import AppInstance, InstanceStatus, Scheduler, \
-    StateBlob  # StateBlob: re-exported
+from .scheduler import AppInstance, InstanceStatus, Scheduler
 from .topology import Link
 
 

@@ -16,9 +16,8 @@ from operator import itemgetter
 from pathlib import Path
 
 import yaml
-from yaml.events import (DocumentEndEvent, MappingEndEvent, MappingStartEvent,
-                         ScalarEvent, SequenceEndEvent, SequenceStartEvent,
-                         StreamEndEvent)
+from yaml.events import (MappingEndEvent, MappingStartEvent, SequenceEndEvent,
+                         SequenceStartEvent, StreamEndEvent)
 from yaml.nodes import ScalarNode
 
 from . import errors
@@ -113,11 +112,10 @@ SCENARIO_FIELDS: dict[str, dict[str, tuple]] = {
     "CloudPartition": {"target": ("cloud", REQUIRED)},
 }
 
-# The parser whose events _load_yaml builds documents from, and whose
-# Resolver and SafeConstructor (those of yaml.safe_load) type its scalars:
-# libyaml's C parser, or PyYAML's pure-Python parser where PyYAML was built
-# without libyaml. yaml.load with this loader reads the documents the event
-# builder leaves to PyYAML.
+# The loader that reads a document outside the line form, whose Resolver
+# and SafeConstructor (those of yaml.safe_load) also type the line reader's
+# tokens: libyaml's C parser, or PyYAML's pure-Python parser where PyYAML was
+# built without libyaml.
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
@@ -312,15 +310,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
 
 class _Unusual(Exception):
-    """The document is outside what the reader at hand takes. The line
-    reader takes only the line form (see _read_lines). The event builder
-    leaves to PyYAML's loader a document with an anchor, an alias, an
-    explicit tag, a merge or value key, a mapping or sequence as a key, a
-    second document, or a scalar its tag cannot construct."""
+    """The document is outside the line form (see _read_lines)."""
 
 
-_MERGE_OR_VALUE = frozenset({"tag:yaml.org,2002:merge", "tag:yaml.org,2002:value"})
-_NO_KEY = object()  # the mapping being built waits for a key, not a value
 # how deep mappings and sequences may nest: scenarios nest about 4 deep, and
 # PyYAML's composer recurses once per level, into a crash under libyaml
 _MAX_DEPTH = 100
@@ -338,43 +330,21 @@ def _load_yaml(text: str):
     the same objects, types, key order and errors.
 
     A document in the line form is read by _read_lines, without the
-    parser. Any other is built in one pass over the loader's events,
-    without PyYAML's node graph: the loader's resolver types each distinct
-    scalar, and its constructor builds only those not typed as strings. A
-    document that uses anything the event builder lists in _Unusual is
-    handed whole to yaml.load. The builder lets through only the parser's
-    own errors, which yaml.load meets first too, since it parses the whole
-    document before it constructs anything. Nesting past _MAX_DEPTH is a
-    MarkedYAMLError."""
+    parser. Any other is parsed twice: once by _check_depth, since
+    yaml.load composes recursively and would crash on deep nesting, and
+    then by yaml.load. Nesting past _MAX_DEPTH is a MarkedYAMLError."""
     try:
         return _read_lines(text)
     except _Unusual:
-        pass
-    try:
-        return _build_from_events(text)
-    except _Unusual:
+        _check_depth(text)
         return yaml.load(text, Loader=_LOADER)
-
-
-def _build_scalar(loader, value: str, implicit: tuple[bool, bool]):
-    """The scalar `value` as `loader` types and constructs it, its
-    `implicit` flags those of its event; _Unusual where it resolves to a
-    merge or value key or its tag cannot construct it."""
-    tag = loader.resolve(ScalarNode, value, implicit)
-    if tag == loader.DEFAULT_SCALAR_TAG:
-        return value
-    if tag in _MERGE_OR_VALUE:
-        raise _Unusual
-    try:
-        return loader.construct_object(ScalarNode(tag, value), deep=True)
-    except Exception:  # yaml.load raises the constructor's own error
-        raise _Unusual from None
 
 
 class _Tokens(dict):
     """Token -> the scalar it loads to: a plain token typed by `loader` as
     a plain scalar, a quoted one the str between its quotes. Each distinct
-    token is checked and typed once; any other text is _Unusual."""
+    token is checked and typed once; a plain token its tag cannot
+    construct, or any other text, is _Unusual."""
 
     def __init__(self, loader):
         super().__init__()
@@ -382,7 +352,14 @@ class _Tokens(dict):
 
     def __missing__(self, token: str):
         if _PLAIN_TOKEN.fullmatch(token):
-            value = _build_scalar(self.loader, token, (True, False))
+            loader = self.loader
+            tag = loader.resolve(ScalarNode, token, (True, False))
+            value = token
+            if tag != loader.DEFAULT_SCALAR_TAG:
+                try:
+                    value = loader.construct_object(ScalarNode(tag, token), deep=True)
+                except Exception:  # yaml.load raises the constructor's own error
+                    raise _Unusual from None
         elif _QUOTED_TOKEN.fullmatch(token):
             value = token[1:-1]
         else:
@@ -488,84 +465,22 @@ def _read_line_form(lines, tokens: _Tokens) -> dict:
     return root
 
 
-def _check_depth(get_event, depth: int) -> None:
-    """Pull the loader's remaining events, the first of them `depth`
-    containers deep, and raise where they nest deeper than _MAX_DEPTH;
-    stop quietly at a parser error, which yaml.load then raises."""
-    event = None
-    while type(event) is not StreamEndEvent:
-        try:
-            event = get_event()
-        except yaml.YAMLError:
-            return
-        depth += (type(event) in _OPENINGS) - (type(event) in _CLOSINGS)
-        if depth > _MAX_DEPTH:
-            raise yaml.MarkedYAMLError(problem=_TOO_DEEP, problem_mark=event.start_mark)
-
-
-def _build_from_events(text: str):
+def _check_depth(text: str) -> None:
+    """Parse `text` and raise where its collections nest deeper than
+    _MAX_DEPTH; stop quietly at a parser error, which yaml.load then
+    raises."""
     loader = _LOADER(text)
     try:
-        get_event = loader.get_event
-        # (value, implicit) -> the scalar built from it; scalars are
-        # immutable, so each distinct text is resolved and built once
-        scalars = {}
-        get_event()  # stream start
-        if type(get_event()) is StreamEndEvent:  # else a document start
-            return None
-        document = []  # receives the root node
-        top, key, stack = document, _NO_KEY, []
-        while True:
-            event = get_event()
-            kind = type(event)
-            if kind is ScalarEvent:
-                tag = event.tag
-                if event.anchor is not None or tag is not None and tag != "!":
-                    raise _Unusual
-                memo = event.value, event.implicit
-                try:
-                    value = scalars[memo]
-                except KeyError:
-                    value = scalars[memo] = _build_scalar(loader, *memo)
-            elif kind is MappingEndEvent or kind is SequenceEndEvent:
-                top, key = stack.pop()
-                continue
-            elif kind is MappingStartEvent or kind is SequenceStartEvent:
-                if len(stack) == _MAX_DEPTH:
-                    raise yaml.MarkedYAMLError(problem=_TOO_DEEP,
-                                               problem_mark=event.start_mark)
-                tag = event.tag
-                if event.anchor is not None or tag is not None and tag != "!":
-                    raise _Unusual
-                value = {} if kind is MappingStartEvent else []
-                if type(top) is list:
-                    top.append(value)
-                elif key is _NO_KEY:  # a mapping or sequence as a key
-                    raise _Unusual
-                else:
-                    top[key] = value
-                stack.append((top, _NO_KEY))
-                top, key = value, _NO_KEY
-                continue
-            elif kind is DocumentEndEvent:
-                break
-            else:  # an alias
-                raise _Unusual
-            if type(top) is list:
-                top.append(value)
-            elif key is _NO_KEY:
-                key = value
-            else:
-                top[key] = value
-                key = _NO_KEY
-        if type(get_event()) is not StreamEndEvent:  # a second document
-            raise _Unusual
-        return document[0]
-    except _Unusual:
-        # yaml.load composes recursively, so the rest must not nest too deep;
-        # a container the builder refused is not on the stack
-        _check_depth(loader.get_event, len(stack) + (kind in _OPENINGS))
-        raise
+        depth, event = 0, None
+        while type(event) is not StreamEndEvent:
+            try:
+                event = loader.get_event()
+            except yaml.YAMLError:
+                return
+            depth += (type(event) in _OPENINGS) - (type(event) in _CLOSINGS)
+            if depth > _MAX_DEPTH:
+                raise yaml.MarkedYAMLError(problem=_TOO_DEEP,
+                                           problem_mark=event.start_mark)
     finally:
         loader.dispose()
 

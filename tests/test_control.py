@@ -8,6 +8,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -1190,6 +1191,34 @@ def test_only_the_runtime_dataflow_and_the_package_import_discovery():
     assert importers == ["__init__", "dataflow", "runtime"]
 
 
+def _unread_imports(path) -> list[str]:
+    """The names the imports in `path` bind that its code never reads and
+    its `__all__` does not export; `from __future__` imports bind no name."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted(bound - read)
+
+
+def test_every_import_of_a_module_is_read():
+    """An import that the module never reads is dead code. The package's
+    __init__ imports only to re-export, so it is left out."""
+    src = REPO_ROOT / "src" / "fogsim"
+    unread = {path.stem: names for path in sorted(src.glob("*.py"))
+              if path.name != "__init__.py" and (names := _unread_imports(path))}
+    assert unread == {}
+
+
 def test_every_tracer_target_exists():
     """perfbench --trace 1 wraps these by name; a rename would silently
     drop its metric."""
@@ -1199,7 +1228,7 @@ def test_every_tracer_target_exists():
     assert missing == []
 
 
-# --- scenario parsing: the event builder against the pure-Python oracle -------
+# --- scenario parsing: load_scenario's reader against the pure-Python oracle --
 
 
 def _parse_both(text: str) -> tuple[str, str]:
@@ -1329,24 +1358,17 @@ def test_python_tags_in_a_scenario_are_a_parse_error(tag, tmp_path):
 
 def _loader_spy(monkeypatch):
     """Replace load_scenario's loader class with a subclass that records
-    the text each instance parses, and count the event builder's calls.
-    The line reader makes one instance, given no text, only to type its
-    tokens; each pass of the parser over a text makes one given the text."""
+    the text each instance parses. The line reader makes one instance,
+    given no text, only to type its tokens; each pass of the parser over a
+    text makes one given the text."""
     class Spy(scenario_module._LOADER):
         texts = []
-        built = 0
 
         def __init__(self, stream):
             Spy.texts.append(stream)
             super().__init__(stream)
 
-    def build_from_events(text):
-        Spy.built += 1
-        return real_build_from_events(text)
-
-    real_build_from_events = scenario_module._build_from_events
     monkeypatch.setattr(scenario_module, "_LOADER", Spy)
-    monkeypatch.setattr(scenario_module, "_build_from_events", build_from_events)
     return Spy
 
 
@@ -1387,10 +1409,10 @@ def test_a_scenario_with_an_alias_loads_through_pyyaml_to_the_same_scenario(
     paths[1].write_text(aliased)
     spy = _loader_spy(monkeypatch)
     expected = load_scenario(paths[0])
-    assert (spy.texts, spy.built) == ([""], 0)  # the line reader alone
+    assert spy.texts == [""]  # the line reader alone
     assert load_scenario(paths[1]) == expected
-    # the line reader stops at the anchor, the event builder too
-    assert (spy.texts, spy.built) == (["", "", aliased, aliased], 1)
+    # the line reader stops at the anchor; the depth check, then yaml.load
+    assert spy.texts == ["", "", aliased, aliased]
 
 
 def _shipped_scenario_texts():
@@ -1405,11 +1427,41 @@ def _shipped_scenario_texts():
 
 @pytest.mark.parametrize("text", _shipped_scenario_texts())
 def test_shipped_scenarios_take_the_line_reader(text, monkeypatch):
-    def build_from_events(text):
+    def check_depth(text):
         raise AssertionError("left the line form")
 
-    monkeypatch.setattr(scenario_module, "_build_from_events", build_from_events)
+    monkeypatch.setattr(scenario_module, "_check_depth", check_depth)
     assert scenario_module._load_yaml(text) == reference_load_yaml(text)
+
+
+def _readme_scenario_example() -> str:
+    readme = (REPO_ROOT / "README.md").read_text()
+    return re.search(r"^## Scenarios\n.*?^```yaml\n(.*?)^```", readme,
+                     re.S | re.M).group(1)
+
+
+def test_the_readme_scenario_example_loads_through_pyyaml_and_validates(
+        tmp_path, capsys):
+    """The one shipped document outside the line form: its comments trail
+    values and its flow mappings are aligned with extra spaces."""
+    text = _readme_scenario_example()
+    with pytest.raises(scenario_module._Unusual):
+        scenario_module._read_lines(text)
+    path = tmp_path / "example.yaml"
+    path.write_text(text)
+    assert load_scenario(path) == scenario_from_dict(reference_load_yaml(text))
+    assert main(["validate", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == \
+        "ok: example (3 nodes, 2 apps, 2 script events)\n"
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
+def test_libyaml_takes_a_tab_after_a_colon_where_safe_load_does_not():
+    """Where libyaml's scanner and PyYAML's disagree, _load_yaml gives
+    libyaml's reading, not yaml.safe_load's, as the README says."""
+    assert scenario_module._load_yaml("a:\tb\n") == {"a": "b"}
+    with pytest.raises(yaml.scanner.ScannerError):
+        yaml.safe_load("a:\tb\n")
 
 
 # --- the line form: documents the line reader takes, and near misses ----------
@@ -1515,12 +1567,11 @@ def test_line_form_documents_load_as_under_the_oracle_by_the_line_reader(lines,
                                                                          loader):
     text = "\n".join(lines) + "\n"
     with mock.patch.object(scenario_module, "_LOADER", loader), \
-            mock.patch.object(scenario_module, "_build_from_events",
+            mock.patch.object(scenario_module, "_check_depth",
                               side_effect=AssertionError("left the line form")):
         loaded, expected = _parse_both(text)
     assert loaded == expected
     assert expected.startswith("{")
-    assert repr(scenario_module._build_from_events(text)) == loaded
 
 
 @pytest.mark.parametrize("near_miss", sorted(_NEAR_MISSES))
@@ -1543,7 +1594,7 @@ def _nested_block_mappings(levels: int) -> str:
 
 def test_block_nesting_past_the_limit_leaves_the_line_form():
     """The line reader takes block collections nesting less than 100 deep;
-    deeper nesting takes the event builder, whose limit is 100."""
+    deeper nesting leaves the line form, and the limit is 100."""
     text = _nested_block_mappings(99)
     assert scenario_module._read_lines(text) == reference_load_yaml(text)
     text = _nested_block_mappings(100)

@@ -5,8 +5,8 @@ import yaml
 
 from fogsim import errors
 from fogsim.control import run_scenario
-from fogsim.migration import MigrationEngine, StateBlob, transfer_duration
-from fogsim.scheduler import InstanceStatus, PlacementRequest, Scheduler
+from fogsim.migration import MigrationEngine, transfer_duration
+from fogsim.scheduler import InstanceStatus, PlacementRequest, Scheduler, StateBlob
 from fogsim.scenario import scenario_from_dict
 from fogsim.topology import Link, ResourceVector, Tier, Topology
 
