@@ -8,7 +8,7 @@ from pathlib import Path
 from .kernel import Trace
 from .report import Report, report_from_trace
 from .runtime import Runtime
-from .scenario import Scenario, load_scenario, scenario_from_dict
+from .scenario import Scenario, load_scenario
 
 
 def run_scenario(scenario: Scenario, until: int | None = None,
@@ -27,5 +27,4 @@ def run_scenario_file(path: str | Path, until: int | None = None,
     return run_scenario(load_scenario(path), until=until, seed=seed)
 
 
-__all__ = ["Scenario", "load_scenario", "scenario_from_dict", "run_scenario",
-           "run_scenario_file", "report_from_trace", "Report", "Trace"]
+__all__ = ["run_scenario", "run_scenario_file"]

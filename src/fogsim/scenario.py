@@ -322,6 +322,8 @@ _OPENINGS, _CLOSINGS = (MappingStartEvent, SequenceStartEvent), \
 # the line form's longest line: PyYAML reads no key longer than this
 _MAX_LINE = 1024
 _PLAIN_TOKEN = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*|~")
+# a plain decimal; 00 and 017 are octal to the resolver, and left to it
+_DECIMAL = re.compile(r"0|[1-9][0-9]*")
 _QUOTED_TOKEN = re.compile(r"'[A-Za-z0-9_. -]*'|\"[A-Za-z0-9_. -]*\"")
 
 
@@ -344,22 +346,33 @@ class _Tokens(dict):
     """Token -> the scalar it loads to: a plain token typed by `loader` as
     a plain scalar, a quoted one the str between its quotes. Each distinct
     token is checked and typed once; a plain token its tag cannot
-    construct, or any other text, is _Unusual."""
+    construct, or any other text, is _Unusual.
+
+    Two kinds of plain token are typed without the resolver, as it would
+    type them. A decimal is an int: of the resolver's patterns that a digit
+    starts, only int's takes one with no `.`, `-` or `:`. A word whose first
+    character has no implicit resolver in the loader's table is a str,
+    unless the table has a wildcard or the loader has path resolvers."""
 
     def __init__(self, loader):
         super().__init__()
         self.loader = loader
+        self.implicit = loader.yaml_implicit_resolvers  # first character -> resolvers
+        self.resolve_every_word = None in self.implicit or bool(loader.yaml_path_resolvers)
 
     def __missing__(self, token: str):
-        if _PLAIN_TOKEN.fullmatch(token):
-            loader = self.loader
-            tag = loader.resolve(ScalarNode, token, (True, False))
+        if _DECIMAL.fullmatch(token):
+            value = int(token)  # at most _MAX_LINE digits, within int()'s limit
+        elif _PLAIN_TOKEN.fullmatch(token):
             value = token
-            if tag != loader.DEFAULT_SCALAR_TAG:
-                try:
-                    value = loader.construct_object(ScalarNode(tag, token), deep=True)
-                except Exception:  # yaml.load raises the constructor's own error
-                    raise _Unusual from None
+            if self.resolve_every_word or token[0] in self.implicit:
+                loader = self.loader
+                tag = loader.resolve(ScalarNode, token, (True, False))
+                if tag != loader.DEFAULT_SCALAR_TAG:
+                    try:
+                        value = loader.construct_object(ScalarNode(tag, token), deep=True)
+                    except Exception:  # yaml.load raises the constructor's own error
+                        raise _Unusual from None
         elif _QUOTED_TOKEN.fullmatch(token):
             value = token[1:-1]
         else:

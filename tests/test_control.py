@@ -15,7 +15,8 @@ from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from yaml.nodes import ScalarNode
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fogsim import errors
@@ -1652,6 +1653,126 @@ def test_documents_nest_at_most_100_deep(anchor, loader, monkeypatch):
                  "a: &x 1\nb: " + "[" * 101 + "\n"):  # unclosed, past the limit
         with pytest.raises(yaml.YAMLError, match="^nesting deeper than 100 levels"):
             scenario_module._load_yaml(text)
+
+
+# --- typing tokens: what the resolver would make of them, and when it is asked -
+
+def _distinct_tokens(text: str) -> list[str]:
+    """The distinct tokens the line reader types in reading `text`."""
+    made = []
+
+    class Recording(scenario_module._Tokens):
+        def __init__(self, loader):
+            super().__init__(loader)
+            made.append(self)
+
+    with mock.patch.object(scenario_module, "_Tokens", Recording):
+        scenario_module._read_lines(text)
+    return list(made[0])
+
+
+def _resolver_typing(loader, token: str):
+    """What yaml.load makes of `token` under `loader` when it is one scalar:
+    a plain token through the resolver and the constructor, a quoted one
+    the str between its quotes."""
+    quoted = token[0] in "'\""
+    value = token[1:-1] if quoted else token
+    tag = loader.resolve(ScalarNode, value, (not quoted, quoted))
+    return loader.construct_object(ScalarNode(tag, value), deep=True)
+
+
+def _assert_typed_as_by_the_resolver(loader_class, tokens) -> None:
+    loader = loader_class("")
+    try:
+        for token in tokens:
+            try:
+                expected = _resolver_typing(loader, token)
+            except Exception:  # the constructor's error: the token is not line form
+                with pytest.raises(scenario_module._Unusual):
+                    scenario_module._Tokens(loader)[token]
+                continue
+            typed = scenario_module._Tokens(loader)[token]
+            assert (type(typed), typed) == (type(expected), expected), token
+    finally:
+        loader.dispose()
+
+
+_LOADERS = pytest.mark.parametrize(
+    "loader", [scenario_module._LOADER, yaml.SafeLoader], ids=["_LOADER", "SafeLoader"])
+
+
+@_LOADERS
+@pytest.mark.parametrize("text", _shipped_scenario_texts())
+def test_shipped_tokens_are_typed_as_by_the_resolver(text, loader):
+    _assert_typed_as_by_the_resolver(loader, _distinct_tokens(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(token=st.from_regex(r"[0-9]{1,30}", fullmatch=True)
+       | st.from_regex(scenario_module._PLAIN_TOKEN, fullmatch=True) | _PLAIN_TOKENS,
+       loader=st.sampled_from([scenario_module._LOADER, yaml.SafeLoader]))
+@example(token="0", loader=yaml.SafeLoader)
+@example(token="00", loader=yaml.SafeLoader)
+@example(token="017", loader=yaml.SafeLoader)
+@example(token="018", loader=yaml.SafeLoader)
+@example(token="1" * 30, loader=yaml.SafeLoader)
+@example(token="0" * 30, loader=yaml.SafeLoader)
+def test_plain_tokens_are_typed_as_by_the_resolver(token, loader):
+    """Decimals, with leading zeros or 30 digits long, and plain words."""
+    _assert_typed_as_by_the_resolver(loader, [token])
+
+
+def _counting_resolves(loader_class):
+    """A subclass of `loader_class` that records each value it resolves."""
+    class Counting(loader_class):
+        resolved = []
+
+        def resolve(self, kind, value, implicit):
+            Counting.resolved.append(value)
+            return super().resolve(kind, value, implicit)
+
+    return Counting
+
+
+def test_words_are_typed_by_the_loaders_own_resolver_table(monkeypatch):
+    """A resolver added for a first character types the words it starts; a
+    wildcard resolver sends every word, but no decimal, to the resolver."""
+    class XNull(yaml.SafeLoader):
+        pass
+
+    class Wildcard(yaml.SafeLoader):
+        pass
+
+    XNull.add_implicit_resolver("tag:yaml.org,2002:null", re.compile(r"^xnull$"), ["x"])
+    Wildcard.add_implicit_resolver("tag:yaml.org,2002:null", re.compile(r"^zznull$"),
+                                   None)
+    assert "x" not in yaml.SafeLoader.yaml_implicit_resolvers
+    assert None not in yaml.SafeLoader.yaml_implicit_resolvers
+    text = "a: xnull\nb: zznull\nc: xray\nd: 42\n"
+    words = ["a", "xnull", "b", "zznull", "c", "xray", "d"]
+    for loader, nulls, resolved in ((yaml.SafeLoader, [], []),
+                                    (XNull, ["a"], ["xnull", "xray"]),
+                                    (Wildcard, ["b"], words)):
+        counting = _counting_resolves(loader)
+        monkeypatch.setattr(scenario_module, "_LOADER", counting)
+        document = scenario_module._read_lines(text)
+        assert document == yaml.load(text, Loader=loader)
+        assert [key for key, value in document.items() if value is None] == nulls
+        assert sorted(counting.resolved) == sorted(resolved)
+
+
+def test_the_resolver_is_asked_only_for_words_an_implicit_type_may_start(
+        tmp_path, monkeypatch):
+    path = _workload_path("star_steady", tmp_path, seed=1)
+    table = scenario_module._LOADER.yaml_implicit_resolvers
+    asked = [token for token in _distinct_tokens(path.read_text())
+             if token[0] not in "'\"" and not re.fullmatch(r"0|[1-9][0-9]*", token)
+             and token[0] in table]
+    counting = _counting_resolves(scenario_module._LOADER)
+    monkeypatch.setattr(scenario_module, "_LOADER", counting)
+    load_scenario(path)
+    assert len(counting.resolved) == len(asked)
+    assert sorted(counting.resolved) == sorted(asked)
 
 
 def test_run_produces_report_equal_to_trace_replay():
