@@ -54,39 +54,65 @@ def _encode(value) -> str:
     return "".join(_chunks(value, 0))
 
 
+class Revision(dict):
+    """A map that replaces another with the same keys, in the same order,
+    and names the keys whose entries it replaced.
+
+    `token` is this map's own identity, a plain object; `base` is the token
+    of the map it replaces, or None for a map that replaces none, such as
+    one whose keys are new. `changed` names every key whose entry object is
+    not the base's; it may name others too, in any order. A producer makes
+    a revision as a copy of the map it replaces, then sets the entries it
+    names. The trace writer reads `changed` to re-encode only those entries
+    (see `_shared_text`), so a revision, like every shared value, is never
+    mutated once it is emitted. Tokens are not counters, so no two maps
+    share one across producers, and a pickled map keeps its token's
+    identity within what is pickled with it."""
+
+    __slots__ = ("token", "base", "changed")
+
+    def __init__(self, entries=(), base: object | None = None, changed=()):
+        super().__init__(entries)
+        self.token = object()
+        self.base = base
+        self.changed = changed
+
+
 def _shared_text(value, slot: str, memo: dict) -> str:
     """The JSON text of a shared value, written against the last value
     written at `slot` (a kind's field) with this `memo`.
 
-    `memo` maps a slot to (value, text, index, pieces) of its last value:
-    for a dict, `pieces` holds the `"key":value` text of each entry in key
-    order and `index` each key's position there. Holding the value keeps
-    its entries alive, so an entry that is the last one's object is no new
-    object at a reused address. The same value again reuses its text. A
-    dict with the same keys as the last one encodes only the entries whose
-    value is not the last one's object, and any other dict encodes every
-    entry; a value that is no dict is encoded whole. Dict keys must be str,
-    as in every value that equals its JSON round trip.
+    `memo` maps a slot to (value, text, token, index, pieces) of its last
+    value: for a dict, `pieces` holds the `"key":value` text of each entry
+    in key order and `index` each key's position there, and `token` is the
+    map's own if it is a `Revision`. The same value again reuses its text.
+    A revision whose `base` is the last value's token encodes only the
+    entries its `changed` names; any other dict encodes every entry, and a
+    value that is no dict is encoded whole. Dict keys must be str, as in
+    every value that equals its JSON round trip.
     """
     last = memo.get(slot)
-    if last is not None and last[0] is value:
-        return last[1]
-    if type(value) is not dict:
+    if last is not None:
+        if last[0] is value:
+            return last[1]
+        token = last[2]
+        if token is not None and type(value) is Revision and value.base is token:
+            index, pieces = last[3], last[4]
+            for k in value.changed:
+                pieces[index[k]] = encode_basestring_ascii(k) + ":" + _encode(value[k])
+            text = "{" + ",".join(pieces) + "}"
+            memo[slot] = (value, text, value.token, index, pieces)
+            return text
+    if not isinstance(value, dict):
         text = _encode(value)
-        memo[slot] = (value, text, None, None)
+        memo[slot] = (value, text, None, None, None)
         return text
-    if last is not None and last[2] is not None and value.keys() == last[2].keys():
-        prev, _, index, pieces = last
-        for k, v in value.items():
-            if v is not prev[k]:
-                pieces[index[k]] = encode_basestring_ascii(k) + ":" + _encode(v)
-    else:
-        keys = sorted(value)
-        index = {k: i for i, k in enumerate(keys)}
-        pieces = [encode_basestring_ascii(k) + ":" + _encode(value[k])
-                  for k in keys]
+    keys = sorted(value)
+    index = {k: i for i, k in enumerate(keys)}
+    pieces = [encode_basestring_ascii(k) + ":" + _encode(value[k]) for k in keys]
     text = "{" + ",".join(pieces) + "}"
-    memo[slot] = (value, text, index, pieces)
+    memo[slot] = (value, text, value.token if type(value) is Revision else None,
+                  index, pieces)
     return text
 
 
@@ -101,7 +127,7 @@ def _shared_text(value, slot: str, memo: dict) -> str:
 # value is written by `_encode`; a "shared" one, which records may share,
 # such as the per-node maps of consecutive `metrics_window` records, by
 # `_shared_text`, against the value last written at the same kind and field,
-# so that a map encodes only the entries whose objects changed.
+# so that a `Revision` of the last map encodes only the entries it names.
 # `Kernel.emit` checks and rounds a kind's details by a checker compiled from
 # its row, and `Trace.to_jsonl` writes its records through a line writer
 # compiled from the row, one of each for each order of keys that details are

@@ -103,7 +103,7 @@ def report_from_trace(trace: Iterable[TraceRecord]) -> Report:
                 if type(value) not in types or (
                         value is not None and not -largest <= value <= largest):
                     raise _bad_detail(record, key, f"finite {ftype}")
-            if type(d.get("utilization")) is not dict:
+            if not isinstance(d.get("utilization"), dict):
                 raise _bad_detail(record, "utilization", "mapping")
             report.utilization_series.append((time_ms, d["utilization"]))
             report.uplink_windows.append({

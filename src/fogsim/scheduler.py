@@ -23,6 +23,7 @@ from enum import Enum
 
 from . import errors
 from .catalog import AppKind, AppSpec, Catalog
+from .kernel import Revision
 from .topology import ResourceVector, Tier, Topology
 
 
@@ -116,9 +117,10 @@ class Scheduler:
         # of the allocations check_thresholds last took from the topology
         self._hot: set[str] = set()
         # instance id -> status value, sorted, rebuilt by status_snapshot
-        # only once an instance was added or a status written
-        self._statuses: dict[str, str] = {}
-        self._statuses_stale = False
+        # only once an instance was added or a status written; the ids of
+        # the instances whose status was written since it last ran
+        self._statuses = Revision()
+        self._written: set[str] = set()
 
     # -- helpers ---------------------------------------------------------------
 
@@ -127,30 +129,35 @@ class Scheduler:
         self._counters[app_id] = n
         return f"{app_id}-{n}"
 
-    def _add(self, inst: AppInstance) -> None:
-        self.instances[inst.instance_id] = inst
-        self._statuses_stale = True
-
     def set_status(self, inst: AppInstance, status: InstanceStatus) -> None:
         """Write an instance's status; the one way a status changes after
         the instance is added, so that status_snapshot sees it."""
         inst.status = status
-        self._statuses_stale = True
+        self._written.add(inst.instance_id)
 
     def status_snapshot(self) -> dict[str, str]:
         """Every instance's status value by instance id, sorted.
 
-        The dict is shared: the same object is returned until an instance
+        The map is shared: the same object is returned until an instance
         is added or a status is written and the map differs, and trace
-        records hold it, so it must never be mutated.
+        records hold it, so it must never be mutated. A new map is a
+        `Revision` of the one it replaces that names the instances whose
+        status value changed, or, once an instance was added, one that
+        replaces none.
         """
-        if self._statuses_stale:
-            self._statuses_stale = False
-            instances = self.instances
-            statuses = {iid: _STATUS_VALUES[instances[iid].status]
-                        for iid in sorted(instances)}
-            if statuses != self._statuses:
-                self._statuses = statuses
+        old, instances = self._statuses, self.instances
+        if len(old) != len(instances):  # instances were added
+            self._written.clear()
+            self._statuses = Revision({iid: _STATUS_VALUES[instances[iid].status]
+                                       for iid in sorted(instances)})
+        elif self._written:
+            changed = [iid for iid in self._written if iid in old
+                       and _STATUS_VALUES[instances[iid].status] != old[iid]]
+            self._written.clear()
+            if changed:
+                statuses = self._statuses = Revision(old, old.token, changed)
+                for iid in changed:
+                    statuses[iid] = _STATUS_VALUES[instances[iid].status]
         return self._statuses
 
     def instance(self, instance_id: str) -> AppInstance:
@@ -223,7 +230,7 @@ class Scheduler:
         inst = AppInstance(self._new_instance_id(req.app), req.app, host,
                            req.replicas, req.source,
                            StateBlob(size_mb=app.state_size_mb))
-        self._add(inst)
+        self.instances[inst.instance_id] = inst
         if app.kind is AppKind.DATA_APP:
             self._data_apps.setdefault(req.source, []).append(inst)
         return inst
@@ -247,7 +254,7 @@ class Scheduler:
                           payload=dict(preferences or {}))
         inst = AppInstance(self._new_instance_id(app_id), app_id, gateway, 1,
                            gateway, state, bound_device=device)
-        self._add(inst)
+        self.instances[inst.instance_id] = inst
         self._bound.setdefault(device, []).append(inst)
         return inst
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import errors
+from .kernel import Revision
 
 
 class Tier(str, Enum):
@@ -185,12 +186,12 @@ class Topology:
         default_factory=dict, repr=False, compare=False)
     # metrics-window maps, by node id: utilization rounded to the trace's
     # 9 places, and the allocation's components. Both are rebuilt as new
-    # dicts, never updated in place, once a node in _stale changed.
+    # revisions, never updated in place, once a node in _stale changed.
     _stale: set[str] = field(default_factory=set, repr=False, compare=False)
-    _utilization: dict[str, float] = field(
-        default_factory=dict, repr=False, compare=False)
-    _alloc: dict[str, dict[str, float]] = field(
-        default_factory=dict, repr=False, compare=False)
+    _utilization: Revision = field(
+        default_factory=Revision, repr=False, compare=False)
+    _alloc: Revision = field(
+        default_factory=Revision, repr=False, compare=False)
     # nodes whose allocation changed since take_reallocated last ran; a node
     # is added with none allocated, so it is noted only once it has some
     _reallocated: set[str] = field(default_factory=set, repr=False, compare=False)
@@ -530,8 +531,11 @@ class Topology:
     def utilization_snapshot(self) -> dict[str, float]:
         """Every node's utilization by node id, sorted, rounded to 9 places.
 
-        The dict is shared: the same object is returned until an allocation
+        The map is shared: the same object is returned until an allocation
         changes, and trace records hold it, so it must never be mutated.
+        A new map is a `Revision` of the one it replaces that names the
+        nodes whose entries were rebuilt, or, once a node was added, one
+        that replaces none.
         """
         if self._stale:
             self._rebuild_window_maps()
@@ -539,29 +543,31 @@ class Topology:
 
     def alloc_snapshot(self) -> dict[str, dict[str, float]]:
         """Every node's allocation by node id, sorted, as cpu/mem/storage.
-        Shared like utilization_snapshot's dict; never mutate it or its
-        entries."""
+        Shared and revised like utilization_snapshot's map; never mutate it
+        or its entries."""
         if self._stale:
             self._rebuild_window_maps()
         return self._alloc
 
     def _rebuild_window_maps(self) -> None:
         """New maps that rebuild the entries of the stale nodes only and
-        share every other entry with the maps they replace. A copy keeps
-        the sorted order of the ids it copies, and a stale entry keeps its
-        place, so the ids are sorted again only where a node was added."""
-        utilization = dict(self._utilization)
-        alloc = dict(self._alloc)
-        for nid in self._stale:
+        share every other entry with the maps they replace, each a revision
+        of the map it replaces that names the stale ids. A copy keeps the
+        sorted order of the ids it copies, and a stale entry keeps its
+        place, so the ids are sorted again only where a node was added, in
+        new maps that replace none."""
+        stale, self._stale = self._stale, set()
+        utilization = Revision(self._utilization, self._utilization.token, stale)
+        alloc = Revision(self._alloc, self._alloc.token, stale)
+        for nid in stale:
             node = self.nodes[nid]
             vec = node.allocated
             utilization[nid] = round(node.utilization(), 9)
             # vector components are already rounded to 9 places
             alloc[nid] = {"cpu": vec.cpu, "mem": vec.mem, "storage": vec.storage}
-        self._stale.clear()
         if len(utilization) > len(self._utilization):
             ids = sorted(utilization)
-            utilization = {nid: utilization[nid] for nid in ids}
-            alloc = {nid: alloc[nid] for nid in ids}
+            utilization = Revision({nid: utilization[nid] for nid in ids})
+            alloc = Revision({nid: alloc[nid] for nid in ids})
         self._utilization = utilization
         self._alloc = alloc

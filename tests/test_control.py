@@ -24,7 +24,7 @@ from fogsim import kernel as kernel_module
 from fogsim import scenario as scenario_module
 from fogsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from fogsim.control import run_scenario, run_scenario_file
-from fogsim.kernel import RECORD_KINDS, Trace
+from fogsim.kernel import RECORD_KINDS, Revision, Trace
 from fogsim.report import report_from_trace
 from fogsim.runtime import Runtime
 from fogsim.scenario import (REQUIRED, SCENARIO_FIELDS, SCRIPT_EVENTS, load_scenario,
@@ -34,6 +34,7 @@ from fogsim.topology import ResourceVector, Topology
 from fixture_paths import FIXTURES, REPO_ROOT, SCENARIO_DIR
 from oracles import (reference_from_jsonl, reference_load_yaml,
                      reference_record_json, reference_shared_entries)
+from twin import twin, twin_text
 
 
 def minimal_scenario(**overrides) -> dict:
@@ -671,9 +672,10 @@ def _exact(records) -> list[str]:
 def test_fleet_ticks_writes_each_map_against_the_last_at_its_slot(monkeypatch,
                                                                   tmp_path):
     """Counts the `_encode` calls of serialising fleet_ticks at seed 1: a
-    slot's first map encodes each of its entries, a later new map with the
-    same keys only the entries whose object changed, and every field that
-    is no number, str or shared value is encoded whole."""
+    slot's first map encodes each of its entries, a later new map that is a
+    revision of the last one only the entries its `changed` names, any
+    other new map each of its entries, and every field that is no number,
+    str or shared value is encoded whole."""
     trace = Runtime(load_scenario(_workload_path("fleet_ticks", tmp_path))).run()
     expected, entries, last = 0, 0, {}
     for record in trace:
@@ -688,8 +690,9 @@ def test_fleet_ticks_writes_each_map_against_the_last_at_its_slot(monkeypatch,
             if value is prev:
                 continue
             entries += len(value)
-            if type(prev) is dict and prev.keys() == value.keys():
-                expected += sum(v is not prev[k] for k, v in value.items())
+            if (type(value) is Revision and type(prev) is Revision
+                    and value.base is prev.token):
+                expected += len(value.changed)
             else:
                 expected += len(value)
     calls = []
@@ -706,6 +709,37 @@ def test_fleet_ticks_writes_each_map_against_the_last_at_its_slot(monkeypatch,
     assert len(calls) == expected
     # the new maps hold far more entries than were encoded
     assert (len(calls), entries) == (1220, 37842)
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("fleet_ticks", {"again": 421, "other keys": 3, "revision": 176}),
+    ("mesh_churn", {"again": 5, "other keys": 3, "revision": 52})])
+def test_every_shared_map_a_workload_writes_is_revised_from_the_last(name, counts,
+                                                                      tmp_path):
+    """At seed 1, each shared map the writer meets is its slot's last map
+    again, a map of other keys, or a revision of the last map whose
+    `changed` names every entry it replaced; so the writer re-encodes only
+    what changed, and a producer that gives a plain map of the last one's
+    keys fails here."""
+    trace = Runtime(load_scenario(_workload_path(name, tmp_path))).run()
+    seen, last = dict.fromkeys(counts, 0), {}
+    for record in trace:
+        for key, ftype in kernel_module._LAYOUTS[record.kind].types.items():
+            if ftype != "shared" or key not in record.details:
+                continue
+            value = record.details[key]
+            prev, last[record.kind, key] = last.get((record.kind, key)), value
+            if value is prev:
+                seen["again"] += 1
+            elif prev is None or prev.keys() != value.keys():
+                seen["other keys"] += 1
+            else:
+                assert type(value) is Revision and type(prev) is Revision
+                assert value.base is prev.token
+                assert {k for k, v in value.items() if v is not prev[k]} \
+                    <= set(value.changed)
+                seen["revision"] += 1
+    assert seen == counts
 
 
 def _plain_runs(lines: list[str]) -> list[list[str]]:
@@ -1024,6 +1058,33 @@ def test_the_report_of_a_pinned_run_is_unchanged(name, seed, tmp_path):
     trace = Runtime(load_scenario(_pinned_path(name, seed, tmp_path))).run()
     text = repr(report_from_trace(trace))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == REPORT_HASHES[name, seed]
+
+
+@pytest.mark.parametrize("name, seed, scale, expected", [
+    *[pytest.param(name, seed, 1, (FIXTURE_TRACE_HASHES if seed is None else
+                                   WORKLOAD_TRACE_HASHES if seed == 1 else
+                                   WORKLOAD_SEED7_TRACE_HASHES)[name],
+                   id=name if seed in (None, 1) else f"{name}-seed{seed}")
+      for name, seed in PINNED_RUNS],
+    *[pytest.param(name, 1, 4, expected, id=f"{name}-x4")
+      for name, expected in sorted(WORKLOAD_X4_TRACE_HASHES.items())]])
+def test_the_reference_twin_writes_every_pinned_trace(name, seed, scale, expected,
+                                                      tmp_path):
+    """With every incremental structure swapped for its from-scratch form
+    (see tests/twin.py), each pinned run writes its pinned bytes, and the
+    report of a ×1 run, from its text read line by line, equals the pinned
+    report of the run."""
+    path = SCENARIO_DIR / f"{name}.yaml" if seed is None \
+        else _workload_path(name, tmp_path, seed, scale)
+    text = twin_text(path.read_text())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == expected
+    if scale == 1:
+        with twin():
+            report = report_from_trace(Trace.from_jsonl(text))
+        pinned = report_from_trace(Runtime(load_scenario(path)).run())
+        assert hashlib.sha256(repr(pinned).encode()).hexdigest()[:16] \
+            == REPORT_HASHES[name, seed]
+        assert report == pinned
 
 
 @pytest.mark.parametrize("name, seed", PINNED_RUNS)
@@ -2250,6 +2311,15 @@ def test_cli_report_names_a_record_of_the_wrong_shape(kind, breaks, field, tmp_p
     assert main(["report", str(path)]) == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert err.startswith(f"runtime error: MalformedTrace: {named}")
+
+
+def test_the_report_of_a_live_trace_reads_its_revision_maps():
+    """A live trace's utilization maps are revisions, a dict subclass that
+    the report takes as a mapping, as it takes a parsed trace's dicts."""
+    trace, report = run_scenario_file(SCENARIO_DIR / "roaming.yaml")
+    maps = [utilization for _, utilization in report.utilization_series]
+    assert maps and all(type(utilization) is Revision for utilization in maps)
+    assert report_from_trace(Trace.from_jsonl(trace.to_jsonl())) == report
 
 
 @pytest.mark.parametrize("option", ["--trace", "--metrics"])

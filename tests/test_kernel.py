@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from fogsim import errors
 from fogsim import kernel as kernel_module
-from fogsim.kernel import RECORD_KINDS, EventKind, Kernel, Trace, TraceRecord
+from fogsim.kernel import RECORD_KINDS, EventKind, Kernel, Revision, Trace, TraceRecord
 
 from fixture_paths import REPO_ROOT
 from oracles import (reference_from_jsonl, reference_record_json,
@@ -567,15 +568,17 @@ def test_each_shared_value_is_encoded_once_per_call(monkeypatch):
     monkeypatch.setattr(kernel_module, "_encode",
                         lambda value: encoded.append(value) or encode(value))
     entry = {"cpu": 1.5, "mem": 2.0}
-    alloc = {"n1": entry, "n2": {"cpu": 0.25}}
-    util = {"n1": 0.5, "n2": 0.125}
+    alloc = Revision({"n1": entry, "n2": {"cpu": 0.25}})
+    util = Revision({"n1": 0.5, "n2": 0.125})
     kernel = Kernel()
     for i in range(5):
         kernel.emit("metrics_window", "net", _valid_details(
             "metrics_window", window_start=i, alloc=alloc, utilization=util))
-    # a later window replaces one entry of each map
+    # a later window replaces one entry of each map, and its revisions say which
     new_entry, new_share = {"cpu": 3.0, "mem": 2.0}, 0.75
-    later_alloc, later_util = {**alloc, "n1": new_entry}, {**util, "n2": new_share}
+    later_alloc = Revision(alloc, alloc.token, ["n1"])
+    later_util = Revision(util, util.token, ["n2"])
+    later_alloc["n1"], later_util["n2"] = new_entry, new_share
     kernel.emit("metrics_window", "net", _valid_details(
         "metrics_window", alloc=later_alloc, utilization=later_util))
 
@@ -602,6 +605,17 @@ def test_each_shared_value_is_encoded_once_per_call(monkeypatch):
     assert [times(util["n1"]), times(util["n2"]),
             times(entry), times(alloc["n2"])] == [1, 1, 1, 1]
     assert times(util) == times(alloc) == 0
+    # a plain dict with the last map's keys and entry objects names no
+    # entry it replaced, so it is encoded whole
+    encoded.clear()
+    plain_alloc, plain_util = dict(alloc), dict(util)
+    for maps in ((alloc, util), (plain_alloc, plain_util)):
+        kernel.emit("metrics_window", "net", _valid_details(
+            "metrics_window", alloc=maps[0], utilization=maps[1]))
+    assert kernel.trace.to_jsonl() == _reference_jsonl(kernel.trace)
+    assert [times(util["n1"]), times(util["n2"]),
+            times(entry), times(alloc["n2"])] == [2, 2, 2, 2]
+    assert times(plain_util) == times(plain_alloc) == 0
 
 
 def test_a_map_shared_across_calls_serialises_the_same():
@@ -707,6 +721,78 @@ def test_a_chain_of_maps_at_one_slot_writes_as_the_reference(chain, split):
             assert halves.trace.to_jsonl() == _reference_jsonl(halves.trace)
     text = whole.trace.to_jsonl()
     assert text == _reference_jsonl(whole.trace) == halves.trace.to_jsonl()
+
+
+@st.composite
+def _revision_chains(draw):
+    """Maps for one slot from two chains of revisions. Each step revises a
+    chain's last map, replacing some entries with new objects, equal ones
+    at times, and naming them in `changed`, in any order, with some keys
+    whose entries it keeps; or starts a chain afresh with a map that
+    replaces none; or gives a plain dict, a copy of a chain's last map at
+    times; or gives a map met before again. So a revision often follows a
+    map other than its base."""
+    chains = [Revision(draw(st.dictionaries(_json_keys, _rounded_leaves, max_size=4)))
+              for _ in range(2)]
+    maps = [chains[0]]
+    for _ in range(draw(st.integers(1, 12))):
+        at = draw(st.integers(0, 1))
+        step = draw(st.sampled_from(["revise", "revise", "root", "plain", "again"]))
+        if step == "revise":
+            base = chains[at]
+            keys = sorted(base)
+            replaced = draw(st.sets(st.sampled_from(keys))) if keys else set()
+            kept = draw(st.sets(st.sampled_from(keys))) if keys else set()
+            changed = draw(st.permutations(sorted(replaced | kept)))
+            value = chains[at] = Revision(base, base.token, changed)
+            for key in replaced:
+                value[key] = draw(st.sampled_from([copy.deepcopy(base[key])])
+                                  | _rounded_leaves | _rounded_maps)
+        elif step == "root":
+            value = chains[at] = Revision(draw(st.dictionaries(
+                _json_keys, _rounded_leaves | _rounded_maps, max_size=4)))
+        elif step == "plain":
+            value = dict(chains[at]) if draw(st.booleans()) else draw(_rounded_maps)
+        else:
+            value = draw(st.sampled_from(maps))
+        maps.append(value)
+    return maps
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_revision_chains(), st.integers(0, 12))
+def test_revisions_at_one_slot_write_as_the_reference(maps, split):
+    """Each map goes to `alloc`, and the one before it to `utilization`;
+    written in one call, over two calls, and as a trace of the records
+    from `split` on, whose first call starts with no last map."""
+    whole, halves = Kernel(), Kernel()
+    for i, value in enumerate(maps):
+        details = _valid_details("metrics_window", window_start=i, alloc=value,
+                                 utilization=maps[i - 1] if i else {})
+        whole.emit("metrics_window", "net", details)
+        halves.emit("metrics_window", "net", details)
+        if i == split:
+            assert halves.trace.to_jsonl() == _reference_jsonl(halves.trace)
+    text = whole.trace.to_jsonl()
+    assert text == _reference_jsonl(whole.trace) == halves.trace.to_jsonl()
+    tail = Trace(whole.trace.records[split:])
+    assert tail.to_jsonl() == _reference_jsonl(tail)
+
+
+def test_a_revision_keeps_its_entries_base_and_changes_through_pickle():
+    root = Revision({"a": 1.5, "b": {"cpu": 2.0}})
+    revision = Revision(root, root.token, {"b"})
+    revision["b"] = {"cpu": 3.0}
+    loaded_root, loaded = pickle.loads(pickle.dumps((root, revision)))
+    assert type(loaded) is Revision and loaded == revision
+    assert list(loaded) == list(revision) and loaded.changed == {"b"}
+    assert loaded.base is loaded_root.token and loaded_root.base is None
+    assert loaded.token is not revision.token
+    kernel = Kernel()
+    for value in (loaded_root, loaded):
+        kernel.emit("metrics_window", "net",
+                    _valid_details("metrics_window", alloc=value))
+    assert kernel.trace.to_jsonl() == _reference_jsonl(kernel.trace)
 
 
 def _value_span(line: str, key: str, value) -> tuple[int, int] | None:

@@ -18,8 +18,9 @@ from fogsim.dataflow import Flow, FlowManager
 from fogsim.migration import MigrationEngine
 from fogsim.runtime import Runtime
 from fogsim.scenario import scenario_from_dict
-from fogsim.scheduler import (InstanceStatus, Offload, PlacementRequest, Scheduler,
-                              Thresholds)
+from fogsim.kernel import Revision
+from fogsim.scheduler import (AppInstance, InstanceStatus, Offload, PlacementRequest,
+                              Scheduler, StateBlob, Thresholds)
 from fogsim.topology import ResourceVector, Tier, Topology
 
 from oracles import (ReferenceFlows, brute_force_latency, brute_force_place,
@@ -479,6 +480,71 @@ def test_window_maps_match_a_fresh_computation(seed, fractional, steps):
     close_window()
     for record, emitted in windows:
         assert maps_json(record.details) == emitted
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(steps=st.lists(st.tuples(
+    st.sampled_from(["reserve", "release", "add_node", "add", "set_status",
+                     "snapshot"]),
+    st.integers(0, 1_000_000)), max_size=40))
+def test_each_new_window_map_is_a_revision_of_the_last_or_has_other_keys(steps):
+    """Random reserves, releases, added nodes, added instances and status
+    writes, with snapshots between them. Each snapshot is the last map at
+    its slot again; or a map of other keys that replaces none; or a
+    revision of the last map, with its keys in its order, whose `changed`
+    names only its keys and every key whose entry is not the last map's
+    object. And it equals the map built afresh."""
+    topo = Topology()
+    scheduler = Scheduler(topo, Catalog())
+    for nid in ("cloud", "edge", "gw"):
+        topo.add_node(nid, Tier.CENTRAL_CLOUD, 4000, 1024, 16384)
+    reserved: list[tuple[str, ResourceVector]] = []
+    instances = []
+    last: dict = {}
+
+    def snapshot():
+        maps = {"instances": scheduler.status_snapshot(),
+                "utilization": topo.utilization_snapshot(),
+                "alloc": topo.alloc_snapshot()}
+        assert maps == {**reference_window_maps(topo), "instances": {
+            iid: inst.status.value for iid, inst in sorted(scheduler.instances.items())}}
+        for key, value in maps.items():
+            prev, last[key] = last.get(key), value
+            assert type(value) is Revision and list(value) == sorted(value)
+            if value is prev:
+                continue
+            if prev is None or prev.keys() != value.keys():
+                assert value.base is None
+                continue
+            assert value.base is prev.token and list(value) == list(prev)
+            assert set(value.changed) <= value.keys()
+            assert {k for k, v in value.items() if v is not prev[k]} \
+                <= set(value.changed)
+
+    for step, n in steps:
+        nodes = sorted(topo.nodes)
+        if step == "reserve":
+            demand = ResourceVector(n % 1000, n % 100, 0)
+            try:
+                topo.reserve(nodes[n % len(nodes)], demand)
+                reserved.append((nodes[n % len(nodes)], demand))
+            except errors.InsufficientCapacity:
+                pass
+        elif step == "release" and reserved:
+            topo.release(*reserved.pop(n % len(reserved)))
+        elif step == "add_node" and f"n{n % 50}" not in topo.nodes:
+            topo.add_node(f"n{n % 50}", Tier.GATEWAY, 4000, 1024, 16384)
+        elif step == "add":
+            inst = AppInstance(f"app-{len(instances)}", "app", nodes[n % len(nodes)], 1,
+                               nodes[0], StateBlob())
+            scheduler.instances[inst.instance_id] = inst
+            instances.append(inst)
+        elif step == "set_status" and instances:
+            scheduler.set_status(instances[n % len(instances)],
+                                 list(InstanceStatus)[n % len(InstanceStatus)])
+        elif step == "snapshot":
+            snapshot()
+    snapshot()
 
 
 def hot_world(seed: int, fractional: bool):

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from fogsim import errors
 from fogsim.catalog import AppKind, AppSpec, Catalog
+from fogsim.kernel import Kernel, Revision
 from fogsim.migration import MigrationEngine
 from fogsim.scheduler import (Defer, InstanceStatus, Offload,
                               PlacementRequest, Scheduler, Thresholds)
 from fogsim.topology import ResourceVector, Tier, Topology
 
-from oracles import brute_force_place
+from oracles import brute_force_place, reference_record_json
 
 
 @pytest.fixture
@@ -347,3 +350,31 @@ def test_serving_instance_is_the_first_running_or_migrating_data_app(scheduler):
     assert scheduler.serving_instance("gw1") is first  # still serves while migrating
     first.status = InstanceStatus.STOPPED
     assert scheduler.serving_instance("gw1") is second
+
+
+def test_a_pickled_topology_and_scheduler_revise_their_restored_maps(scheduler):
+    """Restored after a snapshot, each producer's next map is a revision of
+    the restored one, and the writer writes both as the reference does."""
+    topo = scheduler.topology
+    inst = scheduler.place(PlacementRequest("analytics", "gw1"))
+    maps = (scheduler.status_snapshot(), topo.utilization_snapshot(),
+            topo.alloc_snapshot())
+    restored = pickle.loads(pickle.dumps(scheduler))
+    restored_topo = restored.topology
+    before = (restored.status_snapshot(), restored_topo.utilization_snapshot(),
+              restored_topo.alloc_snapshot())
+    assert before == maps and all(type(m) is Revision for m in before)
+    restored_topo.reserve("gw2", ResourceVector(1000, 0, 0))
+    restored.set_status(restored.instance(inst.instance_id), InstanceStatus.STOPPED)
+    after = (restored.status_snapshot(), restored_topo.utilization_snapshot(),
+             restored_topo.alloc_snapshot())
+    for old, new, changed in zip(before, after, ({inst.instance_id}, {"gw2"}, {"gw2"})):
+        assert type(new) is Revision and new.base is old.token
+        assert list(new) == list(old) and set(new.changed) == changed
+    assert after[0] == {inst.instance_id: "Stopped"}
+    kernel = Kernel()
+    for instances, utilization, alloc in (before, after):
+        kernel.emit("metrics_window", "net", (0, 1, 0, 0, 0, 0, None, instances,
+                                              utilization, alloc))
+    assert kernel.trace.to_jsonl() == "".join(
+        reference_record_json(r) + "\n" for r in kernel.trace)
