@@ -119,8 +119,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_RUNTIME
         try:
             if args.trace is not None:
-                # write the bytes that trace.hash() digests
-                Path(args.trace).write_bytes(trace.to_jsonl().encode())
+                # the bytes that trace.hash() digests, a chunk at a time
+                with open(args.trace, "wb") as fh:
+                    fh.writelines(trace.chunks())
             if args.metrics is not None:
                 _write_metrics(args.metrics, trace)
         except OSError as exc:

@@ -201,31 +201,43 @@ def _compile(signature: str, body: list[str], **names):
 
 def _compile_writer(kind: str, fields: tuple[tuple[str, str], ...]):
     """The line writer of a declared kind's `fields`: a function of a
-    record and a `_shared_text` memo that returns `to_json`'s text of the
-    record by one %-format, with each number as its repr, each str through
-    `encode_basestring_ascii`, each shared value through `_shared_text` at
-    its slot "kind.key", written against the slot's last value, and each
-    other value through `_encode`. The repr of an int, or of a finite
-    float, is its JSON text."""
+    record, a `_shared_text` memo and `out`, which it calls with the pieces
+    of `to_json`'s text of the record and its ending "\n", in order. Each
+    shared value's text, from `_shared_text` at its slot "kind.key",
+    written against the slot's last value, is a piece of its own, so the
+    text `_shared_text` keeps for a slot is passed on, not copied. The text
+    between shared values is one piece each, made by one %-format, with
+    each number as its repr, each str through `encode_basestring_ascii`
+    and each other value through `_encode`. The repr of an int, or of a
+    finite float, is its JSON text."""
     def literal(text: str) -> str:
         return _encode(text).replace("%", "%%")
 
-    slots, args = [], []
-    for key, ftype in sorted(fields):
+    def formatted(text: str, args: list[str]) -> str:
+        """The expression of `text` %-formatted with `args`, or of the text
+        itself where it takes no value."""
+        if not args:
+            return repr(text.replace("%%", "%"))
+        return f"{text!r} % ({', '.join(args)},)"
+
+    pieces, text, args = [], '{"details":{', []  # the piece being made, its values
+    for i, (key, ftype) in enumerate(sorted(fields)):
         value = f"d[{key!r}]"
-        slots.append(literal(key) + (":%r" if ftype == "number" else ":%s"))
+        text += ("," if i else "") + literal(key) + ":"
+        if ftype == "shared":
+            pieces += [formatted(text, args),
+                       f"_shared({value}, {f'{kind}.{key}'!r}, memo)"]
+            text, args = "", []
+            continue
+        text += "%r" if ftype == "number" else "%s"
         args.append(value if ftype == "number" else
-                    f"_text({value})" if ftype == "str" else
-                    f"_shared({value}, {f'{kind}.{key}'!r}, memo)"
-                    if ftype == "shared" else
-                    f"_encode({value})")
-    line = ('{"details":{' + ",".join(slots) + '},"kind":' + literal(kind)
-            + ',"seq":%r,"subject":%s,"time_ms":%r}')
+                    f"_text({value})" if ftype == "str" else f"_encode({value})")
+    text += '},"kind":' + literal(kind) + ',"seq":%r,"subject":%s,"time_ms":%r}\n'
     args += ["r.seq", "_text(r.subject)", "r.time_ms"]
-    return _compile("write(r, memo)",
-                    ["d = r.details", f"return {line!r} % ({', '.join(args)})"],
-                    _text=encode_basestring_ascii, _encode=_encode,
-                    _shared=_shared_text)
+    pieces.append(formatted(text, args))
+    return _compile("write(r, memo, out)",
+                    ["d = r.details", *(f"out({piece})" for piece in pieces)],
+                    _text=encode_basestring_ascii, _encode=_encode, _shared=_shared_text)
 
 
 # a checked field type -> the test its value fails, and what it must be
@@ -344,12 +356,14 @@ class TraceRecord:
     kind: str
     subject: str
     details: dict
-    writer: Callable[["TraceRecord", dict], str] | None = field(
-        default=None, compare=False, repr=False)
+    writer: Callable[["TraceRecord", dict, Callable[[str], object]], None] | None = \
+        field(default=None, compare=False, repr=False)
 
     def to_json(self) -> str:
         if self.writer is not None:
-            return self.writer(self, {})
+            pieces: list[str] = []
+            self.writer(self, {}, pieces.append)
+            return "".join(pieces)[:-1]  # without the line's "\n"
         return _encode({"time_ms": self.time_ms, "seq": self.seq, "kind": self.kind,
                         "subject": self.subject, "details": self.details})
 
@@ -624,12 +638,31 @@ def _walk_details(line: str, seen: dict) -> TraceRecord | None:
                        details)
 
 
-# Characters of trace text hashed per chunk. An ASCII chunk's copies stay
-# below glibc malloc's default 128 KiB mmap threshold and so reuse heap
-# memory; a copy of the whole trace is megabytes of fresh memory, whose
-# cost varied with the process's memory layout by up to a third of the
-# time of serialising the trace.
-_HASH_CHUNK = 1 << 15
+# Characters of trace text per chunk: the text is hashed and written to a
+# file a chunk at a time, and read a block of about a chunk at a time (see
+# `_lines`). An ASCII chunk's copies stay below glibc malloc's default
+# 128 KiB mmap threshold and so reuse heap memory; a copy of the whole trace
+# is megabytes of fresh memory, whose cost varied with the process's memory
+# layout by up to a third of the time of serialising the trace.
+_CHUNK = 1 << 15
+
+
+def _blocks(text: str, size: int) -> Iterator[list[str]]:
+    """The lines of `text`, a block at a time: each block ends at the first
+    "\n" at least `size` characters past its start, or at the text's end,
+    and is cut at its "\n"s."""
+    start = 0
+    while (end := text.find("\n", start + size)) >= 0:
+        yield text[start:end].split("\n")
+        start = end + 1
+    yield text[start:].split("\n")
+
+
+def _lines(text: str, size: int = _CHUNK) -> Iterator[str]:
+    """The lines of `text` exactly as `text.split("\n")` gives them, in
+    order, split a block of about `size` characters at a time, so that only
+    one block's lines are held at once."""
+    return chain.from_iterable(_blocks(text, size))
 
 
 class Trace:
@@ -637,11 +670,13 @@ class Trace:
 
     A trace only grows, through `append`. `to_jsonl` serialises each record
     once: it keeps the text made so far and adds the lines of the records
-    appended since, so `hash` digests that same text. A record with a
-    `writer` (each record `Kernel.emit` makes, see `RECORD_KINDS`) is
-    written by that one %-format, with each shared value written against
-    the last one at its slot in the same call (see `_shared_text`); a
-    parsed or hand-built one by the generic encoder."""
+    appended since, so `hash` digests that same text and `chunks` gives
+    its bytes. A record with a `writer` (each record `Kernel.emit` makes,
+    see `RECORD_KINDS`) is written by that writer as pieces, with each
+    shared value written against the last one at its slot in the same call
+    (see `_shared_text`) as a piece of its own; a parsed or hand-built one
+    by the generic encoder. The pieces are joined once, so a map text that
+    many lines repeat is held once until that join."""
 
     def __init__(self, records: list[TraceRecord] | None = None):
         self.records: list[TraceRecord] = records or []
@@ -659,30 +694,42 @@ class Trace:
 
     def to_jsonl(self) -> str:
         if self._serialised < len(self.records):
-            pieces: list[str] = []
+            pieces = [self._text]
+            out = pieces.append
             memo: dict = {}  # each slot's last shared value, for this call only
             for record in self.records[self._serialised:]:
                 writer = record.writer
-                pieces.append(record.to_json() if writer is None
-                              else writer(record, memo))
-                pieces.append("\n")
-            self._text += "".join(pieces)
+                if writer is None:
+                    out(record.to_json())
+                    out("\n")
+                else:
+                    writer(record, memo, out)
+            self._text = "".join(pieces)
             self._serialised = len(self.records)
         return self._text
 
-    def hash(self) -> str:
-        """sha256 of the UTF-8 text `to_jsonl` returns, hashed a chunk at a
-        time so that no second copy of the whole trace is made."""
+    def chunks(self) -> Iterator[bytes]:
+        """The UTF-8 bytes of the text `to_jsonl` returns, a chunk of
+        `_CHUNK` characters at a time, so that no second copy of the whole
+        trace is made."""
         text = self.to_jsonl()
+        for start in range(0, len(text), _CHUNK):
+            yield text[start:start + _CHUNK].encode()
+
+    def hash(self) -> str:
+        """sha256 of the UTF-8 text `to_jsonl` returns, digested a chunk at
+        a time (see `chunks`)."""
         digest = hashlib.sha256()
-        for start in range(0, len(text), _HASH_CHUNK):
-            digest.update(text[start:start + _HASH_CHUNK].encode())
+        for chunk in self.chunks():
+            digest.update(chunk)
         return digest.hexdigest()
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
         """The trace of `text`, whose lines end at "\n": the records that
-        `records` reads from them, or its `MalformedTrace`.
+        `records` reads from them, or its `MalformedTrace`. The lines are
+        split a block at a time (see `_lines`), so no list of every line is
+        held next to the text.
 
         A run of plain lines is scanned in one call, and its records share
         their key strings. A detail value whose text repeats the text last
@@ -691,7 +738,7 @@ class Trace:
         last map at its key, and parses only the entries whose text
         changed; each other entry is the last map's entry object (see
         `_walk_details`)."""
-        return cls(list(records(text.split("\n"))))
+        return cls(list(records(_lines(text))))
 
 
 class Kernel:

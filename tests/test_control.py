@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -841,6 +842,37 @@ def test_star_steady_scans_each_run_of_plain_lines_once(monkeypatch, tmp_path):
         == [(run[0] if len(run) == 1 else "[" + ",\n".join(run) + "]", 0) for run in runs]
     assert max(map(len, runs)) == kernel_module._RUN_LINES
     assert (len(lines), sum(map(len, runs)), len(runs)) == (5343, 5331, 26)
+
+
+def _traced(call):
+    """`call()`, and the memory it left allocated and the peak it reached,
+    in bytes, as tracemalloc traces them from the call's start."""
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
+
+
+def test_serialising_fleet_ticks_holds_each_shared_map_text_once(tmp_path):
+    """At seed 1, the shared map texts are pieces that every line repeating
+    them refers to, so serialising reaches far less than the two copies of
+    the text that formatting each line whole and joining the lines made."""
+    trace = Runtime(load_scenario(_workload_path("fleet_ticks", tmp_path))).run()
+    text, _, peak = _traced(trace.to_jsonl)
+    assert peak <= 1.6 * len(text)
+
+
+@pytest.mark.parametrize("name", ["fleet_ticks", "star_steady"])
+def test_replay_holds_one_block_of_lines_at_a_time(name, tmp_path):
+    """At seed 1, replay splits the text a block at a time: beyond what the
+    parsed trace keeps, it holds far less than the text, where a list of
+    every line held about as much again."""
+    text = Runtime(load_scenario(_workload_path(name, tmp_path))).run().to_jsonl()
+    _, kept, peak = _traced(lambda: Trace.from_jsonl(text))
+    assert peak - kept <= 0.25 * len(text)
 
 
 def test_fleet_ticks_placement_builds_no_vector_beyond_the_demand(monkeypatch,
@@ -2217,6 +2249,21 @@ def test_cli_run_writes_trace_and_metrics(tmp_path, capsys):
     header = metrics_path.read_text().splitlines()[0]
     assert header.startswith("window_start,window_end,generated_mb")
     assert "scenario:" in capsys.readouterr().out
+
+
+def test_cli_run_writes_the_text_whose_hash_it_prints(tmp_path, capsys):
+    """fleet_ticks at seed 1, whose text spans many chunks."""
+    path = _workload_path("fleet_ticks", tmp_path)
+    trace_path = tmp_path / "out.jsonl"
+    assert main(["run", str(path), "--trace", str(trace_path)]) == EXIT_OK
+    written = trace_path.read_bytes()
+    trace, _ = run_scenario(load_scenario(path))
+    assert written == trace.to_jsonl().encode()
+    assert len(written) > 4 * kernel_module._CHUNK
+    digest = hashlib.sha256(written).hexdigest()
+    assert digest == trace.hash()
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        f"trace: {len(trace)} records, sha256 {digest[:16]}"
 
 
 def test_cli_run_rejects_a_negative_until(tmp_path, capsys):

@@ -7,7 +7,7 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fogsim import errors
@@ -204,7 +204,7 @@ def test_a_trace_is_hashed_as_its_whole_text_in_any_chunks(monkeypatch, chunk):
     kernel = Kernel()
     _emit_two(kernel)
     text = kernel.trace.to_jsonl()
-    monkeypatch.setattr(kernel_module, "_HASH_CHUNK", chunk or len(text))
+    monkeypatch.setattr(kernel_module, "_CHUNK", chunk or len(text))
     assert kernel.trace.hash() == _sha256(text)
     assert Trace().hash() == _sha256("")
 
@@ -214,7 +214,7 @@ def test_each_record_is_serialised_once(monkeypatch):
     layout = kernel_module._LAYOUTS["detach"]
     build, write = layout.row
     monkeypatch.setattr(layout, "row", (
-        build, lambda r, memo: calls.append(r.seq) or write(r, memo)))
+        build, lambda r, memo, out: calls.append(r.seq) or write(r, memo, out)))
     kernel = Kernel()
     kernel.emit("detach", "x", ("g",))
     kernel.emit("detach", "y", ("g",))
@@ -1031,6 +1031,34 @@ def test_the_lines_before_a_failed_read_are_read_first():
     with pytest.raises(errors.MalformedTrace, match="^line 3: unreadable$"):
         read.extend(kernel_module.records(lines()))
     assert [record.seq for record in read] == [1, 2]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.text(alphabet="ab \t\r", max_size=12), max_size=12).map("\n".join),
+       st.integers(1, 8))
+@example("abcdefgh\nij", 2)  # a line longer than a block
+@example("ab\ncd\nef", 3)  # a "\n" at a block's last character
+@example("ab\ncd\n\n\n", 1)  # trailing blank lines
+@example(" \r\n\t\n\r", 2)  # whitespace-only lines and "\r"
+@example("", 1)
+def test_lines_split_a_block_at_a_time_as_the_whole_text_splits(text, size):
+    assert list(kernel_module._lines(text, size)) == text.split("\n")
+
+
+@pytest.mark.parametrize("bad", ["stray-bracket", "no-time"])
+def test_a_bad_line_in_a_later_block_is_named_as_the_reference_names_it(bad):
+    """Lines of four blocks of `_CHUNK` characters: a bad line where the
+    third block starts, the line after it, and the last line."""
+    lines = [_plain(seq) for seq in range(1, 4 * kernel_module._CHUNK // len(_PLAIN))]
+    text = "\n".join(lines)
+    third = text.count("\n", 0, 2 * kernel_module._CHUNK)
+    for at in (third, third + 1, len(lines) - 1):
+        trace = lines.copy()
+        trace[at] = _BAD_PLAIN[bad]
+        text = "".join(line + "\n" for line in trace)
+        with pytest.raises(errors.MalformedTrace, match=f"^line {at + 1}: "):
+            reference_from_jsonl(text)
+        _assert_parses_as_the_reference(text)
 
 
 @pytest.mark.parametrize("end", [" ", "\t", "\r", " \t\r"],
